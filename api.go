@@ -46,6 +46,26 @@
 //	go run ./cmd/revtables -table none -k 8 -save k8.tables -out-of-core -mem-budget 2GiB
 //	go run ./cmd/revtables -table none -k 9 -save k9 -out-of-core -split 16 -mem-budget 8GiB
 //
+// The budget is a ledger: every buffer the build holds is charged to
+// it, and the stats report the peak. It divides as follows:
+//
+//   - expansion: half the budget across the workers' slab buffers, each
+//     counted twice because the spill run's radix sort needs an equally
+//     long scratch buffer;
+//   - the prior-level probe table: up to half, beyond which dedup
+//     switches to a merge-join against the level files on disk;
+//   - the sequence sorter: a quarter, split between its (seq, key) pair
+//     buffer and its radix scratch;
+//   - merge read buffers: up to a quarter, one per open run or level
+//     file;
+//   - emission: the fullest shard's entries and slot arrays, plus the
+//     placement scratch (a home-slot histogram and the entries regrouped
+//     by home).
+//
+// Every sort on the build path is linear-time: the spill runs and the
+// sequence sorter use LSD radix sorts, and emission lays each shard out
+// with a counting sort by home slot.
+//
 // The output is byte-identical to tablesio.SaveFile of the sequential
 // in-memory build, for any budget, worker count, or crash history —
 // per-shard merges assign the same deterministic sequence numbers the

@@ -38,15 +38,30 @@ func (b *builder) emit() error {
 	}
 	defer lv.close()
 
+	// One set of shard buffers serves every emitted store: sized for the
+	// fullest shard of the whole table, it fits any range of it.
+	maxPerShard := lv.maxShardEntries(0, b.shards)
+	perShard := hashtab.FrozenSlotsPerShard(maxPerShard)
+	charge := int64(maxPerShard)*(8+2) + int64(perShard)*(8+2) +
+		hashtab.PlaceScratchBytes(maxPerShard, perShard)
+	b.mem.add(charge)
+	defer b.mem.release(charge)
+	bufs := &emitBufs{
+		keys:     make([]uint64, 0, maxPerShard),
+		vals:     make([]uint16, 0, maxPerShard),
+		slotKeys: make([]uint64, perShard),
+		slotVals: make([]uint16, perShard),
+	}
+
 	if b.o.OutPath != "" {
-		if err := b.emitStore(lv, 0, b.shards, 1, 0, b.o.OutPath); err != nil {
+		if err := b.emitStore(lv, bufs, 0, b.shards, 1, 0, b.o.OutPath); err != nil {
 			return err
 		}
 	}
 	if b.o.SplitN > 1 {
 		sc := b.shards / b.o.SplitN
 		for i := 0; i < b.o.SplitN; i++ {
-			if err := b.emitStore(lv, i*sc, (i+1)*sc, b.o.SplitN, i, b.o.SplitPath(i)); err != nil {
+			if err := b.emitStore(lv, bufs, i*sc, (i+1)*sc, b.o.SplitN, i, b.o.SplitPath(i)); err != nil {
 				return err
 			}
 		}
@@ -93,6 +108,30 @@ func (l *levelFiles) close() {
 	l.srt = nil
 }
 
+// maxShardEntries returns the entry count of the fullest shard in
+// [shardLo, shardHi), summed over all levels.
+func (l *levelFiles) maxShardEntries(shardLo, shardHi int) int {
+	m := 0
+	for s := shardLo; s < shardHi; s++ {
+		n := 0
+		for c := range l.counts {
+			n += int(l.counts[c][s])
+		}
+		m = max(m, n)
+	}
+	return m
+}
+
+// emitBufs are the emission phase's shard buffers: one shard's gathered
+// entries, its slot arrays, and the placement scratch.
+type emitBufs struct {
+	keys     []uint64
+	vals     []uint16
+	slotKeys []uint64
+	slotVals []uint16
+	place    hashtab.PlaceScratch
+}
+
 // readShard appends level c's shard-s entries to the key/val buffers.
 func (l *levelFiles) readShard(c, s int, keys []uint64, vals []uint16) ([]uint64, []uint16, error) {
 	n := int(l.counts[c][s])
@@ -115,12 +154,11 @@ func (l *levelFiles) readShard(c, s int, keys []uint64, vals []uint16) ([]uint64
 // emitStore streams one store covering global shards [shardLo, shardHi)
 // as range splitIdx of splitN (1×[0] is the full store) to path,
 // atomically.
-func (b *builder) emitStore(lv *levelFiles, shardLo, shardHi, splitN, splitIdx int, path string) error {
+func (b *builder) emitStore(lv *levelFiles, bufs *emitBufs, shardLo, shardHi, splitN, splitIdx int, path string) error {
 	levels := b.man.Levels
 	localCounts := make([]int64, len(levels))
 	globalCounts := make([]int64, len(levels))
 	var localTotal, globalTotal int64
-	maxPerShard := 0
 	for c := range levels {
 		globalCounts[c] = levels[c].Entries
 		globalTotal += levels[c].Entries
@@ -129,16 +167,7 @@ func (b *builder) emitStore(lv *levelFiles, shardLo, shardHi, splitN, splitIdx i
 		}
 		localTotal += localCounts[c]
 	}
-	for s := shardLo; s < shardHi; s++ {
-		n := 0
-		for c := range levels {
-			n += int(lv.counts[c][s])
-		}
-		if n > maxPerShard {
-			maxPerShard = n
-		}
-	}
-	perShard := hashtab.FrozenSlotsPerShard(maxPerShard)
+	perShard := hashtab.FrozenSlotsPerShard(lv.maxShardEntries(shardLo, shardHi))
 
 	g := tablesio.StreamGeometry{
 		Alphabet:      b.a,
@@ -171,30 +200,22 @@ func (b *builder) emitStore(lv *levelFiles, shardLo, shardHi, splitN, splitIdx i
 		return err
 	}
 
-	charge := int64(maxPerShard)*(8+2) + int64(perShard)*(8+2)
-	b.mem.add(charge)
-	slotKeys := make([]uint64, perShard)
-	slotVals := make([]uint16, perShard)
-	keys := make([]uint64, 0, maxPerShard)
-	vals := make([]uint16, 0, maxPerShard)
-	release := func() { b.mem.release(charge) }
+	slotKeys, slotVals := bufs.slotKeys[:perShard], bufs.slotVals[:perShard]
 	for s := shardLo; s < shardHi; s++ {
-		keys, vals = keys[:0], vals[:0]
+		keys, vals := bufs.keys[:0], bufs.vals[:0]
 		for c := range levels {
 			keys, vals, err = lv.readShard(c, s, keys, vals)
 			if err != nil {
-				release()
 				return err
 			}
 		}
-		clearSlots(slotKeys, slotVals)
-		hashtab.PlaceShardCanonical(keys, vals, slotKeys, slotVals)
+		clear(slotKeys)
+		clear(slotVals)
+		hashtab.PlaceShardCanonical(keys, vals, slotKeys, slotVals, &bufs.place)
 		if err := w.WriteShard(slotKeys, slotVals); err != nil {
-			release()
 			return err
 		}
 	}
-	release()
 
 	pv, releasePV, err := w.ProbeView()
 	if err != nil {
@@ -225,7 +246,7 @@ func (b *builder) emitStore(lv *levelFiles, shardLo, shardHi, splitN, splitIdx i
 		os.Remove(tmpName)
 		return err
 	}
-	return nil
+	return tablesio.SyncDir(dir)
 }
 
 // appendIndexFromSeq streams every level's .seq file in discovery order,
@@ -293,13 +314,4 @@ func (b *builder) appendIndexFromSeq(w *tablesio.StreamWriter, pv *hashtab.Froze
 		f.Close()
 	}
 	return flush()
-}
-
-func clearSlots(keys []uint64, vals []uint16) {
-	for i := range keys {
-		keys[i] = 0
-	}
-	for i := range vals {
-		vals[i] = 0
-	}
 }

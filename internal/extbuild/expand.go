@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,9 +83,11 @@ func (b *builder) planLevel(c int) levelPlan {
 }
 
 // slabSink collects one slab's candidates, pre-computing each key's
-// hash shard (the spill sort's major key).
+// hash shard (the spill sort's major key). tmp is the spill sort's
+// scratch, as long as buf's capacity.
 type slabSink struct {
 	buf   []cand
+	tmp   []cand
 	shift uint
 }
 
@@ -178,10 +179,14 @@ func (b *builder) expandLevel(c int, p levelPlan) error {
 		go func() {
 			defer wg.Done()
 			bufCap := p.repsPerSlab * int64(p.maxStride)
-			charge := bufCap*candMemBytes + p.repsPerSlab*8
+			charge := p.repsPerSlab*slabRepBytes(p.maxStride) + p.repsPerSlab*8
 			b.mem.add(charge)
 			defer b.mem.release(charge)
-			sink := &slabSink{buf: make([]cand, 0, bufCap), shift: b.shardShift}
+			sink := &slabSink{
+				buf:   make([]cand, 0, bufCap),
+				tmp:   make([]cand, bufCap),
+				shift: b.shardShift,
+			}
 			repKeys := make([]uint64, p.repsPerSlab)
 			for {
 				slab := int(next.Add(1) - 1)
@@ -269,8 +274,11 @@ func (b *builder) expandSlab(c, slab int, p levelPlan, sink *slabSink, repKeys [
 		}
 	}
 	nc := int64(len(sink.buf))
-	sortCands(sink.buf)
-	sink.buf = dedupCands(sink.buf)
+	sorted, spare, err := radixSortCands(sink.buf, sink.tmp)
+	if err != nil {
+		return 0, fmt.Errorf("level %d slab %d: %w", c, slab, err)
+	}
+	sink.buf, sink.tmp = dedupCands(sorted), spare[:cap(spare)]
 	mf, err := writeRunFile(b.dir, runName(c, slab), sink.buf, b.shards)
 	if err != nil {
 		return 0, err
@@ -309,23 +317,8 @@ func readSeqRange(f *os.File, first int64, keys []uint64) error {
 	return nil
 }
 
-// sortCands orders a slab's candidates by (shard, key, seq) — the spill
-// run invariant every downstream merge relies on.
-func sortCands(cs []cand) {
-	sort.Slice(cs, func(i, j int) bool {
-		a, b := &cs[i], &cs[j]
-		if a.shard != b.shard {
-			return a.shard < b.shard
-		}
-		if a.key != b.key {
-			return a.key < b.key
-		}
-		return a.seq < b.seq
-	})
-}
-
 // dedupCands keeps the first (minimum-sequence) candidate of each key;
-// equal keys are adjacent after sortCands.
+// equal keys are adjacent after radixSortCands.
 func dedupCands(cs []cand) []cand {
 	w := 0
 	for i := range cs {

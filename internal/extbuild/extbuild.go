@@ -44,8 +44,9 @@ type Options struct {
 	WorkDir string
 
 	// MemBudget caps the tracked working memory in bytes (candidate
-	// buffers, merge read buffers, the prior-level probe table, the
-	// sequence sorter, emission shard buffers). Zero means
+	// buffers and their radix-sort scratch, merge read buffers, the
+	// prior-level probe table, the sequence sorter and its scratch,
+	// emission shard buffers and placement scratch). Zero means
 	// DefaultMemBudget. The budget sizes every buffer, so builds whose
 	// tables dwarf it still complete — they just spill more.
 	MemBudget int64
@@ -316,10 +317,15 @@ func (b *builder) deriveKnobs() {
 	// budget; beyond that the build switches to disk merge-join.
 	b.priorCap = b.budget / 2
 	// Sequence sorter: 16-byte (seq, key) pairs, a quarter of the
-	// budget in one buffer.
-	b.seqBufPairs = int(clamp64(b.budget/(4*16), 1<<12, 1<<24))
+	// budget split between the pair buffer and its radix scratch.
+	b.seqBufPairs = int(clamp64(b.budget/(8*seqPairBytes), 1<<11, 1<<23))
 	b.probeChunk = 4096
 }
+
+// slabRepBytes is the expansion memory one frontier representative
+// claims in a slab: maxStride candidates, each held twice — in the
+// slab buffer and in the spill sort's radix scratch.
+func slabRepBytes(maxStride uint64) int64 { return 2 * int64(maxStride) * candMemBytes }
 
 // planSlabs sizes the expansion slab for a level with the given total
 // source representatives and maximum per-representative candidate
@@ -329,8 +335,7 @@ func (b *builder) planSlabs(totalReps int64, maxStride uint64) (repsPerSlab int6
 	if totalReps == 0 {
 		return 1, 0
 	}
-	perRepBytes := int64(maxStride) * candMemBytes
-	repsPerSlab = b.budget / 2 / (int64(b.workers) * perRepBytes)
+	repsPerSlab = b.budget / 2 / (int64(b.workers) * slabRepBytes(maxStride))
 	repsPerSlab = clamp64(repsPerSlab, 1, totalReps)
 	if minSlab := (totalReps + maxSlabsPerLevel - 1) / maxSlabsPerLevel; repsPerSlab < minSlab {
 		repsPerSlab = minSlab

@@ -312,7 +312,7 @@ func TestResumeSameSlabCountDifferentPartition(t *testing.T) {
 	ref := referenceFile(t, a, k, false)
 
 	// Level k's expansion plan over the known Table 4 level sizes: with
-	// Workers 1, planSlabs yields repsPerSlab = budget/2/perRepBytes.
+	// Workers 1, planSlabs yields repsPerSlab = budget/2/slabRepBytes.
 	costs, groups := bfs.CostGroups(a)
 	var totalReps int64
 	var maxStride uint64
@@ -328,7 +328,7 @@ func TestResumeSameSlabCountDifferentPartition(t *testing.T) {
 			}
 		}
 	}
-	perRepBytes := int64(maxStride) * candMemBytes
+	perRepBytes := slabRepBytes(maxStride)
 	repsA := (totalReps + 2) / 3 // ceil(T/3): 3 slabs, the smallest tiling
 	repsB := repsA + 8           // still 3 slabs (any value below T/2)
 	if (totalReps+repsB-1)/repsB != 3 {
@@ -545,5 +545,54 @@ func TestTable4LevelCounts(t *testing.T) {
 	}
 	if stats.PeakTrackedBytes > 8<<20 {
 		t.Errorf("1 MiB budget build tracked %d bytes peak", stats.PeakTrackedBytes)
+	}
+}
+
+// TestPeakTrackedWithinBudget: with the radix scratch buffers charged,
+// a k=5 build at the default budget still peaks within the budget, and
+// the expansion phase's ledger covers a whole slab buffer plus its sort
+// scratch — the scratch is on the ledger, not beside it.
+func TestPeakTrackedWithinBudget(t *testing.T) {
+	a := bfs.GateAlphabet()
+	const k = 5
+	dir := t.TempDir()
+	stats, err := Build(Options{
+		Alphabet: a, K: k,
+		WorkDir: filepath.Join(dir, "work"),
+		Workers: 2,
+		OutPath: filepath.Join(dir, "out.rvt"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.PeakTrackedBytes > DefaultMemBudget {
+		t.Errorf("peak tracked %d bytes over the %d-byte default budget", stats.PeakTrackedBytes, DefaultMemBudget)
+	}
+
+	// Re-run up to level k's expansion alone and read its share of the
+	// ledger.
+	b, err := newBuilder(Options{Alphabet: a, K: k, WorkDir: filepath.Join(dir, "work2"), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.setupWorkDir(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.initPrior(); err != nil {
+		t.Fatal(err)
+	}
+	for c := 1; c < k; c++ {
+		if err := b.buildLevel(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := b.planLevel(k)
+	base := b.mem.cur
+	b.mem.peak = base
+	if err := b.expandLevel(k, p); err != nil {
+		t.Fatal(err)
+	}
+	if got, slab := b.mem.peak-base, p.repsPerSlab*slabRepBytes(p.maxStride); got < slab {
+		t.Errorf("level %d expansion charged %d bytes, below one slab with its sort scratch (%d)", k, got, slab)
 	}
 }

@@ -14,6 +14,17 @@
 // so for every k an in-memory build can reach, the out-of-core store is
 // byte-identical to tablesio.SaveFile of bfs.Search with Workers: 1.
 //
+// Every sort on the build path runs in linear time. A slab's candidates
+// reach the spill buffer in strictly ascending sequence order, because
+// representatives are read in frontier order and bfs.ExpandRep numbers
+// each one's candidates upward from its base. So a stable LSD radix
+// sort on (shard, key) leaves equal keys in seq order, which yields the
+// (shard, key, seq) run order the merges rely on without sorting on
+// seq. The sort checks the order in the same pass that builds its
+// histograms and fails the build with ErrCandidateOrder if it breaks.
+// The sequence sorter radix-sorts its (seq, key) pairs, and emission
+// places each shard with a counting sort by home slot.
+//
 // Work-directory artifacts, all little-endian:
 //
 //	run_<c>_<slab>.run   one expansion slab's candidates, sorted by

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/tablesio"
 )
@@ -38,12 +37,13 @@ func (h *runHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = 
 // never on the slab partition or worker schedule that produced the
 // runs.
 func (b *builder) mergeLevel(c int, p levelPlan) error {
-	runs := append([]tablesio.ManifestRun(nil), b.man.Runs...)
-	sort.Slice(runs, func(i, j int) bool { return runs[i].Slab < runs[j].Slab })
-	paths := make([]string, len(runs))
+	// Expansion left exactly one sealed run per slab (the manifest
+	// validator refuses out-of-range or repeated slabs); take them in
+	// slab order.
+	paths := make([]string, len(b.man.Runs))
 	var levelCands int64
-	for i, r := range runs {
-		paths[i] = filepath.Join(b.dir, r.File.Name)
+	for _, r := range b.man.Runs {
+		paths[r.Slab] = filepath.Join(b.dir, r.File.Name)
 		levelCands += r.Candidates
 	}
 	paths, consPaths, err := b.consolidateRuns(c, paths)
@@ -435,20 +435,32 @@ const seqPairBytes = 16
 // seqSorter restores discovery order for a level's survivors: the merge
 // produces them in (shard, key) order, the .seq artifact — and with it
 // the store's per-level index — needs ascending sequence order. Under
-// budget it is one in-memory sort; over budget it spills sorted runs
-// and k-way merges them.
+// budget it is one in-memory radix sort; over budget it spills sorted
+// runs and k-way merges them. The budget charge covers the pair buffer
+// and the equally long radix scratch.
 type seqSorter struct {
 	b      *builder
 	level  int
 	pairs  []seqPair
+	tmp    []seqPair
 	limit  int
 	spills []string
 }
 
 func (b *builder) newSeqSorter(level int) *seqSorter {
 	s := &seqSorter{b: b, level: level, limit: b.seqBufPairs}
-	b.mem.add(int64(s.limit) * seqPairBytes)
+	b.mem.add(2 * int64(s.limit) * seqPairBytes)
 	return s
+}
+
+// sortPairs radix-sorts the buffered pairs by seq, growing the scratch
+// buffer to the largest batch seen (at most limit pairs).
+func (s *seqSorter) sortPairs() {
+	if len(s.tmp) < len(s.pairs) {
+		s.tmp = make([]seqPair, len(s.pairs))
+	}
+	sorted, spare := radixSortSeqPairs(s.pairs, s.tmp)
+	s.pairs, s.tmp = sorted, spare[:cap(spare)]
 }
 
 func (s *seqSorter) push(seq, key uint64) error {
@@ -463,7 +475,7 @@ func (s *seqSorter) spill() error {
 	if len(s.pairs) == 0 {
 		return nil
 	}
-	sort.Slice(s.pairs, func(i, j int) bool { return s.pairs[i].seq < s.pairs[j].seq })
+	s.sortPairs()
 	name := fmt.Sprintf("seqspill_%d_%d", s.level, len(s.spills))
 	path := filepath.Join(s.b.dir, name)
 	f, err := os.Create(path)
@@ -496,7 +508,7 @@ func (s *seqSorter) spill() error {
 // finish writes the level's keys in ascending sequence order to w.
 func (s *seqSorter) finish(w io.Writer) error {
 	if len(s.spills) == 0 {
-		sort.Slice(s.pairs, func(i, j int) bool { return s.pairs[i].seq < s.pairs[j].seq })
+		s.sortPairs()
 		var rec [seqRecordBytes]byte
 		for _, p := range s.pairs {
 			putSeqRecord(rec[:], p.key)
@@ -536,7 +548,7 @@ func (s *seqSorter) finish(w io.Writer) error {
 
 // drop releases the sorter's budget charge and removes any spill files.
 func (s *seqSorter) drop() {
-	s.b.mem.release(int64(s.limit) * seqPairBytes)
+	s.b.mem.release(2 * int64(s.limit) * seqPairBytes)
 	for _, p := range s.spills {
 		os.Remove(p)
 	}

@@ -3,7 +3,6 @@ package hashtab
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"unsafe"
 )
@@ -145,6 +144,21 @@ func FrozenSlotsPerShard(maxCount int) int {
 	return perShard
 }
 
+// PlaceScratch is PlaceShardCanonical's working memory: the home-slot
+// histogram (one counter per slot, plus one) and the entries regrouped
+// by home. The zero value is ready; the buffers grow to the largest
+// shard placed and are reused by later calls.
+type PlaceScratch struct {
+	starts []uint32
+	keys   []uint64
+	vals   []uint16
+}
+
+// PlaceScratchBytes is the memory a PlaceScratch holds after placing a
+// shard of n entries into slots slots — the figure a budgeted caller
+// charges for it.
+func PlaceScratchBytes(n, slots int) int64 { return 4*int64(slots+1) + (8+2)*int64(n) }
+
 // PlaceShardCanonical lays one shard's entries into the caller's zeroed
 // slot arrays (len a power of two ≥ minShardSlots, strictly greater than
 // len(ks)) in the canonical frozen order: entries sorted by (home slot,
@@ -153,43 +167,68 @@ func FrozenSlotsPerShard(maxCount int) int {
 // of keys to slots — and therefore the persisted bytes — a pure
 // function of the entry set, which is what lets an out-of-core build
 // and an in-memory Compact of the same table emit identical stores.
-// Keys must be unique and nonzero; ks and vs are reordered in place.
-func PlaceShardCanonical(ks []uint64, vs []uint16, slotKeys []uint64, slotVals []uint16) {
-	mask := uint64(len(slotKeys) - 1)
-	homes := make([]uint64, len(ks))
-	for i, k := range ks {
-		homes[i] = Hash64Shift(k) & mask
+//
+// The order is a counting sort by home slot; within a home, keys are
+// insertion-sorted, which is cheap because the load factor keeps the
+// average home to under one entry. Keys must be unique and nonzero; ks
+// and vs are not modified.
+func PlaceShardCanonical(ks []uint64, vs []uint16, slotKeys []uint64, slotVals []uint16, sc *PlaceScratch) {
+	slots := len(slotKeys)
+	mask := uint64(slots - 1)
+	if cap(sc.starts) < slots+1 {
+		sc.starts = make([]uint32, slots+1)
 	}
-	sort.Sort(&shardEntrySort{homes, ks, vs})
+	if cap(sc.keys) < len(ks) {
+		sc.keys = make([]uint64, len(ks))
+		sc.vals = make([]uint16, len(ks))
+	}
+	starts, gk, gv := sc.starts[:slots+1], sc.keys[:len(ks)], sc.vals[:len(ks)]
+	clear(starts)
+	for _, k := range ks {
+		starts[Hash64Shift(k)&mask+1]++
+	}
+	for h := 1; h <= slots; h++ {
+		starts[h] += starts[h-1]
+	}
+	// Scatter: afterwards starts[h] is the end of home h's bucket,
+	// which is where home h+1's bucket begins.
 	for i, k := range ks {
-		j := homes[i]
-		for slotKeys[j] != 0 {
-			j = (j + 1) & mask
+		h := Hash64Shift(k) & mask
+		gk[starts[h]], gv[starts[h]] = k, vs[i]
+		starts[h]++
+	}
+	// Probe in (home, key) order. Until the first wrap past the last
+	// slot, the occupied slots form runs ending at the last placement,
+	// so an entry's probe ends at max(home, last+1) without rescanning
+	// its run. Once one entry wraps, all later ones do (their homes are
+	// no smaller); they take the first free slots from 0 in order.
+	next, wrap := uint64(0), uint64(0)
+	lo := uint32(0)
+	for h := uint64(0); h <= mask; h++ {
+		hi := starts[h]
+		bk, bv := gk[lo:hi], gv[lo:hi]
+		lo = hi
+		for a := 1; a < len(bk); a++ {
+			k, v := bk[a], bv[a]
+			b := a
+			for ; b > 0 && bk[b-1] > k; b-- {
+				bk[b], bv[b] = bk[b-1], bv[b-1]
+			}
+			bk[b], bv[b] = k, v
 		}
-		slotKeys[j] = k
-		slotVals[j] = vs[i]
+		for e, k := range bk {
+			j := max(h, next)
+			if j <= mask {
+				next = j + 1
+			} else {
+				for slotKeys[wrap] != 0 {
+					wrap++
+				}
+				j = wrap
+			}
+			slotKeys[j], slotVals[j] = k, bv[e]
+		}
 	}
-}
-
-// shardEntrySort sorts one shard's entries by (home slot, key) keeping
-// the three parallel slices aligned.
-type shardEntrySort struct {
-	homes []uint64
-	keys  []uint64
-	vals  []uint16
-}
-
-func (s *shardEntrySort) Len() int { return len(s.keys) }
-func (s *shardEntrySort) Less(a, b int) bool {
-	if s.homes[a] != s.homes[b] {
-		return s.homes[a] < s.homes[b]
-	}
-	return s.keys[a] < s.keys[b]
-}
-func (s *shardEntrySort) Swap(a, b int) {
-	s.homes[a], s.homes[b] = s.homes[b], s.homes[a]
-	s.keys[a], s.keys[b] = s.keys[b], s.keys[a]
-	s.vals[a], s.vals[b] = s.vals[b], s.vals[a]
 }
 
 // Compact re-lays a sharded table into the frozen flat layout: one pass
@@ -222,6 +261,7 @@ func Compact(t *ShardedTable) (*FrozenTable, error) {
 	}
 	eks := make([]uint64, 0, maxCount)
 	evs := make([]uint16, 0, maxCount)
+	var sc PlaceScratch
 	for i := range t.shards {
 		eks, evs = eks[:0], evs[:0]
 		t.shards[i].t.ForEach(func(k uint64, v uint16) bool {
@@ -229,7 +269,7 @@ func Compact(t *ShardedTable) (*FrozenTable, error) {
 			evs = append(evs, v)
 			return true
 		})
-		PlaceShardCanonical(eks, evs, keys[i*perShard:(i+1)*perShard], vals[i*perShard:(i+1)*perShard])
+		PlaceShardCanonical(eks, evs, keys[i*perShard:(i+1)*perShard], vals[i*perShard:(i+1)*perShard], &sc)
 	}
 	return ft, nil
 }
@@ -288,9 +328,10 @@ func CompactSplit(keys []uint64, vals []uint16, shardCount, splitN, splitIdx int
 		gv[cursor[shard]] = vals[i]
 		cursor[shard]++
 	}
+	var sc PlaceScratch
 	for s := 0; s < shardCount; s++ {
 		PlaceShardCanonical(gk[starts[s]:starts[s+1]], gv[starts[s]:starts[s+1]],
-			slotKeys[s*perShard:(s+1)*perShard], slotVals[s*perShard:(s+1)*perShard])
+			slotKeys[s*perShard:(s+1)*perShard], slotVals[s*perShard:(s+1)*perShard], &sc)
 	}
 	return ft, nil
 }

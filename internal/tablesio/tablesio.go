@@ -189,17 +189,31 @@ func Save(w io.Writer, res *bfs.Result) error {
 }
 
 // SaveFile persists a BFS result to path atomically in format v2 (the
-// zero-copy layout LoadFile memory-maps): the stream is written to a
-// temp file in the destination directory (same filesystem, so the final
-// rename is atomic and cannot fail with EXDEV) — a crash mid-write never
+// zero-copy layout LoadFile memory-maps) — a crash mid-write never
 // leaves a truncated store that would fail the next load.
 func SaveFile(path string, res *bfs.Result) error {
+	return publishFile(path, func(w io.Writer) error { return SaveV2(w, res) })
+}
+
+// SaveSplitFile persists range i of n of a result as a split v2 store,
+// with the same atomic publishing as SaveFile.
+func SaveSplitFile(path string, res *bfs.Result, n, i int) error {
+	return publishFile(path, func(w io.Writer) error { return SaveSplit(w, res, n, i) })
+}
+
+// publishFile writes a store through a temp file in the destination
+// directory (same filesystem, so the final rename is atomic and cannot
+// fail with EXDEV). The temp file is fsynced before the rename and the
+// directory after it, so after a crash the path holds either the old
+// store or the whole new one, and a returned nil means the new store
+// survives one.
+func publishFile(path string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".revtables-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := SaveV2(tmp, res); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -210,32 +224,30 @@ func SaveFile(path string, res *bfs.Result) error {
 		tmp.Close()
 		return err
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	return SyncDir(filepath.Dir(path))
 }
 
-// SaveSplitFile persists range i of n of a result as a split v2 store,
-// with the same atomic temp-file-and-rename discipline as SaveFile.
-func SaveSplitFile(path string, res *bfs.Result, n, i int) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".revtables-*")
+// SyncDir fsyncs a directory, making the renames into it durable.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if err := SaveSplit(tmp, res, n, i); err != nil {
-		tmp.Close()
-		return err
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return err
 }
 
 // checksumReader tees reads into a running checksum.
