@@ -95,8 +95,9 @@
 //	defer svc.Close(context.Background())
 //	circ, info, err := svc.Synthesize(ctx, spec) // concurrent, cached, cancellable
 //
-// The first run builds, compacts, and persists the tables in the
-// tablesio v2 zero-copy layout; every later run memory-maps that store —
+// The first run builds the tables — a search returns them already in
+// the frozen layout — and persists them as a tablesio v2 zero-copy
+// store; every later run memory-maps that store —
 // cold start is O(pages touched), milliseconds even for table sets whose
 // v1-style parse-and-rehash took seconds to minutes, and concurrent
 // server processes share one page-cache copy. The service then answers
@@ -537,10 +538,10 @@ func NewService(cfg ServiceConfig) (*Service, error) { return service.New(cfg) }
 // cold multi-minute k = 9 load.
 func NewServiceAsync(cfg ServiceConfig) *Service { return service.NewAsync(cfg) }
 
-// LoadSynthesizer rehydrates tables written by SaveTables (either
-// format version; the stream is sniffed and fully verified). The
-// alphabet must match the saved one; pass nil for the standard 32-gate
-// library.
+// LoadSynthesizer rehydrates tables written by SaveTables, or a legacy
+// v1 store written by an older version (the stream is sniffed and fully
+// verified). The alphabet must match the saved one; pass nil for the
+// standard 32-gate library.
 func LoadSynthesizer(r io.Reader, alphabet *bfs.Alphabet) (*Synthesizer, error) {
 	if alphabet == nil {
 		alphabet = bfs.GateAlphabet()

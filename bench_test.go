@@ -29,7 +29,6 @@ import (
 	"repro/internal/gate"
 	"repro/internal/hashtab"
 	"repro/internal/heuristic"
-	"repro/internal/linear"
 	"repro/internal/mt19937"
 	"repro/internal/randperm"
 	"repro/internal/render"
@@ -106,13 +105,11 @@ func BenchmarkTable2HashStats(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			var st hashtab.Stats
 			for i := 0; i < b.N; i++ {
-				res, err := bfs.Search(bfs.GateAlphabet(), k, &bfs.Options{
-					CapacityHint: int(bfs.CumulativeGateReduced(k)),
-				})
+				res, err := bfs.Search(bfs.GateAlphabet(), k, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				st = res.Table.ComputeStats()
+				st = res.TableStats()
 			}
 			b.ReportMetric(st.LoadFactor, "load")
 			b.ReportMetric(st.AvgChain, "avgChain")
@@ -156,7 +153,7 @@ func BenchmarkTable4BFSLevels(b *testing.B) {
 	a := bfs.GateAlphabet()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := bfs.Search(a, 5, &bfs.Options{CapacityHint: int(bfs.CumulativeGateReduced(5))})
+		res, err := bfs.Search(a, 5, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -178,7 +175,7 @@ func BenchmarkTable5LinearDistribution(b *testing.B) {
 	a := bfs.LinearAlphabet()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := bfs.Search(a, 10, &bfs.Options{NoReduction: true, CapacityHint: linear.NumAffine})
+		res, err := bfs.Search(a, 10, &bfs.Options{NoReduction: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -277,8 +274,9 @@ func BenchmarkAblationHash(b *testing.B) {
 	}
 	var keys []uint64
 	for c := 0; c <= 5; c++ {
-		for _, rep := range res.Levels[c] {
-			keys = append(keys, uint64(rep))
+		lvl := res.Level(c)
+		for i := 0; i < lvl.Len(); i++ {
+			keys = append(keys, uint64(lvl.At(i)))
 		}
 	}
 	for _, kind := range []struct {
@@ -462,7 +460,7 @@ func BenchmarkExtensionTableIO(b *testing.B) {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tablesio.Save(&buf, res); err != nil {
+	if err := tablesio.SaveV2(&buf, res); err != nil {
 		b.Fatal(err)
 	}
 	blob := buf.Bytes()
@@ -507,12 +505,11 @@ func BenchmarkExtensionDepthOptimal(b *testing.B) {
 // workers=1 row is the meaningful one; on ≥ 4 cores the ≥ 2× speedup at
 // workers=4 is part of the perf trajectory.
 func BenchmarkSearchParallel(b *testing.B) {
-	hint := int(bfs.CumulativeGateReduced(6))
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := bfs.Search(bfs.GateAlphabet(), 6, &bfs.Options{Workers: w, CapacityHint: hint}); err != nil {
+				if _, err := bfs.Search(bfs.GateAlphabet(), 6, &bfs.Options{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}

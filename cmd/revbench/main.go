@@ -82,17 +82,12 @@ type searchPoint struct {
 }
 
 type coldStartReport struct {
-	Entries            int     `json:"entries"`
-	V1Bytes            int64   `json:"v1_store_bytes"`
-	V2Bytes            int64   `json:"v2_store_bytes"`
-	V1LoadSeconds      float64 `json:"v1_parse_rehash_seconds"`
-	V2MmapSeconds      float64 `json:"v2_mmap_seconds"`
-	V2StreamSeconds    float64 `json:"v2_stream_verify_seconds"`
-	MmapSpeedupVsV1    float64 `json:"mmap_speedup_vs_v1"`
-	V1HeapBytesPerRep  float64 `json:"v1_heap_bytes_per_rep"`
-	V2HeapBytesPerRep  float64 `json:"v2_mmap_heap_bytes_per_rep"`
-	HeapReductionRatio float64 `json:"heap_reduction_ratio"`
-	MemoryMapped       bool    `json:"memory_mapped"`
+	Entries           int     `json:"entries"`
+	V2Bytes           int64   `json:"v2_store_bytes"`
+	V2MmapSeconds     float64 `json:"v2_mmap_seconds"`
+	V2StreamSeconds   float64 `json:"v2_stream_verify_seconds"`
+	V2HeapBytesPerRep float64 `json:"v2_mmap_heap_bytes_per_rep"`
+	MemoryMapped      bool    `json:"memory_mapped"`
 }
 
 type queryReport struct {
@@ -300,10 +295,6 @@ func main() {
 	}
 
 	// --- Search scaling curve -------------------------------------------
-	hint := 0
-	if *k < len(bfs.GateReducedCounts) {
-		hint = int(bfs.CumulativeGateReduced(*k))
-	}
 	var res *bfs.Result
 	var base float64
 	for _, ws := range strings.Split(*workers, ",") {
@@ -312,7 +303,7 @@ func main() {
 			log.Fatalf("bad worker count %q", ws)
 		}
 		start := time.Now()
-		r, err := bfs.Search(bfs.GateAlphabet(), *k, &bfs.Options{Workers: w, CapacityHint: hint})
+		r, err := bfs.Search(bfs.GateAlphabet(), *k, &bfs.Options{Workers: w})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -325,30 +316,18 @@ func main() {
 		res = r
 	}
 
-	// --- Cold start: v1 parse+rehash vs v2 mmap -------------------------
+	// --- Cold start: v2 mmap vs v2 verifying stream ---------------------
 	dir, err := os.MkdirTemp("", "revbench-*")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	v1Path := filepath.Join(dir, "v1.tables")
 	v2Path := filepath.Join(dir, "v2.tables")
-	f, err := os.Create(v1Path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := tablesio.Save(f, res); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
 	if err := tablesio.SaveFile(v2Path, res); err != nil {
 		log.Fatal(err)
 	}
 	entries := res.TotalStored()
 	rep.ColdStart.Entries = entries
-	rep.ColdStart.V1Bytes = fileSize(v1Path)
 	rep.ColdStart.V2Bytes = fileSize(v2Path)
 
 	load := func(path string, opts *tablesio.LoadOptions) (float64, float64, tablesio.LoadInfo) {
@@ -366,26 +345,17 @@ func main() {
 		secs := time.Since(start).Seconds()
 		runtime.ReadMemStats(&after)
 		heapPerRep := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(entries)
-		if loaded.Frozen != nil {
-			loaded.Frozen.Close()
-		}
+		loaded.Frozen.Close()
 		return secs, heapPerRep, info
 	}
-	v1Secs, v1Heap, _ := load(v1Path, nil)
 	v2Secs, v2Heap, v2Info := load(v2Path, nil)
 	v2sSecs, _, _ := load(v2Path, &tablesio.LoadOptions{DisableMmap: true})
-	rep.ColdStart.V1LoadSeconds = round(v1Secs)
 	rep.ColdStart.V2MmapSeconds = round(v2Secs)
 	rep.ColdStart.V2StreamSeconds = round(v2sSecs)
-	rep.ColdStart.MmapSpeedupVsV1 = round(v1Secs / v2Secs)
-	rep.ColdStart.V1HeapBytesPerRep = round(v1Heap)
 	rep.ColdStart.V2HeapBytesPerRep = round(v2Heap)
-	if v1Heap > 0 {
-		rep.ColdStart.HeapReductionRatio = round(1 - v2Heap/v1Heap)
-	}
 	rep.ColdStart.MemoryMapped = v2Info.MemoryMapped
-	log.Printf("cold start: v1 %.3fs, v2+mmap %.6fs (%.0f×), heap %.1f → %.3f B/rep",
-		v1Secs, v2Secs, v1Secs/v2Secs, v1Heap, v2Heap)
+	log.Printf("cold start: v2+mmap %.6fs (heap %.3f B/rep), v2 stream+verify %.3fs",
+		v2Secs, v2Heap, v2sSecs)
 
 	// --- Out-of-core build ----------------------------------------------
 	// Budget: a quarter of the finished store (min 4 MiB) — small enough
@@ -398,7 +368,7 @@ func main() {
 	// the parallel builder, which resolves duplicate candidates by
 	// insertion race and so freezes arbitrary equal-cost winners.
 	refPath := filepath.Join(dir, "ref.tables")
-	refRes, err := bfs.Search(bfs.GateAlphabet(), *k, &bfs.Options{Workers: 1, CapacityHint: hint})
+	refRes, err := bfs.Search(bfs.GateAlphabet(), *k, &bfs.Options{Workers: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,16 +41,11 @@ func main() {
 
 	var a *bfs.Alphabet
 	var err error
-	hint := 0
 	switch *alphabet {
 	case "gates":
 		a = bfs.GateAlphabet()
-		if !*noreduce && *k < len(bfs.GateReducedCounts) {
-			hint = int(bfs.CumulativeGateReduced(*k))
-		}
 	case "linear":
 		a = bfs.LinearAlphabet()
-		hint = 322560
 	case "layers":
 		a = bfs.LayerAlphabet()
 	case "lnn":
@@ -76,9 +71,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "loaded %d entries from %s (%s)\n", res.TotalStored(), *load, info)
 	} else {
 		res, err = bfs.Search(a, *k, &bfs.Options{
-			NoReduction:  *noreduce,
-			CapacityHint: hint,
-			Workers:      *workers,
+			NoReduction: *noreduce,
+			Workers:     *workers,
 			Progress: func(level, reps int) {
 				fmt.Fprintf(os.Stderr, "level %d: %d new\n", level, reps)
 			},

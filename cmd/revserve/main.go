@@ -696,9 +696,6 @@ func runShardServer(addr, tablesPath string, k int, alphabet *bfs.Alphabet, quer
 			log.Fatal(err)
 		}
 		res = synth.Result()
-		if err := res.Compact(); err != nil {
-			log.Fatal(err)
-		}
 		if tablesPath != "" {
 			if err := tablesio.SaveFile(tablesPath, res); err != nil {
 				log.Fatal(err)
@@ -747,9 +744,7 @@ func runShardServer(addr, tablesPath string, k int, alphabet *bfs.Alphabet, quer
 		log.Printf("drain cut short: %v", err)
 	}
 	srv.Close()
-	if res.Frozen != nil {
-		res.Frozen.Close()
-	}
+	res.Frozen.Close()
 	log.Print("bye")
 }
 

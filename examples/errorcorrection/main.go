@@ -67,7 +67,7 @@ func main() {
 	// Table 5's shape in one line each: how many linear functions need n
 	// gates (exact — the whole group is enumerated).
 	fmt.Println("\nTable 5 (exact):")
-	res, err := bfs.Search(bfs.LinearAlphabet(), 10, &bfs.Options{NoReduction: true, CapacityHint: linear.NumAffine})
+	res, err := bfs.Search(bfs.LinearAlphabet(), 10, &bfs.Options{NoReduction: true})
 	if err != nil {
 		log.Fatal(err)
 	}

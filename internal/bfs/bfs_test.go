@@ -127,7 +127,9 @@ func TestLNNCostsDominateUnrestricted(t *testing.T) {
 	}
 	checked := 0
 	for c := 0; c <= 4; c++ {
-		for _, f := range lnn.Levels[c] {
+		lvl := lnn.Level(c)
+		for i := 0; i < lvl.Len(); i++ {
+			f := lvl.At(i)
 			if fc, ok := free.CostOf(f); ok {
 				if fc > c {
 					t.Fatalf("unrestricted cost %d exceeds LNN cost %d for %v", fc, c, f)
@@ -277,17 +279,13 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		k = 4
 	}
-	hint := int(CumulativeGateReduced(k))
-	seq, err := Search(GateAlphabet(), k, &Options{Workers: 1, CapacityHint: hint})
+	seq, err := Search(GateAlphabet(), k, &Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Search(GateAlphabet(), k, &Options{Workers: 8, CapacityHint: hint})
+	par, err := Search(GateAlphabet(), k, &Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !par.Table.Frozen() {
-		t.Fatal("search returned an unfrozen table")
 	}
 	for c := 0; c <= k; c++ {
 		if got, want := int64(par.ReducedCount(c)), GateReducedCounts[c]; got != want {
@@ -300,8 +298,7 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 			t.Errorf("parallel full count at size %d = %d, want %d (paper Table 4)", c, got, want)
 		}
 		// Set equality, not just cardinality: sort copies of both levels.
-		a := append([]perm.Perm(nil), seq.Levels[c]...)
-		b := append([]perm.Perm(nil), par.Levels[c]...)
+		a, b := levelReps(seq.Level(c)), levelReps(par.Level(c))
 		if len(a) != len(b) {
 			t.Fatalf("level %d sizes differ: sequential %d, parallel %d", c, len(a), len(b))
 		}
@@ -313,6 +310,15 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// levelReps copies a level's representatives out.
+func levelReps(lv LevelView) []perm.Perm {
+	out := make([]perm.Perm, lv.Len())
+	for i := range out {
+		out[i] = lv.At(i)
+	}
+	return out
 }
 
 // TestParallelUnreducedAndWeighted covers the remaining search modes
@@ -351,7 +357,7 @@ func TestLevelSix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("level-6 BFS in -short mode")
 	}
-	res, err := Search(GateAlphabet(), 6, &Options{CapacityHint: int(CumulativeGateReduced(6))})
+	res, err := Search(GateAlphabet(), 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,9 +373,9 @@ func TestCostOfAgreesWithLevels(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for c := 0; c <= 4; c++ {
-		lvl := res.Levels[c]
-		for trial := 0; trial < 50 && trial < len(lvl); trial++ {
-			rep := lvl[rng.Intn(len(lvl))]
+		lvl := res.Level(c)
+		for trial := 0; trial < 50 && trial < lvl.Len(); trial++ {
+			rep := lvl.At(rng.Intn(lvl.Len()))
 			got, ok := res.CostOf(rep)
 			if !ok || got != c {
 				t.Fatalf("CostOf(level-%d rep) = %d,%v", c, got, ok)
@@ -415,7 +421,7 @@ func TestLinearAlphabetExhaustsAffineGroup(t *testing.T) {
 	if a.Len() != 16 {
 		t.Fatalf("linear alphabet has %d elements, want 16", a.Len())
 	}
-	res, err := Search(a, 11, &Options{NoReduction: true, CapacityHint: 400000})
+	res, err := Search(a, 11, &Options{NoReduction: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,8 +486,9 @@ func TestWeightedSearchQuantumCost(t *testing.T) {
 	// TOF-bearing function can appear below cost 5.
 	tof := gate.MustParse("TOF(a,b,c)").Perm()
 	for c := 1; c < 5; c++ {
-		for _, rep := range res.Levels[c] {
-			if rep == canon.Rep(tof) {
+		lvl := res.Level(c)
+		for i := 0; i < lvl.Len(); i++ {
+			if lvl.At(i) == canon.Rep(tof) {
 				t.Fatalf("TOF class appeared at cost %d", c)
 			}
 		}
@@ -576,10 +583,9 @@ func TestCumulativeGateReduced(t *testing.T) {
 
 func BenchmarkSearchK4(b *testing.B) {
 	a := GateAlphabet()
-	hint := int(CumulativeGateReduced(4))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Search(a, 4, &Options{CapacityHint: hint}); err != nil {
+		if _, err := Search(a, 4, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -591,13 +597,13 @@ func BenchmarkCanonicalizeExpansion(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	reps := res.Levels[3]
+	reps := res.Level(3)
 	a := GateAlphabet()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var acc perm.Perm
 	for i := 0; i < b.N; i++ {
-		r := reps[i%len(reps)]
+		r := reps.At(i % reps.Len())
 		h := r.Then(a.Element(i & 31).P)
 		rep, _, _ := canon.Canonical(h)
 		acc ^= rep

@@ -4,138 +4,131 @@ import (
 	"testing"
 
 	"repro/internal/canon"
+	"repro/internal/gate"
+	"repro/internal/hashtab"
 	"repro/internal/perm"
 )
 
-// TestCompactPreservesQueries freezes a live search result in place and
-// checks every backend-neutral accessor against the pre-compaction
-// answers: levels (content and order), counts, lookups, costs,
-// containment, and memory accounting.
+// TestCompactPreservesQueries checks the frozen layout Search returns
+// against its own level lists: every class member of every level answers
+// Lookup (through its representative), CostOf and Contains at that
+// level, while functions one level beyond the horizon and non-functions
+// are rejected.
 func TestCompactPreservesQueries(t *testing.T) {
-	res, err := Search(GateAlphabet(), 4, nil)
+	res, err := Search(GateAlphabet(), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type levelSnapshot struct {
-		reps []perm.Perm
-		vals []Value
-	}
-	// An out-of-horizon function, captured while the live backend can
-	// vouch for its absence.
-	absent := perm.Perm(0)
-	for x := uint64(1); x < 1<<16 && absent == 0; x++ {
-		p := perm.Perm(uint64(perm.Identity) ^ x<<1 ^ x<<17)
-		if p.IsValid() && !res.Contains(p) {
-			absent = p
-		}
-	}
-	if absent == 0 {
-		t.Fatal("could not find an absent permutation")
-	}
-	snap := make([]levelSnapshot, res.MaxCost+1)
-	for c := 0; c <= res.MaxCost; c++ {
-		lvl := res.Level(c)
-		s := levelSnapshot{}
-		for i := 0; i < lvl.Len(); i++ {
-			v, ok := res.Lookup(lvl.At(i))
-			if !ok {
-				t.Fatal("level entry missing pre-compact")
-			}
-			s.reps = append(s.reps, lvl.At(i))
-			s.vals = append(s.vals, v)
-		}
-		snap[c] = s
-	}
-	liveBytes := res.MemoryBytes()
-	total := res.TotalStored()
-	fullCounts := make([]int64, res.MaxCost+1)
-	for c := range fullCounts {
-		fullCounts[c] = res.FullCount(c)
-	}
-
-	if err := res.Compact(); err != nil {
+	beyond, err := Search(GateAlphabet(), 4, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Frozen == nil || res.Table != nil || res.Levels != nil {
-		t.Fatal("Compact left the live backend in place")
-	}
-	if res.TotalStored() != total {
-		t.Fatalf("entries %d, want %d", res.TotalStored(), total)
-	}
-	if res.Compact() != nil {
-		t.Fatal("second Compact is not a no-op")
-	}
+	total := 0
 	for c := 0; c <= res.MaxCost; c++ {
 		lvl := res.Level(c)
-		if lvl.Len() != len(snap[c].reps) {
-			t.Fatalf("level %d length %d, want %d", c, lvl.Len(), len(snap[c].reps))
+		if lvl.Len() != res.LevelLen(c) || int64(lvl.Len()) != GateReducedCounts[c] {
+			t.Fatalf("level %d holds %d/%d representatives, want %d", c, lvl.Len(), res.LevelLen(c), GateReducedCounts[c])
 		}
+		total += lvl.Len()
 		for i := 0; i < lvl.Len(); i++ {
-			if lvl.At(i) != snap[c].reps[i] {
-				t.Fatalf("level %d entry %d reordered", c, i)
+			rep := lvl.At(i)
+			v, ok := res.Lookup(rep)
+			if !ok || v.Cost != c || v.IsIdentity != (c == 0) {
+				t.Fatalf("Lookup(level %d rep %v) = %+v,%v", c, rep, v, ok)
 			}
-			v, ok := res.Lookup(lvl.At(i))
-			if !ok || v != snap[c].vals[i] {
-				t.Fatalf("level %d entry %d value %+v, want %+v", c, i, v, snap[c].vals[i])
+			if !v.IsIdentity && v.Elem >= res.Alphabet.Len() {
+				t.Fatalf("level %d rep %v stores element %d", c, rep, v.Elem)
 			}
-			if cost, ok := res.CostOf(lvl.At(i)); !ok || cost != c {
-				t.Fatalf("CostOf(level %d rep) = %d,%v", c, cost, ok)
+			for _, member := range canon.Class(rep) {
+				if cost, ok := res.CostOf(member); !ok || cost != c {
+					t.Fatalf("CostOf(member %v of level %d) = %d,%v", member, c, cost, ok)
+				}
+				if !res.Contains(member) {
+					t.Fatalf("member %v of level %d not contained", member, c)
+				}
 			}
 		}
-		if res.FullCount(c) != fullCounts[c] {
-			t.Fatalf("FullCount(%d) = %d, want %d", c, res.FullCount(c), fullCounts[c])
-		}
 	}
-	// Class members still resolve through canonicalization.
-	rep := snap[3].reps[0]
-	member := perm.Conjugate(rep, canon.Shuffle(7))
-	if !res.Contains(member) {
-		t.Fatal("class member lost after Compact")
-	}
-	if cost, ok := res.CostOf(member.Inverse()); !ok || cost != 3 {
-		t.Fatalf("inverse member cost %d,%v", cost, ok)
-	}
-	if res.Contains(absent) {
-		t.Fatal("absent function appeared after Compact")
-	}
-	if !res.Contains(perm.Identity) {
-		t.Fatal("identity lost after Compact")
-	}
-	// Uniform shard sizing can round the table up at pow2 boundaries, so
-	// the guarantee at arbitrary k is "same ballpark"; the realistic
-	// saving is pinned at k = 5 by TestCompactMemorySavings.
-	frozenBytes := res.MemoryBytes()
-	if float64(frozenBytes) > 1.25*float64(liveBytes) {
-		t.Fatalf("compact backend ballooned: %d vs %d bytes", frozenBytes, liveBytes)
+	if res.TotalStored() != total {
+		t.Fatalf("table holds %d entries, levels %d", res.TotalStored(), total)
 	}
 	if st := res.TableStats(); st.Entries != total {
 		t.Fatalf("TableStats entries %d, want %d", st.Entries, total)
 	}
+	// Cost 4 lies beyond the k = 3 horizon: absent, with no cost.
+	lvl4 := beyond.Level(4)
+	for i := 0; i < lvl4.Len(); i++ {
+		f := lvl4.At(i)
+		if res.Contains(f) || res.Contains(f.Inverse()) {
+			t.Fatalf("cost-4 function %v contained at horizon 3", f)
+		}
+		if cost, ok := res.CostOf(f); ok {
+			t.Fatalf("cost-4 function %v reports cost %d at horizon 3", f, cost)
+		}
+		if _, ok := res.Lookup(f); ok {
+			t.Fatalf("cost-4 representative %v found at horizon 3", f)
+		}
+	}
+	if _, ok := res.LookupRaw(0); ok {
+		t.Fatal("key 0 reported present")
+	}
 }
 
-// TestCompactMemorySavings quantifies the in-place saving at a real
-// table size: replacing the 8-byte-per-representative Levels copy with
-// the 4-byte slot index trims the live footprint by ~20% (20 → 16
-// bytes/rep at k = 5). The larger cold-start claim — resident heap per
-// representative down ≥ 30% — belongs to the mmap path, where table and
-// index are file-backed and the heap cost per representative is near
-// zero; tablesio's BenchmarkColdStart measures that via runtime.MemStats.
+// TestCompactMemorySavings pins the resident cost of a search result:
+// the flat table plus a 4-byte slot index per representative, with no
+// second copy of each packed word. The build-time layout it replaces
+// (sharded table plus 8-byte level lists) cost ~20 bytes per
+// representative at k = 5.
 func TestCompactMemorySavings(t *testing.T) {
 	res, err := Search(GateAlphabet(), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := res.MemoryBytes()
-	if err := res.Compact(); err != nil {
+	n := int64(res.TotalStored())
+	if got, want := res.MemoryBytes(), res.Frozen.MemoryBytes()+4*n; got != want {
+		t.Fatalf("MemoryBytes = %d, want table %d + index %d", got, res.Frozen.MemoryBytes(), 4*n)
+	}
+	perRep := float64(res.MemoryBytes()) / float64(n)
+	t.Logf("k=5: %d bytes, %.1f B/rep", res.MemoryBytes(), perRep)
+	if perRep >= 20 {
+		t.Fatalf("search result costs %.1f B/rep, want < 20", perRep)
+	}
+}
+
+// TestSearchResultsVerify passes the result of every alphabet's search,
+// sequential and parallel, through FromFrozen's exhaustive structural
+// verification.
+func TestSearchResultsVerify(t *testing.T) {
+	quantum, err := WeightedGateAlphabet(gate.Gate.QuantumCost)
+	if err != nil {
 		t.Fatal(err)
 	}
-	after := res.MemoryBytes()
-	saved := float64(before-after) / float64(before)
-	t.Logf("k=5: %d → %d bytes per table set (%.0f%% saved, %.1f → %.1f B/rep)",
-		before, after, saved*100,
-		float64(before)/float64(res.TotalStored()), float64(after)/float64(res.TotalStored()))
-	if saved < 0.15 {
-		t.Fatalf("compact backend saves only %.0f%%, want ≥ 15%%", saved*100)
+	cases := []struct {
+		name string
+		a    *Alphabet
+		k    int
+		opts Options
+	}{
+		{"gates-reduced", GateAlphabet(), 4, Options{}},
+		{"gates-unreduced", GateAlphabet(), 3, Options{NoReduction: true}},
+		{"linear", LinearAlphabet(), 10, Options{NoReduction: true}},
+		{"lnn", LNNAlphabet(), 4, Options{NoReduction: true}},
+		{"weighted", quantum, 7, Options{}},
+		{"layers", LayerAlphabet(), 2, Options{}},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 4} {
+			opts := tc.opts
+			opts.Workers = workers
+			res, err := Search(tc.a, tc.k, &opts)
+			if err != nil {
+				t.Fatalf("%s/workers=%d: %v", tc.name, workers, err)
+			}
+			ft, idx, counts := res.CompactView()
+			if _, err := FromFrozen(res.Alphabet, res.MaxCost, res.Reduced, ft, idx, counts, true); err != nil {
+				t.Fatalf("%s/workers=%d: search result fails verification: %v", tc.name, workers, err)
+			}
+		}
 	}
 }
 
@@ -150,10 +143,7 @@ func TestFromFrozenValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft, idx, counts, err := res.CompactView()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ft, idx, counts := res.CompactView()
 	if _, err := FromFrozen(res.Alphabet, res.MaxCost, true, ft, idx, counts, true); err != nil {
 		t.Fatalf("valid frozen parts rejected: %v", err)
 	}
@@ -173,5 +163,12 @@ func TestFromFrozenValidation(t *testing.T) {
 	// Without verification the same parts are taken on trust.
 	if _, err := FromFrozen(res.Alphabet, res.MaxCost, true, ft, bad, counts, false); err != nil {
 		t.Fatalf("unverified assembly failed: %v", err)
+	}
+	// A level list naming a representative the table lacks is refused.
+	table := hashtab.NewSharded(1)
+	table.Insert(uint64(perm.Identity), PackIdentity())
+	levels := [][]perm.Perm{{perm.Identity}, {res.Level(1).At(0)}}
+	if _, err := FromLevels(res.Alphabet, 1, true, table, levels, false); err == nil {
+		t.Fatal("level list with an unstored representative accepted")
 	}
 }

@@ -15,7 +15,7 @@ import (
 // carries the representative's exact minimal cost alongside the boundary
 // element, so a frozen table is self-describing — CostOf is one probe
 // instead of a boundary-element walk, and per-level iteration can be
-// derived from the table without a separate Levels copy.
+// derived from the table without a second copy of each representative.
 //
 //	bits 15…11  cost level (0…MaxPackedCost)
 //	bit  10     the stored element is the FIRST element of the
@@ -91,9 +91,6 @@ type Options struct {
 	// natural mode for exhausting small closed subgroups such as the
 	// linear functions of Table 5.
 	NoReduction bool
-	// CapacityHint pre-sizes the hash table (entries). Zero lets the
-	// table grow on demand.
-	CapacityHint int
 	// Progress, when non-nil, is called after each completed cost level
 	// with the level index and the number of new representatives.
 	Progress func(level, newReps int)
@@ -111,162 +108,92 @@ type Options struct {
 // mapping each representative to one boundary element of a minimal
 // circuit.
 //
-// A Result has one of two backends:
-//
-//   - Live (Search, v1 loads): Table holds the sharded hash table and
-//     Levels the per-cost representative lists.
-//   - Frozen (v2 loads, Compact): Frozen holds the immutable flat-layout
-//     table — possibly memory-mapped straight off a tablesio v2 file —
-//     and per-level iteration is served by a slot index into it, so no
-//     representative is stored twice. Table and Levels are nil.
-//
-// Query code should use the backend-neutral accessors (Level, LevelLen,
-// Lookup, Contains, CostOf, TotalStored, TableStats); the exported
-// fields remain for build-phase code and tests that exercise a specific
-// backend.
+// A Result has one backend, the frozen layout tablesio format v2
+// persists: Frozen is the immutable flat table — built by Search, read
+// by a tablesio loader, or memory-mapped straight off a v2 file — and
+// each cost level is a slot index into it, so no representative is
+// stored twice. Results are immutable and safe for concurrent queries.
 type Result struct {
 	Alphabet *Alphabet
 	// MaxCost is the search horizon k: every class with minimal cost
 	// ≤ MaxCost is present.
 	MaxCost int
-	// Levels[c] lists the representatives with minimal cost exactly c;
-	// Levels[0] is the identity. With weighted alphabets some levels may
-	// be empty. Nil on the frozen backend — use Level / LevelLen.
-	Levels [][]perm.Perm
-	// Table maps each representative's packed word to its encoded value.
-	// Search freezes it before returning, so lookups are lock-free. Nil
-	// on the frozen backend.
-	Table *hashtab.ShardedTable
-	// Frozen is the flat immutable table on the frozen backend, nil on
-	// the live one.
+	// Frozen is the flat immutable table. Iterate levels with Level /
+	// LevelLen; owners of a memory-mapped result release it with
+	// Frozen.Close.
 	Frozen *hashtab.FrozenTable
-	// levelOff/levelIdx serve per-level iteration on the frozen backend:
-	// level c is the global slot numbers
-	// levelIdx[levelOff[c]:levelOff[c+1]], in the level's storage order.
+	// levelOff/levelIdx serve per-level iteration: level c is the global
+	// slot numbers levelIdx[levelOff[c]:levelOff[c+1]], in the level's
+	// storage order. Level 0 is the identity; with weighted alphabets
+	// some levels may be empty.
 	levelOff []int
 	levelIdx []uint32
 	// Reduced records whether canonical reduction was applied.
 	Reduced bool
 }
 
-// LevelView is a backend-neutral, indexable view of one cost level's
-// representatives.
+// LevelView is an indexable view of one cost level's representatives.
 type LevelView struct {
-	reps []perm.Perm
-	idx  []uint32
-	ft   *hashtab.FrozenTable
+	idx []uint32
+	ft  *hashtab.FrozenTable
 }
 
 // Len returns the number of representatives in the level.
-func (v LevelView) Len() int {
-	if v.ft == nil {
-		return len(v.reps)
-	}
-	return len(v.idx)
-}
+func (v LevelView) Len() int { return len(v.idx) }
 
 // At returns the i-th representative.
-func (v LevelView) At(i int) perm.Perm {
-	if v.ft == nil {
-		return v.reps[i]
-	}
-	return perm.Perm(v.ft.KeyAt(v.idx[i]))
-}
+func (v LevelView) At(i int) perm.Perm { return perm.Perm(v.ft.KeyAt(v.idx[i])) }
 
-// Level returns an indexable view of cost level c, valid on both
-// backends.
+// Level returns an indexable view of cost level c.
 func (r *Result) Level(c int) LevelView {
-	if r.Frozen != nil {
-		return LevelView{idx: r.levelIdx[r.levelOff[c]:r.levelOff[c+1]], ft: r.Frozen}
-	}
-	return LevelView{reps: r.Levels[c]}
+	return LevelView{idx: r.levelIdx[r.levelOff[c]:r.levelOff[c+1]], ft: r.Frozen}
 }
 
 // LevelLen returns the number of representatives with cost exactly c.
-func (r *Result) LevelLen(c int) int {
-	if r.Frozen != nil {
-		return r.levelOff[c+1] - r.levelOff[c]
-	}
-	return len(r.Levels[c])
-}
+func (r *Result) LevelLen(c int) int { return r.levelOff[c+1] - r.levelOff[c] }
 
-// rawLookup probes whichever backend is live.
-func (r *Result) rawLookup(key uint64) (uint16, bool) {
-	if r.Frozen != nil {
-		return r.Frozen.Lookup(key)
-	}
-	return r.Table.Lookup(key)
-}
-
-// Compact converts a live Result to the frozen backend in place: the
-// sharded table is re-laid into a flat hashtab.FrozenTable, the Levels
-// lists collapse into a slot index into it, and the originals are
-// dropped. One O(n) pass, after which the Result serves the same queries
-// from roughly 40% fewer resident bytes per representative (no second
-// copy of each packed word) — and is in exactly the layout tablesio
-// format v2 persists. No-op on an already-frozen Result.
-func (r *Result) Compact() error {
-	if r.Frozen != nil {
-		return nil
-	}
-	ft, idx, counts, err := r.CompactView()
-	if err != nil {
-		return err
-	}
-	levelOff := make([]int, r.MaxCost+2)
-	total := 0
-	for c, n := range counts {
-		levelOff[c] = total
-		total += n
-	}
-	levelOff[r.MaxCost+1] = total
-	r.Frozen, r.levelOff, r.levelIdx = ft, levelOff, idx
-	r.Table, r.Levels = nil, nil
-	return nil
-}
-
-// CompactView returns the frozen-layout components of the result — flat
-// table, per-level slot index, per-level counts — without mutating it.
-// On the frozen backend this is a reslice; on the live backend it
-// performs the one-off compaction pass (the caller decides whether to
-// keep it, as Compact does, or treat it as transient, as the v2 table
-// writer does).
-func (r *Result) CompactView() (*hashtab.FrozenTable, []uint32, []int, error) {
+// CompactView returns the frozen layout's components — flat table,
+// per-level slot index, per-level counts — for writers that persist
+// them. The table and index alias the result and must not be modified.
+func (r *Result) CompactView() (*hashtab.FrozenTable, []uint32, []int) {
 	counts := make([]int, r.MaxCost+1)
-	if r.Frozen != nil {
-		for c := range counts {
-			counts[c] = r.levelOff[c+1] - r.levelOff[c]
-		}
-		return r.Frozen, r.levelIdx, counts, nil
+	for c := range counts {
+		counts[c] = r.LevelLen(c)
 	}
-	ft, err := hashtab.Compact(r.Table)
+	return r.Frozen, r.levelIdx, counts
+}
+
+// FromLevels freezes a build: the sharded table is re-laid into the
+// flat layout by hashtab.Compact, and each level list becomes the slot
+// index of its representatives, in list order. One O(n) pass, after
+// which the table and lists can be dropped. Search and the tablesio v1
+// reader end here; verify is as for FromFrozen.
+func FromLevels(a *Alphabet, maxCost int, reduced bool, t *hashtab.ShardedTable, levels [][]perm.Perm, verify bool) (*Result, error) {
+	ft, err := hashtab.Compact(t)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	total := 0
-	for c := 0; c <= r.MaxCost; c++ {
-		counts[c] = len(r.Levels[c])
-		total += counts[c]
-	}
-	idx := make([]uint32, 0, total)
-	for c := 0; c <= r.MaxCost; c++ {
-		for _, rep := range r.Levels[c] {
+	counts := make([]int, len(levels))
+	idx := make([]uint32, 0, ft.Len())
+	for c, lvl := range levels {
+		counts[c] = len(lvl)
+		for _, rep := range lvl {
 			slot, ok := ft.SlotOf(uint64(rep))
 			if !ok {
-				return nil, nil, nil, fmt.Errorf("bfs: representative %v missing from its own table", rep)
+				return nil, fmt.Errorf("bfs: representative %v missing from its own table", rep)
 			}
 			idx = append(idx, slot)
 		}
 	}
-	return ft, idx, counts, nil
+	return FromFrozen(a, maxCost, reduced, ft, idx, counts, verify)
 }
 
-// FromFrozen assembles a frozen-backend Result from a flat table and its
-// per-level slot index (levelCounts[c] entries of levelIdx belong to
-// level c, in order). With verify set, the structural invariants are
-// checked exhaustively — every index hits a distinct live slot whose key
-// is a valid permutation, probe-reachable, cost-tagged with its level,
-// and element-tagged within the alphabet, and no table slot is orphaned
+// FromFrozen assembles a Result from a flat table and its per-level
+// slot index (levelCounts[c] entries of levelIdx belong to level c, in
+// order). With verify set, the structural invariants are checked
+// exhaustively — every index hits a distinct live slot whose key is a
+// valid permutation, probe-reachable, cost-tagged with its level, and
+// element-tagged within the alphabet, and no table slot is orphaned
 // from the index. Loaders pass verify for untrusted streams and skip it
 // on the mmap fast path, where touching every page would defeat the
 // O(pages-touched) cold start (tablesio's checksums cover integrity
@@ -364,28 +291,14 @@ func (r *Result) verifyFrozen() error {
 }
 
 // MemoryBytes returns the approximate resident footprint of the table
-// structures: hash-table slots plus, per backend, the Levels lists (live)
-// or the per-level slot index (frozen). For a memory-mapped frozen table
-// the bytes are file-backed rather than heap.
+// structures: hash-table slots plus the per-level slot index. For a
+// memory-mapped table the bytes are file-backed rather than heap.
 func (r *Result) MemoryBytes() int64 {
-	if r.Frozen != nil {
-		return r.Frozen.MemoryBytes() + int64(len(r.levelIdx))*4
-	}
-	var lv int64
-	for _, l := range r.Levels {
-		lv += int64(len(l)) * 8
-	}
-	return r.Table.MemoryBytes() + lv
+	return r.Frozen.MemoryBytes() + int64(len(r.levelIdx))*4
 }
 
-// TableStats returns probe-chain statistics for whichever backend is
-// live.
-func (r *Result) TableStats() hashtab.Stats {
-	if r.Frozen != nil {
-		return r.Frozen.ComputeStats()
-	}
-	return r.Table.ComputeStats()
-}
+// TableStats returns the probe-chain statistics of the table.
+func (r *Result) TableStats() hashtab.Stats { return r.Frozen.ComputeStats() }
 
 // Search runs paper Algorithm 2 over the alphabet up to cost horizon k.
 // With unit costs this is plain breadth-first search by gate count; with
@@ -397,7 +310,11 @@ func (r *Result) TableStats() hashtab.Stats {
 // canonicalize and batch-insert candidates, and collect newly discovered
 // representatives in per-worker buffers that are concatenated at the
 // level barrier. The per-level sets (and therefore ReducedCount /
-// FullCount) are identical for every worker count.
+// FullCount) are identical for every worker count. Once the horizon is
+// reached the table and level lists are frozen (FromLevels). The table
+// is presized from paper Table 4 for the reduced 32-gate unit-cost
+// alphabet and grows on demand otherwise; the frozen bytes do not depend
+// on its sizing.
 func Search(a *Alphabet, k int, opts *Options) (*Result, error) {
 	if a == nil {
 		return nil, fmt.Errorf("bfs: nil alphabet")
@@ -418,16 +335,17 @@ func Search(a *Alphabet, k int, opts *Options) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	table := hashtab.NewSharded(max(opts.CapacityHint, 1<<10))
-	res := &Result{
-		Alphabet: a,
-		MaxCost:  k,
-		Levels:   make([][]perm.Perm, k+1),
-		Table:    table,
-		Reduced:  !opts.NoReduction,
+	hint := 1 << 10
+	if !opts.NoReduction && a.Len() == 32 && a.MaxCost() == 1 && k < len(GateReducedCounts) {
+		hint = max(hint, int(CumulativeGateReduced(k)))
 	}
-	table.Insert(uint64(perm.Identity), PackIdentity())
-	res.Levels[0] = []perm.Perm{perm.Identity}
+	b := &build{
+		a:      a,
+		table:  hashtab.NewSharded(hint),
+		levels: make([][]perm.Perm, k+1),
+	}
+	b.table.Insert(uint64(perm.Identity), PackIdentity())
+	b.levels[0] = []perm.Perm{perm.Identity}
 
 	// Group element indices by cost so level c expands from level
 	// c − cost(e) for each group.
@@ -436,48 +354,55 @@ func Search(a *Alphabet, k int, opts *Options) (*Result, error) {
 	for c := 1; c <= k; c++ {
 		var lvl []perm.Perm
 		if workers == 1 {
-			lvl = expandLevel(res, costs, costGroups, c, opts.NoReduction)
+			lvl = b.expandLevel(costs, costGroups, c, opts.NoReduction)
 		} else {
-			lvl = expandLevelParallel(res, costs, costGroups, c, opts.NoReduction, workers)
+			lvl = b.expandLevelParallel(costs, costGroups, c, opts.NoReduction, workers)
 		}
-		res.Levels[c] = lvl
+		b.levels[c] = lvl
 		if opts.Progress != nil {
 			opts.Progress(c, len(lvl))
 		}
 	}
-	res.Table.Freeze()
-	return res, nil
+	return FromLevels(a, k, !opts.NoReduction, b.table, b.levels, false)
+}
+
+// build is Search's working state: the concurrent table and the level
+// lists, frozen once the horizon is reached.
+type build struct {
+	a      *Alphabet
+	table  *hashtab.ShardedTable
+	levels [][]perm.Perm
 }
 
 // expandLevel computes cost level c sequentially, in the exact expansion
 // order of the original single-threaded implementation: the candidates
 // stream through a sink that inserts immediately, so the level list is
 // the first-insertion order.
-func expandLevel(res *Result, costs []int, costGroups map[int][]int, c int, noReduction bool) []perm.Perm {
-	s := &liveSeqSink{res: res}
+func (b *build) expandLevel(costs []int, costGroups map[int][]int, c int, noReduction bool) []perm.Perm {
+	s := &seqSink{table: b.table}
 	for _, ec := range costs {
 		src := c - ec
 		if src < 0 {
 			continue
 		}
 		elemIdxs := costGroups[ec]
-		for _, r := range res.Levels[src] {
-			ExpandRep(res.Alphabet, r, elemIdxs, c, !noReduction, 0, s)
+		for _, r := range b.levels[src] {
+			ExpandRep(b.a, r, elemIdxs, c, !noReduction, 0, s)
 		}
 	}
 	return s.lvl
 }
 
-// liveSeqSink is the sequential in-memory sink: immediate insertion into
-// the sharded table, survivors appended in arrival order. Sequence
-// numbers are irrelevant here — arrival order IS the sequential order.
-type liveSeqSink struct {
-	res *Result
-	lvl []perm.Perm
+// seqSink is the sequential sink: immediate insertion into the sharded
+// table, survivors appended in arrival order. Sequence numbers are
+// irrelevant here — arrival order IS the sequential order.
+type seqSink struct {
+	table *hashtab.ShardedTable
+	lvl   []perm.Perm
 }
 
-func (s *liveSeqSink) Candidate(key uint64, val uint16, _ uint64) {
-	if _, inserted := s.res.Table.Insert(key, val); inserted {
+func (s *seqSink) Candidate(key uint64, val uint16, _ uint64) {
+	if _, inserted := s.table.Insert(key, val); inserted {
 		s.lvl = append(s.lvl, perm.Perm(key))
 	}
 }
@@ -496,14 +421,14 @@ type expandChunk struct {
 // buffer. The buffers are concatenated in worker-index order at the
 // barrier. Races on duplicate candidates are resolved by the table
 // (exactly one insert wins), so the resulting set is schedule-invariant.
-func expandLevelParallel(res *Result, costs []int, costGroups map[int][]int, c int, noReduction bool, workers int) []perm.Perm {
+func (b *build) expandLevelParallel(costs []int, costGroups map[int][]int, c int, noReduction bool, workers int) []perm.Perm {
 	var chunks []expandChunk
 	for _, ec := range costs {
 		src := c - ec
 		if src < 0 {
 			continue
 		}
-		reps := res.Levels[src]
+		reps := b.levels[src]
 		if len(reps) == 0 {
 			continue
 		}
@@ -523,7 +448,7 @@ func expandLevelParallel(res *Result, costs []int, costGroups map[int][]int, c i
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			e := newExpander(res, c)
+			e := newExpander(b.table)
 			for {
 				j := int(cursor.Add(1)) - 1
 				if j >= len(chunks) {
@@ -531,7 +456,7 @@ func expandLevelParallel(res *Result, costs []int, costGroups map[int][]int, c i
 				}
 				ch := chunks[j]
 				for _, r := range ch.reps {
-					ExpandRep(res.Alphabet, r, ch.elemIdxs, c, !noReduction, 0, e)
+					ExpandRep(b.a, r, ch.elemIdxs, c, !noReduction, 0, e)
 				}
 			}
 			e.flush()
@@ -556,24 +481,21 @@ func expandLevelParallel(res *Result, costs []int, costGroups map[int][]int, c i
 const insertBatchSize = 512
 
 // expander is one worker's private state: a pending insert batch and the
-// buffer of representatives this worker discovered first. cost is the
-// level being expanded, packed into every inserted value.
+// buffer of representatives this worker discovered first.
 type expander struct {
-	res  *Result
-	cost int
-	keys []uint64
-	vals []uint16
-	ins  []bool
-	out  []perm.Perm
+	table *hashtab.ShardedTable
+	keys  []uint64
+	vals  []uint16
+	ins   []bool
+	out   []perm.Perm
 }
 
-func newExpander(res *Result, cost int) *expander {
+func newExpander(table *hashtab.ShardedTable) *expander {
 	return &expander{
-		res:  res,
-		cost: cost,
-		keys: make([]uint64, 0, insertBatchSize),
-		vals: make([]uint16, 0, insertBatchSize),
-		ins:  make([]bool, insertBatchSize),
+		table: table,
+		keys:  make([]uint64, 0, insertBatchSize),
+		vals:  make([]uint16, 0, insertBatchSize),
+		ins:   make([]bool, insertBatchSize),
 	}
 }
 
@@ -601,7 +523,7 @@ func (e *expander) flush() {
 		return
 	}
 	ins := e.ins[:len(e.keys)]
-	e.res.Table.InsertBatch(e.keys, e.vals, ins)
+	e.table.InsertBatch(e.keys, e.vals, ins)
 	for i, ok := range ins {
 		if ok {
 			e.out = append(e.out, perm.Perm(e.keys[i]))
@@ -616,13 +538,13 @@ func (e *expander) flush() {
 // transport form of an entry — what table backends carry over the wire —
 // decodable with UnpackValue.
 func (r *Result) LookupRaw(key uint64) (uint16, bool) {
-	return r.rawLookup(key)
+	return r.Frozen.Lookup(key)
 }
 
 // Lookup decodes the table entry for a key that must already be in
 // canonical form when the search was reduced.
 func (r *Result) Lookup(key perm.Perm) (Value, bool) {
-	raw, ok := r.rawLookup(uint64(key))
+	raw, ok := r.Frozen.Lookup(uint64(key))
 	if !ok {
 		return Value{}, false
 	}
@@ -632,12 +554,7 @@ func (r *Result) Lookup(key perm.Perm) (Value, bool) {
 // Contains reports whether f's class (or f itself, unreduced) was reached
 // by the search, i.e. whether f has cost at most MaxCost.
 func (r *Result) Contains(f perm.Perm) bool {
-	if r.Reduced {
-		key := uint64(canon.Rep(f))
-		_, ok := r.rawLookup(key)
-		return ok
-	}
-	_, ok := r.rawLookup(uint64(f))
+	_, ok := r.CostOf(f)
 	return ok
 }
 
@@ -652,7 +569,7 @@ func (r *Result) CostOf(f perm.Perm) (int, bool) {
 	if r.Reduced {
 		key = canon.Rep(f)
 	}
-	raw, ok := r.rawLookup(uint64(key))
+	raw, ok := r.Frozen.Lookup(uint64(key))
 	if !ok {
 		return 0, false
 	}
@@ -727,12 +644,7 @@ func (r *Result) FullCountWorkers(c, workers int) int64 {
 
 // TotalStored returns the number of hash-table entries (identity
 // included).
-func (r *Result) TotalStored() int {
-	if r.Frozen != nil {
-		return r.Frozen.Len()
-	}
-	return r.Table.Len()
-}
+func (r *Result) TotalStored() int { return r.Frozen.Len() }
 
 // GateReducedCounts lists the paper's Table 4 "Reduced Functions" column
 // for sizes 0…9: the number of equivalence classes of each size under
@@ -749,7 +661,7 @@ var GateFullCounts = []int64{1, 32, 784, 16204, 294507, 4807552, 70763560, 93265
 var LinearCounts = []int64{1, 16, 162, 1206, 6589, 26182, 72062, 118424, 84225, 13555, 138}
 
 // CumulativeGateReduced returns the total number of classes of size ≤ k,
-// the natural CapacityHint for a reduced gate-alphabet search.
+// the size Search presizes a reduced gate-alphabet table to.
 func CumulativeGateReduced(k int) int64 {
 	var total int64
 	for i := 0; i <= k && i < len(GateReducedCounts); i++ {

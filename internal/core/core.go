@@ -122,17 +122,12 @@ func New(cfg Config) (*Synthesizer, error) {
 	if alphabet == nil {
 		alphabet = bfs.GateAlphabet()
 	}
-	hint := 0
-	if alphabet.Len() == 32 && alphabet.MaxCost() == 1 && cfg.K < len(bfs.GateReducedCounts) {
-		hint = int(bfs.CumulativeGateReduced(cfg.K))
-	}
 	res, err := bfs.Search(alphabet, cfg.K, &bfs.Options{
 		// Restricted-architecture alphabets (paper §5) are not closed
 		// under wire relabeling and therefore search unreduced.
-		NoReduction:  !alphabet.Relabelable(),
-		CapacityHint: hint,
-		Progress:     cfg.Progress,
-		Workers:      cfg.Workers,
+		NoReduction: !alphabet.Relabelable(),
+		Progress:    cfg.Progress,
+		Workers:     cfg.Workers,
 	})
 	if err != nil {
 		return nil, err

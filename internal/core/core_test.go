@@ -87,7 +87,9 @@ func TestSingleGates(t *testing.T) {
 func TestExhaustiveWithinHorizon(t *testing.T) {
 	s, _ := fixtures(t)
 	for size := 0; size <= s.K(); size++ {
-		for _, rep := range s.Result().Levels[size] {
+		lvl := s.Result().Level(size)
+		for i := 0; i < lvl.Len(); i++ {
+			rep := lvl.At(i)
 			c, info, err := s.SynthesizeInfo(rep)
 			if err != nil {
 				t.Fatalf("size %d rep %v: %v", size, rep, err)
@@ -112,9 +114,9 @@ func TestClassMembersWithinHorizon(t *testing.T) {
 	s, _ := fixtures(t)
 	rng := rand.New(rand.NewSource(1))
 	for size := 1; size <= s.K(); size++ {
-		lvl := s.Result().Levels[size]
+		lvl := s.Result().Level(size)
 		for trial := 0; trial < 200; trial++ {
-			rep := lvl[rng.Intn(len(lvl))]
+			rep := lvl.At(rng.Intn(lvl.Len()))
 			member := perm.Conjugate(rep, canon.Shuffle(rng.Intn(canon.SigmaCount)))
 			if rng.Intn(2) == 1 {
 				member = member.Inverse()
@@ -138,9 +140,9 @@ func TestMITMMatchesGroundTruth(t *testing.T) {
 	s5, s3 := fixtures(t)
 	rng := rand.New(rand.NewSource(2))
 	for _, size := range []int{4, 5} {
-		lvl := s5.Result().Levels[size]
+		lvl := s5.Result().Level(size)
 		for trial := 0; trial < 60; trial++ {
-			rep := lvl[rng.Intn(len(lvl))]
+			rep := lvl.At(rng.Intn(lvl.Len()))
 			member := perm.Conjugate(rep, canon.Shuffle(rng.Intn(canon.SigmaCount)))
 			c, info, err := s3.SynthesizeInfo(member)
 			if err != nil {
@@ -214,9 +216,9 @@ func TestSizeAgainstUnreducedBFS(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	for size := 0; size <= 4; size++ {
-		lvl := plain.Levels[size]
+		lvl := plain.Level(size)
 		for trial := 0; trial < 100; trial++ {
-			f := lvl[rng.Intn(len(lvl))]
+			f := lvl.At(rng.Intn(lvl.Len()))
 			got, err := s.Size(f)
 			if err != nil {
 				t.Fatal(err)
@@ -476,7 +478,7 @@ func TestInfoCandidates(t *testing.T) {
 	// A size-5 function forces a split with prefix 2: candidates must
 	// cover at least all size-1 variants before hitting at size 2.
 	s5, _ := fixtures(t)
-	f := s5.Result().Levels[5][0]
+	f := s5.Result().Level(5).At(0)
 	_, info, err := s3.SynthesizeInfo(f)
 	if err != nil {
 		t.Fatal(err)
@@ -488,11 +490,11 @@ func TestInfoCandidates(t *testing.T) {
 
 func BenchmarkSynthesizeSize3Direct(b *testing.B) {
 	s, _ := fixtures(b)
-	reps := s.Result().Levels[3]
+	reps := s.Result().Level(3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Synthesize(reps[i%len(reps)]); err != nil {
+		if _, err := s.Synthesize(reps.At(i % reps.Len())); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -500,11 +502,11 @@ func BenchmarkSynthesizeSize3Direct(b *testing.B) {
 
 func BenchmarkSynthesizeSize5Direct(b *testing.B) {
 	s, _ := fixtures(b)
-	reps := s.Result().Levels[5]
+	reps := s.Result().Level(5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Synthesize(reps[i%len(reps)]); err != nil {
+		if _, err := s.Synthesize(reps.At(i % reps.Len())); err != nil {
 			b.Fatal(err)
 		}
 	}

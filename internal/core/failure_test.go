@@ -10,6 +10,20 @@ import (
 	"repro/internal/perm"
 )
 
+// setRaw overwrites the packed value stored under key in the result's
+// heap-backed slot array, returning the previous value.
+func setRaw(t *testing.T, res *bfs.Result, key uint64, v uint16) uint16 {
+	t.Helper()
+	slot, ok := res.Frozen.SlotOf(key)
+	if !ok {
+		t.Fatalf("key %#x not in the table", key)
+	}
+	vals := res.Frozen.RawVals()
+	old := vals[slot]
+	vals[slot] = v
+	return old
+}
+
 // TestCorruptTableValueFailsClosed injects faults into the lookup table
 // and checks the structural guarantee: whatever gate values the table
 // holds, a returned circuit always implements the queried function
@@ -28,12 +42,11 @@ func TestCorruptTableValueFailsClosed(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	corrupted := 0
 	for trial := 0; trial < 200; trial++ {
-		lvl := res.Levels[3]
-		rep := lvl[rng.Intn(len(lvl))]
+		lvl := res.Level(3)
+		rep := lvl.At(rng.Intn(lvl.Len()))
 		// Overwrite the stored boundary gate with a random (likely wrong)
 		// one.
-		orig, _ := res.Table.Lookup(uint64(rep))
-		res.Table.Update(uint64(rep), uint16(rng.Intn(gate.Count)))
+		orig := setRaw(t, res, uint64(rep), uint16(rng.Intn(gate.Count)))
 		c, err := s.Synthesize(rep)
 		if err == nil {
 			if c.Perm() != rep {
@@ -45,13 +58,14 @@ func TestCorruptTableValueFailsClosed(t *testing.T) {
 		} else {
 			corrupted++ // observable as a failed-closed error
 		}
-		res.Table.Update(uint64(rep), orig)
+		setRaw(t, res, uint64(rep), orig)
 	}
 	if corrupted == 0 {
 		t.Fatal("no injected fault was ever observable; injection is ineffective")
 	}
 	// The table must be healthy again.
-	for _, rep := range res.Levels[3][:50] {
+	for i := 0; i < 50; i++ {
+		rep := res.Level(3).At(i)
 		c, err := s.Synthesize(rep)
 		if err != nil || len(c) != 3 || c.Perm() != rep {
 			t.Fatalf("table did not recover: %v, %v", c, err)
@@ -75,7 +89,7 @@ func TestReconstructGuardAgainstCycles(t *testing.T) {
 	// r's entry at some gate h so that the residue r ⋄ h is again size 1
 	// (h ≠ g) — the walk then moves between size-1 entries without ever
 	// reaching the identity, and only the guard stops it.
-	r := res.Levels[1][0]
+	r := res.Level(1).At(0)
 	rng := rand.New(rand.NewSource(2))
 	broke := false
 	for trial := 0; trial < gate.Count; trial++ {
@@ -87,7 +101,7 @@ func TestReconstructGuardAgainstCycles(t *testing.T) {
 		if sz, ok := res.CostOf(canon.Rep(residue)); !ok || sz == 0 {
 			continue
 		}
-		res.Table.Update(uint64(r), uint16(h.Index()))
+		setRaw(t, res, uint64(r), uint16(h.Index()))
 		if _, err := s.Synthesize(r); err != nil {
 			broke = true
 		} else {

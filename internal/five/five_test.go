@@ -229,9 +229,9 @@ func TestEmbedded4BitFunctionsKeepTheirOptima(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	for c := 0; c <= 3; c++ {
-		lvl := synth4.Result().Levels[c]
-		for trial := 0; trial < 10 && trial < len(lvl); trial++ {
-			f4 := lvl[rng.Intn(len(lvl))]
+		lvl := synth4.Result().Level(c)
+		for trial := 0; trial < 10 && trial < lvl.Len(); trial++ {
+			f4 := lvl.At(rng.Intn(lvl.Len()))
 			f5 := Embed4(f4.Values())
 			got, err := full.Synthesize(f5)
 			if err != nil {

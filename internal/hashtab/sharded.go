@@ -3,34 +3,21 @@ package hashtab
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
-// ShardedTable is a concurrent variant of Table: 2^s independent Table
-// shards, each guarded by its own mutex, with keys routed to shards by
-// the high bits of the Wang hash (the inner tables consume the low bits
-// for slot selection, so the two never alias).
-//
-// The table supports two phases, mirroring the paper's workflow:
-//
-//   - Build (breadth-first search): many goroutines Insert/InsertBatch
-//     concurrently; contention is limited to same-shard collisions, and
-//     InsertBatch amortizes lock traffic by grouping a whole batch of
-//     keys per shard under one lock acquisition.
-//   - Query (search-and-lookup synthesis): after Freeze, Lookup and
-//     Contains skip the shard mutexes entirely — the table is an
-//     immutable frozen view and reads are lock-free, which is what lets
-//     the meet-in-the-middle stage fan out across cores without a
-//     shared-lock bottleneck.
-//
-// Mutating a frozen table is permitted only while no other goroutine is
-// reading it (tests use this to corrupt entries deliberately); concurrent
-// write + frozen read is a data race by design.
+// ShardedTable is the build-phase table: 2^s independent Table shards,
+// each guarded by its own mutex, with keys routed to shards by the high
+// bits of the Wang hash (the inner tables consume the low bits for slot
+// selection, so the two never alias). Many goroutines Insert/InsertBatch
+// concurrently; contention is limited to same-shard collisions, and
+// InsertBatch amortizes lock traffic by grouping a whole batch of keys
+// per shard under one lock acquisition. Once built, a table is re-laid
+// by Compact into the FrozenTable every query reads; the out-of-core
+// builder also probes its prior levels with ContainsBatchSorted.
 type ShardedTable struct {
 	shards []tableShard
 	// shift is 64 − log2(len(shards)): shard index = hash >> shift.
-	shift  uint
-	frozen atomic.Bool
+	shift uint
 }
 
 // tableShard pads each mutex+table pair to a cache line so shard locks
@@ -95,17 +82,6 @@ func log2(n int) int {
 func (t *ShardedTable) shardOf(key uint64) *tableShard {
 	return &t.shards[Hash64Shift(key)>>t.shift]
 }
-
-// ShardCount returns the number of shards (a power of two).
-func (t *ShardedTable) ShardCount() int { return len(t.shards) }
-
-// Freeze marks the table immutable: subsequent Lookup/Contains calls are
-// lock-free. Call once the build phase has fully completed (after any
-// worker synchronization barrier).
-func (t *ShardedTable) Freeze() { t.frozen.Store(true) }
-
-// Frozen reports whether Freeze has been called.
-func (t *ShardedTable) Frozen() bool { return t.frozen.Load() }
 
 // Insert stores val under key if absent (see Table.Insert), taking the
 // owning shard's lock. Safe for concurrent use.
@@ -201,7 +177,6 @@ func (t *ShardedTable) ContainsBatchSorted(keys []uint64, present []bool) int {
 	if len(present) != len(keys) {
 		panic("hashtab: ContainsBatchSorted slice lengths differ")
 	}
-	frozen := t.frozen.Load()
 	n := 0
 	for start := 0; start < len(keys); {
 		shard := int(Hash64Shift(keys[start]) >> t.shift)
@@ -213,9 +188,7 @@ func (t *ShardedTable) ContainsBatchSorted(keys []uint64, present []bool) int {
 			panic("hashtab: ContainsBatchSorted batch not sorted by shard")
 		}
 		sh := &t.shards[shard]
-		if !frozen {
-			sh.mu.Lock()
-		}
+		sh.mu.Lock()
 		for i := start; i < end; i++ {
 			_, ok := sh.t.Lookup(keys[i])
 			present[i] = ok
@@ -223,71 +196,10 @@ func (t *ShardedTable) ContainsBatchSorted(keys []uint64, present []bool) int {
 				n++
 			}
 		}
-		if !frozen {
-			sh.mu.Unlock()
-		}
+		sh.mu.Unlock()
 		start = end
 	}
 	return n
-}
-
-// Update overwrites the value under an existing key, inserting if absent,
-// under the owning shard's lock.
-func (t *ShardedTable) Update(key uint64, val uint16) {
-	sh := t.shardOf(key)
-	sh.mu.Lock()
-	sh.t.Update(key, val)
-	sh.mu.Unlock()
-}
-
-// Lookup returns the value stored under key and whether it is present.
-// Lock-free once the table is frozen.
-func (t *ShardedTable) Lookup(key uint64) (uint16, bool) {
-	sh := t.shardOf(key)
-	if t.frozen.Load() {
-		return sh.t.Lookup(key)
-	}
-	sh.mu.Lock()
-	v, ok := sh.t.Lookup(key)
-	sh.mu.Unlock()
-	return v, ok
-}
-
-// Contains reports whether key is present.
-func (t *ShardedTable) Contains(key uint64) bool {
-	_, ok := t.Lookup(key)
-	return ok
-}
-
-// Len returns the number of stored entries across all shards.
-func (t *ShardedTable) Len() int {
-	n := 0
-	frozen := t.frozen.Load()
-	for i := range t.shards {
-		sh := &t.shards[i]
-		if frozen {
-			n += sh.t.Len()
-			continue
-		}
-		sh.mu.Lock()
-		n += sh.t.Len()
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Slots returns the total slot count across shards.
-func (t *ShardedTable) Slots() int {
-	n := 0
-	for i := range t.shards {
-		n += t.shards[i].t.Slots()
-	}
-	return n
-}
-
-// LoadFactor returns entries/slots over the whole table.
-func (t *ShardedTable) LoadFactor() float64 {
-	return float64(t.Len()) / float64(t.Slots())
 }
 
 // MemoryBytes returns the approximate footprint of all shard backing
@@ -298,45 +210,4 @@ func (t *ShardedTable) MemoryBytes() int64 {
 		n += t.shards[i].t.MemoryBytes()
 	}
 	return n
-}
-
-// ForEach calls fn for every (key, value) pair in unspecified order,
-// stopping early if fn returns false. Not safe concurrently with writers.
-func (t *ShardedTable) ForEach(fn func(key uint64, val uint16) bool) {
-	for i := range t.shards {
-		stop := false
-		t.shards[i].t.ForEach(func(k uint64, v uint16) bool {
-			if !fn(k, v) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
-			return
-		}
-	}
-}
-
-// ComputeStats aggregates probe-chain statistics over all shards.
-func (t *ShardedTable) ComputeStats() Stats {
-	agg := Stats{}
-	var chainSum float64
-	for i := range t.shards {
-		s := t.shards[i].t.ComputeStats()
-		agg.Entries += s.Entries
-		agg.Slots += s.Slots
-		agg.MemoryBytes += s.MemoryBytes
-		chainSum += s.AvgChain * float64(s.Entries)
-		if s.MaxChain > agg.MaxChain {
-			agg.MaxChain = s.MaxChain
-		}
-	}
-	if agg.Slots > 0 {
-		agg.LoadFactor = float64(agg.Entries) / float64(agg.Slots)
-	}
-	if agg.Entries > 0 {
-		agg.AvgChain = chainSum / float64(agg.Entries)
-	}
-	return agg
 }

@@ -2,6 +2,7 @@ package hashtab
 
 import (
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -17,50 +18,47 @@ func shardedRandKeys(n int, seed int64) []uint64 {
 	return keys
 }
 
+// compacted freezes a sharded table for inspection, the way every built
+// table is read.
+func compacted(t *testing.T, st *ShardedTable) *FrozenTable {
+	t.Helper()
+	ft, err := Compact(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ft
+}
+
 func TestShardedBasics(t *testing.T) {
 	st := NewShardedWithShards(16, 8)
-	if st.ShardCount() != 8 {
-		t.Fatalf("shard count = %d, want 8", st.ShardCount())
-	}
 	keys := shardedRandKeys(5000, 1)
 	ref := make(map[uint64]uint16, len(keys))
 	for i, k := range keys {
 		v := uint16(i)
-		if _, ok := ref[k]; !ok {
+		_, dup := ref[k]
+		if !dup {
 			ref[k] = v
 		}
 		existing, inserted := st.Insert(k, v)
-		if _, dup := ref[k]; dup && !inserted && existing == v {
-			t.Fatalf("duplicate insert of %#x reported inserted", k)
+		if inserted == dup || existing != ref[k] {
+			t.Fatalf("Insert(%#x) = %d,%v; want %d,%v", k, existing, inserted, ref[k], !dup)
 		}
 	}
-	if st.Len() != len(ref) {
-		t.Fatalf("Len = %d, want %d", st.Len(), len(ref))
+	ft := compacted(t, st)
+	if ft.ShardCount() != 8 {
+		t.Fatalf("shard count = %d, want 8", ft.ShardCount())
+	}
+	if ft.Len() != len(ref) {
+		t.Fatalf("Len = %d, want %d", ft.Len(), len(ref))
 	}
 	for k, v := range ref {
-		got, ok := st.Lookup(k)
+		got, ok := ft.Lookup(k)
 		if !ok || got != v {
 			t.Fatalf("Lookup(%#x) = %d,%v; want %d", k, got, ok, v)
 		}
 	}
-	if st.Contains(0) {
-		t.Fatal("key 0 reported present")
-	}
-	st.Update(keys[0], 9999)
-	if got, _ := st.Lookup(keys[0]); got != 9999 {
-		t.Fatalf("Update not visible: got %d", got)
-	}
-	seen := 0
-	st.ForEach(func(k uint64, v uint16) bool {
-		seen++
-		return true
-	})
-	if seen != st.Len() {
-		t.Fatalf("ForEach visited %d of %d", seen, st.Len())
-	}
-	stats := st.ComputeStats()
-	if stats.Entries != st.Len() || stats.Slots != st.Slots() {
-		t.Fatalf("stats mismatch: %+v", stats)
+	if st.MemoryBytes() <= 0 {
+		t.Fatalf("MemoryBytes = %d", st.MemoryBytes())
 	}
 }
 
@@ -84,8 +82,8 @@ func TestShardedInsertBatch(t *testing.T) {
 			distinct[k] = i
 		}
 	}
-	if n != len(distinct) || st.Len() != len(distinct) {
-		t.Fatalf("InsertBatch inserted %d (Len %d), want %d", n, st.Len(), len(distinct))
+	if n != len(distinct) {
+		t.Fatalf("InsertBatch inserted %d, want %d", n, len(distinct))
 	}
 	for i, k := range keys {
 		wantIns := distinct[k] == i
@@ -93,28 +91,38 @@ func TestShardedInsertBatch(t *testing.T) {
 			t.Fatalf("inserted[%d] = %v, want %v", i, inserted[i], wantIns)
 		}
 	}
-	for k, i := range distinct {
-		got, ok := st.Lookup(k)
-		if !ok || got != uint16(i) {
-			t.Fatalf("Lookup(%#x) = %d,%v; want first-writer value %d", k, got, ok, i)
-		}
-	}
 	// A second batch of the same keys must insert nothing.
 	if n := st.InsertBatch(keys, vals, inserted); n != 0 {
 		t.Fatalf("re-batch inserted %d entries", n)
 	}
+	ft := compacted(t, st)
+	if ft.Len() != len(distinct) {
+		t.Fatalf("Len %d, want %d", ft.Len(), len(distinct))
+	}
+	for k, i := range distinct {
+		got, ok := ft.Lookup(k)
+		if !ok || got != uint16(i) {
+			t.Fatalf("Lookup(%#x) = %d,%v; want first-writer value %d", k, got, ok, i)
+		}
+	}
 }
 
 // TestShardedConcurrentInserts hammers one table from many goroutines
-// with overlapping key sets (run with -race). Every key must be present
-// exactly once afterwards and hold one of the racing writers' values.
+// with overlapping key sets while others probe it with
+// ContainsBatchSorted (run with -race) — the access pattern of the
+// out-of-core builder's merge. Every key must be present exactly once
+// afterwards and hold one of the racing writers' values.
 func TestShardedConcurrentInserts(t *testing.T) {
 	st := NewSharded(1)
 	keys := shardedRandKeys(20000, 3)
+	probe := append([]uint64(nil), keys...)
+	sort.Slice(probe, func(a, b int) bool {
+		return Hash64Shift(probe[a])>>st.shift < Hash64Shift(probe[b])>>st.shift
+	})
 	const writers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
-		wg.Add(1)
+		wg.Add(2)
 		go func(w int) {
 			defer wg.Done()
 			vals := make([]uint16, 0, 128)
@@ -135,53 +143,32 @@ func TestShardedConcurrentInserts(t *testing.T) {
 				st.InsertBatch(batch, vals, ins[:len(batch)])
 			}
 		}(w)
+		go func() {
+			defer wg.Done()
+			present := make([]bool, len(probe))
+			for range 4 {
+				st.ContainsBatchSorted(probe, present)
+			}
+		}()
 	}
 	wg.Wait()
 	distinct := make(map[uint64]struct{}, len(keys))
 	for _, k := range keys {
 		distinct[k] = struct{}{}
 	}
-	if st.Len() != len(distinct) {
-		t.Fatalf("Len = %d after concurrent inserts, want %d", st.Len(), len(distinct))
+	present := make([]bool, len(probe))
+	if n := st.ContainsBatchSorted(probe, present); n != len(probe) {
+		t.Fatalf("%d of %d keys present after concurrent inserts", n, len(probe))
+	}
+	ft := compacted(t, st)
+	if ft.Len() != len(distinct) {
+		t.Fatalf("Len = %d after concurrent inserts, want %d", ft.Len(), len(distinct))
 	}
 	for k := range distinct {
-		v, ok := st.Lookup(k)
+		v, ok := ft.Lookup(k)
 		if !ok || v >= writers {
 			t.Fatalf("Lookup(%#x) = %d,%v after concurrent inserts", k, v, ok)
 		}
-	}
-}
-
-// TestShardedFrozenConcurrentLookups freezes the table and reads it from
-// many goroutines (run with -race): the frozen read path takes no locks.
-func TestShardedFrozenConcurrentLookups(t *testing.T) {
-	st := NewSharded(1 << 10)
-	keys := shardedRandKeys(4096, 4)
-	for i, k := range keys {
-		st.Insert(k, uint16(i))
-	}
-	st.Freeze()
-	if !st.Frozen() {
-		t.Fatal("Frozen() false after Freeze")
-	}
-	var wg sync.WaitGroup
-	errs := make(chan string, 16)
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(keys); i += 16 {
-				if !st.Contains(keys[i]) {
-					errs <- "frozen lookup missed a stored key"
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
 	}
 }
 
@@ -193,21 +180,19 @@ func TestShardedGrowth(t *testing.T) {
 	for i, k := range keys {
 		st.Insert(k, uint16(i))
 	}
-	for i, k := range keys {
-		got, ok := st.Lookup(k)
-		if !ok {
+	ft := compacted(t, st)
+	for _, k := range keys {
+		if !ft.Contains(k) {
 			t.Fatalf("key %#x lost after growth", k)
 		}
-		_ = got
-		_ = i
 	}
-	if lf := st.LoadFactor(); lf <= 0 || lf > maxLoadFactor {
+	if lf := ft.LoadFactor(); lf <= 0 || lf > maxLoadFactor {
 		t.Fatalf("load factor %f out of range", lf)
 	}
 }
 
 // TestShardedMatchesFlat: a sharded table and a flat table fed the same
-// stream must agree on every membership and value query.
+// stream must agree on every insert outcome, membership and value.
 func TestShardedMatchesFlat(t *testing.T) {
 	st := NewSharded(64)
 	flat := New(64)
@@ -220,11 +205,12 @@ func TestShardedMatchesFlat(t *testing.T) {
 			t.Fatalf("insert disagreement on %#x", k)
 		}
 	}
-	if st.Len() != flat.Len() {
-		t.Fatalf("Len %d vs flat %d", st.Len(), flat.Len())
+	ft := compacted(t, st)
+	if ft.Len() != flat.Len() {
+		t.Fatalf("Len %d vs flat %d", ft.Len(), flat.Len())
 	}
 	flat.ForEach(func(k uint64, v uint16) bool {
-		got, ok := st.Lookup(k)
+		got, ok := ft.Lookup(k)
 		if !ok || got != v {
 			t.Fatalf("sharded disagrees with flat on %#x", k)
 		}

@@ -130,9 +130,9 @@ func TestOverheadVersusOptimal(t *testing.T) {
 	heuristicTotal, optimalTotal := 0, 0
 	count := 0
 	for size := 2; size <= 4; size++ {
-		lvl := s.Result().Levels[size]
+		lvl := s.Result().Level(size)
 		for trial := 0; trial < 40; trial++ {
-			f := lvl[rng.Intn(len(lvl))]
+			f := lvl.At(rng.Intn(lvl.Len()))
 			h, err := SynthesizeBidirectional(f)
 			if err != nil {
 				t.Fatal(err)

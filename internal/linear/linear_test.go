@@ -176,7 +176,7 @@ func TestWorstCaseExample(t *testing.T) {
 		t.Fatalf("published circuit has %d gates", len(published))
 	}
 	// Verify the size-10 claim exactly against the closed linear BFS.
-	res, err := bfs.Search(bfs.LinearAlphabet(), 10, &bfs.Options{NoReduction: true, CapacityHint: NumAffine})
+	res, err := bfs.Search(bfs.LinearAlphabet(), 10, &bfs.Options{NoReduction: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestWorstCaseExample(t *testing.T) {
 func TestAffineEnumerationMatchesBFSCensus(t *testing.T) {
 	// Every function reached by NOT/CNOT BFS is affine, and the BFS
 	// reaches all of them: cross-validate the two enumerations.
-	res, err := bfs.Search(bfs.LinearAlphabet(), 10, &bfs.Options{NoReduction: true, CapacityHint: NumAffine})
+	res, err := bfs.Search(bfs.LinearAlphabet(), 10, &bfs.Options{NoReduction: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,13 +128,11 @@ func Table2(ks []int) (string, error) {
 	fmt.Fprintf(&b, "%3s  %10s  %10s  %6s  %9s  %9s  %22s\n",
 		"k", "entries", "memory", "load", "avg chain", "max chain", "paper (load/avg/max)")
 	for _, k := range ks {
-		res, err := bfs.Search(bfs.GateAlphabet(), k, &bfs.Options{
-			CapacityHint: int(bfs.CumulativeGateReduced(k)),
-		})
+		res, err := bfs.Search(bfs.GateAlphabet(), k, nil)
 		if err != nil {
 			return "", err
 		}
-		st := res.Table.ComputeStats()
+		st := res.TableStats()
 		paper := "-"
 		if p, ok := paperTable2[k]; ok {
 			paper = fmt.Sprintf("%.2f / %.2f / %d", p.load, p.avgChain, p.maxChain)
@@ -228,7 +226,7 @@ func Table4(s *core.Synthesizer, d distrib.Distribution) string {
 
 // Table5 reproduces the linear-circuit distribution exactly (paper §4.3).
 func Table5() (string, error) {
-	res, err := bfs.Search(bfs.LinearAlphabet(), 11, &bfs.Options{NoReduction: true, CapacityHint: 322560})
+	res, err := bfs.Search(bfs.LinearAlphabet(), 11, &bfs.Options{NoReduction: true})
 	if err != nil {
 		return "", err
 	}

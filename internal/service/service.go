@@ -10,8 +10,8 @@
 // (header check, no parse, no rehash), so a cold start that used to
 // stream and re-insert every representative becomes O(pages touched) and
 // concurrent server processes share one page-cache copy of the table.
-// Fresh builds are compacted into the same frozen layout before serving
-// and persisting, dropping the duplicate per-level representative lists.
+// Fresh builds come out of the search in the same frozen layout, so they
+// are served and persisted without another pass.
 // Stats reports how the tables were acquired (TableFormat), their
 // footprint (TableBytes), and the startup cost (LoadDuration).
 //
@@ -284,13 +284,6 @@ func (s *Synthesizer) acquireTables() (*core.Synthesizer, error) {
 		Workers:  cfg.QueryWorkers,
 	})
 	if err != nil {
-		return nil, err
-	}
-	// Serving wants the compact frozen layout regardless of persistence:
-	// it drops the duplicate Levels copy (~40% fewer resident bytes per
-	// representative) and is the exact layout SaveFile writes, so the
-	// persist below reuses it instead of re-laying the table out.
-	if err := synth.Result().Compact(); err != nil {
 		return nil, err
 	}
 	s.tableSource = "built"
@@ -569,7 +562,7 @@ func (s *Synthesizer) Close(ctx context.Context) error {
 			// untouched.
 			<-s.ready
 			if s.cfg.Tables == nil && s.cfg.Backend == nil && s.synth != nil {
-				if res := s.synth.Result(); res != nil && res.Frozen != nil {
+				if res := s.synth.Result(); res != nil {
 					res.Frozen.Close()
 				}
 			}
@@ -711,11 +704,9 @@ func (s *Synthesizer) Stats() Stats {
 		st.TableFormat = s.tableSource
 		if res := s.synth.Result(); res != nil {
 			st.TableBytes = res.MemoryBytes()
-			if res.Frozen != nil {
-				if resident, mapped, ok := res.Frozen.Residency(); ok && mapped > 0 {
-					st.TableResidentBytes = resident
-					st.TableResidentFraction = float64(resident) / float64(mapped)
-				}
+			if resident, mapped, ok := res.Frozen.Residency(); ok && mapped > 0 {
+				st.TableResidentBytes = resident
+				st.TableResidentFraction = float64(resident) / float64(mapped)
 			}
 		}
 		if cs, ok := s.cfg.Backend.(tables.CacheStatser); ok {

@@ -444,7 +444,7 @@ func TestServiceTieredCacheRetention(t *testing.T) {
 
 	// A cost-4 representative resolves to tier 2 (two retention lives);
 	// identity and cost-1 representatives to tier 0.
-	deep := res.Levels[4][0]
+	deep := res.Level(4).At(0)
 	if _, info, err := svc.Synthesize(context.Background(), deep); err != nil {
 		t.Fatal(err)
 	} else if got := svc.cacheTier(info, nil); got != 2 {
@@ -452,7 +452,7 @@ func TestServiceTieredCacheRetention(t *testing.T) {
 	}
 	// Flood with cheap queries; the deep answer must still be a cache
 	// hit afterwards (capacity 2 with plain LRU would have evicted it).
-	cheap := []perm.Perm{perm.Perm(perm.Identity), res.Levels[1][0], res.Levels[1][1]}
+	cheap := []perm.Perm{perm.Perm(perm.Identity), res.Level(1).At(0), res.Level(1).At(1)}
 	for _, f := range cheap {
 		if _, _, err := svc.Synthesize(context.Background(), f); err != nil {
 			t.Fatal(err)

@@ -41,9 +41,7 @@ func loadSplitPartial(t testing.TB, res *bfs.Result, n, i int) *tables.Partial {
 	if info.Split == nil {
 		t.Fatal("split store loaded without split metadata")
 	}
-	if sres.Frozen != nil {
-		t.Cleanup(func() { sres.Frozen.Close() })
-	}
+	t.Cleanup(func() { sres.Frozen.Close() })
 	part, err := tables.NewPartial(sres, info.Split)
 	if err != nil {
 		t.Fatal(err)

@@ -294,9 +294,6 @@ func (b *Partial) LevelKeysSparse(_ context.Context, c, lo, n int, filterLo, fil
 
 // Residency reports the page-cache residency of the backing store.
 func (b *Partial) Residency() (resident, mapped int64, ok bool) {
-	if b.res.Frozen == nil {
-		return 0, 0, false
-	}
 	return b.res.Frozen.Residency()
 }
 

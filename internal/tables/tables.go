@@ -10,7 +10,7 @@
 // them are exactly what Backend captures. Everything else follows from
 // implementations:
 //
-//   - Local wraps an in-process bfs.Result (live, frozen, or
+//   - Local wraps an in-process bfs.Result (on the heap or
 //     memory-mapped off a tablesio v2 store) — the single-host case.
 //   - tablenet.Client speaks the same interface over a wire protocol to
 //     a shard server exporting its mapped store.
@@ -351,7 +351,7 @@ type TierResolver interface {
 	TierForCost(cost int) int
 }
 
-// Local is the in-process Backend over a bfs.Result (live, frozen, or
+// Local is the in-process Backend over a bfs.Result (on the heap or
 // memory-mapped). It is the reference implementation the network stack
 // is tested against, and the backend every shard server exports.
 type Local struct {
@@ -430,9 +430,6 @@ func (b *Local) LevelKeys(_ context.Context, c, lo int, out []uint64) error {
 // Residency reports the page-cache residency of the backing store when
 // the result is memory-mapped (ok is false otherwise).
 func (b *Local) Residency() (resident, mapped int64, ok bool) {
-	if b.res.Frozen == nil {
-		return 0, 0, false
-	}
 	return b.res.Frozen.Residency()
 }
 

@@ -6,7 +6,7 @@
 // first query (§4.1 reports an 1111-second load). Version 2 instead
 // persists the probe-table layout itself: the flat little-endian
 // keys/vals slot arrays of a hashtab.FrozenTable, page-aligned, plus the
-// per-level slot index that replaces the Levels lists. A loader can
+// per-level slot index that lists each cost level. A loader can
 // therefore validate a small header and memory-map the rest — cold start
 // becomes O(pages touched), the mapped table is shared between processes
 // through the page cache, and nothing is stored twice.
@@ -456,18 +456,14 @@ func SynthHorizon(a *bfs.Alphabet, k int) uint32 {
 	return uint32(h)
 }
 
-// SaveV2 serializes a BFS result in format v2. A frozen-backend result
-// (v2 load, Result.Compact) is written directly from its slot arrays; a
-// live result is compacted transiently first. The alphabet is identified
-// by fingerprint only, as in v1.
+// SaveV2 serializes a BFS result in format v2, straight from its slot
+// arrays and level index. The alphabet is identified by fingerprint
+// only; pass the same alphabet to Load.
 func SaveV2(w io.Writer, res *bfs.Result) error {
 	if res == nil {
 		return fmt.Errorf("tablesio: nil result")
 	}
-	ft, levelIdx, counts, err := res.CompactView()
-	if err != nil {
-		return err
-	}
+	ft, levelIdx, counts := res.CompactView()
 	keys, vals := ft.RawKeys(), ft.RawVals()
 	h := &headerV2{
 		maxCost:       uint32(res.MaxCost),
@@ -506,10 +502,7 @@ func SaveSplit(w io.Writer, res *bfs.Result, n, i int) error {
 	if i < 0 || i >= n {
 		return fmt.Errorf("tablesio: split index %d outside [0, %d)", i, n)
 	}
-	fullFT, _, counts, err := res.CompactView()
-	if err != nil {
-		return err
-	}
+	fullFT, levelIdx, counts := res.CompactView()
 	lo, hi := tables.RangeOf(i, n)
 	var (
 		keys        []uint64
@@ -517,22 +510,18 @@ func SaveSplit(w io.Writer, res *bfs.Result, n, i int) error {
 		gpos        []uint32
 		localCounts = make([]uint64, len(counts))
 	)
-	for c := 0; c <= res.MaxCost; c++ {
-		lv := res.Level(c)
-		for j := 0; j < lv.Len(); j++ {
-			k := uint64(lv.At(j))
+	for c, cn := range counts {
+		for j, slot := range levelIdx[:cn] {
+			k := fullFT.KeyAt(slot)
 			if !tables.KeyInRange(k, lo, hi) {
 				continue
 			}
-			v, ok := fullFT.Lookup(k)
-			if !ok {
-				return fmt.Errorf("tablesio: representative %#x missing from its own table", k)
-			}
 			keys = append(keys, k)
-			vals = append(vals, v)
+			vals = append(vals, fullFT.ValAt(slot))
 			gpos = append(gpos, uint32(j))
 			localCounts[c]++
 		}
+		levelIdx = levelIdx[cn:]
 	}
 	if len(keys) == 0 {
 		return fmt.Errorf("tablesio: split %d/%d owns no entries (table too small for %d ranges)", i, n, n)

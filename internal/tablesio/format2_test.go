@@ -72,9 +72,6 @@ func TestV2RoundTripStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Frozen == nil || back.Table != nil {
-		t.Fatal("v2 load did not produce a frozen-backend result")
-	}
 	checkSameTables(t, orig, back)
 }
 
@@ -123,47 +120,39 @@ func TestV2RoundTripFile(t *testing.T) {
 	}
 }
 
-// TestCrossVersionRoundTrip drives one table set through every format
-// conversion: v1 → load → v2 → load (frozen) → v1 again. The final v1
-// stream must be byte-identical to the first — the v2 slot index
-// preserves level storage order, so nothing is lost or reordered across
-// versions.
+// TestCrossVersionRoundTrip converts the committed v1 fixture to v2:
+// the v2 bytes must be identical to SaveV2 of a fresh sequential search
+// of the same tables, and load back to the same levels and values — the
+// v2 slot index preserves the v1 level storage order, so nothing is lost
+// or reordered across versions.
 func TestCrossVersionRoundTrip(t *testing.T) {
-	res, err := bfs.Search(bfs.GateAlphabet(), 4, nil)
+	res, blob := v1Fixture(t)
+	fromV1, err := Load(bytes.NewReader(blob), bfs.GateAlphabet())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v1a bytes.Buffer
-	if err := Save(&v1a, res); err != nil {
+	var want, got bytes.Buffer
+	if err := SaveV2(&want, res); err != nil {
 		t.Fatal(err)
 	}
-	fromV1, err := Load(bytes.NewReader(v1a.Bytes()), bfs.GateAlphabet())
-	if err != nil {
+	if err := SaveV2(&got, fromV1); err != nil {
 		t.Fatal(err)
 	}
-	var v2 bytes.Buffer
-	if err := SaveV2(&v2, fromV1); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("v2 store of the loaded v1 fixture differs from the search's v2 store")
 	}
-	fromV2, err := Load(bytes.NewReader(v2.Bytes()), bfs.GateAlphabet())
+	fromV2, err := Load(bytes.NewReader(got.Bytes()), bfs.GateAlphabet())
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkSameTables(t, res, fromV2)
-	var v1b bytes.Buffer
-	if err := Save(&v1b, fromV2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v1a.Bytes(), v1b.Bytes()) {
-		t.Fatal("v1 → v2 → v1 round trip is not byte-identical")
-	}
 }
 
-// TestFrozenMatchesLive is the serving-equivalence guarantee: synthesis
+// TestMappedMatchesBuilt is the serving-equivalence guarantee: synthesis
 // against memory-mapped v2 tables is identical — circuit for circuit —
-// to synthesis against the live-built tables, across direct lookups,
-// meet-in-the-middle splits, and beyond-horizon failures.
-func TestFrozenMatchesLive(t *testing.T) {
+// to synthesis against the heap tables Search built, across direct
+// lookups, meet-in-the-middle splits, and beyond-horizon failures.
+func TestMappedMatchesBuilt(t *testing.T) {
 	res, err := bfs.Search(bfs.GateAlphabet(), 4, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -172,24 +161,24 @@ func TestFrozenMatchesLive(t *testing.T) {
 	if err := SaveFile(path, res); err != nil {
 		t.Fatal(err)
 	}
-	frozenRes, info, err := LoadFile(path, bfs.GateAlphabet(), nil)
+	mappedRes, info, err := LoadFile(path, bfs.GateAlphabet(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer frozenRes.Frozen.Close()
+	defer mappedRes.Frozen.Close()
 	if mmapSupported && hostLittleEndian && !info.MemoryMapped {
 		t.Fatal("expected the mmap fast path")
 	}
-	live, err := core.FromResult(res, 0)
+	built, err := core.FromResult(res, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozen, err := core.FromResult(frozenRes, 0)
+	mapped, err := core.FromResult(mappedRes, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live.SetWorkers(1)
-	frozen.SetWorkers(1)
+	built.SetWorkers(1)
+	mapped.SetWorkers(1)
 
 	// ≥ 100 specs spanning the whole difficulty range: sizes 0…8 via
 	// random circuits plus uniformly random permutations (mostly beyond
@@ -201,22 +190,22 @@ func TestFrozenMatchesLive(t *testing.T) {
 	}
 	specs = append(specs, randperm.New(20100601).Sample(32)...)
 	for i, f := range specs {
-		cl, el := live.Synthesize(f)
-		cf, ef := frozen.Synthesize(f)
-		if (el == nil) != (ef == nil) {
-			t.Fatalf("spec %d (%v): error divergence %v vs %v", i, f, el, ef)
+		cb, eb := built.Synthesize(f)
+		cm, em := mapped.Synthesize(f)
+		if (eb == nil) != (em == nil) {
+			t.Fatalf("spec %d (%v): error divergence %v vs %v", i, f, eb, em)
 		}
-		if el != nil {
-			if !errors.Is(ef, core.ErrBeyondHorizon) {
-				t.Fatalf("spec %d: unexpected failure %v", i, ef)
+		if eb != nil {
+			if !errors.Is(em, core.ErrBeyondHorizon) {
+				t.Fatalf("spec %d: unexpected failure %v", i, em)
 			}
 			continue
 		}
-		if cl.String() != cf.String() {
-			t.Fatalf("spec %d (%v): live %v vs frozen %v", i, f, cl, cf)
+		if cb.String() != cm.String() {
+			t.Fatalf("spec %d (%v): built %v vs mapped %v", i, f, cb, cm)
 		}
-		if cf.Perm() != f {
-			t.Fatalf("spec %d: frozen circuit computes the wrong function", i)
+		if cm.Perm() != f {
+			t.Fatalf("spec %d: mapped circuit computes the wrong function", i)
 		}
 	}
 }
@@ -367,16 +356,8 @@ func TestV2ContentCorruptionPolicy(t *testing.T) {
 }
 
 func TestLoadFileV1Fallback(t *testing.T) {
-	res, err := bfs.Search(bfs.GateAlphabet(), 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v1 bytes.Buffer
-	if err := Save(&v1, res); err != nil {
-		t.Fatal(err)
-	}
-	path := writeTemp(t, v1.Bytes())
-	back, info, err := LoadFile(path, bfs.GateAlphabet(), nil)
+	res, _ := v1Fixture(t)
+	back, info, err := LoadFile(v1FixturePath, bfs.GateAlphabet(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,9 +371,9 @@ func TestLoadFileV1Fallback(t *testing.T) {
 }
 
 // BenchmarkColdStart measures the acceptance metric of the zero-copy
-// format: time from "store on disk" to "servable tables" for the same
-// k = 6 table set, v1 parse-and-rehash versus v2 mmap, with the heap
-// the load leaves behind (runtime.MemStats) reported per representative.
+// format: time from "store on disk" to "servable tables" for a k = 6
+// table set, v2 mmap versus the verifying v2 stream, with the heap the
+// load leaves behind (runtime.MemStats) reported per representative.
 // REVSYNTH_COLDSTART_K overrides the depth (CI smoke uses 5).
 func BenchmarkColdStart(b *testing.B) {
 	k := 6
@@ -406,19 +387,7 @@ func BenchmarkColdStart(b *testing.B) {
 		b.Fatal(err)
 	}
 	entries := float64(res.TotalStored())
-	dir := b.TempDir()
-	v1Path := filepath.Join(dir, "v1.tables")
-	v2Path := filepath.Join(dir, "v2.tables")
-	f, err := os.Create(v1Path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := Save(f, res); err != nil {
-		b.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		b.Fatal(err)
-	}
+	v2Path := filepath.Join(b.TempDir(), "v2.tables")
 	if err := SaveFile(v2Path, res); err != nil {
 		b.Fatal(err)
 	}
@@ -447,13 +416,10 @@ func BenchmarkColdStart(b *testing.B) {
 			heapPerRep = float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / entries
 			b.ReportMetric(heapPerRep, "heapB/rep")
 			b.ReportMetric(float64(loaded.MemoryBytes())/entries, "tableB/rep")
-			if loaded.Frozen != nil {
-				loaded.Frozen.Close()
-			}
+			loaded.Frozen.Close()
 		}
 		_ = heapPerRep
 	}
-	b.Run("v1-parse-rehash", func(b *testing.B) { load(b, v1Path, nil, false) })
 	b.Run("v2-mmap", func(b *testing.B) { load(b, v2Path, nil, true) })
 	b.Run("v2-stream-verify", func(b *testing.B) { load(b, v2Path, &LoadOptions{DisableMmap: true}, false) })
 }

@@ -26,10 +26,7 @@ func TestStreamWriterByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ft, idx, counts, err := res.CompactView()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ft, idx, counts := res.CompactView()
 	lc := make([]int64, len(counts))
 	for c, n := range counts {
 		lc[c] = int64(n)
@@ -115,10 +112,7 @@ func TestStreamWriterSplitByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 2
-	fullFT, _, counts, err := res.CompactView()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fullFT, _, counts := res.CompactView()
 	glc := make([]int64, len(counts))
 	for c, cn := range counts {
 		glc[c] = int64(cn)

@@ -5,18 +5,19 @@
 // querying — their CS1 runs spend 1111 seconds loading the tables from
 // disk (§4.1), and §5 estimates a 5-minute load on commodity hardware.
 //
-// Two formats are supported. Format v1 is the original little-endian
-// entry stream, which every load must parse and rehash:
+// Format v2 (see format2.go) persists the frozen probe-table layout
+// itself, so a load is a header check plus a memory map: cold start in
+// milliseconds. SaveV2, SaveSplit and their atomic file forms SaveFile
+// and SaveSplitFile write it; Load reads it, and LoadFile adds the mmap
+// fast path.
+//
+// Format v1 is read-only: the original little-endian entry stream,
+// which every load must parse and rehash, still loads so that stores
+// written by older binaries stay usable, but nothing writes it any more:
 //
 //	magic "RVT1" | flags | k | alphabet fingerprint |
 //	per-level counts | representative words | per-representative values |
 //	FNV-64a checksum of everything above
-//
-// Format v2 (see format2.go) persists the frozen probe-table layout
-// itself, so a load is a header check plus a memory map: cold start in
-// milliseconds where a v1 parse-and-rehash takes seconds to minutes.
-// SaveFile writes v2; Save keeps writing v1 for compatibility with older
-// binaries; Load reads both; LoadFile adds the v2 mmap fast path.
 //
 // The alphabet itself is NOT serialized — it is reconstructable code —
 // but a fingerprint (element count, max cost, XOR/sum of element words)
@@ -54,8 +55,6 @@ const (
 	// version2 is the zero-copy frozen-table format (format2.go).
 	version2 = byte('2')
 )
-
-var magicV1 = [4]byte{magicPrefix[0], magicPrefix[1], magicPrefix[2], version1}
 
 const (
 	flagReduced = 1 << 0
@@ -99,94 +98,15 @@ type fingerprint = tables.Fingerprint
 
 func fingerprintOf(a *bfs.Alphabet) fingerprint { return tables.FingerprintOf(a) }
 
-// countingWriter tees writes into a running checksum.
-type checksumWriter struct {
-	w io.Writer
-	h hash.Hash64
-}
-
-func (cw *checksumWriter) Write(p []byte) (int, error) {
-	cw.h.Write(p)
-	return cw.w.Write(p)
-}
-
 // Legacy (v1) on-disk value packing: bit 15 flags a first element, the
 // low 15 bits hold the element index, all ones marking the identity.
-// Files written before the cost-packed in-memory values keep loading,
-// and files written by Save keep opening under older binaries; the cost
-// field is reconstructed from the entry's level on load.
+// The cost field of the in-memory value is reconstructed from the
+// entry's level on load.
 const (
 	legacyFlagFirst uint16 = 1 << 15
 	legacyElemMask  uint16 = 0x7FFF
 	legacyIdentity  uint16 = legacyElemMask
 )
-
-func legacyEncode(v bfs.Value) uint16 {
-	if v.IsIdentity {
-		return legacyIdentity
-	}
-	raw := uint16(v.Elem) & legacyElemMask
-	if v.First {
-		raw |= legacyFlagFirst
-	}
-	return raw
-}
-
-// Save serializes a BFS result in format v1, the compatibility format
-// older binaries can read. The alphabet is identified by fingerprint
-// only; pass the same alphabet to Load. New stores should prefer SaveV2
-// / SaveFile, whose layout loads without parsing or rehashing.
-func Save(w io.Writer, res *bfs.Result) error {
-	if res == nil {
-		return fmt.Errorf("tablesio: nil result")
-	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	cw := &checksumWriter{w: bw, h: fnv.New64a()}
-	if _, err := cw.Write(magicV1[:]); err != nil {
-		return err
-	}
-	var flags uint32
-	if res.Reduced {
-		flags |= flagReduced
-	}
-	fp := fingerprintOf(res.Alphabet)
-	for _, v := range []interface{}{
-		flags, uint32(res.MaxCost),
-		fp.Elements, fp.MaxCost, fp.XorPerms, fp.SumCosts,
-	} {
-		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	// Level sizes, then representatives level by level, then their table
-	// values in the same order. Writing values alongside keys lets Load
-	// rebuild the open-addressing table at the ideal size.
-	for c := 0; c <= res.MaxCost; c++ {
-		if err := binary.Write(cw, binary.LittleEndian, uint64(res.LevelLen(c))); err != nil {
-			return err
-		}
-	}
-	buf := make([]byte, 10)
-	for c := 0; c <= res.MaxCost; c++ {
-		lvl := res.Level(c)
-		for i := 0; i < lvl.Len(); i++ {
-			rep := lvl.At(i)
-			v, ok := res.Lookup(rep)
-			if !ok {
-				return fmt.Errorf("tablesio: representative %v missing from its own table", rep)
-			}
-			binary.LittleEndian.PutUint64(buf[0:8], uint64(rep))
-			binary.LittleEndian.PutUint16(buf[8:10], legacyEncode(v))
-			if _, err := cw.Write(buf); err != nil {
-				return err
-			}
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, cw.h.Sum64()); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
 
 // SaveFile persists a BFS result to path atomically in format v2 (the
 // zero-copy layout LoadFile memory-maps) — a crash mid-write never
@@ -299,7 +219,7 @@ const DefaultMaxEntries = 1 << 33
 // actually arrive rather than trusting the declared size up front.
 const levelAllocChunk = 1 << 20
 
-// Load rehydrates a BFS result saved by Save or SaveV2 (the format is
+// Load rehydrates a BFS result saved in format v2 or v1 (the format is
 // sniffed from the version byte). The alphabet must be the same
 // construction that produced the saved tables; a fingerprint mismatch,
 // version mismatch, truncation, or corruption is reported as an error
@@ -350,8 +270,8 @@ func LoadWithOptions(r io.Reader, alphabet *bfs.Alphabet, opts *LoadOptions) (*b
 }
 
 // loadV1Stream parses the legacy entry-stream format, rebuilding the
-// sharded hash table entry by entry (the rehash cost v2 exists to
-// avoid).
+// hash table entry by entry (the rehash cost v2 exists to avoid) and
+// freezing it like a fresh search (bfs.FromLevels).
 func loadV1Stream(br *bufio.Reader, alphabet *bfs.Alphabet, opts *LoadOptions, maxEntries int64) (*bfs.Result, error) {
 	cr := &checksumReader{r: br, h: fnv.New64a()}
 	var m [4]byte
@@ -391,13 +311,8 @@ func loadV1Stream(br *bufio.Reader, alphabet *bfs.Alphabet, opts *LoadOptions, m
 			return nil, fmt.Errorf("%w: declared entry count exceeds cap %d", ErrCorrupt, maxEntries)
 		}
 	}
-	res := &bfs.Result{
-		Alphabet: alphabet,
-		MaxCost:  int(maxCost),
-		Levels:   make([][]perm.Perm, maxCost+1),
-		Table:    hashtab.NewSharded(int(min(total, levelAllocChunk))),
-		Reduced:  flags&flagReduced != 0,
-	}
+	levels := make([][]perm.Perm, maxCost+1)
+	table := hashtab.NewSharded(int(min(total, levelAllocChunk)))
 	buf := make([]byte, 10)
 	for c := 0; c <= int(maxCost); c++ {
 		n := int(levelSizes[c])
@@ -428,11 +343,11 @@ func loadV1Stream(br *bufio.Reader, alphabet *bfs.Alphabet, opts *LoadOptions, m
 				val = bfs.PackValue(c, elem, raw&legacyFlagFirst != 0)
 			}
 			lvl = append(lvl, p)
-			if _, inserted := res.Table.Insert(key, val); !inserted {
+			if _, inserted := table.Insert(key, val); !inserted {
 				return nil, fmt.Errorf("%w: duplicate entry %v at level %d", ErrCorrupt, p, c)
 			}
 		}
-		res.Levels[c] = lvl
+		levels[c] = lvl
 		if opts.Progress != nil {
 			opts.Progress(c, n)
 		}
@@ -445,8 +360,9 @@ func loadV1Stream(br *bufio.Reader, alphabet *bfs.Alphabet, opts *LoadOptions, m
 	if gotSum != wantSum {
 		return nil, fmt.Errorf("%w: checksum mismatch (file %#x, computed %#x)", ErrCorrupt, wantSum, gotSum)
 	}
-	// Rehydrated tables go straight to the query phase: freeze for
-	// lock-free concurrent lookups.
-	res.Table.Freeze()
+	res, err := bfs.FromLevels(alphabet, int(maxCost), flags&flagReduced != 0, table, levels, true)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
 	return res, nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/bfs"
@@ -13,55 +15,47 @@ import (
 	"repro/internal/perm"
 )
 
-func saved(t testing.TB, k int) (*bfs.Result, []byte) {
-	res, err := bfs.Search(bfs.GateAlphabet(), k, nil)
+// v1FixturePath is a format v1 store of the k = 3 gate-alphabet tables
+// written by the sequential search (Workers: 1), kept from when this
+// package still wrote v1: nothing writes the format any more, so the
+// read path is tested against these bytes.
+const v1FixturePath = "testdata/gate_k3.v1.tables"
+
+// v1Fixture returns the fixture's bytes together with the search result
+// it was written from.
+func v1Fixture(t testing.TB) (*bfs.Result, []byte) {
+	t.Helper()
+	blob, err := os.ReadFile(v1FixturePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := Save(&buf, res); err != nil {
+	res, err := bfs.Search(bfs.GateAlphabet(), 3, &bfs.Options{Workers: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return res, buf.Bytes()
+	return res, blob
 }
 
 func TestRoundTrip(t *testing.T) {
-	orig, blob := saved(t, 4)
+	orig, blob := v1Fixture(t)
 	back, err := Load(bytes.NewReader(blob), bfs.GateAlphabet())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.MaxCost != orig.MaxCost || back.Reduced != orig.Reduced {
-		t.Fatalf("metadata mismatch: %+v vs %+v", back.MaxCost, orig.MaxCost)
-	}
-	for c := 0; c <= orig.MaxCost; c++ {
-		if len(back.Levels[c]) != len(orig.Levels[c]) {
-			t.Fatalf("level %d: %d vs %d", c, len(back.Levels[c]), len(orig.Levels[c]))
-		}
-		for i, rep := range orig.Levels[c] {
-			if back.Levels[c][i] != rep {
-				t.Fatalf("level %d entry %d differs", c, i)
-			}
-			a, okA := orig.Table.Lookup(uint64(rep))
-			b, okB := back.Table.Lookup(uint64(rep))
-			if !okA || !okB || a != b {
-				t.Fatalf("table value differs for %v", rep)
-			}
-		}
-	}
+	checkSameTables(t, orig, back)
 }
 
 func TestLoadedTablesSynthesizeIdentically(t *testing.T) {
-	orig, blob := saved(t, 4)
+	orig, blob := v1Fixture(t)
 	back, err := Load(bytes.NewReader(blob), bfs.GateAlphabet())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sOrig, err := core.FromResult(orig, 4)
+	sOrig, err := core.FromResult(orig, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sBack, err := core.FromResult(back, 4)
+	sBack, err := core.FromResult(back, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +85,7 @@ func randomCircuitPerm(rng *rand.Rand, n int) perm.Perm {
 }
 
 func TestWrongAlphabetRejected(t *testing.T) {
-	_, blob := saved(t, 3)
+	_, blob := v1Fixture(t)
 	if _, err := Load(bytes.NewReader(blob), bfs.LinearAlphabet()); err == nil {
 		t.Fatal("loading gate tables against the linear alphabet succeeded")
 	}
@@ -101,7 +95,7 @@ func TestWrongAlphabetRejected(t *testing.T) {
 }
 
 func TestTruncationDetected(t *testing.T) {
-	_, blob := saved(t, 3)
+	_, blob := v1Fixture(t)
 	for _, cut := range []int{0, 3, 10, 40, len(blob) / 2, len(blob) - 1} {
 		if _, err := Load(bytes.NewReader(blob[:cut]), bfs.GateAlphabet()); err == nil {
 			t.Fatalf("truncation at %d undetected", cut)
@@ -110,7 +104,7 @@ func TestTruncationDetected(t *testing.T) {
 }
 
 func TestBitFlipDetected(t *testing.T) {
-	_, blob := saved(t, 3)
+	_, blob := v1Fixture(t)
 	rng := rand.New(rand.NewSource(2))
 	detected := 0
 	const trials = 60
@@ -131,7 +125,7 @@ func TestBitFlipDetected(t *testing.T) {
 }
 
 func TestBadMagicRejected(t *testing.T) {
-	_, blob := saved(t, 2)
+	_, blob := v1Fixture(t)
 	bad := append([]byte(nil), blob...)
 	bad[0] = 'X'
 	if _, err := Load(bytes.NewReader(bad), bfs.GateAlphabet()); err == nil {
@@ -141,49 +135,23 @@ func TestBadMagicRejected(t *testing.T) {
 
 func TestSaveNilRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Save(&buf, nil); err == nil {
-		t.Fatal("Save(nil) succeeded")
+	if err := SaveV2(&buf, nil); err == nil {
+		t.Fatal("SaveV2(nil) succeeded")
 	}
-}
-
-func BenchmarkSaveK5(b *testing.B) {
-	res, err := bfs.Search(bfs.GateAlphabet(), 5, nil)
-	if err != nil {
-		b.Fatal(err)
+	if err := SaveSplit(&buf, nil, 2, 0); err == nil {
+		t.Fatal("SaveSplit(nil) succeeded")
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := Save(&buf, res); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(buf.Len()))
+	path := filepath.Join(t.TempDir(), "nil.tables")
+	if err := SaveFile(path, nil); err == nil {
+		t.Fatal("SaveFile(nil) succeeded")
 	}
-}
-
-func BenchmarkLoadK5(b *testing.B) {
-	res, err := bfs.Search(bfs.GateAlphabet(), 5, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := Save(&buf, res); err != nil {
-		b.Fatal(err)
-	}
-	blob := buf.Bytes()
-	b.SetBytes(int64(len(blob)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Load(bytes.NewReader(blob), bfs.GateAlphabet()); err != nil {
-			b.Fatal(err)
-		}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed SaveFile published %s: %v", path, err)
 	}
 }
 
 func TestVersionGating(t *testing.T) {
-	_, blob := saved(t, 2)
+	_, blob := v1Fixture(t)
 	// A future format version must be rejected with ErrUnsupportedVersion
 	// (the checksum would also fail, but the version gate fires first and
 	// precisely).
@@ -209,7 +177,7 @@ func TestVersionGating(t *testing.T) {
 }
 
 func TestSentinelErrors(t *testing.T) {
-	_, blob := saved(t, 2)
+	_, blob := v1Fixture(t)
 	if _, err := Load(bytes.NewReader(blob[:len(blob)-1]), bfs.GateAlphabet()); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncation: err = %v, want ErrCorrupt", err)
 	}
@@ -224,7 +192,7 @@ func TestSentinelErrors(t *testing.T) {
 }
 
 func TestLoadProgressStreams(t *testing.T) {
-	res, blob := saved(t, 3)
+	res, blob := v1Fixture(t)
 	var levels, entries []int
 	_, err := LoadWithOptions(bytes.NewReader(blob), bfs.GateAlphabet(), &LoadOptions{
 		Progress: func(level, n int) { levels = append(levels, level); entries = append(entries, n) },
@@ -236,15 +204,15 @@ func TestLoadProgressStreams(t *testing.T) {
 		t.Fatalf("progress fired %d times, want %d", len(levels), res.MaxCost+1)
 	}
 	for c := 0; c <= res.MaxCost; c++ {
-		if levels[c] != c || entries[c] != len(res.Levels[c]) {
+		if levels[c] != c || entries[c] != res.LevelLen(c) {
 			t.Fatalf("progress level %d reported (%d, %d), want (%d, %d)",
-				c, levels[c], entries[c], c, len(res.Levels[c]))
+				c, levels[c], entries[c], c, res.LevelLen(c))
 		}
 	}
 }
 
 func TestMaxEntriesCap(t *testing.T) {
-	_, blob := saved(t, 3)
+	_, blob := v1Fixture(t)
 	_, err := LoadWithOptions(bytes.NewReader(blob), bfs.GateAlphabet(), &LoadOptions{MaxEntries: 10})
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("over-cap load: err = %v, want ErrCorrupt", err)
@@ -256,8 +224,8 @@ func TestForgedLevelSizeOverflowRejected(t *testing.T) {
 	// bytes, then one uint64 level size per cost level. A level size of
 	// 2^64-1 once wrapped the running total back under the entry cap and
 	// drove a negative allocation size; it must be a clean ErrCorrupt.
-	_, blob := saved(t, 2)
-	for _, off := range []int{36, 44, 52} {
+	_, blob := v1Fixture(t)
+	for _, off := range []int{36, 44, 52, 60} {
 		forged := append([]byte(nil), blob...)
 		for i := 0; i < 8; i++ {
 			forged[off+i] = 0xFF
