@@ -57,10 +57,18 @@
 //   - the sequence sorter: a quarter, split between its (seq, key) pair
 //     buffer and its radix scratch;
 //   - merge read buffers: up to a quarter, one per open run or level
-//     file;
-//   - emission: the fullest shard's entries and slot arrays, plus the
-//     placement scratch (a home-slot histogram and the entries regrouped
-//     by home).
+//     file plus a part-file write buffer, charged per merge worker — so
+//     the buffer size is the quarter divided by the worker count;
+//   - emission: per worker, the fullest shard's entries and slot arrays,
+//     the placement scratch (a home-slot histogram and the entries
+//     regrouped by home) and one index chunk; the probe table is
+//     released first, and emission runs on fewer workers when their
+//     buffers would pass half the budget.
+//
+// Every phase runs on all workers (extbuild.Options.Workers, GOMAXPROCS
+// by default): slabs expand in parallel, merges split by hash shard,
+// and emission places shards and resolves the level index in parallel
+// while the store is written in order.
 //
 // Every sort on the build path is linear-time: the spill runs and the
 // sequence sorter use LSD radix sorts, and emission lays each shard out

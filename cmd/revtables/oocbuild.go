@@ -6,6 +6,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/bfs"
@@ -101,14 +102,18 @@ func buildOutOfCore(save string, k, split int, memBudget, workDir string, resume
 
 // buildProgress turns the builder's event stream into one stderr status
 // line per phase, rewritten in place while a level runs and committed
-// with a newline when it completes.
+// with a newline when it completes. The builder reports from its worker
+// goroutines, so note serializes the events.
 type buildProgress struct {
+	mu       sync.Mutex
 	lastLine int
 }
 
 func newBuildProgress() *buildProgress { return &buildProgress{} }
 
 func (p *buildProgress) note(ev extbuild.ProgressEvent) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	var line string
 	switch ev.Phase {
 	case "expand":

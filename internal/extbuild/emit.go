@@ -1,10 +1,8 @@
 package extbuild
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -12,13 +10,18 @@ import (
 	"repro/internal/tablesio"
 )
 
+// idxChunk is how many .seq records one index-resolution item covers.
+const idxChunk = 1 << 15
+
 // emit writes the configured stores straight off the level artifacts:
-// the full store (OutPath) and/or the SplitN pre-split range files. No
-// in-memory table is ever built — each emitted shard's entries are
-// gathered by one ReadAt per level from the .srt segments, laid out
-// canonically, and streamed; the per-level index is then resolved by
-// probing the just-written file through the StreamWriter's probe view
-// while streaming the .seq files in discovery order. Byte-identity with
+// the full store (OutPath) and/or the SplitN pre-split range files, one
+// store after another. No in-memory table is ever built. Within a
+// store, workers gather each shard's entries from the .srt segments
+// (one ReadAt per level), lay them out canonically, and hand them to
+// the StreamWriter in shard order; the per-level index is then resolved
+// by probing the just-written file through the writer's read-only probe
+// view, the workers splitting the .seq files into chunks and appending
+// the resolved slots in discovery order. Byte-identity with
 // tablesio.SaveFile/SaveSplitFile holds because every geometry decision
 // (shard count, slots per shard, placement order, level order) is the
 // same pure function of the entry set that hashtab.Compact and
@@ -32,36 +35,20 @@ func (b *builder) emit() error {
 	}
 	b.progress(ProgressEvent{Phase: "emit", Level: b.o.K})
 
-	lv := newLevelFiles(b)
-	if err := lv.open(); err != nil {
+	e, err := b.newEmitter()
+	if err != nil {
 		return err
 	}
-	defer lv.close()
-
-	// One set of shard buffers serves every emitted store: sized for the
-	// fullest shard of the whole table, it fits any range of it.
-	maxPerShard := lv.maxShardEntries(0, b.shards)
-	perShard := hashtab.FrozenSlotsPerShard(maxPerShard)
-	charge := int64(maxPerShard)*(8+2) + int64(perShard)*(8+2) +
-		hashtab.PlaceScratchBytes(maxPerShard, perShard)
-	b.mem.add(charge)
-	defer b.mem.release(charge)
-	bufs := &emitBufs{
-		keys:     make([]uint64, 0, maxPerShard),
-		vals:     make([]uint16, 0, maxPerShard),
-		slotKeys: make([]uint64, perShard),
-		slotVals: make([]uint16, perShard),
-	}
-
+	defer e.close()
 	if b.o.OutPath != "" {
-		if err := b.emitStore(lv, bufs, 0, b.shards, 1, 0, b.o.OutPath); err != nil {
+		if err := e.emitStore(0, b.shards, 1, 0, b.o.OutPath); err != nil {
 			return err
 		}
 	}
 	if b.o.SplitN > 1 {
 		sc := b.shards / b.o.SplitN
 		for i := 0; i < b.o.SplitN; i++ {
-			if err := b.emitStore(lv, bufs, i*sc, (i+1)*sc, b.o.SplitN, i, b.o.SplitPath(i)); err != nil {
+			if err := e.emitStore(i*sc, (i+1)*sc, b.o.SplitN, i, b.o.SplitPath(i)); err != nil {
 				return err
 			}
 		}
@@ -70,91 +57,131 @@ func (b *builder) emit() error {
 	return nil
 }
 
-// levelFiles holds the open .srt files and their per-shard geometry for
-// random-access reads during emission.
-type levelFiles struct {
+// emitter holds the open level artifacts and the per-worker buffers
+// that every emitted store reuses.
+type emitter struct {
 	b      *builder
-	srt    []*os.File
-	counts [][]uint64 // [level][shard]
-	offs   [][]int64  // [level][shard] byte offset of the segment
+	srt    []*segFile
+	seq    []*os.File
+	bufs   []*emitBufs
+	charge int64 // one worker's buffers
+	// Sized for the fullest shard of the whole table, a worker's
+	// buffers fit any range of it.
+	maxPerShard, perShard int
 }
 
-func newLevelFiles(b *builder) *levelFiles { return &levelFiles{b: b} }
-
-func (l *levelFiles) open() error {
-	for _, lv := range l.b.man.Levels {
-		f, err := os.Open(filepath.Join(l.b.dir, lv.Srt.Name))
-		if err != nil {
-			l.close()
-			return err
-		}
-		counts, err := readCountsTrailer(f, l.b.shards, srtRecordBytes)
-		if err != nil {
-			f.Close()
-			l.close()
-			return err
-		}
-		l.srt = append(l.srt, f)
-		l.counts = append(l.counts, counts)
-		l.offs = append(l.offs, srtSegments(counts))
+func (b *builder) newEmitter() (*emitter, error) {
+	e := &emitter{b: b}
+	paths := make([]string, len(b.man.Levels))
+	for i, lv := range b.man.Levels {
+		paths[i] = filepath.Join(b.dir, lv.Srt.Name)
 	}
-	return nil
+	var err error
+	if e.srt, err = openSegFiles(paths, b.shards, srtRecordBytes); err != nil {
+		return nil, err
+	}
+	for _, lv := range b.man.Levels {
+		f, err := os.Open(filepath.Join(b.dir, lv.Seq.Name))
+		if err != nil {
+			e.close()
+			return nil, err
+		}
+		e.seq = append(e.seq, f)
+	}
+	e.maxPerShard = e.maxShardEntries(0, b.shards)
+	e.perShard = hashtab.FrozenSlotsPerShard(e.maxPerShard)
+	e.charge = int64(e.maxPerShard)*(8+2+srtRecordBytes) + int64(e.perShard)*(8+2) +
+		hashtab.PlaceScratchBytes(e.maxPerShard, e.perShard) + idxChunk*(seqRecordBytes+4+4)
+	// The emission workers' buffers may take half the budget (the probe
+	// table is gone by now), so a table whose fullest shard is a large
+	// share of the budget emits on fewer workers.
+	workers := int(clamp64(b.budget/2/e.charge, 1, int64(b.workers)))
+	e.bufs = make([]*emitBufs, workers)
+	return e, nil
 }
 
-func (l *levelFiles) close() {
-	for _, f := range l.srt {
+func (e *emitter) close() {
+	closeSegFiles(e.srt)
+	for _, f := range e.seq {
 		f.Close()
 	}
-	l.srt = nil
+	for _, eb := range e.bufs {
+		if eb != nil {
+			e.b.mem.release(e.charge)
+		}
+	}
+}
+
+// buf returns worker w's buffers, allocating and charging them on first
+// use.
+func (e *emitter) buf(w int) *emitBufs {
+	if e.bufs[w] == nil {
+		e.b.mem.add(e.charge)
+		e.bufs[w] = &emitBufs{
+			keys:     make([]uint64, 0, e.maxPerShard),
+			vals:     make([]uint16, 0, e.maxPerShard),
+			slotKeys: make([]uint64, e.perShard),
+			slotVals: make([]uint16, e.perShard),
+			seqRaw:   make([]byte, idxChunk*seqRecordBytes),
+			idx:      make([]uint32, 0, idxChunk),
+			gpos:     make([]uint32, 0, idxChunk),
+		}
+	}
+	return e.bufs[w]
 }
 
 // maxShardEntries returns the entry count of the fullest shard in
 // [shardLo, shardHi), summed over all levels.
-func (l *levelFiles) maxShardEntries(shardLo, shardHi int) int {
+func (e *emitter) maxShardEntries(shardLo, shardHi int) int {
 	m := 0
 	for s := shardLo; s < shardHi; s++ {
 		n := 0
-		for c := range l.counts {
-			n += int(l.counts[c][s])
+		for _, lf := range e.srt {
+			n += int(lf.counts[s])
 		}
 		m = max(m, n)
 	}
 	return m
 }
 
-// emitBufs are the emission phase's shard buffers: one shard's gathered
-// entries, its slot arrays, and the placement scratch.
+// emitBufs are one emission worker's buffers: a shard's gathered
+// entries and their raw records, its slot arrays, the placement
+// scratch, and one index chunk's .seq records and resolved slots.
 type emitBufs struct {
 	keys     []uint64
 	vals     []uint16
+	raw      []byte
 	slotKeys []uint64
 	slotVals []uint16
 	place    hashtab.PlaceScratch
+	seqRaw   []byte
+	idx      []uint32
+	gpos     []uint32
 }
 
-// readShard appends level c's shard-s entries to the key/val buffers.
-func (l *levelFiles) readShard(c, s int, keys []uint64, vals []uint16) ([]uint64, []uint16, error) {
-	n := int(l.counts[c][s])
-	if n == 0 {
-		return keys, vals, nil
+// gatherShard collects shard s's entries of every level into keys/vals.
+func (e *emitter) gatherShard(eb *emitBufs, s int) error {
+	eb.keys, eb.vals = eb.keys[:0], eb.vals[:0]
+	for _, lf := range e.srt {
+		raw, err := lf.readSegment(s, eb.raw)
+		if err != nil {
+			return err
+		}
+		eb.raw = raw
+		e.b.spillR.Add(int64(len(raw)))
+		for i := 0; i < len(raw); i += srtRecordBytes {
+			eb.keys = append(eb.keys, binary.LittleEndian.Uint64(raw[i:]))
+			eb.vals = append(eb.vals, binary.LittleEndian.Uint16(raw[i+8:]))
+		}
 	}
-	buf := make([]byte, n*srtRecordBytes)
-	if _, err := l.srt[c].ReadAt(buf, l.offs[c][s]); err != nil {
-		return nil, nil, err
-	}
-	l.b.spillR += int64(len(buf))
-	for i := 0; i < n; i++ {
-		rec := buf[i*srtRecordBytes:]
-		keys = append(keys, binary.LittleEndian.Uint64(rec))
-		vals = append(vals, binary.LittleEndian.Uint16(rec[8:]))
-	}
-	return keys, vals, nil
+	return nil
 }
 
 // emitStore streams one store covering global shards [shardLo, shardHi)
 // as range splitIdx of splitN (1×[0] is the full store) to path,
 // atomically.
-func (b *builder) emitStore(lv *levelFiles, bufs *emitBufs, shardLo, shardHi, splitN, splitIdx int, path string) error {
+func (e *emitter) emitStore(shardLo, shardHi, splitN, splitIdx int, path string) error {
+	b := e.b
 	levels := b.man.Levels
 	localCounts := make([]int64, len(levels))
 	globalCounts := make([]int64, len(levels))
@@ -163,11 +190,11 @@ func (b *builder) emitStore(lv *levelFiles, bufs *emitBufs, shardLo, shardHi, sp
 		globalCounts[c] = levels[c].Entries
 		globalTotal += levels[c].Entries
 		for s := shardLo; s < shardHi; s++ {
-			localCounts[c] += int64(lv.counts[c][s])
+			localCounts[c] += int64(e.srt[c].counts[s])
 		}
 		localTotal += localCounts[c]
 	}
-	perShard := hashtab.FrozenSlotsPerShard(lv.maxShardEntries(shardLo, shardHi))
+	perShard := hashtab.FrozenSlotsPerShard(e.maxShardEntries(shardLo, shardHi))
 
 	g := tablesio.StreamGeometry{
 		Alphabet:      b.a,
@@ -200,28 +227,31 @@ func (b *builder) emitStore(lv *levelFiles, bufs *emitBufs, shardLo, shardHi, sp
 		return err
 	}
 
-	slotKeys, slotVals := bufs.slotKeys[:perShard], bufs.slotVals[:perShard]
-	for s := shardLo; s < shardHi; s++ {
-		keys, vals := bufs.keys[:0], bufs.vals[:0]
-		for c := range levels {
-			keys, vals, err = lv.readShard(c, s, keys, vals)
-			if err != nil {
-				return err
-			}
-		}
-		clear(slotKeys)
-		clear(slotVals)
-		hashtab.PlaceShardCanonical(keys, vals, slotKeys, slotVals, &bufs.place)
-		if err := w.WriteShard(slotKeys, slotVals); err != nil {
+	// Workers place shards in parallel; the writer takes them in shard
+	// order.
+	err = fanOutOrdered(len(e.bufs), shardHi-shardLo, func(wi, i int) error {
+		eb := e.buf(wi)
+		if err := e.gatherShard(eb, shardLo+i); err != nil {
 			return err
 		}
+		slotKeys, slotVals := eb.slotKeys[:perShard], eb.slotVals[:perShard]
+		clear(slotKeys)
+		clear(slotVals)
+		hashtab.PlaceShardCanonical(eb.keys, eb.vals, slotKeys, slotVals, &eb.place)
+		return nil
+	}, func(wi, _ int) error {
+		eb := e.bufs[wi]
+		return w.WriteShard(eb.slotKeys[:perShard], eb.slotVals[:perShard])
+	})
+	if err != nil {
+		return err
 	}
 
 	pv, releasePV, err := w.ProbeView()
 	if err != nil {
 		return err
 	}
-	if err := b.appendIndexFromSeq(w, pv, shardLo, shardHi, splitN > 1); err != nil {
+	if err := e.appendIndex(w, pv, shardLo, shardHi, splitN > 1); err != nil {
 		releasePV()
 		return err
 	}
@@ -249,69 +279,62 @@ func (b *builder) emitStore(lv *levelFiles, bufs *emitBufs, shardLo, shardHi, sp
 	return tablesio.SyncDir(dir)
 }
 
-// appendIndexFromSeq streams every level's .seq file in discovery order,
-// resolving each in-range key to its slot through the probe view — the
-// per-level index is thereby in the exact order the sequential
-// in-memory build would have recorded, and for splits each entry's
-// global level position rides along.
-func (b *builder) appendIndexFromSeq(w *tablesio.StreamWriter, pv *hashtab.FrozenTable, shardLo, shardHi int, split bool) error {
-	const chunk = 8192
-	idx := make([]uint32, 0, chunk)
-	gpos := make([]uint32, 0, chunk)
-	flush := func() error {
-		if len(idx) == 0 {
-			return nil
+// indexChunk is one item of index resolution: n .seq records of a level
+// from position first.
+type indexChunk struct {
+	level int
+	first int64
+	n     int
+}
+
+// appendIndex resolves every level's .seq keys that fall in the store's
+// shard range to their slots through the probe view — read-only, so the
+// workers resolve chunks in parallel — and appends the slots in chunk
+// order. The per-level index is thereby in the exact order the
+// sequential in-memory build would have recorded, and for splits each
+// entry's global level position rides along.
+func (e *emitter) appendIndex(w *tablesio.StreamWriter, pv *hashtab.FrozenTable, shardLo, shardHi int, split bool) error {
+	var chunks []indexChunk
+	for c, lvm := range e.b.man.Levels {
+		for first := int64(0); first < lvm.Entries; first += idxChunk {
+			chunks = append(chunks, indexChunk{c, first, int(min(idxChunk, lvm.Entries-first))})
 		}
-		if err := w.AppendIndex(idx); err != nil {
-			return err
-		}
-		if split {
-			if err := w.AppendGlobalPos(gpos); err != nil {
-				return err
-			}
-		}
-		idx, gpos = idx[:0], gpos[:0]
-		return nil
 	}
-	for _, lvm := range b.man.Levels {
-		f, err := os.Open(filepath.Join(b.dir, lvm.Seq.Name))
-		if err != nil {
-			return err
+	return fanOutOrdered(len(e.bufs), len(chunks), func(wi, i int) error {
+		ch, eb := chunks[i], e.buf(wi)
+		raw := eb.seqRaw[:ch.n*seqRecordBytes]
+		if _, err := e.seq[ch.level].ReadAt(raw, ch.first*seqRecordBytes); err != nil {
+			return fmt.Errorf("extbuild: level %d index: %w", ch.level, err)
 		}
-		br := bufio.NewReaderSize(f, b.fanBuf)
-		var rec [seqRecordBytes]byte
-		for j := int64(0); ; j++ {
-			_, err := io.ReadFull(br, rec[:])
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				f.Close()
-				return fmt.Errorf("extbuild: truncated %s: %w", lvm.Seq.Name, err)
-			}
-			b.spillR += seqRecordBytes
-			key := getSeqRecord(rec[:])
-			shard := int(hashtab.Hash64Shift(key) >> b.shardShift)
+		e.b.spillR.Add(int64(len(raw)))
+		eb.idx, eb.gpos = eb.idx[:0], eb.gpos[:0]
+		for j := range ch.n {
+			key := getSeqRecord(raw[j*seqRecordBytes:])
+			shard := int(hashtab.Hash64Shift(key) >> e.b.shardShift)
 			if shard < shardLo || shard >= shardHi {
 				continue
 			}
 			slot, ok := pv.SlotOf(key)
 			if !ok {
-				f.Close()
-				return fmt.Errorf("extbuild: level %d key %#x missing from emitted store", lvm.Level, key)
+				return fmt.Errorf("extbuild: level %d key %#x missing from emitted store", ch.level, key)
 			}
-			idx = append(idx, slot)
+			eb.idx = append(eb.idx, slot)
 			if split {
-				gpos = append(gpos, uint32(j))
-			}
-			if len(idx) == chunk {
-				if err := flush(); err != nil {
-					f.Close()
-					return err
-				}
+				eb.gpos = append(eb.gpos, uint32(ch.first+int64(j)))
 			}
 		}
-		f.Close()
-	}
-	return flush()
+		return nil
+	}, func(wi, _ int) error {
+		eb := e.bufs[wi]
+		if len(eb.idx) == 0 {
+			return nil
+		}
+		if err := w.AppendIndex(eb.idx); err != nil {
+			return err
+		}
+		if split {
+			return w.AppendGlobalPos(eb.gpos)
+		}
+		return nil
+	})
 }

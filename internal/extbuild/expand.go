@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -152,83 +151,53 @@ func (b *builder) expandLevel(c int, p levelPlan) error {
 		seqFiles[g.src] = f
 	}
 
-	var (
-		next      atomic.Int64
-		levelCand atomic.Int64
-		sealedN   atomic.Int64
-		firstErr  error
-		errMu     sync.Mutex
-		wg        sync.WaitGroup
-	)
+	var levelCand, sealedN atomic.Int64
 	levelStart := time.Now()
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	err := fanOut(b.workers, p.slabCount, func(_ int, next func() (int, bool)) error {
+		bufCap := p.repsPerSlab * int64(p.maxStride)
+		charge := p.repsPerSlab*slabRepBytes(p.maxStride) + p.repsPerSlab*8
+		b.mem.add(charge)
+		defer b.mem.release(charge)
+		sink := &slabSink{
+			buf:   make([]cand, 0, bufCap),
+			tmp:   make([]cand, bufCap),
+			shift: b.shardShift,
 		}
-		errMu.Unlock()
-	}
-	failed := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstErr != nil
-	}
-	workers := min(b.workers, p.slabCount)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			bufCap := p.repsPerSlab * int64(p.maxStride)
-			charge := p.repsPerSlab*slabRepBytes(p.maxStride) + p.repsPerSlab*8
-			b.mem.add(charge)
-			defer b.mem.release(charge)
-			sink := &slabSink{
-				buf:   make([]cand, 0, bufCap),
-				tmp:   make([]cand, bufCap),
-				shift: b.shardShift,
+		repKeys := make([]uint64, p.repsPerSlab)
+		for slab, ok := next(); ok; slab, ok = next() {
+			if sealed[slab] {
+				sealedN.Add(1)
+				continue
 			}
-			repKeys := make([]uint64, p.repsPerSlab)
-			for {
-				slab := int(next.Add(1) - 1)
-				if slab >= p.slabCount || failed() {
-					return
-				}
-				if sealed[slab] {
-					sealedN.Add(1)
-					continue
-				}
-				nc, err := b.expandSlab(c, slab, p, sink, repKeys, seqFiles)
-				if err != nil {
-					fail(err)
-					return
-				}
-				done := sealedN.Add(1)
-				levelCand.Add(nc)
-				b.candTotal.Add(nc)
-				var eta time.Duration
-				if done > 0 && done < int64(p.slabCount) {
-					eta = time.Duration(float64(time.Since(levelStart)) / float64(done) * float64(int64(p.slabCount)-done))
-				}
-				b.progress(ProgressEvent{
-					Phase: "expand", Level: c,
-					Slab: int(done), Slabs: p.slabCount,
-					FrontierReps: p.totalReps,
-					Candidates:   levelCand.Load(),
-					ETA:          eta,
-				})
-				if err := b.failPoint("run", c, slab); err != nil {
-					fail(err)
-					return
-				}
+			nc, err := b.expandSlab(c, slab, p, sink, repKeys, seqFiles)
+			if err != nil {
+				return err
 			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+			done := sealedN.Add(1)
+			levelCand.Add(nc)
+			b.candTotal.Add(nc)
+			var eta time.Duration
+			if done > 0 && done < int64(p.slabCount) {
+				eta = time.Duration(float64(time.Since(levelStart)) / float64(done) * float64(int64(p.slabCount)-done))
+			}
+			b.progress(ProgressEvent{
+				Phase: "expand", Level: c,
+				Slab: int(done), Slabs: p.slabCount,
+				FrontierReps: p.totalReps,
+				Candidates:   levelCand.Load(),
+				ETA:          eta,
+			})
+			if err := b.failPoint("run", c, slab); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	b.manMu.Lock()
-	err := b.writeManifest()
+	err = b.writeManifest()
 	b.manMu.Unlock()
 	if err != nil {
 		return err
@@ -267,7 +236,7 @@ func (b *builder) expandSlab(c, slab int, p levelPlan, sink *slabSink, repKeys [
 		if err := readSeqRange(seqFiles[g.src], first, keys); err != nil {
 			return 0, fmt.Errorf("extbuild: level %d frontier: %w", g.src, err)
 		}
-		b.spillRAdd(int64(n) * seqRecordBytes)
+		b.spillR.Add(int64(n) * seqRecordBytes)
 		for i, key := range keys {
 			seqBase := g.seqBase + uint64(first+int64(i))*g.stride
 			bfs.ExpandRep(b.a, perm.Perm(key), g.elemIdxs, c, b.reduced, seqBase, sink)
@@ -296,12 +265,6 @@ func (b *builder) expandSlab(c, slab int, p levelPlan, sink *slabSink, repKeys [
 		}
 	}
 	return nc, nil
-}
-
-// spillRAdd tracks spill reads from concurrent expansion workers; the
-// merge phase writes b.spillR directly (single-threaded there).
-func (b *builder) spillRAdd(n int64) {
-	atomic.AddInt64(&b.spillR, n)
 }
 
 // readSeqRange fills keys with the frontier entries starting at

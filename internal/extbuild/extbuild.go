@@ -58,9 +58,12 @@ type Options struct {
 	// with it.
 	Shards int
 
-	// Workers bounds the expansion goroutines; zero means GOMAXPROCS.
-	// Unlike bfs.Search, every worker count produces identical bytes:
-	// determinism comes from sequence numbers, not scheduling.
+	// Workers bounds the goroutines of every phase — expansion slabs,
+	// the shard-parallel merges, and shard placement and index
+	// resolution during emission; zero means GOMAXPROCS. Unlike
+	// bfs.Search, every worker count produces identical bytes:
+	// determinism comes from sequence numbers and shard order, not
+	// scheduling.
 	Workers int
 
 	// OutPath, when non-empty, receives the full store (format v2,
@@ -81,7 +84,10 @@ type Options struct {
 	// successful build (forced on when nothing is emitted).
 	KeepWork bool
 
-	// Progress, when non-nil, receives streaming build events.
+	// Progress, when non-nil, receives streaming build events. It is
+	// called concurrently from worker goroutines (expansion reports each
+	// sealed slab from the worker that sealed it), so it must be safe
+	// for concurrent use.
 	Progress func(ProgressEvent)
 
 	// FailPoint, when non-nil, is called at checkpoint-relevant moments
@@ -206,7 +212,7 @@ type builder struct {
 
 	mem       memTracker
 	spillW    atomic.Int64
-	spillR    int64 // merge phase is single-threaded; plain counter
+	spillR    atomic.Int64
 	candTotal atomic.Int64
 	start     time.Time
 	resumed   int
@@ -224,8 +230,10 @@ func Build(o Options) (*Stats, error) {
 	if err := b.setupWorkDir(); err != nil {
 		return nil, err
 	}
-	if err := b.initPrior(); err != nil {
-		return nil, err
+	if len(b.man.Levels) <= b.o.K {
+		if err := b.initPrior(); err != nil {
+			return nil, err
+		}
 	}
 	for c := len(b.man.Levels); c <= b.o.K; c++ {
 		if err := b.buildLevel(c); err != nil {
@@ -235,6 +243,9 @@ func Build(o Options) (*Stats, error) {
 			return nil, err
 		}
 	}
+	// Emission reads only the level files; the probe table's memory
+	// goes back to the budget first.
+	b.dropPrior()
 	if err := b.emit(); err != nil {
 		return nil, err
 	}
@@ -309,10 +320,13 @@ func newBuilder(o Options) (*builder, error) {
 // degenerate budgets functional (they just spill constantly); the
 // ceilings stop a huge budget from turning into pointless buffers.
 func (b *builder) deriveKnobs() {
-	// Merge fan-in: each open spill run or level file costs one read
-	// buffer. A quarter of the budget on read buffers at most.
-	b.fanBuf = int(clamp64(b.budget/64, 64<<10, 1<<20))
-	b.maxFanIn = int(clamp64(b.budget/(4*int64(b.fanBuf)), 8, 64))
+	// Merge fan-in: every merge worker holds one read buffer per open
+	// spill run or level file, plus its part-file write buffer. A
+	// quarter of the budget on those buffers at most, shared by the
+	// workers.
+	w := int64(b.workers)
+	b.fanBuf = int(clamp64(b.budget/(64*w), 64<<10, 1<<20))
+	b.maxFanIn = int(clamp64(b.budget/(4*w*int64(b.fanBuf)), 8, 64))
 	// Prior-level probe table: the dedup fast path, worth half the
 	// budget; beyond that the build switches to disk merge-join.
 	b.priorCap = b.budget / 2
@@ -330,7 +344,13 @@ func slabRepBytes(maxStride uint64) int64 { return 2 * int64(maxStride) * candMe
 // planSlabs sizes the expansion slab for a level with the given total
 // source representatives and maximum per-representative candidate
 // stride: half the budget across all worker buffers, floored so the
-// slab count stays within the manifest's run table.
+// slab count stays within the manifest's run table. When the frontier
+// has at least one representative per worker, the slab count is then
+// rounded up to a multiple of the worker count (down, if up would
+// leave the run table), so no worker idles through another's last
+// slab. The slabs shrink to match; the rounding is exact once the
+// frontier is large next to the squared slab count, and a small
+// frontier may tile into somewhat fewer slabs.
 func (b *builder) planSlabs(totalReps int64, maxStride uint64) (repsPerSlab int64, slabCount int) {
 	if totalReps == 0 {
 		return 1, 0
@@ -341,6 +361,16 @@ func (b *builder) planSlabs(totalReps int64, maxStride uint64) (repsPerSlab int6
 		repsPerSlab = minSlab
 	}
 	slabCount = int((totalReps + repsPerSlab - 1) / repsPerSlab)
+	if w := b.workers; totalReps >= int64(w) && slabCount%w != 0 {
+		balanced := (slabCount + w - 1) / w * w
+		if balanced > maxSlabsPerLevel {
+			balanced -= w
+		}
+		if balanced > slabCount {
+			repsPerSlab = (totalReps + int64(balanced) - 1) / int64(balanced)
+			slabCount = int((totalReps + repsPerSlab - 1) / repsPerSlab)
+		}
+	}
 	return repsPerSlab, slabCount
 }
 
@@ -451,6 +481,7 @@ func (b *builder) cleanWorkDir(all bool) {
 		}
 		if strings.HasPrefix(name, ".extbuild-") || strings.HasPrefix(name, "run_") ||
 			strings.HasPrefix(name, "cons_") || strings.HasPrefix(name, "seqspill_") ||
+			strings.HasPrefix(name, "part_") ||
 			strings.HasPrefix(name, "level_") || name == ManifestName {
 			os.Remove(filepath.Join(b.dir, name))
 		}
@@ -532,11 +563,12 @@ func (b *builder) initPrior() error {
 // insertLevelIntoPrior streams one completed level's .srt into the
 // probe table.
 func (b *builder) insertLevelIntoPrior(lv tablesio.ManifestLevel) error {
-	r, err := openSrtReader(filepath.Join(b.dir, lv.Srt.Name), b.shards, b.fanBuf, nil)
+	sf, err := openSegFile(filepath.Join(b.dir, lv.Srt.Name), b.shards, srtRecordBytes)
 	if err != nil {
 		return err
 	}
-	defer r.close()
+	defer sf.f.Close()
+	r := newSegReader(b.fanBuf)
 	const chunk = 4096
 	keys := make([]uint64, 0, chunk)
 	vals := make([]uint16, 0, chunk)
@@ -548,7 +580,7 @@ func (b *builder) insertLevelIntoPrior(lv tablesio.ManifestLevel) error {
 		}
 	}
 	for s := 0; s < b.shards; s++ {
-		if err := r.enterShard(s); err != nil {
+		if err := r.enter(sf, s); err != nil {
 			return err
 		}
 		for r.ok {
@@ -577,14 +609,19 @@ func (b *builder) notePriorSize() {
 	b.mem.add(n - b.priorBytes)
 	b.priorBytes = n
 	if n > b.priorCap {
-		b.prior = nil
-		b.mem.release(b.priorBytes)
-		b.priorBytes = 0
+		b.dropPrior()
 	}
 }
 
+// dropPrior releases the probe table and its budget charge.
+func (b *builder) dropPrior() {
+	b.prior = nil
+	b.mem.release(b.priorBytes)
+	b.priorBytes = 0
+}
+
 // buildLevel runs one level end to end: slab expansion into sealed spill
-// runs, then the sequential merge-dedup that publishes the level and
+// runs, then the shard-parallel merge-dedup that publishes the level and
 // advances the checkpoint.
 func (b *builder) buildLevel(c int) error {
 	plan := b.planLevel(c)
@@ -606,7 +643,7 @@ func (b *builder) progress(ev ProgressEvent) {
 		return
 	}
 	ev.SpillWrittenBytes = b.spillW.Load()
-	ev.SpillReadBytes = b.spillR
+	ev.SpillReadBytes = b.spillR.Load()
 	ev.Elapsed = time.Since(b.start)
 	b.o.Progress(ev)
 }
@@ -623,7 +660,7 @@ func (b *builder) stats() *Stats {
 		Entries:           total,
 		Candidates:        b.candTotal.Load(),
 		SpillWrittenBytes: b.spillW.Load(),
-		SpillReadBytes:    b.spillR,
+		SpillReadBytes:    b.spillR.Load(),
 		PeakTrackedBytes:  b.mem.peak,
 		ResumedLevels:     b.resumed,
 		Elapsed:           time.Since(b.start),

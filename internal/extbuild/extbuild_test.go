@@ -6,9 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bfs"
+	"repro/internal/hashtab"
 	"repro/internal/tablesio"
 )
 
@@ -454,49 +458,80 @@ func TestFreshBuildClearsStaleWork(t *testing.T) {
 		OutPath: filepath.Join(dir, "old.rvt")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Build(Options{Alphabet: a, K: 3, WorkDir: work, OutPath: out}); err != nil {
+	// A merge that died mid-level leaves part files behind: one this
+	// build's level-3 merge would write anyway, and one it never would.
+	stale := []string{partName("3", 0), partName("9", 0)}
+	for _, name := range stale {
+		if err := os.WriteFile(filepath.Join(work, name), []byte("stale part"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Build(Options{Alphabet: a, K: 3, WorkDir: work, OutPath: out, KeepWork: true}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(mustRead(t, out), ref) {
 		t.Fatal("fresh build over a dirty work directory differs from reference")
 	}
+	for _, name := range stale {
+		if _, err := os.Stat(filepath.Join(work, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("stale %s survived a fresh build (stat: %v)", name, err)
+		}
+	}
 }
 
 // TestProgressEvents: the streaming observability contract — every
-// level reports expansion and merge completion, emission reports, and
-// counters are monotonic.
+// level reports expansion and merge completion, and emission completes
+// last with the build's final spill counters. Progress is called from
+// worker goroutines, so the callback guards itself; the second config
+// is a many-worker, spilling build whose workers report concurrently
+// (run with -race).
 func TestProgressEvents(t *testing.T) {
 	a := bfs.GateAlphabet()
-	const k = 3
-	dir := t.TempDir()
-	var events []ProgressEvent
-	if _, err := Build(Options{
-		Alphabet: a, K: k,
-		WorkDir: filepath.Join(dir, "work"),
-		OutPath: filepath.Join(dir, "out.rvt"),
-		Progress: func(ev ProgressEvent) {
-			events = append(events, ev)
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	mergedLevels := map[int]int64{}
-	var emitDone bool
-	for _, ev := range events {
-		if ev.Phase == "merge" && ev.Done {
-			mergedLevels[ev.Level] = ev.Survivors
+	for _, cfg := range []struct {
+		k       int
+		budget  int64
+		workers int
+	}{{3, 0, 0}, {4, 1 << 16, 4}} {
+		dir := t.TempDir()
+		var (
+			mu     sync.Mutex
+			events []ProgressEvent
+		)
+		stats, err := Build(Options{
+			Alphabet: a, K: cfg.k,
+			WorkDir:   filepath.Join(dir, "work"),
+			MemBudget: cfg.budget,
+			Workers:   cfg.workers,
+			OutPath:   filepath.Join(dir, "out.rvt"),
+			Progress: func(ev ProgressEvent) {
+				mu.Lock()
+				events = append(events, ev)
+				mu.Unlock()
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ev.Phase == "emit" && ev.Done {
-			emitDone = true
+		mergedLevels := map[int]int64{}
+		for _, ev := range events {
+			if ev.Phase == "merge" && ev.Done {
+				mergedLevels[ev.Level] = ev.Survivors
+			}
 		}
-	}
-	for c := 1; c <= k; c++ {
-		if mergedLevels[c] != bfs.GateReducedCounts[c] {
-			t.Errorf("level %d merge reported %d survivors, want %d", c, mergedLevels[c], bfs.GateReducedCounts[c])
+		for c := 1; c <= cfg.k; c++ {
+			if mergedLevels[c] != bfs.GateReducedCounts[c] {
+				t.Errorf("k=%d: level %d merge reported %d survivors, want %d",
+					cfg.k, c, mergedLevels[c], bfs.GateReducedCounts[c])
+			}
 		}
-	}
-	if !emitDone {
-		t.Error("no emission completion event")
+		last := events[len(events)-1]
+		if last.Phase != "emit" || !last.Done {
+			t.Errorf("k=%d: last event %s done=%v, want the emission completion", cfg.k, last.Phase, last.Done)
+		}
+		if last.SpillWrittenBytes != stats.SpillWrittenBytes || last.SpillReadBytes != stats.SpillReadBytes {
+			t.Errorf("k=%d: final event spill %d/%d, stats %d/%d", cfg.k, last.SpillWrittenBytes,
+				last.SpillReadBytes, stats.SpillWrittenBytes, stats.SpillReadBytes)
+		}
 	}
 }
 
@@ -556,17 +591,26 @@ func TestPeakTrackedWithinBudget(t *testing.T) {
 	a := bfs.GateAlphabet()
 	const k = 5
 	dir := t.TempDir()
-	stats, err := Build(Options{
-		Alphabet: a, K: k,
-		WorkDir: filepath.Join(dir, "work"),
-		Workers: 2,
-		OutPath: filepath.Join(dir, "out.rvt"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.PeakTrackedBytes > DefaultMemBudget {
-		t.Errorf("peak tracked %d bytes over the %d-byte default budget", stats.PeakTrackedBytes, DefaultMemBudget)
+	// Four workers: every merge and emission worker charges its own
+	// read, probe and shard buffers.
+	for _, workers := range []int{2, 4} {
+		stats, err := Build(Options{
+			Alphabet: a, K: k,
+			WorkDir: filepath.Join(dir, "work"),
+			Workers: workers,
+			OutPath: filepath.Join(dir, "out.rvt"),
+			SplitN:  2,
+			SplitPath: func(i int) string {
+				return filepath.Join(dir, fmt.Sprintf("split%d.rvt", i))
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.PeakTrackedBytes > DefaultMemBudget {
+			t.Errorf("workers=%d: peak tracked %d bytes over the %d-byte default budget",
+				workers, stats.PeakTrackedBytes, DefaultMemBudget)
+		}
 	}
 
 	// Re-run up to level k's expansion alone and read its share of the
@@ -594,5 +638,245 @@ func TestPeakTrackedWithinBudget(t *testing.T) {
 	}
 	if got, slab := b.mem.peak-base, p.repsPerSlab*slabRepBytes(p.maxStride); got < slab {
 		t.Errorf("level %d expansion charged %d bytes, below one slab with its sort scratch (%d)", k, got, slab)
+	}
+}
+
+// withEightShards runs f with GOMAXPROCS pinned low enough that
+// hashtab.DefaultShardCount() — the shard count of an in-memory
+// bfs.Search, and so of its saved store — is 8 on any machine.
+func withEightShards(t *testing.T, f func()) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	if n := hashtab.DefaultShardCount(); n != 8 {
+		t.Fatalf("DefaultShardCount %d at GOMAXPROCS 1, want 8", n)
+	}
+	f()
+}
+
+// TestWorkerCountInvariance: every phase is worker-parallel, so the
+// worker count is the schedule knob most likely to leak into the bytes.
+// With 8 shards, workers ∈ {1, 2, 3, 8} covers fewer and as many
+// workers as shards (and a count that divides neither), on both dedup
+// paths: the default budget keeps the prior levels in the in-memory
+// probe table; 16 KiB overflows it after level 3, so level 4 dedups by
+// the disk merge-join, and also forces run consolidation and the
+// external sequence sort. The full store and all 4 splits must
+// byte-match the in-memory build, and the level artifacts must carry
+// the same fingerprints whatever the worker count.
+func TestWorkerCountInvariance(t *testing.T) {
+	a := bfs.GateAlphabet()
+	const k, n = 4, 4
+	refDir := t.TempDir()
+	var ref []byte
+	refs := make([][]byte, n)
+	withEightShards(t, func() {
+		res, err := bfs.Search(a, k, &bfs.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(refDir, "ref.rvt")
+		if err := tablesio.SaveFile(p, res); err != nil {
+			t.Fatal(err)
+		}
+		ref = mustRead(t, p)
+		for i := range n {
+			p := filepath.Join(refDir, fmt.Sprintf("ref%d.rvt", i))
+			if err := tablesio.SaveSplitFile(p, res, n, i); err != nil {
+				t.Fatal(err)
+			}
+			refs[i] = mustRead(t, p)
+		}
+	})
+	for _, budget := range []struct {
+		name  string
+		bytes int64
+		disk  bool
+	}{{"in-memory prior", 0, false}, {"disk merge-join", 1 << 14, true}} {
+		t.Run(budget.name, func(t *testing.T) {
+			// Guard the path, so budget drift cannot quietly make both
+			// subtests in-memory ones.
+			if disk := diskJoinAtLevel(t, a, k, budget.bytes); disk != budget.disk {
+				t.Fatalf("level %d dedups on disk: %v, want %v", k, disk, budget.disk)
+			}
+			var levels []tablesio.ManifestLevel
+			for _, workers := range []int{1, 2, 3, 8} {
+				dir := t.TempDir()
+				work := filepath.Join(dir, "work")
+				full := filepath.Join(dir, "full.rvt")
+				splitPath := func(i int) string { return filepath.Join(dir, fmt.Sprintf("split%d.rvt", i)) }
+				if _, err := Build(Options{
+					Alphabet: a, K: k,
+					WorkDir:   work,
+					MemBudget: budget.bytes,
+					Shards:    8,
+					Workers:   workers,
+					KeepWork:  true,
+					OutPath:   full,
+					SplitN:    n,
+					SplitPath: splitPath,
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(mustRead(t, full), ref) {
+					t.Errorf("workers=%d: full store differs from SaveFile", workers)
+				}
+				for i := range n {
+					if !bytes.Equal(mustRead(t, splitPath(i)), refs[i]) {
+						t.Errorf("workers=%d: split %d differs from SaveSplitFile", workers, i)
+					}
+				}
+				man, err := tablesio.ReadManifestFile(filepath.Join(work, ManifestName))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if levels == nil {
+					levels = man.Levels
+					continue
+				}
+				for c, lv := range man.Levels {
+					if lv.Srt != levels[c].Srt || lv.Seq != levels[c].Seq {
+						t.Errorf("workers=%d: level %d artifacts %+v/%+v, workers=1 wrote %+v/%+v",
+							workers, c, lv.Srt, lv.Seq, levels[c].Srt, levels[c].Seq)
+					}
+				}
+			}
+		})
+	}
+}
+
+// diskJoinAtLevel reports whether level k of a build under budget
+// dedups by the disk merge-join rather than the in-memory probe table.
+func diskJoinAtLevel(t *testing.T, a *bfs.Alphabet, k int, budget int64) bool {
+	t.Helper()
+	b, err := newBuilder(Options{Alphabet: a, K: k, WorkDir: filepath.Join(t.TempDir(), "work"),
+		MemBudget: budget, Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.setupWorkDir(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.initPrior(); err != nil {
+		t.Fatal(err)
+	}
+	for c := 1; c < k; c++ {
+		if err := b.buildLevel(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.prior == nil
+}
+
+// TestReaderAdvanceAllocs: the merge readers advance once per record,
+// so they must not allocate per record.
+func TestReaderAdvanceAllocs(t *testing.T) {
+	dir := t.TempDir()
+	const n = 1000
+	cands := make([]cand, n)
+	for i := range cands {
+		cands[i] = cand{key: uint64(i + 1), seq: uint64(i), val: uint16(i)}
+	}
+	if _, err := writeRunFile(dir, "r.run", cands, 1); err != nil {
+		t.Fatal(err)
+	}
+	af, err := newAtomicFile(dir, "l.srt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec [srtRecordBytes]byte
+	for _, c := range cands {
+		putSrtRecord(rec[:], c.key, c.val)
+		af.Write(rec[:])
+	}
+	if err := writeCountsTrailer(af, []uint64{n}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := af.commit(); err != nil {
+		t.Fatal(err)
+	}
+	spill := make([]byte, n*seqPairBytes)
+	if err := os.WriteFile(filepath.Join(dir, "s.spill"), spill, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(name string, advance func() error) {
+		t.Helper()
+		allocs := testing.AllocsPerRun(n/2, func() {
+			if err := advance(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s reader: %.1f allocations per advance, want 0", name, allocs)
+		}
+	}
+	for _, f := range []struct {
+		name     string
+		recBytes int
+	}{{"r.run", runRecordBytes}, {"l.srt", srtRecordBytes}} {
+		sf, err := openSegFile(filepath.Join(dir, f.name), 1, f.recBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sf.f.Close()
+		r := newSegReader(4096)
+		if err := r.enter(sf, 0); err != nil {
+			t.Fatal(err)
+		}
+		check(f.name, r.advance)
+	}
+	sr, err := openSeqSpill(filepath.Join(dir, "s.spill"), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.f.Close()
+	check("seq spill", sr.advance)
+}
+
+// BenchmarkBuild times a k=5 build shaped like the k=6 benchmark
+// workload (8 shards, the default budget, the full store plus 2 splits)
+// and reports the wall time of each phase per build, attributed from
+// the Progress stream: the interval before each event goes to the
+// event's phase.
+func BenchmarkBuild(b *testing.B) {
+	a := bfs.GateAlphabet()
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var (
+				mu    sync.Mutex
+				last  time.Duration
+				phase = map[string]time.Duration{}
+			)
+			progress := func(ev ProgressEvent) {
+				mu.Lock()
+				defer mu.Unlock()
+				if ev.Elapsed > last {
+					phase[ev.Phase] += ev.Elapsed - last
+					last = ev.Elapsed
+				}
+			}
+			for b.Loop() {
+				dir := b.TempDir()
+				last = 0
+				if _, err := Build(Options{
+					Alphabet: a, K: 5,
+					WorkDir: filepath.Join(dir, "work"),
+					Shards:  8,
+					Workers: workers,
+					OutPath: filepath.Join(dir, "k5.rvt"),
+					SplitN:  2,
+					SplitPath: func(i int) string {
+						return filepath.Join(dir, fmt.Sprintf("k5.%dof2", i))
+					},
+					Progress: progress,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, name := range []string{"expand", "merge", "emit"} {
+				b.ReportMetric(phase[name].Seconds()/float64(b.N), name+"_s")
+			}
+		})
 	}
 }

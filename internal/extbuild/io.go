@@ -25,6 +25,14 @@
 // The sequence sorter radix-sorts its (seq, key) pairs, and emission
 // places each shard with a counting sort by home slot.
 //
+// Every phase runs on Options.Workers goroutines. Expansion fans slabs
+// out. The merges are shard-parallel: workers take hash shards off a
+// shared counter, read that shard's segment of every input through
+// section readers, and stream its output to a transient part file; the
+// parts are concatenated in shard order, so the artifact bytes do not
+// depend on the schedule. Emission places shards and resolves index
+// chunks in parallel and hands both to the store writer in order.
+//
 // Work-directory artifacts, all little-endian:
 //
 //	run_<c>_<slab>.run   one expansion slab's candidates, sorted by
@@ -36,6 +44,9 @@
 //	level_<c>.seq        level c's survivor keys, 8 bytes each, in
 //	                     discovery (sequence) order
 //	MANIFEST             tablesio.BuildManifest checkpoint envelope
+//	part_<c>_<s>         transient: shard s's slice of level c's .srt
+//	                     (part_<c>_<pass>_<i>_<s> for a consolidation
+//	                     merge), removed once concatenated
 //
 // Every artifact is published by atomic rename and fingerprinted
 // (FNV-64a over the file bytes) in the manifest, so a resume trusts
@@ -247,80 +258,130 @@ func readCountsTrailer(f *os.File, shardCount, recordBytes int) ([]uint64, error
 	return counts, nil
 }
 
-// runReader streams one run file's records in order, tracking per-shard
-// segment boundaries so the merge can consume exactly shard s's records
-// at step s.
-type runReader struct {
-	f      *os.File
-	br     *bufio.Reader
-	counts []uint64
-	// cur is the lookahead record; valid when ok.
-	key   uint64
-	seq   uint64
-	val   uint16
-	ok    bool
-	left  uint64 // records remaining in the current shard segment
-	shard int
-	read  *int64 // cumulative spill-read counter (builder-wide)
+// segFile is a run or level file opened for per-shard reads. Its
+// counts trailer locates every shard's segment, and any number of
+// workers read segments concurrently through section readers (ReadAt
+// on a shared *os.File is goroutine-safe), so a merge may visit shards
+// in any order.
+type segFile struct {
+	f        *os.File
+	counts   []uint64
+	offs     []int64 // byte offset of each shard's segment
+	recBytes int
 }
 
-func openRunReader(path string, shardCount, bufBytes int, readCounter *int64) (*runReader, error) {
+func openSegFile(path string, shardCount, recordBytes int) (*segFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	counts, err := readCountsTrailer(f, shardCount, runRecordBytes)
+	counts, err := readCountsTrailer(f, shardCount, recordBytes)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
+	offs := make([]int64, shardCount)
+	for s := 1; s < shardCount; s++ {
+		offs[s] = offs[s-1] + int64(counts[s-1])*int64(recordBytes)
 	}
-	return &runReader{
-		f:      f,
-		br:     bufio.NewReaderSize(f, bufBytes),
-		counts: counts,
-		shard:  -1,
-		read:   readCounter,
-	}, nil
+	return &segFile{f: f, counts: counts, offs: offs, recBytes: recordBytes}, nil
 }
 
-// enterShard positions the reader at shard s's segment (shards must be
-// entered in ascending order) and loads the first record.
-func (r *runReader) enterShard(s int) error {
-	if s != r.shard+1 {
-		return fmt.Errorf("extbuild: run reader asked for shard %d after %d", s, r.shard)
+// openSegFiles opens every path, closing the ones already open on error.
+func openSegFiles(paths []string, shardCount, recordBytes int) ([]*segFile, error) {
+	fs := make([]*segFile, 0, len(paths))
+	for _, p := range paths {
+		sf, err := openSegFile(p, shardCount, recordBytes)
+		if err != nil {
+			closeSegFiles(fs)
+			return nil, err
+		}
+		fs = append(fs, sf)
 	}
-	r.shard = s
-	r.left = r.counts[s]
+	return fs, nil
+}
+
+func closeSegFiles(fs []*segFile) {
+	for _, sf := range fs {
+		sf.f.Close()
+	}
+}
+
+// segmentBytes is the size of shard s's segment.
+func (sf *segFile) segmentBytes(s int) int64 { return int64(sf.counts[s]) * int64(sf.recBytes) }
+
+// readSegment reads shard s's whole segment into buf (grown as needed).
+func (sf *segFile) readSegment(s int, buf []byte) ([]byte, error) {
+	n := int(sf.segmentBytes(s))
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := sf.f.ReadAt(buf, sf.offs[s]); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// segReader streams one shard segment of a segFile at a time, holding
+// the lookahead record. Run records carry a seq; level records do not.
+// The record buffer lives in the reader, so advancing allocates nothing.
+type segReader struct {
+	br  *bufio.Reader
+	in  *segFile
+	rec [runRecordBytes]byte
+	// cur is the lookahead record; valid when ok.
+	key  uint64
+	seq  uint64
+	val  uint16
+	ok   bool
+	left uint64 // records remaining in the current segment
+	// read counts the bytes consumed; its owner moves it to the
+	// builder-wide spill-read counter.
+	read int64
+}
+
+func newSegReader(bufBytes int) *segReader {
+	return &segReader{br: bufio.NewReaderSize(nil, bufBytes)}
+}
+
+// enter positions the reader at shard s's segment of in and loads its
+// first record.
+func (r *segReader) enter(in *segFile, s int) error {
+	r.in = in
+	r.br.Reset(io.NewSectionReader(in.f, in.offs[s], in.segmentBytes(s)))
+	r.left = in.counts[s]
 	return r.advance()
 }
 
-// advance loads the next record of the current shard; ok reports
-// whether one is loaded.
-func (r *runReader) advance() error {
+// advance loads the segment's next record; ok reports whether one is
+// loaded.
+func (r *segReader) advance() error {
 	if r.left == 0 {
 		r.ok = false
 		return nil
 	}
-	var rec [runRecordBytes]byte
-	if _, err := io.ReadFull(r.br, rec[:]); err != nil {
-		return fmt.Errorf("extbuild: truncated run %s: %w", r.f.Name(), err)
+	rec := r.rec[:r.in.recBytes]
+	if _, err := io.ReadFull(r.br, rec); err != nil {
+		return fmt.Errorf("extbuild: truncated %s: %w", filepath.Base(r.in.f.Name()), err)
 	}
-	r.key = binary.LittleEndian.Uint64(rec[0:])
+	r.key = binary.LittleEndian.Uint64(rec)
 	r.val = binary.LittleEndian.Uint16(rec[8:])
-	r.seq = binary.LittleEndian.Uint64(rec[10:])
+	if len(rec) == runRecordBytes {
+		r.seq = binary.LittleEndian.Uint64(rec[10:])
+	}
 	r.left--
 	r.ok = true
-	if r.read != nil {
-		*r.read += runRecordBytes
-	}
+	r.read += int64(len(rec))
 	return nil
 }
 
-func (r *runReader) close() error { return r.f.Close() }
+// takeRead returns and resets the bytes consumed since the last call.
+func (r *segReader) takeRead() int64 {
+	n := r.read
+	r.read = 0
+	return n
+}
 
 // putSrtRecord / putSeqRecord / getSeqRecord encode the fixed level
 // artifact records.
@@ -332,87 +393,14 @@ func putSrtRecord(b []byte, key uint64, val uint16) {
 func putSeqRecord(b []byte, key uint64) { binary.LittleEndian.PutUint64(b, key) }
 func getSeqRecord(b []byte) uint64      { return binary.LittleEndian.Uint64(b) }
 
-// srtReader streams a level's sorted survivors per shard, for the
-// prior-level merge-join and for seeding the in-memory probe table.
-type srtReader struct {
-	f      *os.File
-	br     *bufio.Reader
-	counts []uint64
-	key    uint64
-	val    uint16
-	ok     bool
-	left   uint64
-	shard  int
-	read   *int64
-}
-
-func openSrtReader(path string, shardCount, bufBytes int, readCounter *int64) (*srtReader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	counts, err := readCountsTrailer(f, shardCount, srtRecordBytes)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &srtReader{
-		f:      f,
-		br:     bufio.NewReaderSize(f, bufBytes),
-		counts: counts,
-		shard:  -1,
-		read:   readCounter,
-	}, nil
-}
-
-func (r *srtReader) enterShard(s int) error {
-	if s != r.shard+1 {
-		return fmt.Errorf("extbuild: srt reader asked for shard %d after %d", s, r.shard)
-	}
-	r.shard = s
-	r.left = r.counts[s]
-	return r.advance()
-}
-
-func (r *srtReader) advance() error {
-	if r.left == 0 {
-		r.ok = false
-		return nil
-	}
-	var rec [srtRecordBytes]byte
-	if _, err := io.ReadFull(r.br, rec[:]); err != nil {
-		return fmt.Errorf("extbuild: truncated level file %s: %w", r.f.Name(), err)
-	}
-	r.key = binary.LittleEndian.Uint64(rec[0:])
-	r.val = binary.LittleEndian.Uint16(rec[8:])
-	r.left--
-	r.ok = true
-	if r.read != nil {
-		*r.read += srtRecordBytes
-	}
-	return nil
-}
-
-func (r *srtReader) close() error { return r.f.Close() }
-
-// srtSegments returns the byte offset of each shard's segment in a .srt
-// file (prefix sums over the trailer counts), for the random-access
-// reads of the emission phase.
-func srtSegments(counts []uint64) []int64 {
-	offs := make([]int64, len(counts)+1)
-	for i, n := range counts {
-		offs[i+1] = offs[i] + int64(n)*srtRecordBytes
-	}
-	return offs
-}
-
 func runName(level, slab int) string { return fmt.Sprintf("run_%d_%d.run", level, slab) }
 func consName(level, pass, i int) string {
 	return fmt.Sprintf("cons_%d_%d_%d.run", level, pass, i)
 }
+
 func srtName(level int) string { return fmt.Sprintf("level_%d.srt", level) }
 func seqName(level int) string { return fmt.Sprintf("level_%d.seq", level) }
+
+// partName names the transient file holding shard s's slice of a
+// shard-parallel merge's output; tag identifies the merge.
+func partName(tag string, s int) string { return fmt.Sprintf("part_%s_%d", tag, s) }

@@ -8,15 +8,17 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"sync"
 
 	"repro/internal/tablesio"
 )
 
-// runHeap orders open run readers by their lookahead record's
+// runHeap orders a shard's run readers by their lookahead record's
 // (key, seq) — within one shard that is the global candidate order, so
 // popping the heap replays the level's candidates exactly as the
 // sequential in-memory expansion would first encounter each key.
-type runHeap []*runReader
+type runHeap []*segReader
 
 func (h runHeap) Len() int { return len(h) }
 func (h runHeap) Less(i, j int) bool {
@@ -26,16 +28,144 @@ func (h runHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h runHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *runHeap) Push(x any)   { *h = append(*h, x.(*runReader)) }
+func (h *runHeap) Push(x any)   { *h = append(*h, x.(*segReader)) }
 func (h *runHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
+// runMerge is one merge worker's k-way merge over a set of run files: a
+// reader per file and the heap ordering them.
+type runMerge struct {
+	files   []*segFile
+	readers []*segReader
+	h       runHeap
+}
+
+func newRunMerge(files []*segFile, bufBytes int) *runMerge {
+	m := &runMerge{files: files, readers: make([]*segReader, len(files))}
+	for i := range files {
+		m.readers[i] = newSegReader(bufBytes)
+	}
+	return m
+}
+
+// merge replays shard s's candidates from every run in (key, seq) order
+// and calls emit with the first — minimum-sequence — candidate of each
+// key. It returns the bytes read.
+func (m *runMerge) merge(s int, emit func(key uint64, val uint16, seq uint64) error) (int64, error) {
+	m.h = m.h[:0]
+	for i, r := range m.readers {
+		if err := r.enter(m.files[i], s); err != nil {
+			return 0, err
+		}
+		if r.ok {
+			m.h = append(m.h, r)
+		}
+	}
+	heap.Init(&m.h)
+	var prevKey uint64
+	for len(m.h) > 0 {
+		r := m.h[0]
+		key, val, seq := r.key, r.val, r.seq
+		if err := r.advance(); err != nil {
+			return 0, err
+		}
+		if r.ok {
+			heap.Fix(&m.h, 0)
+		} else {
+			heap.Pop(&m.h)
+		}
+		if key == prevKey {
+			continue
+		}
+		prevKey = key
+		if err := emit(key, val, seq); err != nil {
+			return 0, err
+		}
+	}
+	var read int64
+	for _, r := range m.readers {
+		read += r.takeRead()
+	}
+	return read, nil
+}
+
+// shardFunc merges one hash shard, streaming its output records to out
+// and returning how many it wrote.
+type shardFunc func(s int, out io.Writer) (records uint64, err error)
+
+// mergeSharded is the shard-parallel skeleton of every merge. Up to
+// b.workers goroutines, each set up once by newWorker and charged
+// workerBytes plus its part-file write buffer, take hash shards off a
+// shared counter and stream shard s's records to the transient part
+// file part_<tag>_<s>. The parts are then concatenated into af in shard
+// order and the per-shard counts trailer appended: the bytes one
+// ascending pass over the shards would have written, whatever the
+// schedule. No shard's output is ever held whole in memory.
+func (b *builder) mergeSharded(af *atomicFile, tag string, recBytes int, workerBytes int64, newWorker func() shardFunc) ([]uint64, error) {
+	counts := make([]uint64, b.shards)
+	part := func(s int) string { return filepath.Join(b.dir, partName(tag, s)) }
+	err := fanOut(b.workers, b.shards, func(_ int, next func() (int, bool)) error {
+		charge := workerBytes + int64(b.fanBuf)
+		b.mem.add(charge)
+		defer b.mem.release(charge)
+		merge := newWorker()
+		bw := bufio.NewWriterSize(nil, b.fanBuf)
+		for s, ok := next(); ok; s, ok = next() {
+			f, err := os.Create(part(s))
+			if err != nil {
+				return err
+			}
+			bw.Reset(f)
+			n, err := merge(s, bw)
+			if err == nil {
+				err = bw.Flush()
+			}
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				return err
+			}
+			counts[s] = n
+			b.spillW.Add(int64(n) * int64(recBytes))
+		}
+		return nil
+	})
+	if err != nil {
+		for s := range b.shards {
+			os.Remove(part(s))
+		}
+		return nil, err
+	}
+	for s := range b.shards {
+		if err := b.appendPart(af, part(s)); err != nil {
+			for ; s < b.shards; s++ {
+				os.Remove(part(s))
+			}
+			return nil, err
+		}
+	}
+	return counts, writeCountsTrailer(af, counts)
+}
+
+// appendPart copies one part file onto w and removes it.
+func (b *builder) appendPart(w io.Writer, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	n, err := io.Copy(w, f)
+	f.Close()
+	os.Remove(path)
+	b.spillR.Add(n)
+	return err
+}
 
 // mergeLevel merge-dedups level c's sealed spill runs against all prior
 // levels and publishes the level's .srt/.seq artifacts, advancing the
-// checkpoint. The merge walks shards in ascending order with every
-// input positioned at the same shard, so it is one sequential pass over
-// each file — and its output bytes depend only on the candidate set,
-// never on the slab partition or worker schedule that produced the
-// runs.
+// checkpoint. The merge is shard-parallel (mergeSharded): every input
+// is read one shard segment at a time, so the .srt bytes depend only on
+// the candidate set, never on the slab partition or worker schedule
+// that produced the runs or merged them.
 func (b *builder) mergeLevel(c int, p levelPlan) error {
 	// Expansion left exactly one sealed run per slab (the manifest
 	// validator refuses out-of-range or repeated slabs); take them in
@@ -55,161 +185,61 @@ func (b *builder) mergeLevel(c int, p levelPlan) error {
 			os.Remove(p)
 		}
 	}()
-
-	readers := make([]*runReader, 0, len(paths))
-	closeAll := func() {
-		for _, r := range readers {
-			r.close()
-		}
+	runs, err := openSegFiles(paths, b.shards, runRecordBytes)
+	if err != nil {
+		return err
 	}
-	charge := int64(len(paths)) * int64(b.fanBuf)
-	b.mem.add(charge)
-	defer b.mem.release(charge)
-	for _, path := range paths {
-		r, err := openRunReader(path, b.shards, b.fanBuf, &b.spillR)
-		if err != nil {
-			closeAll()
+	defer closeSegFiles(runs)
+
+	// Prior-level inputs: either the in-memory probe table, or every
+	// completed level's .srt for the disk merge-join.
+	var priors []*segFile
+	if b.prior == nil {
+		lp := make([]string, len(b.man.Levels))
+		for i, lv := range b.man.Levels {
+			lp[i] = filepath.Join(b.dir, lv.Srt.Name)
+		}
+		if priors, err = openSegFiles(lp, b.shards, srtRecordBytes); err != nil {
 			return err
 		}
-		readers = append(readers, r)
-	}
-	defer closeAll()
-
-	// Prior-level inputs: either the in-memory probe table, or one
-	// sequential reader per completed level for the disk merge-join.
-	var priors []*srtReader
-	if b.prior == nil {
-		pCharge := int64(c) * int64(b.fanBuf)
-		b.mem.add(pCharge)
-		defer b.mem.release(pCharge)
-		for _, lv := range b.man.Levels {
-			r, err := openSrtReader(filepath.Join(b.dir, lv.Srt.Name), b.shards, b.fanBuf, &b.spillR)
-			if err != nil {
-				for _, pr := range priors {
-					pr.close()
-				}
-				return err
-			}
-			priors = append(priors, r)
-		}
-		defer func() {
-			for _, pr := range priors {
-				pr.close()
-			}
-		}()
+		defer closeSegFiles(priors)
 	}
 
+	seqS := b.newSeqSorter(c)
+	defer seqS.drop()
 	srtAF, err := newAtomicFile(b.dir, srtName(c))
 	if err != nil {
 		return err
 	}
-	seqS := b.newSeqSorter(c)
-	defer seqS.drop()
-
-	var (
-		srtCounts = make([]uint64, b.shards)
-		entries   int64
-		chunk     = newProbeChunk(b.probeChunk)
-		h         runHeap
-	)
-	b.mem.add(int64(b.probeChunk) * (8 + 8 + 2 + 2 + 1))
-	defer b.mem.release(int64(b.probeChunk) * (8 + 8 + 2 + 2 + 1))
-
-	flush := func(s int) error {
-		if chunk.len() == 0 {
-			return nil
+	workerBytes := int64(len(runs)+len(priors))*int64(b.fanBuf) + int64(b.probeChunk)*probeEntryBytes
+	counts, err := b.mergeSharded(srtAF, strconv.Itoa(c), srtRecordBytes, workerBytes, func() shardFunc {
+		m := &levelMerger{
+			b:          b,
+			runs:       newRunMerge(runs, b.fanBuf),
+			priorFiles: priors,
+			chunk:      newProbeChunk(b.probeChunk),
+			pairs:      make([]seqPair, 0, b.probeChunk),
+			seqS:       seqS,
+			// Survivors pre-load the probe table for the next level;
+			// the last level has none.
+			insert: b.prior != nil && c < b.o.K,
 		}
-		chunk.present = chunk.present[:len(chunk.keys)]
-		if b.prior != nil {
-			b.prior.ContainsBatchSorted(chunk.keys, chunk.present)
-		} else if err := joinPresent(chunk, priors); err != nil {
-			return err
+		for range priors {
+			m.priors = append(m.priors, newSegReader(b.fanBuf))
 		}
-		survK, survV := chunk.keys[:0:len(chunk.keys)], chunk.vals[:0:len(chunk.vals)]
-		var rec [srtRecordBytes]byte
-		for i, key := range chunk.keys {
-			if chunk.present[i] {
-				continue
-			}
-			putSrtRecord(rec[:], key, chunk.vals[i])
-			if _, err := srtAF.Write(rec[:]); err != nil {
-				return err
-			}
-			srtCounts[s]++
-			entries++
-			if err := seqS.push(chunk.seqs[i], key); err != nil {
-				return err
-			}
-			survK = append(survK, key)
-			survV = append(survV, chunk.vals[i])
-		}
-		// Current-level survivors join the probe table immediately;
-		// they can never collide with this level's remaining candidates
-		// (duplicate keys were already folded by the heap dedup), so
-		// this only pre-loads the table for the NEXT level.
-		if b.prior != nil && len(survK) > 0 {
-			b.prior.InsertBatch(survK, survV, chunk.ins[:len(survK)])
-		}
-		chunk.reset()
-		return nil
-	}
-
-	for s := 0; s < b.shards; s++ {
-		h = h[:0]
-		for _, r := range readers {
-			if err := r.enterShard(s); err != nil {
-				srtAF.abort()
-				return err
-			}
-			if r.ok {
-				h = append(h, r)
-			}
-		}
-		heap.Init(&h)
-		for _, pr := range priors {
-			if err := pr.enterShard(s); err != nil {
-				srtAF.abort()
-				return err
-			}
-		}
-		var prevKey uint64
-		for len(h) > 0 {
-			r := h[0]
-			key, val, seq := r.key, r.val, r.seq
-			if err := r.advance(); err != nil {
-				srtAF.abort()
-				return err
-			}
-			if r.ok {
-				heap.Fix(&h, 0)
-			} else {
-				heap.Pop(&h)
-			}
-			if key == prevKey {
-				continue
-			}
-			prevKey = key
-			chunk.add(key, val, seq)
-			if chunk.full() {
-				if err := flush(s); err != nil {
-					srtAF.abort()
-					return err
-				}
-			}
-		}
-		if err := flush(s); err != nil {
-			srtAF.abort()
-			return err
-		}
-	}
-
-	if err := writeCountsTrailer(srtAF, srtCounts); err != nil {
+		return m.mergeShard
+	})
+	if err != nil {
 		srtAF.abort()
 		return err
 	}
 	srtMF, err := srtAF.commit()
 	if err != nil {
 		return err
+	}
+	var entries int64
+	for _, n := range counts {
+		entries += int64(n)
 	}
 	seqAF, err := newAtomicFile(b.dir, seqName(c))
 	if err != nil {
@@ -250,6 +280,93 @@ func (b *builder) mergeLevel(c int, p levelPlan) error {
 	})
 	return nil
 }
+
+// levelMerger is one mergeLevel worker: its run merge, its readers of
+// the prior levels' segments (disk merge-join only), and the probe chunk
+// and survivor pairs it hands on a batch at a time.
+type levelMerger struct {
+	b          *builder
+	runs       *runMerge
+	priorFiles []*segFile
+	priors     []*segReader
+	chunk      *probeChunk
+	pairs      []seqPair
+	seqS       *seqSorter
+	insert     bool
+	rec        [srtRecordBytes]byte
+}
+
+// mergeShard merges shard s's candidates, drops every key a prior level
+// holds, and writes the survivors' .srt records to out.
+func (m *levelMerger) mergeShard(s int, out io.Writer) (uint64, error) {
+	for i, pr := range m.priors {
+		if err := pr.enter(m.priorFiles[i], s); err != nil {
+			return 0, err
+		}
+	}
+	var n uint64
+	read, err := m.runs.merge(s, func(key uint64, val uint16, seq uint64) error {
+		m.chunk.add(key, val, seq)
+		if m.chunk.full() {
+			return m.flush(out, &n)
+		}
+		return nil
+	})
+	if err == nil {
+		err = m.flush(out, &n)
+	}
+	for _, pr := range m.priors {
+		read += pr.takeRead()
+	}
+	m.b.spillR.Add(read)
+	return n, err
+}
+
+// flush probes the chunk against the prior levels and passes its
+// survivors on: records to out, (seq, key) pairs to the sequence
+// sorter, and keys to the probe table when the next level needs them.
+func (m *levelMerger) flush(out io.Writer, n *uint64) error {
+	chunk := m.chunk
+	if chunk.len() == 0 {
+		return nil
+	}
+	chunk.present = chunk.present[:len(chunk.keys)]
+	if m.b.prior != nil {
+		m.b.prior.ContainsBatchSorted(chunk.keys, chunk.present)
+	} else if err := joinPresent(chunk, m.priors); err != nil {
+		return err
+	}
+	survK, survV := chunk.keys[:0:len(chunk.keys)], chunk.vals[:0:len(chunk.vals)]
+	m.pairs = m.pairs[:0]
+	for i, key := range chunk.keys {
+		if chunk.present[i] {
+			continue
+		}
+		putSrtRecord(m.rec[:], key, chunk.vals[i])
+		if _, err := out.Write(m.rec[:]); err != nil {
+			return err
+		}
+		*n++
+		m.pairs = append(m.pairs, seqPair{chunk.seqs[i], key})
+		survK = append(survK, key)
+		survV = append(survV, chunk.vals[i])
+	}
+	if err := m.seqS.pushBatch(m.pairs); err != nil {
+		return err
+	}
+	// Survivors can never collide with this level's remaining
+	// candidates (the heap dedup already folded duplicate keys), so the
+	// insert only pre-loads the table for the next level.
+	if m.insert && len(survK) > 0 {
+		m.b.prior.InsertBatch(survK, survV, chunk.ins[:len(survK)])
+	}
+	chunk.reset()
+	return nil
+}
+
+// probeEntryBytes is the budget charge per probe-chunk slot: key, val,
+// seq, the two flag arrays, and the survivor's (seq, key) pair.
+const probeEntryBytes = 8 + 2 + 8 + 1 + 1 + seqPairBytes
 
 // probeChunk buffers deduped candidates of one shard between prior-level
 // presence checks, bounding merge memory regardless of shard size.
@@ -297,7 +414,7 @@ func (p *probeChunk) reset() {
 // the priors per level built. A read error aborts the merge: treating
 // a prior as exhausted would mark its keys absent and re-emit them
 // into the new level, publishing a store with duplicate keys.
-func joinPresent(chunk *probeChunk, priors []*srtReader) error {
+func joinPresent(chunk *probeChunk, priors []*segReader) error {
 	chunk.present = chunk.present[:len(chunk.keys)]
 	for i, key := range chunk.keys {
 		hit := false
@@ -331,13 +448,14 @@ func (b *builder) consolidateRuns(c int, paths []string) (final, transient []str
 				next = append(next, batch[0])
 				continue
 			}
-			out := filepath.Join(b.dir, consName(c, pass, i/b.maxFanIn))
-			if err := b.mergeRunsToRun(batch, out); err != nil {
+			name := consName(c, pass, i/b.maxFanIn)
+			if err := b.mergeRunsToRun(batch, name, fmt.Sprintf("%d_%d_%d", c, pass, i/b.maxFanIn)); err != nil {
 				for _, t := range transient {
 					os.Remove(t)
 				}
 				return nil, nil, err
 			}
+			out := filepath.Join(b.dir, name)
 			transient = append(transient, out)
 			next = append(next, out)
 		}
@@ -347,74 +465,39 @@ func (b *builder) consolidateRuns(c int, paths []string) (final, transient []str
 	return paths, transient, nil
 }
 
-// mergeRunsToRun merges a batch of runs into one, keeping the
-// minimum-sequence candidate per key (the batch-local minimum; the
+// mergeRunsToRun merges a batch of runs into the run file name, keeping
+// the minimum-sequence candidate per key (the batch-local minimum; the
 // final merge takes the minimum of batch minima, which is the global
 // minimum).
-func (b *builder) mergeRunsToRun(paths []string, outPath string) error {
-	charge := int64(len(paths)+1) * int64(b.fanBuf)
-	b.mem.add(charge)
-	defer b.mem.release(charge)
-	readers := make([]*runReader, 0, len(paths))
-	defer func() {
-		for _, r := range readers {
-			r.close()
-		}
-	}()
-	for _, p := range paths {
-		r, err := openRunReader(p, b.shards, b.fanBuf, &b.spillR)
-		if err != nil {
-			return err
-		}
-		readers = append(readers, r)
-	}
-	af, err := newAtomicFile(filepath.Dir(outPath), filepath.Base(outPath))
+func (b *builder) mergeRunsToRun(paths []string, name, tag string) error {
+	runs, err := openSegFiles(paths, b.shards, runRecordBytes)
 	if err != nil {
 		return err
 	}
-	counts := make([]uint64, b.shards)
-	var h runHeap
-	var rec [runRecordBytes]byte
-	for s := 0; s < b.shards; s++ {
-		h = h[:0]
-		for _, r := range readers {
-			if err := r.enterShard(s); err != nil {
-				af.abort()
-				return err
-			}
-			if r.ok {
-				h = append(h, r)
-			}
-		}
-		heap.Init(&h)
-		var prevKey uint64
-		for len(h) > 0 {
-			r := h[0]
-			key, val, seq := r.key, r.val, r.seq
-			if err := r.advance(); err != nil {
-				af.abort()
-				return err
-			}
-			if r.ok {
-				heap.Fix(&h, 0)
-			} else {
-				heap.Pop(&h)
-			}
-			if key == prevKey {
-				continue
-			}
-			prevKey = key
-			binary.LittleEndian.PutUint64(rec[0:], key)
-			binary.LittleEndian.PutUint16(rec[8:], val)
-			binary.LittleEndian.PutUint64(rec[10:], seq)
-			if _, err := af.Write(rec[:]); err != nil {
-				af.abort()
-				return err
-			}
-			counts[s]++
-		}
+	defer closeSegFiles(runs)
+	af, err := newAtomicFile(b.dir, name)
+	if err != nil {
+		return err
 	}
-	if err := writeCountsTrailer(af, counts); err != nil {
+	workerBytes := int64(len(runs)) * int64(b.fanBuf)
+	_, err = b.mergeSharded(af, tag, runRecordBytes, workerBytes, func() shardFunc {
+		rm := newRunMerge(runs, b.fanBuf)
+		var rec [runRecordBytes]byte
+		return func(s int, out io.Writer) (uint64, error) {
+			var n uint64
+			read, err := rm.merge(s, func(key uint64, val uint16, seq uint64) error {
+				binary.LittleEndian.PutUint64(rec[0:], key)
+				binary.LittleEndian.PutUint16(rec[8:], val)
+				binary.LittleEndian.PutUint64(rec[10:], seq)
+				n++
+				_, err := out.Write(rec[:])
+				return err
+			})
+			b.spillR.Add(read)
+			return n, err
+		}
+	})
+	if err != nil {
 		af.abort()
 		return err
 	}
@@ -437,10 +520,13 @@ const seqPairBytes = 16
 // the store's per-level index — needs ascending sequence order. Under
 // budget it is one in-memory radix sort; over budget it spills sorted
 // runs and k-way merges them. The budget charge covers the pair buffer
-// and the equally long radix scratch.
+// and the equally long radix scratch. Merge workers push concurrently;
+// the sequence numbers are unique, so the order they arrive in cannot
+// change the output.
 type seqSorter struct {
 	b      *builder
 	level  int
+	mu     sync.Mutex
 	pairs  []seqPair
 	tmp    []seqPair
 	limit  int
@@ -463,10 +549,17 @@ func (s *seqSorter) sortPairs() {
 	s.pairs, s.tmp = sorted, spare[:cap(spare)]
 }
 
-func (s *seqSorter) push(seq, key uint64) error {
-	s.pairs = append(s.pairs, seqPair{seq, key})
-	if len(s.pairs) >= s.limit {
-		return s.spill()
+// pushBatch adds one merge worker's batch of survivors.
+func (s *seqSorter) pushBatch(ps []seqPair) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, p := range ps {
+		s.pairs = append(s.pairs, p)
+		if len(s.pairs) >= s.limit {
+			if err := s.spill(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -555,20 +648,23 @@ func (s *seqSorter) drop() {
 }
 
 // seqSpillReader streams one sorted spill file of (seq, key) pairs.
+// The record buffer lives in the reader, so advancing allocates nothing.
 type seqSpillReader struct {
-	f    *os.File
-	br   *bufio.Reader
-	cur  seqPair
-	ok   bool
-	read *int64
+	f   *os.File
+	br  *bufio.Reader
+	rec [seqPairBytes]byte
+	cur seqPair
+	ok  bool
+	// read counts the bytes consumed, for the spill-read counter.
+	read int64
 }
 
-func openSeqSpill(path string, bufBytes int, read *int64) (*seqSpillReader, error) {
+func openSeqSpill(path string, bufBytes int) (*seqSpillReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	r := &seqSpillReader{f: f, br: bufio.NewReaderSize(f, bufBytes), read: read}
+	r := &seqSpillReader{f: f, br: bufio.NewReaderSize(f, bufBytes)}
 	if err := r.advance(); err != nil {
 		f.Close()
 		return nil, err
@@ -577,8 +673,7 @@ func openSeqSpill(path string, bufBytes int, read *int64) (*seqSpillReader, erro
 }
 
 func (r *seqSpillReader) advance() error {
-	var rec [seqPairBytes]byte
-	_, err := io.ReadFull(r.br, rec[:])
+	_, err := io.ReadFull(r.br, r.rec[:])
 	if err == io.EOF {
 		r.ok = false
 		return nil
@@ -586,11 +681,9 @@ func (r *seqSpillReader) advance() error {
 	if err != nil {
 		return fmt.Errorf("extbuild: truncated seq spill %s: %w", r.f.Name(), err)
 	}
-	r.cur = seqPair{binary.LittleEndian.Uint64(rec[0:]), binary.LittleEndian.Uint64(rec[8:])}
+	r.cur = seqPair{binary.LittleEndian.Uint64(r.rec[0:]), binary.LittleEndian.Uint64(r.rec[8:])}
 	r.ok = true
-	if r.read != nil {
-		*r.read += seqPairBytes
-	}
+	r.read += seqPairBytes
 	return nil
 }
 
@@ -616,7 +709,7 @@ func (s *seqSorter) mergeSpills(paths []string, emit func(seqPair) error) error 
 		}
 	}()
 	for _, p := range paths {
-		r, err := openSeqSpill(p, s.b.fanBuf, &s.b.spillR)
+		r, err := openSeqSpill(p, s.b.fanBuf)
 		if err != nil {
 			return err
 		}
@@ -638,6 +731,7 @@ func (s *seqSorter) mergeSpills(paths []string, emit func(seqPair) error) error 
 		if r.ok {
 			heap.Fix(&h, 0)
 		} else {
+			s.b.spillR.Add(r.read)
 			r.f.Close()
 			heap.Pop(&h)
 			// Keep the closed reader out of the deferred close.
