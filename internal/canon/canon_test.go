@@ -348,22 +348,25 @@ func TestCanonicalInvolutionFastPath(t *testing.T) {
 	}
 }
 
-// BenchmarkCanonical isolates the canonicalization kernel on the two
-// input populations the BFS inner loop sees: general functions (one
-// inversion, 46 conjugation kernels) and involutions, where the inverse
-// sweep is skipped and the kernel count halves.
+// BenchmarkCanonical isolates the canonicalization kernel on the input
+// populations the BFS inner loop sees: general functions (one
+// inversion, 46 conjugation kernels), involutions, where the inverse
+// sweep is skipped and the kernel count halves, and products of 1–12
+// gates, the shape bfs.ExpandRep feeds.
 func BenchmarkCanonical(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	random := make([]perm.Perm, 1024)
 	invs := make([]perm.Perm, 1024)
+	products := make([]perm.Perm, 1024)
 	for i := range random {
 		random[i] = randPerm(rng)
 		invs[i] = randInvolution(rng)
+		products[i] = randProduct(rng)
 	}
 	for _, tc := range []struct {
 		name string
 		ps   []perm.Perm
-	}{{"random", random}, {"involution", invs}} {
+	}{{"random", random}, {"involution", invs}, {"products", products}} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var acc perm.Perm
@@ -389,4 +392,252 @@ func BenchmarkClassSize(b *testing.B) {
 		acc += ClassSize(ps[i&255])
 	}
 	_ = acc
+}
+
+// The oracle: the plain-changes walk written from its definition. It
+// steps through sjt()'s swaps, conjugating by each through a switch and
+// tracking the relabeling index through stepTable. The straight-line
+// walk must reproduce its (rep, sigma, inverted) and its variant order
+// exactly: stored table values pack the witness, and core's scans rely
+// on the variant order.
+
+var refSwaps = func() []int {
+	_, swaps := sjt()
+	return swaps
+}()
+
+func conjAdjacent(p perm.Perm, t int) perm.Perm {
+	switch t {
+	case 0:
+		return p.Conj01()
+	case 1:
+		return p.Conj12()
+	case 2:
+		return p.Conj23()
+	}
+	panic("adjacent transposition index out of range")
+}
+
+func refCanonical(f perm.Perm) (rep perm.Perm, sigma int, inverted bool) {
+	fi := f.Inverse()
+	if fi == f {
+		rep, sigma = f, 0
+		cf := f
+		s := 0
+		for _, t := range refSwaps {
+			cf = conjAdjacent(cf, t)
+			s = stepTable[s][t]
+			if cf < rep {
+				rep, sigma = cf, s
+			}
+		}
+		return rep, sigma, false
+	}
+	rep, sigma, inverted = f, 0, false
+	if fi < rep {
+		rep, inverted = fi, true
+	}
+	cf, cfi := f, fi
+	s := 0
+	for _, t := range refSwaps {
+		cf = conjAdjacent(cf, t)
+		cfi = conjAdjacent(cfi, t)
+		s = stepTable[s][t]
+		if cf < rep {
+			rep, sigma, inverted = cf, s, false
+		}
+		if cfi < rep {
+			rep, sigma, inverted = cfi, s, true
+		}
+	}
+	return rep, sigma, inverted
+}
+
+func refForEachVariant(f perm.Perm, fn func(perm.Perm) bool) {
+	fi := f.Inverse()
+	if fi == f {
+		if !fn(f) {
+			return
+		}
+		cf := f
+		for _, t := range refSwaps {
+			cf = conjAdjacent(cf, t)
+			if !fn(cf) {
+				return
+			}
+		}
+		return
+	}
+	if !fn(f) || !fn(fi) {
+		return
+	}
+	cf, cfi := f, fi
+	for _, t := range refSwaps {
+		cf = conjAdjacent(cf, t)
+		cfi = conjAdjacent(cfi, t)
+		if !fn(cf) || !fn(cfi) {
+			return
+		}
+	}
+}
+
+// randProduct composes 1–12 random library gates: the shape of the
+// candidates bfs.ExpandRep canonicalizes.
+func randProduct(rng *rand.Rand) perm.Perm {
+	p := perm.Identity
+	for n := 1 + rng.Intn(12); n > 0; n-- {
+		p = p.Then(gate.FromIndex(rng.Intn(gate.Count)).Perm())
+	}
+	return p
+}
+
+// classRepsUpTo returns the canonical representatives of every class of
+// gate cost ≤ maxCost, found by the oracle: each cost-c class holds a
+// cost-(c−1) representative with one more gate on one side.
+func classRepsUpTo(t *testing.T, maxCost int) []perm.Perm {
+	t.Helper()
+	seen := map[perm.Perm]bool{perm.Identity: true}
+	frontier := []perm.Perm{perm.Identity}
+	all := []perm.Perm{perm.Identity}
+	// Paper Table 4, "Reduced Functions" column.
+	want := []int{1, 4, 33, 425, 6538}
+	for c := 1; c <= maxCost; c++ {
+		var next []perm.Perm
+		for _, r := range frontier {
+			for _, g := range gate.All() {
+				for _, f := range []perm.Perm{r.Then(g.Perm()), g.Perm().Then(r)} {
+					if rep, _, _ := refCanonical(f); !seen[rep] {
+						seen[rep] = true
+						next = append(next, rep)
+					}
+				}
+			}
+		}
+		if len(next) != want[c] {
+			t.Fatalf("cost %d: %d classes, want %d", c, len(next), want[c])
+		}
+		all = append(all, next...)
+		frontier = next
+	}
+	return all
+}
+
+// TestCanonicalMatchesOracle checks the walk against the oracle on over
+// a million inputs from four populations.
+func TestCanonicalMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	var variants []perm.Perm
+	for _, r := range classRepsUpTo(t, 4) {
+		ForEachVariant(r, func(v perm.Perm) bool {
+			variants = append(variants, v, v.Inverse())
+			return true
+		})
+	}
+	const draws = 330_000
+	populations := []struct {
+		name string
+		next func(i int) perm.Perm
+		n    int
+	}{
+		{"random", func(int) perm.Perm { return randPerm(rng) }, draws},
+		{"involution", func(int) perm.Perm { return randInvolution(rng) }, draws},
+		{"product", func(int) perm.Perm { return randProduct(rng) }, draws},
+		{"cost≤4 variants", func(i int) perm.Perm { return variants[i] }, len(variants)},
+	}
+	total := 0
+	for _, pop := range populations {
+		for i := 0; i < pop.n; i++ {
+			f := pop.next(i)
+			rep, sigma, inverted := Canonical(f)
+			wr, ws, wi := refCanonical(f)
+			if rep != wr || sigma != ws || inverted != wi {
+				t.Fatalf("%s %v: Canonical = (%v, %d, %v), oracle (%v, %d, %v)",
+					pop.name, f, rep, sigma, inverted, wr, ws, wi)
+			}
+		}
+		total += pop.n
+	}
+	if total < 1_000_000 {
+		t.Fatalf("checked %d inputs, want at least a million", total)
+	}
+}
+
+// TestForEachVariantMatchesOracle checks the variant sequence against
+// the oracle, in full and when fn stops at each position.
+func TestForEachVariantMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	collect := func(walk func(perm.Perm, func(perm.Perm) bool), f perm.Perm, stop int) []perm.Perm {
+		var out []perm.Perm
+		walk(f, func(v perm.Perm) bool {
+			out = append(out, v)
+			return len(out) != stop
+		})
+		return out
+	}
+	inputs := []perm.Perm{perm.Identity}
+	for i := 0; i < 300; i++ {
+		inputs = append(inputs, randPerm(rng), randInvolution(rng), randProduct(rng))
+	}
+	for _, f := range inputs {
+		want := collect(refForEachVariant, f, 0)
+		for stop := 0; stop <= len(want); stop++ {
+			got := collect(ForEachVariant, f, stop)
+			wantN := want
+			if stop > 0 {
+				wantN = want[:stop]
+			}
+			if len(got) != len(wantN) {
+				t.Fatalf("%v stop %d: %d variants, oracle %d", f, stop, len(got), len(wantN))
+			}
+			for i := range got {
+				if got[i] != wantN[i] {
+					t.Fatalf("%v stop %d: variant %d = %v, oracle %v", f, stop, i, got[i], wantN[i])
+				}
+			}
+		}
+	}
+}
+
+// TestWalkMatchesPlainChanges is the drift check on the hard-coded
+// walk: its period-8 kernel order, repeated three times with the last
+// step dropped, must be sjt()'s swap sequence; walkPos must be the
+// stepTable chain along it; and the walk's n-th conjugate must be the
+// conjugate by Shuffle(walkPos[n]).
+func TestWalkMatchesPlainChanges(t *testing.T) {
+	period := [8]int{2, 1, 0, 2, 0, 1, 2, 0} // 0 = Conj01, 1 = Conj12, 2 = Conj23
+	if len(refSwaps) != 3*len(period)-1 {
+		t.Fatalf("sjt() gives %d swaps, want %d", len(refSwaps), 3*len(period)-1)
+	}
+	s := 0
+	for n, sw := range refSwaps {
+		if sw != period[n%len(period)] {
+			t.Fatalf("swap %d: sjt() says %d, the walk uses %d", n, sw, period[n%len(period)])
+		}
+		s = stepTable[s][sw]
+		if walkPos[n+1] != s {
+			t.Fatalf("walkPos[%d] = %d, stepTable chain %d", n+1, walkPos[n+1], s)
+		}
+	}
+	if walkPos[0] != 0 {
+		t.Fatalf("walkPos[0] = %d, want the identity", walkPos[0])
+	}
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 100; trial++ {
+		f := randPerm(rng)
+		if f.Inverse() == f {
+			continue
+		}
+		n := 0
+		ForEachVariant(f, func(v perm.Perm) bool {
+			base := f
+			if n%2 == 1 {
+				base = f.Inverse()
+			}
+			if want := perm.Conjugate(base, Shuffle(walkPos[n/2])); v != want {
+				t.Fatalf("variant %d of %v is %v, want the conjugate by σ%d %v", n, f, v, walkPos[n/2], want)
+			}
+			n++
+			return true
+		})
+	}
 }

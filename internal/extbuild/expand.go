@@ -155,7 +155,9 @@ func (b *builder) expandLevel(c int, p levelPlan) error {
 	levelStart := time.Now()
 	err := fanOut(b.workers, p.slabCount, func(_ int, next func() (int, bool)) error {
 		bufCap := p.repsPerSlab * int64(p.maxStride)
-		charge := p.repsPerSlab*slabRepBytes(p.maxStride) + p.repsPerSlab*8
+		// The slab buffer and its sort scratch, plus the frontier keys
+		// and the raw .seq bytes they are decoded from.
+		charge := p.repsPerSlab*slabRepBytes(p.maxStride) + p.repsPerSlab*(8+seqRecordBytes)
 		b.mem.add(charge)
 		defer b.mem.release(charge)
 		sink := &slabSink{
@@ -164,12 +166,13 @@ func (b *builder) expandLevel(c int, p levelPlan) error {
 			shift: b.shardShift,
 		}
 		repKeys := make([]uint64, p.repsPerSlab)
+		repRaw := make([]byte, p.repsPerSlab*seqRecordBytes)
 		for slab, ok := next(); ok; slab, ok = next() {
 			if sealed[slab] {
 				sealedN.Add(1)
 				continue
 			}
-			nc, err := b.expandSlab(c, slab, p, sink, repKeys, seqFiles)
+			nc, err := b.expandSlab(c, slab, p, sink, repKeys, repRaw, seqFiles)
 			if err != nil {
 				return err
 			}
@@ -220,7 +223,8 @@ func someRunNotFor(runs []tablesio.ManifestRun, level int) bool {
 
 // expandSlab expands one contiguous frontier range, sorts and dedups the
 // candidates, seals them as a run file, and records it in the manifest.
-func (b *builder) expandSlab(c, slab int, p levelPlan, sink *slabSink, repKeys []uint64, seqFiles map[int]*os.File) (int64, error) {
+// repKeys and repRaw are the worker's frontier buffers, one slab long.
+func (b *builder) expandSlab(c, slab int, p levelPlan, sink *slabSink, repKeys []uint64, repRaw []byte, seqFiles map[int]*os.File) (int64, error) {
 	lo := int64(slab) * p.repsPerSlab
 	hi := min(lo+p.repsPerSlab, p.totalReps)
 	sink.buf = sink.buf[:0]
@@ -233,7 +237,7 @@ func (b *builder) expandSlab(c, slab int, p levelPlan, sink *slabSink, repKeys [
 		first := gLo - g.repStart
 		n := gHi - gLo
 		keys := repKeys[:n]
-		if err := readSeqRange(seqFiles[g.src], first, keys); err != nil {
+		if err := readSeqRange(seqFiles[g.src], first, keys, repRaw); err != nil {
 			return 0, fmt.Errorf("extbuild: level %d frontier: %w", g.src, err)
 		}
 		b.spillR.Add(int64(n) * seqRecordBytes)
@@ -268,9 +272,10 @@ func (b *builder) expandSlab(c, slab int, p levelPlan, sink *slabSink, repKeys [
 }
 
 // readSeqRange fills keys with the frontier entries starting at
-// representative index first.
-func readSeqRange(f *os.File, first int64, keys []uint64) error {
-	buf := make([]byte, len(keys)*seqRecordBytes)
+// representative index first, reading them through raw, which must hold
+// len(keys) records.
+func readSeqRange(f *os.File, first int64, keys []uint64, raw []byte) error {
+	buf := raw[:len(keys)*seqRecordBytes]
 	if _, err := f.ReadAt(buf, first*seqRecordBytes); err != nil {
 		return err
 	}

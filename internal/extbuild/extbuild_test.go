@@ -834,6 +834,45 @@ func TestReaderAdvanceAllocs(t *testing.T) {
 	check("seq spill", sr.advance)
 }
 
+// TestReadSeqRangeAllocs: expansion reads every slab's frontier through
+// the worker's charged buffers, so a frontier read must not allocate.
+func TestReadSeqRangeAllocs(t *testing.T) {
+	const n = 1000
+	raw := make([]byte, n*seqRecordBytes)
+	for i := 0; i < n; i++ {
+		putSeqRecord(raw[i*seqRecordBytes:], uint64(i+1))
+	}
+	path := filepath.Join(t.TempDir(), seqName(1))
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	keys := make([]uint64, n/4)
+	buf := make([]byte, len(keys)*seqRecordBytes)
+	first := int64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := readSeqRange(f, first, keys, buf); err != nil {
+			t.Fatal(err)
+		}
+		first = (first + 1) % (n - int64(len(keys)))
+	})
+	if allocs != 0 {
+		t.Errorf("frontier read: %.1f allocations, want 0", allocs)
+	}
+	if err := readSeqRange(f, 7, keys, buf); err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		if k != uint64(7+i+1) {
+			t.Fatalf("key %d = %d, want %d", i, k, 7+i+1)
+		}
+	}
+}
+
 // BenchmarkBuild times a k=5 build shaped like the k=6 benchmark
 // workload (8 shards, the default budget, the full store plus 2 splits)
 // and reports the wall time of each phase per build, attributed from

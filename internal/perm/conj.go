@@ -13,11 +13,13 @@ import "fmt"
 // the three constant-time kernels below, each of which (a) permutes the
 // sixteen nibble positions by the induced state map and (b) applies the
 // same state map to every nibble value. Each kernel is 14 machine
-// operations, matching the paper's conjugate01.
+// operations, matching the paper's conjugate01. Callers that walk S₄
+// (package canon) call the kernels directly, in a fixed order, so no
+// step pays for a dispatch on the transposition index.
 
-// conj01 conjugates p by the swap of wires 0 and 1 (bits 0 and 1 of the
+// Conj01 conjugates p by the swap of wires 0 and 1 (bits 0 and 1 of the
 // state). This is the paper's conjugate01 routine.
-func (p Perm) conj01() Perm {
+func (p Perm) Conj01() Perm {
 	v := uint64(p)
 	// Swap nibble positions whose indices differ by exchanging bits 0,1
 	// (… positions 1 ↔ 2, 5 ↔ 6, 9 ↔ 10, 13 ↔ 14).
@@ -30,7 +32,8 @@ func (p Perm) conj01() Perm {
 		((v & 0x2222222222222222) >> 1))
 }
 
-func (p Perm) conj12() Perm {
+// Conj12 conjugates p by the swap of wires 1 and 2.
+func (p Perm) Conj12() Perm {
 	v := uint64(p)
 	// Swap nibble positions whose indices differ by exchanging bits 1,2
 	// (positions 2,3 ↔ 4,5 and 10,11 ↔ 12,13).
@@ -43,7 +46,8 @@ func (p Perm) conj12() Perm {
 		((v & 0x4444444444444444) >> 1))
 }
 
-func (p Perm) conj23() Perm {
+// Conj23 conjugates p by the swap of wires 2 and 3.
+func (p Perm) Conj23() Perm {
 	v := uint64(p)
 	// Swap nibble positions whose indices differ by exchanging bits 2,3
 	// (positions 4…7 ↔ 8…11).
@@ -56,29 +60,13 @@ func (p Perm) conj23() Perm {
 		((v & 0x8888888888888888) >> 1))
 }
 
-// ConjugateAdjacent returns the conjugate of p by the adjacent wire
-// transposition t: t = 0 swaps wires 0,1; t = 1 swaps wires 1,2; t = 2
-// swaps wires 2,3. It panics on any other t; the three kernels are the
-// only transpositions needed to walk all of S₄ (paper §3.3).
-func (p Perm) ConjugateAdjacent(t int) Perm {
-	switch t {
-	case 0:
-		return p.conj01()
-	case 1:
-		return p.conj12()
-	case 2:
-		return p.conj23()
-	}
-	panic(fmt.Sprintf("perm: adjacent transposition index %d out of range [0,2]", t))
-}
-
 // WireShuffle returns the state permutation gσ induced by the wire
 // relabeling σ: output bit i of gσ(x) is input bit σ[i] of x. σ must be a
 // permutation of {0,1,2,3}.
 //
 // With this definition, conjugation by an adjacent transposition σ agrees
-// with the corresponding fast kernel: Conjugate(f, WireShuffle(σ)) equals
-// f.ConjugateAdjacent(t).
+// with the corresponding fast kernel: Conjugate(f, WireShuffle({1,0,2,3}))
+// equals f.Conj01(), and likewise for Conj12 and Conj23.
 func WireShuffle(sigma [4]uint8) (Perm, error) {
 	var seen uint8
 	for _, w := range sigma {

@@ -183,20 +183,30 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// kernels pairs each adjacent-transposition kernel with the wire
+// relabeling it conjugates by.
+var kernels = []struct {
+	name  string
+	sigma [4]uint8
+	conj  func(Perm) Perm
+}{
+	{"Conj01", [4]uint8{1, 0, 2, 3}, Perm.Conj01},
+	{"Conj12", [4]uint8{0, 2, 1, 3}, Perm.Conj12},
+	{"Conj23", [4]uint8{0, 1, 3, 2}, Perm.Conj23},
+}
+
 func TestConjugationKernelsMatchGeneric(t *testing.T) {
-	transpositions := [][4]uint8{{1, 0, 2, 3}, {0, 2, 1, 3}, {0, 1, 3, 2}}
 	rng := rand.New(rand.NewSource(6))
-	for ti, sigma := range transpositions {
-		g, err := WireShuffle(sigma)
+	for _, k := range kernels {
+		g, err := WireShuffle(k.sigma)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for trial := 0; trial < 500; trial++ {
 			p := randPerm(rng)
 			want := Conjugate(p, g)
-			got := p.ConjugateAdjacent(ti)
-			if got != want {
-				t.Fatalf("kernel %d mismatch on %v: got %v want %v", ti, p, got, want)
+			if got := k.conj(p); got != want {
+				t.Fatalf("%s mismatch on %v: got %v want %v", k.name, p, got, want)
 			}
 		}
 	}
@@ -206,9 +216,9 @@ func TestConjugationIsInvolutionPerKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
 		p := randPerm(rng)
-		for ti := 0; ti < 3; ti++ {
-			if p.ConjugateAdjacent(ti).ConjugateAdjacent(ti) != p {
-				t.Fatalf("kernel %d is not an involution on %v", ti, p)
+		for _, k := range kernels {
+			if k.conj(k.conj(p)) != p {
+				t.Fatalf("%s is not an involution on %v", k.name, p)
 			}
 		}
 	}
@@ -383,12 +393,13 @@ func BenchmarkInversePacked(b *testing.B) {
 	_ = p
 }
 
+// BenchmarkConjugateKernel chains all three kernels per op.
 func BenchmarkConjugateKernel(b *testing.B) {
 	rng := rand.New(rand.NewSource(44))
 	p := randPerm(rng)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p = p.ConjugateAdjacent(i % 3)
+		p = p.Conj01().Conj12().Conj23()
 	}
 	_ = p
 }
