@@ -86,9 +86,11 @@
 // (slabs, candidates, spill traffic, ETA) and the final level counts
 // are diffed against the paper's Table 4 before the store is declared
 // good. CI proves the byte-identity and kill/-resume paths end-to-end
-// on every push, and the "build" section of BENCH_10.json records
-// entries/s, spill traffic, and peak tracked memory under a budget a
-// quarter of the finished store. See examples/build for the
+// on every push. perfbench's "build" workload records a k=6 build's
+// candidates/s, spill traffic and peak tracked memory
+// (extbuild.candidates_per_s, extbuild.spill_written_mb,
+// extbuild.peak_tracked_mb), and BenchmarkBuild in internal/extbuild
+// times its expand, merge and emit phases. See examples/build for the
 // programmatic walkthrough.
 //
 // # Serving
@@ -263,10 +265,11 @@
 // lower tier is out (the federation collapses gracefully to
 // big-k-only serving). Programmatic: tablenet.NewFederation;
 // Topology.K pins a member fleet's expected depth so one topology
-// document can describe a heterogeneous federation. The federation
-// section of BENCH_9.json prices a paper-distribution mix federated
-// vs big-k-only on identical hardware. See examples/federation for
-// the end-to-end walkthrough.
+// document can describe a heterogeneous federation. perfbench's
+// "fleet-mix" workload serves through a federation of a k=3 tier and
+// split k=6 shards; its federation.escalation_share and
+// federation.tier0_us/tier1_us metrics price the tiers. See
+// examples/federation for the end-to-end walkthrough.
 //
 // # Cache tiering and tuning
 //
@@ -304,8 +307,9 @@
 // shard client; 0 picks the default, negative disables every tier for
 // A/B measurement). Warm-up is traffic-driven — the first pass over a
 // working set pays the wire once, after which warm queries run within a
-// small factor of in-process serving (BENCH_5.json tracks the cold and
-// warm curves). Cache hit/miss/coalescing/byte counters surface through
+// small factor of in-process serving (perfbench's "fleet-mix" reports
+// client.key_hit_ratio and client.level_hit_ratio). Cache
+// hit/miss/coalescing/byte counters surface through
 // ServiceStats.RemoteCache and the /stats endpoint ("clients" holds the
 // router's aggregate over its shard clients).
 //
@@ -357,8 +361,9 @@
 // 504 deadline exceeded, 499 client closed request, 503 service
 // closed, shard fleet unavailable, or load shed, 500 anything else. A
 // batch answers 200 unless every result failed, in which case it
-// carries the worst per-result status. BENCH_9.json's "ops" section
-// tracks the middleware's overhead on the warm cached HTTP path.
+// carries the worst per-result status. BenchmarkMiddlewareOverhead in
+// internal/ops prices the middleware's request path and log pipeline;
+// perfbench's "fleet-mix" reports its per-request share as ops.self_us.
 package repro
 
 import (

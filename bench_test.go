@@ -25,7 +25,6 @@ import (
 	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/distrib"
-	"repro/internal/five"
 	"repro/internal/gate"
 	"repro/internal/hashtab"
 	"repro/internal/heuristic"
@@ -368,42 +367,6 @@ func BenchmarkExtensionCostOptimal(b *testing.B) {
 			b.Fatalf("quantum cost %d, want 7", info.Cost)
 		}
 	}
-}
-
-// BenchmarkExtensionFiveBit covers the paper §5 five-bit future-work
-// item: the reduced 5-bit census to depth 3 (the paper projects k = 6 on
-// its 64 GB server) plus a meet-in-the-middle synthesis of the 5-bit
-// cyclic shift at its proved-optimal 5 gates.
-func BenchmarkExtensionFiveBit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := five.Search(3, true, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		census := res.LevelCensus()
-		want := []int{1, 5, 63, 1691}
-		for c, n := range want {
-			if census[c] != n {
-				b.Fatalf("5-bit reduced census[%d] = %d, want %d", c, census[c], n)
-			}
-		}
-	}
-	full, err := five.Search(3, false, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var shift five.Perm
-	for x := 0; x < five.Size; x++ {
-		shift[x] = uint8((x + 1) % five.Size)
-	}
-	c, err := full.Synthesize(shift)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(c) != 5 {
-		b.Fatalf("shift5 optimum %d, want 5", len(c))
-	}
-	b.ReportMetric(5, "shift5gates")
 }
 
 // BenchmarkExtensionHeuristicLadder measures the §1 quality ladder on a

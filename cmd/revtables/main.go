@@ -22,7 +22,7 @@
 //
 // -out-of-core builds the store without ever holding the table in
 // memory: each BFS frontier streams to sorted spill runs on disk,
-// levels merge-dedup externally under the -mem-budget cap, and the
+// levels merge-dedup externally within the -mem-budget target, and the
 // store (and all -split files, in the same pass) is emitted directly —
 // byte-identical to the in-memory build's output. The work directory
 // (-build-workdir, default <save>.work) holds a checkpoint manifest;
@@ -67,7 +67,7 @@ func main() {
 		split    = flag.Int("split", 0, "with -save: cut the store into this many (power of two) range-local split files")
 		rangeIdx = flag.Int("range", -1, "with -split: write only this range's split file, directly to the -save path")
 		ooc      = flag.Bool("out-of-core", false, "with -save: build disk-streamed under -mem-budget instead of in memory (output is byte-identical)")
-		memBudg  = flag.String("mem-budget", "", "out-of-core memory cap, e.g. 512MiB or 2GiB (default 256MiB)")
+		memBudg  = flag.String("mem-budget", "", "out-of-core working-memory target, e.g. 512MiB or 2GiB (default 256MiB); buffer floors exceed it below ~25MiB, and the peak tracked memory is reported")
 		resume   = flag.Bool("resume", false, "resume an interrupted out-of-core build from its work-directory checkpoint")
 		workDir  = flag.String("build-workdir", "", "out-of-core spill/checkpoint directory (default <save>.work)")
 		crashAt  = flag.String("build-crash", "", "kill the process at an out-of-core checkpoint stage:level[:slab] (testing)")

@@ -145,8 +145,8 @@ func TestNonlinearityCensus(t *testing.T) {
 
 // TestSynthesizerReproducesSOC synthesizes every benchmark of size ≤ 11
 // with a K=6 synthesizer (horizon 12) and checks the proved-optimal
-// sizes. The size-12/13 rows need K=7 and run in the benchmark harness
-// (see EXPERIMENTS.md).
+// sizes. The size-12/13 rows need K=7 and run in the root package's
+// BenchmarkTable6Benchmarks (bench_test.go).
 func TestSynthesizerReproducesSOC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark synthesis in -short mode")

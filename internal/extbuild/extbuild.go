@@ -43,12 +43,18 @@ type Options struct {
 	// previous build artifacts from it first.
 	WorkDir string
 
-	// MemBudget caps the tracked working memory in bytes (candidate
-	// buffers and their radix-sort scratch, merge read buffers, the
-	// prior-level probe table, the sequence sorter and its scratch,
-	// emission shard buffers and placement scratch). Zero means
-	// DefaultMemBudget. The budget sizes every buffer, so builds whose
-	// tables dwarf it still complete — they just spill more.
+	// MemBudget is the target for the tracked working memory in bytes
+	// (candidate buffers and their radix-sort scratch, merge read
+	// buffers, the prior-level probe table, the sequence sorter and its
+	// scratch, emission shard buffers and placement scratch). Zero
+	// means DefaultMemBudget. The budget sizes every buffer, so builds
+	// whose tables dwarf it still complete — they just spill more.
+	// It is a target, not a cap: the buffers have floors (a 64 KiB
+	// merge read buffer per input at a fan-in of at least 8, a
+	// sequence sorter of at least 2^11 pairs, an expansion slab of at
+	// least one representative), so below roughly 25 MiB the build
+	// tracks more than the budget — k=6 at 16 MiB tracks 24.8 MiB.
+	// Stats.PeakTrackedBytes reports the actual use.
 	MemBudget int64
 
 	// Shards is the hash-shard count of the build and of the emitted
@@ -149,7 +155,7 @@ type Stats struct {
 
 // memTracker is the budget ledger: phases charge buffers when they
 // allocate and release on return, and the peak is reported in Stats so
-// benchmarks can show the budget actually held.
+// benchmarks can show how the build's use compares with the budget.
 type memTracker struct {
 	mu        sync.Mutex
 	cur, peak int64

@@ -2,10 +2,11 @@
 // level frontiers are expanded into per-hash-shard sorted spill runs on
 // disk, externally merge-deduped against all prior levels, and emitted
 // directly as format-v2 stores — full or pre-split for a serving fleet —
-// under a hard memory budget. No full in-memory hash table ever exists,
-// so table depth is bounded by disk, not RAM (the regime the paper's
-// k = 9 tables live in: §3.1 builds them "in advance, on a larger
-// machine"; this package removes the larger machine).
+// within a working-memory target (Options.MemBudget). No full
+// in-memory hash table ever exists, so table depth is bounded by disk,
+// not RAM (the regime the paper's k = 9 tables live in: §3.1 builds
+// them "in advance, on a larger machine"; this package removes the
+// larger machine).
 //
 // The build is deterministic and byte-reproducible: candidates carry the
 // sequence numbers of the sequential in-memory expansion

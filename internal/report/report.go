@@ -1,7 +1,7 @@
 // Package report regenerates the paper's tables and figures as formatted
 // text, pairing every measured value with the paper's published value so
 // the reproduction can be eyeballed row by row. The CLI tools print
-// these; EXPERIMENTS.md quotes them.
+// these.
 package report
 
 import (

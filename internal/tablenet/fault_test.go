@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -566,5 +567,66 @@ func TestRetryLeavesNoGoroutines(t *testing.T) {
 			t.Fatalf("goroutines: before %d, after %d\n%s", before, now, buf[:n])
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// BenchmarkReplicaFailover prices fault tolerance: batched-lookup
+// latency through a replicated router over 2 hash ranges × 2 replicas
+// on loopback, healthy versus with one replica of range 0 closed right
+// before the timed rounds. One round is one 64-key LookupBatch, half
+// real table keys and half random permutations. The degraded p99
+// carries the failover tail (the failed attempt, the retry backoff,
+// the sibling, the breaker ejecting the dead replica); its p50 is the
+// steady state once the breaker routes around it. The prober stays off
+// so the distribution is purely traffic-driven. Client caches are off:
+// every round crosses the wire.
+func BenchmarkReplicaFailover(b *testing.B) {
+	local := fixtureBackend(b)
+	keys := testBatch(b, rand.New(rand.NewSource(11)), 64)
+	copts := &ClientOptions{CacheKeys: -1, LevelCacheBytes: -1,
+		Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond, AttemptTimeout: time.Second, Seed: 1}}
+	for _, tc := range []struct {
+		name    string
+		killOne bool
+	}{{"healthy", false}, {"replica-down", true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			var killed *Server
+			groups := make([][]tables.Backend, 2)
+			for g := range groups {
+				for r := 0; r < 2; r++ {
+					srv, addr := startServer(b, local)
+					if g == 0 && r == 0 {
+						killed = srv
+					}
+					groups[g] = append(groups[g], dialClient(b, addr, copts))
+				}
+			}
+			router, err := NewReplicatedRouter(groups, RouterOptions{ProbeInterval: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { router.Close() })
+			ctx := context.Background()
+			vals, found := make([]uint16, len(keys)), make([]bool, len(keys))
+			if err := router.LookupBatch(ctx, keys, vals, found); err != nil { // warm the conns
+				b.Fatal(err)
+			}
+			if tc.killOne {
+				killed.Close()
+			}
+			durs := make([]time.Duration, b.N)
+			b.ResetTimer()
+			for i := range durs {
+				start := time.Now()
+				if err := router.LookupBatch(ctx, keys, vals, found); err != nil {
+					b.Fatal(err)
+				}
+				durs[i] = time.Since(start)
+			}
+			b.StopTimer()
+			slices.Sort(durs)
+			b.ReportMetric(float64(durs[len(durs)/2].Nanoseconds()), "p50_ns")
+			b.ReportMetric(float64(durs[len(durs)*99/100].Nanoseconds()), "p99_ns")
+		})
 	}
 }
