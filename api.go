@@ -283,14 +283,10 @@
 //   - a hot-key cache over lookup results (present and absent alike:
 //     a key's absence from an immutable table is as permanent as its
 //     value). Batches split on partial hits — only miss keys travel.
-//     Insertion is guarded by TinyLFU admission: a 4-bit count-min
-//     sketch (periodically halved, so frequencies age) must rank a
-//     candidate above its would-be victim before it may evict, which
-//     keeps the flood of unique scan keys a beyond-horizon query
-//     generates from churning out the direct-lookup working set.
-//     ClientOptions.Admission selects the policy (default TinyLFU;
-//     AdmissionAll restores blind insertion) and admission rejects
-//     are counted in the cache stats;
+//     Every fetched result is inserted, evicting by LRU within a
+//     4-way set. The default 1M entries hold the whole candidate-key
+//     working set of repeated k = 6 scans, so there is no admission
+//     filter: one would only turn away keys that hit later;
 //   - an immutable level-block cache, so repeated meet-in-the-middle
 //     scans stop re-fetching the hot low-level key ranges entirely;
 //   - singleflight coalescing: concurrent identical misses (the same

@@ -179,8 +179,6 @@ func main() {
 		federation = flag.String("federation", "", "tiered multi-k serving: ';'-separated tiers, each a -router style fleet spec "+
 			"(e.g. 'small:9090;big1:9091|big2:9092') ordered by table depth automatically; queries probe the smallest-k tier "+
 			"first and only beyond-horizon keys escalate to the deeper fleets")
-		cacheAdmission = flag.Bool("cache-admission", true, "TinyLFU admission on the shard clients' hot-key caches "+
-			"(false: blind insert-on-miss, which beyond-horizon scan floods can thrash)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound for -shard-serve: SIGTERM announces "+
 			"draining in the handshake, in-flight requests finish, then the process exits")
 		shardConns  = flag.Int("shard-conns", 0, "connection-pool size per shard backend (0: default)")
@@ -261,9 +259,6 @@ func main() {
 		}
 		if *remoteCache < 0 {
 			copts.LevelCacheBytes = -1 // disabling the knob disables every tier
-		}
-		if !*cacheAdmission {
-			copts.Admission = tablenet.AdmissionAll
 		}
 		return copts
 	}

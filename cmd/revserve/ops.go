@@ -211,10 +211,6 @@ func registerServiceCollectors(r *ops.Registry, svc *service.Synthesizer) {
 		func(emit func([]ops.Label, float64), st service.Stats) {
 			emit(nil, float64(st.RemoteCache.WireRetries))
 		})
-	remote("revserve_remote_admission_rejects_total", "Hot-key cache insertions refused by TinyLFU admission.", "counter",
-		func(emit func([]ops.Label, float64), st service.Stats) {
-			emit(nil, float64(st.RemoteCache.AdmissionRejects))
-		})
 	remote("revserve_remote_cache_hit_ratio", "Remote-cache hit fraction by tier (derived at scrape time).", "gauge",
 		func(emit func([]ops.Label, float64), st service.Stats) {
 			emit([]ops.Label{{Name: "tier", Value: "key"}}, st.RemoteCache.KeyHitRatio())

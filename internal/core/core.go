@@ -164,10 +164,10 @@ func FromResult(res *bfs.Result, maxSplit int) (*Synthesizer, error) {
 // Against a non-local backend the meet-in-the-middle scan batches: each
 // round trip fetches a chunk of level representatives and resolves every
 // candidate residue of the chunk in one LookupBatch, so the per-key
-// network cost is amortized a few-thousand-fold. Scan order (and
-// therefore the returned circuit) is identical to the sequential local
-// scan, which is what makes shard deployments byte-for-byte verifiable
-// against a single host.
+// network cost is amortized about a thousand-fold (backendBatchKeys).
+// Scan order (and therefore the returned circuit) is identical to the
+// sequential local scan, which is what makes shard deployments
+// byte-for-byte verifiable against a single host.
 func FromBackend(b tables.Backend, alphabet *bfs.Alphabet, maxSplit int) (*Synthesizer, error) {
 	if b == nil {
 		return nil, fmt.Errorf("core: nil table backend")
@@ -646,11 +646,16 @@ func (s *Synthesizer) reconstruct(ctx context.Context, f perm.Perm, bound int) (
 }
 
 // backendBatchKeys is the candidate-batch target of the remote scan: the
-// number of canonical residue keys resolved per backend round trip. At 8
-// bytes per key a full batch is a ~64 KiB request — big enough that the
-// per-round-trip cost is amortized a few-thousand-fold, small enough to
-// stay frame-bounded and keep per-query memory modest.
-const backendBatchKeys = 8192
+// number of canonical residue keys resolved per backend round trip (an
+// 8 KiB request). It is sized against speculation, not round trips:
+// every key of the chunk holding the scan's first hit is expanded,
+// canonicalized and fetched, but only the keys up to the hit are
+// committed. A loopback round trip costs a few µs, less than the wasted
+// keys of a large chunk; on perfbench's fleet-mix (k = 6, 2-vCPU host)
+// going from 8192 to 1024 cut the keys the shard clients resolve by a
+// third for the same committed scan. A slow cross-host network shifts
+// the balance back toward larger batches.
+const backendBatchKeys = 1024
 
 // SetBatchKeys overrides the candidate-batch target of the remote
 // meet-in-the-middle scan (0 restores the default). Smaller batches

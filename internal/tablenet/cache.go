@@ -53,12 +53,6 @@ type hotKeyCache struct {
 	tick  atomic.Uint32
 	locks [hotLocks]sync.Mutex
 
-	// sketch gates insertion (TinyLFU admission, see admission.go); nil
-	// means admit everything (AdmissionAll). rejects counts insertions
-	// the sketch refused.
-	sketch  *admissionSketch
-	rejects atomic.Uint64
-
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
@@ -66,24 +60,20 @@ type hotKeyCache struct {
 const hotFoundBit = 1 << 16
 
 // newHotKeyCache sizes the cache for roughly capacity entries, rounded
-// up to a power-of-two set count. admit enables TinyLFU admission.
-func newHotKeyCache(capacity int, admit bool) *hotKeyCache {
+// up to a power-of-two set count.
+func newHotKeyCache(capacity int) *hotKeyCache {
 	sets := 1
 	for sets*hotWays < capacity {
 		sets <<= 1
 	}
 	n := sets * hotWays
-	c := &hotKeyCache{
+	return &hotKeyCache{
 		mask:  uint64(sets - 1),
 		keys:  make([]atomic.Uint64, n),
 		vals:  make([]atomic.Uint32, n),
 		seqs:  make([]atomic.Uint32, n),
 		ticks: make([]atomic.Uint32, n),
 	}
-	if admit {
-		c.sketch = newAdmissionSketch(n)
-	}
-	return c
 }
 
 // get probes the cache. ok reports a usable entry; found mirrors the
@@ -106,16 +96,9 @@ func (c *hotKeyCache) get(key uint64) (val uint16, found, ok bool) {
 		}
 		// Tick the slot so in-set LRU keeps hot keys; a plain store of
 		// the current tick is enough (no increment — ordering between
-		// concurrent readers is irrelevant). The admission sketch records
-		// the hit only when the slot's tick is stale: the tick advances
-		// only on insertions, so a fully-warm cache pays zero sketch
-		// overhead, while under churn — exactly when admission decisions
-		// are being made — resident hot keys keep their frequency fresh.
-		cur := c.tick.Load()
-		if c.ticks[i].Load() != cur {
-			if c.sketch != nil {
-				c.sketch.inc(key)
-			}
+		// concurrent readers is irrelevant). The tick advances only on
+		// insertions, so a fully-warm cache skips the store entirely.
+		if cur := c.tick.Load(); c.ticks[i].Load() != cur {
 			c.ticks[i].Store(cur)
 		}
 		return uint16(v), v&hotFoundBit != 0, true
@@ -135,7 +118,6 @@ func (c *hotKeyCache) put(key uint64, val uint16, found bool) {
 	lk.Lock()
 	victim := base
 	oldest := ^uint32(0)
-	empty := false
 	for i := base; i < base+hotWays; i++ {
 		k := c.keys[i].Load()
 		if k == key {
@@ -143,26 +125,11 @@ func (c *hotKeyCache) put(key uint64, val uint16, found bool) {
 			return // immutable: already present with the same value
 		}
 		if k == 0 {
-			victim, empty = i, true
+			victim = i
 			break
 		}
 		if t := c.ticks[i].Load(); t <= oldest {
 			oldest, victim = t, i
-		}
-	}
-	if c.sketch != nil {
-		// Record this encounter first — a key rejected now gains the
-		// history to win admission when it recurs — then, for a full
-		// set, insert only if the candidate's recent frequency strictly
-		// beats the would-be victim's. A one-shot scan key (estimate
-		// bounded by its single encounter) loses to any key with
-		// history, which is the whole point: beyond-horizon floods stop
-		// evicting the direct-lookup working set.
-		c.sketch.inc(key)
-		if !empty && c.sketch.estimate(key) <= c.sketch.estimate(c.keys[victim].Load()) {
-			c.rejects.Add(1)
-			lk.Unlock()
-			return
 		}
 	}
 	packed := uint32(val)
@@ -178,15 +145,8 @@ func (c *hotKeyCache) put(key uint64, val uint16, found bool) {
 	lk.Unlock()
 }
 
-// bytes is the cache's fixed memory footprint (admission sketch
-// included).
-func (c *hotKeyCache) bytes() int64 {
-	n := int64(len(c.keys)) * (8 + 4 + 4 + 4)
-	if c.sketch != nil {
-		n += c.sketch.bytes()
-	}
-	return n
-}
+// bytes is the cache's fixed memory footprint.
+func (c *hotKeyCache) bytes() int64 { return int64(len(c.keys)) * (8 + 4 + 4 + 4) }
 
 // levelBlockKeys is the granularity of the level cache: level ranges
 // are fetched and kept as aligned blocks of this many keys (16 KiB on

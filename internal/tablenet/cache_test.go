@@ -16,7 +16,7 @@ import (
 )
 
 func TestHotKeyCacheBasics(t *testing.T) {
-	c := newHotKeyCache(64, true)
+	c := newHotKeyCache(64)
 	if _, _, ok := c.get(42); ok {
 		t.Fatal("empty cache reported a hit")
 	}
@@ -38,7 +38,7 @@ func TestHotKeyCacheBasics(t *testing.T) {
 func TestHotKeyCacheEvictsWithinSet(t *testing.T) {
 	// A minimal cache: one set of hotWays slots. Insert more keys than
 	// ways; recently-used keys must survive over stale ones.
-	c := newHotKeyCache(1, false)
+	c := newHotKeyCache(1)
 	if c.mask != 0 {
 		t.Fatalf("expected a single set, mask = %d", c.mask)
 	}
@@ -61,11 +61,13 @@ func TestHotKeyCacheEvictsWithinSet(t *testing.T) {
 func TestLookupFlightsCoalesce(t *testing.T) {
 	lf := newLookupFlights()
 	var fetches atomic.Int64
-	var release sync.WaitGroup
-	release.Add(1)
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
 	fetch := func(ctx context.Context, keys []uint64, vals []uint16, found []bool) error {
-		fetches.Add(1)
-		release.Wait() // hold every first fetch open so others can pile on
+		if fetches.Add(1) == 1 {
+			started <- struct{}{}
+			<-release // hold the first flight open so the others join it
+		}
 		for i := range keys {
 			vals[i] = uint16(keys[i])
 			found[i] = true
@@ -77,23 +79,29 @@ func TestLookupFlightsCoalesce(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, callers)
 	valss := make([][]uint16, callers)
-	var started sync.WaitGroup
-	started.Add(callers)
-	for w := 0; w < callers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			vals := make([]uint16, len(keys))
-			found := make([]bool, len(keys))
-			started.Done()
-			errs[w] = lf.do(context.Background(), keys, vals, found, fetch)
-			valss[w] = vals
-		}(w)
+	call := func(w int) {
+		defer wg.Done()
+		vals := make([]uint16, len(keys))
+		found := make([]bool, len(keys))
+		errs[w] = lf.do(context.Background(), keys, vals, found, fetch)
+		valss[w] = vals
 	}
-	started.Wait()
-	// Let the in-flight fetch(es) finish; callers that arrived while one
-	// was open shared it.
-	release.Done()
+	// The first caller launches the flight; every later caller arrives
+	// while it is held open and must join it rather than launch its own.
+	wg.Add(callers)
+	go call(0)
+	<-started
+	for w := 1; w < callers; w++ {
+		go call(w)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for lf.coalesced.Load() < callers-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d latecomers joined the open flight", lf.coalesced.Load(), callers-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
 	wg.Wait()
 	for w := range errs {
 		if errs[w] != nil {
@@ -105,11 +113,8 @@ func TestLookupFlightsCoalesce(t *testing.T) {
 			}
 		}
 	}
-	if f := fetches.Load(); f >= callers {
-		t.Fatalf("no coalescing: %d fetches for %d identical callers", f, callers)
-	}
-	if lf.coalesced.Load() == 0 {
-		t.Fatal("coalesced counter did not move")
+	if f := fetches.Load(); f != 1 {
+		t.Fatalf("%d fetches for %d identical callers, want 1", f, callers)
 	}
 	// Different batches never share a flight.
 	other := []uint64{10, 20, 31}
@@ -242,7 +247,9 @@ func TestClientCachesDisabled(t *testing.T) {
 // overlaps chunk i's LookupBatch, across level boundaries too — and
 // requires byte-identical answers to the sequential local engine, cold
 // and warm (the warm pass re-runs every spec against fully-primed
-// caches).
+// caches). A last pass at the default batch size bounds the scan's
+// speculation: the keys it sends beyond the candidates it commits stay
+// below one batch.
 func TestPipelinedRemoteMatchesLocal(t *testing.T) {
 	res := fixtureTables(t)
 	_, addr := startServer(t, fixtureBackend(t))
@@ -269,25 +276,32 @@ func TestPipelinedRemoteMatchesLocal(t *testing.T) {
 	}
 	specs = append(specs, randomPerm16(rng), randomPerm16(rng))
 
+	// check answers f through remote and requires the local engine's
+	// error class, Info and circuit; ok reports a meet-in-the-middle
+	// answer.
+	check := func(label string, remote *core.Synthesizer, f perm.Perm) (info core.Info, ok bool) {
+		t.Helper()
+		wantC, wantInfo, wantErr := localSynth.SynthesizeInfoCtx(ctx, f)
+		gotC, gotInfo, gotErr := remote.SynthesizeInfoCtx(ctx, f)
+		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && !errors.Is(gotErr, core.ErrBeyondHorizon)) {
+			t.Fatalf("%s spec %v: local err %v, remote err %v", label, f, wantErr, gotErr)
+		}
+		if wantErr != nil {
+			return gotInfo, false
+		}
+		if wantInfo != gotInfo {
+			t.Fatalf("%s spec %v: local info %+v, remote info %+v", label, f, wantInfo, gotInfo)
+		}
+		if wantC.String() != gotC.String() {
+			t.Fatalf("%s spec %v: local circuit %v != remote %v", label, f, wantC, gotC)
+		}
+		return gotInfo, !gotInfo.Direct
+	}
+
 	mitm := 0
-	for pass, label := range []string{"cold", "warm"} {
-		_ = pass
+	for _, label := range []string{"cold", "warm"} {
 		for _, f := range specs {
-			wantC, wantInfo, wantErr := localSynth.SynthesizeInfoCtx(ctx, f)
-			gotC, gotInfo, gotErr := remoteSynth.SynthesizeInfoCtx(ctx, f)
-			if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && !errors.Is(gotErr, core.ErrBeyondHorizon)) {
-				t.Fatalf("%s spec %v: local err %v, remote err %v", label, f, wantErr, gotErr)
-			}
-			if wantErr != nil {
-				continue
-			}
-			if wantInfo != gotInfo {
-				t.Fatalf("%s spec %v: local info %+v, remote info %+v", label, f, wantInfo, gotInfo)
-			}
-			if wantC.String() != gotC.String() {
-				t.Fatalf("%s spec %v: local circuit %v != remote %v", label, f, wantC, gotC)
-			}
-			if !wantInfo.Direct {
+			if _, ok := check(label, remoteSynth, f); ok {
 				mitm++
 			}
 		}
@@ -297,6 +311,29 @@ func TestPipelinedRemoteMatchesLocal(t *testing.T) {
 	}
 	if st := cl.CacheStats(); st.KeyHits == 0 || st.LevelHits == 0 {
 		t.Fatalf("warm pass did not use the caches: %+v", st)
+	}
+
+	// The default batch (core's backendBatchKeys) through a counting
+	// wrapper. Only the chunk holding the first hit is sent past it, so
+	// the uncommitted keys of a query stay below one batch.
+	const defaultBatchKeys = 1024
+	counted := &countingBackend{Backend: cl}
+	defaultSynth, err := core.FromBackend(counted, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defaultSynth.SetBatchKeys(0)
+	for _, f := range specs {
+		before := counted.batchKeys.Load()
+		info, ok := check("default-batch", defaultSynth, f)
+		if !ok {
+			continue
+		}
+		sent := counted.batchKeys.Load() - before
+		if extra := sent - info.Candidates; extra >= defaultBatchKeys {
+			t.Fatalf("spec %v: %d batched keys for %d committed candidates: %d speculative, want < %d",
+				f, sent, info.Candidates, extra, defaultBatchKeys)
+		}
 	}
 }
 

@@ -38,26 +38,7 @@ type ClientOptions struct {
 	// converted into fresh attempts with capped exponential backoff;
 	// the zero value picks the defaults. See RetryPolicy.
 	Retry RetryPolicy
-	// Admission selects the hot-key cache's insertion policy. The zero
-	// value is AdmissionTinyLFU — frequency-gated admission that keeps
-	// the recurring direct-lookup working set resident under floods of
-	// one-shot beyond-horizon scan keys (see admission.go). AdmissionAll
-	// restores unconditional insert-on-miss.
-	Admission AdmissionPolicy
 }
-
-// AdmissionPolicy selects how the hot-key cache decides whether a
-// fetched miss is worth caching.
-type AdmissionPolicy int
-
-const (
-	// AdmissionTinyLFU (the default) admits a new key only when its
-	// recent frequency — tracked in a 4-bit count-min sketch with
-	// periodic halving — beats the entry it would evict.
-	AdmissionTinyLFU AdmissionPolicy = iota
-	// AdmissionAll inserts every fetched result unconditionally.
-	AdmissionAll
-)
 
 // DefaultConns is the default connection-pool bound.
 const DefaultConns = 4
@@ -179,7 +160,7 @@ func Dial(addr string, opts *ClientOptions) (*Client, error) {
 		if ck == 0 {
 			ck = DefaultCacheKeys
 		}
-		cl.kcache = newHotKeyCache(ck, o.Admission == AdmissionTinyLFU)
+		cl.kcache = newHotKeyCache(ck)
 		cl.kflights = newLookupFlights()
 	}
 	if o.LevelCacheBytes >= 0 {
@@ -303,7 +284,6 @@ func (cl *Client) CacheStats() tables.CacheStats {
 		st.KeyHits = cl.kcache.hits.Load()
 		st.KeyMisses = cl.kcache.misses.Load()
 		st.CacheBytes += cl.kcache.bytes()
-		st.AdmissionRejects = cl.kcache.rejects.Load()
 	}
 	if cl.kflights != nil {
 		st.Coalesced += cl.kflights.coalesced.Load()

@@ -228,19 +228,24 @@ func TestClientReconnectOwnershipChange(t *testing.T) {
 	}
 }
 
-// countingBackend wraps a backend with a lookup counter and a settable
+// countingBackend wraps a backend with lookup counters and a settable
 // drain flag — the in-process stand-in for a shard client whose server
-// announced draining.
+// announced draining. batchKeys sums the keys of multi-key batches: the
+// meet-in-the-middle scan's traffic, without reconstruction's singles.
 type countingBackend struct {
 	tables.Backend
-	draining atomic.Bool
-	lookups  atomic.Int64
+	draining  atomic.Bool
+	lookups   atomic.Int64
+	batchKeys atomic.Int64
 }
 
 func (b *countingBackend) Draining() bool { return b.draining.Load() }
 
 func (b *countingBackend) LookupBatch(ctx context.Context, keys []uint64, vals []uint16, found []bool) error {
 	b.lookups.Add(1)
+	if len(keys) > 1 {
+		b.batchKeys.Add(int64(len(keys)))
+	}
 	return b.Backend.LookupBatch(ctx, keys, vals, found)
 }
 

@@ -219,11 +219,9 @@ type CacheStats struct {
 	// WireRetries counts request attempts re-sent after a retryable
 	// transport failure — the fleet-instability signal.
 	WireRetries uint64 `json:"wire_retries"`
-	// AdmissionRejects counts hot-key cache insertions refused by the
-	// TinyLFU admission filter: one-shot keys (beyond-horizon scan
-	// residues, mostly) judged less valuable than the entry they would
-	// have evicted. A high rate under scan pressure is the filter
-	// working, not a problem.
+	// AdmissionRejects is always 0: the hot-key cache inserts every
+	// fetched result and has no admission filter. The field remains
+	// while perfbench still reports it as client.admission_rejects.
 	AdmissionRejects uint64 `json:"admission_rejects"`
 }
 
