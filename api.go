@@ -28,9 +28,11 @@
 // table whose read path is lock-free after the build phase — each cost
 // level expands independently per representative, which is what lets
 // the paper reach k = 9 on a large multicore machine (§4.1 reports a
-// 16-CPU run). Set SynthConfig.Workers to bound the fan-out; Workers: 1
-// reproduces the original sequential behaviour exactly, and per-level
-// class counts are identical for every worker count.
+// 16-CPU run). Set SynthConfig.Workers to bound the fan-out. Per-level
+// class counts are identical for every worker count, and so is every
+// query's answer: parallel prefix scans commit their chunks in scan
+// order. (The parallel BFS may store different, equally minimal,
+// boundary gates; Workers: 1 reproduces the sequential build exactly.)
 //
 // # Paper-scale builds
 //
@@ -293,11 +295,10 @@
 //     level block, or the same miss batch — many clients racing one
 //     specification) share a single round trip.
 //
-// On top of the caches the query engine pipelines the remote scan
-// itself: the next chunk of level representatives is prefetched while
-// the current chunk's lookup batch is in flight. Only the fetches
-// overlap — chunks commit strictly in scan order, so remote circuits
-// stay byte-identical to single-host serving, caches on or off.
+// The query engine runs one scan over every backend: each chunk of
+// level representatives is resolved in one lookup batch, and chunks
+// commit strictly in scan order, so remote circuits stay byte-identical
+// to single-host serving, caches on or off.
 //
 // Tuning: revserve -router takes -remote-cache N (hot-key entries per
 // shard client; 0 picks the default, negative disables every tier for

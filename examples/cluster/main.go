@@ -180,7 +180,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	direct.SetWorkers(1)
 
 	ctx := context.Background()
 	specs := []string{

@@ -124,7 +124,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	direct.SetWorkers(1)
 
 	// 4. Pick one easy spec (optimal cost within the small tier) and
 	// one hard spec (beyond it), found by asking the referee.

@@ -21,6 +21,15 @@
 //     cost metric — weighted metrics keep scanning until no shorter total
 //     is possible).
 //
+// Every query reads the tables through one tables.Backend — in-process,
+// a remote shard server, a router or a federation alike — and runs the
+// same chunked scan: a chunk of level representatives is expanded into
+// candidate residues, canonicalized query-side and resolved in one
+// LookupBatch, and hits commit in scan order. Large levels fan their
+// chunks out over Workers() goroutines and still commit in chunk order,
+// so a query's circuit is identical for every backend and every worker
+// count.
+//
 // A Synthesizer is immutable after construction and safe for concurrent
 // use.
 package core
@@ -68,8 +77,10 @@ type Config struct {
 	Progress func(level, newReps int)
 	// Workers is the parallelism for both the precomputation BFS and the
 	// meet-in-the-middle query stage. Zero (or negative) means
-	// runtime.GOMAXPROCS(0); 1 reproduces the original sequential
-	// behaviour exactly.
+	// runtime.GOMAXPROCS(0). Queries answer identically for every value.
+	// The parallel BFS may store different (equally minimal) boundary
+	// gates than the sequential one, so only Workers = 1 reproduces the
+	// sequential build's tables exactly.
 	Workers int
 }
 
@@ -92,20 +103,19 @@ type Synthesizer struct {
 	// take it, so a federation answers them from the single shallowest
 	// authoritative tier instead of escalating through the chain.
 	bounded tables.BoundedLookuper
-	// res short-circuits to the in-process tables when the backend is
-	// Localized: the meet-in-the-middle scan and reconstruction keep the
-	// original zero-indirection probe loop on this path. nil for remote
-	// backends, which take the batched path instead.
+	// res is the in-process tables when the backend is tables.Localized,
+	// nil otherwise. Queries never read its tables — they go through
+	// backend — but Result() exposes them, and its presence picks the
+	// one-representative chunk of the sequential scan (no round trip to
+	// amortize).
 	res      *bfs.Result
 	maxSplit int
-	// workers is the meet-in-the-middle fan-out; ≤ 0 resolves to
-	// runtime.GOMAXPROCS(0) at query time. Remote-backend scans are
-	// sequential per query (concurrency comes from cross-query fan-out
-	// and the router's per-shard parallelism), so workers only affects
-	// the local path.
+	// workers is the meet-in-the-middle fan-out of levels of at least
+	// parallelQueryThreshold representatives; ≤ 0 resolves to
+	// runtime.GOMAXPROCS(0) at query time. It never changes an answer.
 	workers int
-	// batchKeys overrides backendBatchKeys for the remote scan when
-	// non-zero (see SetBatchKeys).
+	// batchKeys overrides backendBatchKeys for the sequential remote scan
+	// when non-zero (see SetBatchKeys).
 	batchKeys int
 }
 
@@ -155,18 +165,18 @@ func FromResult(res *bfs.Result, maxSplit int) (*Synthesizer, error) {
 
 // FromBackend programs a synthesizer against a table backend — the seam
 // that lets the same query engine run over in-process tables
-// (tables.Local, where it keeps the original probe loop), a single
-// remote shard server, or a shard-by-key router. alphabet is the
-// building-block set the tables were built over (nil: the 32-gate
-// library); it must match the backend's fingerprint — the alphabet is
-// code, only its fingerprint travels with the tables.
+// (tables.Local), a single remote shard server, or a shard-by-key
+// router. alphabet is the building-block set the tables were built over
+// (nil: the 32-gate library); it must match the backend's fingerprint —
+// the alphabet is code, only its fingerprint travels with the tables.
 //
-// Against a non-local backend the meet-in-the-middle scan batches: each
-// round trip fetches a chunk of level representatives and resolves every
-// candidate residue of the chunk in one LookupBatch, so the per-key
-// network cost is amortized about a thousand-fold (backendBatchKeys).
-// Scan order (and therefore the returned circuit) is identical to the
-// sequential local scan, which is what makes shard deployments
+// The meet-in-the-middle scan batches: each chunk of level
+// representatives is fetched with one LevelKeys call and every candidate
+// residue of the chunk resolved in one LookupBatch. Against a remote
+// backend a chunk fills backendBatchKeys keys, amortizing the per-key
+// network cost about a thousand-fold; in process a chunk is one
+// representative. Scan order, and therefore the returned circuit, is the
+// same for every backend, which is what makes shard deployments
 // byte-for-byte verifiable against a single host.
 func FromBackend(b tables.Backend, alphabet *bfs.Alphabet, maxSplit int) (*Synthesizer, error) {
 	if b == nil {
@@ -203,8 +213,9 @@ func (s *Synthesizer) K() int { return s.meta.K }
 func (s *Synthesizer) MaxSplit() int { return s.maxSplit }
 
 // SetWorkers sets the meet-in-the-middle query parallelism (0 or
-// negative: runtime.GOMAXPROCS(0)). Call before sharing the synthesizer
-// across goroutines; queries themselves are always safe concurrently.
+// negative: runtime.GOMAXPROCS(0)); answers are identical for every
+// value. Call before sharing the synthesizer across goroutines; queries
+// themselves are always safe concurrently.
 func (s *Synthesizer) SetWorkers(n int) { s.workers = n }
 
 // Workers returns the resolved query parallelism.
@@ -301,83 +312,99 @@ func (s *Synthesizer) SizeCtx(ctx context.Context, f perm.Perm) (int, error) {
 	return info.Cost, nil
 }
 
-// SynthesizeInfoCtx is SynthesizeInfo with cancellation. A long-running
-// scan checks ctx every few hundred representatives, so cancellation
-// latency is well under a millisecond; the error returned on abort is
-// ctx.Err() (wrapped), testable with errors.Is(err, context.Canceled)
-// or context.DeadlineExceeded.
+// SynthesizeInfoCtx is SynthesizeInfo with cancellation. The scan checks
+// ctx before every chunk, so cancellation latency is one chunk's work
+// (microseconds in process, one round trip remotely); the error returned
+// on abort is ctx.Err() (wrapped), testable with errors.Is(err,
+// context.Canceled) or context.DeadlineExceeded.
 func (s *Synthesizer) SynthesizeInfoCtx(ctx context.Context, f perm.Perm) (circuit.Circuit, Info, error) {
 	if !f.IsValid() {
 		return nil, Info{}, ErrInvalidFunction
 	}
-	if s.res == nil {
-		// The tables live behind a (possibly remote) backend: take the
-		// batched scan path.
-		return s.synthesizeBackend(ctx, f)
-	}
-	// Algorithm 1, first branch: f is within the BFS horizon.
-	if s.res.Contains(f) {
-		c, err := s.reconstruct(ctx, f, -1)
-		if err != nil {
-			return nil, Info{}, err
-		}
-		return c, Info{Cost: s.costOf(c), Direct: true}, nil
-	}
-	// Meet in the middle: try prefix costs in increasing order. Each
-	// size-i representative list is scanned by up to Workers() goroutines
-	// with early cancellation on the first hit for unit-cost alphabets
-	// (any hit at the first hitting prefix size is provably minimal:
-	// smaller prefix sizes having missed bounds every residue cost).
+	sc := s.scratch()
+	defer putScratch(sc)
 	var info Info
-	bestTotal := -1
-	var bestPrefix, bestResidue perm.Perm
-	bestSplit := 0
-	unit := s.res.Alphabet.MaxCost() == 1
-	workers := s.Workers()
-	for i := 1; i <= s.maxSplit; i++ {
-		if bestTotal >= 0 && i >= bestTotal {
-			break // any further split costs at least i ≥ bestTotal
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, info, fmt.Errorf("core: query aborted: %w", err)
-		}
-		reps := s.res.Level(i)
-		var lh levelHit
-		var err error
-		if workers > 1 && reps.Len() >= parallelQueryThreshold {
-			lh, err = s.scanLevelParallel(ctx, reps, f, unit, workers)
-		} else {
-			lh, err = s.scanLevel(ctx, reps, f, unit)
-		}
-		info.Candidates += lh.tried
-		if err != nil {
-			return nil, info, err
-		}
-		if lh.found {
-			total := i + lh.residueCost
-			if bestTotal < 0 || total < bestTotal {
-				bestTotal, bestPrefix, bestResidue, bestSplit = total, lh.q.Inverse(), lh.residue, i
-			}
-			if unit {
-				break
-			}
-		}
+	// Algorithm 1, first branch: f is within the BFS horizon.
+	key := f
+	if s.meta.Reduced {
+		key = canon.Rep(f)
 	}
-	if bestTotal < 0 {
-		return nil, info, fmt.Errorf("%w (horizon %d)", ErrBeyondHorizon, s.Horizon())
-	}
-	pc, err := s.reconstruct(ctx, bestPrefix, bestSplit)
+	// The direct probe is unbounded — the function's cost is exactly the
+	// unknown — so a federation runs its tiered escalation here; it is
+	// the one probe per query where escalation earns its keep. The hit
+	// then reveals the cost, and the whole reconstruction chain is
+	// bounded by it: an easy function never leaves the shallow tier.
+	raw, ok, err := s.lookupRaw(ctx, sc, uint64(key), -1)
 	if err != nil {
 		return nil, info, err
 	}
-	rc, err := s.reconstruct(ctx, bestResidue, bestTotal-bestSplit)
+	if ok {
+		cost := bfs.UnpackValue(raw).Cost
+		c, err := s.reconstruct(ctx, sc, f, cost)
+		if err != nil {
+			return nil, info, err
+		}
+		return c, Info{Cost: cost, Direct: true}, nil
+	}
+
+	// Meet in the middle: try prefix costs in increasing order. For unit
+	// costs the first hit in scan order is provably minimal (smaller
+	// prefix sizes having missed bounds every residue cost); weighted
+	// alphabets keep scanning while a shorter total is still possible.
+	unit := s.alphabet.MaxCost() == 1
+	workers := s.Workers()
+	best := split{total: -1}
+	for i := 1; i <= s.maxSplit; i++ {
+		if best.total >= 0 && i >= best.total {
+			break // any further split costs at least i ≥ best.total
+		}
+		var lh split
+		var cands int64
+		if workers > 1 && s.meta.LevelCounts[i] >= parallelQueryThreshold {
+			lh, cands, err = s.scanParallel(ctx, f, i, unit, workers)
+		} else {
+			lh, cands, err = s.scanSequential(ctx, sc, f, i, unit)
+		}
+		info.Candidates += cands
+		if err != nil {
+			return nil, info, err
+		}
+		if lh.beats(best) {
+			best = lh
+		}
+		if unit && best.total >= 0 {
+			break
+		}
+	}
+	if best.total < 0 {
+		return nil, info, fmt.Errorf("%w (horizon %d)", ErrBeyondHorizon, s.Horizon())
+	}
+	pc, err := s.reconstruct(ctx, sc, best.prefix, best.level)
+	if err != nil {
+		return nil, info, err
+	}
+	rc, err := s.reconstruct(ctx, sc, best.residue, best.total-best.level)
 	if err != nil {
 		return nil, info, err
 	}
 	out := append(pc, rc...)
-	info.Cost = bestTotal
-	info.SplitPrefix = bestSplit
+	info.Cost = best.total
+	info.SplitPrefix = best.level
 	return out, info, nil
+}
+
+// split is a meet-in-the-middle answer f = prefix ⋄ residue, the prefix
+// of cost level; total is the split's cost, or -1 for no hit.
+type split struct {
+	total, level    int
+	prefix, residue perm.Perm
+}
+
+// beats reports whether a is strictly cheaper than b. Every scan folds
+// its hits in scan order with this rule, so of equally cheap splits the
+// first one scanned wins.
+func (a split) beats(b split) bool {
+	return a.total >= 0 && (b.total < 0 || a.total < b.total)
 }
 
 // parallelQueryThreshold is the minimum representative-list length worth
@@ -386,187 +413,336 @@ func (s *Synthesizer) SynthesizeInfoCtx(ctx context.Context, f perm.Perm) (circu
 // microsecond latency.
 const parallelQueryThreshold = 512
 
-// levelHit is the outcome of scanning one prefix-size level: the best
-// (minimum residue cost) candidate prefix inverse q found, its residue,
-// and the number of probe iterations spent.
-type levelHit struct {
-	found       bool
-	q, residue  perm.Perm
-	residueCost int
-	tried       int64
+// backendBatchKeys is the candidate-batch target of the remote scan: the
+// number of canonical residue keys resolved per backend round trip (an
+// 8 KiB request). It is sized against speculation, not round trips:
+// every key of the chunk holding the scan's first hit is expanded,
+// canonicalized and fetched, but only the keys up to the hit are
+// committed. A loopback round trip costs a few µs, less than the wasted
+// keys of a large chunk; on perfbench's fleet-mix (k = 6, 2-vCPU host)
+// going from 8192 to 1024 cut the keys the shard clients resolve by a
+// third for the same committed scan. A slow cross-host network shifts
+// the balance back toward larger batches.
+const backendBatchKeys = 1024
+
+// SetBatchKeys overrides the candidate-batch target of the sequential
+// meet-in-the-middle scan over a remote backend (0 restores the
+// default). Smaller batches trade round-trip amortization for less
+// speculative candidate expansion; tests use tiny batches to force many
+// chunks through the scan. Call before sharing the synthesizer across
+// goroutines. It has no effect on local backends, which scan one
+// representative per chunk, nor on parallel level scans, whose chunks
+// are always one default batch.
+func (s *Synthesizer) SetBatchKeys(n int) {
+	if n < 0 {
+		n = 0
+	}
+	s.batchKeys = n
 }
 
-// ctxCheckStride is how many representatives a sequential scan probes
-// between context checks: frequent enough for sub-millisecond
-// cancellation latency, rare enough that the check (a mutex-guarded Err
-// on derived contexts) stays off the per-probe hot path.
-const ctxCheckStride = 256
+// variants is how many candidate prefixes one representative expands to
+// at most: its ≤ 48 wire-relabeling/inversion variants, or just itself
+// in unreduced tables.
+func (s *Synthesizer) variants() int {
+	if s.meta.Reduced {
+		return 48
+	}
+	return 1
+}
 
-// scanLevel scans a representative list sequentially, in the original
-// implementation's order: first hit wins for unit costs, minimum residue
-// cost over the whole level otherwise. The LevelView indirection serves
-// both backends — in-heap level slices and the slot index of a
-// memory-mapped frozen table.
-func (s *Synthesizer) scanLevel(ctx context.Context, reps bfs.LevelView, f perm.Perm, unit bool) (levelHit, error) {
-	var lh levelHit
-	for n := 0; n < reps.Len(); n++ {
-		if n%ctxCheckStride == 0 && ctx.Err() != nil {
-			return lh, fmt.Errorf("core: query aborted: %w", ctx.Err())
-		}
-		q, residue, tried := s.probeClass(reps.At(n), f)
-		lh.tried += tried
-		if q == 0 {
+// seqChunkReps is the number of representatives one chunk of the
+// sequential scan expands. An in-process backend has no round trip to
+// amortize, so it takes one representative at a time and expands no
+// representative past the hitting one; a remote backend fills a batch.
+func (s *Synthesizer) seqChunkReps() int {
+	if s.res != nil {
+		return 1
+	}
+	batch := backendBatchKeys
+	if s.batchKeys != 0 {
+		batch = s.batchKeys
+	}
+	return max(batch/s.variants(), 1)
+}
+
+// backendCand pairs one candidate prefix variant with its residue,
+// index-aligned with the key batch sent to the backend. rep is the
+// chunk-local index of the representative the variant came from: a
+// chunk commits to the FIRST hitting variant of each representative and
+// skips the rest, so neither the chunk size nor the batching changes
+// which circuit comes back — for weighted alphabets too.
+type backendCand struct {
+	q, residue perm.Perm
+	rep        int
+}
+
+// backendScratch is the pooled per-query workspace: the buffers of one
+// scan chunk, which lookupRaw also borrows as its batch of one. One
+// struct holds every buffer, so a query allocates nothing on the
+// steady-state path (mirroring the router's lookupScratch pattern).
+type backendScratch struct {
+	reps  []uint64
+	keys  []uint64
+	cands []backendCand
+	vals  []uint16
+	found []bool
+}
+
+func newBackendScratch(batch int) *backendScratch {
+	return &backendScratch{
+		reps:  make([]uint64, batch),
+		keys:  make([]uint64, 0, batch),
+		cands: make([]backendCand, 0, batch),
+		vals:  make([]uint16, batch),
+		found: make([]bool, batch),
+	}
+}
+
+// pooledScratch is a default-size backendScratch whose buffers live in
+// the same allocation, so a pool miss costs one allocation, not six.
+type pooledScratch struct {
+	backendScratch
+	repsBuf, keysBuf [backendBatchKeys]uint64
+	candsBuf         [backendBatchKeys]backendCand
+	valsBuf          [backendBatchKeys]uint16
+	foundBuf         [backendBatchKeys]bool
+}
+
+var backendScratchPool = sync.Pool{New: func() any {
+	p := new(pooledScratch)
+	p.backendScratch = backendScratch{
+		reps:  p.repsBuf[:],
+		keys:  p.keysBuf[:0],
+		cands: p.candsBuf[:0],
+		vals:  p.valsBuf[:],
+		found: p.foundBuf[:],
+	}
+	return &p.backendScratch
+}}
+
+// scratch returns a workspace holding one chunk of the sequential scan:
+// pooled at the default batch size, allocated for a larger SetBatchKeys
+// override. One chunk expands to at most seqChunkReps·variants
+// candidates — more than the batch when the batch is below one
+// representative's expansion.
+func (s *Synthesizer) scratch() *backendScratch {
+	if need := s.seqChunkReps() * s.variants(); need > backendBatchKeys {
+		return newBackendScratch(need)
+	}
+	return backendScratchPool.Get().(*backendScratch)
+}
+
+// putScratch returns a pooled workspace; custom-sized ones are dropped.
+func putScratch(sc *backendScratch) {
+	if len(sc.vals) == backendBatchKeys {
+		backendScratchPool.Put(sc)
+	}
+}
+
+// scanChunk is one step of Algorithm 1's scan: it reads representatives
+// [lo, lo+m) of a level, expands each into its candidate prefixes p =
+// q⁻¹ and residues q ⋄ f (canonicalized query-side), resolves every
+// residue in one LookupBatch, and returns the chunk's first cheapest
+// split in scan order — for unit costs simply its first hit — together
+// with the number of candidates it commits. Both scan drivers are built
+// from it, which is what makes their answers identical.
+func (s *Synthesizer) scanChunk(ctx context.Context, sc *backendScratch, f perm.Perm, level, lo, m int, unit bool) (best split, cands int64, err error) {
+	best.total = -1
+	if err := ctx.Err(); err != nil {
+		return best, 0, fmt.Errorf("core: query aborted: %w", err)
+	}
+	reps := sc.reps[:m]
+	if err := s.backend.LevelKeys(ctx, level, lo, reps); err != nil {
+		return best, 0, err
+	}
+	keys, cs := sc.keys[:0], sc.cands[:0]
+	for ri, rk := range reps {
+		rep := perm.Perm(rk)
+		if !s.meta.Reduced {
+			r := rep.Then(f)
+			keys = append(keys, uint64(r))
+			cs = append(cs, backendCand{q: rep, residue: r, rep: ri})
 			continue
 		}
-		rc, ok := s.res.CostOf(residue)
-		if !ok {
-			return lh, fmt.Errorf("core: residue vanished from table (corrupt state)")
+		canon.ForEachVariant(rep, func(v perm.Perm) bool {
+			r := v.Then(f)
+			keys = append(keys, uint64(canon.Rep(r)))
+			cs = append(cs, backendCand{q: v, residue: r, rep: ri})
+			return true
+		})
+	}
+	sc.keys, sc.cands = keys, cs
+	vals, found := sc.vals[:len(keys)], sc.found[:len(keys)]
+	// Scan batches are bounded by the full table depth: that is no
+	// relaxation (every stored class costs ≤ K) but it routes a
+	// federation straight to its one authoritative tier — a scan probes
+	// each candidate exactly once instead of walking misses through the
+	// whole tier chain. The bound must NOT be tightened to the best total
+	// so far: dropping a representative's first hitting variant would let
+	// a later variant commit instead, changing the answer for weighted
+	// alphabets.
+	if s.bounded != nil {
+		err = s.bounded.LookupBatchBounded(ctx, keys, vals, found, s.meta.K)
+	} else {
+		err = s.backend.LookupBatch(ctx, keys, vals, found)
+	}
+	if err != nil {
+		return best, 0, err
+	}
+	hitRep := -1
+	for j := range keys {
+		if cs[j].rep == hitRep {
+			// A representative's candidates after its first hitting
+			// variant were expanded and sent, but commit nothing.
+			continue
 		}
-		if !lh.found || rc < lh.residueCost {
-			lh.found, lh.q, lh.residue, lh.residueCost = true, q, residue, rc
+		cands++
+		if !found[j] {
+			continue
+		}
+		hitRep = cs[j].rep
+		h := split{
+			total:   level + bfs.UnpackValue(vals[j]).Cost,
+			level:   level,
+			prefix:  cs[j].q.Inverse(),
+			residue: cs[j].residue,
+		}
+		if h.beats(best) {
+			best = h
 		}
 		if unit {
-			break // first hit is provably minimal for unit costs
+			break
 		}
 	}
-	return lh, nil
+	return best, cands, nil
 }
 
-// scanLevelParallel fans the level scan out over a worker pool. Workers
-// claim fixed-size chunks of the representative list through an atomic
-// cursor (probing is lock-free against the frozen table); for unit-cost
-// alphabets the first hit raises a stop flag that cancels the remaining
-// workers mid-chunk, and context cancellation raises the same flag at
-// chunk granularity. For weighted alphabets every chunk is scanned and
-// the minimum-residue-cost hit is kept.
-func (s *Synthesizer) scanLevelParallel(ctx context.Context, reps bfs.LevelView, f perm.Perm, unit bool, workers int) (levelHit, error) {
+// scanSequential scans one level chunk by chunk on the calling
+// goroutine, returning its first cheapest split and the candidates
+// committed.
+func (s *Synthesizer) scanSequential(ctx context.Context, sc *backendScratch, f perm.Perm, level int, unit bool) (best split, cands int64, err error) {
+	best.total = -1
+	n, step := s.meta.LevelCounts[level], s.seqChunkReps()
+	for lo := 0; lo < n; lo += step {
+		h, c, err := s.scanChunk(ctx, sc, f, level, lo, min(step, n-lo), unit)
+		cands += c
+		if err != nil {
+			return best, cands, err
+		}
+		if h.beats(best) {
+			best = h
+		}
+		if unit && best.total >= 0 {
+			break
+		}
+	}
+	return best, cands, nil
+}
+
+// scanParallel is scanSequential fanned out over workers, with the same
+// answer. Workers claim chunk indices in ascending order from an atomic
+// cursor; a unit-cost hit or a failure at chunk c stops all claims past
+// c, while every lower chunk — already claimed — still finishes. The
+// outcomes then commit in chunk order: the cheapest split with the
+// lowest chunk index wins (exactly the sequential strict-< fold), the
+// candidates of chunks up to the committed unit hit are counted, and a
+// failure is reported only if no earlier chunk holds that hit.
+func (s *Synthesizer) scanParallel(ctx context.Context, f perm.Perm, level int, unit bool, workers int) (split, int64, error) {
+	n := s.meta.LevelCounts[level]
+	step := backendBatchKeys / s.variants()
+	chunks := (n + step - 1) / step
+	counts := make([]int32, chunks) // candidates committed per chunk
 	var (
-		cursor  atomic.Int64
-		stop    atomic.Bool
-		tried   atomic.Int64
-		mu      sync.Mutex
-		best    levelHit
-		scanErr error
-		wg      sync.WaitGroup
+		cursor, limit atomic.Int64 // next chunk to claim; claims stop at limit
+		mu            sync.Mutex
+		best          = split{total: -1}
+		bestChunk     int
+		firstErr      error
+		errChunk      = chunks
+		wg            sync.WaitGroup
 	)
-	n := reps.Len()
-	chunk := max(n/(workers*8), 64)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	limit.Store(int64(chunks))
+	// lower stops claims past chunk c.
+	lower := func(c int) {
+		for {
+			l := limit.Load()
+			if int64(c+1) >= l || limit.CompareAndSwap(l, int64(c+1)) {
+				return
+			}
+		}
+	}
+	work := func() {
+		sc := backendScratchPool.Get().(*backendScratch)
+		defer backendScratchPool.Put(sc)
+		for {
+			c := int(cursor.Add(1) - 1)
+			if int64(c) >= limit.Load() {
+				return
+			}
+			lo := c * step
+			h, k, err := s.scanChunk(ctx, sc, f, level, lo, min(step, n-lo), unit)
+			counts[c] = int32(k)
+			if err == nil && h.total < 0 {
+				continue
+			}
+			mu.Lock()
+			if err != nil {
+				if c < errChunk {
+					firstErr, errChunk = err, c
+				}
+			} else if h.beats(best) || h.total == best.total && c < bestChunk {
+				best, bestChunk = h, c
+			}
+			mu.Unlock()
+			if err != nil || unit {
+				lower(c)
+			}
+		}
+	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			var local int64
-			defer func() { tried.Add(local) }()
-			for {
-				if stop.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					mu.Lock()
-					if scanErr == nil {
-						scanErr = fmt.Errorf("core: query aborted: %w", err)
-					}
-					mu.Unlock()
-					stop.Store(true)
-					return
-				}
-				lo := int(cursor.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				for i := lo; i < min(lo+chunk, n); i++ {
-					if stop.Load() {
-						return
-					}
-					q, residue, t := s.probeClass(reps.At(i), f)
-					local += t
-					if q == 0 {
-						continue
-					}
-					rc, ok := s.res.CostOf(residue)
-					mu.Lock()
-					if !ok {
-						scanErr = fmt.Errorf("core: residue vanished from table (corrupt state)")
-						stop.Store(true)
-					} else if !best.found || rc < best.residueCost {
-						best.found, best.q, best.residue, best.residueCost = true, q, residue, rc
-					}
-					mu.Unlock()
-					if unit {
-						stop.Store(true)
-						return
-					}
-				}
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
-	best.tried = tried.Load()
-	return best, scanErr
-}
 
-// probeClass enumerates the variants q of rep (all functions of rep's
-// size) and returns the first with residue q ⋄ f inside the table,
-// along with that residue and the number of candidates tried. It returns
-// q = 0 if no variant hits.
-//
-// Writing the minimal circuit of f as p then s with p of rep's size, the
-// residue of the candidate prefix p = q⁻¹ is s = p⁻¹ ⋄ f = q ⋄ f.
-func (s *Synthesizer) probeClass(rep, f perm.Perm) (q, residue perm.Perm, tried int64) {
-	if !s.res.Reduced {
-		// Unreduced tables store every function directly; rep is itself
-		// the only candidate (the paper's "store full lists" variant).
-		tried = 1
-		r := rep.Then(f)
-		if s.res.Contains(r) {
-			return rep, r, tried
+	sum := func(n int) (cands int64) {
+		for _, k := range counts[:n] {
+			cands += int64(k)
 		}
-		return 0, 0, tried
+		return cands
 	}
-	canon.ForEachVariant(rep, func(v perm.Perm) bool {
-		tried++
-		r := v.Then(f)
-		if s.res.Contains(r) {
-			q, residue = v, r
-			return false
-		}
-		return true
-	})
-	return q, residue, tried
+	committed := chunks // the chunks whose candidates count
+	if unit && best.total >= 0 {
+		committed = bestChunk + 1
+	}
+	if errChunk < committed {
+		return split{total: -1}, sum(errChunk), firstErr
+	}
+	return best, sum(committed), nil
 }
 
-// costOf sums the element costs a circuit's gates map to; for unit-cost
-// alphabets this is just the element count, but reconstruct emits gates,
-// so recompute from gate count only when the alphabet is the plain gate
-// set.
-func (s *Synthesizer) costOf(c circuit.Circuit) int {
-	if cost, ok := s.res.CostOf(c.Perm()); ok {
-		return cost
-	}
-	return len(c)
-}
-
-// lookupRaw probes one canonical key through whichever table path is
-// live: the in-process result, or the backend as a batch of one (remote
-// reconstruction is a dependent chain, so singles are unavoidable there
-// — at most ~2·K per query, dwarfed by the batched scan). bound is the
-// caller's cost-horizon promise: when it knows the key is only useful
-// if its cost is ≤ bound, a bound-aware backend (tables.BoundedLookuper
-// — a federation) answers from the single shallowest tier covering the
-// bound. bound < 0 means "no promise": the plain tiered LookupBatch.
-func (s *Synthesizer) lookupRaw(ctx context.Context, key uint64, bound int) (uint16, bool, error) {
-	if s.res != nil {
-		v, ok := s.res.LookupRaw(key)
-		return v, ok, nil
-	}
-	keys := [1]uint64{key}
-	var vals [1]uint16
-	var found [1]bool
+// lookupRaw probes one canonical key through the backend as a batch of
+// one, in the query's pooled scratch: the buffers escape through the
+// Backend interface call, so a batch of one on the stack would cost
+// three allocations per lookup. (Reconstruction is a dependent chain,
+// so singles are unavoidable — at most ~2·K per query, dwarfed by the
+// batched scan.) bound is the caller's cost-horizon promise:
+// when it knows the key is only useful if its cost is ≤ bound, a
+// bound-aware backend (tables.BoundedLookuper — a federation) answers
+// from the single shallowest tier covering the bound. bound < 0 means
+// "no promise": the plain tiered LookupBatch.
+func (s *Synthesizer) lookupRaw(ctx context.Context, sc *backendScratch, key uint64, bound int) (uint16, bool, error) {
+	keys, vals, found := sc.keys[:1], sc.vals[:1], sc.found[:1]
+	keys[0] = key
 	var err error
 	if s.bounded != nil && bound >= 0 {
-		err = s.bounded.LookupBatchBounded(ctx, keys[:], vals[:], found[:], bound)
+		err = s.bounded.LookupBatchBounded(ctx, keys, vals, found, bound)
 	} else {
-		err = s.backend.LookupBatch(ctx, keys[:], vals[:], found[:])
+		err = s.backend.LookupBatch(ctx, keys, vals, found)
 	}
 	if err != nil {
 		return 0, false, err
@@ -577,7 +753,7 @@ func (s *Synthesizer) lookupRaw(ctx context.Context, key uint64, bound int) (uin
 // reconstruct builds a minimal circuit for a function whose class is in
 // the table, by stripping one stored boundary element per step (paper
 // Algorithm 1's recursive branch, iterative here). It reads through
-// lookupRaw, so it serves local and remote backends alike.
+// lookupRaw, one key at a time, in the query's scratch.
 //
 // bound is the known cost of f (or -1 if unknown) and shrinks as
 // elements are stripped — each remainder costs at least one less than
@@ -585,7 +761,7 @@ func (s *Synthesizer) lookupRaw(ctx context.Context, key uint64, bound int) (uin
 // reconstruction resolves inside the shallowest tier that holds it;
 // even a hard function's chain walks down into cheaper tiers as it
 // unwinds.
-func (s *Synthesizer) reconstruct(ctx context.Context, f perm.Perm, bound int) (circuit.Circuit, error) {
+func (s *Synthesizer) reconstruct(ctx context.Context, sc *backendScratch, f perm.Perm, bound int) (circuit.Circuit, error) {
 	var front, back circuit.Circuit // back is collected in reverse
 	cur := f
 	for steps := 0; ; steps++ {
@@ -601,7 +777,7 @@ func (s *Synthesizer) reconstruct(ctx context.Context, f perm.Perm, bound int) (
 		if s.meta.Reduced {
 			key, sigma, inverted = canon.Canonical(cur)
 		}
-		raw, ok, err := s.lookupRaw(ctx, uint64(key), bound)
+		raw, ok, err := s.lookupRaw(ctx, sc, uint64(key), bound)
 		if err != nil {
 			return nil, err
 		}
@@ -643,330 +819,4 @@ func (s *Synthesizer) reconstruct(ctx context.Context, f perm.Perm, bound int) (
 		out = append(out, back[j])
 	}
 	return out, nil
-}
-
-// backendBatchKeys is the candidate-batch target of the remote scan: the
-// number of canonical residue keys resolved per backend round trip (an
-// 8 KiB request). It is sized against speculation, not round trips:
-// every key of the chunk holding the scan's first hit is expanded,
-// canonicalized and fetched, but only the keys up to the hit are
-// committed. A loopback round trip costs a few µs, less than the wasted
-// keys of a large chunk; on perfbench's fleet-mix (k = 6, 2-vCPU host)
-// going from 8192 to 1024 cut the keys the shard clients resolve by a
-// third for the same committed scan. A slow cross-host network shifts
-// the balance back toward larger batches.
-const backendBatchKeys = 1024
-
-// SetBatchKeys overrides the candidate-batch target of the remote
-// meet-in-the-middle scan (0 restores the default). Smaller batches
-// trade round-trip amortization for less speculative candidate
-// expansion; tests use tiny batches to force many chunks through the
-// pipelined scan. Call before sharing the synthesizer across
-// goroutines. It has no effect on local backends.
-func (s *Synthesizer) SetBatchKeys(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.batchKeys = n
-}
-
-// backendCand pairs one candidate prefix variant with its residue,
-// index-aligned with the key batch sent to the backend. rep is the
-// chunk-local index of the representative the variant came from: the
-// hit scan commits to the FIRST hitting variant of each representative
-// and skips the rest, exactly as the local probeClass stops at its
-// first Contains hit — the invariant that keeps routed answers
-// byte-identical to single-host serving for weighted alphabets too.
-type backendCand struct {
-	q, residue perm.Perm
-	rep        int
-}
-
-// backendScratch is the pooled per-query workspace of the batched scan;
-// one struct holds every buffer so a remote query allocates nothing on
-// the steady-state path (mirroring the router's lookupScratch pattern).
-// Two representative buffers double-buffer the pipelined level scan:
-// while chunk i (in one buffer) is being expanded and looked up, the
-// prefetch of chunk i+1 fills the other.
-type backendScratch struct {
-	repBufs [2][]uint64
-	keys    []uint64
-	cands   []backendCand
-	vals    []uint16
-	found   []bool
-}
-
-func newBackendScratch(batch int) *backendScratch {
-	return &backendScratch{
-		repBufs: [2][]uint64{make([]uint64, batch), make([]uint64, batch)},
-		keys:    make([]uint64, 0, batch),
-		cands:   make([]backendCand, 0, batch),
-		vals:    make([]uint16, batch),
-		found:   make([]bool, batch),
-	}
-}
-
-var backendScratchPool = sync.Pool{New: func() any {
-	return newBackendScratch(backendBatchKeys)
-}}
-
-// levelFetch is one in-flight LevelKeys prefetch: the chunk coordinates
-// it was launched for, the double buffer it fills, a completion
-// channel, and a cancel releasing its fetch context. The error is only
-// consulted when the chunk is actually consumed — a speculative
-// prefetch the scan turned away from (a hit changed the bound) must
-// not fail the query. cancel lets an abandoning scan interrupt the
-// fetch instead of waiting out a stalled shard's I/O deadline.
-type levelFetch struct {
-	level, lo int
-	buf       []uint64
-	err       error
-	done      chan struct{}
-	cancel    context.CancelFunc
-}
-
-// discard abandons a prefetch whose result will not be used: interrupt
-// its I/O and wait for the goroutine to release the shared buffer.
-func (f *levelFetch) discard() {
-	f.cancel()
-	<-f.done
-}
-
-// synthesizeBackend answers a query against a non-local backend. Same
-// algorithm as the local path — direct probe, then meet-in-the-middle
-// over increasing prefix sizes — but restructured around batches: each
-// iteration fetches a chunk of level representatives (one LevelKeys
-// call), expands every candidate residue of the chunk, canonicalizes
-// them query-side, and resolves the whole batch in one LookupBatch. Hits
-// are taken in scan order, so results are identical to the sequential
-// local scan.
-//
-// The two fetches are pipelined: the LevelKeys fetch of chunk i+1 is
-// launched (into the scratch's other buffer) before chunk i's candidate
-// expansion and LookupBatch run, so on a network backend the level
-// iteration rides for free under the lookup round trip. Only the
-// fetches overlap — chunks are still consumed and committed strictly in
-// scan order, which is what preserves the byte-identical-to-local
-// guarantee. A prefetch is speculative (it assumes the current chunk
-// produces no scan-stopping hit); when the scan turns elsewhere its
-// result, and any error it produced, are discarded.
-func (s *Synthesizer) synthesizeBackend(ctx context.Context, f perm.Perm) (circuit.Circuit, Info, error) {
-	var info Info
-	// Algorithm 1, first branch: f is within the BFS horizon.
-	key := f
-	if s.meta.Reduced {
-		key = canon.Rep(f)
-	}
-	// The direct probe is unbounded — the function's cost is exactly the
-	// unknown — so a federation runs its tiered escalation here; it is
-	// the one probe per query where escalation earns its keep. The hit
-	// then reveals the cost, and the whole reconstruction chain is
-	// bounded by it: an easy function never leaves the shallow tier.
-	raw, ok, err := s.lookupRaw(ctx, uint64(key), -1)
-	if err != nil {
-		return nil, info, err
-	}
-	if ok {
-		c, err := s.reconstruct(ctx, f, bfs.UnpackValue(raw).Cost)
-		if err != nil {
-			return nil, info, err
-		}
-		return c, Info{Cost: bfs.UnpackValue(raw).Cost, Direct: true}, nil
-	}
-
-	unit := s.alphabet.MaxCost() == 1
-	bestTotal := -1
-	var bestPrefix, bestResidue perm.Perm
-	bestSplit := 0
-	// Chunk the level scan so a full candidate expansion (≤ 48 variants
-	// per representative when reduced) fills one lookup batch.
-	variants := 48
-	if !s.meta.Reduced {
-		variants = 1
-	}
-	batch := backendBatchKeys
-	if s.batchKeys != 0 {
-		batch = s.batchKeys
-	}
-	repChunk := max(batch/variants, 1)
-	// One chunk expands to at most repChunk·variants candidates — more
-	// than batch when batch < variants — so the scratch must hold that,
-	// not the nominal batch size.
-	need := max(batch, repChunk*variants)
-	var sc *backendScratch
-	if need == backendBatchKeys {
-		sc = backendScratchPool.Get().(*backendScratch)
-		defer backendScratchPool.Put(sc)
-	} else {
-		sc = newBackendScratch(need) // custom size: bypass the pool
-	}
-	vals, found := sc.vals, sc.found
-
-	// nextChunk names the chunk the scan will consume after (level, lo)
-	// assuming the current chunk does not change the bound — the
-	// prefetch target. Mirrors the loop bounds below exactly.
-	counts := s.meta.LevelCounts
-	nextChunk := func(level, lo int) (nl, nlo int, ok bool) {
-		if lo+repChunk < counts[level] {
-			return level, lo + repChunk, true
-		}
-		for j := level + 1; j <= s.maxSplit; j++ {
-			if bestTotal >= 0 && j >= bestTotal {
-				return 0, 0, false
-			}
-			if counts[j] > 0 {
-				return j, 0, true
-			}
-		}
-		return 0, 0, false
-	}
-	var pending *levelFetch
-	// An outstanding prefetch writes into one of the pooled buffers:
-	// never return (or reuse) the scratch until it has finished — and
-	// interrupt it rather than wait, so a stalled shard cannot hold a
-	// finished query (or an error return) hostage to a speculative
-	// fetch whose result is already moot.
-	defer func() {
-		if pending != nil {
-			pending.discard()
-		}
-	}()
-	chunkNo := 0 // alternates the double buffer
-
-scan:
-	for i := 1; i <= s.maxSplit; i++ {
-		if bestTotal >= 0 && i >= bestTotal {
-			break // any further split costs at least i ≥ bestTotal
-		}
-		n := counts[i]
-		for lo := 0; lo < n; lo += repChunk {
-			if err := ctx.Err(); err != nil {
-				return nil, info, fmt.Errorf("core: query aborted: %w", err)
-			}
-			m := min(repChunk, n-lo)
-			var chunk []uint64
-			if pending != nil && pending.level == i && pending.lo == lo {
-				<-pending.done
-				pending.cancel() // release the fetch context
-				if pending.err != nil {
-					err := pending.err
-					pending = nil
-					return nil, info, err
-				}
-				chunk = pending.buf
-				pending = nil
-			} else {
-				if pending != nil {
-					// Stale speculative prefetch (a weighted-alphabet hit
-					// moved the bound): interrupt it so its buffer is
-					// free, then drop it — result and error both.
-					pending.discard()
-					pending = nil
-				}
-				buf := sc.repBufs[chunkNo&1][:m]
-				if err := s.backend.LevelKeys(ctx, i, lo, buf); err != nil {
-					return nil, info, err
-				}
-				chunk = buf
-			}
-			chunkNo++
-			// Launch the next chunk's LevelKeys before this chunk's
-			// expansion and LookupBatch: on a remote backend the two
-			// round trips overlap.
-			if nl, nlo, ok := nextChunk(i, lo); ok {
-				nm := min(repChunk, counts[nl]-nlo)
-				fctx, cancel := context.WithCancel(ctx)
-				pf := &levelFetch{
-					level: nl, lo: nlo,
-					buf:    sc.repBufs[chunkNo&1][:nm],
-					done:   make(chan struct{}),
-					cancel: cancel,
-				}
-				go func() {
-					pf.err = s.backend.LevelKeys(fctx, pf.level, pf.lo, pf.buf)
-					close(pf.done)
-				}()
-				pending = pf
-			}
-			keys, cands := sc.keys[:0], sc.cands[:0]
-			for ri, rk := range chunk {
-				rep := perm.Perm(rk)
-				if !s.meta.Reduced {
-					r := rep.Then(f)
-					keys = append(keys, uint64(r))
-					cands = append(cands, backendCand{q: rep, residue: r, rep: ri})
-					continue
-				}
-				canon.ForEachVariant(rep, func(v perm.Perm) bool {
-					r := v.Then(f)
-					keys = append(keys, uint64(canon.Rep(r)))
-					cands = append(cands, backendCand{q: v, residue: r, rep: ri})
-					return true
-				})
-			}
-			sc.keys, sc.cands = keys, cands
-			// Scan batches are bounded by the full table depth: that is no
-			// relaxation (every stored class costs ≤ K) but it routes a
-			// federation straight to its one authoritative tier — a scan
-			// probes each candidate exactly once instead of walking misses
-			// through the whole tier chain. The bound must NOT be tightened
-			// to bestTotal−i−1: dropping a representative's first hitting
-			// variant would let a later variant commit instead, breaking
-			// byte-identity with the local scan for weighted alphabets.
-			var lerr error
-			if s.bounded != nil {
-				lerr = s.bounded.LookupBatchBounded(ctx, keys, vals[:len(keys)], found[:len(keys)], s.meta.K)
-			} else {
-				lerr = s.backend.LookupBatch(ctx, keys, vals[:len(keys)], found[:len(keys)])
-			}
-			if lerr != nil {
-				return nil, info, lerr
-			}
-			hitRep := -1
-			for j := range keys {
-				if cands[j].rep == hitRep {
-					// The local probeClass stops probing a representative at
-					// its first hitting variant; replicate that by skipping
-					// the rest of a committed representative's candidates —
-					// they were sent (batched speculatively) but must not
-					// influence the answer. Candidate accounting matches the
-					// local scan for the same reason.
-					continue
-				}
-				info.Candidates++
-				if !found[j] {
-					continue
-				}
-				hitRep = cands[j].rep
-				total := i + bfs.UnpackValue(vals[j]).Cost
-				if bestTotal < 0 || total < bestTotal {
-					bestTotal = total
-					bestPrefix = cands[j].q.Inverse()
-					bestResidue = cands[j].residue
-					bestSplit = i
-				}
-				if unit {
-					// First hit in scan order at the first hitting prefix
-					// size is provably minimal for unit costs — exactly the
-					// sequential local scan's break.
-					break scan
-				}
-			}
-		}
-	}
-	if bestTotal < 0 {
-		return nil, info, fmt.Errorf("%w (horizon %d)", ErrBeyondHorizon, s.Horizon())
-	}
-	pc, err := s.reconstruct(ctx, bestPrefix, bestSplit)
-	if err != nil {
-		return nil, info, err
-	}
-	rc, err := s.reconstruct(ctx, bestResidue, bestTotal-bestSplit)
-	if err != nil {
-		return nil, info, err
-	}
-	out := append(pc, rc...)
-	info.Cost = bestTotal
-	info.SplitPrefix = bestSplit
-	return out, info, nil
 }

@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -434,42 +437,164 @@ func TestConcurrentQueriesWithParallelMITM(t *testing.T) {
 	}
 }
 
-// TestParallelMITMMatchesSequential compares every query answer between
-// a Workers = 1 and a Workers = 8 synthesizer sharing one BFS result:
-// reported costs must be identical (circuits may differ but both must be
-// minimal witnesses of the same size).
+// oracleSynthesize is the sequential probe loop the chunked scan
+// replaced, kept as the reference every scan driver must reproduce: the
+// direct lookup, then each level's representatives in storage order,
+// each expanded variant by variant until one's residue is in the table.
+// Unit costs stop at the first hit; weighted costs keep the first
+// cheapest residue of a level and scan on while a shorter total is
+// possible.
+func oracleSynthesize(s *Synthesizer, f perm.Perm) (circuit.Circuit, Info, error) {
+	res := s.Result()
+	sc := s.scratch()
+	defer putScratch(sc)
+	ctx := context.Background()
+	if cost, ok := res.CostOf(f); ok {
+		c, err := s.reconstruct(ctx, sc, f, -1)
+		return c, Info{Cost: cost, Direct: true}, err
+	}
+	var info Info
+	unit := res.Alphabet.MaxCost() == 1
+	best := split{total: -1}
+	for i := 1; i <= s.MaxSplit(); i++ {
+		if best.total >= 0 && i >= best.total {
+			break
+		}
+		reps := res.Level(i)
+		for n := 0; n < reps.Len(); n++ {
+			q, residue, tried := oracleProbeClass(res, reps.At(n), f)
+			info.Candidates += tried
+			if q == 0 {
+				continue
+			}
+			rc, _ := res.CostOf(residue)
+			h := split{total: i + rc, level: i, prefix: q.Inverse(), residue: residue}
+			if h.beats(best) {
+				best = h
+			}
+			if unit {
+				break
+			}
+		}
+		if unit && best.total >= 0 {
+			break
+		}
+	}
+	if best.total < 0 {
+		return nil, info, ErrBeyondHorizon
+	}
+	pc, err := s.reconstruct(ctx, sc, best.prefix, best.level)
+	if err != nil {
+		return nil, info, err
+	}
+	rc, err := s.reconstruct(ctx, sc, best.residue, best.total-best.level)
+	if err != nil {
+		return nil, info, err
+	}
+	info.Cost, info.SplitPrefix = best.total, best.level
+	return append(pc, rc...), info, nil
+}
+
+// oracleProbeClass enumerates the variants q of rep and returns the
+// first whose residue q ⋄ f is in the table (q = 0 if none), with that
+// residue and the number of candidates tried. Unreduced tables store
+// every function, so rep is its own only candidate.
+func oracleProbeClass(res *bfs.Result, rep, f perm.Perm) (q, residue perm.Perm, tried int64) {
+	if !res.Reduced {
+		if r := rep.Then(f); res.Contains(r) {
+			return rep, r, 1
+		}
+		return 0, 0, 1
+	}
+	canon.ForEachVariant(rep, func(v perm.Perm) bool {
+		tried++
+		if r := v.Then(f); res.Contains(r) {
+			q, residue = v, r
+			return false
+		}
+		return true
+	})
+	return q, residue, tried
+}
+
+// TestParallelMITMMatchesSequential pins the determinism rule: at
+// Workers 1, 2 and 8 every query returns the sequential oracle's circuit
+// and Info (cost, split prefix, direct flag, candidates). Each corpus
+// only keeps specs whose scan reaches a level of at least
+// parallelQueryThreshold representatives, so Workers > 1 runs the
+// parallel driver there:
+//   - gates: 8-gate specs on k = 4 tables that split at prefix 4
+//     (6538 representatives);
+//   - quantum cost: weighted specs costlier than 5, so the scan reaches
+//     level 5 (622 representatives) and, weighted, scans each level
+//     whole;
+//   - unreduced: specs split at prefix ≥ 2 over unreduced k = 3 tables
+//     (784 and 16204 functions).
 func TestParallelMITMMatchesSequential(t *testing.T) {
-	res, err := bfs.Search(bfs.GateAlphabet(), 4, nil)
+	qc, err := bfs.WeightedGateAlphabet(gate.Gate.QuantumCost)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := FromResult(res, 0)
-	if err != nil {
-		t.Fatal(err)
+	short := testing.Short()
+	draws := func(full, trimmed int) int {
+		if short {
+			return trimmed
+		}
+		return full
 	}
-	seq.SetWorkers(1)
-	par, err := FromResult(res, 0)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name      string
+		alphabet  *bfs.Alphabet
+		k         int
+		noReduce  bool
+		gates     int
+		draws     int
+		keep      func(Info) bool
+		wantSpecs int
+	}{
+		{"gates", bfs.GateAlphabet(), 4, false, 8, draws(300, 60), func(i Info) bool { return i.SplitPrefix == 4 }, draws(40, 4)},
+		{"quantum-cost", qc, 6, false, 3, draws(80, 20), func(i Info) bool { return !i.Direct && i.Cost > 5 }, draws(25, 4)},
+		{"unreduced", bfs.GateAlphabet(), 3, true, 6, draws(120, 30), func(i Info) bool { return i.SplitPrefix >= 2 }, draws(40, 4)},
 	}
-	par.SetWorkers(8)
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 40; trial++ {
-		f := randCircuit(rng, 1+rng.Intn(8)).Perm()
-		a, ia, errA := seq.SynthesizeInfo(f)
-		b, ib, errB := par.SynthesizeInfo(f)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("error disagreement for %v: %v vs %v", f, errA, errB)
-		}
-		if errA != nil {
-			continue
-		}
-		if ia.Cost != ib.Cost || len(a) != len(b) {
-			t.Fatalf("cost disagreement for %v: seq %d, par %d", f, ia.Cost, ib.Cost)
-		}
-		if a.Perm() != f || b.Perm() != f {
-			t.Fatalf("wrong function for %v", f)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := bfs.Search(tc.alphabet, tc.k, &bfs.Options{NoReduction: tc.noReduce})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var synths []*Synthesizer
+			for _, w := range []int{1, 2, 8} {
+				s, err := FromResult(res, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.SetWorkers(w)
+				synths = append(synths, s)
+			}
+			rng := rand.New(rand.NewSource(11))
+			checked := 0
+			for trial := 0; trial < tc.draws; trial++ {
+				f := randCircuit(rng, tc.gates).Perm()
+				want, wantInfo, err := oracleSynthesize(synths[0], f)
+				if err != nil || !tc.keep(wantInfo) {
+					continue
+				}
+				checked++
+				for _, s := range synths {
+					got, info, err := s.SynthesizeInfo(f)
+					if err != nil {
+						t.Fatalf("workers=%d spec %v: %v", s.Workers(), f, err)
+					}
+					if info != wantInfo || got.String() != want.String() {
+						t.Fatalf("workers=%d spec %v: got %v %+v, oracle %v %+v",
+							s.Workers(), f, got, info, want, wantInfo)
+					}
+				}
+			}
+			if checked < tc.wantSpecs {
+				t.Fatalf("only %d of %d draws reached a parallel level, want ≥ %d", checked, tc.draws, tc.wantSpecs)
+			}
+		})
 	}
 }
 
@@ -529,13 +654,42 @@ func BenchmarkSynthesizeSize7MITM(b *testing.B) {
 	}
 }
 
+// waitGoroutines fails t unless the goroutine count falls back to base:
+// an aborted query must not leave scan workers behind.
+func waitGoroutines(t *testing.T, base int, label string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines after an aborted query, %d before", label, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// countdownCtx reports context.Canceled from its (n+1)-th Err call on.
+// The scan checks Err once per chunk, so this aborts a query at a chosen
+// chunk, independent of timing.
+type countdownCtx struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestContextCancellation covers the ctx-aware query path: an already-
 // canceled context aborts a meet-in-the-middle query with ctx.Err()
 // before any scanning, while direct lookups still answer (they are
-// microseconds and never block). Both the sequential and parallel scan
-// paths are exercised.
+// microseconds and never block), and a context canceled in the middle
+// of a parallel level stops every worker. Both scan drivers are
+// exercised, and neither may leak a goroutine.
 func TestContextCancellation(t *testing.T) {
-	_, s3 := fixtures(t)
+	s5, s3 := fixtures(t)
 	rng := rand.New(rand.NewSource(77))
 
 	// A uniformly random 16-permutation is a.s. beyond the k = 3 direct
@@ -544,18 +698,35 @@ func TestContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s3.Result().Contains(hard) {
+	if s5.Result().Contains(hard) {
 		t.Skip("random function unexpectedly within direct horizon")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
+		base := runtime.NumGoroutine()
 		s3.SetWorkers(workers)
 		if _, _, err := s3.SynthesizeInfoCtx(ctx, hard); !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
+		waitGoroutines(t, base, fmt.Sprintf("canceled, workers=%d", workers))
+
+		// Levels 1–3 of the k = 5 tables are 462 one-representative
+		// chunks; level 4 (6538 representatives) is scanned in parallel
+		// at workers = 4. Cancel 100 chunks into it.
+		s5.SetWorkers(workers)
+		mid := &countdownCtx{Context: context.Background()}
+		mid.n.Store(462 + 100)
+		if _, _, err := s5.SynthesizeInfoCtx(mid, hard); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: mid-level err = %v, want context.Canceled", workers, err)
+		}
+		if mid.n.Load() > 0 {
+			t.Fatalf("workers=%d: the query stopped before reaching level 4", workers)
+		}
+		waitGoroutines(t, base, fmt.Sprintf("canceled mid-level, workers=%d", workers))
 	}
 	s3.SetWorkers(0)
+	s5.SetWorkers(0)
 
 	// Direct lookups are answered even under a canceled context.
 	easy := randCircuit(rng, 2).Perm()
@@ -577,12 +748,13 @@ func TestContextCancellation(t *testing.T) {
 // TestContextDeadlineMidScan arms a deadline that expires while the
 // exhaustive (beyond-horizon) scan is running and verifies the query
 // returns DeadlineExceeded rather than scanning to completion, for both
-// scan implementations.
+// worker counts, leaving no goroutine behind.
 func TestContextDeadlineMidScan(t *testing.T) {
 	s5, _ := fixtures(t)
 	rng := rand.New(rand.NewSource(78))
 	for _, workers := range []int{1, 4} {
 		s5.SetWorkers(workers)
+		base := runtime.NumGoroutine()
 		sawTimeout := false
 		for trial := 0; trial < 20 && !sawTimeout; trial++ {
 			hard, err := perm.FromSlice(rng.Perm(16))
@@ -599,6 +771,7 @@ func TestContextDeadlineMidScan(t *testing.T) {
 		if !sawTimeout {
 			t.Fatalf("workers=%d: no query observed its deadline in 20 trials", workers)
 		}
+		waitGoroutines(t, base, fmt.Sprintf("deadline, workers=%d", workers))
 	}
 	s5.SetWorkers(0)
 }

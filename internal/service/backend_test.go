@@ -147,8 +147,8 @@ func TestConfigBackendServes(t *testing.T) {
 
 // flakyBackend wraps a tables.Backend and fails every read while
 // failing is set — a stand-in for a shard fleet mid-outage. It
-// deliberately does NOT implement tables.Localized, so core takes the
-// backend path.
+// deliberately does NOT implement tables.Localized, so core scans it in
+// remote-sized batches.
 type flakyBackend struct {
 	inner   tables.Backend
 	failing atomic.Bool

@@ -101,9 +101,10 @@ type Config struct {
 	// Queries beyond the bound wait (respecting their context).
 	Workers int
 	// QueryWorkers is the per-query meet-in-the-middle fan-out passed to
-	// core (0: resolved by core to GOMAXPROCS). For a saturated service
-	// 1 is usually right: cross-query parallelism already fills the
-	// machine, and single-threaded queries avoid fan-out overhead.
+	// core (0: resolved by core to GOMAXPROCS); answers are identical
+	// for every value. For a saturated service 1 is usually right:
+	// cross-query parallelism already fills the machine, and
+	// single-threaded queries avoid fan-out overhead.
 	QueryWorkers int
 	// CacheSize is the capacity (entries) of the permutation→circuit LRU
 	// cache; 0 means DefaultCacheSize, negative disables caching.

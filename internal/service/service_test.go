@@ -60,15 +60,13 @@ func randomPerm16(rng *rand.Rand) perm.Perm {
 // TestServiceMatchesDirectSynthesis is the acceptance gate: ≥ 100 random
 // permutations served through ≥ 8 concurrent clients must come back
 // identical to direct core synthesis against the same frozen tables —
-// same error status, same optimal cost, and (both paths being
-// deterministic at QueryWorkers = 1) the same gate sequence.
+// same error status, same optimal cost, and the same gate sequence.
 func TestServiceMatchesDirectSynthesis(t *testing.T) {
 	res := fixtureTables(t)
 	direct, err := core.FromResult(res, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct.SetWorkers(1)
 
 	svc, err := New(Config{Tables: res, QueryWorkers: 1, Workers: 8})
 	if err != nil {

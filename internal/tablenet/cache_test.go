@@ -243,11 +243,10 @@ func TestClientCachesDisabled(t *testing.T) {
 }
 
 // TestPipelinedRemoteMatchesLocal forces the remote scan through many
-// tiny chunks — so the LevelKeys prefetch of chunk i+1 genuinely
-// overlaps chunk i's LookupBatch, across level boundaries too — and
-// requires byte-identical answers to the sequential local engine, cold
-// and warm (the warm pass re-runs every spec against fully-primed
-// caches). A last pass at the default batch size bounds the scan's
+// tiny chunks — across level boundaries too — and requires
+// byte-identical answers to the sequential local engine, cold and warm
+// (the warm pass re-runs every spec against fully-primed caches). A
+// last pass at the default batch size bounds the scan's
 // speculation: the keys it sends beyond the candidates it commits stay
 // below one batch.
 func TestPipelinedRemoteMatchesLocal(t *testing.T) {

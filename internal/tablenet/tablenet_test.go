@@ -251,10 +251,9 @@ func TestRemoteCoreMatchesLocal(t *testing.T) {
 
 // TestWeightedRemoteMatchesLocal locks the byte-identical guarantee for
 // weighted alphabets, where the scan does NOT stop at the first hit:
-// the local probeClass commits to the first hitting variant of each
-// representative, and the batched remote scan must replicate exactly
-// that choice (not pick a better variant from the same representative's
-// speculatively-batched candidates).
+// the scan commits to the first hitting variant of each representative
+// and must do so for every chunk size (not pick a better variant from
+// the same representative's speculatively-batched candidates).
 func TestWeightedRemoteMatchesLocal(t *testing.T) {
 	alphabet, err := bfs.WeightedGateAlphabet(gate.Gate.QuantumCost)
 	if err != nil {

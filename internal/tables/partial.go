@@ -189,8 +189,8 @@ func (s *Split) GPos(c int) []uint32 { return s.gpos[s.off[c]:s.off[c+1]] }
 // of the tables, with the global metadata. Reads outside the owned
 // range fail with ErrNotOwned — a partial table never guesses.
 //
-// Partial deliberately does NOT implement Localized: handing the core
-// engine a direct *bfs.Result view of a split table would turn
+// Partial deliberately does NOT implement Localized: handing callers of
+// core's Result() a direct *bfs.Result view of a split table would turn
 // out-of-range keys into silent misses. Partial tables are served
 // through the router, which is what restores full coverage.
 type Partial struct {

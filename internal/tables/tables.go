@@ -19,10 +19,10 @@
 //     batch out across N shard backends.
 //
 // Both operations are batch-shaped on purpose: a network backend
-// amortizes its round trips over hundreds of keys per call, while the
-// local backend degrades to the plain probe loop with no extra
-// indirection on the hot path (core keeps the direct *bfs.Result fast
-// path via the Localized escape hatch).
+// amortizes its round trips over hundreds of keys per call. Core reads
+// every backend, Local included, through these two calls only; against
+// Local it simply asks for smaller batches (one representative's
+// candidates), since there is no round trip to amortize.
 package tables
 
 import (
@@ -185,9 +185,10 @@ type BoundedLookuper interface {
 }
 
 // Localized is implemented by backends that can expose their tables as
-// an in-process bfs.Result. The core query engine uses it to keep the
-// zero-indirection probe loop — unchanged from single-host serving —
-// whenever the tables are actually local.
+// an in-process bfs.Result. Core's queries never read through it; it
+// only backs core.Synthesizer.Result(), for callers that save or report
+// on the in-process tables, and tells core there is no round trip to
+// batch for.
 type Localized interface {
 	Local() *bfs.Result
 }
@@ -391,7 +392,7 @@ func NewLocal(res *bfs.Result) (*Local, error) {
 	return &Local{res: res, meta: m}, nil
 }
 
-// Local exposes the wrapped result (the Localized fast path).
+// Local exposes the wrapped result (see Localized).
 func (b *Local) Local() *bfs.Result { return b.res }
 
 // Meta returns the table metadata.
