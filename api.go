@@ -286,9 +286,11 @@
 //     a key's absence from an immutable table is as permanent as its
 //     value). Batches split on partial hits — only miss keys travel.
 //     Every fetched result is inserted, evicting by LRU within a
-//     4-way set. The default 1M entries hold the whole candidate-key
-//     working set of repeated k = 6 scans, so there is no admission
-//     filter: one would only turn away keys that hit later;
+//     4-way set that fills one 64-byte cache line (16 B per entry),
+//     so a probe touches one line. The default 1M entries hold the
+//     whole candidate-key working set of repeated k = 6 scans, so
+//     there is no admission filter: one would only turn away keys
+//     that hit later;
 //   - an immutable level-block cache, so repeated meet-in-the-middle
 //     scans stop re-fetching the hot low-level key ranges entirely;
 //   - singleflight coalescing: concurrent identical misses (the same

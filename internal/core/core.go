@@ -325,22 +325,22 @@ func (s *Synthesizer) SynthesizeInfoCtx(ctx context.Context, f perm.Perm) (circu
 	defer putScratch(sc)
 	var info Info
 	// Algorithm 1, first branch: f is within the BFS horizon.
-	key := f
-	if s.meta.Reduced {
-		key = canon.Rep(f)
-	}
+	head := s.canonical(f)
 	// The direct probe is unbounded — the function's cost is exactly the
 	// unknown — so a federation runs its tiered escalation here; it is
 	// the one probe per query where escalation earns its keep. The hit
-	// then reveals the cost, and the whole reconstruction chain is
-	// bounded by it: an easy function never leaves the shallow tier.
-	raw, ok, err := s.lookupRaw(ctx, sc, uint64(key), -1)
+	// then reveals the cost, and the rest of the reconstruction chain is
+	// bounded by it: an easy function never leaves the shallow tier. The
+	// hit is also the chain's step 0 — a bounded probe of the same key
+	// would resolve in the same tier — so it is not looked up again.
+	raw, ok, err := s.lookupRaw(ctx, sc, uint64(head.key), -1)
 	if err != nil {
 		return nil, info, err
 	}
 	if ok {
+		head.raw = raw
 		cost := bfs.UnpackValue(raw).Cost
-		c, err := s.reconstruct(ctx, sc, f, cost)
+		c, err := s.reconstruct(ctx, sc, f, cost, &head)
 		if err != nil {
 			return nil, info, err
 		}
@@ -379,11 +379,11 @@ func (s *Synthesizer) SynthesizeInfoCtx(ctx context.Context, f perm.Perm) (circu
 	if best.total < 0 {
 		return nil, info, fmt.Errorf("%w (horizon %d)", ErrBeyondHorizon, s.Horizon())
 	}
-	pc, err := s.reconstruct(ctx, sc, best.prefix, best.level)
+	pc, err := s.reconstruct(ctx, sc, best.prefix, best.level, nil)
 	if err != nil {
 		return nil, info, err
 	}
-	rc, err := s.reconstruct(ctx, sc, best.residue, best.total-best.level)
+	rc, err := s.reconstruct(ctx, sc, best.residue, best.total-best.level, nil)
 	if err != nil {
 		return nil, info, err
 	}
@@ -730,11 +730,12 @@ func (s *Synthesizer) scanParallel(ctx context.Context, f perm.Perm, level int, 
 // Backend interface call, so a batch of one on the stack would cost
 // three allocations per lookup. (Reconstruction is a dependent chain,
 // so singles are unavoidable — at most ~2·K per query, dwarfed by the
-// batched scan.) bound is the caller's cost-horizon promise:
-// when it knows the key is only useful if its cost is ≤ bound, a
-// bound-aware backend (tables.BoundedLookuper — a federation) answers
-// from the single shallowest tier covering the bound. bound < 0 means
-// "no promise": the plain tiered LookupBatch.
+// batched scan.) It serves the direct probe, whose hit is also the
+// reconstruction's step 0, and every later step. bound is the caller's
+// cost-horizon promise: when it knows the key is only useful if its
+// cost is ≤ bound, a bound-aware backend (tables.BoundedLookuper — a
+// federation) answers from the single shallowest tier covering the
+// bound. bound < 0 means "no promise": the plain tiered LookupBatch.
 func (s *Synthesizer) lookupRaw(ctx context.Context, sc *backendScratch, key uint64, bound int) (uint16, bool, error) {
 	keys, vals, found := sc.keys[:1], sc.vals[:1], sc.found[:1]
 	keys[0] = key
@@ -750,10 +751,32 @@ func (s *Synthesizer) lookupRaw(ctx context.Context, sc *backendScratch, key uin
 	return vals[0], found[0], nil
 }
 
+// classHit is one resolved reconstruction step: the stored key of a
+// function's class with the canonicalization witness (σ, inverted) that
+// maps the function onto it, and — once looked up — its packed value.
+type classHit struct {
+	key      perm.Perm
+	sigma    int
+	inverted bool
+	raw      uint16
+}
+
+// canonical returns f's table key and witness; unreduced tables store
+// every function as itself.
+func (s *Synthesizer) canonical(f perm.Perm) classHit {
+	if !s.meta.Reduced {
+		return classHit{key: f}
+	}
+	key, sigma, inverted := canon.Canonical(f)
+	return classHit{key: key, sigma: sigma, inverted: inverted}
+}
+
 // reconstruct builds a minimal circuit for a function whose class is in
 // the table, by stripping one stored boundary element per step (paper
 // Algorithm 1's recursive branch, iterative here). It reads through
-// lookupRaw, one key at a time, in the query's scratch.
+// lookupRaw, one key at a time, in the query's scratch. head, when not
+// nil, is step 0 already resolved — the direct probe's hit on f's own
+// class — so the chain starts at step 1.
 //
 // bound is the known cost of f (or -1 if unknown) and shrinks as
 // elements are stripped — each remainder costs at least one less than
@@ -761,7 +784,7 @@ func (s *Synthesizer) lookupRaw(ctx context.Context, sc *backendScratch, key uin
 // reconstruction resolves inside the shallowest tier that holds it;
 // even a hard function's chain walks down into cheaper tiers as it
 // unwinds.
-func (s *Synthesizer) reconstruct(ctx context.Context, sc *backendScratch, f perm.Perm, bound int) (circuit.Circuit, error) {
+func (s *Synthesizer) reconstruct(ctx context.Context, sc *backendScratch, f perm.Perm, bound int, head *classHit) (circuit.Circuit, error) {
 	var front, back circuit.Circuit // back is collected in reverse
 	cur := f
 	for steps := 0; ; steps++ {
@@ -771,20 +794,21 @@ func (s *Synthesizer) reconstruct(ctx context.Context, sc *backendScratch, f per
 		if cur == perm.Identity {
 			break
 		}
-		key := cur
-		var sigma int
-		var inverted bool
-		if s.meta.Reduced {
-			key, sigma, inverted = canon.Canonical(cur)
+		var hit classHit
+		if steps == 0 && head != nil {
+			hit = *head
+		} else {
+			hit = s.canonical(cur)
+			raw, ok, err := s.lookupRaw(ctx, sc, uint64(hit.key), bound)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				return nil, fmt.Errorf("%w: function %v not in table", ErrBeyondHorizon, f)
+			}
+			hit.raw = raw
 		}
-		raw, ok, err := s.lookupRaw(ctx, sc, uint64(key), bound)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("%w: function %v not in table", ErrBeyondHorizon, f)
-		}
-		v := bfs.UnpackValue(raw)
+		v := bfs.UnpackValue(hit.raw)
 		if v.IsIdentity {
 			return nil, fmt.Errorf("core: non-identity function %v stored as identity", cur)
 		}
@@ -799,8 +823,8 @@ func (s *Synthesizer) reconstruct(ctx context.Context, sc *backendScratch, f per
 		ei := v.Elem
 		isFirst := v.First
 		if s.meta.Reduced {
-			ei = s.alphabet.ConjugateElement(ei, canon.InverseSigma(sigma))
-			isFirst = v.First != inverted
+			ei = s.alphabet.ConjugateElement(ei, canon.InverseSigma(hit.sigma))
+			isFirst = v.First != hit.inverted
 		}
 		e := s.alphabet.Element(ei)
 		if isFirst {

@@ -16,6 +16,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/gate"
 	"repro/internal/perm"
+	"repro/internal/tables"
 )
 
 // Shared fixtures: BFS is deterministic, so synthesizers can be shared
@@ -450,7 +451,7 @@ func oracleSynthesize(s *Synthesizer, f perm.Perm) (circuit.Circuit, Info, error
 	defer putScratch(sc)
 	ctx := context.Background()
 	if cost, ok := res.CostOf(f); ok {
-		c, err := s.reconstruct(ctx, sc, f, -1)
+		c, err := s.reconstruct(ctx, sc, f, -1, nil)
 		return c, Info{Cost: cost, Direct: true}, err
 	}
 	var info Info
@@ -483,11 +484,11 @@ func oracleSynthesize(s *Synthesizer, f perm.Perm) (circuit.Circuit, Info, error
 	if best.total < 0 {
 		return nil, info, ErrBeyondHorizon
 	}
-	pc, err := s.reconstruct(ctx, sc, best.prefix, best.level)
+	pc, err := s.reconstruct(ctx, sc, best.prefix, best.level, nil)
 	if err != nil {
 		return nil, info, err
 	}
-	rc, err := s.reconstruct(ctx, sc, best.residue, best.total-best.level)
+	rc, err := s.reconstruct(ctx, sc, best.residue, best.total-best.level, nil)
 	if err != nil {
 		return nil, info, err
 	}
@@ -595,6 +596,72 @@ func TestParallelMITMMatchesSequential(t *testing.T) {
 				t.Fatalf("only %d of %d draws reached a parallel level, want ≥ %d", checked, tc.draws, tc.wantSpecs)
 			}
 		})
+	}
+}
+
+// countingBackend counts the LookupBatch calls a synthesizer makes.
+type countingBackend struct {
+	tables.Backend
+	calls atomic.Int64
+}
+
+func (b *countingBackend) LookupBatch(ctx context.Context, keys []uint64, vals []uint16, found []bool) error {
+	b.calls.Add(1)
+	return b.Backend.LookupBatch(ctx, keys, vals, found)
+}
+
+// TestDirectProbeIsReconstructionStepZero: a direct query's probe of f's
+// class is also its reconstruction's first step, so a cost-c answer
+// takes max(c, 1) backend calls — one per stripped element, the first
+// being the direct probe — not c + 1. The circuit stays byte-identical to
+// the local synthesizer's and to the oracle's, which rebuilds from a
+// fresh lookup of f's class. The corpus covers every cost of the k = 4
+// tables, identity included.
+func TestDirectProbeIsReconstructionStepZero(t *testing.T) {
+	res, err := bfs.Search(bfs.GateAlphabet(), 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := FromResult(res, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, err := tables.NewLocal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &countingBackend{Backend: lb}
+	s, err := FromBackend(counted, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	perCost := make([]int, res.MaxCost+1)
+	for trial := 0; trial < 250; trial++ {
+		f := randCircuit(rng, trial%(res.MaxCost+1)).Perm()
+		before := counted.calls.Load()
+		got, info, err := s.SynthesizeInfo(f)
+		calls := counted.calls.Load() - before
+		if err != nil || !info.Direct {
+			t.Fatalf("spec %v: info %+v, err %v; want a direct answer", f, info, err)
+		}
+		if want := int64(max(info.Cost, 1)); calls != want {
+			t.Fatalf("spec %v of cost %d: %d backend calls, want %d", f, info.Cost, calls, want)
+		}
+		want, wantInfo, err := local.SynthesizeInfo(f)
+		if err != nil || wantInfo != info || want.String() != got.String() {
+			t.Fatalf("spec %v: counted %v %+v, local %v %+v (err %v)", f, got, info, want, wantInfo, err)
+		}
+		oracle, _, err := oracleSynthesize(local, f)
+		if err != nil || oracle.String() != got.String() {
+			t.Fatalf("spec %v: counted %v, oracle %v (err %v)", f, got, oracle, err)
+		}
+		perCost[info.Cost]++
+	}
+	for c, n := range perCost {
+		if n == 0 {
+			t.Fatalf("no spec of cost %d in the corpus (per cost: %v)", c, perCost)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/hashtab"
 )
@@ -27,8 +28,8 @@ import (
 //     the same specification) share one round trip.
 
 // hotWays is the set associativity of the hot-key cache: victim
-// selection is LRU-by-tick within a 4-slot set, which captures the
-// LRU-ish behaviour of a true list LRU at array-probe cost.
+// selection is exact LRU within a 4-slot set, which captures the
+// behaviour of a true list LRU at array-probe cost.
 const hotWays = 4
 
 // hotLocks is the number of write locks striped over the sets (reads
@@ -36,28 +37,68 @@ const hotWays = 4
 const hotLocks = 256
 
 // hotKeyCache is a fixed-size set-associative cache over canonical
-// table keys. Reads are lock-free, guarded by a per-slot sequence
-// counter (a seqlock): a writer bumps the slot's seq to odd, rewrites
-// key and value, and bumps it back to even; a reader accepts a value
-// only if it observed the same even seq before and after reading it.
-// Re-checking the key alone would not be enough — two back-to-back
-// evictions can cycle a slot away from key K and back to K (ABA) around
-// a preempted reader, which would otherwise pair K with the intervening
-// entry's value.
+// table keys. Each set is one 64-byte, line-aligned hotSet, so a probe
+// touches one cache line. Reads are lock-free, guarded by the set's
+// sequence counter (a seqlock): a writer, holding the set's stripe
+// lock, bumps seq to odd, rewrites one slot's key and word, and bumps it
+// back to even; a reader accepts a slot only if it observed the same
+// even seq before the key and after the word. Re-checking the key alone
+// would not be enough — two back-to-back evictions can cycle a slot away
+// from key K and back to K (ABA) around a preempted reader, which would
+// otherwise pair K with the intervening entry's value — but every
+// rewrite of any slot in the set advances seq, so the cycle cannot go
+// unseen. A write elsewhere in the set also fails the read; a miss is
+// always safe.
 type hotKeyCache struct {
 	mask  uint64 // set count - 1 (set count is a power of two)
-	keys  []atomic.Uint64
-	vals  []atomic.Uint32 // hotFoundBit | packed uint16 value
-	seqs  []atomic.Uint32 // per-slot seqlock: odd while being rewritten
-	ticks []atomic.Uint32 // per-slot last-use tick for in-set LRU
-	tick  atomic.Uint32
+	sets  []hotSet
 	locks [hotLocks]sync.Mutex
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
-const hotFoundBit = 1 << 16
+// hotSet is one cache line: hotWays keys (0 marks an empty slot), their
+// words (hotFoundBit | packed uint16 value), the set's seqlock, and its
+// recency order. lru lists the slot indices, 2 bits each, from most to
+// least recently used, XORed with hotLRUZero so that a zeroed set needs
+// no initialisation. It is a hint outside the seqlock: every update is
+// one CAS from a valid order to a valid order, and a lost race only
+// skips a refresh.
+type hotSet struct {
+	keys  [hotWays]atomic.Uint64
+	words [hotWays]atomic.Uint32
+	seq   atomic.Uint32
+	lru   atomic.Uint32
+	_     [8]byte
+}
+
+const (
+	hotFoundBit = 1 << 16
+	// hotLRUZero is the order a zero lru word stands for: slots 0, 1, 2,
+	// 3 from most to least recent.
+	hotLRUZero = 0 | 1<<2 | 2<<4 | 3<<6
+)
+
+// touch makes slot i the set's most recently used.
+func (s *hotSet) touch(i uint32) {
+	for {
+		l := s.lru.Load()
+		order := l ^ hotLRUZero
+		if order&3 == i {
+			return
+		}
+		j := uint32(1) // i's position in the order
+		for order>>(2*j)&3 != i {
+			j++
+		}
+		newer := order & (1<<(2*j) - 1)    // slots ahead of i
+		older := order &^ (1<<(2*j+2) - 1) // slots behind i
+		if s.lru.CompareAndSwap(l, (i|newer<<2|older)^hotLRUZero) {
+			return
+		}
+	}
+}
 
 // newHotKeyCache sizes the cache for roughly capacity entries, rounded
 // up to a power-of-two set count.
@@ -66,87 +107,78 @@ func newHotKeyCache(capacity int) *hotKeyCache {
 	for sets*hotWays < capacity {
 		sets <<= 1
 	}
-	n := sets * hotWays
-	return &hotKeyCache{
-		mask:  uint64(sets - 1),
-		keys:  make([]atomic.Uint64, n),
-		vals:  make([]atomic.Uint32, n),
-		seqs:  make([]atomic.Uint32, n),
-		ticks: make([]atomic.Uint32, n),
-	}
+	return &hotKeyCache{mask: uint64(sets - 1), sets: alignedSets(sets)}
+}
+
+// alignedSets allocates n sets starting on a 64-byte boundary, so every
+// set occupies exactly one cache line.
+func alignedSets(n int) []hotSet {
+	buf := make([]hotSet, n+1)
+	base := unsafe.Pointer(&buf[0])
+	off := -uintptr(base) & (unsafe.Sizeof(hotSet{}) - 1)
+	return unsafe.Slice((*hotSet)(unsafe.Add(base, off)), n)
 }
 
 // get probes the cache. ok reports a usable entry; found mirrors the
 // backend's presence bit (negative results are cached too — a key's
 // absence from an immutable table is as permanent as its value).
 func (c *hotKeyCache) get(key uint64) (val uint16, found, ok bool) {
-	set := hashtab.Hash64Shift(key) & c.mask
-	base := set * hotWays
-	for i := base; i < base+hotWays; i++ {
-		if c.keys[i].Load() != key {
+	s := &c.sets[hashtab.Hash64Shift(key)&c.mask]
+	seq := s.seq.Load()
+	if seq&1 != 0 {
+		return 0, false, false // set mid-rewrite; a miss is always safe
+	}
+	for i := range s.keys {
+		if s.keys[i].Load() != key {
 			continue
 		}
-		s1 := c.seqs[i].Load()
-		if s1&1 != 0 {
-			return 0, false, false // slot mid-rewrite; a miss is always safe
-		}
-		v := c.vals[i].Load()
-		if c.seqs[i].Load() != s1 || c.keys[i].Load() != key {
+		w := s.words[i].Load()
+		if s.seq.Load() != seq {
 			return 0, false, false // torn by concurrent eviction(s)
 		}
-		// Tick the slot so in-set LRU keeps hot keys; a plain store of
-		// the current tick is enough (no increment — ordering between
-		// concurrent readers is irrelevant). The tick advances only on
-		// insertions, so a fully-warm cache skips the store entirely.
-		if cur := c.tick.Load(); c.ticks[i].Load() != cur {
-			c.ticks[i].Store(cur)
-		}
-		return uint16(v), v&hotFoundBit != 0, true
+		s.touch(uint32(i))
+		return uint16(w), w&hotFoundBit != 0, true
 	}
 	return 0, false, false
 }
 
-// put inserts one immutable result, evicting the least-recently-used
-// slot of the key's set when it is full.
+// put inserts one immutable result into an empty slot of the key's set,
+// or else over its least-recently-used slot.
 func (c *hotKeyCache) put(key uint64, val uint16, found bool) {
 	if key == 0 {
 		return // zero is the empty-slot sentinel (never a permutation)
 	}
 	set := hashtab.Hash64Shift(key) & c.mask
-	base := set * hotWays
+	s := &c.sets[set]
 	lk := &c.locks[set&(hotLocks-1)]
 	lk.Lock()
-	victim := base
-	oldest := ^uint32(0)
-	for i := base; i < base+hotWays; i++ {
-		k := c.keys[i].Load()
+	victim := (s.lru.Load() ^ hotLRUZero) >> (2 * (hotWays - 1)) & 3
+	for i := range s.keys {
+		k := s.keys[i].Load()
 		if k == key {
 			lk.Unlock()
 			return // immutable: already present with the same value
 		}
 		if k == 0 {
-			victim = i
+			victim = uint32(i)
 			break
 		}
-		if t := c.ticks[i].Load(); t <= oldest {
-			oldest, victim = t, i
-		}
 	}
-	packed := uint32(val)
+	w := uint32(val)
 	if found {
-		packed |= hotFoundBit
+		w |= hotFoundBit
 	}
-	c.seqs[victim].Add(1) // odd: readers reject the slot
-	c.keys[victim].Store(0)
-	c.vals[victim].Store(packed)
-	c.ticks[victim].Store(c.tick.Add(1))
-	c.keys[victim].Store(key)
-	c.seqs[victim].Add(1) // even again: slot consistent
+	seq := s.seq.Load()
+	s.seq.Store(seq + 1) // odd: readers reject the set
+	s.words[victim].Store(w)
+	s.keys[victim].Store(key)
+	s.seq.Store(seq + 2) // even again
+	s.touch(victim)
 	lk.Unlock()
 }
 
 // bytes is the cache's fixed memory footprint.
-func (c *hotKeyCache) bytes() int64 { return int64(len(c.keys)) * (8 + 4 + 4 + 4) }
+func (c *hotKeyCache) bytes() int64 { return int64(len(c.sets)) * int64(unsafe.Sizeof(hotSet{})) }
 
 // levelBlockKeys is the granularity of the level cache: level ranges
 // are fetched and kept as aligned blocks of this many keys (16 KiB on

@@ -10,9 +10,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/perm"
+	"repro/internal/tables"
 )
 
 func TestHotKeyCacheBasics(t *testing.T) {
@@ -55,6 +57,83 @@ func TestHotKeyCacheEvictsWithinSet(t *testing.T) {
 	}
 	if v, _, ok := c.get(1); !ok || v != 1 {
 		t.Fatalf("recently-used key was evicted over a stale one (ok=%v v=%d)", ok, v)
+	}
+	// Exact LRU: key 2 was the least recently used, so it alone went.
+	if _, _, ok := c.get(2); ok {
+		t.Fatal("least-recently-used key 2 survived the overflow")
+	}
+	for _, k := range []uint64{3, 4} {
+		if v, _, ok := c.get(k); !ok || v != uint16(k) {
+			t.Fatalf("key %d was evicted instead of the least-recently-used key 2", k)
+		}
+	}
+}
+
+// TestHotKeyCacheHammer: writers keep evicting within one set while
+// readers probe it, and every hit must return exactly the value and
+// presence bit written for its key. The seqlock is what guarantees it: a
+// read that overlaps any rewrite of the set must be rejected, or a slot
+// can pair one key with another key's value. A tear needs a writer and a
+// reader running at the same instant, so the hammer only bites with two
+// CPUs free.
+func TestHotKeyCacheHammer(t *testing.T) {
+	if size := unsafe.Sizeof(hotSet{}); size != 64 {
+		t.Fatalf("hotSet is %d bytes, want one 64-byte cache line", size)
+	}
+	c := newHotKeyCache(1)
+	if c.mask != 0 {
+		t.Fatalf("expected a single set, mask = %d", c.mask)
+	}
+	if addr := uintptr(unsafe.Pointer(&c.sets[0])); addr%64 != 0 {
+		t.Fatalf("set at %#x is not line-aligned", addr)
+	}
+	const keys = 3 * hotWays
+	entry := func(k uint64) (uint16, bool) { return uint16(k * 0x9e37), k%3 != 0 }
+	reads := 200_000
+	if raceEnabled {
+		reads = 50_000
+	}
+	var stop atomic.Bool
+	var writers, readers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := w; !stop.Load(); i++ {
+				k := uint64(i%keys) + 1
+				v, f := entry(k)
+				c.put(k, v, f)
+			}
+		}(w)
+	}
+	var hits, torn atomic.Int64
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := 0; i < reads; i++ {
+				k := uint64((i*7+r)%keys) + 1
+				v, f, ok := c.get(k)
+				if !ok {
+					continue
+				}
+				hits.Add(1)
+				if wv, wf := entry(k); v != wv || f != wf {
+					if torn.Add(1) == 1 {
+						t.Errorf("key %d read as (%d, %v), written as (%d, %v)", k, v, f, wv, wf)
+					}
+				}
+			}
+		}(r)
+	}
+	readers.Wait()
+	stop.Store(true)
+	writers.Wait()
+	if n := torn.Load(); n > 0 {
+		t.Fatalf("%d torn reads out of %d hits", n, hits.Load())
+	}
+	if hits.Load() == 0 {
+		t.Fatal("no reader ever hit; the hammer exercised nothing")
 	}
 }
 
@@ -518,5 +597,100 @@ func TestClientLookupAllocs(t *testing.T) {
 	})
 	if allocs > 4 {
 		t.Errorf("wire LookupBatch allocates %.1f times per round trip, want ≤ 4", allocs)
+	}
+}
+
+// twoRangeRouter serves the fixture from two shard servers behind a
+// two-range NewRouter over cached clients, and returns it with n fixture
+// keys owned by each range.
+func twoRangeRouter(t testing.TB, n int) (*Router, [2][]uint64) {
+	res := fixtureTables(t)
+	var shards []tables.Backend
+	for range 2 {
+		_, addr := startServer(t, fixtureBackend(t))
+		shards = append(shards, dialClient(t, addr, &ClientOptions{Conns: 1}))
+	}
+	router, err := NewRouter(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { router.Close() })
+	var owned [2][]uint64
+	for c := 1; c <= res.MaxCost; c++ {
+		lv := res.Level(c)
+		for i := 0; i < lv.Len(); i++ {
+			k := uint64(lv.At(i))
+			if g := ShardOf(k, 2); len(owned[g]) < n {
+				owned[g] = append(owned[g], k)
+			}
+		}
+	}
+	if len(owned[0]) < n || len(owned[1]) < n {
+		t.Fatalf("fixture has %d/%d keys per range, want %d", len(owned[0]), len(owned[1]), n)
+	}
+	return router, owned
+}
+
+// TestRouterLookupAllocs guards the router's single-range path: a warm
+// batch whose keys all fall in one hash range runs inline on the
+// caller's goroutine and allocates nothing — a batch of one (a
+// reconstruction step) as much as a full batch.
+func TestRouterLookupAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc bounds are calibrated without race instrumentation (sync.Pool drops items under -race)")
+	}
+	router, owned := twoRangeRouter(t, 64)
+	ctx := context.Background()
+	for _, n := range []int{1, 64} {
+		keys := owned[1][:n]
+		vals := make([]uint16, n)
+		found := make([]bool, n)
+		if err := router.LookupBatch(ctx, keys, vals, found); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := router.LookupBatch(ctx, keys, vals, found); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("warm single-range %d-key LookupBatch allocates %.1f times, want 0", n, allocs)
+		}
+		for i := range found {
+			if !found[i] {
+				t.Fatalf("stored key %#x reported absent", keys[i])
+			}
+		}
+	}
+}
+
+// BenchmarkRouterLookupBatch prices a warm 64-key LookupBatch through a
+// two-range router whose shard clients answer from their hot-key caches:
+// one-range keeps every key in one hash range (the inline path),
+// two-ranges splits them evenly (the concurrent fan-out).
+func BenchmarkRouterLookupBatch(b *testing.B) {
+	router, owned := twoRangeRouter(b, 32)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		keys []uint64
+	}{
+		{"one-range", append(append([]uint64(nil), owned[0]...), owned[0]...)},
+		{"two-ranges", append(append([]uint64(nil), owned[0]...), owned[1]...)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			vals := make([]uint16, len(tc.keys))
+			found := make([]bool, len(tc.keys))
+			if err := router.LookupBatch(ctx, tc.keys, vals, found); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := router.LookupBatch(ctx, tc.keys, vals, found); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -23,7 +23,7 @@ type ClientOptions struct {
 	Conns int
 	// DialTimeout bounds each dial+handshake; 0 means 5 s.
 	DialTimeout time.Duration
-	// CacheKeys is the hot-key cache capacity in entries (20 bytes
+	// CacheKeys is the hot-key cache capacity in entries (16 bytes
 	// each); 0 means DefaultCacheKeys, negative disables the key cache
 	// and its miss coalescing. The cache is correct for the client's
 	// lifetime because the handshake pins one immutable table
@@ -43,8 +43,8 @@ type ClientOptions struct {
 // DefaultConns is the default connection-pool bound.
 const DefaultConns = 4
 
-// DefaultCacheKeys is the default hot-key cache capacity. Sized (20 MiB
-// at 20 B/entry) to hold the full candidate-key working set of repeated
+// DefaultCacheKeys is the default hot-key cache capacity. Sized (16 MiB
+// at 16 B/entry) to hold the full candidate-key working set of repeated
 // meet-in-the-middle scans at k = 6, not just the direct-lookup keys:
 // warm scans then resolve entirely client-side.
 const DefaultCacheKeys = 1 << 20

@@ -211,6 +211,11 @@ var lookupPool = sync.Pool{New: func() any { return new(lookupScratch) }}
 // tell a router from a table. The first sub-batch to fail terminally
 // cancels its siblings — once the batch's outcome is decided, the
 // remaining sub-lookups are wasted wire traffic.
+//
+// A batch whose keys all fall in one range — every batch of one, so
+// every direct probe and reconstruction step — runs inline on the
+// caller's goroutine, straight into the caller's slices: no scratch,
+// goroutine or cancel context.
 func (r *Router) LookupBatch(ctx context.Context, keys []uint64, vals []uint16, found []bool) error {
 	if len(vals) != len(keys) || len(found) != len(keys) {
 		return fmt.Errorf("tablenet: LookupBatch slice lengths differ (%d/%d/%d)", len(keys), len(vals), len(found))
@@ -219,6 +224,22 @@ func (r *Router) LookupBatch(ctx context.Context, keys []uint64, vals []uint16, 
 	if n == 1 && len(r.groups[0]) == 1 {
 		return r.groups[0][0].LookupBatch(ctx, keys, vals, found)
 	}
+	if len(keys) == 0 {
+		return nil
+	}
+	if g, ok := r.singleRange(keys); ok {
+		return r.groupLookup(ctx, g, keys, vals, found)
+	}
+	return r.fanOut(ctx, keys, vals, found)
+}
+
+// fanOut resolves a batch spanning several hash ranges: one goroutine
+// per non-empty range, each on its own window of pooled scratch, the
+// first terminal failure cancelling the rest. It is a separate function
+// so that its cancel context, which the goroutines capture, does not
+// move the single-range path's ctx to the heap.
+func (r *Router) fanOut(ctx context.Context, keys []uint64, vals []uint16, found []bool) error {
+	n := len(r.groups)
 	sc := lookupPool.Get().(*lookupScratch)
 	defer lookupPool.Put(sc)
 	if len(sc.idx) < n {
@@ -275,6 +296,19 @@ func (r *Router) LookupBatch(ctx context.Context, keys []uint64, vals []uint16, 
 	}
 	wg.Wait()
 	return firstErr
+}
+
+// singleRange reports the one hash range owning every key of a
+// non-empty batch, if there is one.
+func (r *Router) singleRange(keys []uint64) (int, bool) {
+	n := len(r.groups)
+	g := ShardOf(keys[0], n)
+	for _, k := range keys[1:] {
+		if ShardOf(k, n) != g {
+			return 0, false
+		}
+	}
+	return g, true
 }
 
 // groupLookup resolves one range's sub-batch, failing over across the
