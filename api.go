@@ -22,31 +22,35 @@
 //
 // # Parallelism
 //
-// Both the precomputation BFS and the meet-in-the-middle query stage run
-// multicore by default: level expansion and prefix scanning fan out over
-// runtime.GOMAXPROCS(0) goroutines against a sharded concurrent hash
-// table whose read path is lock-free after the build phase — each cost
-// level expands independently per representative, which is what lets
-// the paper reach k = 9 on a large multicore machine (§4.1 reports a
-// 16-CPU run). Set SynthConfig.Workers to bound the fan-out. Per-level
-// class counts are identical for every worker count, and so is every
-// query's answer: parallel prefix scans commit their chunks in scan
-// order. (The parallel BFS may store different, equally minimal,
-// boundary gates; Workers: 1 reproduces the sequential build exactly.)
+// Both the table build and the meet-in-the-middle query stage run
+// multicore by default, over runtime.GOMAXPROCS(0) goroutines: every
+// build phase (expansion, merge, emission) splits its work by slab or
+// hash shard, and prefix scans fan out over chunks of a level against
+// a frozen table whose reads are lock-free — each cost level expands
+// independently per representative, which is what lets the paper
+// reach k = 9 on a large multicore machine (§4.1 reports a 16-CPU
+// run). Set SynthConfig.Workers to bound the fan-out. Neither the
+// stored tables nor any query's answer depend on it: the build orders
+// candidates by deterministic sequence numbers, and parallel prefix
+// scans commit their chunks in scan order.
 //
 // # Paper-scale builds
 //
-// The in-memory BFS needs the whole table resident, which caps the
+// An in-memory BFS needs the whole table resident, which caps the
 // reachable depth at the build machine's RAM — the paper's k = 9 run
-// took "over 100 GB" (§4.1). The out-of-core builder (internal/extbuild,
-// driven by revtables -out-of-core) removes that cap: each frontier
-// streams to sorted spill runs on disk, new levels merge-dedup against
-// all prior levels by external k-way merge under a hard -mem-budget,
-// and the finished store — plus every -split shard file, in the same
-// pass — is emitted directly, without materializing the table:
+// took "over 100 GB" (§4.1). Every build here goes through the
+// out-of-core builder (internal/extbuild, driven by revtables -save and
+// by every fresh in-process build), which removes that cap: each
+// frontier streams to sorted spill runs on disk, new levels merge-dedup
+// against all prior levels by external k-way merge under a -mem-budget
+// target, and the finished store — plus every -split shard file, in the
+// same pass — is emitted directly, without materializing the table. A
+// fresh in-process build (NewSynthesizer, a NewService without a
+// stored table file) spills under TMPDIR and memory-maps the store it
+// emitted:
 //
-//	go run ./cmd/revtables -table none -k 8 -save k8.tables -out-of-core -mem-budget 2GiB
-//	go run ./cmd/revtables -table none -k 9 -save k9 -out-of-core -split 16 -mem-budget 8GiB
+//	go run ./cmd/revtables -table none -k 8 -save k8.tables -mem-budget 2GiB
+//	go run ./cmd/revtables -table none -k 9 -save k9 -split 16 -mem-budget 8GiB
 //
 // The budget is a ledger: every buffer the build holds is charged to
 // it, and the stats report the peak. It divides as follows:
@@ -77,7 +81,7 @@
 // with a counting sort by home slot.
 //
 // The output is byte-identical to tablesio.SaveFile of the sequential
-// in-memory build, for any budget, worker count, or crash history —
+// bfs.Search, for any budget, worker count, or crash history —
 // per-shard merges assign the same deterministic sequence numbers the
 // sequential builder would, so the emitted file is independent of the
 // spill schedule. Days-long builds survive interruption: the work
@@ -107,9 +111,9 @@
 //	defer svc.Close(context.Background())
 //	circ, info, err := svc.Synthesize(ctx, spec) // concurrent, cached, cancellable
 //
-// The first run builds the tables — a search returns them already in
-// the frozen layout — and persists them as a tablesio v2 zero-copy
-// store; every later run memory-maps that store —
+// The first run builds the tables, writing them straight to
+// TablesPath as a tablesio v2 zero-copy store, and every run — the
+// first included — memory-maps that store, so a later
 // cold start is O(pages touched), milliseconds even for table sets whose
 // v1-style parse-and-rehash took seconds to minutes, and concurrent
 // server processes share one page-cache copy. The service then answers
@@ -204,7 +208,7 @@
 //     the tablenet handshake — so a shard wired into the wrong range
 //     is refused at connect time (and at every reconnect) with
 //     ErrOwnership, never silently wrong. Programmatic:
-//     tablesio.SaveSplitFile, tables.NewPartial.
+//     extbuild.Options.SplitN, tables.NewPartial.
 //   - Live membership. revserve -topology fleet.json wires the fleet
 //     from a generation-stamped topology document (members are
 //     assigned to the ranges they own by rendezvous hashing, so edits
@@ -420,9 +424,10 @@ var ErrBeyondHorizon = core.ErrBeyondHorizon
 // NewSynthesizer precomputes the lookup tables with BFS depth k and full
 // meet-in-the-middle range (synthesis horizon 2k). Memory and
 // precomputation grow steeply with k: k = 5 is instant (≈10⁵ classes),
-// k = 6 takes seconds (≈1.6M classes), k = 7 takes about a minute and
-// ≈0.5 GB (≈21M classes). The paper's reference configuration is k = 9
-// on a 64 GB machine.
+// k = 6 takes seconds (≈1.6M classes), k = 7 takes under a minute and
+// maps a ≈0.4 GB store (≈21M classes). The build spills under TMPDIR
+// within a 256 MiB working-memory target. The paper's reference
+// configuration is k = 9 on a 64 GB machine.
 func NewSynthesizer(k int) (*Synthesizer, error) {
 	return core.New(core.Config{K: k})
 }

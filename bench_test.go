@@ -462,24 +462,6 @@ func BenchmarkExtensionDepthOptimal(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchParallel tracks the wall-clock scaling of the sharded
-// parallel BFS: the same k = 6 search (1.48M new classes at the last
-// level) at increasing worker counts. On a single-core machine the
-// workers=1 row is the meaningful one; on ≥ 4 cores the ≥ 2× speedup at
-// workers=4 is part of the perf trajectory.
-func BenchmarkSearchParallel(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := bfs.Search(bfs.GateAlphabet(), 6, &bfs.Options{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkParallelQueries measures concurrent meet-in-the-middle
 // throughput: GOMAXPROCS goroutines hammer one synthesizer over the
 // lock-free frozen table (the paper's 16-CPU random-sampling workload,

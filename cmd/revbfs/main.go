@@ -7,7 +7,10 @@
 //	revbfs [-k 6] [-alphabet gates|linear|layers|lnn|quantum] [-full] [-noreduce] [-workers N]
 //	revbfs -k 6 -save tables.bin          # persist (paper's §3.1 workflow)
 //	revbfs -load tables.bin               # reload instead of searching
+//	revbfs -load old.bin -save new.bin    # rewrite a (v1) store as v2
 //
+// The search is extbuild's: it spills under TMPDIR (or writes the -save
+// store directly) and stores the same bytes for every -workers value.
 // With -full the (much larger) unreduced function counts are derived from
 // equivalence-class sizes — the two columns of the paper's Table 4.
 package main
@@ -21,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/bfs"
+	"repro/internal/extbuild"
 	"repro/internal/gate"
 	"repro/internal/tablesio"
 )
@@ -35,7 +39,7 @@ func main() {
 		noreduce = flag.Bool("noreduce", false, "disable the ÷48 canonical reduction (ablation)")
 		save     = flag.String("save", "", "write the computed tables to this file (tablesio format)")
 		load     = flag.String("load", "", "read tables from this file instead of searching")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "level-expansion goroutines (1 = exact sequential order)")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "build goroutines (the stored bytes do not depend on it)")
 	)
 	flag.Parse()
 
@@ -69,24 +73,28 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "loaded %d entries from %s (%s)\n", res.TotalStored(), *load, info)
+		if *save != "" {
+			if err := tablesio.SaveFile(*save, res); err != nil {
+				log.Fatal(err)
+			}
+		}
 	} else {
-		res, err = bfs.Search(a, *k, &bfs.Options{
+		res, _, err = extbuild.BuildResult(extbuild.Options{
+			Alphabet:    a,
+			K:           *k,
 			NoReduction: *noreduce,
 			Workers:     *workers,
-			Progress: func(level, reps int) {
+			OutPath:     *save,
+			Progress: extbuild.LevelProgress(func(level, reps int) {
 				fmt.Fprintf(os.Stderr, "level %d: %d new\n", level, reps)
-			},
+			}),
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 	}
 	elapsed := time.Since(start)
-
 	if *save != "" {
-		if err := tablesio.SaveFile(*save, res); err != nil {
-			log.Fatal(err)
-		}
 		st, _ := os.Stat(*save)
 		fmt.Fprintf(os.Stderr, "saved v2 tables to %s (%d bytes)\n", *save, st.Size())
 	}

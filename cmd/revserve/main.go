@@ -147,6 +147,7 @@ import (
 
 	"repro/internal/bfs"
 	"repro/internal/core"
+	"repro/internal/extbuild"
 	"repro/internal/gate"
 	"repro/internal/ops"
 	"repro/internal/perm"
@@ -654,8 +655,8 @@ func buildHandler(svc *service.Synthesizer, fleet fleetView, reg *clientRegistry
 // runShardServer is the -shard-serve role: acquire the table store
 // (memory-mapping a v2 file when present — full or split — building and
 // persisting one otherwise) and export it over the tablenet protocol
-// until SIGTERM. A split store (revtables -split N -range i) serves as
-// a range-owning partial backend: its hello advertises the owned range
+// until SIGTERM. A split store (one of the files revtables -split N
+// writes) serves as a range-owning partial backend: its hello advertises the owned range
 // and the router verifies it against the wiring. The mmap path is what
 // makes shards cheap: N shard processes on one host share a single
 // page-cache copy, and across hosts each replica's resident set is
@@ -686,16 +687,14 @@ func runShardServer(addr, tablesPath string, k int, alphabet *bfs.Alphabet, quer
 	}
 	if res == nil {
 		log.Printf("building k=%d tables...", k)
-		synth, err := core.New(core.Config{K: k, Alphabet: alphabet, Workers: queryWorkers})
+		// The build emits its store straight to tablesPath when one is
+		// set.
+		synth, err := core.Build(core.Config{K: k, Alphabet: alphabet, Workers: queryWorkers},
+			extbuild.Options{OutPath: tablesPath})
 		if err != nil {
 			log.Fatal(err)
 		}
 		res = synth.Result()
-		if tablesPath != "" {
-			if err := tablesio.SaveFile(tablesPath, res); err != nil {
-				log.Fatal(err)
-			}
-		}
 		log.Printf("tables built: %d entries in %v", res.TotalStored(), time.Since(start).Round(time.Millisecond))
 	}
 	var backend tables.Backend

@@ -25,6 +25,7 @@ import (
 	"repro/internal/benchfuncs"
 	"repro/internal/bfs"
 	"repro/internal/core"
+	"repro/internal/extbuild"
 	"repro/internal/gate"
 	"repro/internal/perm"
 	"repro/internal/render"
@@ -143,19 +144,14 @@ func buildSynthesizer(cfg core.Config, cache string, quiet bool) (*core.Synthesi
 			return s, nil
 		}
 	}
-	synth, err := core.New(cfg)
+	// The build writes the store atomically (temp file + rename), so an
+	// interrupted run never leaves a truncated store at the cache path.
+	synth, err := core.Build(cfg, extbuild.Options{OutPath: cache})
 	if err != nil {
 		return nil, err
 	}
-	if cache != "" {
-		// Atomic temp-file+rename: an interrupted Save must not leave a
-		// truncated store that fails the next -tables load.
-		if err := tablesio.SaveFile(cache, synth.Result()); err != nil {
-			return nil, err
-		}
-		if !quiet {
-			fmt.Fprintf(os.Stderr, "saved tables to %s\n", cache)
-		}
+	if cache != "" && !quiet {
+		fmt.Fprintf(os.Stderr, "saved tables to %s\n", cache)
 	}
 	return synth, nil
 }

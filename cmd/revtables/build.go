@@ -13,12 +13,15 @@ import (
 	"repro/internal/extbuild"
 )
 
-// buildOutOfCore runs the disk-streamed table build: frontiers spill to
-// sorted runs, levels merge-dedup externally under the memory budget,
-// and the store (plus every -split file) is emitted directly. Progress
-// streams to stderr; the final level counts are diffed against the
-// paper's Table 4.
-func buildOutOfCore(save string, k, split int, memBudget, workDir string, resume bool, crashAt string) {
+// buildTables runs the extbuild table build: frontiers spill to sorted
+// runs, levels merge-dedup externally under the memory budget, and the
+// store (or every -split file) is emitted directly to the -save path.
+// Without -save the store goes to a temporary file. With load the full
+// store is loaded and returned for the synthesizer-backed reports — with
+// -split it is emitted to a temporary file alongside the split files.
+// Progress streams to stderr; the final level counts are diffed against
+// the paper's Table 4.
+func buildTables(save string, k, split int, memBudget, workDir string, resume bool, crashAt string, load bool) *bfs.Result {
 	budget := int64(extbuild.DefaultMemBudget)
 	if memBudget != "" {
 		var err error
@@ -26,7 +29,7 @@ func buildOutOfCore(save string, k, split int, memBudget, workDir string, resume
 			log.Fatalf("-mem-budget: %v", err)
 		}
 	}
-	if workDir == "" {
+	if workDir == "" && save != "" {
 		workDir = save + ".work"
 	}
 	o := extbuild.Options{
@@ -57,8 +60,19 @@ func buildOutOfCore(save string, k, split int, memBudget, workDir string, resume
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "out-of-core build: k=%d budget=%s workdir=%s\n", k, fmtBytes(budget), workDir)
-	stats, err := extbuild.Build(o)
+	where := workDir
+	if where == "" {
+		where = "(temporary)"
+	}
+	fmt.Fprintf(os.Stderr, "build: k=%d budget=%s workdir=%s\n", k, fmtBytes(budget), where)
+	var res *bfs.Result
+	var stats *extbuild.Stats
+	var err error
+	if load {
+		res, stats, err = extbuild.BuildResult(o)
+	} else {
+		stats, err = extbuild.Build(o)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,11 +107,13 @@ func buildOutOfCore(save string, k, split int, memBudget, workDir string, resume
 	if mismatch {
 		log.Fatal("level counts disagree with paper Table 4 — store NOT trustworthy")
 	}
-	if split > 0 {
+	switch {
+	case split > 0:
 		fmt.Fprintf(os.Stderr, "\nsaved k=%d as %d split stores at %s.<i>of%d\n", k, split, save, split)
-	} else {
+	case save != "":
 		fmt.Fprintf(os.Stderr, "\nsaved k=%d tables to %s\n", k, save)
 	}
+	return res
 }
 
 // buildProgress turns the builder's event stream into one stderr status

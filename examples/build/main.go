@@ -1,6 +1,6 @@
 // Build walkthrough: the paper-scale precompute path — an out-of-core
 // BFS that never holds the table in memory, emitting the same
-// byte-for-byte store the in-memory builder would.
+// byte-for-byte store as the sequential reference search.
 //
 //	go run ./examples/build
 //
@@ -8,18 +8,21 @@
 // the k = 9 run needed over 100 GB of RAM (§4.1). The out-of-core
 // builder trades that RAM for disk: frontiers stream to sorted spill
 // runs, each new level merge-dedups against all prior levels by
-// external k-way merge under a hard memory budget, and the finished
-// v2 store (plus every split shard file, in the same pass) is written
+// external k-way merge under a memory budget, and the finished v2
+// store (plus every split shard file, in the same pass) is written
 // directly. A checkpoint manifest in the work directory makes the
-// build resumable after a crash with at most one level of rework.
+// build resumable after a crash with at most one level of rework. It
+// is the only table builder: revtables -save, revbfs, revserve and
+// every fresh in-process build (core.New, a service without a stored
+// table file) go through it.
 //
 // As a command the same flow is:
 //
-//	go run ./cmd/revtables -table none -k 8 -save k8.tables -out-of-core -mem-budget 2GiB
+//	go run ./cmd/revtables -table none -k 8 -save k8.tables -mem-budget 2GiB
 //	# ...interrupted? same command + -resume picks it up:
-//	go run ./cmd/revtables -table none -k 8 -save k8.tables -out-of-core -mem-budget 2GiB -resume
+//	go run ./cmd/revtables -table none -k 8 -save k8.tables -mem-budget 2GiB -resume
 //	# shard stores for a partitioned fleet, emitted in one pass:
-//	go run ./cmd/revtables -table none -k 9 -save k9 -out-of-core -split 16 -mem-budget 8GiB
+//	go run ./cmd/revtables -table none -k 9 -save k9 -split 16 -mem-budget 8GiB
 //
 // This program runs the same pipeline in-process at a small k, under a
 // budget far below the finished store, and serves a query from the
@@ -89,9 +92,9 @@ func main() {
 	}
 	fmt.Println("level counts match paper Table 4")
 
-	// The emitted file is byte-identical to the sequential in-memory
-	// build's SaveFile, so everything downstream — mmap cold start,
-	// split serving, fleet handshakes — works unchanged.
+	// The emitted file is byte-identical to SaveFile of the sequential
+	// bfs.Search, so everything downstream — mmap cold start, split
+	// serving, fleet handshakes — works unchanged.
 	res, info, err := tablesio.LoadFile(out, bfs.GateAlphabet(), nil)
 	if err != nil {
 		log.Fatal(err)

@@ -67,6 +67,7 @@ import (
 
 	"repro/internal/bfs"
 	"repro/internal/core"
+	"repro/internal/extbuild"
 	"repro/internal/perm"
 	"repro/internal/service"
 	"repro/internal/tablenet"
@@ -75,25 +76,27 @@ import (
 )
 
 func main() {
-	// 1. Build the tables once and cut them into two range-local split
-	// stores — the compute-once step, then the partitioning step.
+	// 1. Build the tables once, emitting the full store (the local
+	// reference below) and two range-local split stores in one pass.
 	fmt.Println("building k=5 tables...")
-	res, err := bfs.Search(bfs.GateAlphabet(), 5, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
 	dir, err := os.MkdirTemp("", "cluster")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
 	const ranges, replication = 2, 2
+	splitPath := func(i int) string { return filepath.Join(dir, fmt.Sprintf("k5.tables.%dof%d", i, ranges)) }
+	res, _, err := extbuild.BuildResult(extbuild.Options{
+		Alphabet:  bfs.GateAlphabet(),
+		K:         5,
+		SplitN:    ranges,
+		SplitPath: splitPath,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	loadSplit := func(i int) *tables.Partial {
-		path := filepath.Join(dir, fmt.Sprintf("k5.tables.%dof%d", i, ranges))
-		if err := tablesio.SaveSplitFile(path, res, ranges, i); err != nil {
-			log.Fatal(err)
-		}
-		sres, info, err := tablesio.LoadFile(path, bfs.GateAlphabet(), &tablesio.LoadOptions{AllowSplit: true})
+		sres, info, err := tablesio.LoadFile(splitPath(i), bfs.GateAlphabet(), &tablesio.LoadOptions{AllowSplit: true})
 		if err != nil {
 			log.Fatal(err)
 		}

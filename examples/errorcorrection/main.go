@@ -17,6 +17,7 @@ import (
 	"repro"
 	"repro/internal/bfs"
 	"repro/internal/core"
+	"repro/internal/extbuild"
 	"repro/internal/linear"
 )
 
@@ -67,7 +68,7 @@ func main() {
 	// Table 5's shape in one line each: how many linear functions need n
 	// gates (exact — the whole group is enumerated).
 	fmt.Println("\nTable 5 (exact):")
-	res, err := bfs.Search(bfs.LinearAlphabet(), 10, &bfs.Options{NoReduction: true})
+	res, _, err := extbuild.BuildResult(extbuild.Options{Alphabet: bfs.LinearAlphabet(), K: 10, NoReduction: true})
 	if err != nil {
 		log.Fatal(err)
 	}

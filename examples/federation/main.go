@@ -47,6 +47,7 @@ import (
 	"repro/internal/bfs"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/extbuild"
 	"repro/internal/gate"
 	"repro/internal/perm"
 	"repro/internal/service"
@@ -57,15 +58,15 @@ import (
 func main() {
 	// 1. Build both depths over the SAME alphabet — that sameness is
 	// what NewFederation validates (fingerprint, reduction, level-count
-	// prefixes) and what makes escalated answers byte-identical: BFS is
-	// deterministic, so the k=4 tables are an exact prefix of the k=6
-	// tables.
+	// prefixes) and what makes escalated answers byte-identical: the
+	// build is deterministic, so the k=4 tables are an exact prefix of
+	// the k=6 tables.
 	fmt.Println("building k=4 and k=6 tables over one alphabet...")
-	small, err := bfs.Search(bfs.GateAlphabet(), 4, nil)
+	small, _, err := extbuild.BuildResult(extbuild.Options{Alphabet: bfs.GateAlphabet(), K: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
-	big, err := bfs.Search(bfs.GateAlphabet(), 6, nil)
+	big, _, err := extbuild.BuildResult(extbuild.Options{Alphabet: bfs.GateAlphabet(), K: 6})
 	if err != nil {
 		log.Fatal(err)
 	}

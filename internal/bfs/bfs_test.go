@@ -2,7 +2,6 @@ package bfs
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/canon"
@@ -265,90 +264,6 @@ func TestUnreducedMatchesReducedFullCounts(t *testing.T) {
 	for c := 0; c <= k; c++ {
 		if got, want := int64(plain.ReducedCount(c)), GateFullCounts[c]; got != want {
 			t.Errorf("unreduced count at size %d = %d, want %d", c, got, want)
-		}
-	}
-}
-
-// TestParallelSearchMatchesSequential is the central concurrency
-// validation (run with -race): a Workers = 8 search must produce, level
-// by level, exactly the same representative sets, ReducedCounts and
-// FullCounts as the sequential Workers = 1 search, both matching the
-// paper's Table 4.
-func TestParallelSearchMatchesSequential(t *testing.T) {
-	k := 5
-	if testing.Short() {
-		k = 4
-	}
-	seq, err := Search(GateAlphabet(), k, &Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Search(GateAlphabet(), k, &Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c <= k; c++ {
-		if got, want := int64(par.ReducedCount(c)), GateReducedCounts[c]; got != want {
-			t.Errorf("parallel reduced count at size %d = %d, want %d (paper Table 4)", c, got, want)
-		}
-		if got, want := par.ReducedCount(c), seq.ReducedCount(c); got != want {
-			t.Errorf("parallel/sequential reduced counts differ at size %d: %d vs %d", c, got, want)
-		}
-		if got, want := par.FullCount(c), GateFullCounts[c]; got != want {
-			t.Errorf("parallel full count at size %d = %d, want %d (paper Table 4)", c, got, want)
-		}
-		// Set equality, not just cardinality: sort copies of both levels.
-		a, b := levelReps(seq.Level(c)), levelReps(par.Level(c))
-		if len(a) != len(b) {
-			t.Fatalf("level %d sizes differ: sequential %d, parallel %d", c, len(a), len(b))
-		}
-		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("level %d representative sets differ at sorted index %d: %v vs %v", c, i, a[i], b[i])
-			}
-		}
-	}
-}
-
-// levelReps copies a level's representatives out.
-func levelReps(lv LevelView) []perm.Perm {
-	out := make([]perm.Perm, lv.Len())
-	for i := range out {
-		out[i] = lv.At(i)
-	}
-	return out
-}
-
-// TestParallelUnreducedAndWeighted covers the remaining search modes
-// under parallel expansion: the unreduced ablation and a weighted
-// (quantum-cost) alphabet whose levels expand from multiple sources.
-func TestParallelUnreducedAndWeighted(t *testing.T) {
-	plain, err := Search(GateAlphabet(), 4, &Options{NoReduction: true, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c <= 4; c++ {
-		if got, want := int64(plain.ReducedCount(c)), GateFullCounts[c]; got != want {
-			t.Errorf("parallel unreduced count at size %d = %d, want %d", c, got, want)
-		}
-	}
-	a, err := WeightedGateAlphabet(gate.Gate.QuantumCost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := Search(a, 7, &Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Search(a, 7, &Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c <= 7; c++ {
-		if got, want := par.ReducedCount(c), seq.ReducedCount(c); got != want {
-			t.Errorf("weighted parallel count at cost %d = %d, want %d", c, got, want)
 		}
 	}
 }

@@ -9,19 +9,20 @@ import (
 
 // CandidateSink consumes the candidate stream of a BFS level expansion,
 // decoupling the expansion arithmetic (compose, canonicalize, pack) from
-// whatever stores the survivors. Search feeds sinks backed by the
-// in-memory sharded table; the out-of-core builder feeds sinks that
-// spill sorted runs to disk. The same expansion code drives both, which
-// is what makes the two builds provably produce the same entries.
+// whatever stores the survivors. Search, the sequential reference,
+// feeds a sink that inserts into an in-memory table; extbuild feeds
+// sinks that spill sorted runs to disk. The same expansion code drives
+// both, which is what makes the two builds provably produce the same
+// entries.
 type CandidateSink interface {
 	// Candidate offers one expansion product: the (canonical) key, its
 	// packed value, and the candidate's deterministic sequence number —
-	// the rank at which the sequential (Workers == 1) expansion of this
-	// level would have produced it. Duplicate keys arrive many times,
-	// with different values and sequence numbers; the sink resolves
-	// them. Keeping the lowest sequence number's value reproduces the
-	// sequential build exactly (its first insertion wins), so sinks
-	// that want byte-reproducible tables dedup by minimum seq.
+	// the rank at which Search's sequential expansion of this level
+	// produces it. Duplicate keys arrive many times, with different
+	// values and sequence numbers; the sink resolves them. Keeping the
+	// lowest sequence number's value reproduces Search exactly (its
+	// first insertion wins), so sinks that want byte-reproducible
+	// tables dedup by minimum seq.
 	Candidate(key uint64, val uint16, seq uint64)
 }
 

@@ -95,9 +95,8 @@ func TestCompactMemorySavings(t *testing.T) {
 	}
 }
 
-// TestSearchResultsVerify passes the result of every alphabet's search,
-// sequential and parallel, through FromFrozen's exhaustive structural
-// verification.
+// TestSearchResultsVerify passes the result of every alphabet's search
+// through FromFrozen's exhaustive structural verification.
 func TestSearchResultsVerify(t *testing.T) {
 	quantum, err := WeightedGateAlphabet(gate.Gate.QuantumCost)
 	if err != nil {
@@ -117,17 +116,13 @@ func TestSearchResultsVerify(t *testing.T) {
 		{"layers", LayerAlphabet(), 2, Options{}},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 4} {
-			opts := tc.opts
-			opts.Workers = workers
-			res, err := Search(tc.a, tc.k, &opts)
-			if err != nil {
-				t.Fatalf("%s/workers=%d: %v", tc.name, workers, err)
-			}
-			ft, idx, counts := res.CompactView()
-			if _, err := FromFrozen(res.Alphabet, res.MaxCost, res.Reduced, ft, idx, counts, true); err != nil {
-				t.Fatalf("%s/workers=%d: search result fails verification: %v", tc.name, workers, err)
-			}
+		res, err := Search(tc.a, tc.k, &tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		ft, idx, counts := res.CompactView()
+		if _, err := FromFrozen(res.Alphabet, res.MaxCost, res.Reduced, ft, idx, counts, true); err != nil {
+			t.Fatalf("%s: search result fails verification: %v", tc.name, err)
 		}
 	}
 }

@@ -94,13 +94,6 @@ type Options struct {
 	// Progress, when non-nil, is called after each completed cost level
 	// with the level index and the number of new representatives.
 	Progress func(level, newReps int)
-	// Workers is the number of goroutines expanding each cost level.
-	// Zero (or negative) means runtime.GOMAXPROCS(0). Workers == 1 runs
-	// the exact sequential expansion order of the original
-	// implementation, so level lists are byte-for-byte reproducible; with
-	// more workers the per-level sets and counts are identical but the
-	// order within a level depends on scheduling.
-	Workers int
 }
 
 // Result is the outcome of a breadth-first search: the paper's lists Aᵢ
@@ -305,16 +298,17 @@ func (r *Result) TableStats() hashtab.Stats { return r.Frozen.ComputeStats() }
 // weighted alphabets it advances cost-by-cost (the paper §5 variant:
 // "search for small circuits via increasing cost by one").
 //
-// Each cost level is expanded by opts.Workers goroutines over a sharded
-// concurrent hash table: workers claim chunks of the source levels,
-// canonicalize and batch-insert candidates, and collect newly discovered
-// representatives in per-worker buffers that are concatenated at the
-// level barrier. The per-level sets (and therefore ReducedCount /
-// FullCount) are identical for every worker count. Once the horizon is
-// reached the table and level lists are frozen (FromLevels). The table
-// is presized from paper Table 4 for the reduced 32-gate unit-cost
-// alphabet and grows on demand otherwise; the frozen bytes do not depend
-// on its sizing.
+// Search is the sequential reference: each cost level is expanded in
+// one fixed order, every candidate inserted as it is produced, so the
+// first insertion of a class decides its stored element and the level
+// list is the first-insertion order. extbuild reproduces exactly these
+// bytes with any worker count and memory budget, and it is what builds
+// tables for serving; Search is the oracle its byte-identity tests
+// compare against and the builder of small test fixtures. Once the
+// horizon is reached the table and level lists are frozen
+// (FromLevels). The table is presized from paper Table 4 for the
+// reduced 32-gate unit-cost alphabet and grows on demand otherwise;
+// the frozen bytes do not depend on its sizing.
 func Search(a *Alphabet, k int, opts *Options) (*Result, error) {
 	if a == nil {
 		return nil, fmt.Errorf("bfs: nil alphabet")
@@ -331,69 +325,37 @@ func Search(a *Alphabet, k int, opts *Options) (*Result, error) {
 	if !opts.NoReduction && !a.Relabelable() {
 		return nil, fmt.Errorf("bfs: alphabet is not closed under wire relabeling; set NoReduction (restricted architectures cannot use the ÷48 reduction)")
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	hint := 1 << 10
 	if !opts.NoReduction && a.Len() == 32 && a.MaxCost() == 1 && k < len(GateReducedCounts) {
 		hint = max(hint, int(CumulativeGateReduced(k)))
 	}
-	b := &build{
-		a:      a,
-		table:  hashtab.NewSharded(hint),
-		levels: make([][]perm.Perm, k+1),
-	}
-	b.table.Insert(uint64(perm.Identity), PackIdentity())
-	b.levels[0] = []perm.Perm{perm.Identity}
+	table := hashtab.NewSharded(hint)
+	table.Insert(uint64(perm.Identity), PackIdentity())
+	levels := make([][]perm.Perm, k+1)
+	levels[0] = []perm.Perm{perm.Identity}
 
 	// Group element indices by cost so level c expands from level
 	// c − cost(e) for each group.
 	costs, costGroups := CostGroups(a)
 
 	for c := 1; c <= k; c++ {
-		var lvl []perm.Perm
-		if workers == 1 {
-			lvl = b.expandLevel(costs, costGroups, c, opts.NoReduction)
-		} else {
-			lvl = b.expandLevelParallel(costs, costGroups, c, opts.NoReduction, workers)
+		s := &seqSink{table: table}
+		for _, ec := range costs {
+			if src := c - ec; src >= 0 {
+				for _, r := range levels[src] {
+					ExpandRep(a, r, costGroups[ec], c, !opts.NoReduction, 0, s)
+				}
+			}
 		}
-		b.levels[c] = lvl
+		levels[c] = s.lvl
 		if opts.Progress != nil {
-			opts.Progress(c, len(lvl))
+			opts.Progress(c, len(s.lvl))
 		}
 	}
-	return FromLevels(a, k, !opts.NoReduction, b.table, b.levels, false)
+	return FromLevels(a, k, !opts.NoReduction, table, levels, false)
 }
 
-// build is Search's working state: the concurrent table and the level
-// lists, frozen once the horizon is reached.
-type build struct {
-	a      *Alphabet
-	table  *hashtab.ShardedTable
-	levels [][]perm.Perm
-}
-
-// expandLevel computes cost level c sequentially, in the exact expansion
-// order of the original single-threaded implementation: the candidates
-// stream through a sink that inserts immediately, so the level list is
-// the first-insertion order.
-func (b *build) expandLevel(costs []int, costGroups map[int][]int, c int, noReduction bool) []perm.Perm {
-	s := &seqSink{table: b.table}
-	for _, ec := range costs {
-		src := c - ec
-		if src < 0 {
-			continue
-		}
-		elemIdxs := costGroups[ec]
-		for _, r := range b.levels[src] {
-			ExpandRep(b.a, r, elemIdxs, c, !noReduction, 0, s)
-		}
-	}
-	return s.lvl
-}
-
-// seqSink is the sequential sink: immediate insertion into the sharded
+// seqSink is Search's CandidateSink: immediate insertion into the
 // table, survivors appended in arrival order. Sequence numbers are
 // irrelevant here — arrival order IS the sequential order.
 type seqSink struct {
@@ -405,132 +367,6 @@ func (s *seqSink) Candidate(key uint64, val uint16, _ uint64) {
 	if _, inserted := s.table.Insert(key, val); inserted {
 		s.lvl = append(s.lvl, perm.Perm(key))
 	}
-}
-
-// expandChunk is one unit of parallel work: a contiguous slice of a
-// source level together with the element group expanding it.
-type expandChunk struct {
-	reps     []perm.Perm
-	elemIdxs []int
-}
-
-// expandLevelParallel computes cost level c with a worker pool. Chunks
-// of the source levels are claimed through an atomic cursor; each worker
-// canonicalizes into a private batch that is flushed to the sharded
-// table, and newly discovered representatives land in the worker's own
-// buffer. The buffers are concatenated in worker-index order at the
-// barrier. Races on duplicate candidates are resolved by the table
-// (exactly one insert wins), so the resulting set is schedule-invariant.
-func (b *build) expandLevelParallel(costs []int, costGroups map[int][]int, c int, noReduction bool, workers int) []perm.Perm {
-	var chunks []expandChunk
-	for _, ec := range costs {
-		src := c - ec
-		if src < 0 {
-			continue
-		}
-		reps := b.levels[src]
-		if len(reps) == 0 {
-			continue
-		}
-		elemIdxs := costGroups[ec]
-		// Aim for several chunks per worker for load balancing, but keep
-		// chunks big enough that batch flushes stay amortized.
-		chunk := max((len(reps)+workers*8-1)/(workers*8), 64)
-		for lo := 0; lo < len(reps); lo += chunk {
-			hi := min(lo+chunk, len(reps))
-			chunks = append(chunks, expandChunk{reps[lo:hi], elemIdxs})
-		}
-	}
-	outs := make([][]perm.Perm, workers)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			e := newExpander(b.table)
-			for {
-				j := int(cursor.Add(1)) - 1
-				if j >= len(chunks) {
-					break
-				}
-				ch := chunks[j]
-				for _, r := range ch.reps {
-					ExpandRep(b.a, r, ch.elemIdxs, c, !noReduction, 0, e)
-				}
-			}
-			e.flush()
-			outs[w] = e.out
-		}(w)
-	}
-	wg.Wait()
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	lvl := make([]perm.Perm, 0, total)
-	for _, o := range outs {
-		lvl = append(lvl, o...)
-	}
-	return lvl
-}
-
-// insertBatchSize is the per-worker buffer length between sharded-table
-// flushes; 512 keys spread over the default shard counts make per-shard
-// lock acquisitions rare relative to canonicalization work.
-const insertBatchSize = 512
-
-// expander is one worker's private state: a pending insert batch and the
-// buffer of representatives this worker discovered first.
-type expander struct {
-	table *hashtab.ShardedTable
-	keys  []uint64
-	vals  []uint16
-	ins   []bool
-	out   []perm.Perm
-}
-
-func newExpander(table *hashtab.ShardedTable) *expander {
-	return &expander{
-		table: table,
-		keys:  make([]uint64, 0, insertBatchSize),
-		vals:  make([]uint16, 0, insertBatchSize),
-		ins:   make([]bool, insertBatchSize),
-	}
-}
-
-// Candidate queues one expansion product for batched insertion; the
-// expander is the parallel path's CandidateSink. Sequence numbers are
-// ignored: races on duplicate keys are resolved by the table instead
-// (exactly one insert wins), so the set is schedule-invariant even
-// though the winning value may not be the sequential one.
-func (e *expander) Candidate(key uint64, val uint16, _ uint64) {
-	e.push(key, val)
-}
-
-func (e *expander) push(key uint64, val uint16) {
-	e.keys = append(e.keys, key)
-	e.vals = append(e.vals, val)
-	if len(e.keys) >= insertBatchSize {
-		e.flush()
-	}
-}
-
-// flush batch-inserts the pending candidates and records the winners —
-// the keys this worker was first to insert — in its output buffer.
-func (e *expander) flush() {
-	if len(e.keys) == 0 {
-		return
-	}
-	ins := e.ins[:len(e.keys)]
-	e.table.InsertBatch(e.keys, e.vals, ins)
-	for i, ok := range ins {
-		if ok {
-			e.out = append(e.out, perm.Perm(e.keys[i]))
-		}
-	}
-	e.keys = e.keys[:0]
-	e.vals = e.vals[:0]
 }
 
 // LookupRaw returns the packed table value stored under a key that must

@@ -3,10 +3,11 @@
 // function by search-and-lookup over precomputed canonical
 // representatives.
 //
-// Construction runs the breadth-first search of Algorithm 2 (package bfs)
-// up to depth k, producing the hash table H of canonical representatives
-// of all classes of size ≤ k with one boundary gate each, plus the
-// per-size representative lists Aᵢ.
+// Construction runs the breadth-first search of Algorithm 2 (package
+// extbuild, over package bfs's expansion) up to depth k, producing the
+// hash table H of canonical representatives of all classes of size ≤ k
+// with one boundary gate each, plus the per-size representative lists
+// Aᵢ.
 //
 // A query for f then proceeds exactly as in the paper:
 //
@@ -45,6 +46,7 @@ import (
 	"repro/internal/bfs"
 	"repro/internal/canon"
 	"repro/internal/circuit"
+	"repro/internal/extbuild"
 	"repro/internal/perm"
 	"repro/internal/tables"
 )
@@ -73,14 +75,13 @@ type Config struct {
 	// library with unit costs. Weighted or layer alphabets turn the same
 	// machinery into the paper §5 gate-cost or depth-optimal variants.
 	Alphabet *bfs.Alphabet
-	// Progress is forwarded to the BFS.
+	// Progress, when non-nil, is called once per completed BFS level
+	// with the level and its number of new representatives.
 	Progress func(level, newReps int)
-	// Workers is the parallelism for both the precomputation BFS and the
+	// Workers is the parallelism for both the table build and the
 	// meet-in-the-middle query stage. Zero (or negative) means
-	// runtime.GOMAXPROCS(0). Queries answer identically for every value.
-	// The parallel BFS may store different (equally minimal) boundary
-	// gates than the sequential one, so only Workers = 1 reproduces the
-	// sequential build's tables exactly.
+	// runtime.GOMAXPROCS(0). Neither the stored tables nor any answer
+	// depend on it.
 	Workers int
 }
 
@@ -120,30 +121,40 @@ type Synthesizer struct {
 }
 
 // New precomputes the search tables per cfg and returns a ready
-// synthesizer.
-func New(cfg Config) (*Synthesizer, error) {
+// synthesizer. The tables are built by extbuild under its default
+// memory budget, spilling to a temporary directory under TMPDIR that
+// is removed once the store is loaded; the same build with any Workers
+// stores the same bytes.
+func New(cfg Config) (*Synthesizer, error) { return Build(cfg, extbuild.Options{}) }
+
+// Build is New with control over the table build: cfg sets o's
+// Alphabet, K, NoReduction, Workers and Progress, and o supplies the
+// rest — OutPath to keep the emitted store, MemBudget, FailPoint to
+// abort the build at a checkpoint. See extbuild.BuildResult.
+func Build(cfg Config, o extbuild.Options) (*Synthesizer, error) {
 	if cfg.K == 0 {
 		cfg.K = DefaultK
 	}
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("core: K = %d, want ≥ 1", cfg.K)
 	}
-	alphabet := cfg.Alphabet
-	if alphabet == nil {
-		alphabet = bfs.GateAlphabet()
+	o.Alphabet = cfg.Alphabet
+	if o.Alphabet == nil {
+		o.Alphabet = bfs.GateAlphabet()
 	}
-	res, err := bfs.Search(alphabet, cfg.K, &bfs.Options{
-		// Restricted-architecture alphabets (paper §5) are not closed
-		// under wire relabeling and therefore search unreduced.
-		NoReduction: !alphabet.Relabelable(),
-		Progress:    cfg.Progress,
-		Workers:     cfg.Workers,
-	})
+	o.K = cfg.K
+	// Restricted-architecture alphabets (paper §5) are not closed under
+	// wire relabeling and therefore search unreduced.
+	o.NoReduction = !o.Alphabet.Relabelable()
+	o.Workers = cfg.Workers
+	o.Progress = extbuild.LevelProgress(cfg.Progress)
+	res, _, err := extbuild.BuildResult(o)
 	if err != nil {
 		return nil, err
 	}
 	s, err := FromResult(res, cfg.MaxSplit)
 	if err != nil {
+		res.Frozen.Close()
 		return nil, err
 	}
 	s.workers = cfg.Workers

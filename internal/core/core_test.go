@@ -842,3 +842,53 @@ func TestContextDeadlineMidScan(t *testing.T) {
 	}
 	s5.SetWorkers(0)
 }
+
+// TestNewWorkerCountInvariance: a fresh build stores the same boundary
+// element for every class whatever its worker count, so synthesizers
+// built with different Workers serve byte-identical circuits.
+func TestNewWorkerCountInvariance(t *testing.T) {
+	const k = 5
+	one, err := New(Config{K: k, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, err := New(Config{K: k, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := one.Result(), four.Result()
+	if a.TotalStored() != b.TotalStored() {
+		t.Fatalf("Workers 1 stored %d entries, Workers 4 %d", a.TotalStored(), b.TotalStored())
+	}
+	differ := 0
+	a.Frozen.ForEach(func(key uint64, val uint16) bool {
+		if got, ok := b.LookupRaw(key); !ok || got != val {
+			differ++
+		}
+		return true
+	})
+	if differ > 0 {
+		t.Errorf("%d of %d stored values differ between Workers 1 and 4", differ, a.TotalStored())
+	}
+	rng := rand.New(rand.NewSource(7))
+	mismatches := 0
+	for i := 0; i < 2000; i++ {
+		f := randCircuit(rng, 1+rng.Intn(9)).Perm()
+		want, err := one.Synthesize(f)
+		if err != nil {
+			t.Fatalf("spec %v: %v", f, err)
+		}
+		got, err := four.Synthesize(f)
+		if err != nil {
+			t.Fatalf("spec %v: %v", f, err)
+		}
+		if got.String() != want.String() {
+			if mismatches++; mismatches <= 3 {
+				t.Errorf("spec %v: Workers 4 built %v, Workers 1 built %v", f, got, want)
+			}
+		}
+	}
+	if mismatches > 0 {
+		t.Errorf("%d of 2000 specs got different circuits", mismatches)
+	}
+}

@@ -291,7 +291,7 @@ type indexChunk struct {
 // shard range to their slots through the probe view — read-only, so the
 // workers resolve chunks in parallel — and appends the slots in chunk
 // order. The per-level index is thereby in the exact order the
-// sequential in-memory build would have recorded, and for splits each
+// sequential bfs.Search records, and for splits each
 // entry's global level position rides along.
 func (e *emitter) appendIndex(w *tablesio.StreamWriter, pv *hashtab.FrozenTable, shardLo, shardHi int, split bool) error {
 	var chunks []indexChunk

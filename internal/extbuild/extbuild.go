@@ -59,17 +59,15 @@ type Options struct {
 
 	// Shards is the hash-shard count of the build and of the emitted
 	// store (rounded up to a power of two); zero means
-	// hashtab.DefaultShardCount(), which is what an in-memory
-	// bfs.Search on this machine would use — required for byte-identity
-	// with it.
+	// hashtab.DefaultShardCount(), the shard count bfs.Search uses on
+	// this machine, so the two stores compare byte for byte.
 	Shards int
 
 	// Workers bounds the goroutines of every phase — expansion slabs,
 	// the shard-parallel merges, and shard placement and index
-	// resolution during emission; zero means GOMAXPROCS. Unlike
-	// bfs.Search, every worker count produces identical bytes:
-	// determinism comes from sequence numbers and shard order, not
-	// scheduling.
+	// resolution during emission; zero means GOMAXPROCS. Every worker
+	// count produces identical bytes: determinism comes from sequence
+	// numbers and shard order, not scheduling.
 	Workers int
 
 	// OutPath, when non-empty, receives the full store (format v2,
@@ -226,7 +224,7 @@ type builder struct {
 
 // Build runs the out-of-core BFS and emits the configured stores. The
 // result is byte-identical to tablesio.SaveFile (and SaveSplitFile) of
-// bfs.Search with Workers: 1 on the same machine, for any MemBudget,
+// the sequential bfs.Search on the same machine, for any MemBudget,
 // Workers, and crash/resume history.
 func Build(o Options) (*Stats, error) {
 	b, err := newBuilder(o)
@@ -260,6 +258,52 @@ func Build(o Options) (*Stats, error) {
 		b.cleanWorkDir(true)
 	}
 	return stats, nil
+}
+
+// BuildResult is Build followed by tablesio.LoadFile of the full store:
+// the one way every fresh in-process table set is made. WorkDir and
+// OutPath may be left empty; they are then placed in a temporary
+// directory under os.TempDir (so TMPDIR decides where the build
+// spills) that is removed before BuildResult returns. On Unix the
+// loaded result maps the emitted file, and the mapping outlives the
+// unlink; owners release it with Frozen.Close.
+func BuildResult(o Options) (*bfs.Result, *Stats, error) {
+	if o.WorkDir == "" || o.OutPath == "" {
+		tmp, err := os.MkdirTemp("", "extbuild-")
+		if err != nil {
+			return nil, nil, err
+		}
+		defer os.RemoveAll(tmp)
+		if o.WorkDir == "" {
+			o.WorkDir = filepath.Join(tmp, "work")
+		}
+		if o.OutPath == "" {
+			o.OutPath = filepath.Join(tmp, "tables")
+		}
+	}
+	stats, err := Build(o)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, _, err := tablesio.LoadFile(o.OutPath, o.Alphabet, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, stats, nil
+}
+
+// LevelProgress adapts a per-level callback — level, new
+// representatives — to Options.Progress: f runs once per completed
+// level, on its merge's completion event. A nil f gives a nil Progress.
+func LevelProgress(f func(level, newReps int)) func(ProgressEvent) {
+	if f == nil {
+		return nil
+	}
+	return func(ev ProgressEvent) {
+		if ev.Phase == "merge" && ev.Done {
+			f(ev.Level, int(ev.Survivors))
+		}
+	}
 }
 
 func newBuilder(o Options) (*builder, error) {

@@ -12,15 +12,16 @@ import (
 	"time"
 
 	"repro/internal/bfs"
+	"repro/internal/gate"
 	"repro/internal/hashtab"
 	"repro/internal/tablesio"
 )
 
-// referenceFile builds k in memory with the deterministic sequential
-// expansion (Workers: 1) and saves it — the byte-identity oracle.
+// referenceFile builds k with the sequential bfs.Search and saves it —
+// the byte-identity oracle.
 func referenceFile(t *testing.T, a *bfs.Alphabet, k int, noReduction bool) []byte {
 	t.Helper()
-	res, err := bfs.Search(a, k, &bfs.Options{Workers: 1, NoReduction: noReduction})
+	res, err := bfs.Search(a, k, &bfs.Options{NoReduction: noReduction})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestBudgetInvariance(t *testing.T) {
 func TestByteIdentitySplit(t *testing.T) {
 	a := bfs.GateAlphabet()
 	const k, n = 3, 4
-	res, err := bfs.Search(a, k, &bfs.Options{Workers: 1})
+	res, err := bfs.Search(a, k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,30 +174,66 @@ func TestByteIdentitySplit(t *testing.T) {
 	}
 }
 
-// TestNoReduction covers the unreduced expansion path (every function
-// stored, no canonicalization).
-func TestNoReduction(t *testing.T) {
-	a := bfs.GateAlphabet()
-	const k = 2
-	ref := referenceFile(t, a, k, true)
-	dir := t.TempDir()
-	out := filepath.Join(dir, "out.rvt")
-	stats, err := Build(Options{
-		Alphabet: a, K: k, NoReduction: true,
-		WorkDir:   filepath.Join(dir, "work"),
-		MemBudget: 1 << 16,
-		OutPath:   out,
-	})
+// TestAlphabetByteIdentity holds every alphabet revbfs offers to the
+// sequential oracle: the unreduced expansion path (every function
+// stored, no canonicalization), a 103-element alphabet, a restricted
+// architecture, and a weighted alphabet whose levels expand from
+// several source levels. Each builds at one and three workers, under
+// the default budget (in-memory prior-level dedup) and under a small
+// spilling one. Where the small budget also overflows the prior-level
+// table before level k, level k dedups by the disk merge-join; the
+// cheap depths of the gate-unreduced and layer alphabets hold too few
+// entries below the top level for that at any budget above the floors.
+func TestAlphabetByteIdentity(t *testing.T) {
+	quantum, err := bfs.WeightedGateAlphabet(gate.Gate.QuantumCost)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(mustRead(t, out), ref) {
-		t.Fatal("unreduced out-of-core store differs from in-memory build")
-	}
-	for c, want := range bfs.GateFullCounts[:k+1] {
-		if stats.LevelCounts[c] != want {
-			t.Errorf("level %d: %d functions, want %d", c, stats.LevelCounts[c], want)
-		}
+	for _, tc := range []struct {
+		name        string
+		a           *bfs.Alphabet
+		k           int
+		noReduction bool
+		spill       int64   // the small budget
+		diskJoin    bool    // whether it dedups level k on disk
+		counts      []int64 // paper counts of levels 0…k, when published
+	}{
+		{"gates-unreduced", bfs.GateAlphabet(), 2, true, 1 << 16, false, bfs.GateFullCounts},
+		{"linear-unreduced", bfs.LinearAlphabet(), 4, true, 1 << 15, true, bfs.LinearCounts},
+		{"layers", bfs.LayerAlphabet(), 3, false, 1 << 16, false, nil},
+		{"lnn-unreduced", bfs.LNNAlphabet(), 4, true, 1 << 17, true, nil},
+		{"quantum", quantum, 7, false, 1 << 16, true, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := referenceFile(t, tc.a, tc.k, tc.noReduction)
+			for _, budget := range []int64{0, tc.spill} {
+				if disk := diskJoinAtLevel(t, tc.a, tc.k, tc.noReduction, budget); disk != (budget != 0 && tc.diskJoin) {
+					t.Fatalf("budget %d: level %d dedups on disk: %v", budget, tc.k, disk)
+				}
+				for _, workers := range []int{1, 3} {
+					dir := t.TempDir()
+					out := filepath.Join(dir, "out.rvt")
+					stats, err := Build(Options{
+						Alphabet: tc.a, K: tc.k, NoReduction: tc.noReduction,
+						WorkDir:   filepath.Join(dir, "work"),
+						MemBudget: budget,
+						Workers:   workers,
+						OutPath:   out,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(mustRead(t, out), ref) {
+						t.Errorf("budget %d, workers %d: store differs from the sequential build", budget, workers)
+					}
+					for c, want := range tc.counts[:min(len(tc.counts), tc.k+1)] {
+						if stats.LevelCounts[c] != want {
+							t.Errorf("level %d: %d entries, want %d", c, stats.LevelCounts[c], want)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -671,7 +708,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	var ref []byte
 	refs := make([][]byte, n)
 	withEightShards(t, func() {
-		res, err := bfs.Search(a, k, &bfs.Options{Workers: 1})
+		res, err := bfs.Search(a, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -696,7 +733,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		t.Run(budget.name, func(t *testing.T) {
 			// Guard the path, so budget drift cannot quietly make both
 			// subtests in-memory ones.
-			if disk := diskJoinAtLevel(t, a, k, budget.bytes); disk != budget.disk {
+			if disk := diskJoinAtLevel(t, a, k, false, budget.bytes); disk != budget.disk {
 				t.Fatalf("level %d dedups on disk: %v, want %v", k, disk, budget.disk)
 			}
 			var levels []tablesio.ManifestLevel
@@ -747,10 +784,10 @@ func TestWorkerCountInvariance(t *testing.T) {
 
 // diskJoinAtLevel reports whether level k of a build under budget
 // dedups by the disk merge-join rather than the in-memory probe table.
-func diskJoinAtLevel(t *testing.T, a *bfs.Alphabet, k int, budget int64) bool {
+func diskJoinAtLevel(t *testing.T, a *bfs.Alphabet, k int, noReduction bool, budget int64) bool {
 	t.Helper()
-	b, err := newBuilder(Options{Alphabet: a, K: k, WorkDir: filepath.Join(t.TempDir(), "work"),
-		MemBudget: budget, Shards: 8})
+	b, err := newBuilder(Options{Alphabet: a, K: k, NoReduction: noReduction,
+		WorkDir: filepath.Join(t.TempDir(), "work"), MemBudget: budget, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

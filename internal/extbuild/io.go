@@ -9,11 +9,11 @@
 // larger machine).
 //
 // The build is deterministic and byte-reproducible: candidates carry the
-// sequence numbers of the sequential in-memory expansion
-// (bfs.ExpandRep), merges keep the minimum-sequence winner per key, and
-// emission lays shards out canonically (hashtab.PlaceShardCanonical) —
-// so for every k an in-memory build can reach, the out-of-core store is
-// byte-identical to tablesio.SaveFile of bfs.Search with Workers: 1.
+// sequence numbers of the sequential expansion (bfs.ExpandRep), merges
+// keep the minimum-sequence winner per key, and emission lays shards
+// out canonically (hashtab.PlaceShardCanonical) — so for every k an
+// in-memory build can reach, the out-of-core store is byte-identical to
+// tablesio.SaveFile of the sequential bfs.Search.
 //
 // Every sort on the build path runs in linear time. A slab's candidates
 // reach the spill buffer in strictly ascending sequence order, because

@@ -106,7 +106,7 @@ var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // outcomes in inserted (true where the key was newly added). Entries are
 // grouped by shard with one counting-sort pass — O(len(keys) + shards) —
 // so each shard lock is taken at most once per call, the
-// lock-amortization that makes batched parallel BFS insertion scale.
+// lock-amortization that makes batched concurrent insertion scale.
 // Duplicate keys within one batch resolve in index order (the first
 // occurrence wins). Returns the number of newly inserted entries.
 func (t *ShardedTable) InsertBatch(keys []uint64, vals []uint16, inserted []bool) int {

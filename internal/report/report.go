@@ -14,6 +14,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/distrib"
+	"repro/internal/extbuild"
 	"repro/internal/hashtab"
 	"repro/internal/heuristic"
 	"repro/internal/render"
@@ -128,11 +129,12 @@ func Table2(ks []int) (string, error) {
 	fmt.Fprintf(&b, "%3s  %10s  %10s  %6s  %9s  %9s  %22s\n",
 		"k", "entries", "memory", "load", "avg chain", "max chain", "paper (load/avg/max)")
 	for _, k := range ks {
-		res, err := bfs.Search(bfs.GateAlphabet(), k, nil)
+		res, _, err := extbuild.BuildResult(extbuild.Options{Alphabet: bfs.GateAlphabet(), K: k})
 		if err != nil {
 			return "", err
 		}
 		st := res.TableStats()
+		res.Frozen.Close()
 		paper := "-"
 		if p, ok := paperTable2[k]; ok {
 			paper = fmt.Sprintf("%.2f / %.2f / %d", p.load, p.avgChain, p.maxChain)
@@ -226,10 +228,11 @@ func Table4(s *core.Synthesizer, d distrib.Distribution) string {
 
 // Table5 reproduces the linear-circuit distribution exactly (paper §4.3).
 func Table5() (string, error) {
-	res, err := bfs.Search(bfs.LinearAlphabet(), 11, &bfs.Options{NoReduction: true})
+	res, _, err := extbuild.BuildResult(extbuild.Options{Alphabet: bfs.LinearAlphabet(), K: 11, NoReduction: true})
 	if err != nil {
 		return "", err
 	}
+	defer res.Frozen.Close()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 5: 4-bit linear reversible functions by optimal NOT/CNOT gate count\n")
 	fmt.Fprintf(&b, "%4s  %10s  %10s  %6s\n", "size", "ours", "paper", "match")

@@ -10,8 +10,9 @@
 // (header check, no parse, no rehash), so a cold start that used to
 // stream and re-insert every representative becomes O(pages touched) and
 // concurrent server processes share one page-cache copy of the table.
-// Fresh builds come out of the search in the same frozen layout, so they
-// are served and persisted without another pass.
+// Fresh builds go through extbuild, which writes a v2 store (to
+// TablesPath when set, else to a temporary file) that is then mapped
+// the same way.
 // Stats reports how the tables were acquired (TableFormat), their
 // footprint (TableBytes), and the startup cost (LoadDuration).
 //
@@ -44,6 +45,7 @@ import (
 	"repro/internal/bfs"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/extbuild"
 	"repro/internal/perm"
 	"repro/internal/tables"
 	"repro/internal/tablesio"
@@ -61,7 +63,7 @@ var ErrClosed = errors.New("service: synthesizer is closed")
 //  2. Tables — an injected in-process bfs.Result.
 //  3. TablesPath — a persisted store, loaded if present, else built and
 //     persisted there.
-//  4. A fresh in-memory build (K, Alphabet).
+//  4. A fresh build (K, Alphabet) into a temporary store.
 //
 // Setting both Backend and Tables is a configuration error and fails
 // startup: each is a complete injected table source, and silently
@@ -277,30 +279,30 @@ func (s *Synthesizer) acquireTables() (*core.Synthesizer, error) {
 			return nil, fmt.Errorf("service: loading %s: %w", cfg.TablesPath, lerr)
 		}
 	}
-	synth, err := core.New(core.Config{
+	// The build emits its store straight to TablesPath when one is set.
+	// A Close stops it at its next checkpoint, before it publishes a
+	// store.
+	synth, err := core.Build(core.Config{
 		K:        cfg.K,
 		MaxSplit: cfg.MaxSplit,
 		Alphabet: cfg.Alphabet,
 		Progress: cfg.Progress,
 		Workers:  cfg.QueryWorkers,
+	}, extbuild.Options{
+		OutPath: cfg.TablesPath,
+		FailPoint: func(string, int, int) error {
+			select {
+			case <-s.done:
+				return ErrClosed
+			default:
+				return nil
+			}
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
 	s.tableSource = "built"
-	if cfg.TablesPath != "" {
-		// A Close during the build cannot abort the BFS (it has no
-		// cancellation points), but a closed service must not keep
-		// writing to disk afterwards.
-		select {
-		case <-s.done:
-			return nil, ErrClosed
-		default:
-		}
-		if err := tablesio.SaveFile(cfg.TablesPath, synth.Result()); err != nil {
-			return nil, err
-		}
-	}
 	return synth, nil
 }
 
@@ -535,11 +537,10 @@ func (s *Synthesizer) release() { <-s.sem }
 
 // Close rejects new queries and drains the worker pool: it returns once
 // every in-flight query finished, or ctx expired (in which case the
-// stragglers still drain in the background). An async startup still in
-// its BFS build phase runs that build to completion in the background
-// (the search has no cancellation points) but will not persist the
-// tables or serve afterwards. Close is idempotent; concurrent calls all
-// wait for the drain.
+// stragglers still drain in the background). An async startup still
+// building its tables stops the build at its next checkpoint (a spill
+// run sealed or a level merged) and neither persists the tables nor
+// serves. Close is idempotent; concurrent calls all wait for the drain.
 //
 // Tables the service acquired itself — loaded from TablesPath (possibly
 // a file mapping on the v2 mmap path) or built — are released once the

@@ -248,6 +248,24 @@ func TestServiceLifecycleHammer(t *testing.T) {
 	}
 }
 
+// TestServiceCloseAbortsBuild: a Close during a fresh build stops it at
+// its next checkpoint; startup then fails with ErrClosed and no store
+// is published at TablesPath.
+func TestServiceCloseAbortsBuild(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "k6.tables")
+	svc := NewAsync(Config{K: 6, TablesPath: path})
+	if err := svc.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	<-svc.Ready()
+	if err := svc.Err(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("startup after Close: err = %v, want ErrClosed", err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("an aborted build published %s (stat err %v)", path, err)
+	}
+}
+
 // TestServiceContextCancellation cancels queries mid-scan and verifies
 // the worker pool neither leaks goroutines nor slots: after the storm,
 // the pool still serves and the goroutine count settles back.
@@ -570,6 +588,12 @@ func TestServiceTableAcquisitionStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = built.Stats()
+	// The built tables are released on Close, so query them first.
+	f := randomCircuitPerm(rand.New(rand.NewSource(9)), 3)
+	want, err := built.Core().Synthesize(f)
+	if err != nil {
+		t.Fatal(err)
+	}
 	built.Close(context.Background())
 	if st.TableFormat != "built" {
 		t.Fatalf("fresh build reports format %q", st.TableFormat)
@@ -589,11 +613,6 @@ func TestServiceTableAcquisitionStats(t *testing.T) {
 	}
 	// The zero-copy path must still answer queries identically to the
 	// builder it replaced.
-	f := randomCircuitPerm(rand.New(rand.NewSource(9)), 3)
-	want, err := built.Core().Synthesize(f)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, _, err := loaded.Synthesize(context.Background(), f)
 	if err != nil {
 		t.Fatal(err)

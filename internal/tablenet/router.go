@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -321,14 +322,18 @@ func (r *Router) groupLookup(ctx context.Context, g int, keys []uint64, vals []u
 	if len(reps) == 1 {
 		return r.tryReplica(ctx, g, 0, keys, vals, found)
 	}
-	order, trials := r.replicaOrder(g)
+	var orderBuf [inlineReplicas]int
+	var trialBuf [inlineReplicas]bool
+	order, trials := r.replicaOrder(g, orderBuf[:0], trialBuf[:0])
 	var errs []error
 	for _, i := range order {
 		if cerr := ctx.Err(); cerr != nil {
 			r.releaseTrials(g, trials)
 			return cerr
 		}
-		delete(trials, i)
+		if i < len(trials) {
+			trials[i] = false
+		}
 		err := r.tryReplica(ctx, g, i, keys, vals, found)
 		if err == nil {
 			r.releaseTrials(g, trials)
@@ -366,52 +371,67 @@ func isDraining(b tables.Backend) bool {
 	return ok && d.Draining()
 }
 
+// inlineReplicas is the replica count up to which groupLookup keeps a
+// sub-batch's failover order on its stack, so a warm lookup through a
+// replicated range allocates nothing.
+const inlineReplicas = 8
+
 // replicaOrder returns range g's replicas in failover order: healthy
 // non-draining first (rotated), then admitted half-open trials, then
 // draining replicas (they still answer — in-flight work finishes during
 // a drain — but new sub-batches should land on siblings), then ejected
-// replicas as a last resort. trials holds the indices this caller was
-// admitted for — any it does not actually attempt must be released.
-func (r *Router) replicaOrder(g int) (order []int, trials map[int]struct{}) {
+// replicas as a last resort. The order is appended to order; trials,
+// empty unless this caller was admitted for a half-open trial, is then
+// indexed by replica and marks those admissions — any it does not
+// actually attempt must be released. Both reuse the capacity they are
+// given.
+func (r *Router) replicaOrder(g int, order []int, trials []bool) ([]int, []bool) {
 	reps := r.groups[g]
 	n := len(reps)
 	start := int(r.grpRR[g].Add(1)-1) % n
 	now := time.Now()
-	order = make([]int, 0, n)
-	var trialL, drainL, rest []int
-	for s := 0; s < n; s++ {
-		i := (start + s) % n
-		ok, trial := r.health[g][i].allow(now)
-		switch {
+	healthy, draining := false, false
+	// A replica's rank is its class (0 healthy, 1 trial, 2 draining,
+	// 3 ejected) times n plus its rotation step: one sort puts the
+	// classes in order and keeps the rotation within each.
+	for step := 0; step < n; step++ {
+		i := (start + step) % n
+		class := 0
+		switch ok, trial := r.health[g][i].allow(now); {
 		case ok && trial:
-			if trials == nil {
-				trials = make(map[int]struct{})
+			if len(trials) == 0 {
+				trials = append(trials[:0], make([]bool, n)...)
 			}
-			trials[i] = struct{}{}
-			trialL = append(trialL, i)
+			trials[i] = true
+			class = 1
 		case ok && isDraining(reps[i]):
-			drainL = append(drainL, i)
+			class, draining = 2, true
 		case ok:
-			order = append(order, i)
+			healthy = true
 		default:
-			rest = append(rest, i)
+			class = 3
 		}
+		order = append(order, class*n+step)
 	}
-	if len(drainL) > 0 && len(order) > 0 {
+	if draining && healthy {
 		// A draining replica was demoted behind a live sibling: this
 		// sub-batch was rerouted by the drain, not by a fault.
 		r.drainRerouted.Add(1)
 	}
-	order = append(order, trialL...)
-	order = append(order, drainL...)
-	return append(order, rest...), trials
+	slices.Sort(order)
+	for j, rank := range order {
+		order[j] = (start + rank%n) % n
+	}
+	return order, trials
 }
 
 // releaseTrials reopens half-open trial slots this caller claimed but
 // never used.
-func (r *Router) releaseTrials(g int, trials map[int]struct{}) {
-	for i := range trials {
-		r.health[g][i].release()
+func (r *Router) releaseTrials(g int, trials []bool) {
+	for i, claimed := range trials {
+		if claimed {
+			r.health[g][i].release()
+		}
 	}
 }
 
@@ -561,14 +581,16 @@ func (r *Router) levelKeysSparse(ctx context.Context, c, lo int, out []uint64) e
 // groupSparseLevel resolves one range's sparse level read with the same
 // replica failover discipline as groupLookup.
 func (r *Router) groupSparseLevel(ctx context.Context, g, c, lo, n int, filterLo, filterHi uint64, pos []uint32, keys []uint64) (int, error) {
-	order, trials := r.replicaOrder(g)
+	order, trials := r.replicaOrder(g, nil, nil)
 	var errs []error
 	for _, i := range order {
 		if cerr := ctx.Err(); cerr != nil {
 			r.releaseTrials(g, trials)
 			return 0, cerr
 		}
-		delete(trials, i)
+		if i < len(trials) {
+			trials[i] = false
+		}
 		cnt, err := tables.SparseLevelKeys(ctx, r.groups[g][i], c, lo, n, filterLo, filterHi, pos, keys)
 		if ctx.Err() == nil {
 			r.health[g][i].observe(err == nil || !retryable(err), time.Now())

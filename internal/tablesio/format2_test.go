@@ -11,9 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/bfs"
-	"repro/internal/core"
 	"repro/internal/perm"
-	"repro/internal/randperm"
 )
 
 // savedV2 builds k-tables and returns them with their v2 serialization.
@@ -146,68 +144,6 @@ func TestCrossVersionRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSameTables(t, res, fromV2)
-}
-
-// TestMappedMatchesBuilt is the serving-equivalence guarantee: synthesis
-// against memory-mapped v2 tables is identical — circuit for circuit —
-// to synthesis against the heap tables Search built, across direct
-// lookups, meet-in-the-middle splits, and beyond-horizon failures.
-func TestMappedMatchesBuilt(t *testing.T) {
-	res, err := bfs.Search(bfs.GateAlphabet(), 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "k4.tables")
-	if err := SaveFile(path, res); err != nil {
-		t.Fatal(err)
-	}
-	mappedRes, info, err := LoadFile(path, bfs.GateAlphabet(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mappedRes.Frozen.Close()
-	if mmapSupported && hostLittleEndian && !info.MemoryMapped {
-		t.Fatal("expected the mmap fast path")
-	}
-	built, err := core.FromResult(res, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := core.FromResult(mappedRes, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	built.SetWorkers(1)
-	mapped.SetWorkers(1)
-
-	// ≥ 100 specs spanning the whole difficulty range: sizes 0…8 via
-	// random circuits plus uniformly random permutations (mostly beyond
-	// the k = 4 horizon, so the failure paths are compared too).
-	rng := rand.New(rand.NewSource(7))
-	specs := make([]perm.Perm, 0, 128)
-	for i := 0; i < 96; i++ {
-		specs = append(specs, randomCircuitPerm(rng, rng.Intn(9)))
-	}
-	specs = append(specs, randperm.New(20100601).Sample(32)...)
-	for i, f := range specs {
-		cb, eb := built.Synthesize(f)
-		cm, em := mapped.Synthesize(f)
-		if (eb == nil) != (em == nil) {
-			t.Fatalf("spec %d (%v): error divergence %v vs %v", i, f, eb, em)
-		}
-		if eb != nil {
-			if !errors.Is(em, core.ErrBeyondHorizon) {
-				t.Fatalf("spec %d: unexpected failure %v", i, em)
-			}
-			continue
-		}
-		if cb.String() != cm.String() {
-			t.Fatalf("spec %d (%v): built %v vs mapped %v", i, f, cb, cm)
-		}
-		if cm.Perm() != f {
-			t.Fatalf("spec %d: mapped circuit computes the wrong function", i)
-		}
-	}
 }
 
 func TestV2TruncationDetected(t *testing.T) {

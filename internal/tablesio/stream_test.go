@@ -17,7 +17,7 @@ import (
 // the StreamWriter must be byte-identical to SaveV2 of the same result —
 // the contract the out-of-core builder's emission path rests on.
 func TestStreamWriterByteIdentity(t *testing.T) {
-	res, err := bfs.Search(bfs.GateAlphabet(), 3, &bfs.Options{Workers: 1})
+	res, err := bfs.Search(bfs.GateAlphabet(), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestStreamWriterByteIdentity(t *testing.T) {
 // TestStreamWriterSplitByteIdentity: same contract for the direct
 // split-emission path vs SaveSplit.
 func TestStreamWriterSplitByteIdentity(t *testing.T) {
-	res, err := bfs.Search(bfs.GateAlphabet(), 3, &bfs.Options{Workers: 1})
+	res, err := bfs.Search(bfs.GateAlphabet(), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

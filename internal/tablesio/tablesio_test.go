@@ -9,14 +9,10 @@ import (
 	"testing"
 
 	"repro/internal/bfs"
-	"repro/internal/circuit"
-	"repro/internal/core"
-	"repro/internal/gate"
-	"repro/internal/perm"
 )
 
 // v1FixturePath is a format v1 store of the k = 3 gate-alphabet tables
-// written by the sequential search (Workers: 1), kept from when this
+// written by the sequential search, kept from when this
 // package still wrote v1: nothing writes the format any more, so the
 // read path is tested against these bytes.
 const v1FixturePath = "testdata/gate_k3.v1.tables"
@@ -29,7 +25,7 @@ func v1Fixture(t testing.TB) (*bfs.Result, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := bfs.Search(bfs.GateAlphabet(), 3, &bfs.Options{Workers: 1})
+	res, err := bfs.Search(bfs.GateAlphabet(), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,45 +39,6 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSameTables(t, orig, back)
-}
-
-func TestLoadedTablesSynthesizeIdentically(t *testing.T) {
-	orig, blob := v1Fixture(t)
-	back, err := Load(bytes.NewReader(blob), bfs.GateAlphabet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sOrig, err := core.FromResult(orig, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sBack, err := core.FromResult(back, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 60; trial++ {
-		f := randomCircuitPerm(rng, rng.Intn(8))
-		a, errA := sOrig.Synthesize(f)
-		b, errB := sBack.Synthesize(f)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("error divergence: %v vs %v", errA, errB)
-		}
-		if errA != nil {
-			continue
-		}
-		if len(a) != len(b) || a.Perm() != b.Perm() {
-			t.Fatalf("loaded tables synthesize differently: %v vs %v", a, b)
-		}
-	}
-}
-
-func randomCircuitPerm(rng *rand.Rand, n int) perm.Perm {
-	c := make(circuit.Circuit, n)
-	for i := range c {
-		c[i] = gate.FromIndex(rng.Intn(gate.Count))
-	}
-	return c.Perm()
 }
 
 func TestWrongAlphabetRejected(t *testing.T) {
