@@ -147,7 +147,6 @@ import (
 
 	"repro/internal/bfs"
 	"repro/internal/core"
-	"repro/internal/extbuild"
 	"repro/internal/gate"
 	"repro/internal/ops"
 	"repro/internal/perm"
@@ -689,8 +688,7 @@ func runShardServer(addr, tablesPath string, k int, alphabet *bfs.Alphabet, quer
 		log.Printf("building k=%d tables...", k)
 		// The build emits its store straight to tablesPath when one is
 		// set.
-		synth, err := core.Build(core.Config{K: k, Alphabet: alphabet, Workers: queryWorkers},
-			extbuild.Options{OutPath: tablesPath})
+		synth, err := core.Build(core.Config{K: k, Alphabet: alphabet, Workers: queryWorkers}, tablesPath, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -25,7 +25,6 @@ import (
 	"repro/internal/benchfuncs"
 	"repro/internal/bfs"
 	"repro/internal/core"
-	"repro/internal/extbuild"
 	"repro/internal/gate"
 	"repro/internal/perm"
 	"repro/internal/render"
@@ -146,7 +145,7 @@ func buildSynthesizer(cfg core.Config, cache string, quiet bool) (*core.Synthesi
 	}
 	// The build writes the store atomically (temp file + rename), so an
 	// interrupted run never leaves a truncated store at the cache path.
-	synth, err := core.Build(cfg, extbuild.Options{OutPath: cache})
+	synth, err := core.Build(cfg, cache, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -123,31 +123,39 @@ type Synthesizer struct {
 // New precomputes the search tables per cfg and returns a ready
 // synthesizer. The tables are built by extbuild under its default
 // memory budget, spilling to a temporary directory under TMPDIR that
-// is removed once the store is loaded; the same build with any Workers
-// stores the same bytes.
-func New(cfg Config) (*Synthesizer, error) { return Build(cfg, extbuild.Options{}) }
+// is removed once the store is loaded onto the heap; the same build
+// with any Workers stores the same bytes.
+func New(cfg Config) (*Synthesizer, error) { return Build(cfg, "", nil) }
 
-// Build is New with control over the table build: cfg sets o's
-// Alphabet, K, NoReduction, Workers and Progress, and o supplies the
-// rest — OutPath to keep the emitted store, MemBudget, FailPoint to
-// abort the build at a checkpoint. See extbuild.BuildResult.
-func Build(cfg Config, o extbuild.Options) (*Synthesizer, error) {
+// Build is New that also keeps the emitted store at outPath when it is
+// non-empty (written atomically; the tables then map that file) and,
+// when abort is non-nil, polls it at the build's checkpoints: a non-nil
+// error from abort stops the build before it publishes a store, and
+// Build returns that error.
+func Build(cfg Config, outPath string, abort func() error) (*Synthesizer, error) {
 	if cfg.K == 0 {
 		cfg.K = DefaultK
 	}
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("core: K = %d, want ≥ 1", cfg.K)
 	}
-	o.Alphabet = cfg.Alphabet
-	if o.Alphabet == nil {
-		o.Alphabet = bfs.GateAlphabet()
+	alphabet := cfg.Alphabet
+	if alphabet == nil {
+		alphabet = bfs.GateAlphabet()
 	}
-	o.K = cfg.K
-	// Restricted-architecture alphabets (paper §5) are not closed under
-	// wire relabeling and therefore search unreduced.
-	o.NoReduction = !o.Alphabet.Relabelable()
-	o.Workers = cfg.Workers
-	o.Progress = extbuild.LevelProgress(cfg.Progress)
+	o := extbuild.Options{
+		Alphabet: alphabet,
+		K:        cfg.K,
+		// Restricted-architecture alphabets (paper §5) are not closed
+		// under wire relabeling and therefore search unreduced.
+		NoReduction: !alphabet.Relabelable(),
+		Workers:     cfg.Workers,
+		Progress:    extbuild.LevelProgress(cfg.Progress),
+		OutPath:     outPath,
+	}
+	if abort != nil {
+		o.FailPoint = func(string, int, int) error { return abort() }
+	}
 	res, _, err := extbuild.BuildResult(o)
 	if err != nil {
 		return nil, err

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -890,5 +892,29 @@ func TestNewWorkerCountInvariance(t *testing.T) {
 	}
 	if mismatches > 0 {
 		t.Errorf("%d of 2000 specs got different circuits", mismatches)
+	}
+}
+
+// TestNewHoldsNoMapping: New's tables live on the heap, not in a
+// mapping of the temporary store it built and unlinked, so synthesizers
+// built one after another release their tables with the garbage
+// collector and leave no mapped file behind.
+func TestNewHoldsNoMapping(t *testing.T) {
+	before, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skipf("no /proc/self/maps: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := New(Config{K: 3, Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(maps []byte) int { return strings.Count(string(maps), "extbuild-") }
+	if n, m := count(before), count(after); m > n {
+		t.Fatalf("%d mappings of temporary build stores after 3 builds (had %d)", m, n)
 	}
 }

@@ -97,8 +97,10 @@ type Options struct {
 	// FailPoint, when non-nil, is called at checkpoint-relevant moments
 	// — stage "run" after a spill run seals, "level" after a level
 	// merges, "emit" before emission. Returning a non-nil error aborts
-	// the build at that exact point (the in-process crash simulation);
-	// callers wanting a hard crash call os.Exit inside it instead.
+	// the build at that exact point, before any store is published; it
+	// serves both as the in-process crash simulation and as the way to
+	// cancel a build (Build returns that error). Callers wanting a hard
+	// crash call os.Exit inside it instead.
 	FailPoint func(stage string, level, slab int) error
 }
 
@@ -264,10 +266,14 @@ func Build(o Options) (*Stats, error) {
 // the one way every fresh in-process table set is made. WorkDir and
 // OutPath may be left empty; they are then placed in a temporary
 // directory under os.TempDir (so TMPDIR decides where the build
-// spills) that is removed before BuildResult returns. On Unix the
-// loaded result maps the emitted file, and the mapping outlives the
-// unlink; owners release it with Frozen.Close.
+// spills) that is removed before BuildResult returns. A store emitted
+// to the caller's OutPath is loaded the usual way (memory-mapped on
+// Unix; its owner releases the mapping with Frozen.Close). A store
+// emitted to the temporary directory is read onto the heap instead, so
+// the result is garbage-collected like any other value and holds no
+// mapping of an unlinked file.
 func BuildResult(o Options) (*bfs.Result, *Stats, error) {
+	load := &tablesio.LoadOptions{}
 	if o.WorkDir == "" || o.OutPath == "" {
 		tmp, err := os.MkdirTemp("", "extbuild-")
 		if err != nil {
@@ -279,13 +285,14 @@ func BuildResult(o Options) (*bfs.Result, *Stats, error) {
 		}
 		if o.OutPath == "" {
 			o.OutPath = filepath.Join(tmp, "tables")
+			load.DisableMmap = true
 		}
 	}
 	stats, err := Build(o)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, _, err := tablesio.LoadFile(o.OutPath, o.Alphabet, nil)
+	res, _, err := tablesio.LoadFile(o.OutPath, o.Alphabet, load)
 	if err != nil {
 		return nil, nil, err
 	}

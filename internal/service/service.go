@@ -10,9 +10,9 @@
 // (header check, no parse, no rehash), so a cold start that used to
 // stream and re-insert every representative becomes O(pages touched) and
 // concurrent server processes share one page-cache copy of the table.
-// Fresh builds go through extbuild, which writes a v2 store (to
-// TablesPath when set, else to a temporary file) that is then mapped
-// the same way.
+// Fresh builds go through extbuild, which writes a v2 store to
+// TablesPath when set (then mapped the same way) or else to a temporary
+// file that is read onto the heap.
 // Stats reports how the tables were acquired (TableFormat), their
 // footprint (TableBytes), and the startup cost (LoadDuration).
 //
@@ -45,7 +45,6 @@ import (
 	"repro/internal/bfs"
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/extbuild"
 	"repro/internal/perm"
 	"repro/internal/tables"
 	"repro/internal/tablesio"
@@ -288,16 +287,13 @@ func (s *Synthesizer) acquireTables() (*core.Synthesizer, error) {
 		Alphabet: cfg.Alphabet,
 		Progress: cfg.Progress,
 		Workers:  cfg.QueryWorkers,
-	}, extbuild.Options{
-		OutPath: cfg.TablesPath,
-		FailPoint: func(string, int, int) error {
-			select {
-			case <-s.done:
-				return ErrClosed
-			default:
-				return nil
-			}
-		},
+	}, cfg.TablesPath, func() error {
+		select {
+		case <-s.done:
+			return ErrClosed
+		default:
+			return nil
+		}
 	})
 	if err != nil {
 		return nil, err
