@@ -54,6 +54,88 @@ type Alphabet struct {
 	relabelable bool
 	// maxCost caches the largest element cost.
 	maxCost int
+	// ops[span[i][0]:span[i][1]] are element i's gates, in circuit
+	// order, as word operations (gateOp): the expansion's element
+	// products without a general composition or inversion.
+	ops  []gateOp
+	span [][2]uint32
+}
+
+// gateOp is one library gate as two operations on a packed function
+// (perm's nibble layout, paper §3.3). Both are a handful of word
+// operations, against the 16-step loops of a general perm.Then and
+// perm.Inverse.
+//
+//   - The value op maps f to f.Then(g): it flips bit t of every nibble
+//     whose control bits are all set.
+//   - The position op maps f to g.Then(f): it swaps the nibbles at
+//     positions x and x|1<<t for every x with bit t clear and the
+//     control bits set, one delta swap.
+type gateOp struct {
+	// ctrl is the gate's control mask in every nibble.
+	ctrl uint64
+	// swap marks the low nibble of every swapped pair; shift is the
+	// pair's distance in bits, 4<<t.
+	swap  uint64
+	shift uint8
+	// t is the target bit.
+	t uint8
+}
+
+// nibbleLows has bit 0 of every nibble set.
+const nibbleLows = 0x1111111111111111
+
+func newGateOp(g gate.Gate) gateOp {
+	t := uint(g.Target())
+	c := uint64(g.Controls())
+	op := gateOp{ctrl: c * nibbleLows, t: uint8(t), shift: uint8(4 << t)}
+	for x := uint64(0); x < perm.Size; x++ {
+		if x&(1<<t) == 0 && x&c == c {
+			op.swap |= 0xF << (4 * x)
+		}
+	}
+	return op
+}
+
+// value returns w.Then(g).
+func (op gateOp) value(w uint64) uint64 {
+	// A nibble of y is zero exactly where every control bit is set;
+	// folding each nibble's bits into its bit 0 and inverting leaves
+	// bit 0 set where the gate fires.
+	y := ^w & op.ctrl
+	y |= y >> 1
+	y |= y >> 2
+	return w ^ (^y&nibbleLows)<<op.t
+}
+
+// position returns g.Then(w).
+func (op gateOp) position(w uint64) uint64 {
+	d := (w>>op.shift ^ w) & op.swap
+	return w ^ d ^ d<<op.shift
+}
+
+// then returns base.Then(P) for element i: its gates' value ops in
+// circuit order.
+func (a *Alphabet) then(base perm.Perm, i int) perm.Perm {
+	w := uint64(base)
+	sp := a.span[i]
+	for _, op := range a.ops[sp[0]:sp[1]] {
+		w = op.value(w)
+	}
+	return perm.Perm(w)
+}
+
+// inverseThen returns (base.Then(P))⁻¹ = P.Then(base⁻¹) for element
+// i, given baseInv = base⁻¹: its gates' position ops on baseInv, last
+// gate first (every element and gate is an involution).
+func (a *Alphabet) inverseThen(baseInv perm.Perm, i int) perm.Perm {
+	w := uint64(baseInv)
+	sp := a.span[i]
+	ops := a.ops[sp[0]:sp[1]]
+	for j := len(ops) - 1; j >= 0; j-- {
+		w = ops[j].position(w)
+	}
+	return perm.Perm(w)
 }
 
 // MaxElements bounds alphabet sizes so element indices pack into the
@@ -73,7 +155,7 @@ func NewAlphabet(elems []Element) (*Alphabet, error) {
 	if len(elems) > MaxElements {
 		return nil, fmt.Errorf("bfs: alphabet has %d elements, limit %d", len(elems), MaxElements)
 	}
-	a := &Alphabet{elems: elems}
+	a := &Alphabet{elems: elems, span: make([][2]uint32, len(elems))}
 	index := make(map[perm.Perm]int, len(elems))
 	for i, e := range elems {
 		if !e.P.IsValid() {
@@ -91,6 +173,11 @@ func NewAlphabet(elems []Element) (*Alphabet, error) {
 		if circuit.Circuit(e.Gates).Perm() != e.P {
 			return nil, fmt.Errorf("bfs: element %d gate list does not realize its permutation", i)
 		}
+		a.span[i][0] = uint32(len(a.ops))
+		for _, g := range e.Gates {
+			a.ops = append(a.ops, newGateOp(g))
+		}
+		a.span[i][1] = uint32(len(a.ops))
 		if prev, dup := index[e.P]; dup {
 			return nil, fmt.Errorf("bfs: elements %d and %d compute the same permutation", prev, i)
 		}

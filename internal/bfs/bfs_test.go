@@ -8,6 +8,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/gate"
 	"repro/internal/perm"
+	"repro/internal/randperm"
 )
 
 func TestGateAlphabetBasics(t *testing.T) {
@@ -506,22 +507,71 @@ func BenchmarkSearchK4(b *testing.B) {
 	}
 }
 
+// TestElementProducts: the gate word operations ExpandRep composes with
+// must agree with the general composition and inversion for every
+// element of every built-in alphabet, over random bases.
+func TestElementProducts(t *testing.T) {
+	quantum, err := WeightedGateAlphabet(gate.Gate.QuantumCost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := randperm.New(17)
+	bases := append(g.Sample(10000), perm.Identity)
+	for _, tc := range []struct {
+		name string
+		a    *Alphabet
+	}{
+		{"gates", GateAlphabet()},
+		{"weighted", quantum},
+		{"linear", LinearAlphabet()},
+		{"layers", LayerAlphabet()},
+		{"lnn", LNNAlphabet()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, base := range bases {
+				bi := base.Inverse()
+				for i := 0; i < tc.a.Len(); i++ {
+					want := base.Then(tc.a.Element(i).P)
+					if got := tc.a.then(base, i); got != want {
+						t.Fatalf("element %d (%s) after %v: %v, want %v", i, tc.a.Element(i).Name(), base, got, want)
+					}
+					if got := tc.a.inverseThen(bi, i); got != want.Inverse() {
+						t.Fatalf("element %d (%s) after %v, inverse: %v, want %v", i, tc.a.Element(i).Name(), base, got, want.Inverse())
+					}
+				}
+			}
+		})
+	}
+}
+
+// countSink counts the candidates of an expansion and folds their keys.
+type countSink struct {
+	n   int
+	acc uint64
+}
+
+func (s *countSink) Candidate(key uint64, _ uint16, _ uint64) {
+	s.n++
+	s.acc ^= key
+}
+
+// BenchmarkCanonicalizeExpansion times the build's inner loop as the
+// build runs it: ExpandRep composes a level-3 representative (and its
+// inverse) with all 32 gates and canonicalizes every product. ns/cand
+// is the cost of one candidate.
 func BenchmarkCanonicalizeExpansion(b *testing.B) {
-	// The BFS inner loop: compose + canonicalize + probe.
-	res, err := Search(GateAlphabet(), 3, nil)
+	a := GateAlphabet()
+	res, err := Search(a, 3, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	reps := res.Level(3)
-	a := GateAlphabet()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var acc perm.Perm
-	for i := 0; i < b.N; i++ {
-		r := reps.At(i % reps.Len())
-		h := r.Then(a.Element(i & 31).P)
-		rep, _, _ := canon.Canonical(h)
-		acc ^= rep
+	_, groups := CostGroups(a)
+	sink := &countSink{}
+	i := 0
+	for b.Loop() {
+		ExpandRep(a, reps.At(i%reps.Len()), groups[1], 4, true, 0, sink)
+		i++
 	}
-	_ = acc
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sink.n), "ns/cand")
 }

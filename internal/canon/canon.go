@@ -20,8 +20,19 @@
 // lookup of the relabeling reached; the minimum's walk position maps to
 // its relabeling once, at the end, through walkPos. Together with one
 // inversion this canonicalizes a random function or a gate product in
-// about 150 ns, and an involution (one sweep instead of two) in about
-// 100 ns, on a 2-vCPU x86-64 Xeon host (BenchmarkCanonical).
+// about 100–150 ns, and an involution (one sweep instead of two) in
+// about 100 ns, on a 2-vCPU x86-64 Xeon host (BenchmarkCanonical; the
+// host's speed varies by tens of percent from run to run).
+//
+// CanonicalPair is the same walk for a caller that already holds f⁻¹,
+// and skips the inversion: about 84 ns against 98 for Canonical on the
+// same gate products (BenchmarkCanonical/products-pair and /products,
+// medians of 6 runs). The BFS expansion is that caller. It derives each
+// product's inverse from its representative's with a few word
+// operations (bfs.ExpandRep), so one expansion candidate — the two
+// products, the walk, and packing the value — costs about 166 ns, where
+// a perm.Then, a perm.Inverse and Canonical cost about 214
+// (bfs.BenchmarkCanonicalizeExpansion, medians of 6 alternating runs).
 package canon
 
 import (
@@ -195,7 +206,16 @@ func ConjugateGate(g gate.Gate, s int) gate.Gate {
 // walk: a strictly smaller word wins, and at each position f's conjugate
 // is tested before f⁻¹'s.
 func Canonical(f perm.Perm) (rep perm.Perm, sigma int, inverted bool) {
-	fi := f.Inverse()
+	return CanonicalPair(f, f.Inverse())
+}
+
+// CanonicalPair is Canonical for a caller that already holds fi =
+// f.Inverse(): the same walk, the same representative and the same
+// witness, without the inversion. fi must be f's inverse; nothing
+// checks it. The BFS expansion computes each product's inverse with a
+// few word operations from its base's (bfs.ExpandRep), which is
+// cheaper than a general inversion.
+func CanonicalPair(f, fi perm.Perm) (rep perm.Perm, sigma int, inverted bool) {
 	// at is the walk position of the minimum, doubled, plus one when the
 	// minimum is f⁻¹'s conjugate; n counts doubled steps.
 	rep, at, n := f, 0, 0

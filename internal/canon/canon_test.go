@@ -352,7 +352,8 @@ func TestCanonicalInvolutionFastPath(t *testing.T) {
 // populations the BFS inner loop sees: general functions (one
 // inversion, 46 conjugation kernels), involutions, where the inverse
 // sweep is skipped and the kernel count halves, and products of 1–12
-// gates, the shape bfs.ExpandRep feeds.
+// gates, the shape bfs.ExpandRep feeds. products-pair hands the same
+// products to CanonicalPair with their inverses, as ExpandRep does.
 func BenchmarkCanonical(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	random := make([]perm.Perm, 1024)
@@ -377,6 +378,19 @@ func BenchmarkCanonical(b *testing.B) {
 			_ = acc
 		})
 	}
+	inverses := make([]perm.Perm, len(products))
+	for i, p := range products {
+		inverses[i] = p.Inverse()
+	}
+	b.Run("products-pair", func(b *testing.B) {
+		b.ReportAllocs()
+		var acc perm.Perm
+		for i := 0; i < b.N; i++ {
+			r, _, _ := CanonicalPair(products[i&1023], inverses[i&1023])
+			acc ^= r
+		}
+		_ = acc
+	})
 }
 
 func BenchmarkClassSize(b *testing.B) {
@@ -522,8 +536,9 @@ func classRepsUpTo(t *testing.T, maxCost int) []perm.Perm {
 	return all
 }
 
-// TestCanonicalMatchesOracle checks the walk against the oracle on over
-// a million inputs from four populations.
+// TestCanonicalMatchesOracle checks the walk, through Canonical and
+// through CanonicalPair given the inverse, against the oracle on over a
+// million inputs from four populations.
 func TestCanonicalMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	var variants []perm.Perm
@@ -553,6 +568,10 @@ func TestCanonicalMatchesOracle(t *testing.T) {
 			if rep != wr || sigma != ws || inverted != wi {
 				t.Fatalf("%s %v: Canonical = (%v, %d, %v), oracle (%v, %d, %v)",
 					pop.name, f, rep, sigma, inverted, wr, ws, wi)
+			}
+			if pr, ps, pi := CanonicalPair(f, f.Inverse()); pr != wr || ps != ws || pi != wi {
+				t.Fatalf("%s %v: CanonicalPair = (%v, %d, %v), oracle (%v, %d, %v)",
+					pop.name, f, pr, ps, pi, wr, ws, wi)
 			}
 		}
 		total += pop.n

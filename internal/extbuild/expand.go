@@ -1,7 +1,9 @@
 package extbuild
 
 import (
+	"errors"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -9,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/bfs"
-	"repro/internal/hashtab"
 	"repro/internal/perm"
 	"repro/internal/tablesio"
 )
@@ -47,10 +48,14 @@ type levelPlan struct {
 	slabCount   int
 }
 
+// ErrSeqOverflow reports a level whose candidates need sequence numbers
+// of more than 48 bits, the width a spill candidate carries (cand.sv).
+var ErrSeqOverflow = errors.New("extbuild: level sequence numbers exceed 48 bits")
+
 // planLevel derives level c's schedule from the manifest's completed
 // level sizes — the same iteration bfs.Search performs, so the sequence
 // numbering matches the sequential in-memory expansion exactly.
-func (b *builder) planLevel(c int) levelPlan {
+func (b *builder) planLevel(c int) (levelPlan, error) {
 	p := levelPlan{}
 	var seqBase uint64
 	for _, ec := range b.costs {
@@ -75,28 +80,27 @@ func (b *builder) planLevel(c int) levelPlan {
 				p.maxStride = stride
 			}
 		}
-		seqBase += uint64(reps) * stride
+		// seqBase ≤ 1<<seqBits throughout, so the subtraction is exact.
+		hi, span := bits.Mul64(uint64(reps), stride)
+		if hi != 0 || span > 1<<seqBits-seqBase {
+			return p, fmt.Errorf("%w: level %d, %d representatives of level %d at stride %d",
+				ErrSeqOverflow, c, reps, src, stride)
+		}
+		seqBase += span
 	}
 	p.repsPerSlab, p.slabCount = b.planSlabs(p.totalReps, p.maxStride)
-	return p
+	return p, nil
 }
 
-// slabSink collects one slab's candidates, pre-computing each key's
-// hash shard (the spill sort's major key). tmp is the spill sort's
+// slabSink collects one slab's candidates. tmp is the spill sort's
 // scratch, as long as buf's capacity.
 type slabSink struct {
-	buf   []cand
-	tmp   []cand
-	shift uint
+	buf []cand
+	tmp []cand
 }
 
 func (s *slabSink) Candidate(key uint64, val uint16, seq uint64) {
-	s.buf = append(s.buf, cand{
-		key:   key,
-		seq:   seq,
-		shard: uint32(hashtab.Hash64Shift(key) >> s.shift),
-		val:   val,
-	})
+	s.buf = append(s.buf, newCand(key, val, seq))
 }
 
 // expandLevel seals a spill run for every slab of the level's frontier
@@ -161,9 +165,8 @@ func (b *builder) expandLevel(c int, p levelPlan) error {
 		b.mem.add(charge)
 		defer b.mem.release(charge)
 		sink := &slabSink{
-			buf:   make([]cand, 0, bufCap),
-			tmp:   make([]cand, bufCap),
-			shift: b.shardShift,
+			buf: make([]cand, 0, bufCap),
+			tmp: make([]cand, bufCap),
 		}
 		repKeys := make([]uint64, p.repsPerSlab)
 		repRaw := make([]byte, p.repsPerSlab*seqRecordBytes)

@@ -40,7 +40,9 @@ type Options struct {
 
 	// WorkDir holds the build's spill runs, level files, and checkpoint
 	// manifest. It is created if missing. A non-resume build clears any
-	// previous build artifacts from it first.
+	// previous build artifacts from it first. A build that cleans up
+	// after itself (see KeepWork) also removes the directory, if the
+	// build made it.
 	WorkDir string
 
 	// MemBudget is the target for the tracked working memory in bytes
@@ -258,6 +260,10 @@ func Build(o Options) (*Stats, error) {
 	stats := b.stats()
 	if !b.o.KeepWork && (b.o.OutPath != "" || b.o.SplitN > 1) {
 		b.cleanWorkDir(true)
+		if b.man.CreatedDir {
+			// Fails, harmlessly, if something else was put there.
+			os.Remove(b.dir)
+		}
 	}
 	return stats, nil
 }
@@ -400,14 +406,17 @@ func slabRepBytes(maxStride uint64) int64 { return 2 * int64(maxStride) * candMe
 
 // planSlabs sizes the expansion slab for a level with the given total
 // source representatives and maximum per-representative candidate
-// stride: half the budget across all worker buffers, floored so the
-// slab count stays within the manifest's run table. When the frontier
-// has at least one representative per worker, the slab count is then
-// rounded up to a multiple of the worker count (down, if up would
-// leave the run table), so no worker idles through another's last
-// slab. The slabs shrink to match; the rounding is exact once the
-// frontier is large next to the squared slab count, and a small
-// frontier may tile into somewhat fewer slabs.
+// stride: at most half the budget across all worker buffers, floored so
+// the slab count stays within the manifest's run table. When the
+// frontier has at least one representative per worker, the slab count
+// is then rounded up to a multiple of the worker count (down, if up
+// would leave the run table), so no worker idles through another's last
+// slab. Finally the frontier is tiled evenly over that count, so a
+// worker's buffers hold what one slab needs rather than what the budget
+// allows (the buffers' size sets the build's live heap, and so its
+// resident set); equal slab counts therefore always tile identically.
+// The rounding is exact once the frontier is large next to the squared
+// slab count, and a small frontier may tile into somewhat fewer slabs.
 func (b *builder) planSlabs(totalReps int64, maxStride uint64) (repsPerSlab int64, slabCount int) {
 	if totalReps == 0 {
 		return 1, 0
@@ -423,11 +432,10 @@ func (b *builder) planSlabs(totalReps int64, maxStride uint64) (repsPerSlab int6
 		if balanced > maxSlabsPerLevel {
 			balanced -= w
 		}
-		if balanced > slabCount {
-			repsPerSlab = (totalReps + int64(balanced) - 1) / int64(balanced)
-			slabCount = int((totalReps + repsPerSlab - 1) / repsPerSlab)
-		}
+		slabCount = max(slabCount, balanced)
 	}
+	repsPerSlab = (totalReps + int64(slabCount) - 1) / int64(slabCount)
+	slabCount = int((totalReps + repsPerSlab - 1) / repsPerSlab)
 	return repsPerSlab, slabCount
 }
 
@@ -435,6 +443,8 @@ func (b *builder) planSlabs(totalReps int64, maxStride uint64) (repsPerSlab int6
 // manifest checkpoint, bootstrapping level 0 (the identity) for fresh
 // builds.
 func (b *builder) setupWorkDir() error {
+	_, err := os.Stat(b.dir)
+	created := errors.Is(err, os.ErrNotExist)
 	if err := os.MkdirAll(b.dir, 0o755); err != nil {
 		return err
 	}
@@ -460,6 +470,7 @@ func (b *builder) setupWorkDir() error {
 			Reduced:    b.reduced,
 			Alphabet:   tables.FingerprintOf(b.a),
 			Shards:     b.shards,
+			CreatedDir: created,
 		}
 		if err := b.bootstrapLevel0(); err != nil {
 			return err
@@ -681,7 +692,10 @@ func (b *builder) dropPrior() {
 // runs, then the shard-parallel merge-dedup that publishes the level and
 // advances the checkpoint.
 func (b *builder) buildLevel(c int) error {
-	plan := b.planLevel(c)
+	plan, err := b.planLevel(c)
+	if err != nil {
+		return err
+	}
 	if err := b.expandLevel(c, plan); err != nil {
 		return err
 	}

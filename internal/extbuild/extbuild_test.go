@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -340,20 +341,23 @@ func TestResumeWithDifferentBudget(t *testing.T) {
 }
 
 // TestResumeSameSlabCountDifferentPartition: the hazard the manifest's
-// LevelReps pin exists for. The slab count alone does not determine the
-// partition — two budgets can tile the same frontier into the same
-// number of differently-sized slabs. A crash that seals the first two
-// of three slabs, resumed under a budget whose slabs are LARGER but
-// equally many, must discard the sealed runs: reusing them would leave
-// the frontier range between old slab 1's end and new slab 2's start
-// silently unexpanded.
+// LevelReps pin exists for. Reusing sealed runs of a partition other
+// than the resume's plan would leave the frontier range between an old
+// slab's end and a new slab's start silently unexpanded. The planner
+// tiles a frontier evenly over its slab count, so two budgets that give
+// the same count give the same partition: a crash that seals the first
+// two of three slabs, resumed under a larger budget that still plans
+// three slabs, reuses both runs. A checkpoint that pins a different
+// partition under the same count — resealed here by hand — must have
+// its runs discarded and all three slabs re-expanded.
 func TestResumeSameSlabCountDifferentPartition(t *testing.T) {
 	a := bfs.GateAlphabet()
 	const k = 4
 	ref := referenceFile(t, a, k, false)
 
 	// Level k's expansion plan over the known Table 4 level sizes: with
-	// Workers 1, planSlabs yields repsPerSlab = budget/2/slabRepBytes.
+	// Workers 1, planSlabs yields ceil(T/n) reps for the n slabs of
+	// budget/2/slabRepBytes reps.
 	costs, groups := bfs.CostGroups(a)
 	var totalReps int64
 	var maxStride uint64
@@ -376,51 +380,75 @@ func TestResumeSameSlabCountDifferentPartition(t *testing.T) {
 		t.Fatalf("repsB %d does not tile %d reps into 3 slabs", repsB, totalReps)
 	}
 
-	dir := t.TempDir()
-	out := filepath.Join(dir, "out.rvt")
-	work := filepath.Join(dir, "work")
-	opts := Options{
-		Alphabet: a, K: k,
-		WorkDir:   work,
-		MemBudget: repsA * 2 * perRepBytes,
-		Workers:   1, // sequential slabs: the crash leaves exactly {0, 1} sealed
-		OutPath:   out,
-		FailPoint: func(stage string, level, slab int) error {
-			if stage == "run" && level == k && slab == 1 {
-				return errCrash
+	for _, tc := range []struct {
+		name     string
+		reseal   bool  // pin repsB in the checkpoint
+		expanded int64 // level-k slabs the resume expands
+	}{{"same partition", false, 1}, {"pinned partition differs", true, 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			out := filepath.Join(dir, "out.rvt")
+			work := filepath.Join(dir, "work")
+			opts := Options{
+				Alphabet: a, K: k,
+				WorkDir:   work,
+				MemBudget: repsA * 2 * perRepBytes,
+				Workers:   1, // sequential slabs: the crash leaves exactly {0, 1} sealed
+				OutPath:   out,
+				FailPoint: func(stage string, level, slab int) error {
+					if stage == "run" && level == k && slab == 1 {
+						return errCrash
+					}
+					return nil
+				},
 			}
-			return nil
-		},
-	}
-	if _, err := Build(opts); !errors.Is(err, errCrash) {
-		t.Fatal("expected simulated crash")
-	}
-	man, err := tablesio.ReadManifestFile(filepath.Join(work, ManifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Guard the hazard preconditions, so planSlabs drift cannot quietly
-	// turn this into a no-op test.
-	if man.LevelSlabs != 3 || man.LevelReps != repsA {
-		t.Fatalf("crashed partition %d×%d, want 3×%d", man.LevelSlabs, man.LevelReps, repsA)
-	}
-	if len(man.Runs) != 2 {
-		t.Fatalf("crash sealed %d runs, want 2", len(man.Runs))
-	}
+			if _, err := Build(opts); !errors.Is(err, errCrash) {
+				t.Fatal("expected simulated crash")
+			}
+			manPath := filepath.Join(work, ManifestName)
+			man, err := tablesio.ReadManifestFile(manPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Guard the hazard preconditions, so planSlabs drift cannot
+			// quietly turn this into a no-op test.
+			if man.LevelSlabs != 3 || man.LevelReps != repsA {
+				t.Fatalf("crashed partition %d×%d, want 3×%d", man.LevelSlabs, man.LevelReps, repsA)
+			}
+			if len(man.Runs) != 2 {
+				t.Fatalf("crash sealed %d runs, want 2", len(man.Runs))
+			}
+			if tc.reseal {
+				man.LevelReps = repsB
+				if err := tablesio.WriteManifestFile(manPath, man); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	opts.FailPoint = nil
-	opts.Resume = true
-	opts.MemBudget = repsB * 2 * perRepBytes
-	stats, err := Build(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.LevelCounts[k] != bfs.GateReducedCounts[k] {
-		t.Errorf("level %d count %d, want %d (reused runs left a frontier gap)",
-			k, stats.LevelCounts[k], bfs.GateReducedCounts[k])
-	}
-	if !bytes.Equal(mustRead(t, out), ref) {
-		t.Fatal("partition-changed resume differs from reference")
+			var expanded atomic.Int64
+			opts.FailPoint = nil
+			opts.Resume = true
+			opts.MemBudget = repsB * 2 * perRepBytes
+			opts.Progress = func(ev ProgressEvent) {
+				if ev.Phase == "expand" && ev.Level == k && !ev.Done {
+					expanded.Add(1)
+				}
+			}
+			stats, err := Build(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := expanded.Load(); got != tc.expanded {
+				t.Errorf("resume expanded %d level-%d slabs, want %d", got, k, tc.expanded)
+			}
+			if stats.LevelCounts[k] != bfs.GateReducedCounts[k] {
+				t.Errorf("level %d count %d, want %d (reused runs left a frontier gap)",
+					k, stats.LevelCounts[k], bfs.GateReducedCounts[k])
+			}
+			if !bytes.Equal(mustRead(t, out), ref) {
+				t.Fatal("resumed store differs from reference")
+			}
+		})
 	}
 }
 
@@ -450,6 +478,72 @@ func TestResumeRejectsCorruptLevel(t *testing.T) {
 	opts.Resume = true
 	if _, err := Build(opts); err == nil {
 		t.Fatal("resume accepted a corrupt level artifact")
+	}
+}
+
+// TestResumeRejectsVersion1Checkpoint: a version-1 checkpoint's run and
+// level files are in key order, not hash order, so a resume over one
+// must fail with the typed version error and publish nothing — never
+// merge its files as hash-ordered ones.
+func TestResumeRejectsVersion1Checkpoint(t *testing.T) {
+	dir := t.TempDir()
+	work := filepath.Join(dir, "work")
+	out := filepath.Join(dir, "out.rvt")
+	opts := Options{
+		Alphabet: bfs.GateAlphabet(), K: 4,
+		WorkDir:   work,
+		MemBudget: 1 << 17,
+		OutPath:   out,
+		FailPoint: func(stage string, level, slab int) error {
+			if stage == "run" && level == 4 && slab == 1 {
+				return errCrash
+			}
+			return nil
+		},
+	}
+	if _, err := Build(opts); !errors.Is(err, errCrash) {
+		t.Fatalf("crash build: got %v, want simulated crash", err)
+	}
+	// The version-1 envelope differed only in its magic: the same
+	// fingerprint function covered the same payload.
+	manPath := filepath.Join(work, ManifestName)
+	raw := mustRead(t, manPath)
+	if !bytes.HasPrefix(raw, []byte("RVTM2 ")) {
+		t.Fatalf("manifest starts %q, want the RVTM2 envelope", raw[:6])
+	}
+	copy(raw, "RVTM1")
+	if err := os.WriteFile(manPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts.FailPoint, opts.Resume = nil, true
+	if _, err := Build(opts); !errors.Is(err, tablesio.ErrUnsupportedVersion) {
+		t.Fatalf("resume over a version-1 checkpoint: got %v, want ErrUnsupportedVersion", err)
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("resume over a version-1 checkpoint published a store (stat: %v)", err)
+	}
+}
+
+// TestPlanLevelRejectsSeqOverflow: a level whose sequence numbers would
+// not fit the 48 bits a spill candidate carries fails typed at
+// planning, before any candidate is made.
+func TestPlanLevelRejectsSeqOverflow(t *testing.T) {
+	b, err := newBuilder(Options{Alphabet: bfs.GateAlphabet(), K: 2, WorkDir: filepath.Join(t.TempDir(), "work")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.setupWorkDir(); err != nil {
+		t.Fatal(err)
+	}
+	// Level 1 claims 2^42 representatives; at a stride of 64 level 2
+	// needs 2^48 sequence numbers, exactly the most that fit.
+	b.man.Levels = append(b.man.Levels, tablesio.ManifestLevel{Level: 1, Entries: 1 << 42})
+	if _, err := b.planLevel(2); err != nil {
+		t.Fatalf("2^48 sequence numbers: %v", err)
+	}
+	b.man.Levels[1].Entries++
+	if _, err := b.planLevel(2); !errors.Is(err, ErrSeqOverflow) {
+		t.Fatalf("2^48 + 64 sequence numbers: got %v, want ErrSeqOverflow", err)
 	}
 }
 
@@ -573,7 +667,9 @@ func TestProgressEvents(t *testing.T) {
 }
 
 // TestWorkDirCleanup: a successful emitting build removes its work
-// artifacts unless KeepWork is set.
+// artifacts unless KeepWork is set, and the work directory itself when
+// the build made it — also when a resume finishes the build. A
+// directory the caller made stays, empty.
 func TestWorkDirCleanup(t *testing.T) {
 	a := bfs.GateAlphabet()
 	dir := t.TempDir()
@@ -582,9 +678,40 @@ func TestWorkDirCleanup(t *testing.T) {
 		OutPath: filepath.Join(dir, "out.rvt")}); err != nil {
 		t.Fatal(err)
 	}
-	ents, err := os.ReadDir(work)
-	if err != nil {
+	if _, err := os.Stat(work); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("work directory the build made survived it (stat: %v)", err)
+	}
+
+	resumed := filepath.Join(dir, "resumed")
+	opts := Options{Alphabet: a, K: 3, WorkDir: resumed, OutPath: filepath.Join(dir, "out2.rvt"),
+		FailPoint: func(stage string, level, _ int) error {
+			if stage == "level" && level == 2 {
+				return errCrash
+			}
+			return nil
+		}}
+	if _, err := Build(opts); !errors.Is(err, errCrash) {
+		t.Fatalf("crash build: got %v, want simulated crash", err)
+	}
+	opts.FailPoint, opts.Resume = nil, true
+	if _, err := Build(opts); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := os.Stat(resumed); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("work directory of a resumed build survived it (stat: %v)", err)
+	}
+
+	mine := filepath.Join(dir, "mine")
+	if err := os.Mkdir(mine, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(Options{Alphabet: a, K: 2, WorkDir: mine,
+		OutPath: filepath.Join(dir, "out3.rvt")}); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(mine)
+	if err != nil {
+		t.Fatalf("caller's work directory: %v", err)
 	}
 	for _, e := range ents {
 		t.Errorf("leftover work artifact %s", e.Name())
@@ -667,7 +794,10 @@ func TestPeakTrackedWithinBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := b.planLevel(k)
+	p, err := b.planLevel(k)
+	if err != nil {
+		t.Fatal(err)
+	}
 	base := b.mem.cur
 	b.mem.peak = base
 	if err := b.expandLevel(k, p); err != nil {
@@ -812,7 +942,7 @@ func TestReaderAdvanceAllocs(t *testing.T) {
 	const n = 1000
 	cands := make([]cand, n)
 	for i := range cands {
-		cands[i] = cand{key: uint64(i + 1), seq: uint64(i), val: uint16(i)}
+		cands[i] = newCand(uint64(i+1), uint16(i), uint64(i))
 	}
 	if _, err := writeRunFile(dir, "r.run", cands, 1); err != nil {
 		t.Fatal(err)
@@ -823,7 +953,7 @@ func TestReaderAdvanceAllocs(t *testing.T) {
 	}
 	var rec [srtRecordBytes]byte
 	for _, c := range cands {
-		putSrtRecord(rec[:], c.key, c.val)
+		putSrtRecord(rec[:], c.key, c.val())
 		af.Write(rec[:])
 	}
 	if err := writeCountsTrailer(af, []uint64{n}); err != nil {

@@ -18,13 +18,16 @@
 // Every sort on the build path runs in linear time. A slab's candidates
 // reach the spill buffer in strictly ascending sequence order, because
 // representatives are read in frontier order and bfs.ExpandRep numbers
-// each one's candidates upward from its base. So a stable LSD radix
-// sort on (shard, key) leaves equal keys in seq order, which yields the
-// (shard, key, seq) run order the merges rely on without sorting on
-// seq. The sort checks the order in the same pass that builds its
-// histograms and fails the build with ErrCandidateOrder if it breaks.
-// The sequence sorter radix-sorts its (seq, key) pairs, and emission
-// places each shard with a counting sort by home slot.
+// each one's candidates upward from its base. So a stable radix sort on
+// Hash64Shift(key) leaves equal keys in seq order, which yields the
+// (hash, seq) run order the merges rely on without sorting on seq. The
+// candidate sort is MSD: one pass out of cache into cache-sized
+// buckets, each finished in cache with digits sized to the bucket, so
+// its cost per slab is linear in the slab for any input (radix.go). It
+// checks the sequence order in its first pass and fails the build with
+// ErrCandidateOrder if it breaks. The sequence sorter LSD-radix-sorts
+// its (seq, key) pairs, and emission places each shard with a counting
+// sort by home slot.
 //
 // Every phase runs on Options.Workers goroutines. Expansion fans slabs
 // out. The merges are shard-parallel: workers take hash shards off a
@@ -34,14 +37,17 @@
 // depend on the schedule. Emission places shards and resolves index
 // chunks in parallel and hands both to the store writer in order.
 //
-// Work-directory artifacts, all little-endian:
+// Work-directory artifacts, all little-endian. Runs and level files
+// are in hash order: ascending Hash64Shift(key). The hash is a
+// bijection whose top bits are the key's shard, so hash order is shard
+// order and puts equal keys side by side.
 //
 //	run_<c>_<slab>.run   one expansion slab's candidates, sorted by
-//	                     (shard, key, seq), run-deduped; 18-byte records
+//	                     (hash, seq), run-deduped; 18-byte records
 //	                     key u64 | val u16 | seq u64, then a trailer of
 //	                     per-shard record counts (shardCount × u64)
-//	level_<c>.srt        level c's survivors sorted by (shard, key);
-//	                     10-byte records key u64 | val u16, same trailer
+//	level_<c>.srt        level c's survivors in hash order; 10-byte
+//	                     records key u64 | val u16, same trailer
 //	level_<c>.seq        level c's survivor keys, 8 bytes each, in
 //	                     discovery (sequence) order
 //	MANIFEST             tablesio.BuildManifest checkpoint envelope
@@ -50,20 +56,19 @@
 //	                     merge), removed once concatenated
 //
 // Every artifact is published by atomic rename and fingerprinted
-// (FNV-64a over the file bytes) in the manifest, so a resume trusts
-// exactly the files it can verify and re-does the rest.
+// (tablesio.ContentHash over the file bytes) in the manifest, so a
+// resume trusts exactly the files it can verify and re-does the rest.
 package extbuild
 
 import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
 
+	"repro/internal/hashtab"
 	"repro/internal/tablesio"
 )
 
@@ -73,29 +78,16 @@ const (
 	seqRecordBytes = 8  // key u64
 )
 
-// cand is one canonical candidate in flight: the expansion buffers sort
-// slices of these by (shard, key, seq).
-type cand struct {
-	key   uint64
-	seq   uint64
-	shard uint32
-	val   uint16
-}
-
-// candMemBytes is the in-memory footprint charged against the budget
-// per buffered candidate (struct size rounded to alignment).
-const candMemBytes = 24
-
-// hashingWriter tees writes through FNV-64a, the artifact fingerprint
-// recorded in the manifest.
+// hashingWriter tees writes through tablesio.ContentHash, the artifact
+// fingerprint recorded in the manifest.
 type hashingWriter struct {
 	w io.Writer
-	h hash.Hash64
+	h *tablesio.ContentHash
 	n int64
 }
 
 func newHashingWriter(w io.Writer) *hashingWriter {
-	return &hashingWriter{w: w, h: fnv.New64a()}
+	return &hashingWriter{w: w, h: tablesio.NewContentHash()}
 }
 
 func (hw *hashingWriter) Write(p []byte) (int, error) {
@@ -111,7 +103,7 @@ func hashFile(path string) (uint64, int64, error) {
 		return 0, 0, err
 	}
 	defer f.Close()
-	h := fnv.New64a()
+	h := tablesio.NewContentHash()
 	n, err := io.Copy(h, f)
 	if err != nil {
 		return 0, 0, err
@@ -141,7 +133,7 @@ func verifyArtifact(dir string, mf tablesio.ManifestFile) error {
 }
 
 // atomicFile writes an artifact to a temp file in dir and publishes it
-// under name by rename, returning the FNV fingerprint and size.
+// under name by rename, returning its fingerprint and size.
 type atomicFile struct {
 	dir, name string
 	tmp       *os.File
@@ -195,24 +187,24 @@ func (a *atomicFile) abort() {
 }
 
 // writeRunFile publishes one sorted, run-deduped candidate slab. cands
-// must already be sorted by (shard, key, seq) and key-deduped. Returns
-// the manifest entry and the per-shard counts it wrote.
+// must already be in (hash, seq) order and key-deduped.
 func writeRunFile(dir, name string, cands []cand, shardCount int) (tablesio.ManifestFile, error) {
 	af, err := newAtomicFile(dir, name)
 	if err != nil {
 		return tablesio.ManifestFile{}, err
 	}
+	shift := uint(64 - log2int(shardCount))
 	var rec [runRecordBytes]byte
 	counts := make([]uint64, shardCount)
 	for _, c := range cands {
 		binary.LittleEndian.PutUint64(rec[0:], c.key)
-		binary.LittleEndian.PutUint16(rec[8:], c.val)
-		binary.LittleEndian.PutUint64(rec[10:], c.seq)
+		binary.LittleEndian.PutUint16(rec[8:], c.val())
+		binary.LittleEndian.PutUint64(rec[10:], c.seq())
 		if _, err := af.Write(rec[:]); err != nil {
 			af.abort()
 			return tablesio.ManifestFile{}, err
 		}
-		counts[c.shard]++
+		counts[hashtab.Hash64Shift(c.key)>>shift]++
 	}
 	if err := writeCountsTrailer(af, counts); err != nil {
 		af.abort()
@@ -325,14 +317,16 @@ func (sf *segFile) readSegment(s int, buf []byte) ([]byte, error) {
 }
 
 // segReader streams one shard segment of a segFile at a time, holding
-// the lookahead record. Run records carry a seq; level records do not.
-// The record buffer lives in the reader, so advancing allocates nothing.
+// the lookahead record and its key's hash, the record order. Run records
+// carry a seq; level records do not. The record buffer lives in the
+// reader, so advancing allocates nothing.
 type segReader struct {
 	br  *bufio.Reader
 	in  *segFile
 	rec [runRecordBytes]byte
-	// cur is the lookahead record; valid when ok.
+	// The lookahead record; valid when ok.
 	key  uint64
+	hash uint64
 	seq  uint64
 	val  uint16
 	ok   bool
@@ -367,6 +361,7 @@ func (r *segReader) advance() error {
 		return fmt.Errorf("extbuild: truncated %s: %w", filepath.Base(r.in.f.Name()), err)
 	}
 	r.key = binary.LittleEndian.Uint64(rec)
+	r.hash = hashtab.Hash64Shift(r.key)
 	r.val = binary.LittleEndian.Uint16(rec[8:])
 	if len(rec) == runRecordBytes {
 		r.seq = binary.LittleEndian.Uint64(rec[10:])

@@ -11,25 +11,56 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/hashtab"
 	"repro/internal/tablesio"
 )
 
-// runHeap orders a shard's run readers by their lookahead record's
-// (key, seq) — within one shard that is the global candidate order, so
-// popping the heap replays the level's candidates exactly as the
-// sequential in-memory expansion would first encounter each key.
+// runHeap is a binary min-heap of a shard's run readers ordered by
+// their lookahead record's (hash, seq). Within one shard that is the
+// global candidate order, so popping the heap replays the level's
+// candidates exactly as the sequential in-memory expansion would first
+// encounter each key. It is typed, so a comparison is a direct call,
+// not container/heap's interface dispatch.
 type runHeap []*segReader
 
-func (h runHeap) Len() int { return len(h) }
-func (h runHeap) Less(i, j int) bool {
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
+func (h runHeap) less(i, j int) bool {
+	if h[i].hash != h[j].hash {
+		return h[i].hash < h[j].hash
 	}
 	return h[i].seq < h[j].seq
 }
-func (h runHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *runHeap) Push(x any)   { *h = append(*h, x.(*segReader)) }
-func (h *runHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
+// down restores the heap order below position i.
+func (h runHeap) down(i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && h.less(r, m) {
+			m = r
+		}
+		if !h.less(m, i) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+func (h runHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// popTop removes the minimum.
+func (h *runHeap) popTop() {
+	n := len(*h) - 1
+	(*h)[0] = (*h)[n]
+	*h = (*h)[:n]
+	h.down(0)
+}
 
 // runMerge is one merge worker's k-way merge over a set of run files: a
 // reader per file and the heap ordering them.
@@ -47,7 +78,7 @@ func newRunMerge(files []*segFile, bufBytes int) *runMerge {
 	return m
 }
 
-// merge replays shard s's candidates from every run in (key, seq) order
+// merge replays shard s's candidates from every run in (hash, seq) order
 // and calls emit with the first — minimum-sequence — candidate of each
 // key. It returns the bytes read.
 func (m *runMerge) merge(s int, emit func(key uint64, val uint16, seq uint64) error) (int64, error) {
@@ -60,7 +91,7 @@ func (m *runMerge) merge(s int, emit func(key uint64, val uint16, seq uint64) er
 			m.h = append(m.h, r)
 		}
 	}
-	heap.Init(&m.h)
+	m.h.init()
 	var prevKey uint64
 	for len(m.h) > 0 {
 		r := m.h[0]
@@ -69,9 +100,9 @@ func (m *runMerge) merge(s int, emit func(key uint64, val uint16, seq uint64) er
 			return 0, err
 		}
 		if r.ok {
-			heap.Fix(&m.h, 0)
+			m.h.down(0)
 		} else {
-			heap.Pop(&m.h)
+			m.h.popTop()
 		}
 		if key == prevKey {
 			continue
@@ -205,7 +236,7 @@ func (b *builder) mergeLevel(c int, p levelPlan) error {
 		defer closeSegFiles(priors)
 	}
 
-	seqS := b.newSeqSorter(c)
+	seqS := b.newSeqSorter(c, levelCands)
 	defer seqS.drop()
 	srtAF, err := newAtomicFile(b.dir, srtName(c))
 	if err != nil {
@@ -408,23 +439,24 @@ func (p *probeChunk) reset() {
 }
 
 // joinPresent marks which chunk keys exist in any prior level by
-// merge-joining against the levels' sorted shard segments: chunk keys
-// ascend, each reader's segment ascends, so every reader advances
-// monotonically — the disk dedup path costs one sequential pass over
-// the priors per level built. A read error aborts the merge: treating
-// a prior as exhausted would mark its keys absent and re-emit them
-// into the new level, publishing a store with duplicate keys.
+// merge-joining against the levels' shard segments: chunk keys ascend
+// in hash order, and so does each reader's segment, so every reader
+// advances monotonically — the disk dedup path costs one sequential
+// pass over the priors per level built. A read error aborts the merge:
+// treating a prior as exhausted would mark its keys absent and re-emit
+// them into the new level, publishing a store with duplicate keys.
 func joinPresent(chunk *probeChunk, priors []*segReader) error {
 	chunk.present = chunk.present[:len(chunk.keys)]
 	for i, key := range chunk.keys {
+		h := hashtab.Hash64Shift(key)
 		hit := false
 		for _, pr := range priors {
-			for pr.ok && pr.key < key {
+			for pr.ok && pr.hash < h {
 				if err := pr.advance(); err != nil {
 					return err
 				}
 			}
-			if pr.ok && pr.key == key {
+			if pr.ok && pr.hash == h {
 				hit = true
 			}
 		}
@@ -516,7 +548,7 @@ type seqPair struct{ seq, key uint64 }
 const seqPairBytes = 16
 
 // seqSorter restores discovery order for a level's survivors: the merge
-// produces them in (shard, key) order, the .seq artifact — and with it
+// produces them in hash order, the .seq artifact — and with it
 // the store's per-level index — needs ascending sequence order. Under
 // budget it is one in-memory radix sort; over budget it spills sorted
 // runs and k-way merges them. The budget charge covers the pair buffer
@@ -533,8 +565,13 @@ type seqSorter struct {
 	spills []string
 }
 
-func (b *builder) newSeqSorter(level int) *seqSorter {
+// newSeqSorter sizes the pair buffer once for at most maxPairs
+// survivors (the level's run candidates bound them), so pushes never
+// regrow it: growth by append would leave several times the buffer in
+// garbage for the collector.
+func (b *builder) newSeqSorter(level int, maxPairs int64) *seqSorter {
 	s := &seqSorter{b: b, level: level, limit: b.seqBufPairs}
+	s.pairs = make([]seqPair, 0, min(int64(s.limit), maxPairs))
 	b.mem.add(2 * int64(s.limit) * seqPairBytes)
 	return s
 }

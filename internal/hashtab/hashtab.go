@@ -43,6 +43,21 @@ func Hash64Shift(key uint64) uint64 {
 	return key
 }
 
+// Unhash64Shift inverts Hash64Shift: Unhash64Shift(Hash64Shift(k)) == k
+// for every k. Each step of the hash is invertible — a multiplication by
+// an odd constant or an xor with a right shift of itself — so the
+// inverse undoes them in reverse order. A sort by hash can then carry
+// the hash in place of the key and restore the key once at the end.
+func Unhash64Shift(h uint64) uint64 {
+	h *= 0x3fffffff80000001 // inverse of 1 + 1<<31
+	h ^= h>>28 ^ h>>56
+	h *= 0xcf3cf3cf3cf3cf3d // inverse of 21
+	h ^= h>>14 ^ h>>28 ^ h>>42 ^ h>>56
+	h *= 0xd38ff08b1c03dd39 // inverse of 265
+	h ^= h>>24 ^ h>>48
+	return (h + 1) * 0x7ffffbffffdfffff // ^k + k<<21 is k·(1<<21 − 1) − 1
+}
+
 // weakHash is a single Fibonacci multiply; packed permutations are highly
 // structured, so this clusters badly — which is the point of the ablation.
 func weakHash(key uint64) uint64 {

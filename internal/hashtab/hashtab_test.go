@@ -329,3 +329,21 @@ func BenchmarkHash64Shift(b *testing.B) {
 	}
 	_ = acc
 }
+
+// TestUnhash64Shift: the inverse undoes the hash on random words and on
+// the edge words.
+func TestUnhash64Shift(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	keys := []uint64{0, 1, 1 << 63, ^uint64(0), 0xFEDCBA9876543210}
+	for range 100000 {
+		keys = append(keys, rng.Uint64())
+	}
+	for _, k := range keys {
+		if got := Unhash64Shift(Hash64Shift(k)); got != k {
+			t.Fatalf("Unhash64Shift(Hash64Shift(%#x)) = %#x", k, got)
+		}
+		if got := Hash64Shift(Unhash64Shift(k)); got != k {
+			t.Fatalf("Hash64Shift(Unhash64Shift(%#x)) = %#x", k, got)
+		}
+	}
+}

@@ -168,7 +168,7 @@ func (t *ShardedTable) InsertBatch(keys []uint64, vals []uint16, inserted []bool
 // ContainsBatchSorted records presence for a run-sorted batch: keys must
 // arrive grouped by ascending shard (ascending Hash64Shift(key)>>shift —
 // the order an external merge naturally produces, since spill runs are
-// sorted by (shard, key)). Each shard's lock is then taken at most once
+// sorted by Hash64Shift(key)). Each shard's lock is then taken at most once
 // per call and released before the next group, so a dedup pass can probe
 // millions of candidates against prior levels without per-key lock
 // traffic. present[i] is set for every i; returns the number present.

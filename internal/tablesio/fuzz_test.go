@@ -162,8 +162,9 @@ func FuzzManifest(f *testing.F) {
 	f.Add(blob[:len(blob)/2]) // truncated payload
 	f.Add(blob[:4])           // truncated magic
 	f.Add([]byte{})
-	f.Add([]byte("RVTM1 0000000000000000 99999999999999\n{}")) // lying length
-	f.Add([]byte("RVTM9 0000000000000000 2\n{}"))              // future envelope
+	f.Add([]byte(manifestMagic + " 0000000000000000 99999999999999\n{}")) // lying length
+	f.Add([]byte("RVTM9 0000000000000000 2\n{}"))                         // future envelope
+	f.Add([]byte("RVTM1 0000000000000000 2\n{}"))                         // retired envelope
 	corrupt := func(pos int, bit uint) []byte {
 		c := append([]byte(nil), blob...)
 		c[pos] ^= 1 << bit
@@ -198,7 +199,7 @@ func FuzzManifest(f *testing.F) {
 	f.Add(reseal(func(m *BuildManifest) { m.Levels[0].Entries = -1 }))
 	// Envelope with a huge declared length but a matching small payload
 	// (cap check must fire before any comparison with real bytes).
-	big := fmt.Sprintf("RVTM1 %016x %d\n{}", hashManifestBytes([]byte("{}")), maxManifestBytes+1)
+	big := fmt.Sprintf("%s %016x %d\n{}", manifestMagic, hashManifestBytes([]byte("{}")), maxManifestBytes+1)
 	f.Add([]byte(big))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

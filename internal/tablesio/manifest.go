@@ -19,22 +19,25 @@ import (
 // one level of rework. The envelope is deliberately minimal and
 // self-verifying:
 //
-//	"RVTM1 <16-hex fingerprint> <payload length>\n"
+//	"RVTM2 <16-hex fingerprint> <payload length>\n"
 //	<payload: JSON-encoded BuildManifest>
 //
-// The fingerprint covers the payload bytes with the same xxhash-style
-// word hash the v2 store sections use, and the declared length is
-// bounds-checked BEFORE any allocation — a forged manifest can neither
-// demand an OOM-sized buffer nor smuggle a tampered work list past the
-// resume path. Structural validation (level numbering, shard geometry,
-// file-name hygiene) happens in DecodeManifest; semantic validation
-// (do the named files exist with the recorded sizes and fingerprints)
-// is the resuming builder's job.
+// The fingerprint covers the payload bytes with ContentHash, the same
+// xxhash-style word hash the v2 store sections use, and the declared
+// length is bounds-checked BEFORE any allocation — a forged manifest
+// can neither demand an OOM-sized buffer nor smuggle a tampered work
+// list past the resume path. Structural validation (level numbering,
+// shard geometry, file-name hygiene) happens in DecodeManifest;
+// semantic validation (do the named files exist with the recorded sizes
+// and fingerprints) is the resuming builder's job.
 
 const (
 	// manifestMagic starts every manifest; the trailing digit versions
-	// the envelope.
-	manifestMagic = "RVTM1"
+	// the envelope. Version 2 marks the hash-ordered run and level
+	// files and ContentHash artifact fingerprints; a version-1
+	// checkpoint's key-ordered files must not be merged as hash-ordered
+	// ones, so it fails with ErrUnsupportedVersion.
+	manifestMagic = "RVTM2"
 	// maxManifestBytes caps the declared payload length: generous for
 	// any real build (a run entry is ~10² bytes; a level holds at most a
 	// few thousand slabs) yet small enough that a forged length cannot
@@ -100,26 +103,63 @@ type BuildManifest struct {
 	LevelReps  int64           `json:"level_reps,omitempty"`
 	Levels     []ManifestLevel `json:"levels"`
 	Runs       []ManifestRun   `json:"runs,omitempty"`
+	// CreatedDir records that the build made its work directory, so the
+	// build that finishes it — the first attempt or a resume — removes
+	// the directory along with the artifacts, and leaves a directory
+	// its caller made in place.
+	CreatedDir bool `json:"created_dir,omitempty"`
 }
 
-// hashManifestBytes fingerprints arbitrary-length bytes (the store
-// sections hash whole words only; the manifest payload is not
-// word-sized, so the tail is zero-padded into a final word and the
-// word count inside the hash pins the exact length).
-func hashManifestBytes(b []byte) uint64 {
-	h := newWordHash()
-	i := 0
-	for ; i+8 <= len(b); i += 8 {
-		h.word(binary.LittleEndian.Uint64(b[i:]))
-	}
-	if i < len(b) {
-		var w uint64
-		for j, c := range b[i:] {
-			w |= uint64(c) << (8 * j)
+// ContentHash fingerprints a byte stream with the word hash the v2 store
+// sections use: the bytes as little-endian words, a final partial word
+// zero-padded (the word count inside the hash pins the length to a
+// word; ManifestFile.Size pins it exactly). It is the build path's one
+// fingerprint: the manifest envelope's, and every work-directory
+// artifact's (ManifestFile.Hash). Use NewContentHash; Write never fails.
+type ContentHash struct {
+	h    wordHash
+	tail [8]byte
+	nt   int // bytes held in tail
+}
+
+// NewContentHash returns an empty fingerprint.
+func NewContentHash() *ContentHash { return &ContentHash{h: newWordHash()} }
+
+func (c *ContentHash) Write(p []byte) (int, error) {
+	n := len(p)
+	if c.nt > 0 {
+		k := copy(c.tail[c.nt:], p)
+		c.nt += k
+		p = p[k:]
+		if c.nt < 8 {
+			return n, nil
 		}
-		h.word(w)
+		c.h.word(binary.LittleEndian.Uint64(c.tail[:]))
+		c.nt = 0
+	}
+	for ; len(p) >= 8; p = p[8:] {
+		c.h.word(binary.LittleEndian.Uint64(p))
+	}
+	c.nt = copy(c.tail[:], p)
+	return n, nil
+}
+
+// Sum64 returns the fingerprint of the bytes written so far.
+func (c *ContentHash) Sum64() uint64 {
+	h := c.h
+	if c.nt > 0 {
+		var w [8]byte
+		copy(w[:], c.tail[:c.nt])
+		h.word(binary.LittleEndian.Uint64(w[:]))
 	}
 	return h.sum()
+}
+
+// hashManifestBytes fingerprints a manifest payload.
+func hashManifestBytes(b []byte) uint64 {
+	h := NewContentHash()
+	h.Write(b)
+	return h.Sum64()
 }
 
 // EncodeManifest serializes a manifest into the self-verifying envelope.

@@ -3,6 +3,7 @@ package tablesio
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -208,6 +209,40 @@ func TestStreamWriterSplitByteIdentity(t *testing.T) {
 		}
 		if !bytes.Equal(got, ref.Bytes()) {
 			t.Fatalf("streamed split %d differs from SaveSplit (%d vs %d bytes)", i, len(got), ref.Len())
+		}
+	}
+}
+
+// TestContentHashStreaming: the artifact fingerprint does not depend on
+// how the bytes are cut into writes, Sum64 does not disturb the stream,
+// and the last byte of a partial word counts.
+func TestContentHashStreaming(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for n := 0; n < 80; n++ {
+		b := make([]byte, n)
+		rng.Read(b)
+		want := NewContentHash()
+		want.Write(b)
+		for trial := 0; trial < 20; trial++ {
+			h := NewContentHash()
+			for rest := b; len(rest) > 0; {
+				k := 1 + rng.Intn(len(rest))
+				h.Write(rest[:k])
+				h.Sum64()
+				rest = rest[k:]
+			}
+			if h.Sum64() != want.Sum64() {
+				t.Fatalf("%d bytes: chunked fingerprint %#x, one write %#x", n, h.Sum64(), want.Sum64())
+			}
+		}
+		if n > 0 {
+			c := append([]byte(nil), b...)
+			c[n-1] ^= 1
+			other := NewContentHash()
+			other.Write(c)
+			if other.Sum64() == want.Sum64() {
+				t.Fatalf("%d bytes: flipping the last byte kept the fingerprint", n)
+			}
 		}
 	}
 }
