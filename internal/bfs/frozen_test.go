@@ -1,6 +1,8 @@
 package bfs
 
 import (
+	"math/bits"
+	"strings"
 	"testing"
 
 	"repro/internal/canon"
@@ -165,5 +167,119 @@ func TestFromFrozenValidation(t *testing.T) {
 	levels := [][]perm.Perm{{perm.Identity}, {res.Level(1).At(0)}}
 	if _, err := FromLevels(res.Alphabet, 1, true, table, levels, false); err == nil {
 		t.Fatal("level list with an unstored representative accepted")
+	}
+}
+
+// TestVerifyFrozenDetectsCorruption damages a valid k=3 table in each way
+// FromFrozen's verification checks and requires it to refuse every one
+// with the matching error.
+func TestVerifyFrozenDetectsCorruption(t *testing.T) {
+	res, err := Search(GateAlphabet(), 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft, idx, counts := res.CompactView()
+	slots := ft.Slots()
+	perShard := slots / ft.ShardCount()
+	home := func(key uint64) int {
+		h := hashtab.Hash64Shift(key)
+		shard := int(h >> (64 - bits.TrailingZeros(uint(ft.ShardCount()))))
+		return shard*perShard + int(h&uint64(perShard-1))
+	}
+	sameShard := func(a, b int) bool { return a/perShard == b/perShard }
+	// A level-2 entry whose successor slot is empty, so moving or
+	// damaging it leaves every other probe chain intact.
+	pos := -1
+	for j := counts[0] + counts[1]; j < counts[0]+counts[1]+counts[2]; j++ {
+		if s := int(idx[j]); s+1 < slots && sameShard(s, s+1) && ft.KeyAt(uint32(s+1)) == 0 {
+			pos = j
+			break
+		}
+	}
+	if pos < 0 {
+		t.Fatal("no level-2 entry ends its probe run")
+	}
+	slot := int(idx[pos])
+	key := ft.KeyAt(uint32(slot))
+	v := UnpackValue(ft.ValAt(uint32(slot)))
+
+	type damage func(t *testing.T, keys []uint64, vals []uint16, idx []uint32)
+	cases := []struct {
+		name, want string
+		damage     damage
+	}{
+		{"slot out of range", "out of range", func(_ *testing.T, _ []uint64, _ []uint16, idx []uint32) {
+			idx[pos] = uint32(slots)
+		}},
+		{"duplicated slot", "indexed twice", func(_ *testing.T, _ []uint64, _ []uint16, idx []uint32) {
+			idx[pos] = idx[0]
+		}},
+		{"not a permutation", "invalid entry", func(_ *testing.T, keys []uint64, _ []uint16, _ []uint32) {
+			keys[slot] = 1
+		}},
+		{"index names an empty slot", "invalid entry", func(_ *testing.T, _ []uint64, _ []uint16, idx []uint32) {
+			idx[pos] = uint32(slot + 1)
+		}},
+		{"unreachable key", "probe-reachable", func(t *testing.T, keys []uint64, vals []uint16, idx []uint32) {
+			// Move the key to an empty slot behind another empty slot, which
+			// its probe from home stops at first.
+			for e := 1; e < slots; e++ {
+				if sameShard(e-1, e) && keys[e-1] == 0 && keys[e] == 0 && e != home(key) && e-1 != slot {
+					keys[e], vals[e] = key, vals[slot]
+					keys[slot], vals[slot] = 0, 0
+					idx[pos] = uint32(e)
+					return
+				}
+			}
+			t.Fatal("no empty slot pair")
+		}},
+		{"wrong cost tag", "tagged cost", func(_ *testing.T, _ []uint64, vals []uint16, _ []uint32) {
+			vals[slot] = PackValue(v.Cost+1, v.Elem, v.First)
+		}},
+		{"element out of range", "references element", func(_ *testing.T, _ []uint64, vals []uint16, _ []uint32) {
+			vals[slot] = PackValue(v.Cost, res.Alphabet.Len(), v.First)
+		}},
+		{"non-identity stored as identity", "stored as identity", func(_ *testing.T, _ []uint64, vals []uint16, _ []uint32) {
+			vals[slot] = identityElem | uint16(v.Cost)<<costShift
+		}},
+		{"level 0 non-identity", "level 0 holds", func(_ *testing.T, _ []uint64, vals []uint16, idx []uint32) {
+			vals[idx[0]] = PackValue(0, 0, false)
+		}},
+		{"live slot outside the index", "occupies", func(_ *testing.T, keys []uint64, vals []uint16, _ []uint32) {
+			// A valid function stored at its own (empty) home slot, so it is
+			// probe-reachable, but named by no level.
+			for p := perm.Perm(perm.Identity); ; {
+				p = p.Then(gate.FromIndex(int(p>>4) % gate.Count).Perm())
+				if _, ok := ft.SlotOf(uint64(p)); ok {
+					continue
+				}
+				if h := home(uint64(p)); keys[h] == 0 {
+					keys[h], vals[h] = uint64(p), PackValue(3, 0, false)
+					return
+				}
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			keys := make([]uint64, slots)
+			vals := make([]uint16, slots)
+			for i := range keys {
+				keys[i], vals[i] = ft.KeyAt(uint32(i)), ft.ValAt(uint32(i))
+			}
+			bad := append([]uint32(nil), idx...)
+			tc.damage(t, keys, vals, bad)
+			dft, err := hashtab.NewFrozen(keys, vals, ft.ShardCount(), ft.Len())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := FromFrozen(res.Alphabet, res.MaxCost, true, dft, bad, counts, false); err != nil {
+				t.Fatalf("unverified assembly failed: %v", err)
+			}
+			_, err = FromFrozen(res.Alphabet, res.MaxCost, true, dft, bad, counts, true)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("verification returned %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -234,53 +234,95 @@ func FromFrozen(a *Alphabet, maxCost int, reduced bool, ft *hashtab.FrozenTable,
 }
 
 // verifyFrozen checks the frozen backend's structural invariants; see
-// FromFrozen.
+// FromFrozen. One walk over the level index records each slot's level,
+// refusing out-of-range and repeated slots; then one pass over the
+// slots, split across GOMAXPROCS workers, checks each in place (table
+// order, so the probes stay in cache): an indexed slot must hold a valid
+// permutation that a probe from its home reaches at exactly that slot,
+// tagged with its level's cost and a valid element, and every live slot
+// must be indexed.
 func (r *Result) verifyFrozen() error {
-	ft := r.Frozen
-	slots := ft.Slots()
-	seen := make([]uint64, (slots+63)/64)
+	slots := r.Frozen.Slots()
+	// Costs are at most MaxPackedCost, so a byte holds a slot's level.
+	const unindexed = 0xFF
+	level := make([]uint8, slots)
+	for i := range level {
+		level[i] = unindexed
+	}
 	for c := 0; c <= r.MaxCost; c++ {
 		for _, slot := range r.levelIdx[r.levelOff[c]:r.levelOff[c+1]] {
 			if int(slot) >= slots {
 				return fmt.Errorf("bfs: level %d slot index %d out of range", c, slot)
 			}
-			if seen[slot/64]&(1<<(slot%64)) != 0 {
+			if level[slot] != unindexed {
 				return fmt.Errorf("bfs: slot %d indexed twice", slot)
 			}
-			seen[slot/64] |= 1 << (slot % 64)
-			key := ft.KeyAt(slot)
-			if !perm.Perm(key).IsValid() {
-				return fmt.Errorf("bfs: invalid entry %#x at level %d", key, c)
-			}
-			if at, ok := ft.SlotOf(key); !ok || at != slot {
-				return fmt.Errorf("bfs: entry %#x at slot %d is not probe-reachable", key, slot)
-			}
-			v := UnpackValue(ft.ValAt(slot))
-			if v.Cost != c {
-				return fmt.Errorf("bfs: entry %#x tagged cost %d in level %d", key, v.Cost, c)
-			}
-			if v.IsIdentity {
-				if perm.Perm(key) != perm.Identity || c != 0 {
-					return fmt.Errorf("bfs: non-identity %#x stored as identity", key)
-				}
-			} else {
-				if c == 0 {
-					return fmt.Errorf("bfs: level 0 holds non-identity entry %#x", key)
-				}
-				if v.Elem >= r.Alphabet.Len() {
-					return fmt.Errorf("bfs: entry %#x references element %d of a %d-element alphabet", key, v.Elem, r.Alphabet.Len())
-				}
-			}
+			level[slot] = uint8(c)
 		}
+	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), slots>>16))
+	live := make([]int, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			live[w], errs[w] = r.verifySlots(level, w*slots/workers, (w+1)*slots/workers)
+		}()
+	}
+	wg.Wait()
+	total := 0
+	for w := range workers {
+		if errs[w] != nil {
+			return errs[w]
+		}
+		total += live[w]
 	}
 	// Every live slot must be reachable from the index, or ForEach-style
 	// iteration and Len would disagree with the levels.
-	live := 0
-	ft.ForEach(func(uint64, uint16) bool { live++; return true })
-	if live != ft.Len() {
-		return fmt.Errorf("bfs: table occupies %d slots but declares %d entries", live, ft.Len())
+	if total != r.Frozen.Len() {
+		return fmt.Errorf("bfs: table occupies %d slots but declares %d entries", total, r.Frozen.Len())
 	}
 	return nil
+}
+
+// verifySlots checks slots [lo, hi) against their recorded levels (0xFF
+// for a slot no level names) and returns how many are live.
+func (r *Result) verifySlots(level []uint8, lo, hi int) (live int, err error) {
+	ft := r.Frozen
+	for slot := lo; slot < hi; slot++ {
+		key, c := ft.KeyAt(uint32(slot)), int(level[slot])
+		if key != 0 {
+			live++
+		}
+		if c == 0xFF {
+			continue
+		}
+		if !perm.Perm(key).IsValid() {
+			return live, fmt.Errorf("bfs: invalid entry %#x at level %d", key, c)
+		}
+		if at, ok := ft.SlotOf(key); !ok || int(at) != slot {
+			return live, fmt.Errorf("bfs: entry %#x at slot %d is not probe-reachable", key, slot)
+		}
+		v := UnpackValue(ft.ValAt(uint32(slot)))
+		if v.Cost != c {
+			return live, fmt.Errorf("bfs: entry %#x tagged cost %d in level %d", key, v.Cost, c)
+		}
+		if v.IsIdentity {
+			if perm.Perm(key) != perm.Identity || c != 0 {
+				return live, fmt.Errorf("bfs: non-identity %#x stored as identity", key)
+			}
+		} else {
+			if c == 0 {
+				return live, fmt.Errorf("bfs: level 0 holds non-identity entry %#x", key)
+			}
+			if v.Elem >= r.Alphabet.Len() {
+				return live, fmt.Errorf("bfs: entry %#x references element %d of a %d-element alphabet", key, v.Elem, r.Alphabet.Len())
+			}
+		}
+	}
+	return live, nil
 }
 
 // MemoryBytes returns the approximate resident footprint of the table

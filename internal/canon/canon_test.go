@@ -2,6 +2,8 @@ package canon
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -354,6 +356,9 @@ func TestCanonicalInvolutionFastPath(t *testing.T) {
 // sweep is skipped and the kernel count halves, and products of 1–12
 // gates, the shape bfs.ExpandRep feeds. products-pair hands the same
 // products to CanonicalPair with their inverses, as ExpandRep does.
+// Those cases cycle through 1,024 inputs, whose branches the predictor
+// learns; products-corpus and products-corpus-pair draw from 2^20
+// distinct 5–6-gate products instead, closer to what a build feeds.
 func BenchmarkCanonical(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	random := make([]perm.Perm, 1024)
@@ -391,7 +396,60 @@ func BenchmarkCanonical(b *testing.B) {
 		}
 		_ = acc
 	})
+	b.Run("products-corpus", func(b *testing.B) {
+		ps, _ := productCorpus()
+		b.ReportAllocs()
+		b.ResetTimer()
+		var acc perm.Perm
+		for i := 0; i < b.N; i++ {
+			r, _, _ := Canonical(ps[i&(corpusSize-1)])
+			acc ^= r
+		}
+		_ = acc
+	})
+	b.Run("products-corpus-pair", func(b *testing.B) {
+		ps, invs := productCorpus()
+		b.ReportAllocs()
+		b.ResetTimer()
+		var acc perm.Perm
+		for i := 0; i < b.N; i++ {
+			j := i & (corpusSize - 1)
+			r, _, _ := CanonicalPair(ps[j], invs[j])
+			acc ^= r
+		}
+		_ = acc
+	})
 }
+
+// corpusSize is the number of distinct gate products in productCorpus.
+const corpusSize = 1 << 20
+
+// productCorpus returns corpusSize distinct products of 5 or 6 random
+// gates, in random order, and their inverses; built once, from a fixed
+// seed.
+var productCorpus = sync.OnceValues(func() (ps, invs []perm.Perm) {
+	rng := rand.New(rand.NewSource(11))
+	gates := gate.All()
+	ps = make([]perm.Perm, 0, corpusSize+corpusSize/8)
+	for len(ps) < corpusSize {
+		for len(ps) < cap(ps) {
+			p := perm.Identity
+			for n := 5 + rng.Intn(2); n > 0; n-- {
+				p = p.Then(gates[rng.Intn(len(gates))].Perm())
+			}
+			ps = append(ps, p)
+		}
+		slices.Sort(ps)
+		ps = slices.Compact(ps)
+	}
+	rng.Shuffle(len(ps), func(i, j int) { ps[i], ps[j] = ps[j], ps[i] })
+	ps = ps[:corpusSize]
+	invs = make([]perm.Perm, len(ps))
+	for i, p := range ps {
+		invs[i] = p.Inverse()
+	}
+	return ps, invs
+})
 
 func BenchmarkClassSize(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))

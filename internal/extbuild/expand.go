@@ -103,6 +103,16 @@ func (s *slabSink) Candidate(key uint64, val uint16, seq uint64) {
 	s.buf = append(s.buf, newCand(key, val, seq))
 }
 
+// slabBufs are one expansion worker's buffers: its slab sink, the
+// frontier keys and the raw .seq bytes they are decoded from, each one
+// slab long, and its run-file write buffer.
+type slabBufs struct {
+	sink    slabSink
+	repKeys []uint64
+	repRaw  []byte
+	runBuf  []byte
+}
+
 // expandLevel seals a spill run for every slab of the level's frontier
 // that the checkpoint does not already hold, fanning slabs out across
 // the worker pool. Each run is independently deterministic, so workers
@@ -155,27 +165,31 @@ func (b *builder) expandLevel(c int, p levelPlan) error {
 		seqFiles[g.src] = f
 	}
 
+	// Each worker's slab buffer, its sort scratch, the frontier keys and
+	// the raw .seq bytes they are decoded from, and its run-file buffer.
+	workers := min(b.workers, p.slabCount)
+	bufCap := int(p.repsPerSlab * int64(p.maxStride))
+	bufs := make([]slabBufs, workers)
+	b.ws.carve(func(c *carver) {
+		for w := range bufs {
+			bufs[w] = slabBufs{
+				sink:    slabSink{buf: view[cand](c, bufCap)[:0], tmp: view[cand](c, bufCap)},
+				repKeys: view[uint64](c, int(p.repsPerSlab)),
+				repRaw:  view[byte](c, int(p.repsPerSlab)*seqRecordBytes),
+				runBuf:  view[byte](c, min(b.fanBuf, bufCap*runRecordBytes)),
+			}
+		}
+	})
+
 	var levelCand, sealedN atomic.Int64
 	levelStart := time.Now()
-	err := fanOut(b.workers, p.slabCount, func(_ int, next func() (int, bool)) error {
-		bufCap := p.repsPerSlab * int64(p.maxStride)
-		// The slab buffer and its sort scratch, plus the frontier keys
-		// and the raw .seq bytes they are decoded from.
-		charge := p.repsPerSlab*slabRepBytes(p.maxStride) + p.repsPerSlab*(8+seqRecordBytes)
-		b.mem.add(charge)
-		defer b.mem.release(charge)
-		sink := &slabSink{
-			buf: make([]cand, 0, bufCap),
-			tmp: make([]cand, bufCap),
-		}
-		repKeys := make([]uint64, p.repsPerSlab)
-		repRaw := make([]byte, p.repsPerSlab*seqRecordBytes)
+	err := fanOut(workers, p.slabCount, func(w int, next func() (int, bool)) error {
 		for slab, ok := next(); ok; slab, ok = next() {
 			if sealed[slab] {
 				sealedN.Add(1)
 				continue
 			}
-			nc, err := b.expandSlab(c, slab, p, sink, repKeys, repRaw, seqFiles)
+			nc, err := b.expandSlab(c, slab, p, &bufs[w], seqFiles)
 			if err != nil {
 				return err
 			}
@@ -224,10 +238,11 @@ func someRunNotFor(runs []tablesio.ManifestRun, level int) bool {
 	return false
 }
 
-// expandSlab expands one contiguous frontier range, sorts and dedups the
-// candidates, seals them as a run file, and records it in the manifest.
-// repKeys and repRaw are the worker's frontier buffers, one slab long.
-func (b *builder) expandSlab(c, slab int, p levelPlan, sink *slabSink, repKeys []uint64, repRaw []byte, seqFiles map[int]*os.File) (int64, error) {
+// expandSlab expands one contiguous frontier range through the worker's
+// buffers, sorts and dedups the candidates, seals them as a run file, and
+// records it in the manifest.
+func (b *builder) expandSlab(c, slab int, p levelPlan, bufs *slabBufs, seqFiles map[int]*os.File) (int64, error) {
+	sink := &bufs.sink
 	lo := int64(slab) * p.repsPerSlab
 	hi := min(lo+p.repsPerSlab, p.totalReps)
 	sink.buf = sink.buf[:0]
@@ -239,8 +254,8 @@ func (b *builder) expandSlab(c, slab int, p levelPlan, sink *slabSink, repKeys [
 		}
 		first := gLo - g.repStart
 		n := gHi - gLo
-		keys := repKeys[:n]
-		if err := readSeqRange(seqFiles[g.src], first, keys, repRaw); err != nil {
+		keys := bufs.repKeys[:n]
+		if err := readSeqRange(seqFiles[g.src], first, keys, bufs.repRaw); err != nil {
 			return 0, fmt.Errorf("extbuild: level %d frontier: %w", g.src, err)
 		}
 		b.spillR.Add(int64(n) * seqRecordBytes)
@@ -255,7 +270,7 @@ func (b *builder) expandSlab(c, slab int, p levelPlan, sink *slabSink, repKeys [
 		return 0, fmt.Errorf("level %d slab %d: %w", c, slab, err)
 	}
 	sink.buf, sink.tmp = dedupCands(sorted), spare[:cap(spare)]
-	mf, err := writeRunFile(b.dir, runName(c, slab), sink.buf, b.shards)
+	mf, err := writeRunFile(b.dir, runName(c, slab), sink.buf, b.shards, bufs.runBuf)
 	if err != nil {
 		return 0, err
 	}

@@ -45,18 +45,20 @@ type Options struct {
 	// build made it.
 	WorkDir string
 
-	// MemBudget is the target for the tracked working memory in bytes
-	// (candidate buffers and their radix-sort scratch, merge read
-	// buffers, the prior-level probe table, the sequence sorter and its
-	// scratch, emission shard buffers and placement scratch). Zero
-	// means DefaultMemBudget. The budget sizes every buffer, so builds
-	// whose tables dwarf it still complete — they just spill more.
-	// It is a target, not a cap: the buffers have floors (a 64 KiB
-	// merge read buffer per input at a fan-in of at least 8, a
-	// sequence sorter of at least 2^11 pairs, an expansion slab of at
-	// least one representative), so below roughly 25 MiB the build
-	// tracks more than the budget — k=6 at 16 MiB tracks 24.8 MiB.
-	// Stats.PeakTrackedBytes reports the actual use.
+	// MemBudget is the target for the tracked working memory in bytes:
+	// the build's workspace (candidate slabs and their radix-sort
+	// scratch, which the merges reuse for their file buffers, the
+	// sequence sorter and its scratch, and which emission reuses for its
+	// shard, slot and placement buffers) plus the prior-level probe
+	// table. Zero means DefaultMemBudget. The budget sizes every buffer,
+	// so builds whose tables dwarf it still complete — they just spill
+	// more. It is a target, not a cap: the buffers have floors (a 64 KiB
+	// merge read buffer per input at a fan-in of at least 8, a sequence
+	// sorter of at least 2^11 pairs, an expansion slab of at least one
+	// representative, emission buffers for the fullest shard), so a
+	// small budget tracks more — k=6 at 16 MiB or 1 MiB tracks 11.7 MiB.
+	// Those buffers are all the build holds, so its heap follows the
+	// ledger; see Stats.PeakTrackedBytes.
 	MemBudget int64
 
 	// Shards is the hash-shard count of the build and of the emitted
@@ -147,7 +149,12 @@ type Stats struct {
 	// SpillWrittenBytes / SpillReadBytes total the spill traffic.
 	SpillWrittenBytes int64
 	SpillReadBytes    int64
-	// PeakTrackedBytes is the high-water mark of budget-tracked memory.
+	// PeakTrackedBytes is the high-water mark of budget-tracked memory:
+	// the workspace, which only grows, plus the probe table. The build
+	// holds no other large buffer, so its resident set is this plus the
+	// Go runtime's own and the freed workspaces of smaller levels that
+	// the runtime has not reused or returned: a k=6 build at the default
+	// budget tracks 103.6 MiB and peaks at about 128 MB resident.
 	PeakTrackedBytes int64
 	// ResumedLevels is how many completed levels a resume reused.
 	ResumedLevels int
@@ -155,9 +162,10 @@ type Stats struct {
 	Elapsed time.Duration
 }
 
-// memTracker is the budget ledger: phases charge buffers when they
-// allocate and release on return, and the peak is reported in Stats so
-// benchmarks can show how the build's use compares with the budget.
+// memTracker is the budget ledger: the workspace charges its arena as it
+// grows and the probe table its footprint as it changes, and the peak
+// is reported in Stats so benchmarks can show how the build's use
+// compares with the budget.
 type memTracker struct {
 	mu        sync.Mutex
 	cur, peak int64
@@ -219,6 +227,7 @@ type builder struct {
 	priorBytes int64
 
 	mem       memTracker
+	ws        *workspace
 	spillW    atomic.Int64
 	spillR    atomic.Int64
 	candTotal atomic.Int64
@@ -376,6 +385,7 @@ func newBuilder(o Options) (*builder, error) {
 		b.o.KeepWork = true
 	}
 	b.deriveKnobs()
+	b.ws = &workspace{mem: &b.mem}
 	return b, nil
 }
 
@@ -393,8 +403,8 @@ func (b *builder) deriveKnobs() {
 	// Prior-level probe table: the dedup fast path, worth half the
 	// budget; beyond that the build switches to disk merge-join.
 	b.priorCap = b.budget / 2
-	// Sequence sorter: 16-byte (seq, key) pairs, a quarter of the
-	// budget split between the pair buffer and its radix scratch.
+	// Sequence sorter: 16-byte candidates, a quarter of the budget split
+	// between the pair buffer and its radix scratch.
 	b.seqBufPairs = int(clamp64(b.budget/(8*seqPairBytes), 1<<11, 1<<23))
 	b.probeChunk = 4096
 }
@@ -560,7 +570,9 @@ func (b *builder) cleanWorkDir(all bool) {
 func (b *builder) bootstrapLevel0() error {
 	key := identityKey()
 	shard := uint32(hashtab.Hash64Shift(key) >> b.shardShift)
-	srtAF, err := newAtomicFile(b.dir, srtName(0))
+	var buf []byte
+	b.ws.carve(func(c *carver) { buf = view[byte](c, srtRecordBytes+8*b.shards) })
+	srtAF, err := newAtomicFile(b.dir, srtName(0), buf)
 	if err != nil {
 		return err
 	}
@@ -580,7 +592,7 @@ func (b *builder) bootstrapLevel0() error {
 	if err != nil {
 		return err
 	}
-	seqAF, err := newAtomicFile(b.dir, seqName(0))
+	seqAF, err := newAtomicFile(b.dir, seqName(0), buf)
 	if err != nil {
 		return err
 	}
@@ -636,11 +648,17 @@ func (b *builder) insertLevelIntoPrior(lv tablesio.ManifestLevel) error {
 		return err
 	}
 	defer sf.f.Close()
-	r := newSegReader(b.fanBuf)
 	const chunk = 4096
-	keys := make([]uint64, 0, chunk)
-	vals := make([]uint16, 0, chunk)
-	ins := make([]bool, chunk)
+	var (
+		r    *segReader
+		keys []uint64
+		vals []uint16
+		ins  []bool
+	)
+	b.ws.carve(func(c *carver) {
+		r = newSegReader(view[byte](c, b.fileBufBytes([]*segFile{sf})))
+		keys, vals, ins = view[uint64](c, chunk)[:0], view[uint16](c, chunk)[:0], view[bool](c, chunk)
+	})
 	flush := func() {
 		if len(keys) > 0 {
 			b.prior.InsertBatch(keys, vals, ins[:len(keys)])

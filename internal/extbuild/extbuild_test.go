@@ -747,10 +747,51 @@ func TestTable4LevelCounts(t *testing.T) {
 	}
 }
 
+// TestBuildAllocatesOnce: the workspace makes a build allocate its
+// working memory about once. One default-budget k=6 build shaped like
+// the benchmark workload (8 shards, the full store plus 2 splits)
+// allocated 266 MB when every level and phase made its own buffers; it
+// must now allocate at most 60% of that, and still reproduce Table 4.
+func TestBuildAllocatesOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("k=6 build in -short mode")
+	}
+	const k = 6
+	dir := t.TempDir()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	stats, err := Build(Options{
+		Alphabet: bfs.GateAlphabet(), K: k,
+		WorkDir: filepath.Join(dir, "work"),
+		Shards:  8,
+		OutPath: filepath.Join(dir, "k6.tables"),
+		SplitN:  2,
+		SplitPath: func(i int) string {
+			return filepath.Join(dir, fmt.Sprintf("k6.tables.%dof2", i))
+		},
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c <= k; c++ {
+		if stats.LevelCounts[c] != bfs.GateReducedCounts[c] {
+			t.Errorf("level %d: %d reps, want %d (paper Table 4)", c, stats.LevelCounts[c], bfs.GateReducedCounts[c])
+		}
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("allocated %.1f MB, peak tracked %.1f MiB", float64(alloc)/1e6, float64(stats.PeakTrackedBytes)/(1<<20))
+	const limit = 266e6 * 6 / 10
+	if alloc > limit {
+		t.Errorf("k=6 build allocated %.1f MB, over %.1f MB (60%% of the 266 MB of per-phase buffers)", float64(alloc)/1e6, limit/1e6)
+	}
+}
+
 // TestPeakTrackedWithinBudget: with the radix scratch buffers charged,
 // a k=5 build at the default budget still peaks within the budget, and
-// the expansion phase's ledger covers a whole slab buffer plus its sort
-// scratch — the scratch is on the ledger, not beside it.
+// the ledger is exactly the workspace plus the probe table: after level
+// k's expansion it covers a whole slab buffer plus its sort scratch —
+// the scratch is on the ledger, not beside it.
 func TestPeakTrackedWithinBudget(t *testing.T) {
 	a := bfs.GateAlphabet()
 	const k = 5
@@ -798,13 +839,15 @@ func TestPeakTrackedWithinBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := b.mem.cur
-	b.mem.peak = base
 	if err := b.expandLevel(k, p); err != nil {
 		t.Fatal(err)
 	}
-	if got, slab := b.mem.peak-base, p.repsPerSlab*slabRepBytes(p.maxStride); got < slab {
-		t.Errorf("level %d expansion charged %d bytes, below one slab with its sort scratch (%d)", k, got, slab)
+	ws := 8 * int64(len(b.ws.arena))
+	if got := b.mem.cur; got != ws+b.priorBytes {
+		t.Errorf("ledger %d bytes, want the workspace's %d plus the probe table's %d", got, ws, b.priorBytes)
+	}
+	if slab := p.repsPerSlab * slabRepBytes(p.maxStride); ws < slab {
+		t.Errorf("after level %d expansion the workspace holds %d bytes, below one slab with its sort scratch (%d)", k, ws, slab)
 	}
 }
 
@@ -944,10 +987,11 @@ func TestReaderAdvanceAllocs(t *testing.T) {
 	for i := range cands {
 		cands[i] = newCand(uint64(i+1), uint16(i), uint64(i))
 	}
-	if _, err := writeRunFile(dir, "r.run", cands, 1); err != nil {
+	buf := make([]byte, 4096)
+	if _, err := writeRunFile(dir, "r.run", cands, 1, buf); err != nil {
 		t.Fatal(err)
 	}
-	af, err := newAtomicFile(dir, "l.srt")
+	af, err := newAtomicFile(dir, "l.srt", buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -987,13 +1031,13 @@ func TestReaderAdvanceAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sf.f.Close()
-		r := newSegReader(4096)
+		r := newSegReader(make([]byte, 4096))
 		if err := r.enter(sf, 0); err != nil {
 			t.Fatal(err)
 		}
 		check(f.name, r.advance)
 	}
-	sr, err := openSeqSpill(filepath.Join(dir, "s.spill"), 4096)
+	sr, err := openSeqSpill(filepath.Join(dir, "s.spill"), make([]byte, 4096))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1043,8 +1087,8 @@ func TestReadSeqRangeAllocs(t *testing.T) {
 // BenchmarkBuild times a k=5 build shaped like the k=6 benchmark
 // workload (8 shards, the default budget, the full store plus 2 splits)
 // and reports the wall time of each phase per build, attributed from
-// the Progress stream: the interval before each event goes to the
-// event's phase.
+// the Progress stream (the interval before each event goes to the
+// event's phase), the bytes allocated per build, and the ledger's peak.
 func BenchmarkBuild(b *testing.B) {
 	a := bfs.GateAlphabet()
 	for _, workers := range []int{1, 2} {
@@ -1062,10 +1106,12 @@ func BenchmarkBuild(b *testing.B) {
 					last = ev.Elapsed
 				}
 			}
+			b.ReportAllocs()
+			var peak int64
 			for b.Loop() {
 				dir := b.TempDir()
 				last = 0
-				if _, err := Build(Options{
+				stats, err := Build(Options{
 					Alphabet: a, K: 5,
 					WorkDir: filepath.Join(dir, "work"),
 					Shards:  8,
@@ -1076,13 +1122,16 @@ func BenchmarkBuild(b *testing.B) {
 						return filepath.Join(dir, fmt.Sprintf("k5.%dof2", i))
 					},
 					Progress: progress,
-				}); err != nil {
+				})
+				if err != nil {
 					b.Fatal(err)
 				}
+				peak = stats.PeakTrackedBytes
 			}
 			for _, name := range []string{"expand", "merge", "emit"} {
 				b.ReportMetric(phase[name].Seconds()/float64(b.N), name+"_s")
 			}
+			b.ReportMetric(float64(peak)/(1<<20), "peak_tracked_MB")
 		})
 	}
 }

@@ -37,6 +37,21 @@
 // depend on the schedule. Emission places shards and resolves index
 // chunks in parallel and hands both to the store writer in order.
 //
+// One workspace (workspace.go) holds every large buffer of the build,
+// carved afresh by each phase from one arena that grows to the largest
+// phase's need. Expansion takes each worker's slab buffer and its sort
+// scratch, the frontier keys and a run-file write buffer. A merge
+// borrows the same memory for each worker's read buffer per input,
+// part-file write buffer and probe chunk, for the level artifacts'
+// write buffer, and for the sequence sorter's pair buffer, its radix
+// scratch and, when it may spill, its spill buffers. Emission borrows it
+// for each worker's gathered shard, raw records, placement scratch and
+// index chunk, the store writer's encoding buffer, and the store's slot
+// arrays: whole when they fit in half the budget, so the index resolves
+// in memory, else one shard's per worker, the index then resolving
+// through the written file. The ledger charges the arena as it grows,
+// plus the prior-level probe table, the one large structure outside it.
+//
 // Work-directory artifacts, all little-endian. Runs and level files
 // are in hash order: ascending Hash64Shift(key). The hash is a
 // bijection whose top bits are the key's shard, so hash order is shard
@@ -61,7 +76,6 @@
 package extbuild
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -132,31 +146,87 @@ func verifyArtifact(dir string, mf tablesio.ManifestFile) error {
 	return nil
 }
 
+// bufWriter buffers writes to w in buf, a workspace buffer (a
+// bufio.Writer would allocate its own).
+type bufWriter struct {
+	w   io.Writer
+	buf []byte
+	n   int
+}
+
+func (b *bufWriter) reset(w io.Writer) { b.w, b.n = w, 0 }
+
+func (b *bufWriter) Write(p []byte) (int, error) {
+	total := len(p)
+	for len(p) > 0 {
+		if b.n == len(b.buf) {
+			if err := b.flush(); err != nil {
+				return total - len(p), err
+			}
+		}
+		k := copy(b.buf[b.n:], p)
+		b.n += k
+		p = p[k:]
+	}
+	return total, nil
+}
+
+// ReadFrom copies r through the buffer, so io.Copy onto a bufWriter
+// needs no buffer of its own.
+func (b *bufWriter) ReadFrom(r io.Reader) (int64, error) {
+	var total int64
+	for {
+		if b.n == len(b.buf) {
+			if err := b.flush(); err != nil {
+				return total, err
+			}
+		}
+		k, err := r.Read(b.buf[b.n:])
+		b.n += k
+		total += int64(k)
+		if err == io.EOF {
+			return total, nil
+		}
+		if err != nil {
+			return total, err
+		}
+	}
+}
+
+func (b *bufWriter) flush() error {
+	if b.n == 0 {
+		return nil
+	}
+	_, err := b.w.Write(b.buf[:b.n])
+	b.n = 0
+	return err
+}
+
 // atomicFile writes an artifact to a temp file in dir and publishes it
 // under name by rename, returning its fingerprint and size.
 type atomicFile struct {
+	bufWriter
 	dir, name string
 	tmp       *os.File
-	bw        *bufio.Writer
 	hw        *hashingWriter
 }
 
-func newAtomicFile(dir, name string) (*atomicFile, error) {
+// newAtomicFile starts the artifact name in dir, buffered through buf,
+// which it holds until commit or abort.
+func newAtomicFile(dir, name string, buf []byte) (*atomicFile, error) {
 	tmp, err := os.CreateTemp(dir, ".extbuild-*")
 	if err != nil {
 		return nil, err
 	}
 	hw := newHashingWriter(tmp)
-	return &atomicFile{dir: dir, name: name, tmp: tmp, bw: bufio.NewWriterSize(hw, 1<<18), hw: hw}, nil
+	return &atomicFile{bufWriter: bufWriter{w: hw, buf: buf}, dir: dir, name: name, tmp: tmp, hw: hw}, nil
 }
-
-func (a *atomicFile) Write(p []byte) (int, error) { return a.bw.Write(p) }
 
 // commit flushes, fsyncs, and renames the artifact into place. The sync
 // matters: the manifest will promise this file's contents, so they must
 // hit disk before the checkpoint does.
 func (a *atomicFile) commit() (tablesio.ManifestFile, error) {
-	if err := a.bw.Flush(); err != nil {
+	if err := a.flush(); err != nil {
 		a.abort()
 		return tablesio.ManifestFile{}, err
 	}
@@ -186,10 +256,11 @@ func (a *atomicFile) abort() {
 	os.Remove(name)
 }
 
-// writeRunFile publishes one sorted, run-deduped candidate slab. cands
-// must already be in (hash, seq) order and key-deduped.
-func writeRunFile(dir, name string, cands []cand, shardCount int) (tablesio.ManifestFile, error) {
-	af, err := newAtomicFile(dir, name)
+// writeRunFile publishes one sorted, run-deduped candidate slab, buffered
+// through buf. cands must already be in (hash, seq) order and
+// key-deduped.
+func writeRunFile(dir, name string, cands []cand, shardCount int, buf []byte) (tablesio.ManifestFile, error) {
+	af, err := newAtomicFile(dir, name, buf)
 	if err != nil {
 		return tablesio.ManifestFile{}, err
 	}
@@ -316,49 +387,94 @@ func (sf *segFile) readSegment(s int, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
+// recReader streams fixed-size records from a byte range of a file
+// through a workspace read buffer, refilled by ReadAt a whole number of
+// records at a time, so no record straddles a refill and advancing
+// allocates nothing.
+type recReader struct {
+	f        *os.File
+	buf      []byte
+	recBytes int
+	off      int64  // file offset of the next refill
+	pos, end int    // the buffered, unreturned records are buf[pos:end]
+	left     uint64 // records not yet returned
+	// read counts the bytes returned; the reader's owner moves it to the
+	// builder-wide spill-read counter.
+	read int64
+}
+
+// reset points the reader at n records of recBytes each from offset off
+// of f.
+func (r *recReader) reset(f *os.File, recBytes int, off int64, n uint64) {
+	r.f, r.recBytes, r.off, r.left = f, recBytes, off, n
+	r.pos, r.end = 0, 0
+}
+
+// next returns the next record, valid until the following call, or nil
+// once the range is exhausted.
+func (r *recReader) next() ([]byte, error) {
+	if r.left == 0 {
+		return nil, nil
+	}
+	if r.pos == r.end {
+		n := int(min(uint64(len(r.buf)/r.recBytes), r.left)) * r.recBytes
+		if k, err := r.f.ReadAt(r.buf[:n], r.off); k < n {
+			if err == nil || err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("extbuild: truncated %s: %w", filepath.Base(r.f.Name()), err)
+		}
+		r.off += int64(n)
+		r.pos, r.end = 0, n
+	}
+	rec := r.buf[r.pos : r.pos+r.recBytes]
+	r.pos += r.recBytes
+	r.left--
+	r.read += int64(r.recBytes)
+	return rec, nil
+}
+
+// takeRead returns and resets the bytes returned since the last call.
+func (r *recReader) takeRead() int64 {
+	n := r.read
+	r.read = 0
+	return n
+}
+
 // segReader streams one shard segment of a segFile at a time, holding
 // the lookahead record and its key's hash, the record order. Run records
-// carry a seq; level records do not. The record buffer lives in the
-// reader, so advancing allocates nothing.
+// carry a seq; level records do not.
 type segReader struct {
-	br  *bufio.Reader
-	in  *segFile
-	rec [runRecordBytes]byte
+	recReader
+	in *segFile
 	// The lookahead record; valid when ok.
 	key  uint64
 	hash uint64
 	seq  uint64
 	val  uint16
 	ok   bool
-	left uint64 // records remaining in the current segment
-	// read counts the bytes consumed; its owner moves it to the
-	// builder-wide spill-read counter.
-	read int64
 }
 
-func newSegReader(bufBytes int) *segReader {
-	return &segReader{br: bufio.NewReaderSize(nil, bufBytes)}
+// newSegReader reads through buf, which must hold at least one record.
+func newSegReader(buf []byte) *segReader {
+	return &segReader{recReader: recReader{buf: buf}}
 }
 
 // enter positions the reader at shard s's segment of in and loads its
 // first record.
 func (r *segReader) enter(in *segFile, s int) error {
 	r.in = in
-	r.br.Reset(io.NewSectionReader(in.f, in.offs[s], in.segmentBytes(s)))
-	r.left = in.counts[s]
+	r.reset(in.f, in.recBytes, in.offs[s], in.counts[s])
 	return r.advance()
 }
 
 // advance loads the segment's next record; ok reports whether one is
 // loaded.
 func (r *segReader) advance() error {
-	if r.left == 0 {
-		r.ok = false
-		return nil
-	}
-	rec := r.rec[:r.in.recBytes]
-	if _, err := io.ReadFull(r.br, rec); err != nil {
-		return fmt.Errorf("extbuild: truncated %s: %w", filepath.Base(r.in.f.Name()), err)
+	rec, err := r.next()
+	r.ok = rec != nil
+	if !r.ok {
+		return err
 	}
 	r.key = binary.LittleEndian.Uint64(rec)
 	r.hash = hashtab.Hash64Shift(r.key)
@@ -366,17 +482,7 @@ func (r *segReader) advance() error {
 	if len(rec) == runRecordBytes {
 		r.seq = binary.LittleEndian.Uint64(rec[10:])
 	}
-	r.left--
-	r.ok = true
-	r.read += int64(len(rec))
 	return nil
-}
-
-// takeRead returns and resets the bytes consumed since the last call.
-func (r *segReader) takeRead() int64 {
-	n := r.read
-	r.read = 0
-	return n
 }
 
 // putSrtRecord / putSeqRecord / getSeqRecord encode the fixed level

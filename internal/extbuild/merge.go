@@ -1,7 +1,6 @@
 package extbuild
 
 import (
-	"bufio"
 	"container/heap"
 	"encoding/binary"
 	"fmt"
@@ -70,10 +69,11 @@ type runMerge struct {
 	h       runHeap
 }
 
-func newRunMerge(files []*segFile, bufBytes int) *runMerge {
+// newRunMerge reads file i through bufs[i].
+func newRunMerge(files []*segFile, bufs [][]byte) *runMerge {
 	m := &runMerge{files: files, readers: make([]*segReader, len(files))}
 	for i := range files {
-		m.readers[i] = newSegReader(bufBytes)
+		m.readers[i] = newSegReader(bufs[i])
 	}
 	return m
 }
@@ -124,31 +124,28 @@ func (m *runMerge) merge(s int, emit func(key uint64, val uint16, seq uint64) er
 type shardFunc func(s int, out io.Writer) (records uint64, err error)
 
 // mergeSharded is the shard-parallel skeleton of every merge. Up to
-// b.workers goroutines, each set up once by newWorker and charged
-// workerBytes plus its part-file write buffer, take hash shards off a
-// shared counter and stream shard s's records to the transient part
-// file part_<tag>_<s>. The parts are then concatenated into af in shard
+// len(bufs) goroutines, worker w set up once by newWorker(w) and
+// writing through bufs[w].write, take hash shards off a shared counter
+// and stream shard s's records to the transient part file
+// part_<tag>_<s>. The parts are then concatenated into af in shard
 // order and the per-shard counts trailer appended: the bytes one
 // ascending pass over the shards would have written, whatever the
 // schedule. No shard's output is ever held whole in memory.
-func (b *builder) mergeSharded(af *atomicFile, tag string, recBytes int, workerBytes int64, newWorker func() shardFunc) ([]uint64, error) {
+func (b *builder) mergeSharded(af *atomicFile, tag string, recBytes int, bufs []mergeBufs, newWorker func(w int) shardFunc) ([]uint64, error) {
 	counts := make([]uint64, b.shards)
 	part := func(s int) string { return filepath.Join(b.dir, partName(tag, s)) }
-	err := fanOut(b.workers, b.shards, func(_ int, next func() (int, bool)) error {
-		charge := workerBytes + int64(b.fanBuf)
-		b.mem.add(charge)
-		defer b.mem.release(charge)
-		merge := newWorker()
-		bw := bufio.NewWriterSize(nil, b.fanBuf)
+	err := fanOut(len(bufs), b.shards, func(w int, next func() (int, bool)) error {
+		merge := newWorker(w)
+		bw := &bufWriter{buf: bufs[w].write}
 		for s, ok := next(); ok; s, ok = next() {
 			f, err := os.Create(part(s))
 			if err != nil {
 				return err
 			}
-			bw.Reset(f)
+			bw.reset(f)
 			n, err := merge(s, bw)
 			if err == nil {
-				err = bw.Flush()
+				err = bw.flush()
 			}
 			if cerr := f.Close(); err == nil {
 				err = cerr
@@ -176,6 +173,38 @@ func (b *builder) mergeSharded(af *atomicFile, tag string, recBytes int, workerB
 		}
 	}
 	return counts, writeCountsTrailer(af, counts)
+}
+
+// mergeBufs are one merge worker's file buffers: a read buffer per input
+// and its part-file write buffer.
+type mergeBufs struct {
+	reads [][]byte
+	write []byte
+}
+
+// carveMergeBufs carves the file buffers, size bytes each, of a merge
+// over the given number of inputs: one set per worker.
+func (b *builder) carveMergeBufs(c *carver, inputs, size int) []mergeBufs {
+	bufs := make([]mergeBufs, min(b.workers, b.shards))
+	for w := range bufs {
+		bufs[w] = mergeBufs{reads: fileBufs(c, inputs, size), write: view[byte](c, size)}
+	}
+	return bufs
+}
+
+// fileBufBytes sizes the file buffers of a merge over the given inputs:
+// fanBuf, or less when no input segment is that long, so the merges of
+// small levels carve small buffers.
+func (b *builder) fileBufBytes(inputs ...[]*segFile) int {
+	n := runRecordBytes
+	for _, files := range inputs {
+		for _, sf := range files {
+			for s := range sf.counts {
+				n = max(n, int(sf.segmentBytes(s)))
+			}
+		}
+	}
+	return min(n, b.fanBuf)
 }
 
 // appendPart copies one part file onto w and removes it.
@@ -236,27 +265,52 @@ func (b *builder) mergeLevel(c int, p levelPlan) error {
 		defer closeSegFiles(priors)
 	}
 
-	seqS := b.newSeqSorter(c, levelCands)
+	// The level artifacts' write buffer, the sequence sorter, and every
+	// worker's file buffers and probe chunk, carved from the workspace
+	// while the expansion's slabs sit idle.
+	var (
+		afBuf  []byte
+		bufs   []mergeBufs
+		chunks []probeChunk
+	)
+	seqS := &seqSorter{b: b, level: c, limit: b.seqBufPairs}
+	bufBytes := b.fileBufBytes(runs, priors)
+	b.ws.carve(func(cv *carver) {
+		afBuf = view[byte](cv, bufBytes)
+		// The level's run candidates bound its survivors, so pushes never
+		// outgrow the pair buffer, the sorter spills only when they can
+		// reach its limit, and it spills a full buffer at a time.
+		limit := int64(seqS.limit)
+		n := int(min(limit, levelCands))
+		seqS.pairs, seqS.tmp = view[cand](cv, n)[:0], view[cand](cv, n)
+		if levelCands >= limit {
+			seqS.spillBuf = view[byte](cv, b.fanBuf)
+			seqS.mergeBufs = fileBufs(cv, int(min(int64(b.maxFanIn), (levelCands+limit-1)/limit)), b.fanBuf)
+		}
+		bufs = b.carveMergeBufs(cv, len(runs)+len(priors), bufBytes)
+		chunks = make([]probeChunk, len(bufs))
+		for w := range chunks {
+			chunks[w] = carveProbeChunk(cv, b.probeChunk)
+		}
+	})
 	defer seqS.drop()
-	srtAF, err := newAtomicFile(b.dir, srtName(c))
+	srtAF, err := newAtomicFile(b.dir, srtName(c), afBuf)
 	if err != nil {
 		return err
 	}
-	workerBytes := int64(len(runs)+len(priors))*int64(b.fanBuf) + int64(b.probeChunk)*probeEntryBytes
-	counts, err := b.mergeSharded(srtAF, strconv.Itoa(c), srtRecordBytes, workerBytes, func() shardFunc {
+	counts, err := b.mergeSharded(srtAF, strconv.Itoa(c), srtRecordBytes, bufs, func(w int) shardFunc {
 		m := &levelMerger{
 			b:          b,
-			runs:       newRunMerge(runs, b.fanBuf),
+			runs:       newRunMerge(runs, bufs[w].reads),
 			priorFiles: priors,
-			chunk:      newProbeChunk(b.probeChunk),
-			pairs:      make([]seqPair, 0, b.probeChunk),
+			chunk:      &chunks[w],
 			seqS:       seqS,
 			// Survivors pre-load the probe table for the next level;
 			// the last level has none.
 			insert: b.prior != nil && c < b.o.K,
 		}
-		for range priors {
-			m.priors = append(m.priors, newSegReader(b.fanBuf))
+		for _, buf := range bufs[w].reads[len(runs):] {
+			m.priors = append(m.priors, newSegReader(buf))
 		}
 		return m.mergeShard
 	})
@@ -272,7 +326,7 @@ func (b *builder) mergeLevel(c int, p levelPlan) error {
 	for _, n := range counts {
 		entries += int64(n)
 	}
-	seqAF, err := newAtomicFile(b.dir, seqName(c))
+	seqAF, err := newAtomicFile(b.dir, seqName(c), afBuf)
 	if err != nil {
 		return err
 	}
@@ -314,14 +368,13 @@ func (b *builder) mergeLevel(c int, p levelPlan) error {
 
 // levelMerger is one mergeLevel worker: its run merge, its readers of
 // the prior levels' segments (disk merge-join only), and the probe chunk
-// and survivor pairs it hands on a batch at a time.
+// whose survivors it hands on a batch at a time.
 type levelMerger struct {
 	b          *builder
 	runs       *runMerge
 	priorFiles []*segFile
 	priors     []*segReader
 	chunk      *probeChunk
-	pairs      []seqPair
 	seqS       *seqSorter
 	insert     bool
 	rec        [srtRecordBytes]byte
@@ -354,8 +407,8 @@ func (m *levelMerger) mergeShard(s int, out io.Writer) (uint64, error) {
 }
 
 // flush probes the chunk against the prior levels and passes its
-// survivors on: records to out, (seq, key) pairs to the sequence
-// sorter, and keys to the probe table when the next level needs them.
+// survivors on: records to out, candidates to the sequence sorter, and
+// keys to the probe table when the next level needs them.
 func (m *levelMerger) flush(out io.Writer, n *uint64) error {
 	chunk := m.chunk
 	if chunk.len() == 0 {
@@ -368,7 +421,7 @@ func (m *levelMerger) flush(out io.Writer, n *uint64) error {
 		return err
 	}
 	survK, survV := chunk.keys[:0:len(chunk.keys)], chunk.vals[:0:len(chunk.vals)]
-	m.pairs = m.pairs[:0]
+	chunk.pairs = chunk.pairs[:0]
 	for i, key := range chunk.keys {
 		if chunk.present[i] {
 			continue
@@ -378,11 +431,11 @@ func (m *levelMerger) flush(out io.Writer, n *uint64) error {
 			return err
 		}
 		*n++
-		m.pairs = append(m.pairs, seqPair{chunk.seqs[i], key})
+		chunk.pairs = append(chunk.pairs, newCand(key, chunk.vals[i], chunk.seqs[i]))
 		survK = append(survK, key)
 		survV = append(survV, chunk.vals[i])
 	}
-	if err := m.seqS.pushBatch(m.pairs); err != nil {
+	if err := m.seqS.pushBatch(chunk.pairs); err != nil {
 		return err
 	}
 	// Survivors can never collide with this level's remaining
@@ -395,30 +448,33 @@ func (m *levelMerger) flush(out io.Writer, n *uint64) error {
 	return nil
 }
 
-// probeEntryBytes is the budget charge per probe-chunk slot: key, val,
-// seq, the two flag arrays, and the survivor's (seq, key) pair.
-const probeEntryBytes = 8 + 2 + 8 + 1 + 1 + seqPairBytes
-
 // probeChunk buffers deduped candidates of one shard between prior-level
-// presence checks, bounding merge memory regardless of shard size.
+// presence checks, bounding merge memory regardless of shard size, and
+// the survivors it passes to the sequence sorter.
 type probeChunk struct {
 	keys    []uint64
 	vals    []uint16
 	seqs    []uint64
 	present []bool
 	ins     []bool
+	pairs   []cand
 	cap     int
 }
 
-func newProbeChunk(n int) *probeChunk {
-	return &probeChunk{
-		keys:    make([]uint64, 0, n),
-		vals:    make([]uint16, 0, n),
-		seqs:    make([]uint64, 0, n),
-		present: make([]bool, n),
-		ins:     make([]bool, n),
+// carveProbeChunk carves an n-candidate chunk. The arena is not zeroed,
+// so present starts cleared here; reset keeps it so.
+func carveProbeChunk(c *carver, n int) probeChunk {
+	p := probeChunk{
+		keys:    view[uint64](c, n)[:0],
+		vals:    view[uint16](c, n)[:0],
+		seqs:    view[uint64](c, n)[:0],
+		present: view[bool](c, n),
+		ins:     view[bool](c, n),
+		pairs:   view[cand](c, n)[:0],
 		cap:     n,
 	}
+	clear(p.present)
+	return p
 }
 
 func (p *probeChunk) add(key uint64, val uint16, seq uint64) {
@@ -507,13 +563,21 @@ func (b *builder) mergeRunsToRun(paths []string, name, tag string) error {
 		return err
 	}
 	defer closeSegFiles(runs)
-	af, err := newAtomicFile(b.dir, name)
+	var (
+		afBuf []byte
+		bufs  []mergeBufs
+	)
+	bufBytes := b.fileBufBytes(runs)
+	b.ws.carve(func(c *carver) {
+		afBuf = view[byte](c, bufBytes)
+		bufs = b.carveMergeBufs(c, len(runs), bufBytes)
+	})
+	af, err := newAtomicFile(b.dir, name, afBuf)
 	if err != nil {
 		return err
 	}
-	workerBytes := int64(len(runs)) * int64(b.fanBuf)
-	_, err = b.mergeSharded(af, tag, runRecordBytes, workerBytes, func() shardFunc {
-		rm := newRunMerge(runs, b.fanBuf)
+	_, err = b.mergeSharded(af, tag, runRecordBytes, bufs, func(w int) shardFunc {
+		rm := newRunMerge(runs, bufs[w].reads)
 		var rec [runRecordBytes]byte
 		return func(s int, out io.Writer) (uint64, error) {
 			var n uint64
@@ -541,53 +605,39 @@ func (b *builder) mergeRunsToRun(paths []string, name, tag string) error {
 	return nil
 }
 
-// seqPair is one survivor in the external sequence sort: the key plus
-// the sequence number that fixes its discovery-order position.
-type seqPair struct{ seq, key uint64 }
-
+// seqPairBytes is a sequence-sorter spill record: seq u64 | key u64.
 const seqPairBytes = 16
 
 // seqSorter restores discovery order for a level's survivors: the merge
 // produces them in hash order, the .seq artifact — and with it
 // the store's per-level index — needs ascending sequence order. Under
-// budget it is one in-memory radix sort; over budget it spills sorted
-// runs and k-way merges them. The budget charge covers the pair buffer
-// and the equally long radix scratch. Merge workers push concurrently;
-// the sequence numbers are unique, so the order they arrive in cannot
-// change the output.
+// its pair limit it is one in-memory radix sort; over it, it spills
+// sorted runs and k-way merges them. The pair buffer and its equally
+// long radix scratch are workspace views, and so, when it may spill,
+// are its spill write buffer and a read buffer per spill its merges can
+// take in (at most maxFanIn). Merge workers push concurrently; the sequence
+// numbers are unique, so the order they arrive in cannot change the
+// output.
 type seqSorter struct {
-	b      *builder
-	level  int
-	mu     sync.Mutex
-	pairs  []seqPair
-	tmp    []seqPair
-	limit  int
-	spills []string
+	b         *builder
+	level     int
+	mu        sync.Mutex
+	pairs     []cand
+	tmp       []cand
+	limit     int
+	spillBuf  []byte
+	mergeBufs [][]byte
+	spills    []string
 }
 
-// newSeqSorter sizes the pair buffer once for at most maxPairs
-// survivors (the level's run candidates bound them), so pushes never
-// regrow it: growth by append would leave several times the buffer in
-// garbage for the collector.
-func (b *builder) newSeqSorter(level int, maxPairs int64) *seqSorter {
-	s := &seqSorter{b: b, level: level, limit: b.seqBufPairs}
-	s.pairs = make([]seqPair, 0, min(int64(s.limit), maxPairs))
-	b.mem.add(2 * int64(s.limit) * seqPairBytes)
-	return s
-}
-
-// sortPairs radix-sorts the buffered pairs by seq, growing the scratch
-// buffer to the largest batch seen (at most limit pairs).
+// sortPairs radix-sorts the buffered pairs by seq.
 func (s *seqSorter) sortPairs() {
-	if len(s.tmp) < len(s.pairs) {
-		s.tmp = make([]seqPair, len(s.pairs))
-	}
 	sorted, spare := radixSortSeqPairs(s.pairs, s.tmp)
 	s.pairs, s.tmp = sorted, spare[:cap(spare)]
 }
 
 // pushBatch adds one merge worker's batch of survivors.
-func (s *seqSorter) pushBatch(ps []seqPair) error {
+func (s *seqSorter) pushBatch(ps []cand) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, p := range ps {
@@ -612,17 +662,16 @@ func (s *seqSorter) spill() error {
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(f, 1<<18)
+	bw := &bufWriter{w: f, buf: s.spillBuf}
 	var rec [seqPairBytes]byte
 	for _, p := range s.pairs {
-		binary.LittleEndian.PutUint64(rec[0:], p.seq)
-		binary.LittleEndian.PutUint64(rec[8:], p.key)
+		putSeqPair(rec[:], p)
 		if _, err := bw.Write(rec[:]); err != nil {
 			f.Close()
 			return err
 		}
 	}
-	if err := bw.Flush(); err != nil {
+	if err := bw.flush(); err != nil {
 		f.Close()
 		return err
 	}
@@ -633,6 +682,11 @@ func (s *seqSorter) spill() error {
 	s.spills = append(s.spills, path)
 	s.pairs = s.pairs[:0]
 	return nil
+}
+
+func putSeqPair(b []byte, p cand) {
+	binary.LittleEndian.PutUint64(b[0:], p.seq())
+	binary.LittleEndian.PutUint64(b[8:], p.key)
 }
 
 // finish writes the level's keys in ascending sequence order to w.
@@ -669,39 +723,43 @@ func (s *seqSorter) finish(w io.Writer) error {
 		s.spills = next
 	}
 	var rec [seqRecordBytes]byte
-	return s.mergeSpills(s.spills, func(p seqPair) error {
+	return s.mergeSpills(s.spills, func(p cand) error {
 		putSeqRecord(rec[:], p.key)
 		_, err := w.Write(rec[:])
 		return err
 	})
 }
 
-// drop releases the sorter's budget charge and removes any spill files.
+// drop removes any spill files.
 func (s *seqSorter) drop() {
-	s.b.mem.release(2 * int64(s.limit) * seqPairBytes)
 	for _, p := range s.spills {
 		os.Remove(p)
 	}
 }
 
-// seqSpillReader streams one sorted spill file of (seq, key) pairs.
-// The record buffer lives in the reader, so advancing allocates nothing.
+// seqSpillReader streams one sorted spill file of (seq, key) records.
 type seqSpillReader struct {
-	f   *os.File
-	br  *bufio.Reader
-	rec [seqPairBytes]byte
-	cur seqPair
+	recReader
+	cur cand
 	ok  bool
-	// read counts the bytes consumed, for the spill-read counter.
-	read int64
 }
 
-func openSeqSpill(path string, bufBytes int) (*seqSpillReader, error) {
+// openSeqSpill opens a spill file to read through buf.
+func openSeqSpill(path string, buf []byte) (*seqSpillReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	r := &seqSpillReader{f: f, br: bufio.NewReaderSize(f, bufBytes)}
+	st, err := f.Stat()
+	if err == nil && st.Size()%seqPairBytes != 0 {
+		err = fmt.Errorf("extbuild: truncated seq spill %s", f.Name())
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	r := &seqSpillReader{recReader: recReader{buf: buf}}
+	r.reset(f, seqPairBytes, 0, uint64(st.Size()/seqPairBytes))
 	if err := r.advance(); err != nil {
 		f.Close()
 		return nil, err
@@ -710,17 +768,12 @@ func openSeqSpill(path string, bufBytes int) (*seqSpillReader, error) {
 }
 
 func (r *seqSpillReader) advance() error {
-	_, err := io.ReadFull(r.br, r.rec[:])
-	if err == io.EOF {
-		r.ok = false
-		return nil
+	rec, err := r.next()
+	r.ok = rec != nil
+	if !r.ok {
+		return err
 	}
-	if err != nil {
-		return fmt.Errorf("extbuild: truncated seq spill %s: %w", r.f.Name(), err)
-	}
-	r.cur = seqPair{binary.LittleEndian.Uint64(r.rec[0:]), binary.LittleEndian.Uint64(r.rec[8:])}
-	r.ok = true
-	r.read += seqPairBytes
+	r.cur = newCand(binary.LittleEndian.Uint64(rec[8:]), 0, binary.LittleEndian.Uint64(rec[0:]))
 	return nil
 }
 
@@ -728,25 +781,23 @@ func (r *seqSpillReader) advance() error {
 type seqHeap []*seqSpillReader
 
 func (h seqHeap) Len() int           { return len(h) }
-func (h seqHeap) Less(i, j int) bool { return h[i].cur.seq < h[j].cur.seq }
+func (h seqHeap) Less(i, j int) bool { return h[i].cur.sv < h[j].cur.sv }
 func (h seqHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *seqHeap) Push(x any)        { *h = append(*h, x.(*seqSpillReader)) }
 func (h *seqHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 // mergeSpills k-way merges sorted spill files, emitting pairs in
-// ascending sequence order.
-func (s *seqSorter) mergeSpills(paths []string, emit func(seqPair) error) error {
-	charge := int64(len(paths)) * int64(s.b.fanBuf)
-	s.b.mem.add(charge)
-	defer s.b.mem.release(charge)
+// ascending sequence order, a read buffer each.
+func (s *seqSorter) mergeSpills(paths []string, emit func(cand) error) error {
+	bufs := s.mergeBufs
 	var h seqHeap
 	defer func() {
 		for _, r := range h {
 			r.f.Close()
 		}
 	}()
-	for _, p := range paths {
-		r, err := openSeqSpill(p, s.b.fanBuf)
+	for i, p := range paths {
+		r, err := openSeqSpill(p, bufs[i])
 		if err != nil {
 			return err
 		}
@@ -768,7 +819,7 @@ func (s *seqSorter) mergeSpills(paths []string, emit func(seqPair) error) error 
 		if r.ok {
 			heap.Fix(&h, 0)
 		} else {
-			s.b.spillR.Add(r.read)
+			s.b.spillR.Add(r.takeRead())
 			r.f.Close()
 			heap.Pop(&h)
 			// Keep the closed reader out of the deferred close.
@@ -784,17 +835,16 @@ func (s *seqSorter) preMerge(batch []string, outPath string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	bw := bufio.NewWriterSize(f, 1<<18)
+	bw := &bufWriter{w: f, buf: s.spillBuf}
 	var rec [seqPairBytes]byte
-	err = s.mergeSpills(batch, func(p seqPair) error {
-		binary.LittleEndian.PutUint64(rec[0:], p.seq)
-		binary.LittleEndian.PutUint64(rec[8:], p.key)
+	err = s.mergeSpills(batch, func(p cand) error {
+		putSeqPair(rec[:], p)
 		s.b.spillW.Add(seqPairBytes)
 		_, err := bw.Write(rec[:])
 		return err
 	})
 	if err == nil {
-		err = bw.Flush()
+		err = bw.flush()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr

@@ -197,17 +197,18 @@ const (
 	radixMask    = radixBuckets - 1
 )
 
-// keyDigits covers a 64-bit sort key, least significant digit first.
-const keyDigits = (64 + radixBits - 1) / radixBits
+// seqDigits covers a sequence number, least significant digit first.
+const seqDigits = (seqBits + radixBits - 1) / radixBits
 
-// radixSortSeqPairs sorts pairs by seq, using tmp (len ≥ len(ps)) as
-// scratch, and returns the sorted slice (ps or a prefix of tmp) and the
-// other buffer for reuse.
-func radixSortSeqPairs(ps, tmp []seqPair) (sorted, spare []seqPair) {
-	var hist [keyDigits][radixBuckets]int
+// radixSortSeqPairs sorts the sequence sorter's pairs — survivors as
+// candidates — by seq, using tmp (len ≥ len(ps)) as scratch, and returns
+// the sorted slice (ps or a prefix of tmp) and the other buffer for
+// reuse.
+func radixSortSeqPairs(ps, tmp []cand) (sorted, spare []cand) {
+	var hist [seqDigits][radixBuckets]int
 	for i := range ps {
-		s := ps[i].seq
-		for d := 0; d < keyDigits; d++ {
+		s := ps[i].seq()
+		for d := 0; d < seqDigits; d++ {
 			hist[d][s>>(radixBits*d)&radixMask]++
 		}
 	}
@@ -219,7 +220,7 @@ func radixSortSeqPairs(ps, tmp []seqPair) (sorted, spare []seqPair) {
 		}
 		sh := uint(radixBits * d)
 		for i := range src {
-			b := src[i].seq >> sh & radixMask
+			b := src[i].seq() >> sh & radixMask
 			dst[off[b]] = src[i]
 			off[b]++
 		}

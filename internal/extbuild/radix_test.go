@@ -177,13 +177,13 @@ func TestRadixSortCandsRejectsSeqDisorder(t *testing.T) {
 func TestRadixSortSeqPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 1, 2, 100, 10000} {
-		ps := make([]seqPair, n)
+		ps := make([]cand, n)
 		for i, s := range rng.Perm(n) {
-			ps[i] = seqPair{seq: uint64(s) * 977, key: rng.Uint64()}
+			ps[i] = newCand(rng.Uint64(), uint16(rng.Uint32()), uint64(s)*977)
 		}
-		want := append([]seqPair(nil), ps...)
-		sort.Slice(want, func(i, j int) bool { return want[i].seq < want[j].seq })
-		got, _ := radixSortSeqPairs(ps, make([]seqPair, n))
+		want := append([]cand(nil), ps...)
+		sort.Slice(want, func(i, j int) bool { return want[i].seq() < want[j].seq() })
+		got, _ := radixSortSeqPairs(ps, make([]cand, n))
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("n=%d pair %d: %+v, want %+v", n, i, got[i], want[i])

@@ -154,10 +154,12 @@ type PlaceScratch struct {
 	vals   []uint16
 }
 
-// PlaceScratchBytes is the memory a PlaceScratch holds after placing a
-// shard of n entries into slots slots — the figure a budgeted caller
-// charges for it.
-func PlaceScratchBytes(n, slots int) int64 { return 4*int64(slots+1) + (8+2)*int64(n) }
+// PlaceScratchOf makes placement scratch of caller-owned buffers: for
+// shards of up to len(keys) entries (len(vals) ≥ len(keys)) in up to
+// len(starts)-1 slots, PlaceShardCanonical allocates nothing.
+func PlaceScratchOf(starts []uint32, keys []uint64, vals []uint16) PlaceScratch {
+	return PlaceScratch{starts: starts, keys: keys, vals: vals}
+}
 
 // PlaceShardCanonical lays one shard's entries into the caller's zeroed
 // slot arrays (len a power of two ≥ minShardSlots, strictly greater than

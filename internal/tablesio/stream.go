@@ -158,9 +158,12 @@ func NewStreamWriter(f *os.File, g StreamGeometry) (*StreamWriter, error) {
 		valsHash: newWordHash(),
 		idxHash:  u32StreamHash{h: newWordHash()},
 		gposHash: u32StreamHash{h: newWordHash()},
-		buf:      make([]byte, 0),
 	}, nil
 }
+
+// SetBuffer makes the writer encode sections through buf, a buffer the
+// caller owns, growing past it only when a shard or chunk needs more.
+func (w *StreamWriter) SetBuffer(buf []byte) { w.buf = buf }
 
 // WriteShard writes the next shard's slot arrays (exactly SlotsPerShard
 // entries each, zero keys marking empty slots) into the keys and vals
