@@ -60,7 +60,7 @@ func main() {
 		t1max   = flag.Int("t1max", 11, "largest size timed in Table 1")
 		save    = flag.String("save", "", "persist the built search tables to this file (serve them later with revserve -tables)")
 		split   = flag.Int("split", 0, "with -save: write the store as this many (power of two) range-local split files")
-		memBudg = flag.String("mem-budget", "", "build working-memory target, e.g. 512MiB or 2GiB (default 256MiB); buffer floors exceed it below ~25MiB, and the peak tracked memory is reported")
+		memBudg = flag.String("mem-budget", "", "build working-memory target, e.g. 512MiB or 2GiB (default 256MiB); buffer floors exceed it below ~12MiB at k=6, and the peak tracked memory is reported")
 		resume  = flag.Bool("resume", false, "resume an interrupted build from its work-directory checkpoint")
 		workDir = flag.String("build-workdir", "", "build spill/checkpoint directory (default <save>.work, else a temporary directory)")
 		crashAt = flag.String("build-crash", "", "kill the process at a build checkpoint stage:level[:slab] (testing)")

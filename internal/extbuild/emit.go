@@ -15,19 +15,17 @@ const idxChunk = 1 << 15
 
 // emit writes the configured stores straight off the level artifacts:
 // the full store (OutPath) and/or the SplitN pre-split range files, one
-// store after another. Within a store, workers gather each shard's
-// entries from the .srt segments (one ReadAt per level), lay them out
-// canonically, and hand them to the StreamWriter in shard order; the
-// per-level index is then resolved by probing the store's slots, the
-// workers splitting the .seq files into chunks and appending the
-// resolved slots in discovery order. The probe reads the slot arrays in
-// the workspace when the whole store's fit in emission's share of the
-// budget, and the just-written file through the writer's read-only
-// probe view otherwise, so no table larger than the budget is ever held.
-// Byte-identity with tablesio.SaveFile/SaveSplitFile holds because every
-// geometry decision (shard count, slots per shard, placement order,
-// level order) is the same pure function of the entry set that
-// hashtab.Compact and CompactSplit apply.
+// store after another. No in-memory table is ever built. Within a
+// store, workers gather each shard's entries from the .srt segments
+// (one ReadAt per level), lay them out canonically, and hand them to
+// the StreamWriter in shard order; the per-level index is then resolved
+// by probing the just-written file through the writer's read-only probe
+// view, the workers splitting the .seq files into chunks and appending
+// the resolved slots in discovery order. Byte-identity with
+// tablesio.SaveFile/SaveSplitFile holds because every geometry decision
+// (shard count, slots per shard, placement order, level order) is the
+// same pure function of the entry set that hashtab.Compact and
+// CompactSplit apply.
 func (b *builder) emit() error {
 	if b.o.OutPath == "" && b.o.SplitN <= 1 {
 		return nil
@@ -67,13 +65,8 @@ type emitter struct {
 	seq  []*os.File
 	bufs []emitBufs
 	// Sized for the fullest shard of the whole table, a worker's
-	// buffers and a row of the slot arrays fit any range of it.
+	// buffers fit any range of it.
 	maxPerShard, perShard int
-	// slotKeys/slotVals hold a row of slots per shard of the store being
-	// emitted when inMemory, else a row per worker.
-	inMemory bool
-	slotKeys []uint64
-	slotVals []uint16
 	// wbuf is the StreamWriter's encoding buffer; commits run one at a
 	// time.
 	wbuf []byte
@@ -99,28 +92,13 @@ func (b *builder) newEmitter() (*emitter, error) {
 	}
 	e.maxPerShard = e.maxShardEntries(0, b.shards)
 	e.perShard = hashtab.FrozenSlotsPerShard(e.maxPerShard)
-	// Emission may take half the budget (the probe table is gone by now).
-	// The store's slot arrays are held whole when they fit in it beside
-	// every worker's buffers; otherwise each worker holds one shard's,
-	// and a table whose fullest shard is a large share of the budget
-	// emits on fewer workers.
+	// The emission workers' buffers may take half the budget (the probe
+	// table is gone by now), so a table whose fullest shard is a large
+	// share of the budget emits on fewer workers.
 	var one carver
 	e.carveBufs(&one, &emitBufs{})
-	share, row := b.budget/2, int64(e.perShard)*(8+2)
-	table := int64(b.shards) * row
-	e.inMemory = table+int64(b.workers)*one.bytes() <= share
-	workers := int64(b.workers)
-	if !e.inMemory {
-		workers = clamp64(share/(one.bytes()+row), 1, workers)
-	}
-	e.bufs = make([]emitBufs, workers)
-	rows := len(e.bufs)
-	if e.inMemory {
-		rows = b.shards
-	}
+	e.bufs = make([]emitBufs, clamp64(b.budget/2/one.bytes(), 1, int64(b.workers)))
 	b.ws.carve(func(c *carver) {
-		e.slotKeys = view[uint64](c, rows*e.perShard)
-		e.slotVals = view[uint16](c, rows*e.perShard)
 		e.wbuf = view[byte](c, e.perShard*8)
 		for w := range e.bufs {
 			e.carveBufs(c, &e.bufs[w])
@@ -140,24 +118,16 @@ func (e *emitter) close() {
 func (e *emitter) carveBufs(c *carver, eb *emitBufs) {
 	n, slots := e.maxPerShard, e.perShard
 	*eb = emitBufs{
-		keys:   view[uint64](c, n)[:0],
-		vals:   view[uint16](c, n)[:0],
-		raw:    view[byte](c, n*srtRecordBytes),
-		place:  hashtab.PlaceScratchOf(view[uint32](c, slots+1), view[uint64](c, n), view[uint16](c, n)),
-		seqRaw: view[byte](c, idxChunk*seqRecordBytes),
-		idx:    view[uint32](c, idxChunk)[:0],
-		gpos:   view[uint32](c, idxChunk)[:0],
+		keys:     view[uint64](c, n)[:0],
+		vals:     view[uint16](c, n)[:0],
+		raw:      view[byte](c, n*srtRecordBytes),
+		slotKeys: view[uint64](c, slots),
+		slotVals: view[uint16](c, slots),
+		place:    hashtab.PlaceScratchOf(view[uint32](c, slots+1), view[uint64](c, n), view[uint16](c, n)),
+		seqRaw:   view[byte](c, idxChunk*seqRecordBytes),
+		idx:      view[uint32](c, idxChunk)[:0],
+		gpos:     view[uint32](c, idxChunk)[:0],
 	}
-}
-
-// slots returns the slot arrays, perShard long, that worker wi places
-// the store's i-th shard in.
-func (e *emitter) slots(wi, i, perShard int) ([]uint64, []uint16) {
-	r := wi
-	if e.inMemory {
-		r = i
-	}
-	return e.slotKeys[r*perShard : (r+1)*perShard], e.slotVals[r*perShard : (r+1)*perShard]
 }
 
 // maxShardEntries returns the entry count of the fullest shard in
@@ -175,16 +145,18 @@ func (e *emitter) maxShardEntries(shardLo, shardHi int) int {
 }
 
 // emitBufs are one emission worker's buffers: a shard's gathered
-// entries and their raw records, the placement scratch, and one index
-// chunk's .seq records and resolved slots.
+// entries and their raw records, its slot arrays, the placement
+// scratch, and one index chunk's .seq records and resolved slots.
 type emitBufs struct {
-	keys   []uint64
-	vals   []uint16
-	raw    []byte
-	place  hashtab.PlaceScratch
-	seqRaw []byte
-	idx    []uint32
-	gpos   []uint32
+	keys     []uint64
+	vals     []uint16
+	raw      []byte
+	slotKeys []uint64
+	slotVals []uint16
+	place    hashtab.PlaceScratch
+	seqRaw   []byte
+	idx      []uint32
+	gpos     []uint32
 }
 
 // gatherShard collects shard s's entries of every level into keys/vals.
@@ -263,26 +235,20 @@ func (e *emitter) emitStore(shardLo, shardHi, splitN, splitIdx int, path string)
 		if err := e.gatherShard(eb, shardLo+i); err != nil {
 			return err
 		}
-		slotKeys, slotVals := e.slots(wi, i, perShard)
+		slotKeys, slotVals := eb.slotKeys[:perShard], eb.slotVals[:perShard]
 		clear(slotKeys)
 		clear(slotVals)
 		hashtab.PlaceShardCanonical(eb.keys, eb.vals, slotKeys, slotVals, &eb.place)
 		return nil
-	}, func(wi, i int) error {
-		return w.WriteShard(e.slots(wi, i, perShard))
+	}, func(wi, _ int) error {
+		eb := &e.bufs[wi]
+		return w.WriteShard(eb.slotKeys[:perShard], eb.slotVals[:perShard])
 	})
 	if err != nil {
 		return err
 	}
 
-	var pv *hashtab.FrozenTable
-	releasePV := func() error { return nil }
-	if e.inMemory {
-		n := (shardHi - shardLo) * perShard
-		pv, err = hashtab.NewFrozenSplit(e.slotKeys[:n], e.slotVals[:n], shardHi-shardLo, int(localTotal), splitN, splitIdx)
-	} else {
-		pv, releasePV, err = w.ProbeView()
-	}
+	pv, releasePV, err := w.ProbeView()
 	if err != nil {
 		return err
 	}

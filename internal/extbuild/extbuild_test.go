@@ -524,6 +524,71 @@ func TestResumeRejectsVersion1Checkpoint(t *testing.T) {
 	}
 }
 
+// TestResumeUnderstatedCandidates: a checkpoint's run entries state
+// their candidate counts, but only the run files' counts trailers are
+// checked against the data. A resume whose manifest understates every
+// count must still size the sequence sorter for the survivors it really
+// gets — here more than the sorter holds, so it has to spill — and emit
+// the byte-identical store.
+func TestResumeUnderstatedCandidates(t *testing.T) {
+	a := bfs.GateAlphabet()
+	const k, budget = 4, 1 << 17
+	ref := referenceFile(t, a, k, false)
+	knobs := &builder{budget: budget, workers: 1}
+	knobs.deriveKnobs()
+	if bfs.GateReducedCounts[k] <= int64(knobs.seqBufPairs) {
+		t.Fatalf("level %d's %d survivors fit the %d-pair sorter; the test needs a spill",
+			k, bfs.GateReducedCounts[k], knobs.seqBufPairs)
+	}
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out.rvt")
+	work := filepath.Join(dir, "work")
+	var sealedAll atomic.Bool
+	opts := Options{
+		Alphabet: a, K: k,
+		WorkDir:   work,
+		MemBudget: budget,
+		Workers:   1, // slabs seal in order, each checkpointed
+		OutPath:   out,
+		Progress: func(ev ProgressEvent) {
+			if ev.Phase == "expand" && ev.Level == k && !ev.Done && ev.Slab == ev.Slabs {
+				sealedAll.Store(true)
+			}
+		},
+		// Crash after level k's last run seals, before its merge.
+		FailPoint: func(stage string, level, _ int) error {
+			if stage == "run" && level == k && sealedAll.Load() {
+				return errCrash
+			}
+			return nil
+		},
+	}
+	if _, err := Build(opts); !errors.Is(err, errCrash) {
+		t.Fatalf("crash build: got %v, want simulated crash", err)
+	}
+	manPath := filepath.Join(work, ManifestName)
+	man, err := tablesio.ReadManifestFile(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Runs) == 0 || man.LevelSlabs != len(man.Runs) {
+		t.Fatalf("checkpoint holds %d of %d level-%d runs, want all", len(man.Runs), man.LevelSlabs, k)
+	}
+	for i := range man.Runs {
+		man.Runs[i].Candidates = 0
+	}
+	if err := tablesio.WriteManifestFile(manPath, man); err != nil {
+		t.Fatal(err)
+	}
+	opts.FailPoint, opts.Progress, opts.Resume = nil, nil, true
+	if _, err := Build(opts); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustRead(t, out), ref) {
+		t.Fatal("resumed store differs from reference")
+	}
+}
+
 // TestPlanLevelRejectsSeqOverflow: a level whose sequence numbers would
 // not fit the 48 bits a spill candidate carries fails typed at
 // planning, before any candidate is made.
@@ -796,8 +861,9 @@ func TestPeakTrackedWithinBudget(t *testing.T) {
 	a := bfs.GateAlphabet()
 	const k = 5
 	dir := t.TempDir()
-	// Four workers: every merge and emission worker charges its own
-	// read, probe and shard buffers.
+	// Four workers: every merge and emission worker carves its own read,
+	// probe and shard buffers, so the arena — and with it the ledger,
+	// which is the arena plus the probe table — grows with the count.
 	for _, workers := range []int{2, 4} {
 		stats, err := Build(Options{
 			Alphabet: a, K: k,

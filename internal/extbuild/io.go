@@ -45,11 +45,9 @@
 // part-file write buffer and probe chunk, for the level artifacts'
 // write buffer, and for the sequence sorter's pair buffer, its radix
 // scratch and, when it may spill, its spill buffers. Emission borrows it
-// for each worker's gathered shard, raw records, placement scratch and
-// index chunk, the store writer's encoding buffer, and the store's slot
-// arrays: whole when they fit in half the budget, so the index resolves
-// in memory, else one shard's per worker, the index then resolving
-// through the written file. The ledger charges the arena as it grows,
+// for each worker's gathered shard, raw records, slot arrays, placement
+// scratch and index chunk, and for the store writer's encoding buffer.
+// The ledger charges the arena as it grows,
 // plus the prior-level probe table, the one large structure outside it.
 //
 // Work-directory artifacts, all little-endian. Runs and level files
@@ -157,6 +155,9 @@ type bufWriter struct {
 func (b *bufWriter) reset(w io.Writer) { b.w, b.n = w, 0 }
 
 func (b *bufWriter) Write(p []byte) (int, error) {
+	if len(b.buf) == 0 {
+		return b.w.Write(p) // no buffer: write straight through
+	}
 	total := len(p)
 	for len(p) > 0 {
 		if b.n == len(b.buf) {
@@ -174,6 +175,9 @@ func (b *bufWriter) Write(p []byte) (int, error) {
 // ReadFrom copies r through the buffer, so io.Copy onto a bufWriter
 // needs no buffer of its own.
 func (b *bufWriter) ReadFrom(r io.Reader) (int64, error) {
+	if len(b.buf) == 0 {
+		return io.Copy(b.w, r)
+	}
 	var total int64
 	for {
 		if b.n == len(b.buf) {

@@ -250,6 +250,14 @@ func (b *builder) mergeLevel(c int, p levelPlan) error {
 		return err
 	}
 	defer closeSegFiles(runs)
+	// The runs' own counts trailers bound the level's survivors; the
+	// manifest's candidate counts only feed progress.
+	var runRecs int64
+	for _, sf := range runs {
+		for _, n := range sf.counts {
+			runRecs += int64(n)
+		}
+	}
 
 	// Prior-level inputs: either the in-memory probe table, or every
 	// completed level's .srt for the disk merge-join.
@@ -277,15 +285,15 @@ func (b *builder) mergeLevel(c int, p levelPlan) error {
 	bufBytes := b.fileBufBytes(runs, priors)
 	b.ws.carve(func(cv *carver) {
 		afBuf = view[byte](cv, bufBytes)
-		// The level's run candidates bound its survivors, so pushes never
+		// The level's run records bound its survivors, so pushes never
 		// outgrow the pair buffer, the sorter spills only when they can
 		// reach its limit, and it spills a full buffer at a time.
 		limit := int64(seqS.limit)
-		n := int(min(limit, levelCands))
+		n := int(min(limit, runRecs))
 		seqS.pairs, seqS.tmp = view[cand](cv, n)[:0], view[cand](cv, n)
-		if levelCands >= limit {
+		if runRecs >= limit {
 			seqS.spillBuf = view[byte](cv, b.fanBuf)
-			seqS.mergeBufs = fileBufs(cv, int(min(int64(b.maxFanIn), (levelCands+limit-1)/limit)), b.fanBuf)
+			seqS.mergeBufs = fileBufs(cv, int(min(int64(b.maxFanIn), (runRecs+limit-1)/limit)), b.fanBuf)
 		}
 		bufs = b.carveMergeBufs(cv, len(runs)+len(priors), bufBytes)
 		chunks = make([]probeChunk, len(bufs))
@@ -790,6 +798,9 @@ func (h *seqHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; 
 // ascending sequence order, a read buffer each.
 func (s *seqSorter) mergeSpills(paths []string, emit func(cand) error) error {
 	bufs := s.mergeBufs
+	if len(paths) > len(bufs) {
+		return fmt.Errorf("extbuild: level %d: %d seq spills but %d read buffers", s.level, len(paths), len(bufs))
+	}
 	var h seqHeap
 	defer func() {
 		for _, r := range h {

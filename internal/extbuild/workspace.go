@@ -33,7 +33,7 @@ func (ws *workspace) carve(layout func(c *carver)) {
 	layout(&m)
 	if words := (m.off + 7) / 8; words > len(ws.arena) {
 		ws.mem.add(int64(words-len(ws.arena)) * 8)
-		ws.arena = nil // the old block is garbage before the new one exists
+		ws.arena = nil // the old block is unreferenced from here on
 		ws.arena = make([]uint64, words)
 	}
 	layout(&carver{arena: ws.arena})
