@@ -152,9 +152,11 @@ type Stats struct {
 	// PeakTrackedBytes is the high-water mark of budget-tracked memory:
 	// the workspace, which only grows, plus the probe table. The build
 	// holds no other large buffer, so its resident set is this plus the
-	// Go runtime's own and the freed workspaces of smaller levels that
-	// the runtime has not reused or returned: a k=6 build at the default
-	// budget tracks 103.6 MiB and peaks at about 128 MB resident.
+	// Go runtime's own, the freed workspaces of smaller levels that the
+	// runtime has not reused or returned, and the pages of the written
+	// store that emission probes through a read-only mapping: a k=6
+	// build at the default budget tracks 103.6 MiB and peaks at about
+	// 135–145 MB resident.
 	PeakTrackedBytes int64
 	// ResumedLevels is how many completed levels a resume reused.
 	ResumedLevels int
