@@ -297,9 +297,11 @@
 //     that hit later;
 //   - an immutable level-block cache, so repeated meet-in-the-middle
 //     scans stop re-fetching the hot low-level key ranges entirely;
-//   - singleflight coalescing: concurrent identical misses (the same
-//     level block, or the same miss batch — many clients racing one
-//     specification) share a single round trip.
+//   - singleflight coalescing of level blocks: concurrent misses of
+//     one block share a single round trip. A key miss batch travels on
+//     its caller's goroutine and is never shared (identical concurrent
+//     batches are rare), so the coalesced counter counts level-block
+//     fetches only.
 //
 // The query engine runs one scan over every backend: each chunk of
 // level representatives is resolved in one lookup batch, and chunks

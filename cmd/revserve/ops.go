@@ -194,7 +194,7 @@ func registerServiceCollectors(r *ops.Registry, svc *service.Synthesizer) {
 			emit([]ops.Label{{Name: "tier", Value: "key"}}, float64(st.RemoteCache.KeyMisses))
 			emit([]ops.Label{{Name: "tier", Value: "level"}}, float64(st.RemoteCache.LevelMisses))
 		})
-	remote("revserve_remote_coalesced_total", "Fetches coalesced into an identical in-flight miss.", "counter",
+	remote("revserve_remote_coalesced_total", "Level-block fetches coalesced into an identical in-flight block fetch (key misses are never coalesced).", "counter",
 		func(emit func([]ops.Label, float64), st service.Stats) {
 			emit(nil, float64(st.RemoteCache.Coalesced))
 		})

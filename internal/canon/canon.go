@@ -15,7 +15,7 @@
 // transpositions, each a 14-operation kernel (perm.Conj01, Conj12,
 // Conj23). The walk's kernel order has period 8 — Conj23 Conj12 Conj01
 // Conj23 Conj01 Conj12 Conj23 Conj01, three times with the last step
-// dropped — so Canonical and ForEachVariant spell it out as direct
+// dropped — so Canonical and the variant walk spell it out as direct
 // kernel calls, with no per-step dispatch on the transposition index or
 // lookup of the relabeling reached; the minimum's walk position maps to
 // its relabeling once, at the end, through walkPos. Together with one
@@ -33,10 +33,16 @@
 // products, the walk, and packing the value — costs about 166 ns, where
 // a perm.Then, a perm.Inverse and Canonical cost about 214
 // (bfs.BenchmarkCanonicalizeExpansion, medians of 6 alternating runs).
+//
+// ForEachVariant enumerates a class — the meet-in-the-middle scan's
+// candidate prefixes — as its orbit: each distinct member once, in the
+// order the same walk first reaches it. ClassSize counts the orbit from
+// the same walk, by orbit–stabilizer, with no map and no sort.
 package canon
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/gate"
 	"repro/internal/perm"
@@ -284,54 +290,100 @@ func Rep(f perm.Perm) perm.Perm {
 	return rep
 }
 
-// ForEachVariant calls fn on every member of f's equivalence class, in a
-// fixed order, possibly with repeats when the class is degenerate (class
-// size < 48). It stops early if fn returns false. This is the inner
+// ForEachVariant calls fn once on each distinct member of f's
+// equivalence class (its orbit), in the order Canonical's walk first
+// reaches it, and stops early if fn returns false. This is the inner
 // enumeration of the meet-in-the-middle search (paper Algorithm 1): all
-// functions of size i are exactly the variants of the stored canonical
-// representatives of size i.
+// functions of size i are exactly the members of the stored canonical
+// representatives' classes of size i.
 //
-// The order is Canonical's walk: f, f⁻¹, then at each of the 23 further
-// positions f's conjugate before f⁻¹'s. When f is an involution the
-// inverse orbit repeats the direct one member for member, so only the 24
-// conjugates are visited — half the kernels, and half the candidate
-// probes for the search loops built on top.
+// The walk is Canonical's: f, f⁻¹, then at each of the 23 further
+// positions f's conjugate before f⁻¹'s; when f is an involution the
+// inverse orbit repeats the direct one member for member, so only the
+// 24 conjugates are walked. It visits every relabeling (and inversion)
+// once, so by orbit–stabilizer each member appears as often as f itself
+// does. A full-size class — the common case — therefore costs one
+// comparison with f per value and yields the walk unchanged; only a
+// class that walks onto f again pays to drop its later repeats.
 func ForEachVariant(f perm.Perm, fn func(perm.Perm) bool) {
-	fi := f.Inverse()
-	if fi == f {
-		if !fn(f) {
-			return
-		}
-		cf := f
-		step := func(next perm.Perm) bool {
-			cf = next
-			return fn(next)
-		}
-		for r := 0; r < 3; r++ {
-			if !step(cf.Conj23()) || !step(cf.Conj12()) || !step(cf.Conj01()) ||
-				!step(cf.Conj23()) || !step(cf.Conj01()) || !step(cf.Conj12()) ||
-				!step(cf.Conj23()) || r < 2 && !step(cf.Conj01()) {
+	var w [MaxClassSize]perm.Perm
+	n, stab := walk(f, &w)
+	if stab == 1 {
+		for _, v := range w[:n] {
+			if !fn(v) {
 				return
 			}
 		}
 		return
 	}
-	if !fn(f) || !fn(fi) {
-		return
-	}
-	cf, cfi := f, fi
-	step := func(next, nexti perm.Perm) bool {
-		cf, cfi = next, nexti
-		return fn(next) && fn(nexti)
-	}
-	for r := 0; r < 3; r++ {
-		if !step(cf.Conj23(), cfi.Conj23()) || !step(cf.Conj12(), cfi.Conj12()) ||
-			!step(cf.Conj01(), cfi.Conj01()) || !step(cf.Conj23(), cfi.Conj23()) ||
-			!step(cf.Conj01(), cfi.Conj01()) || !step(cf.Conj12(), cfi.Conj12()) ||
-			!step(cf.Conj23(), cfi.Conj23()) || r < 2 && !step(cf.Conj01(), cfi.Conj01()) {
+	left := n / stab // the orbit's size
+	for i, v := range w[:n] {
+		if slices.Contains(w[:i], v) {
+			continue
+		}
+		if left--; !fn(v) || left == 0 {
 			return
 		}
 	}
+}
+
+// walk fills w with Canonical's walk of f (48 values, or the 24
+// conjugates of an involution) and returns its length n and the number
+// of its values equal to f: the order of f's stabilizer, so the class
+// has n/stab members.
+func walk(f perm.Perm, w *[MaxClassSize]perm.Perm) (n, stab int) {
+	fi := f.Inverse()
+	w[0], n, stab = f, 1, 1
+	if fi == f {
+		cf := f
+		step := func(next perm.Perm) {
+			cf = next
+			w[n] = next
+			n++
+			if next == f {
+				stab++
+			}
+		}
+		for r := 0; r < 3; r++ {
+			step(cf.Conj23())
+			step(cf.Conj12())
+			step(cf.Conj01())
+			step(cf.Conj23())
+			step(cf.Conj01())
+			step(cf.Conj12())
+			step(cf.Conj23())
+			if r < 2 {
+				step(cf.Conj01())
+			}
+		}
+		return n, stab
+	}
+	w[1], n = fi, 2
+	cf, cfi := f, fi
+	step := func(next, nexti perm.Perm) {
+		cf, cfi = next, nexti
+		w[n], w[n+1] = next, nexti
+		n += 2
+		if next == f {
+			stab++
+		}
+		if nexti == f {
+			stab++
+		}
+	}
+	for r := 0; r < 3; r++ {
+		step(cf.Conj23(), cfi.Conj23())
+		step(cf.Conj12(), cfi.Conj12())
+		step(cf.Conj01(), cfi.Conj01())
+		step(cf.Conj23(), cfi.Conj23())
+		step(cf.Conj01(), cfi.Conj01())
+		step(cf.Conj12(), cfi.Conj12())
+		step(cf.Conj23(), cfi.Conj23())
+		if r < 2 {
+			step(cf.Conj01(), cfi.Conj01())
+		}
+	}
+	return n, stab
 }
 
 // Class returns the distinct members of f's equivalence class in
@@ -339,50 +391,21 @@ func ForEachVariant(f perm.Perm, fn func(perm.Perm) bool) {
 // space the way paper Table 4's "Functions" and "Reduced Functions"
 // columns relate.
 func Class(f perm.Perm) []perm.Perm {
-	seen := make(map[perm.Perm]struct{}, MaxClassSize)
+	out := make([]perm.Perm, 0, MaxClassSize)
 	ForEachVariant(f, func(v perm.Perm) bool {
-		seen[v] = struct{}{}
+		out = append(out, v)
 		return true
 	})
-	out := make([]perm.Perm, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
-// ClassSize returns the number of distinct members of f's class (≤ 48).
+// ClassSize returns the number of distinct members of f's class (≤ 48):
+// the walk's length over f's stabilizer order, by orbit–stabilizer. It
+// allocates nothing (Result.FullCount calls it once per
+// representative).
 func ClassSize(f perm.Perm) int {
-	// The variant walk yields at most 48 values (24 for involutions, with
-	// repeats); insertion-sort them into a stack array and count runs —
-	// no allocation and far fewer comparisons than a pairwise scan on
-	// this hot path (Result.FullCount calls this once per
-	// representative).
-	var members [MaxClassSize]perm.Perm
-	n := 0
-	ForEachVariant(f, func(v perm.Perm) bool {
-		members[n] = v
-		n++
-		return true
-	})
-	for i := 1; i < n; i++ {
-		v := members[i]
-		j := i
-		for ; j > 0 && members[j-1] > v; j-- {
-			members[j] = members[j-1]
-		}
-		members[j] = v
-	}
-	distinct := 1
-	for i := 1; i < n; i++ {
-		if members[i] != members[i-1] {
-			distinct++
-		}
-	}
-	return distinct
+	var w [MaxClassSize]perm.Perm
+	n, stab := walk(f, &w)
+	return n / stab
 }

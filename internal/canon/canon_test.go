@@ -276,8 +276,13 @@ func TestForEachVariantCoversClassExactly48(t *testing.T) {
 }
 
 func TestForEachVariantEarlyStop(t *testing.T) {
+	// A full-size class: the walk has 48 distinct values to stop in.
+	f := randPerm(rand.New(rand.NewSource(15)))
+	if n := ClassSize(f); n != MaxClassSize {
+		t.Fatalf("input class size %d, want %d", n, MaxClassSize)
+	}
 	count := 0
-	ForEachVariant(perm.Identity, func(perm.Perm) bool {
+	ForEachVariant(f, func(perm.Perm) bool {
 		count++
 		return count < 5
 	})
@@ -334,15 +339,16 @@ func TestCanonicalInvolutionFastPath(t *testing.T) {
 		if got := perm.Conjugate(base, Shuffle(sigma)); got != rep {
 			t.Fatalf("witness broken for involution %v: conj = %v, rep = %v", f, got, rep)
 		}
-		// The walk must visit the whole class in half the kernel count.
+		// The walk must visit the whole class, each member once, within
+		// the 24 conjugates of the half walk.
 		count, seen := 0, map[perm.Perm]bool{}
 		ForEachVariant(f, func(v perm.Perm) bool {
 			count++
 			seen[v] = true
 			return true
 		})
-		if count != SigmaCount {
-			t.Fatalf("involution variant walk yielded %d values, want %d", count, SigmaCount)
+		if count != ClassSize(f) || count > SigmaCount {
+			t.Fatalf("involution variant walk yielded %d values, class size %d (at most %d)", count, ClassSize(f), SigmaCount)
 		}
 		if len(seen) != ClassSize(f) {
 			t.Fatalf("involution walk covered %d distinct, class size %d", len(seen), ClassSize(f))
@@ -640,7 +646,10 @@ func TestCanonicalMatchesOracle(t *testing.T) {
 }
 
 // TestForEachVariantMatchesOracle checks the variant sequence against
-// the oracle, in full and when fn stops at each position.
+// the oracle's walk with its later repeats dropped, in full and when fn
+// stops at each position, and Class and ClassSize against the same
+// distinct members. The inputs include every class of cost ≤ 3, where
+// degenerate (symmetric) classes are common.
 func TestForEachVariantMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	collect := func(walk func(perm.Perm, func(perm.Perm) bool), f perm.Perm, stop int) []perm.Perm {
@@ -651,12 +660,27 @@ func TestForEachVariantMatchesOracle(t *testing.T) {
 		})
 		return out
 	}
-	inputs := []perm.Perm{perm.Identity}
+	inputs := classRepsUpTo(t, 3)
 	for i := 0; i < 300; i++ {
 		inputs = append(inputs, randPerm(rng), randInvolution(rng), randProduct(rng))
 	}
+	degenerate := 0
 	for _, f := range inputs {
-		want := collect(refForEachVariant, f, 0)
+		var want []perm.Perm
+		for _, v := range collect(refForEachVariant, f, 0) {
+			if !slices.Contains(want, v) {
+				want = append(want, v)
+			}
+		}
+		if len(want) < MaxClassSize {
+			degenerate++
+		}
+		if n := ClassSize(f); n != len(want) {
+			t.Fatalf("%v: ClassSize %d, oracle %d distinct members", f, n, len(want))
+		}
+		if cls, sorted := Class(f), slices.Sorted(slices.Values(want)); !slices.Equal(cls, sorted) {
+			t.Fatalf("%v: Class %v, oracle %v", f, cls, sorted)
+		}
 		for stop := 0; stop <= len(want); stop++ {
 			got := collect(ForEachVariant, f, stop)
 			wantN := want
@@ -672,6 +696,9 @@ func TestForEachVariantMatchesOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+	if degenerate < 100 {
+		t.Fatalf("only %d inputs with a degenerate class, want ≥ 100", degenerate)
 	}
 }
 

@@ -16,8 +16,9 @@
 //     canonicalization witness (σ, inverted) and stripping it.
 //  2. Otherwise f = p ⋄ s for a prefix p of some minimal size i and a
 //     suffix s of size ≤ k. All candidate prefixes of size i = 1, 2, …
-//     are enumerated as the ≤48 wire-relabeling/inversion variants of the
-//     stored representatives of size i; the first i for which some
+//     are enumerated as the distinct wire-relabeling/inversion variants
+//     (at most 48) of the stored representatives of size i, each class
+//     member once (canon.ForEachVariant); the first i for which some
 //     residue p⁻¹ ⋄ f lands in H yields a minimal circuit (for the unit
 //     cost metric — weighted metrics keep scanning until no shorter total
 //     is possible).
@@ -288,7 +289,9 @@ type Info struct {
 	// stage (0 when Direct).
 	SplitPrefix int
 	// Candidates counts composition+canonicalization+probe iterations
-	// spent in the meet-in-the-middle loop.
+	// spent in the meet-in-the-middle loop: one per distinct member of
+	// each scanned representative's class (canon.ForEachVariant), up to
+	// the committed hit. A symmetric class costs fewer than 48.
 	Candidates int64
 }
 

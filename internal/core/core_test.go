@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -448,6 +449,12 @@ func TestConcurrentQueriesWithParallelMITM(t *testing.T) {
 // cheapest residue of a level and scan on while a shorter total is
 // possible.
 func oracleSynthesize(s *Synthesizer, f perm.Perm) (circuit.Circuit, Info, error) {
+	return oracleSynthesizeWalk(s, f, canon.ForEachVariant)
+}
+
+// oracleSynthesizeWalk is oracleSynthesize expanding each representative
+// with the given variant walk.
+func oracleSynthesizeWalk(s *Synthesizer, f perm.Perm, walk func(perm.Perm, func(perm.Perm) bool)) (circuit.Circuit, Info, error) {
 	res := s.Result()
 	sc := s.scratch()
 	defer putScratch(sc)
@@ -465,7 +472,7 @@ func oracleSynthesize(s *Synthesizer, f perm.Perm) (circuit.Circuit, Info, error
 		}
 		reps := res.Level(i)
 		for n := 0; n < reps.Len(); n++ {
-			q, residue, tried := oracleProbeClass(res, reps.At(n), f)
+			q, residue, tried := oracleProbeClass(res, reps.At(n), f, walk)
 			info.Candidates += tried
 			if q == 0 {
 				continue
@@ -498,18 +505,18 @@ func oracleSynthesize(s *Synthesizer, f perm.Perm) (circuit.Circuit, Info, error
 	return append(pc, rc...), info, nil
 }
 
-// oracleProbeClass enumerates the variants q of rep and returns the
-// first whose residue q ⋄ f is in the table (q = 0 if none), with that
-// residue and the number of candidates tried. Unreduced tables store
-// every function, so rep is its own only candidate.
-func oracleProbeClass(res *bfs.Result, rep, f perm.Perm) (q, residue perm.Perm, tried int64) {
+// oracleProbeClass enumerates the variants q of rep along walk and
+// returns the first whose residue q ⋄ f is in the table (q = 0 if none),
+// with that residue and the number of candidates tried. Unreduced tables
+// store every function, so rep is its own only candidate.
+func oracleProbeClass(res *bfs.Result, rep, f perm.Perm, walk func(perm.Perm, func(perm.Perm) bool)) (q, residue perm.Perm, tried int64) {
 	if !res.Reduced {
 		if r := rep.Then(f); res.Contains(r) {
 			return rep, r, 1
 		}
 		return 0, 0, 1
 	}
-	canon.ForEachVariant(rep, func(v perm.Perm) bool {
+	walk(rep, func(v perm.Perm) bool {
 		tried++
 		if r := v.Then(f); res.Contains(r) {
 			q, residue = v, r
@@ -520,12 +527,31 @@ func oracleProbeClass(res *bfs.Result, rep, f perm.Perm) (q, residue perm.Perm, 
 	return q, residue, tried
 }
 
-// TestParallelMITMMatchesSequential pins the determinism rule: at
-// Workers 1, 2 and 8 every query returns the sequential oracle's circuit
-// and Info (cost, split prefix, direct flag, candidates). Each corpus
-// only keeps specs whose scan reaches a level of at least
-// parallelQueryThreshold representatives, so Workers > 1 runs the
-// parallel driver there:
+// mitmCorpus is a draw of meet-in-the-middle specs over one table set:
+// draws specs from spec, of which keep must accept at least wantSpecs
+// by the oracle's Info.
+type mitmCorpus struct {
+	name      string
+	alphabet  *bfs.Alphabet
+	k         int
+	noReduce  bool
+	spec      func(*rand.Rand) perm.Perm
+	draws     int
+	keep      func(Info) bool
+	wantSpecs int
+}
+
+// shortDraws is full, or trimmed under -short.
+func shortDraws(full, trimmed int) int {
+	if testing.Short() {
+		return trimmed
+	}
+	return full
+}
+
+// mitmCorpora are the scan corpora, each keeping specs whose scan
+// reaches a level of at least parallelQueryThreshold representatives,
+// so Workers > 1 runs the parallel driver there:
 //   - gates: 8-gate specs on k = 4 tables that split at prefix 4
 //     (6538 representatives);
 //   - quantum cost: weighted specs costlier than 5, so the scan reaches
@@ -533,56 +559,68 @@ func oracleProbeClass(res *bfs.Result, rep, f perm.Perm) (q, residue perm.Perm, 
 //     whole;
 //   - unreduced: specs split at prefix ≥ 2 over unreduced k = 3 tables
 //     (784 and 16204 functions).
-func TestParallelMITMMatchesSequential(t *testing.T) {
+func mitmCorpora(t *testing.T) []mitmCorpus {
 	qc, err := bfs.WeightedGateAlphabet(gate.Gate.QuantumCost)
 	if err != nil {
 		t.Fatal(err)
 	}
-	short := testing.Short()
-	draws := func(full, trimmed int) int {
-		if short {
-			return trimmed
+	gates := func(n int) func(*rand.Rand) perm.Perm {
+		return func(rng *rand.Rand) perm.Perm { return randCircuit(rng, n).Perm() }
+	}
+	return []mitmCorpus{
+		{"gates", bfs.GateAlphabet(), 4, false, gates(8), shortDraws(300, 60), func(i Info) bool { return i.SplitPrefix == 4 }, shortDraws(40, 4)},
+		{"quantum-cost", qc, 6, false, gates(3), shortDraws(80, 20), func(i Info) bool { return !i.Direct && i.Cost > 5 }, shortDraws(25, 4)},
+		{"unreduced", bfs.GateAlphabet(), 3, true, gates(6), shortDraws(120, 30), func(i Info) bool { return i.SplitPrefix >= 2 }, shortDraws(40, 4)},
+	}
+}
+
+// forCorpus runs check on every spec of tc the oracle keeps, with the
+// oracle's answer, against tables searched afresh, and fails unless
+// enough specs were kept.
+func forCorpus(t *testing.T, tc mitmCorpus, check func(res *bfs.Result, f perm.Perm, want circuit.Circuit, wantInfo Info)) {
+	res, err := bfs.Search(tc.alphabet, tc.k, &bfs.Options{NoReduction: tc.noReduce})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := FromResult(res, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	checked := 0
+	for trial := 0; trial < tc.draws; trial++ {
+		f := tc.spec(rng)
+		want, info, err := oracleSynthesize(oracle, f)
+		if err != nil || !tc.keep(info) {
+			continue
 		}
-		return full
+		checked++
+		check(res, f, want, info)
 	}
-	cases := []struct {
-		name      string
-		alphabet  *bfs.Alphabet
-		k         int
-		noReduce  bool
-		gates     int
-		draws     int
-		keep      func(Info) bool
-		wantSpecs int
-	}{
-		{"gates", bfs.GateAlphabet(), 4, false, 8, draws(300, 60), func(i Info) bool { return i.SplitPrefix == 4 }, draws(40, 4)},
-		{"quantum-cost", qc, 6, false, 3, draws(80, 20), func(i Info) bool { return !i.Direct && i.Cost > 5 }, draws(25, 4)},
-		{"unreduced", bfs.GateAlphabet(), 3, true, 6, draws(120, 30), func(i Info) bool { return i.SplitPrefix >= 2 }, draws(40, 4)},
+	if checked < tc.wantSpecs {
+		t.Fatalf("only %d of %d draws kept, want ≥ %d", checked, tc.draws, tc.wantSpecs)
 	}
-	for _, tc := range cases {
+}
+
+// TestParallelMITMMatchesSequential pins the determinism rule: at
+// Workers 1, 2 and 8 every query over mitmCorpora returns the sequential
+// oracle's circuit and Info (cost, split prefix, direct flag,
+// candidates).
+func TestParallelMITMMatchesSequential(t *testing.T) {
+	for _, tc := range mitmCorpora(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := bfs.Search(tc.alphabet, tc.k, &bfs.Options{NoReduction: tc.noReduce})
-			if err != nil {
-				t.Fatal(err)
-			}
 			var synths []*Synthesizer
-			for _, w := range []int{1, 2, 8} {
-				s, err := FromResult(res, 0)
-				if err != nil {
-					t.Fatal(err)
+			forCorpus(t, tc, func(res *bfs.Result, f perm.Perm, want circuit.Circuit, wantInfo Info) {
+				if synths == nil {
+					for _, w := range []int{1, 2, 8} {
+						s, err := FromResult(res, 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						s.SetWorkers(w)
+						synths = append(synths, s)
+					}
 				}
-				s.SetWorkers(w)
-				synths = append(synths, s)
-			}
-			rng := rand.New(rand.NewSource(11))
-			checked := 0
-			for trial := 0; trial < tc.draws; trial++ {
-				f := randCircuit(rng, tc.gates).Perm()
-				want, wantInfo, err := oracleSynthesize(synths[0], f)
-				if err != nil || !tc.keep(wantInfo) {
-					continue
-				}
-				checked++
 				for _, s := range synths {
 					got, info, err := s.SynthesizeInfo(f)
 					if err != nil {
@@ -593,11 +631,163 @@ func TestParallelMITMMatchesSequential(t *testing.T) {
 							s.Workers(), f, got, info, want, wantInfo)
 					}
 				}
-			}
-			if checked < tc.wantSpecs {
-				t.Fatalf("only %d of %d draws reached a parallel level, want ≥ %d", checked, tc.draws, tc.wantSpecs)
-			}
+			})
 		})
+	}
+}
+
+// repeatingVariants is the variant walk as it was before
+// canon.ForEachVariant yielded each class member once: Canonical's whole
+// walk, repeats included — f, f⁻¹, then f's and f⁻¹'s conjugate at each
+// further position, or only the 24 conjugates of an involution.
+func repeatingVariants(f perm.Perm, fn func(perm.Perm) bool) {
+	fi := f.Inverse()
+	walk := []func(perm.Perm) perm.Perm{perm.Perm.Conj23, perm.Perm.Conj12, perm.Perm.Conj01, perm.Perm.Conj23, perm.Perm.Conj01, perm.Perm.Conj12, perm.Perm.Conj23, perm.Perm.Conj01}
+	if !fn(f) || fi != f && !fn(fi) {
+		return
+	}
+	cf, cfi := f, fi
+	for n := 0; n < canon.SigmaCount-1; n++ {
+		cf, cfi = walk[n%8](cf), walk[n%8](cfi)
+		if !fn(cf) || fi != f && !fn(cfi) {
+			return
+		}
+	}
+}
+
+// nonLocal hides a backend's tables.Localized side, so a synthesizer
+// over it scans in remote-sized batches of representatives.
+type nonLocal struct{ tables.Backend }
+
+// wireSymmetric draws products of 6 blocks that commute with swapping
+// wires 0 and 1: a gate the swap fixes, or a gate times its commuting
+// swapped twin. Each product p is fixed by that relabeling, so its class
+// has fewer than 48 members.
+func wireSymmetric() func(*rand.Rand) perm.Perm {
+	sw := 1 // canon.Sigma(1) swaps one adjacent pair of wires
+	var blocks []perm.Perm
+	for _, g := range gate.All() {
+		p, q := g.Perm(), canon.ConjugateGate(g, sw).Perm()
+		switch {
+		case p == q:
+			blocks = append(blocks, p)
+		case p.Then(q) == q.Then(p):
+			blocks = append(blocks, p.Then(q))
+		}
+	}
+	return func(rng *rand.Rand) perm.Perm {
+		f := perm.Identity
+		for range 6 {
+			f = f.Then(blocks[rng.Intn(len(blocks))])
+		}
+		return f
+	}
+}
+
+// palindromes draws palindromic 9-gate circuits g1…g4 g5 g4…g1, which
+// are involutions: every gate is its own inverse.
+func palindromes(rng *rand.Rand) perm.Perm {
+	c := randCircuit(rng, 5)
+	for i := 3; i >= 0; i-- {
+		c = append(c, c[i])
+	}
+	return c.Perm()
+}
+
+// TestOrbitScanMatchesRepeatingWalk holds the scan, which expands each
+// representative to the distinct members of its class, to the oracle
+// scan over the walk with repeats: at Workers 1 and 2, over in-process
+// tables and over a batched non-Localized backend, every query returns
+// the same circuit, Cost, Direct and SplitPrefix, from no more
+// candidates — and from exactly the orbit oracle's. The corpora are
+// mitmCorpora plus symmetric specs (involutions and wire-symmetric
+// functions) on k = 4 tables; the scanned representatives' classes are
+// the same either way, but a symmetric spec has several first hits in
+// one class.
+func TestOrbitScanMatchesRepeatingWalk(t *testing.T) {
+	// The oracle's walk is the orbit walk with repeats: 48 values (24
+	// for an involution) whose first occurrences are ForEachVariant's.
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		f := randCircuit(rng, trial%8).Perm()
+		if trial%2 == 1 {
+			f = palindromes(rng)
+		}
+		var rep, orbit, firsts []perm.Perm
+		repeatingVariants(f, func(v perm.Perm) bool { rep = append(rep, v); return true })
+		canon.ForEachVariant(f, func(v perm.Perm) bool { orbit = append(orbit, v); return true })
+		for _, v := range rep {
+			if !slices.Contains(firsts, v) {
+				firsts = append(firsts, v)
+			}
+		}
+		if n := len(rep); n != canon.MaxClassSize && (n != canon.SigmaCount || f.Inverse() != f) || !slices.Equal(firsts, orbit) {
+			t.Fatalf("%v: repeating walk %v, orbit walk %v", f, rep, orbit)
+		}
+	}
+	mitm := func(i Info) bool { return !i.Direct }
+	corpora := append(mitmCorpora(t),
+		mitmCorpus{"palindromes", bfs.GateAlphabet(), 4, false, palindromes, shortDraws(60, 12), mitm, shortDraws(20, 4)},
+		mitmCorpus{"wire-symmetric", bfs.GateAlphabet(), 4, false, wireSymmetric(), shortDraws(120, 24), mitm, shortDraws(20, 4)},
+	)
+	fewer := 0
+	for _, tc := range corpora {
+		t.Run(tc.name, func(t *testing.T) {
+			var synths []*Synthesizer
+			forCorpus(t, tc, func(res *bfs.Result, f perm.Perm, _ circuit.Circuit, orbitInfo Info) {
+				if synths == nil {
+					lb, err := tables.NewLocal(res)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, w := range []int{1, 2} {
+						local, err := FromResult(res, 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						batched, err := FromBackend(nonLocal{lb}, res.Alphabet, 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						local.SetWorkers(w)
+						batched.SetWorkers(w)
+						synths = append(synths, local, batched)
+					}
+				}
+				switch tc.name {
+				case "palindromes":
+					if f.Inverse() != f {
+						t.Fatalf("palindrome %v is not an involution", f)
+					}
+				case "wire-symmetric":
+					if canon.ClassSize(f) == canon.MaxClassSize {
+						t.Fatalf("wire-symmetric spec %v has a full-size class", f)
+					}
+				}
+				want, wantInfo, err := oracleSynthesizeWalk(synths[0], f, repeatingVariants)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if orbitInfo.Candidates < wantInfo.Candidates {
+					fewer++
+				}
+				for i, s := range synths {
+					got, info, err := s.SynthesizeInfo(f)
+					if err != nil {
+						t.Fatalf("synth %d (workers %d) spec %v: %v", i, s.Workers(), f, err)
+					}
+					if got.String() != want.String() || info.Cost != wantInfo.Cost ||
+						info.Direct != wantInfo.Direct || info.SplitPrefix != wantInfo.SplitPrefix ||
+						info.Candidates > wantInfo.Candidates || info.Candidates != orbitInfo.Candidates {
+						t.Fatalf("synth %d (workers %d) spec %v: got %v %+v, repeating-walk oracle %v %+v, orbit candidates %d",
+							i, s.Workers(), f, got, info, want, wantInfo, orbitInfo.Candidates)
+					}
+				}
+			})
+		})
+	}
+	if fewer == 0 {
+		t.Fatal("no spec scanned fewer candidates than the repeating walk")
 	}
 }
 
@@ -610,6 +800,70 @@ type countingBackend struct {
 func (b *countingBackend) LookupBatch(ctx context.Context, keys []uint64, vals []uint16, found []bool) error {
 	b.calls.Add(1)
 	return b.Backend.LookupBatch(ctx, keys, vals, found)
+}
+
+// levelKeyCounter counts the keys a sequential synthesizer sends per
+// level: each LookupBatch is charged to the level of the last LevelKeys
+// read (level 0 before the scan — the direct probe).
+type levelKeyCounter struct {
+	tables.Backend
+	level int
+	keys  map[int]int
+}
+
+func (b *levelKeyCounter) LevelKeys(ctx context.Context, c, lo int, out []uint64) error {
+	b.level = c
+	return b.Backend.LevelKeys(ctx, c, lo, out)
+}
+
+func (b *levelKeyCounter) LookupBatch(ctx context.Context, keys []uint64, vals []uint16, found []bool) error {
+	b.keys[b.level] += len(keys)
+	return b.Backend.LookupBatch(ctx, keys, vals, found)
+}
+
+// TestScanSendsEachClassMemberOnce: a beyond-horizon query scans every
+// level whole, and sends exactly one key per distinct member of each
+// representative's class — Σ ClassSize(rep) per level, no repeats of a
+// symmetric class — plus the direct probe's one.
+func TestScanSendsEachClassMemberOnce(t *testing.T) {
+	res, err := bfs.Search(bfs.GateAlphabet(), 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, err := tables.NewLocal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &levelKeyCounter{Backend: lb}
+	s, err := FromBackend(counted, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetWorkers(1)
+	want := map[int]int{0: 1}
+	var total int64
+	for i := 1; i <= s.MaxSplit(); i++ {
+		reps := res.Level(i)
+		for n := 0; n < reps.Len(); n++ {
+			want[i] += canon.ClassSize(reps.At(n))
+		}
+		total += int64(want[i])
+	}
+	if want[1] >= 2*48 {
+		t.Fatalf("level 1 has %d distinct members; want the symmetric classes' savings to show", want[1])
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 3; trial++ {
+		f := randCircuit(rng, 30).Perm()
+		counted.level, counted.keys = 0, map[int]int{}
+		_, info, err := s.SynthesizeInfo(f)
+		if !errors.Is(err, ErrBeyondHorizon) {
+			t.Fatalf("spec %v: err %v, want beyond the horizon", f, err)
+		}
+		if fmt.Sprint(counted.keys) != fmt.Sprint(want) || info.Candidates != total {
+			t.Fatalf("spec %v: keys per level %v, candidates %d; want %v, %d", f, counted.keys, info.Candidates, want, total)
+		}
+	}
 }
 
 // TestDirectProbeIsReconstructionStepZero: a direct query's probe of f's
@@ -706,6 +960,8 @@ func BenchmarkSynthesizeSize5Direct(b *testing.B) {
 	}
 }
 
+// BenchmarkSynthesizeSize7MITM prices meet-in-the-middle queries of
+// size ≤ 7 on k = 5 tables; candidates/op is the scan's Info.Candidates.
 func BenchmarkSynthesizeSize7MITM(b *testing.B) {
 	s, _ := fixtures(b)
 	rng := rand.New(rand.NewSource(7))
@@ -716,11 +972,15 @@ func BenchmarkSynthesizeSize7MITM(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var cands int64
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Synthesize(fs[i%len(fs)]); err != nil {
+		_, info, err := s.SynthesizeInfo(fs[i%len(fs)])
+		if err != nil {
 			b.Fatal(err)
 		}
+		cands += info.Candidates
 	}
+	b.ReportMetric(float64(cands)/float64(b.N), "candidates/op")
 }
 
 // waitGoroutines fails t unless the goroutine count falls back to base:

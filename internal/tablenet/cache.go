@@ -23,9 +23,12 @@ import (
 //  2. An immutable level-block cache: LevelKeys ranges are fetched as
 //     aligned blocks and kept, so repeated meet-in-the-middle scans stop
 //     re-fetching the low-level key ranges entirely.
-//  3. Singleflight coalescing: concurrent identical misses (the same
-//     level block, or the same miss-key batch — e.g. many clients racing
-//     the same specification) share one round trip.
+//  3. Singleflight coalescing of level blocks: concurrent misses of the
+//     same block share one round trip. Key misses are not coalesced: a
+//     miss batch travels on its caller's goroutine. Identical concurrent
+//     miss batches are rare (a traced perfbench fleet-mix run shared 2
+//     fetches against 8 million key misses), so sharing them bought
+//     nothing for a goroutine and a content hash per miss batch.
 
 // hotWays is the set associativity of the hot-key cache: victim
 // selection is exact LRU within a 4-slot set, which captures the
@@ -287,119 +290,6 @@ func (lc *levelCache) block(ctx context.Context, c, idx, blockN int, fetch func(
 		return fl.blk, fl.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
-	}
-}
-
-// lookupFlight is one in-flight miss-batch fetch. keys is the flight's
-// own copy; identical concurrent batches (compared by content, not just
-// hash) wait on done and copy vals/found out.
-type lookupFlight struct {
-	keys  []uint64
-	vals  []uint16
-	found []bool
-	err   error
-	done  chan struct{}
-}
-
-// lookupFlights indexes in-flight miss batches by a content hash, with
-// per-bucket lists so hash collisions degrade to extra comparisons,
-// never wrong answers.
-type lookupFlights struct {
-	mu        sync.Mutex
-	inflight  map[uint64][]*lookupFlight
-	coalesced atomic.Uint64
-}
-
-func newLookupFlights() *lookupFlights {
-	return &lookupFlights{inflight: make(map[uint64][]*lookupFlight)}
-}
-
-// hashKeys fingerprints a key batch (order-sensitive: batches coalesce
-// only when byte-identical, which is what preserves response order).
-func hashKeys(keys []uint64) uint64 {
-	h := uint64(len(keys))
-	for _, k := range keys {
-		h = hashtab.Hash64Shift(h ^ k)
-	}
-	return h
-}
-
-func equalKeys(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, k := range a {
-		if b[i] != k {
-			return false
-		}
-	}
-	return true
-}
-
-// do resolves one miss batch: if an identical batch is already in
-// flight its result is shared; otherwise fetch runs exactly once and
-// its results are published to every waiter. vals/found are filled on
-// success.
-//
-// As with level blocks, the fetch itself runs detached from any single
-// caller's context (context.WithoutCancel): a coalesced waiter must
-// never inherit the launching query's cancellation or deadline. Every
-// caller waits under its own ctx; the flight outlives a canceled
-// caller, bounded by the wire layer's stall backstop, and its results
-// still reach the cache.
-func (lf *lookupFlights) do(ctx context.Context, keys []uint64, vals []uint16, found []bool, fetch func(ctx context.Context, keys []uint64, vals []uint16, found []bool) error) error {
-	h := hashKeys(keys)
-	lf.mu.Lock()
-	var fl *lookupFlight
-	for _, o := range lf.inflight[h] {
-		if equalKeys(o.keys, keys) {
-			fl = o
-			lf.coalesced.Add(1)
-			break
-		}
-	}
-	launched := false
-	if fl == nil {
-		fl = &lookupFlight{
-			keys:  append([]uint64(nil), keys...),
-			vals:  make([]uint16, len(keys)),
-			found: make([]bool, len(keys)),
-			done:  make(chan struct{}),
-		}
-		lf.inflight[h] = append(lf.inflight[h], fl)
-		launched = true
-	}
-	lf.mu.Unlock()
-	if launched {
-		go func(fctx context.Context) {
-			fl.err = fetch(fctx, fl.keys, fl.vals, fl.found)
-			close(fl.done)
-			lf.mu.Lock()
-			bucket := lf.inflight[h]
-			for i, o := range bucket {
-				if o == fl {
-					bucket[i] = bucket[len(bucket)-1]
-					bucket = bucket[:len(bucket)-1]
-					break
-				}
-			}
-			if len(bucket) == 0 {
-				delete(lf.inflight, h)
-			} else {
-				lf.inflight[h] = bucket
-			}
-			lf.mu.Unlock()
-		}(context.WithoutCancel(ctx))
-	}
-	select {
-	case <-fl.done:
-		if fl.err == nil {
-			copy(vals, fl.vals)
-			copy(found, fl.found)
-		}
-		return fl.err
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 }
 

@@ -24,11 +24,10 @@ type ClientOptions struct {
 	// DialTimeout bounds each dial+handshake; 0 means 5 s.
 	DialTimeout time.Duration
 	// CacheKeys is the hot-key cache capacity in entries (16 bytes
-	// each); 0 means DefaultCacheKeys, negative disables the key cache
-	// and its miss coalescing. The cache is correct for the client's
-	// lifetime because the handshake pins one immutable table
-	// generation: a reconnect onto different tables fails loudly instead
-	// of poisoning the cache.
+	// each); 0 means DefaultCacheKeys, negative disables the key cache.
+	// The cache is correct for the client's lifetime because the
+	// handshake pins one immutable table generation: a reconnect onto
+	// different tables fails loudly instead of poisoning the cache.
 	CacheKeys int
 	// LevelCacheBytes is the byte budget of the immutable level-block
 	// cache; 0 means DefaultLevelCacheBytes, negative disables it.
@@ -59,10 +58,10 @@ const DefaultLevelCacheBytes = 32 << 20
 // multiplexed over a bounded pool of request/response connections.
 //
 // The client is tiered: immutable results are cached (a sharded hot-key
-// cache for lookups, an aligned-block cache for level key ranges) and
-// identical concurrent misses are coalesced into one round trip, so a
-// warm client answers most reads without touching the network. See
-// CacheStats for the counters.
+// cache for lookups, an aligned-block cache for level key ranges, whose
+// concurrent misses of one block share a round trip), so a warm client
+// answers most reads without touching the network. See CacheStats for
+// the counters.
 type Client struct {
 	addr   string
 	opts   ClientOptions
@@ -83,9 +82,8 @@ type Client struct {
 	ownershipMismatches atomic.Uint64
 
 	// Tiered read path (nil when disabled via options).
-	kcache   *hotKeyCache
-	kflights *lookupFlights
-	lcache   *levelCache
+	kcache *hotKeyCache
+	lcache *levelCache
 
 	bytesRead    atomic.Uint64
 	bytesWritten atomic.Uint64
@@ -161,7 +159,6 @@ func Dial(addr string, opts *ClientOptions) (*Client, error) {
 			ck = DefaultCacheKeys
 		}
 		cl.kcache = newHotKeyCache(ck)
-		cl.kflights = newLookupFlights()
 	}
 	if o.LevelCacheBytes >= 0 {
 		lb := o.LevelCacheBytes
@@ -272,8 +269,8 @@ func (cl *Client) OwnershipMismatches() uint64 { return cl.ownershipMismatches.L
 func (cl *Client) Meta() tables.Meta { return cl.meta }
 
 // CacheStats snapshots the tiered read path's counters: cache hits and
-// misses per tier, coalesced fetches, cache memory, and the wire bytes
-// actually moved.
+// misses per tier, coalesced level-block fetches, cache memory, and the
+// wire bytes actually moved.
 func (cl *Client) CacheStats() tables.CacheStats {
 	st := tables.CacheStats{
 		WireBytesRead:    cl.bytesRead.Load(),
@@ -285,13 +282,10 @@ func (cl *Client) CacheStats() tables.CacheStats {
 		st.KeyMisses = cl.kcache.misses.Load()
 		st.CacheBytes += cl.kcache.bytes()
 	}
-	if cl.kflights != nil {
-		st.Coalesced += cl.kflights.coalesced.Load()
-	}
 	if cl.lcache != nil {
 		st.LevelHits = cl.lcache.hits.Load()
 		st.LevelMisses = cl.lcache.misses.Load()
-		st.Coalesced += cl.lcache.coalesced.Load()
+		st.Coalesced = cl.lcache.coalesced.Load()
 		st.CacheBytes += cl.lcache.bytes.Load()
 	}
 	return st
@@ -506,9 +500,9 @@ func (cl *Client) attempt(ctx context.Context, attemptDL time.Time, op byte, enc
 // LookupBatch implements tables.Backend: canonical keys out, packed
 // values and presence back. Keys present in the hot-key cache are
 // answered locally; only the misses travel (one round trip per
-// maxLookupKeys chunk), coalesced with any identical in-flight miss
-// batch, and the fetched results — present or absent, both immutable —
-// are cached for every later probe.
+// maxLookupKeys chunk, on the caller's goroutine and under its ctx), and
+// the fetched results — present or absent, both immutable — are cached
+// for every later probe.
 func (cl *Client) LookupBatch(ctx context.Context, keys []uint64, vals []uint16, found []bool) error {
 	if len(vals) != len(keys) || len(found) != len(keys) {
 		return fmt.Errorf("tablenet: LookupBatch slice lengths differ (%d/%d/%d)", len(keys), len(vals), len(found))
@@ -535,26 +529,15 @@ func (cl *Client) LookupBatch(ctx context.Context, keys []uint64, vals []uint16,
 	}
 	cl.kcache.misses.Add(uint64(len(missIdx)))
 	missVals, missFound := sc.vals[:len(missIdx)], sc.found[:len(missIdx)]
-	err := cl.kflights.do(ctx, missKeys, missVals, missFound, cl.lookupFill)
+	err := cl.lookupWire(ctx, missKeys, missVals, missFound)
 	if err == nil {
 		for j, i := range missIdx {
 			vals[i], found[i] = missVals[j], missFound[j]
+			cl.kcache.put(missKeys[j], missVals[j], missFound[j])
 		}
 	}
 	batchScratchPool.Put(sc)
 	return err
-}
-
-// lookupFill is the singleflight fetch function: resolve the miss keys
-// over the wire, then publish every result into the hot-key cache.
-func (cl *Client) lookupFill(ctx context.Context, keys []uint64, vals []uint16, found []bool) error {
-	if err := cl.lookupWire(ctx, keys, vals, found); err != nil {
-		return err
-	}
-	for i, k := range keys {
-		cl.kcache.put(k, vals[i], found[i])
-	}
-	return nil
 }
 
 // lookupWire resolves keys against the server, one round trip per

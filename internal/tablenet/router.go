@@ -207,11 +207,12 @@ type lookupScratch struct {
 var lookupPool = sync.Pool{New: func() any { return new(lookupScratch) }}
 
 // LookupBatch partitions the batch by key owner and resolves every
-// sub-batch concurrently against its range's replicas. Results land
-// exactly where a single backend would have put them, so callers cannot
-// tell a router from a table. The first sub-batch to fail terminally
-// cancels its siblings — once the batch's outcome is decided, the
-// remaining sub-lookups are wasted wire traffic.
+// sub-batch concurrently against its range's replicas: the last range's
+// inline on the caller's goroutine, each other range's on a goroutine of
+// its own. Results land exactly where a single backend would have put
+// them, so callers cannot tell a router from a table. The first
+// sub-batch to fail terminally cancels its siblings — once the batch's
+// outcome is decided, the remaining sub-lookups are wasted wire traffic.
 //
 // A batch whose keys all fall in one range — every batch of one, so
 // every direct probe and reconstruction step — runs inline on the
@@ -234,8 +235,9 @@ func (r *Router) LookupBatch(ctx context.Context, keys []uint64, vals []uint16, 
 	return r.fanOut(ctx, keys, vals, found)
 }
 
-// fanOut resolves a batch spanning several hash ranges: one goroutine
-// per non-empty range, each on its own window of pooled scratch, the
+// fanOut resolves a batch spanning several hash ranges: each non-empty
+// range on its own window of pooled scratch, the last one inline on the
+// caller's goroutine and every other on a goroutine of its own, the
 // first terminal failure cancelling the rest. It is a separate function
 // so that its cancel context, which the goroutines capture, does not
 // move the single-range path's ctx to the heap.
@@ -247,12 +249,14 @@ func (r *Router) fanOut(ctx context.Context, keys []uint64, vals []uint16, found
 		sc.idx = make([][]int, n)
 	}
 	idx := sc.idx[:n]
+	last := 0 // the last non-empty range
 	for g := range idx {
 		idx[g] = idx[g][:0]
 	}
 	for i, k := range keys {
 		g := ShardOf(k, n)
 		idx[g] = append(idx[g], i)
+		last = max(last, g)
 	}
 	if cap(sc.keys) < len(keys) {
 		sc.keys = make([]uint64, len(keys))
@@ -261,13 +265,26 @@ func (r *Router) fanOut(ctx context.Context, keys []uint64, vals []uint16, found
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// Slice the shared scratch into disjoint per-range windows laid out
-	// in range order, so the concurrent sub-lookups never overlap.
 	var wg sync.WaitGroup
 	var firstErr error
 	var errOnce sync.Once
+	lookup := func(g int, ids []int, subKeys []uint64, subVals []uint16, subOK []bool) {
+		if err := r.groupLookup(ctx, g, subKeys, subVals, subOK); err != nil {
+			errOnce.Do(func() {
+				firstErr = err
+				cancel()
+			})
+			return
+		}
+		for j, i := range ids {
+			vals[i] = subVals[j]
+			found[i] = subOK[j]
+		}
+	}
+	// Slice the shared scratch into disjoint per-range windows laid out
+	// in range order, so the concurrent sub-lookups never overlap.
 	off := 0
-	for g := 0; g < n; g++ {
+	for g := 0; g <= last; g++ {
 		ids := idx[g]
 		if len(ids) == 0 {
 			continue
@@ -279,21 +296,15 @@ func (r *Router) fanOut(ctx context.Context, keys []uint64, vals []uint16, found
 		for j, i := range ids {
 			subKeys[j] = keys[i]
 		}
+		if g == last {
+			lookup(g, ids, subKeys, subVals, subOK)
+			break
+		}
 		wg.Add(1)
-		go func(g int, ids []int, subKeys []uint64, subVals []uint16, subOK []bool) {
+		go func() {
 			defer wg.Done()
-			if err := r.groupLookup(ctx, g, subKeys, subVals, subOK); err != nil {
-				errOnce.Do(func() {
-					firstErr = err
-					cancel()
-				})
-				return
-			}
-			for j, i := range ids {
-				vals[i] = subVals[j]
-				found[i] = subOK[j]
-			}
-		}(g, ids, subKeys, subVals, subOK)
+			lookup(g, ids, subKeys, subVals, subOK)
+		}()
 	}
 	wg.Wait()
 	return firstErr

@@ -208,8 +208,9 @@ type CacheStats struct {
 	// immutable level-chunk cache vs fetched.
 	LevelHits   uint64 `json:"level_hits"`
 	LevelMisses uint64 `json:"level_misses"`
-	// Coalesced counts fetches that piggybacked on an identical
-	// in-flight miss instead of issuing their own round trip.
+	// Coalesced counts level-block fetches that piggybacked on an
+	// identical in-flight block fetch instead of issuing their own
+	// round trip. Key misses are never coalesced.
 	Coalesced uint64 `json:"coalesced"`
 	// CacheBytes is the memory currently held by the caches.
 	CacheBytes int64 `json:"cache_bytes"`
