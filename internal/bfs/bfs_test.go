@@ -557,8 +557,11 @@ func (s *countSink) Candidate(key uint64, _ uint16, _ uint64) {
 
 // BenchmarkCanonicalizeExpansion times the build's inner loop as the
 // build runs it: ExpandRep composes a level-3 representative (and its
-// inverse) with all 32 gates and canonicalizes every product. ns/cand
-// is the cost of one candidate.
+// inverse) with all 32 gates and canonicalizes every product, which
+// walks one or two cosets of 4–6 relabelings, or all 48 members when a
+// top nibble is 0 or 15. ns/cand is the cost of one candidate: about
+// 111 ns, against 179 when every product walked all 48 members
+// (2-vCPU x86-64 Xeon host, medians of 6 alternating runs).
 func BenchmarkCanonicalizeExpansion(b *testing.B) {
 	a := GateAlphabet()
 	res, err := Search(a, 3, nil)

@@ -71,11 +71,11 @@ func SeqStride(reduced bool, groupLen int) uint64 {
 // element's gate value ops on base, and the inverse the canonicalization
 // needs, h⁻¹ = P·base⁻¹, is its gate position ops on base⁻¹; r⁻¹ is
 // computed once per representative and serves both halves. Every
-// alphabet takes this one path. Against a perm.Then and a perm.Inverse
-// per candidate, this cuts a gate-alphabet candidate from about 214 ns
-// to about 166, most of the rest being canon.CanonicalPair
-// (BenchmarkCanonicalizeExpansion, medians of 6 alternating runs on a
-// 2-vCPU x86-64 Xeon host).
+// alphabet takes this one path. A gate-alphabet candidate costs about
+// 111 ns, most of it canon.CanonicalPair, which walks only the
+// relabelings that can reach the class minimum (179 ns when it walked
+// all 48 members; BenchmarkCanonicalizeExpansion, medians of 6
+// alternating runs on a 2-vCPU x86-64 Xeon host).
 func ExpandRep(a *Alphabet, r perm.Perm, elemIdxs []int, cost int, reduced bool, seqBase uint64, sink CandidateSink) {
 	if !reduced {
 		for j, ei := range elemIdxs {

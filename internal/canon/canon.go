@@ -10,28 +10,38 @@
 // packed word — a single unsigned comparison per candidate, exactly as in
 // paper §3.3.
 //
-// All 24 conjugates are visited by a plain-changes (Steinhaus–Johnson–
-// Trotter) walk through S₄: 23 conjugations by adjacent wire
-// transpositions, each a 14-operation kernel (perm.Conj01, Conj12,
-// Conj23). The walk's kernel order has period 8 — Conj23 Conj12 Conj01
-// Conj23 Conj01 Conj12 Conj23 Conj01, three times with the last step
-// dropped — so Canonical and the variant walk spell it out as direct
-// kernel calls, with no per-step dispatch on the transposition index or
-// lookup of the relabeling reached; the minimum's walk position maps to
-// its relabeling once, at the end, through walkPos. Together with one
-// inversion this canonicalizes a random function or a gate product in
-// about 100–150 ns, and an involution (one sweep instead of two) in
-// about 100 ns, on a 2-vCPU x86-64 Xeon host (BenchmarkCanonical; the
-// host's speed varies by tens of percent from run to run).
+// The walk order is a plain-changes (Steinhaus–Johnson–Trotter) walk
+// through S₄: 23 conjugations by adjacent wire transpositions, each a
+// 14-operation kernel (perm.Conj01, Conj12, Conj23), in an order of
+// period 8 — Conj23 Conj12 Conj01 Conj23 Conj01 Conj12 Conj23 Conj01,
+// three times with the last step dropped — which walk spells out as
+// direct kernel calls. It fixes which member is the witness: the first
+// minimum of the walk, f's conjugate before f⁻¹'s at each position.
 //
-// CanonicalPair is the same walk for a caller that already holds f⁻¹,
-// and skips the inversion: about 84 ns against 98 for Canonical on the
-// same gate products (BenchmarkCanonical/products-pair and /products,
-// medians of 6 runs). The BFS expansion is that caller. It derives each
+// Canonicalization visits only the members that can be the minimum.
+// The top nibble of conj(f,σ) is gσ⁻¹(f(15)), since gσ fixes state 15,
+// and a relabeling keeps its popcount w; so the minimum's top nibble is
+// 2^w − 1 for the smaller w of f(15) and f⁻¹(15), and on each side that
+// can reach it only the relabelings that move the top's set bits to the
+// low bits count: a coset of 6 relabelings (w = 1 or 3) or 4 (w = 2),
+// reached with at most two wire transpositions and walked through the
+// stabilizer of 2^w − 1 with adjacent kernels, where the full walk
+// takes 46. Each coset member carries its position in the walk, so
+// the witness does not change. A top of 0 or 15 is fixed by every
+// relabeling, and those functions take walk's full sweep. CanonicalPair
+// is this walk for a caller that already holds f⁻¹; Canonical inverts
+// f first. On 2^20 distinct 5–6-gate products CanonicalPair takes about
+// 92 ns, where walking all 48 members took about 176; on random
+// functions Canonical takes about 114 ns (203 with the full walk), on a
+// 2-vCPU x86-64 Xeon host (BenchmarkCanonical/products-corpus-pair and
+// /random, medians of 6 alternating runs; the host's speed varies by
+// tens of percent from run to run).
+//
+// The BFS expansion is CanonicalPair's caller. It derives each
 // product's inverse from its representative's with a few word
 // operations (bfs.ExpandRep), so one expansion candidate — the two
-// products, the walk, and packing the value — costs about 166 ns, where
-// a perm.Then, a perm.Inverse and Canonical cost about 214
+// products, the canonicalization, and packing the value — costs about
+// 111 ns, against 179 with the full walk
 // (bfs.BenchmarkCanonicalizeExpansion, medians of 6 alternating runs).
 //
 // ForEachVariant enumerates a class — the meet-in-the-middle scan's
@@ -41,7 +51,9 @@
 package canon
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/gate"
@@ -72,7 +84,59 @@ var (
 	// conjGateTable[s][gi] is the gate computing
 	// Conjugate(gate.FromIndex(gi).Perm(), shuffles[s]).
 	conjGateTable [SigmaCount][gate.Count]gate.Gate
+	// cosets[v] is CanonicalPair's plan for a side whose top nibble is v.
+	cosets [16]coset
 )
+
+// kernel conjugates by the wire transposition (i j), i < j, as data:
+// two delta swaps, one of the nibble positions whose indices differ in
+// bits i and j, one of bits i and j of every nibble value. For adjacent
+// wires it computes what perm.Conj01, Conj12 and Conj23 compute; the
+// zero kernel is the identity, so a coset plan pads with it to a fixed
+// length and runs without a data-dependent branch.
+type kernel struct {
+	pos, val       uint64 // the lower bit of each swapped pair: positions, values
+	pshift, vshift uint
+}
+
+func transposition(i, j int) kernel {
+	var pos uint64
+	for x := 0; x < 16; x++ {
+		if x>>i&1 == 1 && x>>j&1 == 0 {
+			pos |= 0xF << (4 * x)
+		}
+	}
+	return kernel{pos, 0x1111111111111111 << i, uint(4 * (1<<j - 1<<i)), uint(j - i)}
+}
+
+func (k *kernel) conj(p perm.Perm) perm.Perm {
+	v := uint64(p)
+	// No shift reaches 64; the masks let the compiler drop the code Go
+	// shifts need for counts of 64 or more.
+	ps, vs := k.pshift&63, k.vshift&63
+	d := (v>>ps ^ v) & k.pos
+	v ^= d | d<<ps
+	d = (v>>vs ^ v) & k.val
+	return perm.Perm(v ^ (d | d<<vs))
+}
+
+// coset is CanonicalPair's plan for a side whose top nibble v is
+// neither 0 nor 15: the relabelings σ with gσ⁻¹(v) = 2^w − 1, w the
+// popcount of v. reach moves v's set bits to the low bits with at most
+// two wire transpositions, which lands on one σ of the coset; walk then
+// steps through the stabilizer of 2^w − 1 with adjacent kernels (0 1)
+// and (2 3) when w is 2, (1 2) and (2 3) when w is 1, (0 1) and (1 2)
+// when w is 3. The 4-member coset of w = 2 ends in two identity steps
+// that repeat its last member, which cannot change the minimum. Each
+// member carries the rank of its position in Canonical's plain-changes
+// walk, and at maps the rank back to that position.
+type coset struct {
+	reach [2]kernel
+	walk  [5]kernel
+	rank  [6]uint8 // rank[i]: the rank of the position after i steps
+	at    [8]uint8 // at[r]: the doubled position of rank r, ascending
+	top   uint64   // 2^w − 1 in the top nibble
+}
 
 // sjt enumerates S₄ by plain changes, returning the permutations and the
 // swap positions (0, 1 or 2: the index of the left element of the swapped
@@ -162,8 +226,55 @@ func init() {
 		}
 		inverseIdx[s] = inv
 	}
+	var posOf [SigmaCount]uint8 // the inverse of walkPos
 	for i, t := range swaps {
 		walkPos[i+1] = stepTable[walkPos[i]][t]
+		posOf[walkPos[i+1]] = uint8(i + 1)
+	}
+	stabilizers := [4][][2]int{
+		1: {{1, 2}, {2, 3}, {1, 2}, {2, 3}, {1, 2}},
+		2: {{0, 1}, {2, 3}, {0, 1}},
+		3: {{0, 1}, {1, 2}, {0, 1}, {1, 2}, {0, 1}},
+	}
+	for v := 1; v < 15; v++ {
+		c, s, w := &cosets[v], 0, bits.OnesCount(uint(v))
+		// then conjugates by (i j) and follows the relabeling reached.
+		then := func(i, j int) kernel {
+			sigma := [4]uint8{0, 1, 2, 3}
+			sigma[i], sigma[j] = sigma[j], sigma[i]
+			g, err := perm.WireShuffle(sigma)
+			if err != nil {
+				panic(err)
+			}
+			s = shuffleIdx[g.Then(shuffles[s])]
+			return transposition(i, j)
+		}
+		// Pair the set bits at w or above with the clear bits below w.
+		hole := 0
+		for n, hi := 0, w; hi < 4; hi++ {
+			if v>>hi&1 == 0 {
+				continue
+			}
+			for v>>hole&1 == 1 {
+				hole++
+			}
+			c.reach[n] = then(hole, hi)
+			n, hole = n+1, hole+1
+		}
+		// Number the members in step order, then rank them by position.
+		steps := [6]uint8{2 * posOf[s]}
+		for n := range c.walk {
+			if n < len(stabilizers[w]) {
+				c.walk[n] = then(stabilizers[w][n][0], stabilizers[w][n][1])
+			}
+			steps[n+1] = 2 * posOf[s]
+		}
+		order := []int{0, 1, 2, 3, 4, 5}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(steps[a], steps[b]) })
+		for r, n := range order {
+			c.rank[n], c.at[r] = uint8(r), steps[n]
+		}
+		c.top = (1<<w - 1) << 60
 	}
 
 	// Gate conjugation tables: wire relabeling maps library gates to
@@ -216,72 +327,69 @@ func Canonical(f perm.Perm) (rep perm.Perm, sigma int, inverted bool) {
 }
 
 // CanonicalPair is Canonical for a caller that already holds fi =
-// f.Inverse(): the same walk, the same representative and the same
-// witness, without the inversion. fi must be f's inverse; nothing
-// checks it. The BFS expansion computes each product's inverse with a
-// few word operations from its base's (bfs.ExpandRep), which is
-// cheaper than a general inversion.
+// f.Inverse(): the same representative and the same witness, without
+// the inversion. fi must be f's inverse; nothing checks it. The BFS
+// expansion computes each product's inverse with a few word operations
+// from its base's (bfs.ExpandRep), which is cheaper than a general
+// inversion.
+//
+// Only a side (f or f⁻¹) whose top nibble has the smaller popcount w
+// takes part, and it walks only its coset: the 6 or 4 relabelings that
+// bring its top to 2^w − 1, or all 24 when the top is 0 or 15 (see the
+// package doc). An equal word, which only a symmetric class has, wins
+// when its walk position is earlier.
 func CanonicalPair(f, fi perm.Perm) (rep perm.Perm, sigma int, inverted bool) {
+	w, wi := bits.OnesCount64(uint64(f>>60)), bits.OnesCount64(uint64(fi>>60))
+	if least := min(w, wi); least == 0 || least == 4 {
+		// The top that takes part is 0 or 15, which every relabeling
+		// fixes: the coset is all of S₄, which walk sweeps. When only
+		// one side takes part, it sweeps that side's 24 conjugates.
+		side, other, inv := f, fi, 0
+		if w < wi {
+			other = f
+		} else if wi < w {
+			side, other, inv = fi, fi, 1
+		}
+		var all [MaxClassSize]perm.Perm
+		n, _, i := walk(side, other, &all)
+		rep = all[i]
+		if n == SigmaCount { // one value per position
+			i = 2*i + inv
+		}
+		return rep, walkPos[i>>1], i&1 != 0
+	}
 	// at is the walk position of the minimum, doubled, plus one when the
-	// minimum is f⁻¹'s conjugate; n counts doubled steps.
-	rep, at, n := f, 0, 0
-	if fi == f {
-		// Involution: the inverse orbit coincides with the direct one, so
-		// the second sweep — half the conjugation kernels and comparisons
-		// of the general case — is pure repetition. Involutions are not
-		// rare in the BFS inner loop (every alphabet element is one, and
-		// palindromic products stay closed under inversion), so this
-		// halves the canonicalization cost exactly where Table 1 says the
-		// time goes.
-		cf := f
-		step := func(next perm.Perm) {
-			n += 2
-			cf = next
-			if next < rep {
-				rep, at = next, n
-			}
-		}
-		for r := 0; r < 3; r++ {
-			step(cf.Conj23())
-			step(cf.Conj12())
-			step(cf.Conj01())
-			step(cf.Conj23())
-			step(cf.Conj01())
-			step(cf.Conj12())
-			step(cf.Conj23())
-			if r < 2 {
-				step(cf.Conj01())
-			}
-		}
-		return rep, walkPos[at>>1], false
+	// minimum is f⁻¹'s conjugate. No permutation packs to all ones, so
+	// a side taking part replaces the initial rep.
+	rep, at := ^perm.Perm(0), uint8(0)
+	if w <= wi {
+		rep, at = cosets[f>>60].least(f)
 	}
-	if fi < rep {
-		rep, at = fi, 1
-	}
-	cf, cfi := f, fi
-	step := func(next, nexti perm.Perm) {
-		n += 2
-		cf, cfi = next, nexti
-		if next < rep {
-			rep, at = next, n
-		}
-		if nexti < rep {
-			rep, at = nexti, n+1
-		}
-	}
-	for r := 0; r < 3; r++ {
-		step(cf.Conj23(), cfi.Conj23())
-		step(cf.Conj12(), cfi.Conj12())
-		step(cf.Conj01(), cfi.Conj01())
-		step(cf.Conj23(), cfi.Conj23())
-		step(cf.Conj01(), cfi.Conj01())
-		step(cf.Conj12(), cfi.Conj12())
-		step(cf.Conj23(), cfi.Conj23())
-		if r < 2 {
-			step(cf.Conj01(), cfi.Conj01())
+	// An involution's inverse orbit is its direct one, member for member.
+	if wi <= w && fi != f {
+		r, a := cosets[fi>>60].least(fi)
+		if a++; r < rep || r == rep && a < at {
+			rep, at = r, a
 		}
 	}
 	return rep, walkPos[at>>1], at&1 != 0
+}
+
+// least returns the least member of side's coset and its doubled walk
+// position, the earliest when the least member repeats. Every member
+// has the top nibble c.top, so least compares the members shifted up
+// by a nibble with their positions' ranks below: one unsigned minimum
+// orders them by word, then by walk position, without a branch.
+func (c *coset) least(side perm.Perm) (perm.Perm, uint8) {
+	side = c.reach[1].conj(c.reach[0].conj(side))
+	m := uint64(side)<<4 | uint64(c.rank[0])
+	for i := range c.walk {
+		side = c.walk[i].conj(side)
+		x := uint64(side)<<4 | uint64(c.rank[i+1])
+		_, less := bits.Sub64(x, m, 0) // 1 when x < m
+		m ^= (m ^ x) & -less
+	}
+	return perm.Perm(m>>4 | c.top), c.at[m&7]
 }
 
 // Rep returns just the canonical representative of f's class.
@@ -307,7 +415,7 @@ func Rep(f perm.Perm) perm.Perm {
 // class that walks onto f again pays to drop its later repeats.
 func ForEachVariant(f perm.Perm, fn func(perm.Perm) bool) {
 	var w [MaxClassSize]perm.Perm
-	n, stab := walk(f, &w)
+	n, stab, _ := walk(f, f.Inverse(), &w)
 	if stab == 1 {
 		for _, v := range w[:n] {
 			if !fn(v) {
@@ -327,22 +435,27 @@ func ForEachVariant(f perm.Perm, fn func(perm.Perm) bool) {
 	}
 }
 
-// walk fills w with Canonical's walk of f (48 values, or the 24
-// conjugates of an involution) and returns its length n and the number
-// of its values equal to f: the order of f's stabilizer, so the class
-// has n/stab members.
-func walk(f perm.Perm, w *[MaxClassSize]perm.Perm) (n, stab int) {
-	fi := f.Inverse()
-	w[0], n, stab = f, 1, 1
+// walk fills w with Canonical's walk of f, whose inverse is fi (48
+// values, or the 24 conjugates of an involution; given fi = f, it walks
+// f's conjugates alone), and returns its length n, the number of its
+// values equal to f — the order of f's stabilizer, so the class has
+// n/stab members — and the index of its first least value.
+func walk(f, fi perm.Perm, w *[MaxClassSize]perm.Perm) (n, stab, least int) {
+	m := f
+	keep := func(v perm.Perm) {
+		w[n] = v
+		if v == f {
+			stab++
+		}
+		m = min(m, v)
+		n++
+	}
+	keep(f)
 	if fi == f {
 		cf := f
 		step := func(next perm.Perm) {
 			cf = next
-			w[n] = next
-			n++
-			if next == f {
-				stab++
-			}
+			keep(next)
 		}
 		for r := 0; r < 3; r++ {
 			step(cf.Conj23())
@@ -356,20 +469,14 @@ func walk(f perm.Perm, w *[MaxClassSize]perm.Perm) (n, stab int) {
 				step(cf.Conj01())
 			}
 		}
-		return n, stab
+		return n, stab, slices.Index(w[:n], m)
 	}
-	w[1], n = fi, 2
+	keep(fi)
 	cf, cfi := f, fi
 	step := func(next, nexti perm.Perm) {
 		cf, cfi = next, nexti
-		w[n], w[n+1] = next, nexti
-		n += 2
-		if next == f {
-			stab++
-		}
-		if nexti == f {
-			stab++
-		}
+		keep(next)
+		keep(nexti)
 	}
 	for r := 0; r < 3; r++ {
 		step(cf.Conj23(), cfi.Conj23())
@@ -383,7 +490,7 @@ func walk(f perm.Perm, w *[MaxClassSize]perm.Perm) (n, stab int) {
 			step(cf.Conj01(), cfi.Conj01())
 		}
 	}
-	return n, stab
+	return n, stab, slices.Index(w[:n], m)
 }
 
 // Class returns the distinct members of f's equivalence class in
@@ -406,6 +513,6 @@ func Class(f perm.Perm) []perm.Perm {
 // representative).
 func ClassSize(f perm.Perm) int {
 	var w [MaxClassSize]perm.Perm
-	n, stab := walk(f, &w)
+	n, stab, _ := walk(f, f.Inverse(), &w)
 	return n / stab
 }

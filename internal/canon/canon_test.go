@@ -1,6 +1,8 @@
 package canon
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -358,13 +360,17 @@ func TestCanonicalInvolutionFastPath(t *testing.T) {
 
 // BenchmarkCanonical isolates the canonicalization kernel on the input
 // populations the BFS inner loop sees: general functions (one
-// inversion, 46 conjugation kernels), involutions, where the inverse
-// sweep is skipped and the kernel count halves, and products of 1–12
-// gates, the shape bfs.ExpandRep feeds. products-pair hands the same
-// products to CanonicalPair with their inverses, as ExpandRep does.
-// Those cases cycle through 1,024 inputs, whose branches the predictor
-// learns; products-corpus and products-corpus-pair draw from 2^20
-// distinct 5–6-gate products instead, closer to what a build feeds.
+// inversion, then one coset walk of 4 or 6 members, or two when f(15)
+// and f⁻¹(15) have the same popcount), involutions, which walk one
+// side only, and products of 1–12 gates, the shape bfs.ExpandRep
+// feeds. degenerate-top holds functions with f(15) ∈ {0, 15}, whose
+// coset is all of S₄ (the full walk), and symmetric the members of
+// every class of cost ≤ 4 with fewer than 48 members, whose walks
+// hold ties. products-pair hands the products to CanonicalPair with
+// their inverses, as ExpandRep does. Those cases cycle through 1,024
+// inputs, whose branches the predictor learns; products-corpus and
+// products-corpus-pair draw from 2^20 distinct 5–6-gate products
+// instead, closer to what a build feeds.
 func BenchmarkCanonical(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	random := make([]perm.Perm, 1024)
@@ -375,10 +381,30 @@ func BenchmarkCanonical(b *testing.B) {
 		invs[i] = randInvolution(rng)
 		products[i] = randProduct(rng)
 	}
+	degenerate := make([]perm.Perm, 1024)
+	for i := range degenerate {
+		degenerate[i] = withTop(randPerm(rng), uint8(15*(i&1)))
+	}
+	var symmetric []perm.Perm
+	for _, r := range classRepsUpTo(b, 4) {
+		if ClassSize(r) < MaxClassSize {
+			ForEachVariant(r, func(v perm.Perm) bool {
+				symmetric = append(symmetric, v)
+				return true
+			})
+		}
+	}
+	rng.Shuffle(len(symmetric), func(i, j int) { symmetric[i], symmetric[j] = symmetric[j], symmetric[i] })
+	for len(symmetric) < 1024 {
+		symmetric = append(symmetric, symmetric...)
+	}
 	for _, tc := range []struct {
 		name string
 		ps   []perm.Perm
-	}{{"random", random}, {"involution", invs}, {"products", products}} {
+	}{
+		{"random", random}, {"involution", invs}, {"products", products},
+		{"degenerate-top", degenerate}, {"symmetric", symmetric},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var acc perm.Perm
@@ -572,7 +598,7 @@ func randProduct(rng *rand.Rand) perm.Perm {
 // classRepsUpTo returns the canonical representatives of every class of
 // gate cost ≤ maxCost, found by the oracle: each cost-c class holds a
 // cost-(c−1) representative with one more gate on one side.
-func classRepsUpTo(t *testing.T, maxCost int) []perm.Perm {
+func classRepsUpTo(t testing.TB, maxCost int) []perm.Perm {
 	t.Helper()
 	seen := map[perm.Perm]bool{perm.Identity: true}
 	frontier := []perm.Perm{perm.Identity}
@@ -600,31 +626,141 @@ func classRepsUpTo(t *testing.T, maxCost int) []perm.Perm {
 	return all
 }
 
-// TestCanonicalMatchesOracle checks the walk, through Canonical and
-// through CanonicalPair given the inverse, against the oracle on over a
-// million inputs from four populations.
-func TestCanonicalMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	var variants []perm.Perm
+// withTop returns p with the values at 15 and at p⁻¹(v) exchanged, so
+// that it maps 15 to v.
+func withTop(p perm.Perm, v uint8) perm.Perm {
+	vals := p.Values()
+	for i, x := range vals {
+		if x == v {
+			vals[i], vals[15] = vals[15], v
+		}
+	}
+	return perm.MustFromValues(vals)
+}
+
+// randInvolutionTop returns a random involution that maps 15 to a
+// random state of the given popcount (to itself when it is 4): 15's
+// pair, then each other state a fixed point or paired with the next.
+func randInvolutionTop(rng *rand.Rand, popcount int) perm.Perm {
+	var tops, rest []uint8
+	for x := uint8(0); x < 15; x++ {
+		if bits.OnesCount8(x) == popcount {
+			tops = append(tops, x)
+		}
+	}
+	vals := [16]uint8{15: 15}
+	if len(tops) > 0 {
+		t := tops[rng.Intn(len(tops))]
+		vals[15], vals[t] = t, 15
+	}
+	for x := uint8(0); x < 15; x++ {
+		if vals[15] != x {
+			rest = append(rest, x)
+		}
+	}
+	rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
+	for i := 0; i < len(rest); i++ {
+		vals[rest[i]] = rest[i]
+		if i+1 < len(rest) && rng.Intn(2) == 0 {
+			vals[rest[i]], vals[rest[i+1]] = rest[i+1], rest[i]
+			i++
+		}
+	}
+	return perm.MustFromValues(vals)
+}
+
+// branchesOf names the branches of CanonicalPair that f takes: a top
+// nibble (f's or f⁻¹'s) of 0 or 15, whose coset is all of S₄; both
+// sides' cosets walked (equal popcounts, not an involution); an
+// involution, by the popcount of its top; and a tie, where the least
+// word sits at more than one position of the walk.
+func branchesOf(f perm.Perm) []string {
+	fi := f.Inverse()
+	w, wi := bits.OnesCount64(uint64(f>>60)), bits.OnesCount64(uint64(fi>>60))
+	var out []string
+	if w == 0 || w == 4 {
+		out = append(out, "f(15) ∈ {0,15}")
+	}
+	if wi == 0 || wi == 4 {
+		out = append(out, "f⁻¹(15) ∈ {0,15}")
+	}
+	if w == wi && fi != f && w != 0 && w != 4 {
+		out = append(out, "equal popcounts")
+	}
+	if fi == f {
+		out = append(out, fmt.Sprintf("involution, top popcount %d", w))
+	}
+	rep, _, _ := refCanonical(f)
+	ties := 0
+	refForEachVariant(f, func(v perm.Perm) bool {
+		if v == rep {
+			ties++
+		}
+		return true
+	})
+	if ties > 1 {
+		out = append(out, "tie")
+	}
+	return out
+}
+
+// oraclePopulations are TestCanonicalMatchesOracle's inputs: next(i)
+// gives the i-th of n. Besides random functions, involutions, gate
+// products and every member of every class of cost ≤ 4 (with its
+// inverse), they aim at each branch of CanonicalPair: tops of 0 or 15
+// on either side, equal popcounts on both, involutions with each top
+// popcount, and every relabeling and inversion of the symmetric classes
+// of cost ≤ 4, each of which has a tie.
+func oraclePopulations(t testing.TB, rng *rand.Rand, draws int) []population {
+	var variants, symmetric []perm.Perm
 	for _, r := range classRepsUpTo(t, 4) {
 		ForEachVariant(r, func(v perm.Perm) bool {
 			variants = append(variants, v, v.Inverse())
 			return true
 		})
+		if ClassSize(r) < MaxClassSize {
+			refForEachVariant(r, func(v perm.Perm) bool {
+				symmetric = append(symmetric, v)
+				return true
+			})
+		}
 	}
-	const draws = 330_000
-	populations := []struct {
-		name string
-		next func(i int) perm.Perm
-		n    int
-	}{
+	degenerateTop := func(i int) perm.Perm { return withTop(randPerm(rng), uint8(15*(i&1))) }
+	return []population{
 		{"random", func(int) perm.Perm { return randPerm(rng) }, draws},
 		{"involution", func(int) perm.Perm { return randInvolution(rng) }, draws},
 		{"product", func(int) perm.Perm { return randProduct(rng) }, draws},
 		{"cost≤4 variants", func(i int) perm.Perm { return variants[i] }, len(variants)},
+		{"f(15) ∈ {0,15}", degenerateTop, draws / 10},
+		{"f⁻¹(15) ∈ {0,15}", func(i int) perm.Perm { return degenerateTop(i).Inverse() }, draws / 10},
+		{"equal popcounts", func(int) perm.Perm {
+			for {
+				f := randPerm(rng)
+				w, wi := bits.OnesCount64(uint64(f>>60)), bits.OnesCount64(uint64(f.Inverse()>>60))
+				if w == wi && w != 0 && w != 4 {
+					return f
+				}
+			}
+		}, draws / 10},
+		{"involution by top popcount", func(i int) perm.Perm { return randInvolutionTop(rng, i%5) }, draws / 5},
+		{"symmetric cost≤4 walks", func(i int) perm.Perm { return symmetric[i] }, len(symmetric)},
 	}
-	total := 0
-	for _, pop := range populations {
+}
+
+type population struct {
+	name string
+	next func(i int) perm.Perm
+	n    int
+}
+
+// TestCanonicalMatchesOracle checks the coset walks, through Canonical
+// and through CanonicalPair given the inverse, against the oracle on
+// over a million inputs, and that every branch of CanonicalPair ran at
+// least 10,000 times.
+func TestCanonicalMatchesOracle(t *testing.T) {
+	const draws, branchFloor = 330_000, 10_000
+	total, branches := 0, map[string]int{}
+	for _, pop := range oraclePopulations(t, rand.New(rand.NewSource(12)), draws) {
 		for i := 0; i < pop.n; i++ {
 			f := pop.next(i)
 			rep, sigma, inverted := Canonical(f)
@@ -637,12 +773,25 @@ func TestCanonicalMatchesOracle(t *testing.T) {
 				t.Fatalf("%s %v: CanonicalPair = (%v, %d, %v), oracle (%v, %d, %v)",
 					pop.name, f, pr, ps, pi, wr, ws, wi)
 			}
+			for _, b := range branchesOf(f) {
+				branches[b]++
+			}
 		}
 		total += pop.n
 	}
 	if total < 1_000_000 {
 		t.Fatalf("checked %d inputs, want at least a million", total)
 	}
+	want := []string{"f(15) ∈ {0,15}", "f⁻¹(15) ∈ {0,15}", "equal popcounts", "tie"}
+	for w := 0; w <= 4; w++ {
+		want = append(want, fmt.Sprintf("involution, top popcount %d", w))
+	}
+	for _, b := range want {
+		if branches[b] < branchFloor {
+			t.Errorf("branch %q ran %d times, want at least %d", b, branches[b], branchFloor)
+		}
+	}
+	t.Logf("inputs per branch: %v", branches)
 }
 
 // TestForEachVariantMatchesOracle checks the variant sequence against
@@ -699,6 +848,120 @@ func TestForEachVariantMatchesOracle(t *testing.T) {
 	}
 	if degenerate < 100 {
 		t.Fatalf("only %d inputs with a degenerate class, want ≥ 100", degenerate)
+	}
+}
+
+// TestKernels holds each wire transposition's kernel to the
+// conjugation by its shuffle, the adjacent ones to perm's kernels too,
+// and the zero kernel to the identity.
+func TestKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	adjacent := map[[2]int]func(perm.Perm) perm.Perm{
+		{0, 1}: perm.Perm.Conj01, {1, 2}: perm.Perm.Conj12, {2, 3}: perm.Perm.Conj23,
+	}
+	for trial := 0; trial < 100; trial++ {
+		f := randPerm(rng)
+		if got := (&kernel{}).conj(f); got != f {
+			t.Fatalf("the zero kernel maps %v to %v", f, got)
+		}
+		for i := 0; i < 4; i++ {
+			for j := i + 1; j < 4; j++ {
+				sigma := [4]uint8{0, 1, 2, 3}
+				sigma[i], sigma[j] = sigma[j], sigma[i]
+				g, err := perm.WireShuffle(sigma)
+				if err != nil {
+					t.Fatal(err)
+				}
+				k := transposition(i, j)
+				got := k.conj(f)
+				if want := perm.Conjugate(f, g); got != want {
+					t.Fatalf("kernel (%d %d) on %v = %v, conjugation %v", i, j, f, got, want)
+				}
+				if conj := adjacent[[2]int{i, j}]; conj != nil && conj(f) != got {
+					t.Fatalf("kernel (%d %d) on %v = %v, perm's kernel %v", i, j, f, got, conj(f))
+				}
+			}
+		}
+	}
+}
+
+// TestCosetPlans checks CanonicalPair's plan for each top nibble v:
+// its members are exactly the relabelings σ with gσ⁻¹(v) = 2^w − 1
+// (w the popcount of v), each once, the 4-member cosets padded only by
+// trailing identity steps; each member's recorded position is the one
+// walkPos gives it, and its conjugate is the word the plan reaches
+// there; the ranks order the positions. For v ∈ {0, 15} the coset is
+// all of S₄, which walk sweeps: walkPos must hold every relabeling once.
+func TestCosetPlans(t *testing.T) {
+	f := randPerm(rand.New(rand.NewSource(17)))
+	fi := f.Inverse()
+	for v := 0; v < 16; v++ {
+		w := bits.OnesCount(uint(v))
+		want := map[int]bool{}
+		for s := 0; s < SigmaCount; s++ {
+			if Shuffle(s).Inverse().Apply(v) == 1<<w-1 {
+				want[s] = true
+			}
+		}
+		if v == 0 || v == 15 {
+			if len(want) != SigmaCount {
+				t.Fatalf("v = %d: %d relabelings keep it, want all %d", v, len(want), SigmaCount)
+			}
+			for _, s := range walkPos {
+				delete(want, s)
+			}
+			if len(want) != 0 || cosets[v] != (coset{}) {
+				t.Fatalf("v = %d: walk misses relabelings %v, or a plan was built", v, want)
+			}
+			continue
+		}
+		// Each side's plan is the same: test it on f and on f⁻¹.
+		c := &cosets[v]
+		if len(want) != map[int]int{1: 6, 2: 4, 3: 6}[w] {
+			t.Fatalf("v = %d: coset of %d relabelings", v, len(want))
+		}
+		if c.top != uint64(1<<w-1)<<60 {
+			t.Fatalf("v = %d: top %#x", v, c.top)
+		}
+		var ranks [6]bool
+		for i, r := range c.rank {
+			if r >= 6 || ranks[r] {
+				t.Fatalf("v = %d: rank %v is not a permutation of 0…5", v, c.rank)
+			}
+			ranks[r] = true
+			if i > 0 && c.at[i-1] > c.at[i] {
+				t.Fatalf("v = %d: positions %v not ascending", v, c.at[:6])
+			}
+		}
+		for _, side := range []perm.Perm{f, fi} {
+			visited := map[int]int{}
+			x := c.reach[1].conj(c.reach[0].conj(side))
+			for i := 0; i <= len(c.walk); i++ {
+				padding := i > 0 && c.walk[i-1] == (kernel{})
+				if i > 0 {
+					x = c.walk[i-1].conj(x)
+				}
+				at := c.at[c.rank[i]]
+				s := walkPos[at>>1]
+				if at&1 != 0 || x != perm.Conjugate(side, Shuffle(s)) {
+					t.Fatalf("v = %d step %d: word %v, recorded position %d (σ%d) gives %v",
+						v, i, x, at, s, perm.Conjugate(side, Shuffle(s)))
+				}
+				if !padding {
+					visited[s]++
+				} else if i < len(want) {
+					t.Fatalf("v = %d: identity step %d before the coset's %d members", v, i, len(want))
+				}
+			}
+			if len(visited) != len(want) {
+				t.Fatalf("v = %d: plan visits %d relabelings, coset has %d", v, len(visited), len(want))
+			}
+			for s, n := range visited {
+				if !want[s] || n != 1 {
+					t.Fatalf("v = %d: σ%d visited %d times, in the coset: %v", v, s, n, want[s])
+				}
+			}
+		}
 	}
 }
 
