@@ -115,7 +115,7 @@
 // TablesPath as a tablesio v2 zero-copy store, and every run — the
 // first included — memory-maps that store, so a later
 // cold start is O(pages touched), milliseconds even for table sets whose
-// v1-style parse-and-rehash took seconds to minutes, and concurrent
+// parse-and-rehash would take seconds to minutes, and concurrent
 // server processes share one page-cache copy. The service then answers
 // any number of concurrent queries through a bounded worker pool with an
 // LRU cache of recent results and atomic serving counters
@@ -520,12 +520,13 @@ type RewriteDB = rewrite.DB
 // (capped at 6) and returns a simplifier; apply with (*RewriteDB).Apply.
 func NewRewriteDB(maxSize int) *RewriteDB { return rewrite.NewDB(maxSize) }
 
-// SaveTables persists a synthesizer's precomputed search tables — the
-// paper's compute-once-on-a-big-machine workflow (§3.1, §4.1) — in the
-// tablesio v2 zero-copy layout, which LoadSynthesizerFile can
-// memory-map straight back into a servable synthesizer.
-func SaveTables(w io.Writer, s *Synthesizer) error {
-	return tablesio.SaveV2(w, s.Result())
+// SaveTables persists a synthesizer's precomputed search tables to path
+// — the paper's compute-once-on-a-big-machine workflow (§3.1, §4.1) —
+// atomically, in the tablesio v2 zero-copy layout, which
+// LoadSynthesizerFile memory-maps straight back into a servable
+// synthesizer.
+func SaveTables(path string, s *Synthesizer) error {
+	return tablesio.SaveFile(path, s.Result())
 }
 
 // Service is the long-lived serving layer: tables loaded (or built and
@@ -557,10 +558,10 @@ func NewService(cfg ServiceConfig) (*Service, error) { return service.New(cfg) }
 // cold multi-minute k = 9 load.
 func NewServiceAsync(cfg ServiceConfig) *Service { return service.NewAsync(cfg) }
 
-// LoadSynthesizer rehydrates tables written by SaveTables, or a legacy
-// v1 store written by an older version (the stream is sniffed and fully
-// verified). The alphabet must match the saved one; pass nil for the
-// standard 32-gate library.
+// LoadSynthesizer rehydrates tables written by SaveTables from a
+// stream, verifying them in full (LoadSynthesizerFile is the
+// memory-mapped path for a store on disk). The alphabet must match the
+// saved one; pass nil for the standard 32-gate library.
 func LoadSynthesizer(r io.Reader, alphabet *bfs.Alphabet) (*Synthesizer, error) {
 	if alphabet == nil {
 		alphabet = bfs.GateAlphabet()

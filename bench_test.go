@@ -12,14 +12,14 @@
 package repro
 
 import (
+	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"bytes"
 
 	"repro/internal/bfs"
 	"repro/internal/canon"
@@ -422,11 +422,14 @@ func BenchmarkExtensionTableIO(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := tablesio.SaveV2(&buf, res); err != nil {
+	path := filepath.Join(b.TempDir(), "k5.tables")
+	if err := tablesio.SaveFile(path, res); err != nil {
 		b.Fatal(err)
 	}
-	blob := buf.Bytes()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.SetBytes(int64(len(blob)))
 	b.ReportAllocs()
 	b.ResetTimer()

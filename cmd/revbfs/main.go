@@ -7,7 +7,7 @@
 //	revbfs [-k 6] [-alphabet gates|linear|layers|lnn|quantum] [-full] [-noreduce] [-workers N]
 //	revbfs -k 6 -save tables.bin          # persist (paper's §3.1 workflow)
 //	revbfs -load tables.bin               # reload instead of searching
-//	revbfs -load old.bin -save new.bin    # rewrite a (v1) store as v2
+//	revbfs -load a.bin -save b.bin        # re-save a loaded store (same bytes)
 //
 // The search is extbuild's: it spills under TMPDIR (or writes the -save
 // store directly) and stores the same bytes for every -workers value.

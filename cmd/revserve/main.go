@@ -16,14 +16,15 @@
 //
 // The daemon starts listening immediately; /healthz reports 503 until
 // the tables are servable, so an orchestrator can gate traffic on
-// readiness while a cold start proceeds. How long that is depends on the
-// store format: a tablesio v2 store (what -tables writes) is
-// memory-mapped — milliseconds, O(pages touched), shared page-cache copy
-// across replicas — while a legacy v1 store streams through the
-// parse-and-rehash loader (the paper's §4.1 1111-second regime, scaled).
-// /stats reports the path taken (table_format: "v2+mmap", "v1", or
-// "built") alongside table_bytes, table_resident_bytes (mincore page
-// residency of a mapped store) and load_duration_ns.
+// readiness while a cold start proceeds. A tablesio v2 store (what
+// -tables writes) is memory-mapped — milliseconds, O(pages touched),
+// shared page-cache copy across replicas — where the host supports it,
+// and otherwise streams through the verifying copying loader; neither
+// re-inserts entries into a hash table (the paper's §4.1 reports an
+// 1111-second load). /stats reports the path taken (table_format:
+// "v2+mmap", "v2", or "built") alongside table_bytes,
+// table_resident_bytes (mincore page residency of a mapped store) and
+// load_duration_ns.
 //
 // # Distributed serving
 //

@@ -2,6 +2,8 @@ package repro
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -33,11 +35,15 @@ func TestRewriteFacade(t *testing.T) {
 
 func TestSaveLoadFacade(t *testing.T) {
 	s := apiFixture(t)
-	var buf bytes.Buffer
-	if err := SaveTables(&buf, s); err != nil {
+	path := filepath.Join(t.TempDir(), "facade.tables")
+	if err := SaveTables(path, s); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadSynthesizer(bytes.NewReader(buf.Bytes()), nil)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadSynthesizer(bytes.NewReader(blob), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +60,7 @@ func TestSaveLoadFacade(t *testing.T) {
 		t.Fatal("loaded synthesizer disagrees with the original")
 	}
 	// Wrong alphabet must be rejected.
-	if _, err := LoadSynthesizer(bytes.NewReader(buf.Bytes()), LinearAlphabet()); err == nil {
+	if _, err := LoadSynthesizer(bytes.NewReader(blob), LinearAlphabet()); err == nil {
 		t.Fatal("alphabet mismatch accepted")
 	}
 }

@@ -159,8 +159,8 @@ func (r *Result) CompactView() (*hashtab.FrozenTable, []uint32, []int) {
 // FromLevels freezes a build: the sharded table is re-laid into the
 // flat layout by hashtab.Compact, and each level list becomes the slot
 // index of its representatives, in list order. One O(n) pass, after
-// which the table and lists can be dropped. Search and the tablesio v1
-// reader end here; verify is as for FromFrozen.
+// which the table and lists can be dropped. Search ends here; verify is
+// as for FromFrozen.
 func FromLevels(a *Alphabet, maxCost int, reduced bool, t *hashtab.ShardedTable, levels [][]perm.Perm, verify bool) (*Result, error) {
 	ft, err := hashtab.Compact(t)
 	if err != nil {

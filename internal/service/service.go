@@ -136,7 +136,7 @@ type Synthesizer struct {
 	loadErr error
 	loadDur time.Duration
 	// tableSource records where the tables came from: "injected",
-	// "built", or the store format ("v1", "v2", "v2+mmap").
+	// "built", or the store format ("v2", "v2+mmap").
 	tableSource string
 
 	// sem is the bounded worker pool: a query holds one slot while it
@@ -590,8 +590,8 @@ type Stats struct {
 	// structures); for a memory-mapped store these bytes are file-backed
 	// and shared, not process heap, and zero when the tables live in a
 	// remote backend. TableFormat records the acquisition path:
-	// "injected", "built", the store format loaded ("v1", "v2",
-	// "v2+mmap" — the last being the zero-copy cold-start fast path), or
+	// "injected", "built", the store format loaded ("v2", or "v2+mmap" —
+	// the zero-copy cold-start fast path), or
 	// the backend source ("tablenet(addr)", "router(n)").
 	TableBytes  int64  `json:"table_bytes"`
 	TableFormat string `json:"table_format,omitempty"`

@@ -22,7 +22,8 @@ var hostLittleEndian = func() bool {
 
 // LoadInfo describes how a store was loaded.
 type LoadInfo struct {
-	// Version is the store's format version (1 or 2).
+	// Version is the store's format version: 2, the only one this
+	// package reads (zero when no store was loaded).
 	Version int
 	// MemoryMapped reports the v2 zero-copy fast path: the slot arrays
 	// are the mapped file, shared through the page cache, not heap.
@@ -53,18 +54,18 @@ func (i LoadInfo) String() string {
 	return s
 }
 
-// LoadFile rehydrates a table store from disk, picking the fastest safe
-// path for its format:
+// LoadFile rehydrates a v2 table store from disk, picking the fastest
+// safe path:
 //
-//   - Format v2 on a little-endian Unix host is memory-mapped: the
+//   - On a little-endian Unix host the store is memory-mapped: the
 //     header is validated, the file becomes the table, and cold start is
-//     O(pages touched) instead of O(parse + rehash). Section integrity
-//     is trusted like any database file; set LoadOptions.VerifyContent
-//     to pay one sequential pass for the fingerprint and structural
-//     checks.
-//   - Format v2 elsewhere (or with LoadOptions.DisableMmap) streams
-//     through the fully-verifying copying loader.
-//   - Format v1 streams through the classic parse-and-rehash loader.
+//     O(pages touched) instead of O(parse). Section integrity is trusted
+//     like any database file; set LoadOptions.VerifyContent to pay one
+//     sequential pass for the fingerprint and structural checks.
+//   - Elsewhere (or with LoadOptions.DisableMmap) it streams through the
+//     fully-verifying copying loader.
+//
+// A file of any other format version fails with ErrUnsupportedVersion.
 //
 // The open error is returned unwrapped, so callers can errors.Is against
 // os.ErrNotExist to distinguish "no store yet" from a damaged store.
@@ -91,8 +92,10 @@ func LoadFile(path string, alphabet *bfs.Alphabet, opts *LoadOptions) (*bfs.Resu
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, LoadInfo{}, err
 	}
-	if [3]byte{m[0], m[1], m[2]} == magicPrefix && m[3] == version2 &&
-		mmapSupported && hostLittleEndian && !opts.DisableMmap {
+	if err := checkMagic(m[:]); err != nil {
+		return nil, LoadInfo{}, err
+	}
+	if mmapSupported && hostLittleEndian && !opts.DisableMmap {
 		res, info, err := loadV2Mmap(f, st.Size(), alphabet, opts)
 		switch {
 		case err == nil:
@@ -110,24 +113,13 @@ func LoadFile(path string, alphabet *bfs.Alphabet, opts *LoadOptions) (*bfs.Resu
 			return nil, LoadInfo{}, serr
 		}
 	}
-	if [3]byte{m[0], m[1], m[2]} == magicPrefix && m[3] == version2 {
-		// The v2 streaming path directly, so a split store's metadata
-		// survives the mmap fallback (LoadWithOptions cannot return it).
-		maxEntries := opts.MaxEntries
-		if maxEntries <= 0 {
-			maxEntries = DefaultMaxEntries
-		}
-		res, split, err := loadV2Stream(bufio.NewReaderSize(f, 1<<20), alphabet, opts, maxEntries)
-		if err != nil {
-			return nil, LoadInfo{}, err
-		}
-		return res, LoadInfo{Version: 2, Bytes: st.Size(), Entries: res.TotalStored(), Split: split}, nil
-	}
-	res, err := LoadWithOptions(f, alphabet, opts)
+	// The v2 streaming path directly, so a split store's metadata
+	// survives (LoadWithOptions cannot return it).
+	res, split, err := loadV2Stream(bufio.NewReaderSize(f, 1<<20), alphabet, opts)
 	if err != nil {
 		return nil, LoadInfo{}, err
 	}
-	return res, LoadInfo{Version: 1, Bytes: st.Size(), Entries: res.TotalStored()}, nil
+	return res, LoadInfo{Version: 2, Bytes: st.Size(), Entries: res.TotalStored(), Split: split}, nil
 }
 
 // loadV2Mmap is the zero-copy fast path: validate the header page, check
@@ -151,11 +143,7 @@ func loadV2Mmap(f *os.File, size int64, alphabet *bfs.Alphabet, opts *LoadOption
 	if want := fingerprintOf(alphabet); h.fp != want {
 		return nil, LoadInfo{}, fmt.Errorf("%w (file %+v, given %+v)", ErrAlphabetMismatch, h.fp, want)
 	}
-	maxEntries := opts.MaxEntries
-	if maxEntries <= 0 {
-		maxEntries = DefaultMaxEntries
-	}
-	l, err := validateGeometryV2(h, maxEntries)
+	l, err := validateGeometryV2(h, opts.entryCap())
 	if err != nil {
 		return nil, LoadInfo{}, err
 	}

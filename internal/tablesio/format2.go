@@ -1,15 +1,15 @@
 // Format v2: the zero-copy frozen-table layout.
 //
-// Version 1 persists a logical stream of (representative, value) entries
-// that every load must parse and re-insert into a fresh hash table — for
-// the paper's k = 9 tables that rehash is minutes of CPU before the
-// first query (§4.1 reports an 1111-second load). Version 2 instead
-// persists the probe-table layout itself: the flat little-endian
-// keys/vals slot arrays of a hashtab.FrozenTable, page-aligned, plus the
-// per-level slot index that lists each cost level. A loader can
-// therefore validate a small header and memory-map the rest — cold start
-// becomes O(pages touched), the mapped table is shared between processes
-// through the page cache, and nothing is stored twice.
+// A store persists the probe-table layout itself: the flat
+// little-endian keys/vals slot arrays of a hashtab.FrozenTable,
+// page-aligned, plus the per-level slot index that lists each cost
+// level. A loader therefore validates a small header and memory-maps
+// the rest instead of parsing a stream of entries and re-inserting each
+// into a fresh hash table — for the paper's k = 9 tables that rehash
+// is minutes of CPU before the first query (§4.1 reports an
+// 1111-second load). Cold start becomes O(pages touched), the mapped
+// table is shared between processes through the page cache, and
+// nothing is stored twice.
 //
 //	page 0   magic "RVT2" | flags | k | alphabet fingerprint |
 //	         geometry (shards, slots/shard, entries) | section offsets |
@@ -439,220 +439,14 @@ func validateGeometryV2(h *headerV2, maxEntries int64) (layoutV2, error) {
 
 // synthHorizon is the max synthesizable cost stamped into a v2 header:
 // 2K − (maxGateCost−1), floored at K — the same value tables.NewLocal
-// derives, recorded so readers of the raw header (and future
-// cross-version loaders) see it without the alphabet in hand.
-func synthHorizon(res *bfs.Result) uint32 {
-	return SynthHorizon(res.Alphabet, res.MaxCost)
-}
-
-// SynthHorizon computes the stamped synthesis horizon from the alphabet
-// and the table depth alone, for writers (the out-of-core builder) that
-// have no bfs.Result in hand.
-func SynthHorizon(a *bfs.Alphabet, k int) uint32 {
+// derives, recorded so readers of the raw header see it without the
+// alphabet in hand.
+func synthHorizon(a *bfs.Alphabet, k int) uint32 {
 	h := 2*k - (a.MaxCost() - 1)
 	if h < k {
 		h = k
 	}
 	return uint32(h)
-}
-
-// SaveV2 serializes a BFS result in format v2, straight from its slot
-// arrays and level index. The alphabet is identified by fingerprint
-// only; pass the same alphabet to Load.
-func SaveV2(w io.Writer, res *bfs.Result) error {
-	if res == nil {
-		return fmt.Errorf("tablesio: nil result")
-	}
-	ft, levelIdx, counts := res.CompactView()
-	keys, vals := ft.RawKeys(), ft.RawVals()
-	h := &headerV2{
-		maxCost:       uint32(res.MaxCost),
-		horizon:       synthHorizon(res),
-		fp:            fingerprintOf(res.Alphabet),
-		shardCount:    uint32(ft.ShardCount()),
-		slotsPerShard: uint64(ft.SlotsPerShard()),
-		entryCount:    uint64(ft.Len()),
-		keysHash:      hashKeyWords(keys),
-		valsHash:      hashValWords(vals),
-		idxHash:       hashIdxWords(levelIdx),
-	}
-	if res.Reduced {
-		h.flags |= flagReduced
-	}
-	h.levelCounts = make([]uint64, len(counts))
-	for c, n := range counts {
-		h.levelCounts[c] = uint64(n)
-	}
-	return writeV2(w, h, keys, vals, levelIdx, nil)
-}
-
-// SaveSplit serializes range i of n (a power of two) of a full result as
-// a split v2 store: only the owned range's entries, laid into their own
-// split frozen table, with the global level geometry and per-entry
-// global positions recorded so a fleet of such stores reassembles the
-// exact global level order. Splitting is an offline cut of an immutable
-// table set, so the same (res, n) always produces the same n files.
-func SaveSplit(w io.Writer, res *bfs.Result, n, i int) error {
-	if res == nil {
-		return fmt.Errorf("tablesio: nil result")
-	}
-	if n < 1 || n&(n-1) != 0 || n > maxShardCount {
-		return fmt.Errorf("tablesio: split count %d is not a power of two in [1, %d]", n, maxShardCount)
-	}
-	if i < 0 || i >= n {
-		return fmt.Errorf("tablesio: split index %d outside [0, %d)", i, n)
-	}
-	fullFT, levelIdx, counts := res.CompactView()
-	lo, hi := tables.RangeOf(i, n)
-	var (
-		keys        []uint64
-		vals        []uint16
-		gpos        []uint32
-		localCounts = make([]uint64, len(counts))
-	)
-	for c, cn := range counts {
-		for j, slot := range levelIdx[:cn] {
-			k := fullFT.KeyAt(slot)
-			if !tables.KeyInRange(k, lo, hi) {
-				continue
-			}
-			keys = append(keys, k)
-			vals = append(vals, fullFT.ValAt(slot))
-			gpos = append(gpos, uint32(j))
-			localCounts[c]++
-		}
-		levelIdx = levelIdx[cn:]
-	}
-	if len(keys) == 0 {
-		return fmt.Errorf("tablesio: split %d/%d owns no entries (table too small for %d ranges)", i, n, n)
-	}
-	// Keep the full table's shard granularity where possible: n ranges of
-	// shardCount/n shards reproduce the full table's conceptual shard
-	// grid, so per-shard slot sizing stays comparable across the fleet.
-	sc := fullFT.ShardCount() / n
-	if sc < 1 {
-		sc = 1
-	}
-	ft, err := hashtab.CompactSplit(keys, vals, sc, n, i)
-	if err != nil {
-		return err
-	}
-	idx := make([]uint32, len(keys))
-	for j, k := range keys {
-		slot, ok := ft.SlotOf(k)
-		if !ok {
-			return fmt.Errorf("tablesio: split entry %#x lost during placement", k)
-		}
-		idx[j] = slot
-	}
-	h := &headerV2{
-		flags:         flagSplit,
-		maxCost:       uint32(res.MaxCost),
-		horizon:       synthHorizon(res),
-		fp:            fingerprintOf(res.Alphabet),
-		shardCount:    uint32(ft.ShardCount()),
-		slotsPerShard: uint64(ft.SlotsPerShard()),
-		entryCount:    uint64(ft.Len()),
-		keysHash:      hashKeyWords(ft.RawKeys()),
-		valsHash:      hashValWords(ft.RawVals()),
-		idxHash:       hashIdxWords(idx),
-		levelCounts:   localCounts,
-		splitN:        uint32(n),
-		splitI:        uint32(i),
-		globalEntries: uint64(res.TotalStored()),
-		gposHash:      hashIdxWords(gpos),
-	}
-	if res.Reduced {
-		h.flags |= flagReduced
-	}
-	h.globalLevelCounts = make([]uint64, len(counts))
-	for c, gn := range counts {
-		h.globalLevelCounts[c] = uint64(gn)
-	}
-	return writeV2(w, h, ft.RawKeys(), ft.RawVals(), idx, gpos)
-}
-
-// writeV2 computes the layout, stamps the offsets into the header, and
-// streams header plus sections (gpos only for split stores).
-func writeV2(w io.Writer, h *headerV2, keys []uint64, vals []uint16, levelIdx, gpos []uint32) error {
-	l := computeLayoutV2(h.headerLen(), h.shardCount, h.slotsPerShard, h.entryCount, h.split())
-	h.keysOff, h.valsOff, h.idxOff, h.gposOff, h.fileSize = l.keysOff, l.valsOff, l.idxOff, l.gposOff, l.fileSize
-
-	bw := bufio.NewWriterSize(w, 1<<20)
-	pos := uint64(0)
-	emit := func(b []byte) error {
-		_, err := bw.Write(b)
-		pos += uint64(len(b))
-		return err
-	}
-	var zeros [pageAlign]byte
-	padTo := func(off uint64) error {
-		for pos < off {
-			n := min(uint64(len(zeros)), off-pos)
-			if err := emit(zeros[:n]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := emit(encodeHeaderV2(h)); err != nil {
-		return err
-	}
-	if err := padTo(l.keysOff); err != nil {
-		return err
-	}
-	buf := make([]byte, 1<<16)
-	for lo := 0; lo < len(keys); lo += len(buf) / 8 {
-		hi := min(lo+len(buf)/8, len(keys))
-		for i, k := range keys[lo:hi] {
-			binary.LittleEndian.PutUint64(buf[i*8:], k)
-		}
-		if err := emit(buf[:(hi-lo)*8]); err != nil {
-			return err
-		}
-	}
-	if err := padTo(l.valsOff); err != nil {
-		return err
-	}
-	for lo := 0; lo < len(vals); lo += len(buf) / 2 {
-		hi := min(lo+len(buf)/2, len(vals))
-		for i, v := range vals[lo:hi] {
-			binary.LittleEndian.PutUint16(buf[i*2:], v)
-		}
-		if err := emit(buf[:(hi-lo)*2]); err != nil {
-			return err
-		}
-	}
-	if err := padTo(l.idxOff); err != nil {
-		return err
-	}
-	writeU32s := func(vs []uint32) error {
-		for lo := 0; lo < len(vs); lo += len(buf) / 4 {
-			hi := min(lo+len(buf)/4, len(vs))
-			for i, v := range vs[lo:hi] {
-				binary.LittleEndian.PutUint32(buf[i*4:], v)
-			}
-			if err := emit(buf[:(hi-lo)*4]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := writeU32s(levelIdx); err != nil {
-		return err
-	}
-	if h.split() {
-		if err := padTo(l.gposOff); err != nil {
-			return err
-		}
-		if err := writeU32s(gpos); err != nil {
-			return err
-		}
-	}
-	if err := padTo(l.fileSize); err != nil {
-		return err
-	}
-	return bw.Flush()
 }
 
 // sectionChunk bounds the per-step allocation while streaming sections
@@ -666,7 +460,7 @@ const sectionChunk = 1 << 20
 // re-validates the structural invariants entry by entry. This is the
 // path for untrusted bytes; LoadFile uses the mmap fast path instead
 // when it can.
-func loadV2Stream(br *bufio.Reader, alphabet *bfs.Alphabet, opts *LoadOptions, maxEntries int64) (*bfs.Result, *tables.Split, error) {
+func loadV2Stream(br *bufio.Reader, alphabet *bfs.Alphabet, opts *LoadOptions) (*bfs.Result, *tables.Split, error) {
 	page := make([]byte, pageAlign)
 	if _, err := io.ReadFull(br, page[:headerFixedLen+8]); err != nil {
 		return nil, nil, fmt.Errorf("%w: reading v2 header: %w", ErrCorrupt, err)
@@ -692,7 +486,7 @@ func loadV2Stream(br *bufio.Reader, alphabet *bfs.Alphabet, opts *LoadOptions, m
 	if want := fingerprintOf(alphabet); h.fp != want {
 		return nil, nil, fmt.Errorf("%w (file %+v, given %+v)", ErrAlphabetMismatch, h.fp, want)
 	}
-	l, err := validateGeometryV2(h, maxEntries)
+	l, err := validateGeometryV2(h, opts.entryCap())
 	if err != nil {
 		return nil, nil, err
 	}

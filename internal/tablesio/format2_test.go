@@ -14,17 +14,23 @@ import (
 	"repro/internal/perm"
 )
 
-// savedV2 builds k-tables and returns them with their v2 serialization.
+// savedV2 builds k-tables and returns them with the bytes SaveFile
+// publishes for them.
 func savedV2(t testing.TB, k int) (*bfs.Result, []byte) {
+	t.Helper()
 	res, err := bfs.Search(bfs.GateAlphabet(), k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := SaveV2(&buf, res); err != nil {
+	path := filepath.Join(t.TempDir(), "saved.tables")
+	if err := SaveFile(path, res); err != nil {
 		t.Fatal(err)
 	}
-	return res, buf.Bytes()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, blob
 }
 
 func writeTemp(t testing.TB, blob []byte) string {
@@ -116,34 +122,6 @@ func TestV2RoundTripFile(t *testing.T) {
 	if sinfo.MemoryMapped {
 		t.Fatal("DisableMmap still memory-mapped")
 	}
-}
-
-// TestCrossVersionRoundTrip converts the committed v1 fixture to v2:
-// the v2 bytes must be identical to SaveV2 of a fresh sequential search
-// of the same tables, and load back to the same levels and values — the
-// v2 slot index preserves the v1 level storage order, so nothing is lost
-// or reordered across versions.
-func TestCrossVersionRoundTrip(t *testing.T) {
-	res, blob := v1Fixture(t)
-	fromV1, err := Load(bytes.NewReader(blob), bfs.GateAlphabet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want, got bytes.Buffer
-	if err := SaveV2(&want, res); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveV2(&got, fromV1); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("v2 store of the loaded v1 fixture differs from the search's v2 store")
-	}
-	fromV2, err := Load(bytes.NewReader(got.Bytes()), bfs.GateAlphabet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSameTables(t, res, fromV2)
 }
 
 func TestV2TruncationDetected(t *testing.T) {
@@ -265,6 +243,9 @@ func TestV2EmptyTableRejected(t *testing.T) {
 
 func TestV2WrongAlphabetRejected(t *testing.T) {
 	_, blob := savedV2(t, 3)
+	if _, err := Load(bytes.NewReader(blob), nil); err == nil {
+		t.Fatal("nil alphabet accepted")
+	}
 	if _, err := Load(bytes.NewReader(blob), bfs.LinearAlphabet()); !errors.Is(err, ErrAlphabetMismatch) {
 		t.Fatalf("stream: err = %v, want ErrAlphabetMismatch", err)
 	}
@@ -288,21 +269,6 @@ func TestV2ContentCorruptionPolicy(t *testing.T) {
 	path := writeTemp(t, corrupted)
 	if _, _, err := LoadFile(path, bfs.GateAlphabet(), &LoadOptions{VerifyContent: true}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("VerifyContent: err = %v, want ErrCorrupt", err)
-	}
-}
-
-func TestLoadFileV1Fallback(t *testing.T) {
-	res, _ := v1Fixture(t)
-	back, info, err := LoadFile(v1FixturePath, bfs.GateAlphabet(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Version != 1 || info.MemoryMapped {
-		t.Fatalf("v1 file reported %+v", info)
-	}
-	checkSameTables(t, res, back)
-	if _, _, err := LoadFile(filepath.Join(t.TempDir(), "missing.tables"), bfs.GateAlphabet(), nil); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("missing file: err = %v, want os.ErrNotExist", err)
 	}
 }
 

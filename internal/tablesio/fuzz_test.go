@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -13,85 +15,79 @@ import (
 )
 
 // FuzzLoad feeds arbitrary byte streams to the loader. The invariant is
-// total: corrupted magic, truncated streams, bit-flipped checksums,
-// forged headers and wrong-alphabet fingerprints must all come back as
-// errors — never a panic, and never an allocation proportional to a
-// lying header field (the MaxEntries cap plus chunked level allocation
-// bound memory by the actual stream length).
+// total: corrupted magic, retired versions, truncated streams,
+// bit-flipped sections, forged headers and wrong-alphabet fingerprints
+// must all come back as errors — never a panic, and never an allocation
+// proportional to a lying header field (the MaxEntries cap plus chunked
+// section reads bound memory by the actual stream length).
 func FuzzLoad(f *testing.F) {
-	// Format v1 corpus: the committed fixture and hostile variants of it.
-	res, blob := v1Fixture(f)
-	f.Add(blob)               // the valid stream
-	f.Add(blob[:len(blob)/2]) // truncated mid-entries
-	f.Add(blob[:7])           // truncated mid-header
-	f.Add([]byte{})           // empty
-
-	corrupt := func(pos int, bit uint) []byte {
-		c := append([]byte(nil), blob...)
-		c[pos] ^= 1 << bit
-		return c
-	}
-	f.Add(corrupt(0, 3))           // magic
-	f.Add(corrupt(3, 0))           // version byte
-	f.Add(corrupt(12, 5))          // fingerprint
-	f.Add(corrupt(len(blob)-1, 7)) // checksum
-
-	// A forged header declaring a huge level: magic+flags+maxCost, a
-	// fingerprint that matches the gate alphabet, then an absurd count
-	// with no entries behind it.
-	forged := append([]byte(nil), blob[:32]...)
-	var huge [8]byte
-	binary.LittleEndian.PutUint64(huge[:], 1<<40)
-	forged = append(forged, huge[:]...)
-	f.Add(forged)
-
-	// Level sizes whose sum wraps uint64 back under the cap (the
-	// negative-allocation panic regression).
-	wrap := append([]byte(nil), blob...)
-	binary.LittleEndian.PutUint64(wrap[44:52], ^uint64(0))
-	f.Add(wrap)
-
-	// Format v2 corpus: the valid zero-copy stream plus the hostile
-	// variants its loader must survive — truncated headers, truncated
-	// slot arrays, flipped section bytes, and forged geometry (shard
-	// counts, slot sizes, offsets) that must fail cleanly instead of
-	// OOMing or overflowing the layout arithmetic.
-	var buf2 bytes.Buffer
-	if err := SaveV2(&buf2, res); err != nil {
+	// The valid zero-copy stream plus the hostile variants its loader
+	// must survive — truncated headers, truncated slot arrays, flipped
+	// section bytes, retired and future versions, and forged geometry
+	// (shard counts, slot sizes, offsets, split extensions) that must
+	// fail cleanly instead of OOMing or overflowing the layout arithmetic.
+	res, blob := savedV2(f, 3)
+	splitPath := filepath.Join(f.TempDir(), "split.tables")
+	if err := SaveSplitFile(splitPath, res, 2, 0); err != nil {
 		f.Fatal(err)
 	}
-	blob2 := buf2.Bytes()
-	f.Add(blob2)
-	f.Add(blob2[:40])               // truncated fixed header
-	f.Add(blob2[:headerFixedLen+4]) // truncated level counts
-	f.Add(blob2[:pageAlign+11])     // truncated key section
-	f.Add(blob2[:len(blob2)-1])     // truncated index padding
-	corrupt2 := func(pos int, bit uint) []byte {
-		c := append([]byte(nil), blob2...)
+	split, err := os.ReadFile(splitPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{}) // empty
+	f.Add(blob[:3]) // truncated magic
+	f.Add(blob)
+	f.Add(blob[:40])               // truncated fixed header
+	f.Add(blob[:headerFixedLen+4]) // truncated level counts
+	f.Add(blob[:pageAlign+11])     // truncated key section
+	f.Add(blob[:len(blob)-1])      // truncated index padding
+	corrupt := func(base []byte, pos int, bit uint) []byte {
+		c := append([]byte(nil), base...)
 		c[pos] ^= 1 << bit
 		return c
 	}
-	f.Add(corrupt2(3, 0))            // version byte
-	f.Add(corrupt2(8, 1))            // maxCost
-	f.Add(corrupt2(36, 0))           // shard count
-	f.Add(corrupt2(44, 7))           // slots per shard
-	f.Add(corrupt2(60, 3))           // keys offset
-	f.Add(corrupt2(pageAlign, 5))    // key section content
-	f.Add(corrupt2(len(blob2)-5, 2)) // index section content
-	reseal := func(mutate func(b []byte)) []byte {
-		b := append([]byte(nil), blob2...)
+	relabel := func(version byte) []byte {
+		c := append([]byte(nil), blob...)
+		c[3] = version
+		return c
+	}
+	f.Add(relabel('1'))                     // retired format v1
+	f.Add(relabel('3'))                     // future version
+	f.Add(corrupt(blob, 3, 0))              // version byte
+	f.Add(corrupt(blob, 8, 1))              // maxCost
+	f.Add(corrupt(blob, 36, 0))             // shard count
+	f.Add(corrupt(blob, 44, 7))             // slots per shard
+	f.Add(corrupt(blob, 60, 3))             // keys offset
+	f.Add(corrupt(blob, pageAlign, 5))      // key section content
+	f.Add(corrupt(blob, len(blob)-5, 2))    // index section content
+	f.Add(split)                            // split store (needs AllowSplit)
+	f.Add(split[:len(split)-5])             // truncated global positions
+	f.Add(corrupt(split, len(split)-13, 4)) // global-position content
+	// reseal recomputes the header fingerprint after a mutation so the
+	// forgery reaches the geometry checks instead of dying at the hash.
+	le := binary.LittleEndian
+	reseal := func(base []byte, mutate func(b []byte)) []byte {
+		b := append([]byte(nil), base...)
 		mutate(b)
-		maxCost := binary.LittleEndian.Uint32(b[8:])
-		n := headerFixedLen + (int(maxCost)+1)*8 + 8
+		maxCost := le.Uint32(b[8:])
+		if maxCost > uint32(bfs.MaxPackedCost) {
+			return b
+		}
+		n := headerLenFor(le.Uint32(b[4:]), maxCost)
 		if n+8 <= len(b) {
-			binary.LittleEndian.PutUint64(b[n-8:], hashBytesV2(b[:n-8]))
+			le.PutUint64(b[n-8:], hashBytesV2(b[:n-8]))
 		}
 		return b
 	}
-	f.Add(reseal(func(b []byte) { binary.LittleEndian.PutUint32(b[36:], 3) }))          // non-pow2 shards
-	f.Add(reseal(func(b []byte) { binary.LittleEndian.PutUint64(b[44:], 1<<40) }))      // absurd slots
-	f.Add(reseal(func(b []byte) { binary.LittleEndian.PutUint64(b[52:], 1<<50) }))      // absurd entries
-	f.Add(reseal(func(b []byte) { binary.LittleEndian.PutUint64(b[84:], ^uint64(0)) })) // lying file size
+	f.Add(reseal(blob, func(b []byte) { le.PutUint32(b[36:], 3) }))                  // non-pow2 shards
+	f.Add(reseal(blob, func(b []byte) { le.PutUint64(b[44:], 1<<40) }))              // absurd slots
+	f.Add(reseal(blob, func(b []byte) { le.PutUint64(b[52:], 1<<50) }))              // absurd entries
+	f.Add(reseal(blob, func(b []byte) { le.PutUint64(b[84:], ^uint64(0)) }))         // lying file size
+	f.Add(reseal(blob, func(b []byte) { le.PutUint32(b[12:], 31) }))                 // other alphabet
+	f.Add(reseal(blob, func(b []byte) { le.PutUint32(b[40:], 7) }))                  // horizon > 2k
+	f.Add(reseal(blob, func(b []byte) { le.PutUint64(b[headerFixedLen:], 0) }))      // level sum low
+	f.Add(reseal(split, func(b []byte) { le.PutUint32(b[headerFixedLen+8*4:], 3) })) // split count 3 (k=3: 4 level counts)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A tight entry cap keeps even "plausible" fuzzed headers from

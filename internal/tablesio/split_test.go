@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/bfs"
@@ -115,14 +118,67 @@ func TestSplitRejectedByReaderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := SaveSplit(&buf, res, 2, 0); err != nil {
+	path := filepath.Join(t.TempDir(), "split")
+	if err := SaveSplitFile(path, res, 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(bytes.NewReader(buf.Bytes()), bfs.GateAlphabet()); !errors.Is(err, ErrSplitStore) {
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(blob), bfs.GateAlphabet()); !errors.Is(err, ErrSplitStore) {
 		t.Fatalf("Load: err = %v, want ErrSplitStore", err)
 	}
-	if _, err := LoadWithOptions(bytes.NewReader(buf.Bytes()), bfs.GateAlphabet(), &LoadOptions{AllowSplit: true}); err == nil {
+	if _, err := LoadWithOptions(bytes.NewReader(blob), bfs.GateAlphabet(), &LoadOptions{AllowSplit: true}); err == nil {
 		t.Fatal("LoadWithOptions with AllowSplit should refuse (metadata would be dropped)")
+	}
+}
+
+// A result loaded from a split store holds one hash range. Saving it
+// must fail rather than publish a full-store header over a partial
+// table (which the mmap path would then serve as a full table missing
+// every other range), and re-splitting it must fail too.
+func TestSaveRejectsSplitSource(t *testing.T) {
+	res, err := bfs.Search(bfs.GateAlphabet(), 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	src := filepath.Join(dir, "k4.1of4")
+	if err := SaveSplitFile(src, res, 4, 1); err != nil {
+		t.Fatal(err)
+	}
+	sres, _, err := LoadFile(src, bfs.GateAlphabet(), &LoadOptions{AllowSplit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sres.Frozen.Close()
+	full := filepath.Join(dir, "resaved")
+	if err := SaveFile(full, sres); err == nil {
+		t.Fatal("SaveFile of a split-loaded result succeeded")
+	}
+	if _, err := os.Stat(full); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed SaveFile published %s: %v", full, err)
+	}
+	if err := SaveSplitFile(filepath.Join(dir, "resplit"), sres, 2, 0); err == nil {
+		t.Fatal("SaveSplitFile of a split-loaded result succeeded")
+	}
+}
+
+// SaveSplitFile writes splits only: n = 1 is the full store, which
+// SaveFile writes, and n must be a power of two with i inside [0, n).
+func TestSaveSplitFileArgs(t *testing.T) {
+	res, err := bfs.Search(bfs.GateAlphabet(), 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "split")
+	for _, c := range []struct{ n, i int }{{0, 0}, {1, 0}, {3, 0}, {2, 2}, {2, -1}} {
+		if err := SaveSplitFile(path, res, c.n, c.i); err == nil {
+			t.Fatalf("SaveSplitFile(n=%d, i=%d) succeeded", c.n, c.i)
+		}
+	}
+	if err := SaveSplitFile(path, res, 1, 0); !strings.Contains(fmt.Sprint(err), "SaveFile") {
+		t.Fatalf("n = 1: err = %v, want a pointer to SaveFile", err)
 	}
 }

@@ -35,13 +35,13 @@ type StreamGeometry struct {
 	GlobalLevelCounts []int64
 }
 
-// StreamWriter emits a format-v2 store section by section, in shard
-// order, without ever holding more than one shard's slot arrays: the
-// out-of-core builder's emission path. The writer owns the file layout
-// (sparse-truncated up front, sections placed by WriteAt) and keeps
-// running section fingerprints, so Finalize can stamp the exact header
-// SaveV2 would have produced — a store streamed this way is
-// byte-identical to the in-memory save of the same table.
+// StreamWriter is the one format-v2 encoder: it emits a store section
+// by section, in shard order, without ever holding more than one
+// shard's slot arrays. The out-of-core builder drives it shard by shard
+// as it places them; SaveFile and SaveSplitFile drive it from a table
+// already in memory. The writer owns the file layout (sparse-truncated
+// up front, sections placed by WriteAt) and keeps running section
+// fingerprints, so Finalize stamps the header last.
 //
 // Call sequence: WriteShard × ShardCount, then AppendIndex (any
 // chunking) totalling EntryCount slots — with ProbeView available in
@@ -102,7 +102,7 @@ func NewStreamWriter(f *os.File, g StreamGeometry) (*StreamWriter, error) {
 	split := g.SplitN > 1
 	h := &headerV2{
 		maxCost:       uint32(g.MaxCost),
-		horizon:       SynthHorizon(g.Alphabet, g.MaxCost),
+		horizon:       synthHorizon(g.Alphabet, g.MaxCost),
 		fp:            fingerprintOf(g.Alphabet),
 		shardCount:    uint32(g.ShardCount),
 		slotsPerShard: uint64(g.SlotsPerShard),

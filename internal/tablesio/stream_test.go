@@ -15,17 +15,11 @@ import (
 )
 
 // TestStreamWriterByteIdentity: a store emitted shard-by-shard through
-// the StreamWriter must be byte-identical to SaveV2 of the same result —
-// the contract the out-of-core builder's emission path rests on.
+// the StreamWriter the way the out-of-core builder drives it — index
+// slots resolved through the probe view, appended in awkward chunks —
+// must be byte-identical to SaveFile of the same result.
 func TestStreamWriterByteIdentity(t *testing.T) {
-	res, err := bfs.Search(bfs.GateAlphabet(), 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ref bytes.Buffer
-	if err := SaveV2(&ref, res); err != nil {
-		t.Fatal(err)
-	}
+	res, ref := savedV2(t, 3)
 
 	ft, idx, counts := res.CompactView()
 	lc := make([]int64, len(counts))
@@ -91,8 +85,8 @@ func TestStreamWriterByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, ref.Bytes()) {
-		t.Fatalf("streamed store differs from SaveV2 (%d vs %d bytes)", len(got), ref.Len())
+	if !bytes.Equal(got, ref) {
+		t.Fatalf("streamed store differs from SaveFile (%d vs %d bytes)", len(got), len(ref))
 	}
 	// And it loads back as a working store.
 	loaded, info, err := LoadFile(path, bfs.GateAlphabet(), nil)
@@ -106,7 +100,7 @@ func TestStreamWriterByteIdentity(t *testing.T) {
 }
 
 // TestStreamWriterSplitByteIdentity: same contract for the direct
-// split-emission path vs SaveSplit.
+// split-emission path vs SaveSplitFile.
 func TestStreamWriterSplitByteIdentity(t *testing.T) {
 	res, err := bfs.Search(bfs.GateAlphabet(), 3, nil)
 	if err != nil {
@@ -119,11 +113,15 @@ func TestStreamWriterSplitByteIdentity(t *testing.T) {
 		glc[c] = int64(cn)
 	}
 	for i := 0; i < n; i++ {
-		var ref bytes.Buffer
-		if err := SaveSplit(&ref, res, n, i); err != nil {
+		refPath := filepath.Join(t.TempDir(), "ref.rvt")
+		if err := SaveSplitFile(refPath, res, n, i); err != nil {
 			t.Fatal(err)
 		}
-		// Collect range i's entries in level order, as SaveSplit does.
+		ref, err := os.ReadFile(refPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Collect range i's entries in level order, as SaveSplitFile does.
 		lo, hi := tables.RangeOf(i, n)
 		var (
 			keys []uint64
@@ -207,8 +205,8 @@ func TestStreamWriterSplitByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, ref.Bytes()) {
-			t.Fatalf("streamed split %d differs from SaveSplit (%d vs %d bytes)", i, len(got), ref.Len())
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("streamed split %d differs from SaveSplitFile (%d vs %d bytes)", i, len(got), len(ref))
 		}
 	}
 }

@@ -5,8 +5,10 @@ package tablesio_test
 // external test package to keep that import legal.
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -32,7 +34,15 @@ func TestLoadedTablesSynthesizeIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, _, err := tablesio.LoadFile("testdata/gate_k3.v1.tables", bfs.GateAlphabet(), nil)
+	path := filepath.Join(t.TempDir(), "k3.tables")
+	if err := tablesio.SaveFile(path, orig); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := tablesio.Load(bytes.NewReader(blob), bfs.GateAlphabet())
 	if err != nil {
 		t.Fatal(err)
 	}

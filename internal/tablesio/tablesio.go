@@ -7,17 +7,11 @@
 //
 // Format v2 (see format2.go) persists the frozen probe-table layout
 // itself, so a load is a header check plus a memory map: cold start in
-// milliseconds. SaveV2, SaveSplit and their atomic file forms SaveFile
-// and SaveSplitFile write it; Load reads it, and LoadFile adds the mmap
-// fast path.
-//
-// Format v1 is read-only: the original little-endian entry stream,
-// which every load must parse and rehash, still loads so that stores
-// written by older binaries stay usable, but nothing writes it any more:
-//
-//	magic "RVT1" | flags | k | alphabet fingerprint |
-//	per-level counts | representative words | per-representative values |
-//	FNV-64a checksum of everything above
+// milliseconds. SaveFile and SaveSplitFile write it atomically, both
+// through the StreamWriter the out-of-core builder emits with, so one
+// encoder produces every store; Load reads it, and LoadFile adds the
+// mmap fast path. v2 is the only format this package reads: a store of
+// any other version fails with ErrUnsupportedVersion.
 //
 // The alphabet itself is NOT serialized — it is reconstructable code —
 // but a fingerprint (element count, max cost, XOR/sum of element words)
@@ -27,39 +21,30 @@ package tablesio
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
 
 	"repro/internal/bfs"
 	"repro/internal/hashtab"
-	"repro/internal/perm"
 	"repro/internal/tables"
 )
 
 // The magic is "RVT" plus an ASCII version byte. Version gating lets a
-// reader reject files written by a newer incompatible format with a
-// precise error instead of a checksum mismatch deep into the stream.
-var (
-	magicPrefix = [3]byte{'R', 'V', 'T'}
-)
+// reader reject files of another format version with a precise error
+// instead of a fingerprint mismatch deep into the stream.
+var magicPrefix = [3]byte{'R', 'V', 'T'}
 
-const (
-	// version1 is the legacy entry-stream format.
-	version1 = byte('1')
-	// version2 is the zero-copy frozen-table format (format2.go).
-	version2 = byte('2')
-)
+// version2 is the zero-copy frozen-table format (format2.go), the only
+// version this package reads or writes.
+const version2 = byte('2')
 
 const (
 	flagReduced = 1 << 0
 	// flagSplit marks a v2 store holding one high-hash range of a table
-	// set (see SaveSplit); the header then carries the split extension
+	// set (see SaveSplitFile); the header then carries the split extension
 	// and the file a global-position section.
 	flagSplit = 1 << 1
 )
@@ -72,14 +57,14 @@ const (
 var (
 	// ErrBadMagic reports a stream that is not a tables file at all.
 	ErrBadMagic = errors.New("tablesio: not a tables file")
-	// ErrUnsupportedVersion reports a tables file written by a different
-	// (usually newer) format version of this package.
+	// ErrUnsupportedVersion reports a tables file of another format
+	// version than v2: a newer one, or the retired v1.
 	ErrUnsupportedVersion = errors.New("tablesio: unsupported format version")
 	// ErrAlphabetMismatch reports tables saved against a different
 	// alphabet than the one supplied to Load.
 	ErrAlphabetMismatch = errors.New("tablesio: alphabet fingerprint mismatch")
 	// ErrCorrupt reports structural damage: implausible sizes, invalid
-	// permutation words, duplicate entries, or a checksum mismatch.
+	// permutation words, duplicate entries, or a fingerprint mismatch.
 	ErrCorrupt = errors.New("tablesio: corrupt tables file")
 	// ErrSplitStore reports a split store (one hash range of a table
 	// set) offered to a loader that was not told to expect one. A
@@ -98,27 +83,151 @@ type fingerprint = tables.Fingerprint
 
 func fingerprintOf(a *bfs.Alphabet) fingerprint { return tables.FingerprintOf(a) }
 
-// Legacy (v1) on-disk value packing: bit 15 flags a first element, the
-// low 15 bits hold the element index, all ones marking the identity.
-// The cost field of the in-memory value is reconstructed from the
-// entry's level on load.
-const (
-	legacyFlagFirst uint16 = 1 << 15
-	legacyElemMask  uint16 = 0x7FFF
-	legacyIdentity  uint16 = legacyElemMask
-)
-
 // SaveFile persists a BFS result to path atomically in format v2 (the
 // zero-copy layout LoadFile memory-maps) — a crash mid-write never
-// leaves a truncated store that would fail the next load.
+// leaves a truncated store that would fail the next load. The table's
+// shards, then its level index, go through a StreamWriter.
 func SaveFile(path string, res *bfs.Result) error {
-	return publishFile(path, func(w io.Writer) error { return SaveV2(w, res) })
+	if err := checkFull(res); err != nil {
+		return err
+	}
+	ft, levelIdx, counts := res.CompactView()
+	g := geometryOf(res, ft, counts)
+	return publishFile(path, func(f *os.File) error { return writeStore(f, g, ft, levelIdx, nil) })
 }
 
-// SaveSplitFile persists range i of n of a result as a split v2 store,
-// with the same atomic publishing as SaveFile.
+// SaveSplitFile persists range i of n (a power of two, at least 2) of a
+// full result as a split v2 store, with the same atomic publishing as
+// SaveFile: only the owned range's entries, laid into their own split
+// frozen table, with the global level geometry and per-entry global
+// positions recorded so a fleet of such stores reassembles the exact
+// global level order. Splitting is an offline cut of an immutable table
+// set, so the same (res, n) always produces the same n files.
 func SaveSplitFile(path string, res *bfs.Result, n, i int) error {
-	return publishFile(path, func(w io.Writer) error { return SaveSplit(w, res, n, i) })
+	if err := checkFull(res); err != nil {
+		return err
+	}
+	if n < 2 {
+		return fmt.Errorf("tablesio: split count %d < 2; SaveFile writes the full store", n)
+	}
+	if n&(n-1) != 0 || n > maxShardCount {
+		return fmt.Errorf("tablesio: split count %d is not a power of two in [2, %d]", n, maxShardCount)
+	}
+	if i < 0 || i >= n {
+		return fmt.Errorf("tablesio: split index %d outside [0, %d)", i, n)
+	}
+	fullFT, levelIdx, counts := res.CompactView()
+	lo, hi := tables.RangeOf(i, n)
+	var (
+		keys        []uint64
+		vals        []uint16
+		gpos        []uint32
+		localCounts = make([]int, len(counts))
+	)
+	for c, cn := range counts {
+		for j, slot := range levelIdx[:cn] {
+			k := fullFT.KeyAt(slot)
+			if !tables.KeyInRange(k, lo, hi) {
+				continue
+			}
+			keys = append(keys, k)
+			vals = append(vals, fullFT.ValAt(slot))
+			gpos = append(gpos, uint32(j))
+			localCounts[c]++
+		}
+		levelIdx = levelIdx[cn:]
+	}
+	if len(keys) == 0 {
+		return fmt.Errorf("tablesio: split %d/%d owns no entries (table too small for %d ranges)", i, n, n)
+	}
+	// Keep the full table's shard granularity where possible: n ranges of
+	// shardCount/n shards reproduce the full table's conceptual shard
+	// grid, so per-shard slot sizing stays comparable across the fleet.
+	ft, err := hashtab.CompactSplit(keys, vals, max(fullFT.ShardCount()/n, 1), n, i)
+	if err != nil {
+		return err
+	}
+	idx := make([]uint32, len(keys))
+	for j, k := range keys {
+		slot, ok := ft.SlotOf(k)
+		if !ok {
+			return fmt.Errorf("tablesio: split entry %#x lost during placement", k)
+		}
+		idx[j] = slot
+	}
+	g := geometryOf(res, ft, localCounts)
+	g.SplitN, g.SplitIdx = n, i
+	g.GlobalEntries = int64(res.TotalStored())
+	g.GlobalLevelCounts = int64s(counts)
+	return publishFile(path, func(f *os.File) error { return writeStore(f, g, ft, idx, gpos) })
+}
+
+// checkFull rejects what the writers cannot save: a nil result, or one
+// loaded from a split store. A split table holds one hash range, so a
+// full-store header over it would publish a store that misses every
+// other range's keys (and a re-split would mislabel its global shape).
+func checkFull(res *bfs.Result) error {
+	if res == nil {
+		return fmt.Errorf("tablesio: nil result")
+	}
+	if n, i := res.Frozen.SplitN(); n > 1 {
+		return fmt.Errorf("tablesio: result holds split range %d of %d; only a full table can be saved", i, n)
+	}
+	return nil
+}
+
+// geometryOf is the store geometry of ft, a frozen table holding
+// counts[c] entries at each level of res; SaveSplitFile adds the split
+// extension to it.
+func geometryOf(res *bfs.Result, ft *hashtab.FrozenTable, counts []int) StreamGeometry {
+	return StreamGeometry{
+		Alphabet:      res.Alphabet,
+		MaxCost:       res.MaxCost,
+		Reduced:       res.Reduced,
+		ShardCount:    ft.ShardCount(),
+		SlotsPerShard: ft.SlotsPerShard(),
+		EntryCount:    int64(ft.Len()),
+		LevelCounts:   int64s(counts),
+	}
+}
+
+func int64s(ns []int) []int64 {
+	out := make([]int64, len(ns))
+	for i, n := range ns {
+		out[i] = int64(n)
+	}
+	return out
+}
+
+// writeChunk bounds the index and global-position slices handed to the
+// StreamWriter at once, and so the encoding buffer it grows for them.
+const writeChunk = 1 << 16
+
+// writeStore streams ft's shards, then the level index idx and (split
+// stores only) the global positions gpos, through a StreamWriter on f.
+func writeStore(f *os.File, g StreamGeometry, ft *hashtab.FrozenTable, idx, gpos []uint32) error {
+	w, err := NewStreamWriter(f, g)
+	if err != nil {
+		return err
+	}
+	sps := ft.SlotsPerShard()
+	keys, vals := ft.RawKeys(), ft.RawVals()
+	for s := 0; s < ft.ShardCount(); s++ {
+		if err := w.WriteShard(keys[s*sps:(s+1)*sps], vals[s*sps:(s+1)*sps]); err != nil {
+			return err
+		}
+	}
+	for lo := 0; lo < len(idx); lo += writeChunk {
+		if err := w.AppendIndex(idx[lo:min(lo+writeChunk, len(idx))]); err != nil {
+			return err
+		}
+	}
+	for lo := 0; lo < len(gpos); lo += writeChunk {
+		if err := w.AppendGlobalPos(gpos[lo:min(lo+writeChunk, len(gpos))]); err != nil {
+			return err
+		}
+	}
+	return w.Finalize()
 }
 
 // publishFile writes a store through a temp file in the destination
@@ -127,7 +236,7 @@ func SaveSplitFile(path string, res *bfs.Result, n, i int) error {
 // directory after it, so after a crash the path holds either the old
 // store or the whole new one, and a returned nil means the new store
 // survives one.
-func publishFile(path string, write func(io.Writer) error) error {
+func publishFile(path string, write func(*os.File) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".revtables-*")
 	if err != nil {
 		return err
@@ -170,18 +279,6 @@ func SyncDir(dir string) error {
 	return err
 }
 
-// checksumReader tees reads into a running checksum.
-type checksumReader struct {
-	r io.Reader
-	h hash.Hash64
-}
-
-func (cr *checksumReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.h.Write(p[:n])
-	return n, err
-}
-
 // LoadOptions tune LoadWithOptions and LoadFile; the zero value (and a
 // nil pointer) reproduces Load's defaults.
 type LoadOptions struct {
@@ -192,8 +289,8 @@ type LoadOptions struct {
 	Progress func(level, entries int)
 	// MaxEntries caps the total entry count a header may declare; zero
 	// means DefaultMaxEntries. Lower it when loading untrusted input so
-	// a forged header cannot commit the process to gigabytes of hash
-	// table before the (end-of-stream) checksum is verified.
+	// a forged header cannot commit the process to gigabytes of slot
+	// arrays before the section fingerprints are verified.
 	MaxEntries int64
 	// VerifyContent makes the LoadFile mmap fast path pay one sequential
 	// pass to check the section fingerprints and structural invariants
@@ -202,7 +299,7 @@ type LoadOptions struct {
 	// DisableMmap forces LoadFile through the streaming loader even for
 	// v2 stores on capable hosts.
 	DisableMmap bool
-	// AllowSplit permits loading split stores (SaveSplit); without it
+	// AllowSplit permits loading split stores (SaveSplitFile); without it
 	// every loader rejects them with ErrSplitStore. Only LoadFile can
 	// return the split metadata (LoadInfo.Split), so split stores must
 	// be loaded through it.
@@ -213,23 +310,24 @@ type LoadOptions struct {
 // slightly above the paper's k = 9 table (≈2.2 × 10⁹ classes, §4.1).
 const DefaultMaxEntries = 1 << 33
 
-// levelAllocChunk caps the per-level slice pre-allocation. Level sizes
-// are attacker-controlled header fields verified only implicitly (by the
-// stream ending early), so allocation grows in bounded chunks as entries
-// actually arrive rather than trusting the declared size up front.
-const levelAllocChunk = 1 << 20
+// entryCap is the entry count a header may declare under o.
+func (o *LoadOptions) entryCap() int64 {
+	if o.MaxEntries <= 0 {
+		return DefaultMaxEntries
+	}
+	return o.MaxEntries
+}
 
-// Load rehydrates a BFS result saved in format v2 or v1 (the format is
-// sniffed from the version byte). The alphabet must be the same
-// construction that produced the saved tables; a fingerprint mismatch,
-// version mismatch, truncation, or corruption is reported as an error
-// (wrapping the package's sentinel errors), never a panic.
+// Load rehydrates a BFS result saved in format v2. The alphabet must be
+// the same construction that produced the saved tables; a fingerprint
+// mismatch, version mismatch, truncation, or corruption is reported as
+// an error (wrapping the package's sentinel errors), never a panic.
 func Load(r io.Reader, alphabet *bfs.Alphabet) (*bfs.Result, error) {
 	return LoadWithOptions(r, alphabet, nil)
 }
 
 // LoadWithOptions is Load with streaming progress reporting and resource
-// caps. Both formats verify their integrity in full on this path — it is
+// caps. The store's integrity is verified in full on this path — it is
 // the one for untrusted bytes; LoadFile adds the trusting mmap fast
 // path. The result is frozen and immediately servable.
 func LoadWithOptions(r io.Reader, alphabet *bfs.Alphabet, opts *LoadOptions) (*bfs.Result, error) {
@@ -239,130 +337,31 @@ func LoadWithOptions(r io.Reader, alphabet *bfs.Alphabet, opts *LoadOptions) (*b
 	if opts == nil {
 		opts = &LoadOptions{}
 	}
-	maxEntries := opts.MaxEntries
-	if maxEntries <= 0 {
-		maxEntries = DefaultMaxEntries
-	}
 	br := bufio.NewReaderSize(r, 1<<20)
 	m, err := br.Peek(4)
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading magic: %w", ErrBadMagic, err)
 	}
-	if [3]byte{m[0], m[1], m[2]} != magicPrefix {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadMagic, m)
+	if err := checkMagic(m); err != nil {
+		return nil, err
 	}
-	switch m[3] {
-	case version1:
-		return loadV1Stream(br, alphabet, opts, maxEntries)
-	case version2:
-		// The reader path has no way to hand back split metadata, so it
-		// loads full stores only: loadV2Stream rejects split stores
-		// unless AllowSplit, and the metadata (if allowed) is dropped —
-		// callers that need it use LoadFile.
-		if opts.AllowSplit {
-			return nil, fmt.Errorf("tablesio: AllowSplit requires LoadFile (the reader path cannot return split metadata)")
-		}
-		res, _, err := loadV2Stream(br, alphabet, opts, maxEntries)
-		return res, err
-	default:
-		return nil, fmt.Errorf("%w: file version %q, this build reads %q and %q", ErrUnsupportedVersion, m[3], version1, version2)
+	// The reader path has no way to hand back split metadata, so it
+	// loads full stores only: loadV2Stream rejects split stores unless
+	// AllowSplit, and callers that need the metadata use LoadFile.
+	if opts.AllowSplit {
+		return nil, fmt.Errorf("tablesio: AllowSplit requires LoadFile (the reader path cannot return split metadata)")
 	}
+	res, _, err := loadV2Stream(br, alphabet, opts)
+	return res, err
 }
 
-// loadV1Stream parses the legacy entry-stream format, rebuilding the
-// hash table entry by entry (the rehash cost v2 exists to avoid) and
-// freezing it like a fresh search (bfs.FromLevels).
-func loadV1Stream(br *bufio.Reader, alphabet *bfs.Alphabet, opts *LoadOptions, maxEntries int64) (*bfs.Result, error) {
-	cr := &checksumReader{r: br, h: fnv.New64a()}
-	var m [4]byte
-	if _, err := io.ReadFull(cr, m[:]); err != nil {
-		return nil, fmt.Errorf("%w: reading magic: %w", ErrBadMagic, err)
+// checkMagic vets a store's first four bytes: "RVT" and version 2.
+func checkMagic(m []byte) error {
+	if [3]byte{m[0], m[1], m[2]} != magicPrefix {
+		return fmt.Errorf("%w: bad magic %q", ErrBadMagic, m)
 	}
-	var flags, maxCost uint32
-	var fp fingerprint
-	for _, v := range []interface{}{
-		&flags, &maxCost,
-		&fp.Elements, &fp.MaxCost, &fp.XorPerms, &fp.SumCosts,
-	} {
-		if err := binary.Read(cr, binary.LittleEndian, v); err != nil {
-			return nil, fmt.Errorf("%w: reading header: %w", ErrCorrupt, err)
-		}
+	if m[3] != version2 {
+		return fmt.Errorf("%w: file version %q; this build reads only version %q", ErrUnsupportedVersion, m[3], version2)
 	}
-	if want := fingerprintOf(alphabet); fp != want {
-		return nil, fmt.Errorf("%w (file %+v, given %+v)", ErrAlphabetMismatch, fp, want)
-	}
-	if maxCost > uint32(bfs.MaxPackedCost) {
-		return nil, fmt.Errorf("%w: implausible horizon %d", ErrCorrupt, maxCost)
-	}
-	levelSizes := make([]uint64, maxCost+1)
-	var total uint64
-	for c := range levelSizes {
-		if err := binary.Read(cr, binary.LittleEndian, &levelSizes[c]); err != nil {
-			return nil, fmt.Errorf("%w: reading level sizes: %w", ErrCorrupt, err)
-		}
-		// Capping each level before summing keeps the running total well
-		// below the uint64 wrap point (≤ 65 levels × maxEntries), so a
-		// forged size cannot overflow past the cumulative check below.
-		if levelSizes[c] > uint64(maxEntries) {
-			return nil, fmt.Errorf("%w: level %d declares %d entries, cap %d", ErrCorrupt, c, levelSizes[c], maxEntries)
-		}
-		total += levelSizes[c]
-		if total > uint64(maxEntries) {
-			return nil, fmt.Errorf("%w: declared entry count exceeds cap %d", ErrCorrupt, maxEntries)
-		}
-	}
-	levels := make([][]perm.Perm, maxCost+1)
-	table := hashtab.NewSharded(int(min(total, levelAllocChunk)))
-	buf := make([]byte, 10)
-	for c := 0; c <= int(maxCost); c++ {
-		n := int(levelSizes[c])
-		lvl := make([]perm.Perm, 0, min(n, levelAllocChunk))
-		for i := 0; i < n; i++ {
-			if _, err := io.ReadFull(cr, buf); err != nil {
-				return nil, fmt.Errorf("%w: reading entries (level %d): %w", ErrCorrupt, c, err)
-			}
-			key := binary.LittleEndian.Uint64(buf[0:8])
-			raw := binary.LittleEndian.Uint16(buf[8:10])
-			p := perm.Perm(key)
-			if !p.IsValid() {
-				return nil, fmt.Errorf("%w: invalid entry %#x at level %d", ErrCorrupt, key, c)
-			}
-			// Translate the legacy value into the cost-packed in-memory
-			// form; the level index IS the entry's exact cost.
-			var val uint16
-			if raw&legacyElemMask == legacyIdentity {
-				if c != 0 || p != perm.Identity {
-					return nil, fmt.Errorf("%w: identity value on non-identity entry %v at level %d", ErrCorrupt, p, c)
-				}
-				val = bfs.PackIdentity()
-			} else {
-				elem := int(raw & legacyElemMask)
-				if elem >= alphabet.Len() {
-					return nil, fmt.Errorf("%w: entry %v references element %d of a %d-element alphabet", ErrCorrupt, p, elem, alphabet.Len())
-				}
-				val = bfs.PackValue(c, elem, raw&legacyFlagFirst != 0)
-			}
-			lvl = append(lvl, p)
-			if _, inserted := table.Insert(key, val); !inserted {
-				return nil, fmt.Errorf("%w: duplicate entry %v at level %d", ErrCorrupt, p, c)
-			}
-		}
-		levels[c] = lvl
-		if opts.Progress != nil {
-			opts.Progress(c, n)
-		}
-	}
-	gotSum := cr.h.Sum64()
-	var wantSum uint64
-	if err := binary.Read(br, binary.LittleEndian, &wantSum); err != nil {
-		return nil, fmt.Errorf("%w: reading checksum: %w", ErrCorrupt, err)
-	}
-	if gotSum != wantSum {
-		return nil, fmt.Errorf("%w: checksum mismatch (file %#x, computed %#x)", ErrCorrupt, wantSum, gotSum)
-	}
-	res, err := bfs.FromLevels(alphabet, int(maxCost), flags&flagReduced != 0, table, levels, true)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-	return res, nil
+	return nil
 }
