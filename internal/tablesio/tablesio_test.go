@@ -42,6 +42,16 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+func TestWrongAlphabetRejected(t *testing.T) {
+	_, blob := savedV2(t, 3)
+	if _, err := Load(bytes.NewReader(blob), bfs.LinearAlphabet()); err == nil {
+		t.Fatal("loading gate tables against the linear alphabet succeeded")
+	}
+	if _, err := Load(bytes.NewReader(blob), nil); err == nil {
+		t.Fatal("nil alphabet accepted")
+	}
+}
+
 func TestBadMagicRejected(t *testing.T) {
 	_, blob := savedV2(t, 3)
 	bad := append([]byte(nil), blob...)
