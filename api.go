@@ -284,7 +284,7 @@
 // fingerprint plus table geometry), and a reconnect onto anything else
 // fails loudly — so every fetched result is cacheable for the client's
 // lifetime with no invalidation protocol at all. Each shard client
-// therefore keeps:
+// therefore keeps two tiers:
 //
 //   - a hot-key cache over lookup results (present and absent alike:
 //     a key's absence from an immutable table is as permanent as its
@@ -296,12 +296,10 @@
 //     there is no admission filter: one would only turn away keys
 //     that hit later;
 //   - an immutable level-block cache, so repeated meet-in-the-middle
-//     scans stop re-fetching the hot low-level key ranges entirely;
-//   - singleflight coalescing of level blocks: concurrent misses of
-//     one block share a single round trip. A key miss batch travels on
-//     its caller's goroutine and is never shared (identical concurrent
-//     batches are rare), so the coalesced counter counts level-block
-//     fetches only.
+//     scans stop re-fetching the hot low-level key ranges entirely.
+//
+// A miss of either tier travels on its caller's goroutine and is never
+// shared with concurrent callers.
 //
 // The query engine runs one scan over every backend: each chunk of
 // level representatives is resolved in one lookup batch, and chunks
@@ -314,18 +312,9 @@
 // working set pays the wire once, after which warm queries run within a
 // small factor of in-process serving (perfbench's "fleet-mix" reports
 // client.key_hit_ratio and client.level_hit_ratio). Cache
-// hit/miss/coalescing/byte counters surface through
-// ServiceStats.RemoteCache and the /stats endpoint ("clients" holds the
-// router's aggregate over its shard clients).
-//
-// The front result-LRU is escalation-aware when the backend is a
-// federation: a result that had to escalate past the small tiers cost a
-// deep-fleet round trip to produce, so it is retained with as many
-// second-chance lives as the index of the tier that answered it, while
-// cheap tier-0 answers evict in plain LRU order. Per-tier
-// retained/evicted counters surface in ServiceStats and as
-// revserve_cache_{retained,evicted}_total{tier="i"} on /metrics;
-// non-federated backends keep the exact unweighted LRU behaviour.
+// hit/miss/byte counters surface through ServiceStats.RemoteCache and
+// the /stats endpoint ("clients" holds the router's aggregate over its
+// shard clients).
 //
 // # Operations
 //

@@ -104,8 +104,9 @@
 //     pool; negative disables).
 //   - GET /metrics serves Prometheus text exposition: request counts
 //     and latency histograms, service counters, the query-latency
-//     histogram, result-LRU and remote-cache tiers, per-replica
-//     breaker state on a router, and the rate-limit/shed counters.
+//     histogram, result-LRU hits and misses, the remote client's
+//     hot-key and level-block caches, per-replica breaker state on a
+//     router, and the rate-limit/shed counters.
 //   - One structured JSON log record per API request (method, status,
 //     latency, client, spec count, outcome); -request-log=false
 //     silences it.
@@ -259,7 +260,7 @@ func main() {
 			},
 		}
 		if *remoteCache < 0 {
-			copts.LevelCacheBytes = -1 // disabling the knob disables every tier
+			copts.LevelCacheBytes = -1 // disabling the knob disables both tiers
 		}
 		return copts
 	}
@@ -523,9 +524,8 @@ func buildHandler(svc *service.Synthesizer, fleet fleetView, reg *clientRegistry
 		}
 		// On a router, annotate the serving stats with per-replica health
 		// (probe result plus breaker state) and counters, plus the
-		// aggregate client-pool counters (cache tiers, coalescing, wire
-		// bytes) so one scrape sees the whole fleet and what the caches
-		// are saving it.
+		// aggregate client-pool counters (cache tiers, wire bytes) so one
+		// scrape sees the whole fleet and what the caches are saving it.
 		ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
 		defer cancel()
 		type shardStats struct {

@@ -194,10 +194,6 @@ func registerServiceCollectors(r *ops.Registry, svc *service.Synthesizer) {
 			emit([]ops.Label{{Name: "tier", Value: "key"}}, float64(st.RemoteCache.KeyMisses))
 			emit([]ops.Label{{Name: "tier", Value: "level"}}, float64(st.RemoteCache.LevelMisses))
 		})
-	remote("revserve_remote_coalesced_total", "Level-block fetches coalesced into an identical in-flight block fetch (key misses are never coalesced).", "counter",
-		func(emit func([]ops.Label, float64), st service.Stats) {
-			emit(nil, float64(st.RemoteCache.Coalesced))
-		})
 	remote("revserve_remote_cache_bytes", "Memory held by the remote-read caches.", "gauge",
 		func(emit func([]ops.Label, float64), st service.Stats) {
 			emit(nil, float64(st.RemoteCache.CacheBytes))
@@ -238,23 +234,6 @@ func registerServiceCollectors(r *ops.Registry, svc *service.Synthesizer) {
 		func(ts tables.TierStats) float64 { return float64(ts.TierErrors) })
 	tier("revserve_tier_horizon", "Each federation tier's synthesis horizon.", "gauge",
 		func(ts tables.TierStats) float64 { return float64(ts.Horizon) })
-
-	// Escalation-aware result-LRU retention: one series per answering
-	// tier (index 0 = shallowest), present once eviction pressure has
-	// occurred.
-	retention := func(name, help string, get func(service.Stats) []uint64) {
-		r.Collect(name, help, "counter", func(emit func([]ops.Label, float64)) {
-			for i, n := range get(svc.Stats()) {
-				emit([]ops.Label{{Name: "tier", Value: strconv.Itoa(i)}}, float64(n))
-			}
-		})
-	}
-	retention("revserve_cache_retained_total",
-		"Result-LRU second chances granted at the cold end, by answering tier.",
-		func(st service.Stats) []uint64 { return st.CacheRetainedByTier })
-	retention("revserve_cache_evicted_total",
-		"Result-LRU final evictions, by answering tier.",
-		func(st service.Stats) []uint64 { return st.CacheEvictedByTier })
 }
 
 // registerTrafficCollectors exports the rate limiter's and admission

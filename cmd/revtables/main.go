@@ -14,7 +14,7 @@
 // any budget or worker count. -save writes the tablesio v2 zero-copy
 // store: revserve and revbfs memory-map it on load, so serving cold
 // starts skip the parse-and-rehash entirely. Without -save the store
-// goes to a temporary file under TMPDIR that lives as long as the run.
+// goes to a temporary file under TMPDIR that lasts as long as the run.
 //
 // -split N cuts the store into N (a power of two) shard-local files,
 // <save>.<i>of<N>, each holding one high-hash range — the per-shard

@@ -243,7 +243,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 
 // HistogramFrom registers a histogram family whose per-bucket counts
 // and sum are read at scrape time — the exporter for a histogram whose
-// state lives in another subsystem (the service's latency buckets).
+// state is kept by another subsystem (the service's latency buckets).
 // counts must return len(bounds)+1 non-cumulative bucket counts (last
 // is overflow); sumSeconds the observation sum.
 func (r *Registry) HistogramFrom(name, help string, bounds []float64, counts func() []uint64, sum func() float64) {

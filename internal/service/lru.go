@@ -15,30 +15,12 @@ import (
 // a hit costs one mutex acquisition and two pointer moves. Deterministic
 // errors (beyond-horizon, invalid function) are cached alongside
 // successes: re-asking an impossible query is as common as re-asking a
-// possible one.
-//
-// Retention is escalation-aware: each entry carries the index of the
-// backend tier that answered it, and eviction runs second-chance with
-// that index as the entry's life count. An answer the shallowest tier
-// (or a non-tiered backend) produced is evicted on first touch, while
-// one that needed tier i survives i trips to the cold end before it
-// goes — deep-tier answers are exactly the traffic worth keeping,
-// because recomputing them replays the whole escalation chain. With a
-// non-tiered backend every entry has tier 0 and the policy degenerates
-// to plain LRU. Each eviction scans a bounded window at the cold end
-// (evictOne), so when every resident entry still holds lives the policy
-// degrades toward least-lives-within-window rather than rotating the
-// whole list under the lock.
+// possible one. A full cache evicts its least recently used entry.
 type lruCache struct {
 	mu  sync.Mutex
 	cap int
 	m   map[perm.Perm]*list.Element
 	l   *list.List // front = most recently used
-	// retained[t]/evicted[t] count second chances granted to and final
-	// evictions of tier-t entries; sized on demand to the deepest tier
-	// seen.
-	retained []uint64
-	evicted  []uint64
 }
 
 type lruEntry struct {
@@ -46,11 +28,6 @@ type lruEntry struct {
 	c    circuit.Circuit
 	info core.Info
 	err  error
-	// tier is the answering tier (0 = shallowest or non-tiered); lives
-	// is the remaining second-chance count, refilled to tier on every
-	// hit.
-	tier  int
-	lives int
 }
 
 func newLRU(capacity int) *lruCache {
@@ -73,70 +50,21 @@ func (c *lruCache) get(key perm.Perm) (circuit.Circuit, core.Info, error, bool) 
 	}
 	c.l.MoveToFront(el)
 	e := el.Value.(*lruEntry)
-	e.lives = e.tier
 	return e.c, e.info, e.err, true
 }
 
-func (c *lruCache) put(key perm.Perm, circ circuit.Circuit, info core.Info, err error, tier int) {
-	if tier < 0 {
-		tier = 0
-	}
+func (c *lruCache) put(key perm.Perm, circ circuit.Circuit, info core.Info, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
 		c.l.MoveToFront(el)
-		*el.Value.(*lruEntry) = lruEntry{key: key, c: circ, info: info, err: err, tier: tier, lives: tier}
+		*el.Value.(*lruEntry) = lruEntry{key: key, c: circ, info: info, err: err}
 		return
 	}
-	for c.l.Len() >= c.cap {
-		c.evictOne()
+	if c.l.Len() >= c.cap {
+		delete(c.m, c.l.Remove(c.l.Back()).(*lruEntry).key)
 	}
-	c.m[key] = c.l.PushFront(&lruEntry{key: key, c: circ, info: info, err: err, tier: tier, lives: tier})
-}
-
-// evictScanMax bounds the second-chance scan of one eviction, keeping
-// the worst-case work per insert a small constant even when the cache
-// is full of deep-tier entries — an unbounded rotation would hold the
-// mutex for O(cap · maxTier) list moves on the serving hot path.
-const evictScanMax = 8
-
-// evictOne removes exactly one entry: it scans at most evictScanMax
-// entries from the cold end, evicts the first with no lives left — or,
-// if every scanned entry still has lives, the scanned entry with the
-// fewest — and grants the other scanned entries their second chance
-// (spend a life, rotate to the warm end). Caller holds c.mu and
-// guarantees the list is non-empty.
-func (c *lruCache) evictOne() {
-	var scan [evictScanMax]*list.Element
-	n, victim := 0, -1
-	for el := c.l.Back(); el != nil && n < evictScanMax; el = el.Prev() {
-		scan[n] = el
-		e := el.Value.(*lruEntry)
-		if e.lives == 0 {
-			victim = n
-			n++
-			break
-		}
-		if victim < 0 || e.lives < scan[victim].Value.(*lruEntry).lives {
-			victim = n
-		}
-		n++
-	}
-	for i := 0; i < n; i++ {
-		if i == victim {
-			continue
-		}
-		e := scan[i].Value.(*lruEntry)
-		e.lives--
-		c.l.MoveToFront(scan[i])
-		c.tierCounter(&c.retained, e.tier)
-		c.retained[e.tier]++
-	}
-	e := scan[victim].Value.(*lruEntry)
-	c.l.Remove(scan[victim])
-	delete(c.m, e.key)
-	c.tierCounter(&c.evicted, e.tier)
-	c.evicted[e.tier]++
+	c.m[key] = c.l.PushFront(&lruEntry{key: key, c: circ, info: info, err: err})
 }
 
 // len reports the number of cached entries.
@@ -144,28 +72,4 @@ func (c *lruCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.l.Len()
-}
-
-// tierCounter grows a per-tier counter slice to cover tier.
-func (c *lruCache) tierCounter(s *[]uint64, tier int) {
-	for len(*s) <= tier {
-		*s = append(*s, 0)
-	}
-}
-
-// retentionStats snapshots the per-tier second-chance and eviction
-// counters (index = answering tier, shallowest first). Both slices have
-// the same length: the deepest tier either counter has touched.
-func (c *lruCache) retentionStats() (retained, evicted []uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := max(len(c.retained), len(c.evicted))
-	if n == 0 {
-		return nil, nil
-	}
-	retained = make([]uint64, n)
-	evicted = make([]uint64, n)
-	copy(retained, c.retained)
-	copy(evicted, c.evicted)
-	return retained, evicted
 }

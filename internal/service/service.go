@@ -462,7 +462,7 @@ func (s *Synthesizer) query(ctx context.Context, f perm.Perm) (circuit.Circuit, 
 		// cache, or a one-second shard blip would keep failing its
 		// specs until LRU eviction long after the fleet recovered.
 		if s.cache != nil && (errors.Is(err, core.ErrBeyondHorizon) || errors.Is(err, core.ErrInvalidFunction)) {
-			s.cache.put(f, nil, info, err, s.cacheTier(info, err))
+			s.cache.put(f, nil, info, err)
 		}
 		return nil, info, err
 	}
@@ -472,29 +472,9 @@ func (s *Synthesizer) query(ctx context.Context, f perm.Perm) (circuit.Circuit, 
 		s.mitm.Add(1)
 	}
 	if s.cache != nil {
-		s.cache.put(f, c, info, nil, s.cacheTier(info, nil))
+		s.cache.put(f, c, info, nil)
 	}
 	return c, info, nil
-}
-
-// cacheTier resolves a finished query's retention weight: the index of
-// the backend tier that answered it, 0 when the backend is not tiered.
-// Direct answers route by their cost. Meet-in-the-middle answers and
-// beyond-horizon verdicts consumed the deepest tier's escalation chain,
-// so they carry its full weight; invalid functions are rejected before
-// any table lookup and stay at weight 0.
-func (s *Synthesizer) cacheTier(info core.Info, err error) int {
-	tr, ok := s.cfg.Backend.(tables.TierResolver)
-	if !ok {
-		return 0
-	}
-	if err != nil && errors.Is(err, core.ErrInvalidFunction) {
-		return 0
-	}
-	if err == nil && info.Direct {
-		return tr.TierForCost(info.Cost)
-	}
-	return tr.TierForCost(1 << 30)
 }
 
 func (s *Synthesizer) noteErr(err error) {
@@ -622,18 +602,11 @@ type Stats struct {
 	CacheMisses uint64 `json:"cache_misses"`
 	Direct      uint64 `json:"direct"`
 	MITM        uint64 `json:"mitm"`
-	// CacheRetainedByTier/CacheEvictedByTier report the escalation-aware
-	// result-cache retention policy per answering tier (index 0 =
-	// shallowest): second chances granted at the cache's cold end vs
-	// final evictions. Present once eviction pressure has occurred;
-	// without a tiered backend every entry counts under tier 0.
-	CacheRetainedByTier []uint64 `json:"cache_retained_by_tier,omitempty"`
-	CacheEvictedByTier  []uint64 `json:"cache_evicted_by_tier,omitempty"`
-	// RemoteCache surfaces the tiered read-path counters of an injected
+	// RemoteCache surfaces the read-path counters of an injected
 	// backend that maintains caches (a tablenet.Client, or a Router's
 	// aggregate over its shard clients): hot-key and level-block hits
-	// and misses, coalesced fetches, cache memory, and wire bytes
-	// moved. Omitted for local table sources.
+	// and misses, cache memory, and wire bytes moved. Omitted for local
+	// table sources.
 	RemoteCache *tables.CacheStats `json:"remote_cache,omitempty"`
 	// Replicas surfaces the per-replica health trackers of an injected
 	// backend that routes over a replicated fleet (a
@@ -675,9 +648,6 @@ func (s *Synthesizer) Stats() Stats {
 		Direct:      s.direct.Load(),
 		MITM:        s.mitm.Load(),
 		Uptime:      time.Since(s.start),
-	}
-	if s.cache != nil {
-		st.CacheRetainedByTier, st.CacheEvictedByTier = s.cache.retentionStats()
 	}
 	if served := st.Direct + st.MITM; served > 0 {
 		st.AvgLatency = time.Duration(s.latencyNS.Load() / int64(served))

@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gate"
 	"repro/internal/perm"
-	"repro/internal/tables"
 )
 
 // The fixture table set is built once per test binary (k = 4: ≈7000
@@ -364,15 +363,15 @@ func TestServiceCache(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	c := newLRU(2)
 	a := perm.Perm(perm.Identity)
-	c.put(a, nil, core.Info{Cost: 0}, nil, 0)
+	c.put(a, nil, core.Info{Cost: 0}, nil)
 	b := randomCircuitPerm(rand.New(rand.NewSource(1)), 3)
-	c.put(b, nil, core.Info{Cost: 1}, nil, 0)
+	c.put(b, nil, core.Info{Cost: 1}, nil)
 	if _, _, _, ok := c.get(a); !ok {
 		t.Fatal("a evicted too early")
 	}
 	// a is now most recent; inserting a third key must evict b.
 	d := randomCircuitPerm(rand.New(rand.NewSource(2)), 5)
-	c.put(d, nil, core.Info{Cost: 2}, nil, 0)
+	c.put(d, nil, core.Info{Cost: 2}, nil)
 	if _, _, _, ok := c.get(b); ok {
 		t.Fatal("b not evicted")
 	}
@@ -381,112 +380,77 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-// TestLRUTieredRetention: the escalation-aware policy — a deep-tier
-// entry at the cold end is rotated back (spending a life) instead of
-// evicted, so it outlives the shallow-tier churn around it, and the
-// per-tier retention counters record both outcomes.
-func TestLRUTieredRetention(t *testing.T) {
-	c := newLRU(2)
-	deep := randomCircuitPerm(rand.New(rand.NewSource(1)), 5)
-	c.put(deep, nil, core.Info{Cost: 5}, nil, 2)
-	shallow := perm.Perm(perm.Identity)
-	c.put(shallow, nil, core.Info{}, nil, 0)
-	// Inserting a third key finds the deep entry at the cold end: it
-	// must be granted a second chance and the shallow one evicted.
-	next := randomCircuitPerm(rand.New(rand.NewSource(2)), 3)
-	c.put(next, nil, core.Info{Cost: 3}, nil, 0)
-	if _, _, _, ok := c.get(deep); !ok {
-		t.Fatal("deep-tier entry evicted before a shallow one")
-	}
-	if _, _, _, ok := c.get(shallow); ok {
-		t.Fatal("shallow-tier entry survived a deep one")
-	}
-	retained, evicted := c.retentionStats()
-	if len(retained) < 3 || retained[2] != 1 {
-		t.Fatalf("retained = %v, want one second chance at tier 2", retained)
-	}
-	if evicted[0] != 1 {
-		t.Fatalf("evicted = %v, want one tier-0 eviction", evicted)
-	}
-	// Untouched, the deep entry's lives run out under continued churn:
-	// it must eventually be evicted (no permanent pinning).
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 10; i++ {
-		c.put(randomCircuitPerm(rng, 4), nil, core.Info{Cost: 4}, nil, 0)
-	}
-	if _, _, _, ok := c.get(deep); ok {
-		t.Fatal("deep-tier entry pinned forever")
-	}
-	if _, evicted := c.retentionStats(); len(evicted) < 3 || evicted[2] != 1 {
-		t.Fatalf("evicted = %v, want the deep entry's final eviction at tier 2", evicted)
-	}
-}
-
-// tieredBackend wraps a backend with a static cost→tier map, standing
-// in for a tablenet.Federation in retention tests.
-type tieredBackend struct {
-	tables.Backend
-	horizons []int
-}
-
-func (b *tieredBackend) TierForCost(cost int) int {
-	for i, h := range b.horizons {
-		if cost <= h {
-			return i
+// TestLRUMatchesModel runs a seeded mix of gets and puts — re-puts of
+// resident keys included, which must refresh recency and replace the
+// value — against a slice-based reference LRU, checking every get's hit
+// or miss and value, and the resident set at the end.
+func TestLRUMatchesModel(t *testing.T) {
+	const (
+		capacity = 16
+		nKeys    = 64
+		ops      = 10000
+	)
+	rng := rand.New(rand.NewSource(27))
+	keys := make([]perm.Perm, 0, nKeys)
+	seen := make(map[perm.Perm]bool, nKeys)
+	for len(keys) < nKeys {
+		if f := randomPerm16(rng); !seen[f] {
+			seen[f] = true
+			keys = append(keys, f)
 		}
 	}
-	return len(b.horizons) - 1
-}
 
-// TestServiceTieredCacheRetention: end to end through the service —
-// with a tier-resolving backend, answers that needed the deep tier
-// outlive shallow-tier churn in the result cache, and the per-tier
-// retention counters surface in Stats.
-func TestServiceTieredCacheRetention(t *testing.T) {
-	res := fixtureTables(t)
-	b, err := tables.NewLocal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := New(Config{
-		Backend:      &tieredBackend{Backend: b, horizons: []int{1, 2, 100}},
-		QueryWorkers: 1,
-		CacheSize:    2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close(context.Background())
-
-	// A cost-4 representative resolves to tier 2 (two retention lives);
-	// identity and cost-1 representatives to tier 0.
-	deep := res.Level(4).At(0)
-	if _, info, err := svc.Synthesize(context.Background(), deep); err != nil {
-		t.Fatal(err)
-	} else if got := svc.cacheTier(info, nil); got != 2 {
-		t.Fatalf("deep query resolved to tier %d (cost %d), want 2", got, info.Cost)
-	}
-	// Flood with cheap queries; the deep answer must still be a cache
-	// hit afterwards (capacity 2 with plain LRU would have evicted it).
-	cheap := []perm.Perm{perm.Perm(perm.Identity), res.Level(1).At(0), res.Level(1).At(1)}
-	for _, f := range cheap {
-		if _, _, err := svc.Synthesize(context.Background(), f); err != nil {
-			t.Fatal(err)
+	c := newLRU(capacity)
+	var order []int      // reference: key indices, most recent first
+	val := map[int]int{} // reference: key index → Info.Cost of its last put
+	touch := func(k int) {
+		for i, o := range order {
+			if o == k {
+				order = append(order[:i], order[i+1:]...)
+				break
+			}
 		}
+		order = append([]int{k}, order...)
 	}
-	before := svc.Stats().CacheHits
-	if _, _, err := svc.Synthesize(context.Background(), deep); err != nil {
-		t.Fatal(err)
+	var hits, reputs int
+	for op := 0; op < ops; op++ {
+		k := rng.Intn(nKeys)
+		if rng.Intn(2) == 0 {
+			_, info, _, ok := c.get(keys[k])
+			want, resident := val[k]
+			if ok != resident {
+				t.Fatalf("op %d: get(key %d) hit=%v, model says %v", op, k, ok, resident)
+			}
+			if ok {
+				hits++
+				touch(k)
+				if info.Cost != want {
+					t.Fatalf("op %d: get(key %d) = cost %d, want %d", op, k, info.Cost, want)
+				}
+			}
+			continue
+		}
+		if _, resident := val[k]; resident {
+			reputs++
+		} else if len(order) == capacity {
+			delete(val, order[capacity-1])
+			order = order[:capacity-1]
+		}
+		c.put(keys[k], nil, core.Info{Cost: op}, nil)
+		val[k] = op
+		touch(k)
 	}
-	st := svc.Stats()
-	if st.CacheHits != before+1 {
-		t.Fatalf("deep-tier answer was evicted by shallow churn (hits %d → %d)", before, st.CacheHits)
+	if hits == 0 || reputs == 0 {
+		t.Fatalf("run exercised %d hits and %d re-puts; want both", hits, reputs)
 	}
-	if len(st.CacheRetainedByTier) < 3 || st.CacheRetainedByTier[2] == 0 {
-		t.Fatalf("CacheRetainedByTier = %v, want tier-2 second chances", st.CacheRetainedByTier)
+	if c.len() != len(order) {
+		t.Fatalf("len %d, model %d", c.len(), len(order))
 	}
-	if len(st.CacheEvictedByTier) == 0 || st.CacheEvictedByTier[0] == 0 {
-		t.Fatalf("CacheEvictedByTier = %v, want tier-0 evictions", st.CacheEvictedByTier)
+	for k := range keys {
+		_, resident := val[k]
+		if _, ok := c.m[keys[k]]; ok != resident {
+			t.Fatalf("key %d resident=%v at the end, model says %v", k, ok, resident)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // reconnect onto different tables fails loudly), so every byte fetched
 // over the wire — a canonical key's packed value, its absence, a level
 // key range — stays true for the client's lifetime and is cacheable
-// forever. Three tiers exploit that:
+// forever. Two tiers exploit that:
 //
 //  1. A sharded hot-key cache (set-associative, lock-free reads) over
 //     LookupBatch results. Partial hits split the batch: hit keys are
@@ -23,12 +23,11 @@ import (
 //  2. An immutable level-block cache: LevelKeys ranges are fetched as
 //     aligned blocks and kept, so repeated meet-in-the-middle scans stop
 //     re-fetching the low-level key ranges entirely.
-//  3. Singleflight coalescing of level blocks: concurrent misses of the
-//     same block share one round trip. Key misses are not coalesced: a
-//     miss batch travels on its caller's goroutine. Identical concurrent
-//     miss batches are rare (a traced perfbench fleet-mix run shared 2
-//     fetches against 8 million key misses), so sharing them bought
-//     nothing for a goroutine and a content hash per miss batch.
+//
+// Misses of either tier travel on their caller's goroutine, under the
+// caller's ctx, and are not shared with concurrent callers: a traced
+// perfbench fleet-mix run shared 2 key-miss fetches against 8 million
+// misses and 0 level-block fetches against 56,686 level reads.
 
 // hotWays is the set associativity of the hot-key cache: victim
 // selection is exact LRU within a 4-slot set, which captures the
@@ -192,37 +191,23 @@ func (c *hotKeyCache) bytes() int64 { return int64(len(c.sets)) * int64(unsafe.S
 const levelBlockKeys = 2048
 
 // levelCache holds immutable level-key blocks behind atomic pointers:
-// a block is fetched once (singleflight), published, and never changes.
-// A byte budget bounds growth; once it is exhausted new blocks are
-// still fetched and served but not retained — since scans touch low
-// levels first, the retained set naturally converges to the hottest
-// prefix of the key space.
+// a block is published once and never changes. A byte budget bounds
+// growth; once it is exhausted new blocks are still fetched and served
+// but not retained — since scans touch low levels first, the retained
+// set naturally converges to the hottest prefix of the key space.
 type levelCache struct {
 	budget int64
 	bytes  atomic.Int64
 	blocks [][]atomic.Pointer[[]uint64] // [level][blockIndex]
 
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	coalesced atomic.Uint64
-
-	mu      sync.Mutex
-	flights map[uint64]*blockFlight
-}
-
-// blockFlight is one in-flight block fetch; latecomers wait on done and
-// read blk/err.
-type blockFlight struct {
-	done chan struct{}
-	blk  *[]uint64
-	err  error
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
 func newLevelCache(levelCounts []int, budget int64) *levelCache {
 	lc := &levelCache{
-		budget:  budget,
-		blocks:  make([][]atomic.Pointer[[]uint64], len(levelCounts)),
-		flights: make(map[uint64]*blockFlight),
+		budget: budget,
+		blocks: make([][]atomic.Pointer[[]uint64], len(levelCounts)),
 	}
 	for c, n := range levelCounts {
 		lc.blocks[c] = make([]atomic.Pointer[[]uint64], (n+levelBlockKeys-1)/levelBlockKeys)
@@ -230,67 +215,30 @@ func newLevelCache(levelCounts []int, budget int64) *levelCache {
 	return lc
 }
 
-func blockID(level, idx int) uint64 { return uint64(level)<<32 | uint64(idx) }
-
 // block returns level c's idx-th key block, serving it from the cache
-// when present and otherwise fetching it through fetch — exactly once
-// per concurrent set of callers. blockN is the block's key count
-// (shorter for the level's final block).
-//
-// The fetch runs detached from any single caller's context: a shared
-// flight must not inherit one query's cancellation or deadline and
-// poison every coalesced waiter with it. Each caller — the one that
-// launched the flight included — waits under its own ctx; a caller
-// whose ctx dies gets its own ctx error while the flight runs on (the
-// wire layer's stall backstop bounds it) and still fills the cache.
+// when present and otherwise fetching it through fetch on the caller's
+// goroutine under the caller's ctx. blockN is the block's key count
+// (shorter for the level's final block). Concurrent misses of one block
+// each fetch it; the first to publish wins, and only its bytes are
+// charged to the budget, so a lost race never counts a block twice.
 func (lc *levelCache) block(ctx context.Context, c, idx, blockN int, fetch func(ctx context.Context, lo int, out []uint64) error) (*[]uint64, error) {
-	if blk := lc.blocks[c][idx].Load(); blk != nil {
+	slot := &lc.blocks[c][idx]
+	if blk := slot.Load(); blk != nil {
 		lc.hits.Add(1)
 		return blk, nil
 	}
 	lc.misses.Add(1)
-	id := blockID(c, idx)
-	lc.mu.Lock()
-	fl, ok := lc.flights[id]
-	if ok {
-		lc.coalesced.Add(1)
-	} else {
-		// Double-check under the lock: the flight we would have joined
-		// may have just completed and published.
-		if blk := lc.blocks[c][idx].Load(); blk != nil {
-			lc.mu.Unlock()
-			return blk, nil
-		}
-		fl = &blockFlight{done: make(chan struct{})}
-		lc.flights[id] = fl
+	buf := make([]uint64, blockN)
+	if err := fetch(ctx, idx*levelBlockKeys, buf); err != nil {
+		return nil, err
 	}
-	lc.mu.Unlock()
-	if !ok {
-		go func(fctx context.Context) {
-			buf := make([]uint64, blockN)
-			fl.err = fetch(fctx, idx*levelBlockKeys, buf)
-			if fl.err == nil {
-				fl.blk = &buf
-				// Retain only while the budget allows; an over-budget
-				// block is still returned to every waiter of this flight.
-				if sz := int64(blockN) * 8; lc.bytes.Add(sz) <= lc.budget {
-					lc.blocks[c][idx].Store(fl.blk)
-				} else {
-					lc.bytes.Add(-sz)
-				}
-			}
-			close(fl.done)
-			lc.mu.Lock()
-			delete(lc.flights, id)
-			lc.mu.Unlock()
-		}(context.WithoutCancel(ctx))
+	blk := &buf
+	// An over-budget block, or one a concurrent fetch published first,
+	// is served but neither retained nor charged.
+	if sz := int64(blockN) * 8; lc.bytes.Add(sz) > lc.budget || !slot.CompareAndSwap(nil, blk) {
+		lc.bytes.Add(-sz)
 	}
-	select {
-	case <-fl.done:
-		return fl.blk, fl.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return blk, nil
 }
 
 // batchScratch is the pooled per-call workspace of the cached

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"sync"
@@ -260,6 +261,99 @@ func TestClientCachesDisabled(t *testing.T) {
 	}
 	if st.WireBytesRead == 0 {
 		t.Fatalf("wire counters must still count: %+v", st)
+	}
+}
+
+// TestLevelCacheConcurrentColdReads: goroutines reading every level of
+// a cold client at once each fetch missing blocks on their own
+// goroutine; every read must match the local table, and the cache must
+// charge each published block once however many callers raced for it.
+// A caller whose ctx is already canceled gets its own error and
+// publishes nothing.
+func TestLevelCacheConcurrentColdReads(t *testing.T) {
+	local := fixtureBackend(t)
+	_, addr := startServer(t, local)
+	ctx := context.Background()
+	counts := local.Meta().LevelCounts
+	want := make([][]uint64, len(counts))
+	for c, n := range counts {
+		want[c] = make([]uint64, n)
+		if err := local.LevelKeys(ctx, c, 0, want[c]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// readAll reads every level through cl and checks it against want.
+	readAll := func(cl *Client) error {
+		for c, n := range counts {
+			got := make([]uint64, n)
+			if err := cl.LevelKeys(ctx, c, 0, got); err != nil {
+				return err
+			}
+			for i := range got {
+				if got[i] != want[c][i] {
+					return fmt.Errorf("level %d key %d: %#x, want %#x", c, i, got[i], want[c][i])
+				}
+			}
+		}
+		return nil
+	}
+	// publishedBytes sums the blocks the level cache holds.
+	publishedBytes := func(cl *Client) (n int64) {
+		for _, lvl := range cl.lcache.blocks {
+			for i := range lvl {
+				if blk := lvl[i].Load(); blk != nil {
+					n += int64(len(*blk)) * 8
+				}
+			}
+		}
+		return n
+	}
+
+	cl := dialClient(t, addr, &ClientOptions{CacheKeys: -1})
+	const readers = 8
+	errs := make(chan error, readers)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- readAll(cl)
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var total int64
+	for _, n := range counts {
+		total += int64(n) * 8
+	}
+	st := cl.CacheStats()
+	if pub := publishedBytes(cl); st.CacheBytes != pub || pub != total {
+		t.Fatalf("CacheBytes %d, published blocks %d bytes, every level %d bytes", st.CacheBytes, pub, total)
+	}
+	if st.LevelMisses == 0 || st.LevelHits+st.LevelMisses < readers*uint64(len(counts)) {
+		t.Fatalf("level counters off: %+v", st)
+	}
+
+	cold := dialClient(t, addr, &ClientOptions{CacheKeys: -1})
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	last := len(counts) - 1
+	if err := cold.LevelKeys(canceled, last, 0, make([]uint64, counts[last])); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled read returned %v, want context.Canceled", err)
+	}
+	if st := cold.CacheStats(); st.CacheBytes != 0 || publishedBytes(cold) != 0 {
+		t.Fatalf("canceled read published blocks: %+v", st)
+	}
+	if err := readAll(cold); err != nil {
+		t.Fatal(err)
+	}
+	if st := cold.CacheStats(); st.CacheBytes != total || publishedBytes(cold) != total {
+		t.Fatalf("after the canceled read: CacheBytes %d, want %d", st.CacheBytes, total)
 	}
 }
 

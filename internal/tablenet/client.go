@@ -58,10 +58,9 @@ const DefaultLevelCacheBytes = 32 << 20
 // multiplexed over a bounded pool of request/response connections.
 //
 // The client is tiered: immutable results are cached (a sharded hot-key
-// cache for lookups, an aligned-block cache for level key ranges, whose
-// concurrent misses of one block share a round trip), so a warm client
-// answers most reads without touching the network. See CacheStats for
-// the counters.
+// cache for lookups, an aligned-block cache for level key ranges), so a
+// warm client answers most reads without touching the network. See
+// CacheStats for the counters.
 type Client struct {
 	addr   string
 	opts   ClientOptions
@@ -269,8 +268,7 @@ func (cl *Client) OwnershipMismatches() uint64 { return cl.ownershipMismatches.L
 func (cl *Client) Meta() tables.Meta { return cl.meta }
 
 // CacheStats snapshots the tiered read path's counters: cache hits and
-// misses per tier, coalesced level-block fetches, cache memory, and the
-// wire bytes actually moved.
+// misses per tier, cache memory, and the wire bytes actually moved.
 func (cl *Client) CacheStats() tables.CacheStats {
 	st := tables.CacheStats{
 		WireBytesRead:    cl.bytesRead.Load(),
@@ -285,7 +283,6 @@ func (cl *Client) CacheStats() tables.CacheStats {
 	if cl.lcache != nil {
 		st.LevelHits = cl.lcache.hits.Load()
 		st.LevelMisses = cl.lcache.misses.Load()
-		st.Coalesced = cl.lcache.coalesced.Load()
 		st.CacheBytes += cl.lcache.bytes.Load()
 	}
 	return st
@@ -578,9 +575,9 @@ func (cl *Client) lookupWire(ctx context.Context, keys []uint64, vals []uint16, 
 
 // LevelKeys implements tables.Backend: representative words of one cost
 // level's index range. With the level cache enabled the range is served
-// from aligned immutable blocks — fetched at most once each, coalesced
-// across concurrent callers — so repeated scans stop re-fetching the
-// hot low-level ranges entirely.
+// from aligned immutable blocks, a missing block fetched on the caller's
+// goroutine and kept once fetched, so repeated scans stop re-fetching
+// the hot low-level ranges entirely.
 func (cl *Client) LevelKeys(ctx context.Context, c, lo int, out []uint64) error {
 	if c < 0 || c > cl.meta.K {
 		return fmt.Errorf("tablenet: level %d outside horizon %d", c, cl.meta.K)

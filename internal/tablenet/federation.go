@@ -436,7 +436,8 @@ func (f *Federation) Tiers() int { return len(f.tiers) }
 // LookupBatchBounded routes a bound-cost probe to first and, when the
 // tiers are healthy, the one that answers it. Costs beyond every
 // horizon report the deepest tier (answering them exhausted the whole
-// escalation chain).
+// escalation chain). It is kept only for perfbench's TierResolver
+// assertion.
 func (f *Federation) TierForCost(cost int) int {
 	for i, t := range f.tiers {
 		if cost <= t.horizon {

@@ -208,9 +208,9 @@ type CacheStats struct {
 	// immutable level-chunk cache vs fetched.
 	LevelHits   uint64 `json:"level_hits"`
 	LevelMisses uint64 `json:"level_misses"`
-	// Coalesced counts level-block fetches that piggybacked on an
-	// identical in-flight block fetch instead of issuing their own
-	// round trip. Key misses are never coalesced.
+	// Coalesced is always 0: no client cache shares a fetch between
+	// concurrent callers. The field remains while perfbench still
+	// reports it as client.coalesced.
 	Coalesced uint64 `json:"coalesced"`
 	// CacheBytes is the memory currently held by the caches.
 	CacheBytes int64 `json:"cache_bytes"`
@@ -338,10 +338,9 @@ type TierStatser interface {
 }
 
 // TierResolver is implemented by tiered backends that can statically
-// map a minimal cost to the tier that answers it. The service layer
-// uses it to weight result-cache retention: an answer that had to come
-// from a deep (expensive) tier is worth keeping longer than one any
-// tier could have produced.
+// map a minimal cost to the tier that answers it. Nothing in the
+// serving path uses it: it remains while perfbench still asserts that
+// its federation decorator implements it.
 type TierResolver interface {
 	// TierForCost returns the index (0 = shallowest) of the tier whose
 	// cost horizon covers the given minimal cost — the tier a direct
