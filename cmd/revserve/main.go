@@ -51,16 +51,19 @@
 //     keep hot on one machine (the paper's k ≥ 9 regime).
 //   - -federation fronts several per-k fleets as cost-horizon tiers:
 //     ';'-separated tiers, each in -router syntax, ordered by table
-//     depth automatically. Queries probe the smallest-k tier first —
-//     its store is a few MB and permanently page-cache-hot — and only
-//     the keys it does not hold escalate to the deeper fleets, so the
-//     big-k fleet sees only the rare hard traffic (the paper's cost
-//     distribution is overwhelmingly bottom-heavy). Tiers must be built
-//     from the same alphabet (validated at startup; mismatches refuse
-//     typed); answers are byte-identical to big-k-only serving. /stats
-//     and /metrics report per-tier probe/hit/escalation counters;
-//     /healthz is 503 only when the top (deepest) tier is down — lower
-//     tier outages degrade to big-k-only serving.
+//     depth automatically. Each read goes to the shallowest tier whose
+//     depth covers what it needs and fails over deeper only on error:
+//     a direct probe (cost unknown) and the scan's probes go to the
+//     top tier, while reconstruction steps and level reads within a
+//     small tier's depth stay on that small, page-cache-hot store. The
+//     small tier does not filter hard traffic away: the cost
+//     distribution is top-heavy (perfbench fleet-mix: 95% of direct
+//     probes missed a k=3 tier). Tiers must be built from the same
+//     alphabet (validated at startup; mismatches refuse typed); answers
+//     are byte-identical to big-k-only serving. /stats and /metrics
+//     report per-tier probe/hit/level-read/error counters; /healthz is
+//     503 only when the top (deepest) tier is down — lower tier outages
+//     degrade to big-k-only serving.
 //   - -topology is the live-membership form of -router: the fleet is
 //     wired from a generation-stamped JSON document ({"generation",
 //     "ranges", "replication", "members"} — members are assigned to
@@ -179,8 +182,8 @@ func main() {
 			`{"generation", "ranges", "replication", "members"}; rendezvous hashing assigns ranges, `+
 			"SIGHUP or POST /admin/topology reloads it, and the swap applies atomically (in-flight queries finish on the old fleet)")
 		federation = flag.String("federation", "", "tiered multi-k serving: ';'-separated tiers, each a -router style fleet spec "+
-			"(e.g. 'small:9090;big1:9091|big2:9092') ordered by table depth automatically; queries probe the smallest-k tier "+
-			"first and only beyond-horizon keys escalate to the deeper fleets")
+			"(e.g. 'small:9090;big1:9091|big2:9092') ordered by table depth automatically; each read goes to the shallowest tier "+
+			"whose depth covers what it needs and fails over deeper only on error")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound for -shard-serve: SIGTERM announces "+
 			"draining in the handshake, in-flight requests finish, then the process exits")
 		shardConns  = flag.Int("shard-conns", 0, "connection-pool size per shard backend (0: default)")
@@ -562,8 +565,7 @@ func buildHandler(svc *service.Synthesizer, fleet fleetView, reg *clientRegistry
 		}
 		if ts, ok := fleet.(tables.TierStatser); ok {
 			// A federation: per-tier routing counters (probes, hits,
-			// escalations) — the signal that says how much traffic never
-			// left the small always-warm tier.
+			// level reads, tier errors) — which reads each tier served.
 			out["tiers"] = ts.TierStats()
 		}
 		if admin != nil {

@@ -213,7 +213,7 @@ func registerServiceCollectors(r *ops.Registry, svc *service.Synthesizer) {
 			emit([]ops.Label{{Name: "tier", Value: "level"}}, st.RemoteCache.LevelHitRatio())
 		})
 
-	// Federation tiers: present only when the backend escalates over
+	// Federation tiers: present only when the backend routes over
 	// per-k fleets; one series per tier, labeled by table depth.
 	tier := func(name, help, typ string, get func(tables.TierStats) float64) {
 		r.Collect(name, help, typ, func(emit func([]ops.Label, float64)) {
@@ -226,11 +226,9 @@ func registerServiceCollectors(r *ops.Registry, svc *service.Synthesizer) {
 		func(ts tables.TierStats) float64 { return float64(ts.Probes) })
 	tier("revserve_tier_hits_total", "Keys answered by each federation tier.", "counter",
 		func(ts tables.TierStats) float64 { return float64(ts.Hits) })
-	tier("revserve_tier_escalations_total", "Keys escalated past each federation tier to the next deeper one.", "counter",
-		func(ts tables.TierStats) float64 { return float64(ts.Escalations) })
 	tier("revserve_tier_level_reads_total", "Level-range reads routed to each federation tier.", "counter",
 		func(ts tables.TierStats) float64 { return float64(ts.LevelReads) })
-	tier("revserve_tier_errors_total", "Tier probes that failed outright and escalated their whole sub-batch.", "counter",
+	tier("revserve_tier_errors_total", "Reads (probe batches and level reads) that failed on each federation tier; each moves on to the next deeper tier, if any.", "counter",
 		func(ts tables.TierStats) float64 { return float64(ts.TierErrors) })
 	tier("revserve_tier_horizon", "Each federation tier's synthesis horizon.", "gauge",
 		func(ts tables.TierStats) float64 { return float64(ts.Horizon) })

@@ -1,10 +1,13 @@
 // Federation walkthrough: serving two table depths — a small k=4 store
 // and a big k=6 fleet — behind one front door that answers every query
-// byte-identically to big-k-only serving, while the big fleet sees
-// only the hard tail. This is the multi-k deployment shape: the paper's
-// cost distribution is bottom-heavy, so most realistic traffic resolves
-// inside a table a few MB big and permanently cache-hot, and the
-// multi-GB deep store earns its keep only on the rare hard functions.
+// byte-identically to big-k-only serving. The federation has one
+// routing rule: each read goes to the shallowest tier whose depth
+// covers what it needs, and fails over deeper only on error. A query's
+// direct probe needs the full depth (its cost is the unknown), so it
+// goes to the big fleet; once the cost is known, each reconstruction
+// step needs only the remaining cost, so the cheap steps — and the
+// reads of the levels the small store holds — stay on the small,
+// page-cache-hot tier.
 //
 //	go run ./examples/federation
 //
@@ -27,14 +30,14 @@
 //	# 4. Query it exactly like a single-host revserve, and watch the
 //	#    per-tier counters under "tiers":
 //	curl -g 'localhost:8080/synthesize?spec=[0,7,6,9,4,11,10,13,8,15,14,1,12,3,2,5]'
-//	curl 'localhost:8080/stats'      # per-tier probes/hits/escalations
+//	curl 'localhost:8080/stats'      # per-tier probes/hits/level reads
 //	curl 'localhost:8080/metrics'    # the same counters for Prometheus
 //
 // This program walks the same wiring in-process: it builds both table
 // sets, serves each behind real loopback servers, federates them, and
 // proves the two claims that make federation safe and worthwhile —
-// every answer byte-matches direct big-k synthesis, and the escalation
-// counters move only when a spec is genuinely beyond the small tier.
+// every answer byte-matches direct big-k synthesis, and each probe
+// lands on the tier its cost bound names.
 package main
 
 import (
@@ -58,7 +61,7 @@ import (
 func main() {
 	// 1. Build both depths over the SAME alphabet — that sameness is
 	// what NewFederation validates (fingerprint, reduction, level-count
-	// prefixes) and what makes escalated answers byte-identical: the
+	// prefixes) and what makes routed answers byte-identical: the
 	// build is deterministic, so the k=4 tables are an exact prefix of
 	// the k=6 tables.
 	fmt.Println("building k=4 and k=6 tables over one alphabet...")
@@ -145,9 +148,10 @@ func main() {
 	hard, hardCost := pick(8, small.MaxCost+1, 2*big.MaxCost)
 
 	// 5. Synthesize each through the federation and show which counters
-	// moved: the easy spec never leaves tier 0 (its direct probe hits
-	// the small table and every reconstruction step is cost-bounded
-	// under k=4); the hard spec escalates — and still byte-matches.
+	// moved. The easy spec's direct probe is bounded by k=6, so it is
+	// the big tier's only probe; its cost − 1 reconstruction steps are
+	// each bounded by the remaining cost, under k=4, so they all land on
+	// the small tier. The hard spec's cheap steps land there too.
 	show := func(name string, f perm.Perm, cost int) {
 		before := fed.TierStats()
 		got, info, err := svc.Synthesize(context.Background(), f)
@@ -158,25 +162,24 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		match := "MATCHES big-k"
 		if got.String() != want.String() {
-			match = "DIVERGES from big-k(!)"
+			log.Fatalf("%s spec: federated %v DIVERGES from big-k %v", name, got, want)
 		}
 		after := fed.TierStats()
-		fmt.Printf("%s spec (optimal cost %d): %d gates, %s\n", name, cost, info.Cost, match)
+		fmt.Printf("%s spec (optimal cost %d): %d gates, MATCHES big-k\n", name, cost, info.Cost)
+		probes := make([]uint64, len(after))
 		for i := range after {
-			fmt.Printf("  tier k=%d: +%d probes, +%d hits, +%d escalations\n",
-				after[i].K,
-				after[i].Probes-before[i].Probes,
+			probes[i] = after[i].Probes - before[i].Probes
+			fmt.Printf("  tier k=%d: +%d probes, +%d hits, +%d level reads\n",
+				after[i].K, probes[i],
 				after[i].Hits-before[i].Hits,
-				after[i].Escalations-before[i].Escalations)
+				after[i].LevelReads-before[i].LevelReads)
 		}
-		esc := after[0].Escalations - before[0].Escalations
-		if cost <= small.MaxCost && esc != 0 {
-			log.Fatalf("easy spec escalated %d keys", esc)
+		if cost <= small.MaxCost && (probes[1] != 1 || probes[0] != uint64(cost-1)) {
+			log.Fatalf("easy spec probed the tiers %v times, want [%d 1]", probes, cost-1)
 		}
-		if cost > small.MaxCost && esc == 0 {
-			log.Fatal("hard spec never escalated")
+		if cost > small.MaxCost && probes[0] == 0 {
+			log.Fatal("hard spec's cheap reconstruction steps never reached the small tier")
 		}
 		fmt.Println()
 	}
@@ -189,7 +192,7 @@ func main() {
 	h := fed.Health(context.Background())
 	fmt.Printf("health: degraded=%v down=%v across %d replicas\n", h.Degraded, h.Down(), len(h.Replicas))
 	for _, ts := range fed.TierStats() {
-		fmt.Printf("  tier k=%d totals: %d probes, %d hits, %d escalations, %d errors\n",
-			ts.K, ts.Probes, ts.Hits, ts.Escalations, ts.TierErrors)
+		fmt.Printf("  tier k=%d totals: %d probes, %d hits, %d level reads, %d errors\n",
+			ts.K, ts.Probes, ts.Hits, ts.LevelReads, ts.TierErrors)
 	}
 }

@@ -100,10 +100,10 @@ type Synthesizer struct {
 	meta     tables.Meta
 	alphabet *bfs.Alphabet
 	// bounded is the backend's cost-horizon routing refinement, when it
-	// has one (a tablenet.Federation does). Probes whose useful-cost
-	// bound is known — every scan batch, every reconstruction step —
-	// take it, so a federation answers them from the single shallowest
-	// authoritative tier instead of escalating through the chain.
+	// has one (a tablenet.Federation does). Every probe passes a bound —
+	// K for the direct probe and the scan, the known cost for each
+	// reconstruction step — so a federation answers it from the one
+	// shallowest tier whose depth covers the bound.
 	bounded tables.BoundedLookuper
 	// res is the in-process tables when the backend is tables.Localized,
 	// nil otherwise. Queries never read its tables — they go through
@@ -255,8 +255,7 @@ func (s *Synthesizer) Horizon() int {
 	// (tables.Meta.Horizon) caps the guarantee: a tiered federation, for
 	// instance, reports its top tier's bound, and a "beyond horizon"
 	// outcome attributed to that backend is final — this synthesizer
-	// scans the backend once and never re-scans per tier; escalation
-	// between tiers already happened inside the backend's LookupBatch.
+	// scans the backend once and never re-scans per tier.
 	if s.meta.Horizon != 0 && s.meta.Horizon < h {
 		h = s.meta.Horizon
 	}
@@ -348,14 +347,13 @@ func (s *Synthesizer) SynthesizeInfoCtx(ctx context.Context, f perm.Perm) (circu
 	var info Info
 	// Algorithm 1, first branch: f is within the BFS horizon.
 	head := s.canonical(f)
-	// The direct probe is unbounded — the function's cost is exactly the
-	// unknown — so a federation runs its tiered escalation here; it is
-	// the one probe per query where escalation earns its keep. The hit
-	// then reveals the cost, and the rest of the reconstruction chain is
-	// bounded by it: an easy function never leaves the shallow tier. The
-	// hit is also the chain's step 0 — a bounded probe of the same key
-	// would resolve in the same tier — so it is not looked up again.
-	raw, ok, err := s.lookupRaw(ctx, sc, uint64(head.key), -1)
+	// The function's cost is the unknown, so the direct probe is bounded
+	// by the full table depth: a federation answers it from its top tier.
+	// The hit reveals the cost, and the rest of the reconstruction chain
+	// is bounded by it, so its steps move to shallower tiers as the cost
+	// falls. The hit is also the chain's step 0, so it is not looked up
+	// again.
+	raw, ok, err := s.lookupRaw(ctx, sc, uint64(head.key), s.meta.K)
 	if err != nil {
 		return nil, info, err
 	}
@@ -596,19 +594,11 @@ func (s *Synthesizer) scanChunk(ctx context.Context, sc *backendScratch, f perm.
 	sc.keys, sc.cands = keys, cs
 	vals, found := sc.vals[:len(keys)], sc.found[:len(keys)]
 	// Scan batches are bounded by the full table depth: that is no
-	// relaxation (every stored class costs ≤ K) but it routes a
-	// federation straight to its one authoritative tier — a scan probes
-	// each candidate exactly once instead of walking misses through the
-	// whole tier chain. The bound must NOT be tightened to the best total
-	// so far: dropping a representative's first hitting variant would let
-	// a later variant commit instead, changing the answer for weighted
-	// alphabets.
-	if s.bounded != nil {
-		err = s.bounded.LookupBatchBounded(ctx, keys, vals, found, s.meta.K)
-	} else {
-		err = s.backend.LookupBatch(ctx, keys, vals, found)
-	}
-	if err != nil {
+	// relaxation (every stored class costs ≤ K). The bound must NOT be
+	// tightened to the best total so far: dropping a representative's
+	// first hitting variant would let a later variant commit instead,
+	// changing the answer for weighted alphabets.
+	if err := s.lookup(ctx, keys, vals, found, s.meta.K); err != nil {
 		return best, 0, err
 	}
 	hitRep := -1
@@ -747,27 +737,28 @@ func (s *Synthesizer) scanParallel(ctx context.Context, f perm.Perm, level int, 
 	return best, sum(committed), nil
 }
 
-// lookupRaw probes one canonical key through the backend as a batch of
-// one, in the query's pooled scratch: the buffers escape through the
-// Backend interface call, so a batch of one on the stack would cost
-// three allocations per lookup. (Reconstruction is a dependent chain,
-// so singles are unavoidable — at most ~2·K per query, dwarfed by the
-// batched scan.) It serves the direct probe, whose hit is also the
-// reconstruction's step 0, and every later step. bound is the caller's
-// cost-horizon promise: when it knows the key is only useful if its
-// cost is ≤ bound, a bound-aware backend (tables.BoundedLookuper — a
-// federation) answers from the single shallowest tier covering the
-// bound. bound < 0 means "no promise": the plain tiered LookupBatch.
+// lookup is every table probe's one call shape: a batch whose keys the
+// caller needs only when their cost is ≤ bound. A bound-aware backend
+// (tables.BoundedLookuper — a federation) answers it from the shallowest
+// tier covering the bound; any other backend answers in full.
+func (s *Synthesizer) lookup(ctx context.Context, keys []uint64, vals []uint16, found []bool, bound int) error {
+	if s.bounded != nil {
+		return s.bounded.LookupBatchBounded(ctx, keys, vals, found, bound)
+	}
+	return s.backend.LookupBatch(ctx, keys, vals, found)
+}
+
+// lookupRaw probes one canonical key as a batch of one, in the query's
+// pooled scratch: the buffers escape through the Backend interface
+// call, so a batch of one on the stack would cost three allocations per
+// lookup. (Reconstruction is a dependent chain, so singles are
+// unavoidable — at most ~2·K per query, dwarfed by the batched scan.)
+// It serves the direct probe, whose hit is also the reconstruction's
+// step 0, and every later step.
 func (s *Synthesizer) lookupRaw(ctx context.Context, sc *backendScratch, key uint64, bound int) (uint16, bool, error) {
 	keys, vals, found := sc.keys[:1], sc.vals[:1], sc.found[:1]
 	keys[0] = key
-	var err error
-	if s.bounded != nil && bound >= 0 {
-		err = s.bounded.LookupBatchBounded(ctx, keys, vals, found, bound)
-	} else {
-		err = s.backend.LookupBatch(ctx, keys, vals, found)
-	}
-	if err != nil {
+	if err := s.lookup(ctx, keys, vals, found, bound); err != nil {
 		return 0, false, err
 	}
 	return vals[0], found[0], nil
@@ -800,12 +791,11 @@ func (s *Synthesizer) canonical(f perm.Perm) classHit {
 // nil, is step 0 already resolved — the direct probe's hit on f's own
 // class — so the chain starts at step 1.
 //
-// bound is the known cost of f (or -1 if unknown) and shrinks as
-// elements are stripped — each remainder costs at least one less than
-// the last — so against a federation every step of an easy function's
-// reconstruction resolves inside the shallowest tier that holds it;
-// even a hard function's chain walks down into cheaper tiers as it
-// unwinds.
+// bound is the known cost of f and shrinks as elements are stripped —
+// each remainder costs at least one less than the last — so against a
+// federation every step resolves inside the shallowest tier that holds
+// it, and even a hard function's chain walks down into cheaper tiers
+// as it unwinds.
 func (s *Synthesizer) reconstruct(ctx context.Context, sc *backendScratch, f perm.Perm, bound int, head *classHit) (circuit.Circuit, error) {
 	var front, back circuit.Circuit // back is collected in reverse
 	cur := f

@@ -614,8 +614,8 @@ type Stats struct {
 	// run, lifetime ejections. Omitted for unreplicated sources.
 	Replicas []tables.Health `json:"replicas,omitempty"`
 	// Tiers surfaces the per-tier routing counters of an injected tiered
-	// backend (a tablenet.Federation): probes, hits, escalations, level
-	// reads, and each tier's own cache view, shallowest tier first.
+	// backend (a tablenet.Federation): probes, hits, level reads, tier
+	// errors, and each tier's own cache view, shallowest tier first.
 	// Omitted for untiered sources.
 	Tiers []tables.TierStats `json:"tiers,omitempty"`
 	// AvgLatency averages the table-query time of uncached queries.

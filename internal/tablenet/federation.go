@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/tables"
@@ -20,29 +19,38 @@ import (
 var ErrTierMismatch = errors.New("tablenet: incompatible federation tiers")
 
 // Federation fronts an ordered list of per-k fleets as one
-// tables.Backend, exploiting the paper's central empirical fact: the
-// cost distribution of 4-bit reversible functions is overwhelmingly
-// bottom-heavy, so the vast majority of probes resolve inside a small-k
-// table that is a few MB and permanently cache-hot. LookupBatch probes
-// the shallowest tier first and escalates only the keys it does not
-// hold — keys whose cost exceeds that tier's depth — to the next deeper
-// tier, so the big-k fleet only ever sees the rare hard traffic.
+// tables.Backend. It has one routing rule for every read: the read goes
+// to the shallowest tier whose depth covers what the caller needs, and
+// fails over to a deeper tier only when that tier errors. The need of
+// LookupBatchBounded is its bound, of LevelKeys(c) the level c, and of
+// an unbounded LookupBatch the top tier's K: with the cost unknown only
+// the top tier's miss is authoritative. So each key is probed on
+// exactly one tier.
 //
-// Escalation preserves byte-identical answers because every tier is
-// built from the same alphabet under the same reduction: BFS expansion
-// is deterministic, so a shallow table's level lists and packed values
-// are exact prefixes of a deeper table's. NewFederation validates
-// exactly that (fingerprint, reduction, level-count prefix agreement)
-// and refuses mismatched tiers with ErrTierMismatch. Meta() is the top
-// tier's geometry, so a query engine driving a federation plans scans
-// exactly as it would against the deepest fleet alone — a federated
-// answer is bit-for-bit the big-k answer, just cheaper to produce.
+// The tiers do not filter traffic by cost: the cost distribution of
+// 4-bit functions is top-heavy (paper Table 3: random functions average
+// 11.94 gates), and in perfbench's fleet-mix, 95% of direct probes
+// missed a k=3 tier when it was probed first. What the shallow tiers
+// serve is the work that needs only their depth: the cheap
+// reconstruction steps (each stripped element lowers the bound) and
+// the level reads of a scan, dense and cached on a small store where a
+// split top tier would fan them out as sparse, uncached requests.
 //
-// Tier outages degrade, not fail: a lower tier whose probe errors has
-// its whole sub-batch escalated to the next tier (counted in
-// TierErrors), so the federation collapses gracefully to big-k-only
-// serving when a small fleet dies. Only the top tier's failure fails a
-// query — it is the only tier whose miss is authoritative.
+// Routing by depth preserves byte-identical answers because every tier
+// is built from the same alphabet under the same reduction: BFS
+// expansion is deterministic, so a shallow table's level lists and
+// packed values are exact prefixes of a deeper table's. NewFederation
+// validates exactly that (fingerprint, reduction, level-count prefix
+// agreement) and refuses mismatched tiers with ErrTierMismatch. Meta()
+// is the top tier's geometry, so a query engine driving a federation
+// plans scans exactly as it would against the deepest fleet alone — a
+// federated answer is bit-for-bit the big-k answer.
+//
+// A lower tier's outage degrades, not fails: its reads fail over to
+// the next deeper tier (counted in TierErrors), so the federation
+// collapses to big-k-only serving when a small fleet dies. The top
+// tier's outage fails every read that needs more than the lower tiers'
+// depths, unbounded lookups included.
 type Federation struct {
 	tiers []*fedTier
 	meta  tables.Meta
@@ -54,18 +62,17 @@ type fedTier struct {
 	meta    tables.Meta
 	horizon int
 
-	probes      atomic.Uint64
-	hits        atomic.Uint64
-	escalations atomic.Uint64
-	levelReads  atomic.Uint64
-	tierErrors  atomic.Uint64
+	probes     atomic.Uint64
+	hits       atomic.Uint64
+	levelReads atomic.Uint64
+	tierErrors atomic.Uint64
 }
 
 // NewFederation builds a federation over the given fleets (each
 // typically a *Router or *SwapBackend, but any tables.Backend serves).
 // Tiers are ordered by table depth internally, so callers may pass them
-// in any order; two tiers of equal depth are refused — there is no
-// meaningful escalation between them. On success the federation owns
+// in any order; two tiers of equal depth are refused — routing by
+// depth could not tell them apart. On success the federation owns
 // the backends: Close closes them all.
 func NewFederation(backends []tables.Backend) (*Federation, error) {
 	if len(backends) == 0 {
@@ -97,8 +104,8 @@ func NewFederation(backends []tables.Backend) (*Federation, error) {
 		}
 		// BFS determinism: a shallower table's levels must be exact
 		// prefixes of every deeper table's. A disagreeing count means the
-		// tiers did not come from the same build family, and escalated
-		// answers would not be byte-identical.
+		// tiers did not come from the same build family, and answers
+		// routed to different tiers would not be byte-identical.
 		for c, n := range tiers[i].meta.LevelCounts {
 			if m.LevelCounts[c] != n {
 				return nil, fmt.Errorf("%w: level %d holds %d representatives at k=%d but %d at k=%d", ErrTierMismatch, c, tiers[i].meta.LevelCounts[c], tiers[i].meta.K, m.LevelCounts[c], m.K)
@@ -113,155 +120,34 @@ func NewFederation(backends []tables.Backend) (*Federation, error) {
 }
 
 // Meta returns the top tier's table geometry: the federation answers
-// exactly what its deepest fleet answers, the shallower tiers are pure
-// acceleration.
+// exactly what its deepest fleet answers; the shallower tiers serve
+// the reads that need only their depth.
 func (f *Federation) Meta() tables.Meta { return f.meta }
 
-// fedScratch is the pooled per-call escalation workspace.
-type fedScratch struct {
-	idx   []int
-	keys  []uint64
-	vals  []uint16
-	found []bool
-}
-
-var fedPool = sync.Pool{New: func() any { return new(fedScratch) }}
-
-func (sc *fedScratch) grow(n int) {
-	if cap(sc.keys) < n {
-		sc.idx = make([]int, n)
-		sc.keys = make([]uint64, n)
-		sc.vals = make([]uint16, n)
-		sc.found = make([]bool, n)
-	}
-}
-
-// LookupBatch implements tables.Backend. The whole batch probes the
-// shallowest tier in place; only the keys that tier does not hold are
-// gathered and escalated, tier by tier, until the top tier's answer —
-// found or not — is final. A non-top tier that fails outright (its
-// whole fleet unreachable) escalates its entire sub-batch instead of
-// failing the query.
+// LookupBatch implements tables.Backend. With no cost bound only the
+// top tier is authoritative, so the batch is routed as a bounded one
+// at the top tier's depth.
 func (f *Federation) LookupBatch(ctx context.Context, keys []uint64, vals []uint16, found []bool) error {
-	if len(vals) != len(keys) || len(found) != len(keys) {
-		return fmt.Errorf("tablenet: LookupBatch slice lengths differ (%d/%d/%d)", len(keys), len(vals), len(found))
-	}
-	if len(f.tiers) == 1 {
-		t := f.tiers[0]
-		t.probes.Add(uint64(len(keys)))
-		err := t.b.LookupBatch(ctx, keys, vals, found)
-		if err == nil {
-			t.hits.Add(countFound(found))
-		}
-		return err
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	sc := fedPool.Get().(*fedScratch)
-	defer fedPool.Put(sc)
-	sc.grow(len(keys))
-
-	// Tier 0 probes straight into the caller's slices — the common case
-	// (everything resolves shallow) finishes with zero scatter work.
-	t0 := f.tiers[0]
-	t0.probes.Add(uint64(len(keys)))
-	missIdx := sc.idx[:0]
-	if err := t0.b.LookupBatch(ctx, keys, vals, found); err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		t0.tierErrors.Add(1)
-		for i := range keys {
-			missIdx = append(missIdx, i)
-		}
-	} else {
-		for i, ok := range found {
-			if !ok {
-				missIdx = append(missIdx, i)
-			}
-		}
-		t0.hits.Add(uint64(len(keys) - len(missIdx)))
-	}
-
-	for ti := 1; ti < len(f.tiers) && len(missIdx) > 0; ti++ {
-		f.tiers[ti-1].escalations.Add(uint64(len(missIdx)))
-		t := f.tiers[ti]
-		t.probes.Add(uint64(len(missIdx)))
-		subKeys := sc.keys[:len(missIdx)]
-		subVals := sc.vals[:len(missIdx)]
-		subFound := sc.found[:len(missIdx)]
-		for j, i := range missIdx {
-			subKeys[j] = keys[i]
-		}
-		if err := t.b.LookupBatch(ctx, subKeys, subVals, subFound); err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			t.tierErrors.Add(1)
-			if ti == len(f.tiers)-1 {
-				// The top tier is the only authoritative one; with it
-				// gone the remaining keys are unanswerable.
-				return err
-			}
-			continue // whole sub-batch escalates to the next tier
-		}
-		hits := uint64(0)
-		next := missIdx[:0]
-		for j, i := range missIdx {
-			vals[i], found[i] = subVals[j], subFound[j]
-			if subFound[j] {
-				hits++
-			} else {
-				next = append(next, i)
-			}
-		}
-		t.hits.Add(hits)
-		missIdx = next
-	}
-	return nil
+	return f.LookupBatchBounded(ctx, keys, vals, found, f.meta.K)
 }
 
-// LookupBatchBounded implements tables.BoundedLookuper — the
-// cost-horizon routing path. The caller has promised it only needs keys
-// present with minimal cost ≤ bound, so the whole batch goes straight
-// to the shallowest tier whose depth covers the bound: that tier is
-// authoritative for everything the caller can use, so a miss there is
-// final — no escalation, and no key is ever probed twice. This is what
-// keeps a federated meet-in-the-middle scan at exactly one probe per
-// candidate (the scan's residue bound picks the tier) instead of
-// walking every key through the tier chain. If the chosen tier errors
-// the batch fails over to the next deeper tier (counted in TierErrors);
-// the query fails only when every covering tier is unreachable.
+// LookupBatchBounded implements tables.BoundedLookuper: the caller only
+// needs keys of minimal cost ≤ bound, so the whole batch goes to the
+// shallowest tier whose depth covers the bound. That tier is
+// authoritative for every answer the caller can use, so its miss is
+// final and each key is probed on one tier.
 func (f *Federation) LookupBatchBounded(ctx context.Context, keys []uint64, vals []uint16, found []bool, bound int) error {
 	if len(vals) != len(keys) || len(found) != len(keys) {
 		return fmt.Errorf("tablenet: LookupBatchBounded slice lengths differ (%d/%d/%d)", len(keys), len(vals), len(found))
 	}
-	start := len(f.tiers) - 1
-	if bound >= 0 {
-		for i, t := range f.tiers {
-			if t.meta.K >= bound {
-				start = i
-				break
-			}
-		}
-	}
-	var errs []error
-	for ti := start; ti < len(f.tiers); ti++ {
-		t := f.tiers[ti]
+	return f.route(ctx, min(bound, f.meta.K), func(t *fedTier) error {
 		t.probes.Add(uint64(len(keys)))
-		err := t.b.LookupBatch(ctx, keys, vals, found)
-		if err == nil {
-			t.hits.Add(countFound(found))
-			return nil
+		if err := t.b.LookupBatch(ctx, keys, vals, found); err != nil {
+			return err
 		}
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		t.tierErrors.Add(1)
-		errs = append(errs, fmt.Errorf("tier k=%d: %w", t.meta.K, err))
-	}
-	return fmt.Errorf("tablenet: bounded lookup (bound %d) failed on every covering tier: %w", bound, errors.Join(errs...))
+		t.hits.Add(countFound(found))
+		return nil
+	})
 }
 
 func countFound(found []bool) uint64 {
@@ -274,21 +160,31 @@ func countFound(found []bool) uint64 {
 	return n
 }
 
-// LevelKeys implements tables.Backend: level c is served by the
-// shallowest tier that holds it — its copy is byte-identical to every
-// deeper tier's (BFS determinism) and far more likely page-cache-hot —
-// failing over to deeper tiers if the preferred one errors.
+// LevelKeys implements tables.Backend: level c is read from the
+// shallowest tier that holds it. Its copy is byte-identical to every
+// deeper tier's, and a small tier serves it as one dense, cached read
+// where a split top tier would fan it out as sparse, uncached requests.
 func (f *Federation) LevelKeys(ctx context.Context, c, lo int, out []uint64) error {
 	if c < 0 || c > f.meta.K {
 		return fmt.Errorf("tablenet: level %d outside horizon %d", c, f.meta.K)
 	}
+	return f.route(ctx, c, func(t *fedTier) error {
+		t.levelReads.Add(1)
+		return t.b.LevelKeys(ctx, c, lo, out)
+	})
+}
+
+// route is the federation's one routing rule: read runs on the
+// shallowest tier whose depth covers need (need ≤ the top tier's K),
+// and fails over to the next deeper tier only when it errors (counted
+// in TierErrors). The read fails when every covering tier failed.
+func (f *Federation) route(ctx context.Context, need int, read func(t *fedTier) error) error {
 	var errs []error
 	for _, t := range f.tiers {
-		if c > t.meta.K {
+		if t.meta.K < need {
 			continue
 		}
-		t.levelReads.Add(1)
-		err := t.b.LevelKeys(ctx, c, lo, out)
+		err := read(t)
 		if err == nil {
 			return nil
 		}
@@ -298,23 +194,22 @@ func (f *Federation) LevelKeys(ctx context.Context, c, lo int, out []uint64) err
 		t.tierErrors.Add(1)
 		errs = append(errs, fmt.Errorf("tier k=%d: %w", t.meta.K, err))
 	}
-	return fmt.Errorf("tablenet: level %d unreadable on every holding tier: %w", c, errors.Join(errs...))
+	return fmt.Errorf("tablenet: read needing depth %d failed on every covering tier: %w", need, errors.Join(errs...))
 }
 
 // TierStats snapshots each tier's routing counters, shallowest first —
-// the /stats and /metrics view of how much traffic escapes each tier.
+// the /stats and /metrics view of which reads each tier served.
 func (f *Federation) TierStats() []tables.TierStats {
 	out := make([]tables.TierStats, len(f.tiers))
 	for i, t := range f.tiers {
 		out[i] = tables.TierStats{
-			K:           t.meta.K,
-			Horizon:     t.horizon,
-			Source:      t.meta.Source,
-			Probes:      t.probes.Load(),
-			Hits:        t.hits.Load(),
-			Escalations: t.escalations.Load(),
-			LevelReads:  t.levelReads.Load(),
-			TierErrors:  t.tierErrors.Load(),
+			K:          t.meta.K,
+			Horizon:    t.horizon,
+			Source:     t.meta.Source,
+			Probes:     t.probes.Load(),
+			Hits:       t.hits.Load(),
+			LevelReads: t.levelReads.Load(),
+			TierErrors: t.tierErrors.Load(),
 		}
 		if cs, ok := t.b.(tables.CacheStatser); ok {
 			c := cs.CacheStats()
@@ -432,12 +327,10 @@ func (f *Federation) Residency(ctx context.Context) []ShardResidency {
 func (f *Federation) Tiers() int { return len(f.tiers) }
 
 // TierForCost implements tables.TierResolver: the index of the
-// shallowest tier whose cost horizon covers cost — the tier
-// LookupBatchBounded routes a bound-cost probe to first and, when the
-// tiers are healthy, the one that answers it. Costs beyond every
-// horizon report the deepest tier (answering them exhausted the whole
-// escalation chain). It is kept only for perfbench's TierResolver
-// assertion.
+// shallowest tier whose synthesis horizon covers cost, or the deepest
+// tier for costs beyond every horizon. It picks tiers by horizon; the
+// federation routes reads by depth K, so this is not the tier any read
+// goes to. It is kept only for perfbench's TierResolver assertion.
 func (f *Federation) TierForCost(cost int) int {
 	for i, t := range f.tiers {
 		if cost <= t.horizon {

@@ -3,8 +3,10 @@ package tablenet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,7 +18,7 @@ import (
 )
 
 // The shallow fixture (k = 3, ≈600 classes) shares the k = 4 fixture's
-// alphabet: the pair forms a valid federation whose escalation path is
+// alphabet: the pair forms a valid federation whose routing is
 // genuinely exercised — plenty of cost-4 representatives live only in
 // the deep tier.
 var (
@@ -45,12 +47,29 @@ func shallowBackend(t testing.TB) *tables.Local {
 	return b
 }
 
-// TestFederationIdenticalToBigK is the tentpole's acceptance gate: a
-// two-tier federation (k=3 fleet fronting the k=4 fleet, both behind
-// real servers) must answer every query byte-identically to the big-k
-// backend alone — raw lookups and fully-synthesized circuits alike —
-// while its counters prove the shallow tier absorbed traffic and only
-// the hard keys escalated.
+// offerCounter counts the keys offered to the federation it wraps,
+// through either lookup method; every other method is the federation's.
+type offerCounter struct {
+	*Federation
+	keys atomic.Uint64
+}
+
+func (o *offerCounter) LookupBatch(ctx context.Context, keys []uint64, vals []uint16, found []bool) error {
+	o.keys.Add(uint64(len(keys)))
+	return o.Federation.LookupBatch(ctx, keys, vals, found)
+}
+
+func (o *offerCounter) LookupBatchBounded(ctx context.Context, keys []uint64, vals []uint16, found []bool, bound int) error {
+	o.keys.Add(uint64(len(keys)))
+	return o.Federation.LookupBatchBounded(ctx, keys, vals, found, bound)
+}
+
+// TestFederationIdenticalToBigK: a two-tier federation (k=3 fleet
+// fronting the k=4 fleet, both behind real servers) must answer every
+// query byte-identically to the big-k backend alone — raw lookups and
+// fully-synthesized circuits alike — while every key offered to it is
+// probed on exactly one tier, and the shallow tier serves part of the
+// traffic.
 func TestFederationIdenticalToBigK(t *testing.T) {
 	res := fixtureTables(t)
 	_, addrSmall := startServer(t, shallowBackend(t))
@@ -59,10 +78,11 @@ func TestFederationIdenticalToBigK(t *testing.T) {
 	clBig := dialClient(t, addrBig, nil)
 
 	// Deliberately passed deep-first: NewFederation orders by depth.
-	fed, err := NewFederation([]tables.Backend{clBig, clSmall})
+	f, err := NewFederation([]tables.Backend{clBig, clSmall})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fed := &offerCounter{Federation: f}
 	if got := fed.Meta(); got.K != res.MaxCost || got.Source != "federation(2)" {
 		t.Fatalf("federation meta = %+v", got)
 	}
@@ -142,20 +162,15 @@ func TestFederationIdenticalToBigK(t *testing.T) {
 	if len(ts) != 2 || ts[0].K != 3 || ts[1].K != res.MaxCost {
 		t.Fatalf("tier stats mis-ordered: %+v", ts)
 	}
-	if ts[0].Probes == 0 || ts[0].Hits == 0 {
-		t.Fatalf("shallow tier absorbed nothing: %+v", ts[0])
+	// Each offered key is probed on exactly one tier: no tier passes its
+	// misses on, and with both tiers healthy nothing fails over.
+	if probes, offered := ts[0].Probes+ts[1].Probes, fed.keys.Load(); probes != offered {
+		t.Fatalf("tiers probed %d keys, %d were offered: %+v", probes, offered, ts)
 	}
-	if ts[0].Escalations == 0 || ts[1].Hits == 0 {
-		t.Fatalf("nothing escalated to the deep tier: %+v", ts)
-	}
-	// The deep tier's probes are the shallow tier's escalations plus the
-	// bounded scan/reconstruction batches cost-horizon routing sent to it
-	// directly (those never touch tier 0, so they cannot be smaller).
-	if ts[1].Probes < ts[0].Escalations {
-		t.Fatalf("deep tier probes %d < shallow escalations %d", ts[1].Probes, ts[0].Escalations)
-	}
-	if ts[0].Probes <= ts[0].Escalations {
-		t.Fatalf("escalation is not rare: %d of %d probes escaped the shallow tier", ts[0].Escalations, ts[0].Probes)
+	// The shallow tier serves the reconstruction steps within its depth;
+	// the deep tier serves the direct probes and the scans.
+	if ts[0].Probes == 0 || ts[0].Hits == 0 || ts[1].Hits == 0 {
+		t.Fatalf("a tier served nothing: %+v", ts)
 	}
 	if ts[0].Horizon >= ts[1].Horizon {
 		t.Fatalf("tier horizons not increasing: %d then %d", ts[0].Horizon, ts[1].Horizon)
@@ -196,12 +211,138 @@ func TestFederationRejectsMismatchedTiers(t *testing.T) {
 	}
 }
 
-// TestFederationBoundedRouting: cost-horizon routing. A bounded batch
-// goes to the single shallowest tier whose depth covers the bound —
-// that tier is authoritative for every usable answer, so its miss is
-// final and no other tier is probed — failing over deeper only when
-// the chosen tier errors.
-func TestFederationBoundedRouting(t *testing.T) {
+// TestFederationRouting: every read goes to the shallowest tier whose
+// depth covers its need — the bound of LookupBatchBounded, the level of
+// LevelKeys, the top tier's K for an unbounded LookupBatch — and fails
+// over deeper only when that tier errors. Each row is one read with the
+// tier that must answer it (-1: the read must fail) and the counter
+// deltas it must move on each tier.
+func TestFederationRouting(t *testing.T) {
+	res := fixtureTables(t)
+	shallowK, deepK := shallowTables(t).MaxCost, res.MaxCost
+	direct := fixtureBackend(t)
+	noCache := &ClientOptions{Conns: 1, CacheKeys: -1, LevelCacheBytes: -1}
+
+	healthy, err := NewFederation([]tables.Backend{shallowBackend(t), fixtureBackend(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvSmall, addrSmall := startServer(t, shallowBackend(t))
+	deadShallow, err := NewFederation([]tables.Backend{dialClient(t, addrSmall, noCache), fixtureBackend(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvBig, addrBig := startServer(t, fixtureBackend(t))
+	deadTop, err := NewFederation([]tables.Backend{shallowBackend(t), dialClient(t, addrBig, noCache)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvSmall.Close()
+	srvBig.Close()
+
+	// One key of cost 1 and one of the deep tier's full depth.
+	keys := []uint64{uint64(res.Level(1).At(0)), uint64(res.Level(deepK).At(0))}
+	wantVals := make([]uint16, len(keys))
+	wantOK := make([]bool, len(keys))
+	if err := direct.LookupBatch(context.Background(), keys, wantVals, wantOK); err != nil {
+		t.Fatal(err)
+	}
+
+	n := uint64(len(keys))
+	type counts [2]uint64
+	rows := []struct {
+		name                           string
+		fed                            *Federation
+		read                           string // "lookup", "bounded" or "level"
+		need                           int    // the bound of "bounded", the level of "level"
+		tier                           int    // the answering tier; -1: the read fails
+		probes, levelReads, tierErrors counts
+	}{
+		{"unbounded lookup goes to the top tier", healthy, "lookup", 0, 1, counts{0, n}, counts{}, counts{}},
+		{"bound at shallow K stays shallow", healthy, "bounded", shallowK, 0, counts{n, 0}, counts{}, counts{}},
+		{"bound 0 stays shallow", healthy, "bounded", 0, 0, counts{n, 0}, counts{}, counts{}},
+		{"bound past shallow K goes deep", healthy, "bounded", shallowK + 1, 1, counts{0, n}, counts{}, counts{}},
+		{"bound past every K goes to the top tier", healthy, "bounded", deepK + 3, 1, counts{0, n}, counts{}, counts{}},
+		{"level 0 reads shallow", healthy, "level", 0, 0, counts{}, counts{1, 0}, counts{}},
+		{"level at shallow K reads shallow", healthy, "level", shallowK, 0, counts{}, counts{1, 0}, counts{}},
+		{"level past shallow K reads deep", healthy, "level", deepK, 1, counts{}, counts{0, 1}, counts{}},
+		{"level past every K fails", healthy, "level", deepK + 1, -1, counts{}, counts{}, counts{}},
+
+		{"dead shallow: unbounded lookup never touches it", deadShallow, "lookup", 0, 1, counts{0, n}, counts{}, counts{}},
+		{"dead shallow: bounded lookup fails over", deadShallow, "bounded", 1, 1, counts{n, n}, counts{}, counts{1, 0}},
+		{"dead shallow: level read fails over", deadShallow, "level", 1, 1, counts{}, counts{1, 1}, counts{1, 0}},
+
+		{"dead top: unbounded lookup fails", deadTop, "lookup", 0, -1, counts{0, n}, counts{}, counts{0, 1}},
+		{"dead top: bound past shallow K fails", deadTop, "bounded", shallowK + 1, -1, counts{0, n}, counts{}, counts{0, 1}},
+		{"dead top: bound at shallow K answers", deadTop, "bounded", shallowK, 0, counts{n, 0}, counts{}, counts{}},
+		{"dead top: level at shallow K answers", deadTop, "level", shallowK, 0, counts{}, counts{1, 0}, counts{}},
+		{"dead top: level past shallow K fails", deadTop, "level", deepK, -1, counts{}, counts{0, 1}, counts{0, 1}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+			defer cancel()
+			before := row.fed.TierStats()
+			vals := make([]uint16, len(keys))
+			found := make([]bool, len(keys))
+			var err error
+			switch row.read {
+			case "lookup":
+				err = row.fed.LookupBatch(ctx, keys, vals, found)
+			case "bounded":
+				err = row.fed.LookupBatchBounded(ctx, keys, vals, found, row.need)
+			case "level":
+				if row.need > deepK {
+					err = row.fed.LevelKeys(ctx, row.need, 0, make([]uint64, 1))
+					break
+				}
+				got := make([]uint64, res.LevelLen(row.need))
+				want := make([]uint64, len(got))
+				if err = row.fed.LevelKeys(ctx, row.need, 0, got); err == nil {
+					if derr := direct.LevelKeys(ctx, row.need, 0, want); derr != nil {
+						t.Fatal(derr)
+					}
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("level %d differs from the direct backend", row.need)
+					}
+				}
+			}
+			if (err == nil) != (row.tier >= 0) {
+				t.Fatalf("err = %v, want the read answered by tier %d", err, row.tier)
+			}
+			if err == nil && row.read != "level" {
+				// The answering tier's depth decides which keys it holds;
+				// a held key answers exactly as the big-k backend does.
+				k := row.fed.TierStats()[row.tier].K
+				for i := range keys {
+					held := wantOK[i] && bfs.UnpackValue(wantVals[i]).Cost <= k
+					if found[i] != held || (held && vals[i] != wantVals[i]) {
+						t.Fatalf("key %d: (%v, %v), want (%v, %v) from tier k=%d", i, vals[i], found[i], wantVals[i], held, k)
+					}
+				}
+			}
+			after := row.fed.TierStats()
+			for i := range after {
+				got := [3]uint64{after[i].Probes - before[i].Probes, after[i].LevelReads - before[i].LevelReads, after[i].TierErrors - before[i].TierErrors}
+				want := [3]uint64{row.probes[i], row.levelReads[i], row.tierErrors[i]}
+				if got != want {
+					t.Fatalf("tier k=%d moved probes/level reads/errors by %v, want %v", after[i].K, got, want)
+				}
+				if after[i].Escalations != 0 {
+					t.Fatalf("tier k=%d counted %d escalations", after[i].K, after[i].Escalations)
+				}
+			}
+		})
+	}
+}
+
+// TestFederationReadAllocs: warm reads through a federation of two
+// in-process tiers allocate nothing — the routing helper's closure
+// stays on the caller's stack.
+func TestFederationReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc bounds are calibrated without race instrumentation")
+	}
 	res := fixtureTables(t)
 	shallowK := shallowTables(t).MaxCost
 	fed, err := NewFederation([]tables.Backend{shallowBackend(t), fixtureBackend(t)})
@@ -209,169 +350,34 @@ func TestFederationBoundedRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-
-	easy, hard := uint64(res.Level(1).At(0)), uint64(res.Level(res.MaxCost).At(0))
-	keys := []uint64{easy, hard}
-	vals := make([]uint16, 2)
-	found := make([]bool, 2)
-
-	// bound ≤ shallow K: tier 0 alone answers. The deep key is reported
-	// absent — the relaxation the interface licenses — and the deep tier
-	// is never touched.
-	if err := fed.LookupBatchBounded(ctx, keys, vals, found, shallowK); err != nil {
-		t.Fatal(err)
+	keys := make([]uint64, 64)
+	for i := range keys {
+		lv := res.Level(1 + i%res.MaxCost)
+		keys[i] = uint64(lv.At(i % lv.Len()))
 	}
-	if !found[0] || found[1] {
-		t.Fatalf("bound %d: found = %v, want [true false]", shallowK, found)
-	}
-	ts := fed.TierStats()
-	if ts[0].Probes != 2 || ts[1].Probes != 0 || ts[0].Escalations != 0 {
-		t.Fatalf("bound %d probed the wrong tiers: %+v", shallowK, ts)
-	}
-
-	// bound beyond shallow K: the deep tier is the authority, tier 0 is
-	// skipped entirely — one probe per key, not a walk up the chain.
-	if err := fed.LookupBatchBounded(ctx, keys, vals, found, shallowK+1); err != nil {
-		t.Fatal(err)
-	}
-	if !found[0] || !found[1] {
-		t.Fatalf("bound %d: found = %v, want both", shallowK+1, found)
-	}
-	ts = fed.TierStats()
-	if ts[0].Probes != 2 || ts[1].Probes != 2 {
-		t.Fatalf("bound %d did not route straight to the deep tier: %+v", shallowK+1, ts)
-	}
-
-	// Failover: the covering shallow tier is dead; deeper tiers hold
-	// strictly more, so the batch lands there and the answer survives.
-	srv, addr := startServer(t, shallowBackend(t))
-	cl := dialClient(t, addr, &ClientOptions{Conns: 1, CacheKeys: -1, LevelCacheBytes: -1})
-	fed2, err := NewFederation([]tables.Backend{cl, fixtureBackend(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Close()
-	fctx, cancel := context.WithTimeout(ctx, 15*time.Second)
-	defer cancel()
-	if err := fed2.LookupBatchBounded(fctx, []uint64{easy}, vals[:1], found[:1], 1); err != nil {
-		t.Fatalf("bounded lookup did not fail over past the dead tier: %v", err)
-	}
-	if !found[0] {
-		t.Fatal("failover lost the answer")
-	}
-	if fed2.TierStats()[0].TierErrors == 0 {
-		t.Fatal("dead covering tier not counted")
-	}
-}
-
-// TestFederationLowerTierOutageDegrades: with the shallow fleet dead
-// the federation must keep answering every query — the whole batch
-// escalates to the deep tier — and only a dead TOP tier fails hard
-// queries (while shallow ones still resolve at tier 0).
-func TestFederationLowerTierOutageDegrades(t *testing.T) {
-	res := fixtureTables(t)
-	srvSmall, addrSmall := startServer(t, shallowBackend(t))
-	clSmall := dialClient(t, addrSmall, &ClientOptions{Conns: 1, CacheKeys: -1, LevelCacheBytes: -1})
-	fed, err := NewFederation([]tables.Backend{clSmall, fixtureBackend(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvSmall.Close()
-
-	keys := []uint64{uint64(res.Level(res.MaxCost).At(0)), uint64(res.Level(1).At(0))}
 	vals := make([]uint16, len(keys))
 	found := make([]bool, len(keys))
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := fed.LookupBatch(ctx, keys, vals, found); err != nil {
-		t.Fatalf("lookup with dead shallow tier: %v", err)
+	level := make([]uint64, res.LevelLen(2))
+	reads := []struct {
+		name string
+		read func() error
+	}{
+		{"LookupBatch", func() error { return fed.LookupBatch(ctx, keys, vals, found) }},
+		{"LookupBatchBounded", func() error { return fed.LookupBatchBounded(ctx, keys, vals, found, shallowK) }},
+		{"LevelKeys", func() error { return fed.LevelKeys(ctx, 2, 0, level) }},
 	}
-	if !found[0] || !found[1] {
-		t.Fatalf("dead shallow tier lost answers: %v", found)
-	}
-	ts := fed.TierStats()
-	if ts[0].TierErrors == 0 {
-		t.Fatalf("shallow outage not counted: %+v", ts[0])
-	}
-	if ts[0].Escalations != uint64(len(keys)) {
-		t.Fatalf("expected the whole batch to escalate, got %d of %d", ts[0].Escalations, len(keys))
-	}
-
-	// The reverse wiring: deep tier dead, shallow alive.
-	srvBig, addrBig := startServer(t, fixtureBackend(t))
-	clBig := dialClient(t, addrBig, &ClientOptions{Conns: 1, CacheKeys: -1, LevelCacheBytes: -1})
-	fed2, err := NewFederation([]tables.Backend{shallowBackend(t), clBig})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvBig.Close()
-
-	// A shallow key resolves at tier 0 without touching the dead tier.
-	easy := []uint64{uint64(res.Level(1).At(0))}
-	if err := fed2.LookupBatch(ctx, easy, make([]uint16, 1), make([]bool, 1)); err != nil {
-		t.Fatalf("shallow key needed the dead top tier: %v", err)
-	}
-	// A deep key cannot be answered authoritatively: loud failure.
-	hard := []uint64{uint64(res.Level(res.MaxCost).At(0))}
-	if err := fed2.LookupBatch(ctx, hard, make([]uint16, 1), make([]bool, 1)); err == nil {
-		t.Fatal("deep key answered with the top tier dead")
-	}
-}
-
-// TestFederationLevelKeysRoutesShallow: a level held by both tiers is
-// read from the shallowest (byte-identically), and a dead shallow tier
-// fails over to the deep one.
-func TestFederationLevelKeysRoutesShallow(t *testing.T) {
-	res := fixtureTables(t)
-	fed, err := NewFederation([]tables.Backend{shallowBackend(t), fixtureBackend(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	direct := fixtureBackend(t)
-
-	for _, c := range []int{0, 2, 3, res.MaxCost} {
-		want := make([]uint64, res.LevelLen(c))
-		got := make([]uint64, res.LevelLen(c))
-		if err := direct.LevelKeys(ctx, c, 0, want); err != nil {
+	for _, r := range reads {
+		if err := r.read(); err != nil {
 			t.Fatal(err)
 		}
-		if err := fed.LevelKeys(ctx, c, 0, got); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("level %d key %d: federated %#x != direct %#x", c, i, got[i], want[i])
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := r.read(); err != nil {
+				t.Fatal(err)
 			}
+		})
+		if allocs != 0 {
+			t.Errorf("warm %s allocates %.1f times, want 0", r.name, allocs)
 		}
-	}
-	ts := fed.TierStats()
-	if ts[0].LevelReads != 3 { // levels 0, 2, 3 belong to the shallow tier
-		t.Fatalf("shallow tier served %d level reads, want 3", ts[0].LevelReads)
-	}
-	if ts[1].LevelReads != 1 { // level 4 only the deep tier holds
-		t.Fatalf("deep tier served %d level reads, want 1", ts[1].LevelReads)
-	}
-	if err := fed.LevelKeys(ctx, res.MaxCost+1, 0, make([]uint64, 1)); err == nil {
-		t.Fatal("level beyond the top tier accepted")
-	}
-
-	// Failover: shallow tier behind a dead server, reads land deep.
-	srv, addr := startServer(t, shallowBackend(t))
-	cl := dialClient(t, addr, &ClientOptions{Conns: 1, LevelCacheBytes: -1, CacheKeys: -1})
-	fed2, err := NewFederation([]tables.Backend{cl, fixtureBackend(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Close()
-	fctx, cancel := context.WithTimeout(ctx, 15*time.Second)
-	defer cancel()
-	out := make([]uint64, res.LevelLen(1))
-	if err := fed2.LevelKeys(fctx, 1, 0, out); err != nil {
-		t.Fatalf("level read did not fail over past the dead shallow tier: %v", err)
-	}
-	if fed2.TierStats()[0].TierErrors == 0 {
-		t.Fatal("failed shallow level read not counted")
 	}
 }
 

@@ -76,10 +76,9 @@ type Meta struct {
 	// Horizon is the maximum circuit cost the meet-in-the-middle engine
 	// can synthesize from these tables: K + maxSplit − (alphabet
 	// MaxCost − 1), where maxSplit ≤ K. A cost above Horizon is not
-	// "missing", it is *unanswerable* at this depth — the signal a
-	// federation uses to escalate to a deeper tier, and the fact a
-	// "beyond horizon" error from a tier-attributed backend is final
-	// (core never re-scans). Zero means "unadvertised" (a pre-horizon
+	// "missing", it is *unanswerable* at this depth, so a "beyond
+	// horizon" error from a tier-attributed backend is final (core
+	// never re-scans). Zero means "unadvertised" (a pre-horizon
 	// store or hello); NormHorizon normalizes that to the conservative
 	// floor K. Advisory: Compatible ignores it, so mixed-age fleets
 	// where only some members advertise a horizon still interoperate.
@@ -173,12 +172,12 @@ type Backend interface {
 // cost-horizon routing. LookupBatchBounded is LookupBatch for callers
 // that only need to distinguish "present with minimal cost ≤ bound"
 // from "not": a key whose cost exceeds bound MAY be reported absent.
-// The relaxation is what a Federation needs to route the whole batch
-// to the single shallowest tier whose depth covers the bound — that
-// tier is authoritative for every cost ≤ its K, so there is nothing to
-// escalate and nothing is probed twice. The meet-in-the-middle scan
-// always knows such a bound (the residue cost it is scanning for), as
-// does reconstruction (each step strips one element, so the remainder
+// The relaxation is what lets a Federation route the whole batch to
+// the one shallowest tier whose depth covers the bound — that tier is
+// authoritative for every cost ≤ its K, so each key is probed on one
+// tier. Core passes a bound on every probe: the table depth K for the
+// direct probe and the scan, and the known cost for each
+// reconstruction step (each step strips one element, so the remainder
 // costs one less than the last).
 type BoundedLookuper interface {
 	LookupBatchBounded(ctx context.Context, keys []uint64, vals []uint16, found []bool, bound int) error
@@ -304,26 +303,28 @@ type HealthStatser interface {
 	HealthStats() []Health
 }
 
-// TierStats is one tier's routing counters inside a federation: how
-// much traffic the tier absorbed vs passed upward. Hits/Escalations
-// partition Probes for every tier below the top (the top tier never
-// escalates — its misses are authoritative).
+// TierStats is one tier's routing counters inside a federation: the
+// reads routed to the tier and what they found. Each key is probed on
+// one tier, so the tiers' Probes sum to the keys offered to the
+// federation, plus the re-offers of failover after a TierError.
 type TierStats struct {
 	// K and Horizon describe the tier's tables; Source names its fleet.
 	K       int    `json:"k"`
 	Horizon int    `json:"horizon"`
 	Source  string `json:"source"`
-	// Probes counts keys offered to this tier; Hits the keys it
-	// answered; Escalations the keys passed to the next deeper tier
-	// (not found here, or the tier's probe failed outright).
-	Probes      uint64 `json:"probes"`
-	Hits        uint64 `json:"hits"`
+	// Probes counts keys offered to this tier; Hits the keys it found.
+	Probes uint64 `json:"probes"`
+	Hits   uint64 `json:"hits"`
+	// Escalations is always 0: no tier passes its misses to a deeper
+	// one. The field remains while perfbench still reports it as
+	// federation.escalation_share.
 	Escalations uint64 `json:"escalations"`
 	// LevelReads counts LevelKeys calls routed to this tier (the
 	// federation serves level c from the shallowest tier holding it).
 	LevelReads uint64 `json:"level_reads"`
-	// TierErrors counts probe calls that failed and were failed over to
-	// the next tier wholesale — the tier-outage signal.
+	// TierErrors counts reads (probe batches and level reads) that
+	// failed on this tier and were failed over to the next deeper tier
+	// — the tier-outage signal.
 	TierErrors uint64 `json:"tier_errors"`
 	// Cache is the tier's aggregated client-cache view, when its fleet
 	// keeps caches.
@@ -338,15 +339,14 @@ type TierStatser interface {
 }
 
 // TierResolver is implemented by tiered backends that can statically
-// map a minimal cost to the tier that answers it. Nothing in the
-// serving path uses it: it remains while perfbench still asserts that
-// its federation decorator implements it.
+// map a minimal cost to the shallowest tier whose horizon covers it.
+// Nothing in the serving path uses it: it remains while perfbench still
+// asserts that its federation decorator implements it.
 type TierResolver interface {
-	// TierForCost returns the index (0 = shallowest) of the tier whose
-	// cost horizon covers the given minimal cost — the tier a direct
-	// lookup of that cost is answered by. Costs beyond every horizon
-	// return the deepest tier: resolving them consumed the whole
-	// escalation chain.
+	// TierForCost returns the index (0 = shallowest) of the shallowest
+	// tier whose synthesis horizon covers the given minimal cost, or
+	// the deepest tier for costs beyond every horizon. It is a static
+	// mapping, not the tier a read is routed to.
 	TierForCost(cost int) int
 }
 
