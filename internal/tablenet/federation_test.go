@@ -211,95 +211,92 @@ func TestFederationRejectsMismatchedTiers(t *testing.T) {
 	}
 }
 
-// TestFederationRouting: every read goes to the shallowest tier whose
-// depth covers its need — the bound of LookupBatchBounded, the level of
+// Federation routing: every read goes to the shallowest tier whose depth
+// covers its need — the bound of LookupBatchBounded, the level of
 // LevelKeys, the top tier's K for an unbounded LookupBatch — and fails
-// over deeper only when that tier errors. Each row is one read with the
-// tier that must answer it (-1: the read must fail) and the counter
-// deltas it must move on each tier.
-func TestFederationRouting(t *testing.T) {
+// over deeper only when that tier errors. The three tests below each
+// drive one read kind through the same rows runner.
+
+// tierCounts holds one counter delta per tier of a two-tier federation.
+type tierCounts [2]uint64
+
+// routingRow is one read with the tier that must answer it (-1: the
+// read must fail) and the counter deltas it must move on each tier.
+type routingRow struct {
+	name                           string
+	fed                            *Federation
+	read                           string // "lookup", "bounded" or "level"
+	need                           int    // the bound of "bounded", the level of "level"
+	tier                           int    // the answering tier; -1: the read fails
+	probes, levelReads, tierErrors tierCounts
+}
+
+// routingFixture is a healthy k=3/k=4 federation, the same pair with its
+// shallow tier behind a dead server, and with its top tier behind one;
+// keys holds one key of cost 1 and one of the deep tier's full depth.
+type routingFixture struct {
+	res                           *bfs.Result
+	shallowK, deepK               int
+	healthy, deadShallow, deadTop *Federation
+	direct                        *tables.Local
+	keys                          []uint64
+	wantVals                      []uint16
+	wantOK                        []bool
+}
+
+func newRoutingFixture(t *testing.T) *routingFixture {
+	t.Helper()
 	res := fixtureTables(t)
-	shallowK, deepK := shallowTables(t).MaxCost, res.MaxCost
-	direct := fixtureBackend(t)
+	f := &routingFixture{res: res, shallowK: shallowTables(t).MaxCost, deepK: res.MaxCost, direct: fixtureBackend(t)}
 	noCache := &ClientOptions{Conns: 1, CacheKeys: -1, LevelCacheBytes: -1}
 
-	healthy, err := NewFederation([]tables.Backend{shallowBackend(t), fixtureBackend(t)})
-	if err != nil {
+	var err error
+	if f.healthy, err = NewFederation([]tables.Backend{shallowBackend(t), fixtureBackend(t)}); err != nil {
 		t.Fatal(err)
 	}
 	srvSmall, addrSmall := startServer(t, shallowBackend(t))
-	deadShallow, err := NewFederation([]tables.Backend{dialClient(t, addrSmall, noCache), fixtureBackend(t)})
-	if err != nil {
+	if f.deadShallow, err = NewFederation([]tables.Backend{dialClient(t, addrSmall, noCache), fixtureBackend(t)}); err != nil {
 		t.Fatal(err)
 	}
 	srvBig, addrBig := startServer(t, fixtureBackend(t))
-	deadTop, err := NewFederation([]tables.Backend{shallowBackend(t), dialClient(t, addrBig, noCache)})
-	if err != nil {
+	if f.deadTop, err = NewFederation([]tables.Backend{shallowBackend(t), dialClient(t, addrBig, noCache)}); err != nil {
 		t.Fatal(err)
 	}
 	srvSmall.Close()
 	srvBig.Close()
 
-	// One key of cost 1 and one of the deep tier's full depth.
-	keys := []uint64{uint64(res.Level(1).At(0)), uint64(res.Level(deepK).At(0))}
-	wantVals := make([]uint16, len(keys))
-	wantOK := make([]bool, len(keys))
-	if err := direct.LookupBatch(context.Background(), keys, wantVals, wantOK); err != nil {
+	f.keys = []uint64{uint64(res.Level(1).At(0)), uint64(res.Level(f.deepK).At(0))}
+	f.wantVals = make([]uint16, len(f.keys))
+	f.wantOK = make([]bool, len(f.keys))
+	if err := f.direct.LookupBatch(context.Background(), f.keys, f.wantVals, f.wantOK); err != nil {
 		t.Fatal(err)
 	}
+	return f
+}
 
-	n := uint64(len(keys))
-	type counts [2]uint64
-	rows := []struct {
-		name                           string
-		fed                            *Federation
-		read                           string // "lookup", "bounded" or "level"
-		need                           int    // the bound of "bounded", the level of "level"
-		tier                           int    // the answering tier; -1: the read fails
-		probes, levelReads, tierErrors counts
-	}{
-		{"unbounded lookup goes to the top tier", healthy, "lookup", 0, 1, counts{0, n}, counts{}, counts{}},
-		{"bound at shallow K stays shallow", healthy, "bounded", shallowK, 0, counts{n, 0}, counts{}, counts{}},
-		{"bound 0 stays shallow", healthy, "bounded", 0, 0, counts{n, 0}, counts{}, counts{}},
-		{"bound past shallow K goes deep", healthy, "bounded", shallowK + 1, 1, counts{0, n}, counts{}, counts{}},
-		{"bound past every K goes to the top tier", healthy, "bounded", deepK + 3, 1, counts{0, n}, counts{}, counts{}},
-		{"level 0 reads shallow", healthy, "level", 0, 0, counts{}, counts{1, 0}, counts{}},
-		{"level at shallow K reads shallow", healthy, "level", shallowK, 0, counts{}, counts{1, 0}, counts{}},
-		{"level past shallow K reads deep", healthy, "level", deepK, 1, counts{}, counts{0, 1}, counts{}},
-		{"level past every K fails", healthy, "level", deepK + 1, -1, counts{}, counts{}, counts{}},
-
-		{"dead shallow: unbounded lookup never touches it", deadShallow, "lookup", 0, 1, counts{0, n}, counts{}, counts{}},
-		{"dead shallow: bounded lookup fails over", deadShallow, "bounded", 1, 1, counts{n, n}, counts{}, counts{1, 0}},
-		{"dead shallow: level read fails over", deadShallow, "level", 1, 1, counts{}, counts{1, 1}, counts{1, 0}},
-
-		{"dead top: unbounded lookup fails", deadTop, "lookup", 0, -1, counts{0, n}, counts{}, counts{0, 1}},
-		{"dead top: bound past shallow K fails", deadTop, "bounded", shallowK + 1, -1, counts{0, n}, counts{}, counts{0, 1}},
-		{"dead top: bound at shallow K answers", deadTop, "bounded", shallowK, 0, counts{n, 0}, counts{}, counts{}},
-		{"dead top: level at shallow K answers", deadTop, "level", shallowK, 0, counts{}, counts{1, 0}, counts{}},
-		{"dead top: level past shallow K fails", deadTop, "level", deepK, -1, counts{}, counts{0, 1}, counts{0, 1}},
-	}
+func (f *routingFixture) run(t *testing.T, rows []routingRow) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 			defer cancel()
 			before := row.fed.TierStats()
-			vals := make([]uint16, len(keys))
-			found := make([]bool, len(keys))
+			vals := make([]uint16, len(f.keys))
+			found := make([]bool, len(f.keys))
 			var err error
 			switch row.read {
 			case "lookup":
-				err = row.fed.LookupBatch(ctx, keys, vals, found)
+				err = row.fed.LookupBatch(ctx, f.keys, vals, found)
 			case "bounded":
-				err = row.fed.LookupBatchBounded(ctx, keys, vals, found, row.need)
+				err = row.fed.LookupBatchBounded(ctx, f.keys, vals, found, row.need)
 			case "level":
-				if row.need > deepK {
+				if row.need > f.deepK {
 					err = row.fed.LevelKeys(ctx, row.need, 0, make([]uint64, 1))
 					break
 				}
-				got := make([]uint64, res.LevelLen(row.need))
+				got := make([]uint64, f.res.LevelLen(row.need))
 				want := make([]uint64, len(got))
 				if err = row.fed.LevelKeys(ctx, row.need, 0, got); err == nil {
-					if derr := direct.LevelKeys(ctx, row.need, 0, want); derr != nil {
+					if derr := f.direct.LevelKeys(ctx, row.need, 0, want); derr != nil {
 						t.Fatal(derr)
 					}
 					if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -314,10 +311,10 @@ func TestFederationRouting(t *testing.T) {
 				// The answering tier's depth decides which keys it holds;
 				// a held key answers exactly as the big-k backend does.
 				k := row.fed.TierStats()[row.tier].K
-				for i := range keys {
-					held := wantOK[i] && bfs.UnpackValue(wantVals[i]).Cost <= k
-					if found[i] != held || (held && vals[i] != wantVals[i]) {
-						t.Fatalf("key %d: (%v, %v), want (%v, %v) from tier k=%d", i, vals[i], found[i], wantVals[i], held, k)
+				for i := range f.keys {
+					held := f.wantOK[i] && bfs.UnpackValue(f.wantVals[i]).Cost <= k
+					if found[i] != held || (held && vals[i] != f.wantVals[i]) {
+						t.Fatalf("key %d: (%v, %v), want (%v, %v) from tier k=%d", i, vals[i], found[i], f.wantVals[i], held, k)
 					}
 				}
 			}
@@ -334,6 +331,56 @@ func TestFederationRouting(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFederationBoundedRouting: LookupBatchBounded goes to the shallowest
+// tier whose K covers the bound — tier 0 alone for a bound ≤ its K (the
+// deep key reported absent, the relaxation the interface licenses), the
+// deep tier alone past it — fails over past a dead covering tier, and
+// fails when the only covering tier is dead.
+func TestFederationBoundedRouting(t *testing.T) {
+	f := newRoutingFixture(t)
+	n := uint64(len(f.keys))
+	f.run(t, []routingRow{
+		{"bound at shallow K stays shallow", f.healthy, "bounded", f.shallowK, 0, tierCounts{n, 0}, tierCounts{}, tierCounts{}},
+		{"bound 0 stays shallow", f.healthy, "bounded", 0, 0, tierCounts{n, 0}, tierCounts{}, tierCounts{}},
+		{"bound past shallow K goes deep", f.healthy, "bounded", f.shallowK + 1, 1, tierCounts{0, n}, tierCounts{}, tierCounts{}},
+		{"bound past every K goes to the top tier", f.healthy, "bounded", f.deepK + 3, 1, tierCounts{0, n}, tierCounts{}, tierCounts{}},
+		{"dead shallow: bounded lookup fails over", f.deadShallow, "bounded", 1, 1, tierCounts{n, n}, tierCounts{}, tierCounts{1, 0}},
+		{"dead top: bound past shallow K fails", f.deadTop, "bounded", f.shallowK + 1, -1, tierCounts{0, n}, tierCounts{}, tierCounts{0, 1}},
+		{"dead top: bound at shallow K answers", f.deadTop, "bounded", f.shallowK, 0, tierCounts{n, 0}, tierCounts{}, tierCounts{}},
+	})
+}
+
+// TestFederationLowerTierOutageDegrades: an unbounded LookupBatch goes to
+// the top tier, so a dead shallow tier is never touched and costs no
+// answer; a dead top tier fails it loudly rather than answering from a
+// tier that cannot be authoritative for every key.
+func TestFederationLowerTierOutageDegrades(t *testing.T) {
+	f := newRoutingFixture(t)
+	n := uint64(len(f.keys))
+	f.run(t, []routingRow{
+		{"unbounded lookup goes to the top tier", f.healthy, "lookup", 0, 1, tierCounts{0, n}, tierCounts{}, tierCounts{}},
+		{"dead shallow: unbounded lookup never touches it", f.deadShallow, "lookup", 0, 1, tierCounts{0, n}, tierCounts{}, tierCounts{}},
+		{"dead top: unbounded lookup fails", f.deadTop, "lookup", 0, -1, tierCounts{0, n}, tierCounts{}, tierCounts{0, 1}},
+	})
+}
+
+// TestFederationLevelKeysRoutesShallow: LevelKeys(c) reads the shallowest
+// tier whose K covers c, byte-identical to the big-k backend, fails over
+// past a dead shallow tier, and fails past every K or when the only
+// covering tier is dead.
+func TestFederationLevelKeysRoutesShallow(t *testing.T) {
+	f := newRoutingFixture(t)
+	f.run(t, []routingRow{
+		{"level 0 reads shallow", f.healthy, "level", 0, 0, tierCounts{}, tierCounts{1, 0}, tierCounts{}},
+		{"level at shallow K reads shallow", f.healthy, "level", f.shallowK, 0, tierCounts{}, tierCounts{1, 0}, tierCounts{}},
+		{"level past shallow K reads deep", f.healthy, "level", f.deepK, 1, tierCounts{}, tierCounts{0, 1}, tierCounts{}},
+		{"level past every K fails", f.healthy, "level", f.deepK + 1, -1, tierCounts{}, tierCounts{}, tierCounts{}},
+		{"dead shallow: level read fails over", f.deadShallow, "level", 1, 1, tierCounts{}, tierCounts{1, 1}, tierCounts{1, 0}},
+		{"dead top: level at shallow K answers", f.deadTop, "level", f.shallowK, 0, tierCounts{}, tierCounts{1, 0}, tierCounts{}},
+		{"dead top: level past shallow K fails", f.deadTop, "level", f.deepK, -1, tierCounts{}, tierCounts{0, 1}, tierCounts{0, 1}},
+	})
 }
 
 // TestFederationReadAllocs: warm reads through a federation of two
