@@ -170,13 +170,18 @@
 //     protocol and server-side errors are never retried. Knobs:
 //     -retry-attempts, -retry-backoff, -attempt-timeout (programmatic:
 //     ClientOptions.Retry).
-//   - Failover. With replicas configured, a keyed sub-batch that
-//     exhausts one replica's retries fails over to a sibling — safe to
-//     resend because a table generation is immutable and the handshake
-//     pins every replica to the same one. A per-replica breaker ejects
-//     hosts after consecutive failures (ejection window doubles per
-//     streak) and a background prober (-probe-interval) re-admits them
-//     via half-open trials, so recovered shards rejoin within seconds.
+//   - Failover. With replicas configured, a read that exhausts one
+//     replica's retries — a keyed sub-batch or a level read — fails
+//     over to a sibling, safe to resend because a table generation is
+//     immutable and the handshake pins every replica to the same one.
+//     Every read kind goes through the same loop and the same order:
+//     healthy replicas first, then half-open trials, then draining,
+//     then ejected ones. When all of a range's replicas fail, the error
+//     names the range, the read kind and every failing replica's
+//     address. A per-replica breaker ejects hosts after consecutive
+//     failures (ejection window doubles per streak) and a background
+//     prober (-probe-interval) re-admits them via half-open trials, so
+//     recovered shards rejoin within seconds.
 //   - Health surfaces. /healthz distinguishes "degraded" (replicas
 //     unreachable but every hash range still covered — HTTP 200, keep
 //     serving) from "down" (some range has no live replica — 503,
@@ -221,14 +226,16 @@
 //     tablenet.BuildFleet, tablenet.SwapBackend.
 //   - Graceful drain. SIGTERM on a shard begins a drain: in-flight
 //     requests finish, the drain is advertised to routers (which steer
-//     new sub-batches to siblings), and only then does the process
-//     exit, bounded by -drain-timeout. Rolling every shard of a fleet
-//     under sustained load drops zero queries — the chaos tests prove
-//     it under the race detector. Programmatic: tablenet.Server.Drain.
+//     new lookups and level reads to siblings), and only then does the
+//     process exit, bounded by -drain-timeout. Rolling every shard of a
+//     fleet under sustained load drops zero queries — the chaos tests
+//     prove it under the race detector. Programmatic:
+//     tablenet.Server.Drain.
 //
-// /metrics exposes the operational surfaces: topology generation,
-// ownership-mismatch and drain-rerouted counters, and per-replica
-// resident/mapped store bytes. See examples/cluster for the
+// /metrics exposes the operational surfaces: topology generation, the
+// ownership-mismatch counter, the drain-rerouted counter (lookup
+// sub-batches and level reads steered off a draining replica), and
+// per-replica resident/mapped store bytes. See examples/cluster for the
 // end-to-end walkthrough, including a full rolling restart.
 //
 // # Multi-k federation

@@ -79,8 +79,8 @@
 // The -router argument is "," separated hash ranges, each "|" separated
 // replicas: -router 'a1|a2,b1|b2' is two ranges of two replicas each.
 // Every request is an idempotent read of an immutable table generation,
-// so a sub-batch that fails on one replica with a transport error fails
-// over to a sibling; a per-replica circuit breaker (consecutive-failure
+// so a read (lookup sub-batch or level read) that fails on one replica
+// with a transport error fails over to a sibling; a per-replica circuit breaker (consecutive-failure
 // ejection, background probe re-admission, half-open trials) keeps
 // traffic off dead replicas, and each shard client retries transport
 // faults with capped jittered backoff (-retry-attempts,
@@ -666,7 +666,7 @@ func buildHandler(svc *service.Synthesizer, fleet fleetView, reg *clientRegistry
 //
 // SIGTERM (or SIGINT) begins a graceful drain rather than an abrupt
 // close: the handshake and pings announce draining (so routers steer
-// new sub-batches to siblings), in-flight requests finish, the
+// new reads to siblings), in-flight requests finish, the
 // listener closes, and only then — or after drainTimeout — does the
 // process exit. A rolling restart is therefore invisible to queries.
 func runShardServer(addr, tablesPath string, k int, alphabet *bfs.Alphabet, queryWorkers int, drainTimeout time.Duration) {

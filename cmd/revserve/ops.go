@@ -287,7 +287,7 @@ func registerRouterCollectors(r *ops.Registry, router fleetCollector, generation
 				emit(replicaLabels(h.Addr, h.Range), float64(h.ConsecutiveFailures))
 			}
 		})
-	r.Collect("revserve_drain_rerouted_total", "Sub-batches steered away from a draining replica to a live sibling.", "counter",
+	r.Collect("revserve_drain_rerouted_total", "Lookup sub-batches and level reads steered away from a draining replica to a live sibling.", "counter",
 		func(emit func([]ops.Label, float64)) {
 			emit(nil, float64(router.DrainRerouted()))
 		})

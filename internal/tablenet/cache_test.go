@@ -676,7 +676,8 @@ func twoRangeRouter(t testing.TB, replicas, n int) (*Router, [2][]uint64) {
 // failover order) as much as an unreplicated one. A warm batch over
 // both ranges fans out with one goroutine, the last range running
 // inline, in at most 8 allocations (10 when every range had its own
-// goroutine).
+// goroutine). A warm dense level read, ordered over the whole replica
+// list, allocates nothing either.
 func TestRouterLookupAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc bounds are calibrated without race instrumentation (sync.Pool drops items under -race)")
@@ -716,6 +717,22 @@ func TestRouterLookupAllocs(t *testing.T) {
 					t.Fatalf("stored key %#x reported absent", keys[i])
 				}
 			}
+		}
+
+		out := make([]uint64, 16)
+		// Level reads rotate over every replica; warm each one's cache.
+		for range 2 * replicas {
+			if err := router.LevelKeys(ctx, 3, 0, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := router.LevelKeys(ctx, 3, 0, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("%d replicas: warm dense LevelKeys allocates %.1f times, want 0", replicas, allocs)
 		}
 	}
 }

@@ -228,15 +228,48 @@ func TestClientReconnectOwnershipChange(t *testing.T) {
 	}
 }
 
-// countingBackend wraps a backend with lookup counters and a settable
-// drain flag — the in-process stand-in for a shard client whose server
-// announced draining. batchKeys sums the keys of multi-key batches: the
-// meet-in-the-middle scan's traffic, without reconstruction's singles.
+// TestRouterResidencyMixedFleet: Residency reports every replica of a
+// fleet that mixes network and in-process replicas, labeled with its
+// range — network replicas through concurrent ServerStats probes,
+// in-process ones read directly, all into one result (run it under
+// -race: the direct reads land while the probes are in flight).
+func TestRouterResidencyMixedFleet(t *testing.T) {
+	res := fixtureTables(t)
+	part0, part1 := loadSplitPartial(t, res, 2, 0), loadSplitPartial(t, res, 2, 1)
+	if _, _, ok := part0.Residency(); !ok {
+		t.Skip("split store loaded without a mapping on this platform")
+	}
+	_, addr := startServer(t, part0)
+	cl := dialClient(t, addr, &ClientOptions{Conns: 1})
+	router, err := NewReplicatedRouter([][]tables.Backend{{cl, part0}, {part1}}, RouterOptions{ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { router.Close() })
+	got := router.Residency(context.Background())
+	want := map[string]int{addr: 0, "local[1]": 0, "local[2]": 1}
+	if len(got) != len(want) {
+		t.Fatalf("Residency reported %d replicas, want %d: %+v", len(got), len(want), got)
+	}
+	for _, r := range got {
+		if g, ok := want[r.Addr]; !ok || r.Range != g || r.MappedBytes == 0 {
+			t.Fatalf("unexpected residency entry %+v (want ranges %v, mapped bytes > 0)", r, want)
+		}
+		delete(want, r.Addr)
+	}
+}
+
+// countingBackend wraps a backend with lookup and level-read counters
+// and a settable drain flag — the in-process stand-in for a shard client
+// whose server announced draining. batchKeys sums the keys of multi-key
+// batches: the meet-in-the-middle scan's traffic, without
+// reconstruction's singles.
 type countingBackend struct {
 	tables.Backend
-	draining  atomic.Bool
-	lookups   atomic.Int64
-	batchKeys atomic.Int64
+	draining   atomic.Bool
+	lookups    atomic.Int64
+	batchKeys  atomic.Int64
+	levelReads atomic.Int64
 }
 
 func (b *countingBackend) Draining() bool { return b.draining.Load() }
@@ -249,9 +282,15 @@ func (b *countingBackend) LookupBatch(ctx context.Context, keys []uint64, vals [
 	return b.Backend.LookupBatch(ctx, keys, vals, found)
 }
 
+func (b *countingBackend) LevelKeys(ctx context.Context, c, lo int, out []uint64) error {
+	b.levelReads.Add(1)
+	return b.Backend.LevelKeys(ctx, c, lo, out)
+}
+
 // TestDrainAwareRouting: once a replica announces draining, new
-// sub-batches land on its siblings (and are counted as drain-rerouted);
-// a fully-draining group still answers — draining beats dead.
+// sub-batches and dense level reads land on its siblings (and are
+// counted as drain-rerouted); a fully-draining group still answers —
+// draining beats dead.
 func TestDrainAwareRouting(t *testing.T) {
 	a := &countingBackend{Backend: fixtureBackend(t)}
 	b := &countingBackend{Backend: fixtureBackend(t)}
@@ -287,6 +326,23 @@ func TestDrainAwareRouting(t *testing.T) {
 	}
 	if router.DrainRerouted() <= baseRerouted {
 		t.Fatal("drain reroutes not counted")
+	}
+
+	// A full-store fleet serves level reads densely from one replica:
+	// the draining one must serve none of them, and each is a reroute.
+	out := make([]uint64, fixtureTables(t).LevelLen(2))
+	beforeA = a.levelReads.Load()
+	baseRerouted = router.DrainRerouted()
+	for i := 0; i < 8; i++ {
+		if err := router.LevelKeys(ctx, 2, 0, out); err != nil {
+			t.Fatalf("level read during drain: %v", err)
+		}
+	}
+	if got := a.levelReads.Load(); got != beforeA {
+		t.Fatalf("draining replica served %d new level reads", got-beforeA)
+	}
+	if got := router.DrainRerouted() - baseRerouted; got != 8 {
+		t.Fatalf("8 dense level reads counted %d drain reroutes, want 8", got)
 	}
 
 	// Every replica draining: the drain must not turn into an outage.

@@ -25,37 +25,48 @@ import (
 // replicate; it is the HOT set that doesn't fit one host), so the
 // routing's effect is page-cache partitioning: a range's replicas only
 // ever probe their hash range, and their mmap'd resident sets converge
-// to ~1/N of the table. Level-range reads are not keyed, so they
-// round-robin across all replicas with failover — any replica can serve
-// them.
+// to ~1/N of the table. Level-range reads are not keyed, so in a fleet
+// of full stores they rotate over every replica; in a split fleet they
+// fan out one sparse read per range.
 //
-// Each hash range may be served by several replicas. Because every
-// request is an idempotent read of an immutable table generation, a
-// sub-batch that fails on one replica with a transport-class error
-// (see retryable) fails over to a sibling replica instead of failing
-// the query. A per-replica health tracker (healthTracker) orders the
-// failover healthy-first and ejects replicas that fail repeatedly, so
-// steady-state traffic does not keep paying a dead replica's timeout;
-// a background prober re-admits replicas as they recover.
+// The fleet is one range-major list of replicas (backend, health
+// tracker, address, range); each hash range is a sub-slice of it. Because
+// every request is an idempotent read of an immutable table generation,
+// a read that fails on one replica with a transport-class error (see
+// retryable) fails over to a sibling instead of failing the query. All
+// three read kinds — lookups, dense level reads and sparse level reads —
+// share one failover loop (failover) over one ordering (replicaOrder):
+// healthy first, rotated so load spreads, then half-open trials, then
+// draining replicas, then ejected ones. The per-replica health tracker
+// (healthTracker) ejects replicas that fail repeatedly, so steady-state
+// traffic does not keep paying a dead replica's timeout; a background
+// prober re-admits replicas as they recover.
 type Router struct {
-	groups [][]tables.Backend
-	health [][]*healthTracker
-	addrs  [][]string
-	meta   tables.Meta
-	opts   RouterOptions
+	reps    []replica       // every replica, range-major
+	ranges  [][]replica     // ranges[g] is range g's sub-slice of reps
+	rangeRR []atomic.Uint64 // per-range replica rotation (lookups, sparse reads)
+	rr      atomic.Uint64   // whole-fleet rotation (dense level reads)
+	meta    tables.Meta
+	opts    RouterOptions
 	// split records that at least one replica owns less than the full
 	// hash space: level iteration must then fan out sparse per-range
 	// reads and merge them by global position instead of asking any one
 	// replica for the dense range.
 	split bool
 
-	rr            atomic.Uint64   // level-read rotation over all replicas
-	grpRR         []atomic.Uint64 // per-range replica rotation for lookups
-	drainRerouted atomic.Uint64   // sub-batches steered away from draining replicas
+	drainRerouted atomic.Uint64 // reads steered away from draining replicas
 
 	stop     chan struct{}
 	stopOnce sync.Once
 	probeWG  sync.WaitGroup
+}
+
+// replica is one backend wired into the fleet.
+type replica struct {
+	b      tables.Backend
+	health *healthTracker
+	addr   string
+	rng    int // the hash range it serves
 }
 
 // RouterOptions tunes the router's health tracking. The zero value
@@ -141,44 +152,48 @@ func NewReplicatedRouter(groups [][]tables.Backend, opts RouterOptions) (*Router
 		return nil, err
 	}
 	r := &Router{
-		groups: groups,
-		health: make([][]*healthTracker, len(groups)),
-		addrs:  make([][]string, len(groups)),
-		opts:   opts,
-		grpRR:  make([]atomic.Uint64, len(groups)),
-		stop:   make(chan struct{}),
+		ranges:  make([][]replica, len(groups)),
+		rangeRR: make([]atomic.Uint64, len(groups)),
+		opts:    opts,
+		stop:    make(chan struct{}),
 	}
-	flat := 0
 	for g, reps := range groups {
-		r.health[g] = make([]*healthTracker, len(reps))
-		r.addrs[g] = make([]string, len(reps))
 		wiredLo, wiredHi := tables.RangeOf(g, len(groups))
 		for i, b := range reps {
 			if g+i > 0 && !meta.Compatible(b.Meta()) {
 				return nil, fmt.Errorf("tablenet: range %d replica %d serves a different table set than range 0 replica 0", g, i)
 			}
-			r.health[g][i] = newHealthTracker(opts.EjectAfter, opts.EjectBase, opts.EjectMax)
-			r.addrs[g][i] = backendAddr(b, flat)
+			addr := backendAddr(b, len(r.reps))
 			if ro, ok := b.(tables.RangeOwner); ok {
 				olo, ohi := ro.OwnedRange()
 				if olo > wiredLo || ohi < wiredHi {
-					return nil, fmt.Errorf("%w: range %d replica %s owns [%#x, %#x), wired for [%#x, %#x)", ErrOwnership, g, r.addrs[g][i], olo, ohi, wiredLo, wiredHi)
+					return nil, fmt.Errorf("%w: range %d replica %s owns [%#x, %#x), wired for [%#x, %#x)", ErrOwnership, g, addr, olo, ohi, wiredLo, wiredHi)
 				}
 				if olo != 0 || ohi != tables.RangeSpace {
 					r.split = true
 				}
 			}
-			flat++
+			r.reps = append(r.reps, replica{
+				b:      b,
+				health: newHealthTracker(opts.EjectAfter, opts.EjectBase, opts.EjectMax),
+				addr:   addr,
+				rng:    g,
+			})
 		}
+	}
+	off := 0
+	for g, reps := range groups {
+		r.ranges[g] = r.reps[off : off+len(reps)]
+		off += len(reps)
 	}
 	m := meta
 	m.LevelCounts = append([]int(nil), meta.LevelCounts...)
 	m.Source = fmt.Sprintf("router(%d)", len(groups))
-	if flat > len(groups) {
-		m.Source = fmt.Sprintf("router(%d x%d)", len(groups), flat)
+	if len(r.reps) > len(groups) {
+		m.Source = fmt.Sprintf("router(%d x%d)", len(groups), len(r.reps))
 	}
 	r.meta = m
-	if opts.ProbeInterval > 0 && flat > len(groups) {
+	if opts.ProbeInterval > 0 && len(r.reps) > len(groups) {
 		r.probeWG.Add(1)
 		go r.probeLoop()
 	}
@@ -222,9 +237,8 @@ func (r *Router) LookupBatch(ctx context.Context, keys []uint64, vals []uint16, 
 	if len(vals) != len(keys) || len(found) != len(keys) {
 		return fmt.Errorf("tablenet: LookupBatch slice lengths differ (%d/%d/%d)", len(keys), len(vals), len(found))
 	}
-	n := len(r.groups)
-	if n == 1 && len(r.groups[0]) == 1 {
-		return r.groups[0][0].LookupBatch(ctx, keys, vals, found)
+	if len(r.reps) == 1 {
+		return r.reps[0].b.LookupBatch(ctx, keys, vals, found)
 	}
 	if len(keys) == 0 {
 		return nil
@@ -242,7 +256,7 @@ func (r *Router) LookupBatch(ctx context.Context, keys []uint64, vals []uint16, 
 // so that its cancel context, which the goroutines capture, does not
 // move the single-range path's ctx to the heap.
 func (r *Router) fanOut(ctx context.Context, keys []uint64, vals []uint16, found []bool) error {
-	n := len(r.groups)
+	n := len(r.ranges)
 	sc := lookupPool.Get().(*lookupScratch)
 	defer lookupPool.Put(sc)
 	if len(sc.idx) < n {
@@ -313,7 +327,7 @@ func (r *Router) fanOut(ctx context.Context, keys []uint64, vals []uint16, found
 // singleRange reports the one hash range owning every key of a
 // non-empty batch, if there is one.
 func (r *Router) singleRange(keys []uint64) (int, bool) {
-	n := len(r.groups)
+	n := len(r.ranges)
 	g := ShardOf(keys[0], n)
 	for _, k := range keys[1:] {
 		if ShardOf(k, n) != g {
@@ -323,54 +337,11 @@ func (r *Router) singleRange(keys []uint64) (int, bool) {
 	return g, true
 }
 
-// groupLookup resolves one range's sub-batch, failing over across the
-// range's replicas on transport-class errors. Replica order is
-// healthy-first (rotated per range so load spreads), then half-open
-// trials, then ejected replicas as a last resort — a batch prefers a
-// known-good replica but never fails while any replica can answer.
+// groupLookup resolves one range's sub-batch through the failover loop.
 func (r *Router) groupLookup(ctx context.Context, g int, keys []uint64, vals []uint16, found []bool) error {
-	reps := r.groups[g]
-	if len(reps) == 1 {
-		return r.tryReplica(ctx, g, 0, keys, vals, found)
-	}
-	var orderBuf [inlineReplicas]int
-	var trialBuf [inlineReplicas]bool
-	order, trials := r.replicaOrder(g, orderBuf[:0], trialBuf[:0])
-	var errs []error
-	for _, i := range order {
-		if cerr := ctx.Err(); cerr != nil {
-			r.releaseTrials(g, trials)
-			return cerr
-		}
-		if i < len(trials) {
-			trials[i] = false
-		}
-		err := r.tryReplica(ctx, g, i, keys, vals, found)
-		if err == nil {
-			r.releaseTrials(g, trials)
-			return nil
-		}
-		if ctx.Err() != nil || !retryable(err) {
-			r.releaseTrials(g, trials)
-			return err
-		}
-		errs = append(errs, err)
-	}
-	return fmt.Errorf("tablenet: range %d: all %d replicas failed: %w", g, len(reps), errors.Join(errs...))
-}
-
-// tryReplica runs one replica attempt and feeds its outcome to the
-// health tracker. Outcomes under a dead ctx are not attributed to the
-// replica — a cancelled batch says nothing about replica health.
-func (r *Router) tryReplica(ctx context.Context, g, i int, keys []uint64, vals []uint16, found []bool) error {
-	err := r.groups[g][i].LookupBatch(ctx, keys, vals, found)
-	if ctx.Err() == nil {
-		r.health[g][i].observe(err == nil || !retryable(err), time.Now())
-	}
-	if err != nil {
-		return fmt.Errorf("%s: %w", r.addrs[g][i], err)
-	}
-	return nil
+	return r.failover(ctx, g, "lookup", func(b tables.Backend) error {
+		return b.LookupBatch(ctx, keys, vals, found)
+	})
 }
 
 // drainReporter is implemented by backends that track their shard's
@@ -382,24 +353,76 @@ func isDraining(b tables.Backend) bool {
 	return ok && d.Draining()
 }
 
-// inlineReplicas is the replica count up to which groupLookup keeps a
-// sub-batch's failover order on its stack, so a warm lookup through a
-// replicated range allocates nothing.
+// inlineReplicas is the replica count up to which failover keeps a
+// read's failover order on its stack, so a warm read through up to that
+// many replicas allocates nothing.
 const inlineReplicas = 8
 
-// replicaOrder returns range g's replicas in failover order: healthy
-// non-draining first (rotated), then admitted half-open trials, then
-// draining replicas (they still answer — in-flight work finishes during
-// a drain — but new sub-batches should land on siblings), then ejected
+// failover runs read against one replica set until a replica answers:
+// range g's replicas, or for g < 0 the whole fleet (a dense level read).
+// A lone replica is simply tried; several are tried in replicaOrder. A
+// transport-class error moves on to the next replica; success, a
+// terminal error or a dead ctx ends the loop. Each attempt's outcome
+// feeds that replica's health tracker, except under a dead ctx — a
+// cancelled read says nothing about replica health. When every replica
+// fails, the error names the set, the read kind and each replica's
+// address. read is only called, never kept, so the caller's closure
+// stays on its stack.
+func (r *Router) failover(ctx context.Context, g int, kind string, read func(tables.Backend) error) error {
+	reps, rr := r.reps, &r.rr
+	if g >= 0 {
+		reps, rr = r.ranges[g], &r.rangeRR[g]
+	}
+	var orderBuf [inlineReplicas]int
+	var trialBuf [inlineReplicas]bool
+	order, trials := orderBuf[:1], trialBuf[:0] // a lone replica: [0]
+	if len(reps) > 1 {
+		order, trials = r.replicaOrder(reps, rr, orderBuf[:0], trials)
+	}
+	var errs []error
+	for _, i := range order {
+		if cerr := ctx.Err(); cerr != nil {
+			releaseTrials(reps, trials)
+			return cerr
+		}
+		if i < len(trials) {
+			trials[i] = false
+		}
+		rep := &reps[i]
+		err := read(rep.b)
+		if ctx.Err() == nil {
+			rep.health.observe(err == nil || !retryable(err), time.Now())
+		}
+		if err == nil {
+			releaseTrials(reps, trials)
+			return nil
+		}
+		err = fmt.Errorf("%s: %w", rep.addr, err)
+		if ctx.Err() != nil || !retryable(err) {
+			releaseTrials(reps, trials)
+			return err
+		}
+		errs = append(errs, err)
+	}
+	where := "fleet"
+	if g >= 0 {
+		where = fmt.Sprintf("range %d", g)
+	}
+	return fmt.Errorf("tablenet: %s %s: all %d replicas failed: %w", where, kind, len(reps), errors.Join(errs...))
+}
+
+// replicaOrder returns the indices of reps in failover order: healthy
+// non-draining first (rotated by rr), then admitted half-open trials,
+// then draining replicas (they still answer — in-flight work finishes
+// during a drain — but new reads should land on siblings), then ejected
 // replicas as a last resort. The order is appended to order; trials,
 // empty unless this caller was admitted for a half-open trial, is then
 // indexed by replica and marks those admissions — any it does not
 // actually attempt must be released. Both reuse the capacity they are
 // given.
-func (r *Router) replicaOrder(g int, order []int, trials []bool) ([]int, []bool) {
-	reps := r.groups[g]
+func (r *Router) replicaOrder(reps []replica, rr *atomic.Uint64, order []int, trials []bool) ([]int, []bool) {
 	n := len(reps)
-	start := int(r.grpRR[g].Add(1)-1) % n
+	start := int(rr.Add(1)-1) % n
 	now := time.Now()
 	healthy, draining := false, false
 	// A replica's rank is its class (0 healthy, 1 trial, 2 draining,
@@ -408,14 +431,14 @@ func (r *Router) replicaOrder(g int, order []int, trials []bool) ([]int, []bool)
 	for step := 0; step < n; step++ {
 		i := (start + step) % n
 		class := 0
-		switch ok, trial := r.health[g][i].allow(now); {
+		switch ok, trial := reps[i].health.allow(now); {
 		case ok && trial:
 			if len(trials) == 0 {
 				trials = append(trials[:0], make([]bool, n)...)
 			}
 			trials[i] = true
 			class = 1
-		case ok && isDraining(reps[i]):
+		case ok && isDraining(reps[i].b):
 			class, draining = 2, true
 		case ok:
 			healthy = true
@@ -426,7 +449,7 @@ func (r *Router) replicaOrder(g int, order []int, trials []bool) ([]int, []bool)
 	}
 	if draining && healthy {
 		// A draining replica was demoted behind a live sibling: this
-		// sub-batch was rerouted by the drain, not by a fault.
+		// read was rerouted by the drain, not by a fault.
 		r.drainRerouted.Add(1)
 	}
 	slices.Sort(order)
@@ -438,90 +461,31 @@ func (r *Router) replicaOrder(g int, order []int, trials []bool) ([]int, []bool)
 
 // releaseTrials reopens half-open trial slots this caller claimed but
 // never used.
-func (r *Router) releaseTrials(g int, trials []bool) {
+func releaseTrials(reps []replica, trials []bool) {
 	for i, claimed := range trials {
 		if claimed {
-			r.health[g][i].release()
+			reps[i].health.release()
 		}
 	}
 }
 
 // LevelKeys serves a level-range read. In a fleet of full-store
 // replicas the request is not keyed (every replica holds the full level
-// index), so it forwards to one replica, round-robin over the whole
-// fleet, with failover. In a split fleet no single replica holds the
+// index), so one replica answers it, chosen by the failover loop over
+// the whole replica list. In a split fleet no single replica holds the
 // dense range: the read fans out one sparse request per hash range —
 // each filtered to that range's interval, so even a full-store replica
-// wired into the topology contributes exactly its range's slice — and
-// the (global position, key) pairs merge back in place, with a coverage
-// check that every slot was filled exactly once.
-//
-// The rotation is health- and drain-aware — ejected and draining
-// replicas sort last, so steady-state level reads never pay a dead
-// replica's retry cycle — and half-open trials admit one probe read when
-// an ejection window expires. A request fails only when every replica
-// does, and the error then names each failing replica.
+// wired into the topology contributes exactly its range's slice, and
+// each failing over within its range — and the (global position, key)
+// pairs merge back in place, with a coverage check that every slot was
+// filled exactly once.
 func (r *Router) LevelKeys(ctx context.Context, c, lo int, out []uint64) error {
 	if r.split {
 		return r.levelKeysSparse(ctx, c, lo, out)
 	}
-	type ref struct{ g, i int }
-	var flat []ref
-	for g, reps := range r.groups {
-		for i := range reps {
-			flat = append(flat, ref{g, i})
-		}
-	}
-	n := len(flat)
-	start := int(r.rr.Add(1)-1) % n
-	now := time.Now()
-	order := make([]ref, 0, n)
-	var trialL, drainL, rest []ref
-	trials := make(map[ref]struct{})
-	for step := 0; step < n; step++ {
-		f := flat[(start+step)%n]
-		ok, trial := r.health[f.g][f.i].allow(now)
-		switch {
-		case ok && trial:
-			trials[f] = struct{}{}
-			trialL = append(trialL, f)
-		case ok && isDraining(r.groups[f.g][f.i]):
-			drainL = append(drainL, f)
-		case ok:
-			order = append(order, f)
-		default:
-			rest = append(rest, f)
-		}
-	}
-	order = append(order, trialL...)
-	order = append(order, drainL...)
-	releaseTrials := func() {
-		for f := range trials {
-			r.health[f.g][f.i].release()
-		}
-	}
-	var errs []error
-	for _, f := range append(order, rest...) {
-		if cerr := ctx.Err(); cerr != nil {
-			releaseTrials()
-			return cerr
-		}
-		delete(trials, f)
-		err := r.groups[f.g][f.i].LevelKeys(ctx, c, lo, out)
-		if ctx.Err() == nil {
-			r.health[f.g][f.i].observe(err == nil || !retryable(err), time.Now())
-		}
-		if err == nil {
-			releaseTrials()
-			return nil
-		}
-		if ctx.Err() != nil || !retryable(err) {
-			releaseTrials()
-			return err
-		}
-		errs = append(errs, fmt.Errorf("%s: %w", r.addrs[f.g][f.i], err))
-	}
-	return fmt.Errorf("tablenet: all %d replicas failed level read: %w", n, errors.Join(errs...))
+	return r.failover(ctx, -1, "level read", func(b tables.Backend) error {
+		return b.LevelKeys(ctx, c, lo, out)
+	})
 }
 
 // levelKeysSparse is the split-fleet level read: one sparse request per
@@ -549,14 +513,19 @@ func (r *Router) levelKeysSparse(ctx context.Context, c, lo int, out []uint64) e
 	var firstErr error
 	var errOnce sync.Once
 	var total atomic.Int64
-	for g := range r.groups {
-		glo, ghi := tables.RangeOf(g, len(r.groups))
+	for g := range r.ranges {
+		glo, ghi := tables.RangeOf(g, len(r.ranges))
 		wg.Add(1)
 		go func(g int, glo, ghi uint64) {
 			defer wg.Done()
 			pos := make([]uint32, L)
 			keys := make([]uint64, L)
-			cnt, err := r.groupSparseLevel(ctx, g, c, lo, L, glo, ghi, pos, keys)
+			var cnt int
+			err := r.failover(ctx, g, "sparse level read", func(b tables.Backend) error {
+				var err error
+				cnt, err = tables.SparseLevelKeys(ctx, b, c, lo, L, glo, ghi, pos, keys)
+				return err
+			})
 			if err != nil {
 				errOnce.Do(func() {
 					firstErr = err
@@ -589,38 +558,10 @@ func (r *Router) levelKeysSparse(ctx context.Context, c, lo int, out []uint64) e
 	return nil
 }
 
-// groupSparseLevel resolves one range's sparse level read with the same
-// replica failover discipline as groupLookup.
-func (r *Router) groupSparseLevel(ctx context.Context, g, c, lo, n int, filterLo, filterHi uint64, pos []uint32, keys []uint64) (int, error) {
-	order, trials := r.replicaOrder(g, nil, nil)
-	var errs []error
-	for _, i := range order {
-		if cerr := ctx.Err(); cerr != nil {
-			r.releaseTrials(g, trials)
-			return 0, cerr
-		}
-		if i < len(trials) {
-			trials[i] = false
-		}
-		cnt, err := tables.SparseLevelKeys(ctx, r.groups[g][i], c, lo, n, filterLo, filterHi, pos, keys)
-		if ctx.Err() == nil {
-			r.health[g][i].observe(err == nil || !retryable(err), time.Now())
-		}
-		if err == nil {
-			r.releaseTrials(g, trials)
-			return cnt, nil
-		}
-		if ctx.Err() != nil || !retryable(err) {
-			r.releaseTrials(g, trials)
-			return 0, err
-		}
-		errs = append(errs, fmt.Errorf("%s: %w", r.addrs[g][i], err))
-	}
-	return 0, fmt.Errorf("tablenet: range %d: all %d replicas failed sparse level read: %w", g, len(r.groups[g]), errors.Join(errs...))
-}
-
-// DrainRerouted counts sub-batches (lookup or level) that were steered
-// away from a draining replica to a live sibling.
+// DrainRerouted counts reads steered away from a draining replica to a
+// live sibling: lookup sub-batches and level reads, dense or sparse —
+// each read whose failover order put a draining replica behind a
+// healthy one.
 func (r *Router) DrainRerouted() uint64 { return r.drainRerouted.Load() }
 
 // OwnershipMismatches sums, over every replica client, the reconnects
@@ -628,11 +569,9 @@ func (r *Router) DrainRerouted() uint64 { return r.drainRerouted.Load() }
 // range pinned at first handshake.
 func (r *Router) OwnershipMismatches() uint64 {
 	var n uint64
-	for _, reps := range r.groups {
-		for _, b := range reps {
-			if om, ok := b.(interface{ OwnershipMismatches() uint64 }); ok {
-				n += om.OwnershipMismatches()
-			}
+	for _, rep := range r.reps {
+		if om, ok := rep.b.(interface{ OwnershipMismatches() uint64 }); ok {
+			n += om.OwnershipMismatches()
 		}
 	}
 	return n
@@ -659,33 +598,33 @@ func (r *Router) Residency(ctx context.Context) []ShardResidency {
 	var mu sync.Mutex
 	var out []ShardResidency
 	var wg sync.WaitGroup
-	for g, reps := range r.groups {
-		for i, b := range reps {
-			ss, ok := b.(statser)
-			if !ok {
-				if rr, ok := b.(tables.ResidencyReporter); ok {
-					if res, mapped, ok := rr.Residency(); ok {
-						out = append(out, ShardResidency{Addr: r.addrs[g][i], Range: g,
-							ResidentBytes: uint64(res), MappedBytes: uint64(mapped)})
-					}
+	for _, rep := range r.reps {
+		ss, ok := rep.b.(statser)
+		if !ok {
+			if rr, ok := rep.b.(tables.ResidencyReporter); ok {
+				if res, mapped, ok := rr.Residency(); ok {
+					mu.Lock()
+					out = append(out, ShardResidency{Addr: rep.addr, Range: rep.rng,
+						ResidentBytes: uint64(res), MappedBytes: uint64(mapped)})
+					mu.Unlock()
 				}
-				continue
 			}
-			wg.Add(1)
-			go func(addr string, g int, ss statser) {
-				defer wg.Done()
-				sctx, cancel := context.WithTimeout(ctx, r.opts.ProbeTimeout)
-				defer cancel()
-				st, err := ss.ServerStats(sctx)
-				if err != nil || st.MappedBytes == 0 {
-					return
-				}
-				mu.Lock()
-				out = append(out, ShardResidency{Addr: addr, Range: g,
-					ResidentBytes: st.ResidentBytes, MappedBytes: st.MappedBytes})
-				mu.Unlock()
-			}(r.addrs[g][i], g, ss)
+			continue
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sctx, cancel := context.WithTimeout(ctx, r.opts.ProbeTimeout)
+			defer cancel()
+			st, err := ss.ServerStats(sctx)
+			if err != nil || st.MappedBytes == 0 {
+				return
+			}
+			mu.Lock()
+			out = append(out, ShardResidency{Addr: rep.addr, Range: rep.rng,
+				ResidentBytes: st.ResidentBytes, MappedBytes: st.MappedBytes})
+			mu.Unlock()
+		}()
 	}
 	wg.Wait()
 	return out
@@ -719,21 +658,18 @@ func (r *Router) probeLoop() {
 
 // probeOnce pings every currently non-healthy network replica.
 func (r *Router) probeOnce() {
-	for g, reps := range r.groups {
-		for i, b := range reps {
-			h := r.health[g][i]
-			if h.state.Load() == stateHealthy {
-				continue
-			}
-			p, ok := b.(pinger)
-			if !ok {
-				continue
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), r.opts.ProbeTimeout)
-			err := p.Ping(ctx)
-			cancel()
-			h.observe(err == nil, time.Now())
+	for _, rep := range r.reps {
+		if rep.health.state.Load() == stateHealthy {
+			continue
 		}
+		p, ok := rep.b.(pinger)
+		if !ok {
+			continue
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), r.opts.ProbeTimeout)
+		err := p.Ping(ctx)
+		cancel()
+		rep.health.observe(err == nil, time.Now())
 	}
 }
 
@@ -759,28 +695,26 @@ type ShardStatus struct {
 // trivially healthy) and annotates each with its tracker state.
 // Statuses are in range-major replica order.
 func (r *Router) Check(ctx context.Context) []ShardStatus {
-	out := make([]ShardStatus, 0, r.Shards())
+	out := make([]ShardStatus, len(r.reps))
 	var wg sync.WaitGroup
-	for g, reps := range r.groups {
-		for i, b := range reps {
-			out = append(out, ShardStatus{
-				Addr:     r.addrs[g][i],
-				Range:    g,
-				State:    r.health[g][i].stateName(),
-				Draining: isDraining(b),
-			})
-			p, ok := b.(pinger)
-			if !ok {
-				continue
-			}
-			wg.Add(1)
-			go func(st *ShardStatus, ping func(context.Context) error) {
-				defer wg.Done()
-				pctx, cancel := context.WithTimeout(ctx, r.opts.ProbeTimeout)
-				defer cancel()
-				st.Err = ping(pctx)
-			}(&out[len(out)-1], p.Ping)
+	for i, rep := range r.reps {
+		out[i] = ShardStatus{
+			Addr:     rep.addr,
+			Range:    rep.rng,
+			State:    rep.health.stateName(),
+			Draining: isDraining(rep.b),
 		}
+		p, ok := rep.b.(pinger)
+		if !ok {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pctx, cancel := context.WithTimeout(ctx, r.opts.ProbeTimeout)
+			defer cancel()
+			out[i].Err = p.Ping(pctx)
+		}()
 	}
 	wg.Wait()
 	return out
@@ -804,7 +738,7 @@ func (f FleetHealth) Down() bool { return len(f.DownRanges) > 0 }
 // degraded-vs-down summary.
 func (r *Router) Health(ctx context.Context) FleetHealth {
 	f := FleetHealth{Replicas: r.Check(ctx)}
-	perRange := make([]int, len(r.groups)) // reachable replicas per range
+	perRange := make([]int, len(r.ranges)) // reachable replicas per range
 	for _, st := range f.Replicas {
 		if st.Err != nil {
 			f.Degraded = true
@@ -823,17 +757,14 @@ func (r *Router) Health(ctx context.Context) FleetHealth {
 // HealthStats snapshots every replica's tracker — the traffic-driven
 // view (no probe I/O), the one /stats embeds.
 func (r *Router) HealthStats() []tables.Health {
-	var out []tables.Health
-	for g, reps := range r.groups {
-		for i := range reps {
-			h := r.health[g][i]
-			out = append(out, tables.Health{
-				Addr:                r.addrs[g][i],
-				Range:               g,
-				State:               h.stateName(),
-				ConsecutiveFailures: h.consec.Load(),
-				Ejections:           h.ejections.Load(),
-			})
+	out := make([]tables.Health, len(r.reps))
+	for i, rep := range r.reps {
+		out[i] = tables.Health{
+			Addr:                rep.addr,
+			Range:               rep.rng,
+			State:               rep.health.stateName(),
+			ConsecutiveFailures: rep.health.consec.Load(),
+			Ejections:           rep.health.ejections.Load(),
 		}
 	}
 	return out
@@ -845,38 +776,28 @@ func (r *Router) HealthStats() []tables.Health {
 // pool, the number a router daemon's /stats reports.
 func (r *Router) CacheStats() tables.CacheStats {
 	var st tables.CacheStats
-	for _, reps := range r.groups {
-		for _, b := range reps {
-			if cs, ok := b.(tables.CacheStatser); ok {
-				st.Add(cs.CacheStats())
-			}
+	for _, rep := range r.reps {
+		if cs, ok := rep.b.(tables.CacheStatser); ok {
+			st.Add(cs.CacheStats())
 		}
 	}
 	return st
 }
 
 // Shards returns the total replica count across all hash ranges.
-func (r *Router) Shards() int {
-	n := 0
-	for _, reps := range r.groups {
-		n += len(reps)
-	}
-	return n
-}
+func (r *Router) Shards() int { return len(r.reps) }
 
 // Ranges returns the number of hash ranges.
-func (r *Router) Ranges() int { return len(r.groups) }
+func (r *Router) Ranges() int { return len(r.ranges) }
 
 // Close stops the prober and closes every replica backend.
 func (r *Router) Close() error {
 	r.stopOnce.Do(func() { close(r.stop) })
 	r.probeWG.Wait()
 	var errs []error
-	for _, reps := range r.groups {
-		for _, b := range reps {
-			if err := b.Close(); err != nil {
-				errs = append(errs, err)
-			}
+	for _, rep := range r.reps {
+		if err := rep.b.Close(); err != nil {
+			errs = append(errs, err)
 		}
 	}
 	return errors.Join(errs...)

@@ -154,101 +154,58 @@ func (s *SwapBackend) LevelKeys(ctx context.Context, c, lo int, out []uint64) er
 	return e.r.LevelKeys(ctx, c, lo, out)
 }
 
-// Health probes the current fleet (see Router.Health).
-func (s *SwapBackend) Health(ctx context.Context) FleetHealth {
+// withCurrent reads the current epoch's router through f, holding the
+// epoch for the call; a closed backend reads the zero value.
+func withCurrent[T any](s *SwapBackend, f func(*Router) T) T {
 	e, err := s.current()
 	if err != nil {
-		return FleetHealth{}
+		var zero T
+		return zero
 	}
 	defer e.release()
-	return e.r.Health(ctx)
+	return f(e.r)
+}
+
+// Health probes the current fleet (see Router.Health).
+func (s *SwapBackend) Health(ctx context.Context) FleetHealth {
+	return withCurrent(s, func(r *Router) FleetHealth { return r.Health(ctx) })
 }
 
 // HealthStats snapshots the current fleet's per-replica trackers.
-func (s *SwapBackend) HealthStats() []tables.Health {
-	e, err := s.current()
-	if err != nil {
-		return nil
-	}
-	defer e.release()
-	return e.r.HealthStats()
-}
+func (s *SwapBackend) HealthStats() []tables.Health { return withCurrent(s, (*Router).HealthStats) }
 
 // CacheStats aggregates the current fleet's client-side cache counters.
-func (s *SwapBackend) CacheStats() tables.CacheStats {
-	e, err := s.current()
-	if err != nil {
-		return tables.CacheStats{}
-	}
-	defer e.release()
-	return e.r.CacheStats()
-}
+func (s *SwapBackend) CacheStats() tables.CacheStats { return withCurrent(s, (*Router).CacheStats) }
 
-// DrainRerouted counts drain-rerouted sub-batches across every epoch
-// this backend has installed: retired routers' counts are folded into a
+// DrainRerouted counts drain-rerouted reads across every epoch this
+// backend has installed: retired routers' counts are folded into a
 // carried base at swap time, so the total is monotonic.
 func (s *SwapBackend) DrainRerouted() uint64 {
-	base := s.drainBase.Load()
-	e, err := s.current()
-	if err != nil {
-		return base
-	}
-	defer e.release()
-	return base + e.r.DrainRerouted()
+	return s.drainBase.Load() + withCurrent(s, (*Router).DrainRerouted)
 }
 
 // OwnershipMismatches sums refused reconnects across every installed
 // epoch, monotonic the same way DrainRerouted is.
 func (s *SwapBackend) OwnershipMismatches() uint64 {
-	base := s.ownBase.Load()
-	e, err := s.current()
-	if err != nil {
-		return base
-	}
-	defer e.release()
-	return base + e.r.OwnershipMismatches()
+	return s.ownBase.Load() + withCurrent(s, (*Router).OwnershipMismatches)
 }
 
 // Check probes the current fleet's replicas (see Router.Check).
 func (s *SwapBackend) Check(ctx context.Context) []ShardStatus {
-	e, err := s.current()
-	if err != nil {
-		return nil
-	}
-	defer e.release()
-	return e.r.Check(ctx)
+	return withCurrent(s, func(r *Router) []ShardStatus { return r.Check(ctx) })
 }
 
 // Residency collects the current fleet's per-replica store residency
 // (see Router.Residency).
 func (s *SwapBackend) Residency(ctx context.Context) []ShardResidency {
-	e, err := s.current()
-	if err != nil {
-		return nil
-	}
-	defer e.release()
-	return e.r.Residency(ctx)
+	return withCurrent(s, func(r *Router) []ShardResidency { return r.Residency(ctx) })
 }
 
 // Shards returns the current fleet's replica count.
-func (s *SwapBackend) Shards() int {
-	e, err := s.current()
-	if err != nil {
-		return 0
-	}
-	defer e.release()
-	return e.r.Shards()
-}
+func (s *SwapBackend) Shards() int { return withCurrent(s, (*Router).Shards) }
 
 // Ranges returns the current fleet's hash-range count.
-func (s *SwapBackend) Ranges() int {
-	e, err := s.current()
-	if err != nil {
-		return 0
-	}
-	defer e.release()
-	return e.r.Ranges()
-}
+func (s *SwapBackend) Ranges() int { return withCurrent(s, (*Router).Ranges) }
 
 // Close retires the backend: new queries fail with ErrSwapClosed and the
 // installed router closes as soon as its in-flight queries drain (a
