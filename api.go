@@ -52,14 +52,15 @@
 //	go run ./cmd/revtables -table none -k 8 -save k8.tables -mem-budget 2GiB
 //	go run ./cmd/revtables -table none -k 9 -save k9 -split 16 -mem-budget 8GiB
 //
-// The budget is a ledger: every buffer the build holds is charged to
-// it, and the stats report the peak. It divides as follows:
+// The budget is a ledger: every buffer the build holds is a view of one
+// workspace arena, which each phase carves afresh, and the stats report
+// the arena's size. A new level is deduped against every prior level by
+// one merge-join against their sorted level files on disk, so no table
+// of earlier levels is held in memory. The budget divides as follows:
 //
 //   - expansion: half the budget across the workers' slab buffers, each
 //     counted twice because the spill run's radix sort needs an equally
 //     long scratch buffer;
-//   - the prior-level probe table: up to half, beyond which dedup
-//     switches to a merge-join against the level files on disk;
 //   - the sequence sorter: a quarter, split between its (seq, key) pair
 //     buffer and its radix scratch;
 //   - merge read buffers: up to a quarter, one per open run or level
@@ -67,9 +68,8 @@
 //     the buffer size is the quarter divided by the worker count;
 //   - emission: per worker, the fullest shard's entries and slot arrays,
 //     the placement scratch (a home-slot histogram and the entries
-//     regrouped by home) and one index chunk; the probe table is
-//     released first, and emission runs on fewer workers when their
-//     buffers would pass half the budget.
+//     regrouped by home) and one index chunk; emission runs on fewer
+//     workers when their buffers would pass half the budget.
 //
 // Every phase runs on all workers (extbuild.Options.Workers, GOMAXPROCS
 // by default): slabs expand in parallel, merges split by hash shard,

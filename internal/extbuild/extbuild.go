@@ -49,16 +49,15 @@ type Options struct {
 	// the build's workspace (candidate slabs and their radix-sort
 	// scratch, which the merges reuse for their file buffers, the
 	// sequence sorter and its scratch, and which emission reuses for its
-	// shard, slot and placement buffers) plus the prior-level probe
-	// table. Zero means DefaultMemBudget. The budget sizes every buffer,
-	// so builds whose tables dwarf it still complete — they just spill
-	// more. It is a target, not a cap: the buffers have floors (a 64 KiB
-	// merge read buffer per input at a fan-in of at least 8, a sequence
-	// sorter of at least 2^11 pairs, an expansion slab of at least one
-	// representative, emission buffers for the fullest shard), so a
-	// small budget tracks more — k=6 at 16 MiB or 1 MiB tracks 11.7 MiB.
-	// Those buffers are all the build holds, so its heap follows the
-	// ledger; see Stats.PeakTrackedBytes.
+	// shard, slot and placement buffers). Zero means DefaultMemBudget.
+	// The budget sizes every buffer, so builds whose tables dwarf it
+	// still complete — they just spill more. It is a target, not a cap:
+	// the buffers have floors (a 64 KiB merge read buffer per input at a
+	// fan-in of at least 8, a sequence sorter of at least 2^11 pairs, an
+	// expansion slab of at least one representative, emission buffers
+	// for the fullest shard), so a small budget tracks more — k=6 at
+	// 16 MiB or 1 MiB tracks 11.7 MiB. Those buffers are all the build
+	// holds, so its heap follows the ledger; see Stats.PeakTrackedBytes.
 	MemBudget int64
 
 	// Shards is the hash-shard count of the build and of the emitted
@@ -150,42 +149,18 @@ type Stats struct {
 	SpillWrittenBytes int64
 	SpillReadBytes    int64
 	// PeakTrackedBytes is the high-water mark of budget-tracked memory:
-	// the workspace, which only grows, plus the probe table. The build
-	// holds no other large buffer, so its resident set is this plus the
-	// Go runtime's own, the freed workspaces of smaller levels that the
-	// runtime has not reused or returned, and the pages of the written
-	// store that emission probes through a read-only mapping: a k=6
-	// build at the default budget tracks 103.6 MiB and peaks at about
-	// 135–145 MB resident.
+	// the workspace arena, which only grows, so its final size. The
+	// build holds no other large buffer, so its resident set is this
+	// plus the Go runtime's own, the freed workspaces of smaller levels
+	// that the runtime has not reused or returned, and the pages of the
+	// written store that emission probes through a read-only mapping: a
+	// k=6 build at the default budget tracks 102.4 MiB and peaks at
+	// about 135–145 MB resident.
 	PeakTrackedBytes int64
 	// ResumedLevels is how many completed levels a resume reused.
 	ResumedLevels int
 	// Elapsed is the build's wall time.
 	Elapsed time.Duration
-}
-
-// memTracker is the budget ledger: the workspace charges its arena as it
-// grows and the probe table its footprint as it changes, and the peak
-// is reported in Stats so benchmarks can show how the build's use
-// compares with the budget.
-type memTracker struct {
-	mu        sync.Mutex
-	cur, peak int64
-}
-
-func (m *memTracker) add(n int64) {
-	m.mu.Lock()
-	m.cur += n
-	if m.cur > m.peak {
-		m.peak = m.cur
-	}
-	m.mu.Unlock()
-}
-
-func (m *memTracker) release(n int64) {
-	m.mu.Lock()
-	m.cur -= n
-	m.mu.Unlock()
 }
 
 // builder carries one build's resolved configuration and counters.
@@ -217,19 +192,10 @@ type builder struct {
 	repsPerSlab int64
 	fanBuf      int
 	maxFanIn    int
-	priorCap    int64
 	seqBufPairs int
 	probeChunk  int
 
-	// prior is the in-memory probe table over all completed levels —
-	// the fast dedup path. Nil once its footprint would exceed
-	// priorCap; from then on candidates merge-join against the .srt
-	// files on disk.
-	prior      *hashtab.ShardedTable
-	priorBytes int64
-
-	mem       memTracker
-	ws        *workspace
+	ws        workspace
 	spillW    atomic.Int64
 	spillR    atomic.Int64
 	candTotal atomic.Int64
@@ -249,11 +215,6 @@ func Build(o Options) (*Stats, error) {
 	if err := b.setupWorkDir(); err != nil {
 		return nil, err
 	}
-	if len(b.man.Levels) <= b.o.K {
-		if err := b.initPrior(); err != nil {
-			return nil, err
-		}
-	}
 	for c := len(b.man.Levels); c <= b.o.K; c++ {
 		if err := b.buildLevel(c); err != nil {
 			return nil, err
@@ -262,9 +223,6 @@ func Build(o Options) (*Stats, error) {
 			return nil, err
 		}
 	}
-	// Emission reads only the level files; the probe table's memory
-	// goes back to the budget first.
-	b.dropPrior()
 	if err := b.emit(); err != nil {
 		return nil, err
 	}
@@ -387,7 +345,6 @@ func newBuilder(o Options) (*builder, error) {
 		b.o.KeepWork = true
 	}
 	b.deriveKnobs()
-	b.ws = &workspace{mem: &b.mem}
 	return b, nil
 }
 
@@ -402,9 +359,6 @@ func (b *builder) deriveKnobs() {
 	w := int64(b.workers)
 	b.fanBuf = int(clamp64(b.budget/(64*w), 64<<10, 1<<20))
 	b.maxFanIn = int(clamp64(b.budget/(4*w*int64(b.fanBuf)), 8, 64))
-	// Prior-level probe table: the dedup fast path, worth half the
-	// budget; beyond that the build switches to disk merge-join.
-	b.priorCap = b.budget / 2
 	// Sequence sorter: 16-byte candidates, a quarter of the budget split
 	// between the pair buffer and its radix scratch.
 	b.seqBufPairs = int(clamp64(b.budget/(8*seqPairBytes), 1<<11, 1<<23))
@@ -619,95 +573,6 @@ func (b *builder) writeManifest() error {
 	return tablesio.WriteManifestFile(filepath.Join(b.dir, ManifestName), b.man)
 }
 
-// initPrior seeds the in-memory prior-level probe table from the
-// checkpoint's completed levels, or leaves it nil when the cumulative
-// size is already over budget.
-func (b *builder) initPrior() error {
-	var total int64
-	for _, lv := range b.man.Levels {
-		total += lv.Entries
-	}
-	// ~12 bytes per entry at the build load factor.
-	if total*12 > b.priorCap {
-		b.prior = nil
-		return nil
-	}
-	b.prior = hashtab.NewShardedWithShards(int(total)+1, b.shards)
-	for _, lv := range b.man.Levels {
-		if err := b.insertLevelIntoPrior(lv); err != nil {
-			return err
-		}
-	}
-	b.notePriorSize()
-	return nil
-}
-
-// insertLevelIntoPrior streams one completed level's .srt into the
-// probe table.
-func (b *builder) insertLevelIntoPrior(lv tablesio.ManifestLevel) error {
-	sf, err := openSegFile(filepath.Join(b.dir, lv.Srt.Name), b.shards, srtRecordBytes)
-	if err != nil {
-		return err
-	}
-	defer sf.f.Close()
-	const chunk = 4096
-	var (
-		r    *segReader
-		keys []uint64
-		vals []uint16
-		ins  []bool
-	)
-	b.ws.carve(func(c *carver) {
-		r = newSegReader(view[byte](c, b.fileBufBytes([]*segFile{sf})))
-		keys, vals, ins = view[uint64](c, chunk)[:0], view[uint16](c, chunk)[:0], view[bool](c, chunk)
-	})
-	flush := func() {
-		if len(keys) > 0 {
-			b.prior.InsertBatch(keys, vals, ins[:len(keys)])
-			keys, vals = keys[:0], vals[:0]
-		}
-	}
-	for s := 0; s < b.shards; s++ {
-		if err := r.enter(sf, s); err != nil {
-			return err
-		}
-		for r.ok {
-			keys = append(keys, r.key)
-			vals = append(vals, r.val)
-			if len(keys) == chunk {
-				flush()
-			}
-			if err := r.advance(); err != nil {
-				return err
-			}
-		}
-	}
-	flush()
-	return nil
-}
-
-// notePriorSize re-charges the probe table's current footprint against
-// the budget ledger and drops the table once it no longer fits — the
-// switch from in-memory dedup to disk merge-join.
-func (b *builder) notePriorSize() {
-	if b.prior == nil {
-		return
-	}
-	n := b.prior.MemoryBytes()
-	b.mem.add(n - b.priorBytes)
-	b.priorBytes = n
-	if n > b.priorCap {
-		b.dropPrior()
-	}
-}
-
-// dropPrior releases the probe table and its budget charge.
-func (b *builder) dropPrior() {
-	b.prior = nil
-	b.mem.release(b.priorBytes)
-	b.priorBytes = 0
-}
-
 // buildLevel runs one level end to end: slab expansion into sealed spill
 // runs, then the shard-parallel merge-dedup that publishes the level and
 // advances the checkpoint.
@@ -752,7 +617,7 @@ func (b *builder) stats() *Stats {
 		Candidates:        b.candTotal.Load(),
 		SpillWrittenBytes: b.spillW.Load(),
 		SpillReadBytes:    b.spillR.Load(),
-		PeakTrackedBytes:  b.mem.peak,
+		PeakTrackedBytes:  b.ws.bytes(),
 		ResumedLevels:     b.resumed,
 		Elapsed:           time.Since(b.start),
 	}

@@ -2,8 +2,10 @@ package extbuild
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -61,7 +63,7 @@ func TestByteIdentityFull(t *testing.T) {
 		Alphabet:  a,
 		K:         k,
 		WorkDir:   filepath.Join(dir, "work"),
-		MemBudget: 1 << 16, // 64 KiB: forces spilling, disk dedup, external seq sort
+		MemBudget: 1 << 16, // 64 KiB: forces spilling and the external seq sort
 		Workers:   3,
 		OutPath:   out,
 	})
@@ -93,8 +95,8 @@ func TestByteIdentityFull(t *testing.T) {
 }
 
 // TestBudgetInvariance: wildly different budgets (and worker counts)
-// must emit identical bytes — the dedup fast path (in-memory prior
-// table) and the disk merge-join are interchangeable.
+// must emit identical bytes — the budget sizes the buffers and so how
+// much the build spills, never what it stores.
 func TestBudgetInvariance(t *testing.T) {
 	a := bfs.GateAlphabet()
 	const k = 3
@@ -180,11 +182,7 @@ func TestByteIdentitySplit(t *testing.T) {
 // stored, no canonicalization), a 103-element alphabet, a restricted
 // architecture, and a weighted alphabet whose levels expand from
 // several source levels. Each builds at one and three workers, under
-// the default budget (in-memory prior-level dedup) and under a small
-// spilling one. Where the small budget also overflows the prior-level
-// table before level k, level k dedups by the disk merge-join; the
-// cheap depths of the gate-unreduced and layer alphabets hold too few
-// entries below the top level for that at any budget above the floors.
+// the default budget and under a small spilling one.
 func TestAlphabetByteIdentity(t *testing.T) {
 	quantum, err := bfs.WeightedGateAlphabet(gate.Gate.QuantumCost)
 	if err != nil {
@@ -196,21 +194,17 @@ func TestAlphabetByteIdentity(t *testing.T) {
 		k           int
 		noReduction bool
 		spill       int64   // the small budget
-		diskJoin    bool    // whether it dedups level k on disk
 		counts      []int64 // paper counts of levels 0…k, when published
 	}{
-		{"gates-unreduced", bfs.GateAlphabet(), 2, true, 1 << 16, false, bfs.GateFullCounts},
-		{"linear-unreduced", bfs.LinearAlphabet(), 4, true, 1 << 15, true, bfs.LinearCounts},
-		{"layers", bfs.LayerAlphabet(), 3, false, 1 << 16, false, nil},
-		{"lnn-unreduced", bfs.LNNAlphabet(), 4, true, 1 << 17, true, nil},
-		{"quantum", quantum, 7, false, 1 << 16, true, nil},
+		{"gates-unreduced", bfs.GateAlphabet(), 2, true, 1 << 16, bfs.GateFullCounts},
+		{"linear-unreduced", bfs.LinearAlphabet(), 4, true, 1 << 15, bfs.LinearCounts},
+		{"layers", bfs.LayerAlphabet(), 3, false, 1 << 16, nil},
+		{"lnn-unreduced", bfs.LNNAlphabet(), 4, true, 1 << 17, nil},
+		{"quantum", quantum, 7, false, 1 << 16, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := referenceFile(t, tc.a, tc.k, tc.noReduction)
 			for _, budget := range []int64{0, tc.spill} {
-				if disk := diskJoinAtLevel(t, tc.a, tc.k, tc.noReduction, budget); disk != (budget != 0 && tc.diskJoin) {
-					t.Fatalf("budget %d: level %d dedups on disk: %v", budget, tc.k, disk)
-				}
 				for _, workers := range []int{1, 3} {
 					dir := t.TempDir()
 					out := filepath.Join(dir, "out.rvt")
@@ -854,16 +848,16 @@ func TestBuildAllocatesOnce(t *testing.T) {
 
 // TestPeakTrackedWithinBudget: with the radix scratch buffers charged,
 // a k=5 build at the default budget still peaks within the budget, and
-// the ledger is exactly the workspace plus the probe table: after level
-// k's expansion it covers a whole slab buffer plus its sort scratch —
-// the scratch is on the ledger, not beside it.
+// the ledger is exactly the workspace arena: after level k's expansion
+// it covers a whole slab buffer plus its sort scratch — the scratch is
+// on the ledger, not beside it.
 func TestPeakTrackedWithinBudget(t *testing.T) {
 	a := bfs.GateAlphabet()
 	const k = 5
 	dir := t.TempDir()
 	// Four workers: every merge and emission worker carves its own read,
 	// probe and shard buffers, so the arena — and with it the ledger,
-	// which is the arena plus the probe table — grows with the count.
+	// which is the arena — grows with the count.
 	for _, workers := range []int{2, 4} {
 		stats, err := Build(Options{
 			Alphabet: a, K: k,
@@ -893,9 +887,6 @@ func TestPeakTrackedWithinBudget(t *testing.T) {
 	if err := b.setupWorkDir(); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.initPrior(); err != nil {
-		t.Fatal(err)
-	}
 	for c := 1; c < k; c++ {
 		if err := b.buildLevel(c); err != nil {
 			t.Fatal(err)
@@ -909,8 +900,8 @@ func TestPeakTrackedWithinBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := 8 * int64(len(b.ws.arena))
-	if got := b.mem.cur; got != ws+b.priorBytes {
-		t.Errorf("ledger %d bytes, want the workspace's %d plus the probe table's %d", got, ws, b.priorBytes)
+	if got := b.stats().PeakTrackedBytes; got != ws {
+		t.Errorf("ledger %d bytes, want the workspace's %d", got, ws)
 	}
 	if slab := p.repsPerSlab * slabRepBytes(p.maxStride); ws < slab {
 		t.Errorf("after level %d expansion the workspace holds %d bytes, below one slab with its sort scratch (%d)", k, ws, slab)
@@ -933,13 +924,11 @@ func withEightShards(t *testing.T, f func()) {
 // TestWorkerCountInvariance: every phase is worker-parallel, so the
 // worker count is the schedule knob most likely to leak into the bytes.
 // With 8 shards, workers ∈ {1, 2, 3, 8} covers fewer and as many
-// workers as shards (and a count that divides neither), on both dedup
-// paths: the default budget keeps the prior levels in the in-memory
-// probe table; 16 KiB overflows it after level 3, so level 4 dedups by
-// the disk merge-join, and also forces run consolidation and the
-// external sequence sort. The full store and all 4 splits must
-// byte-match the in-memory build, and the level artifacts must carry
-// the same fingerprints whatever the worker count.
+// workers as shards (and a count that divides neither), under the
+// default budget and under 16 KiB, which forces spilling, run
+// consolidation and the external sequence sort. The full store and all
+// 4 splits must byte-match the in-memory build, and the level artifacts
+// must carry the same fingerprints whatever the worker count.
 func TestWorkerCountInvariance(t *testing.T) {
 	a := bfs.GateAlphabet()
 	const k, n = 4, 4
@@ -967,14 +956,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 	for _, budget := range []struct {
 		name  string
 		bytes int64
-		disk  bool
-	}{{"in-memory prior", 0, false}, {"disk merge-join", 1 << 14, true}} {
+	}{{"default budget", 0}, {"16 KiB budget", 1 << 14}} {
 		t.Run(budget.name, func(t *testing.T) {
-			// Guard the path, so budget drift cannot quietly make both
-			// subtests in-memory ones.
-			if disk := diskJoinAtLevel(t, a, k, false, budget.bytes); disk != budget.disk {
-				t.Fatalf("level %d dedups on disk: %v, want %v", k, disk, budget.disk)
-			}
 			var levels []tablesio.ManifestLevel
 			for _, workers := range []int{1, 2, 3, 8} {
 				dir := t.TempDir()
@@ -1021,27 +1004,79 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// diskJoinAtLevel reports whether level k of a build under budget
-// dedups by the disk merge-join rather than the in-memory probe table.
-func diskJoinAtLevel(t *testing.T, a *bfs.Alphabet, k int, noReduction bool, budget int64) bool {
-	t.Helper()
-	b, err := newBuilder(Options{Alphabet: a, K: k, NoReduction: noReduction,
-		WorkDir: filepath.Join(t.TempDir(), "work"), MemBudget: budget, Shards: 8})
+// TestJoinPresentPropagatesReadErrors: joinPresent is the one check that
+// keeps a key of an earlier level out of a new one, so a prior level
+// that cannot be read must fail the merge. Were the read error taken as
+// the end of the level's segment, the keys past it would be marked
+// absent and published again as the new level's, a store with
+// duplicate keys. The probe here is a whole segment of a completed
+// level, so every key is present: joined against the intact file each
+// is marked so, and joined against the file cut mid-segment the join
+// returns the truncation and marks none of them absent.
+func TestJoinPresentPropagatesReadErrors(t *testing.T) {
+	const k = 3
+	work := filepath.Join(t.TempDir(), "work")
+	if _, err := Build(Options{Alphabet: bfs.GateAlphabet(), K: k, WorkDir: work, Shards: 8, KeepWork: true}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(work, srtName(k))
+	sf, err := openSegFile(path, 8, srtRecordBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.setupWorkDir(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.initPrior(); err != nil {
-		t.Fatal(err)
-	}
-	for c := 1; c < k; c++ {
-		if err := b.buildLevel(c); err != nil {
-			t.Fatal(err)
+	defer sf.f.Close()
+	s := 0
+	for i, n := range sf.counts {
+		if n > sf.counts[s] {
+			s = i
 		}
 	}
-	return b.prior == nil
+	seg, err := sf.readSegment(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := &probeChunk{}
+	for rec := seg; len(rec) > 0; rec = rec[srtRecordBytes:] {
+		chunk.keys = append(chunk.keys, binary.LittleEndian.Uint64(rec))
+	}
+	if len(chunk.keys) < 4 {
+		t.Fatalf("level %d shard %d holds %d keys, too few to cut mid-segment", k, s, len(chunk.keys))
+	}
+	// join reads the segment through a one-record buffer, so the cut is
+	// met by an advance inside joinPresent, not by the first read.
+	join := func(fill bool) error {
+		chunk.present = make([]bool, len(chunk.keys))
+		for i := range chunk.present {
+			chunk.present[i] = fill
+		}
+		r := newSegReader(make([]byte, srtRecordBytes))
+		if err := r.enter(sf, s); err != nil {
+			t.Fatal(err)
+		}
+		return joinPresent(chunk, []*segReader{r})
+	}
+	if err := join(false); err != nil {
+		t.Fatal(err)
+	}
+	for i, hit := range chunk.present {
+		if !hit {
+			t.Fatalf("intact level: key %d of %d marked absent", i, len(chunk.keys))
+		}
+	}
+
+	cut := sf.offs[s] + int64(len(chunk.keys)/2)*srtRecordBytes + srtRecordBytes/2
+	if err := os.Truncate(path, cut); err != nil {
+		t.Fatal(err)
+	}
+	err = join(true)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("join over a level cut mid-segment returned %v, want an error wrapping io.ErrUnexpectedEOF", err)
+	}
+	for i, hit := range chunk.present {
+		if !hit {
+			t.Fatalf("cut level: key %d of %d marked absent", i, len(chunk.keys))
+		}
+	}
 }
 
 // TestReaderAdvanceAllocs: the merge readers advance once per record,

@@ -47,8 +47,8 @@
 // scratch and, when it may spill, its spill buffers. Emission borrows it
 // for each worker's gathered shard, raw records, slot arrays, placement
 // scratch and index chunk, and for the store writer's encoding buffer.
-// The ledger charges the arena as it grows,
-// plus the prior-level probe table, the one large structure outside it.
+// The arena's size is the ledger: the build holds no large structure
+// outside it.
 //
 // Work-directory artifacts, all little-endian. Runs and level files
 // are in hash order: ascending Hash64Shift(key). The hash is a

@@ -259,19 +259,17 @@ func (b *builder) mergeLevel(c int, p levelPlan) error {
 		}
 	}
 
-	// Prior-level inputs: either the in-memory probe table, or every
-	// completed level's .srt for the disk merge-join.
-	var priors []*segFile
-	if b.prior == nil {
-		lp := make([]string, len(b.man.Levels))
-		for i, lv := range b.man.Levels {
-			lp[i] = filepath.Join(b.dir, lv.Srt.Name)
-		}
-		if priors, err = openSegFiles(lp, b.shards, srtRecordBytes); err != nil {
-			return err
-		}
-		defer closeSegFiles(priors)
+	// Prior-level inputs: every completed level's .srt, merge-joined
+	// against the level's candidates (joinPresent).
+	lp := make([]string, len(b.man.Levels))
+	for i, lv := range b.man.Levels {
+		lp[i] = filepath.Join(b.dir, lv.Srt.Name)
 	}
+	priors, err := openSegFiles(lp, b.shards, srtRecordBytes)
+	if err != nil {
+		return err
+	}
+	defer closeSegFiles(priors)
 
 	// The level artifacts' write buffer, the sequence sorter, and every
 	// worker's file buffers and probe chunk, carved from the workspace
@@ -313,9 +311,6 @@ func (b *builder) mergeLevel(c int, p levelPlan) error {
 			priorFiles: priors,
 			chunk:      &chunks[w],
 			seqS:       seqS,
-			// Survivors pre-load the probe table for the next level;
-			// the last level has none.
-			insert: b.prior != nil && c < b.o.K,
 		}
 		for _, buf := range bufs[w].reads[len(runs):] {
 			m.priors = append(m.priors, newSegReader(buf))
@@ -363,7 +358,6 @@ func (b *builder) mergeLevel(c int, p levelPlan) error {
 	for _, r := range oldRuns {
 		os.Remove(filepath.Join(b.dir, r.File.Name))
 	}
-	b.notePriorSize()
 	b.progress(ProgressEvent{
 		Phase: "merge", Level: c,
 		FrontierReps: p.totalReps,
@@ -375,8 +369,8 @@ func (b *builder) mergeLevel(c int, p levelPlan) error {
 }
 
 // levelMerger is one mergeLevel worker: its run merge, its readers of
-// the prior levels' segments (disk merge-join only), and the probe chunk
-// whose survivors it hands on a batch at a time.
+// the prior levels' segments, and the probe chunk whose survivors it
+// hands on a batch at a time.
 type levelMerger struct {
 	b          *builder
 	runs       *runMerge
@@ -384,7 +378,6 @@ type levelMerger struct {
 	priors     []*segReader
 	chunk      *probeChunk
 	seqS       *seqSorter
-	insert     bool
 	rec        [srtRecordBytes]byte
 }
 
@@ -415,20 +408,15 @@ func (m *levelMerger) mergeShard(s int, out io.Writer) (uint64, error) {
 }
 
 // flush probes the chunk against the prior levels and passes its
-// survivors on: records to out, candidates to the sequence sorter, and
-// keys to the probe table when the next level needs them.
+// survivors on: records to out and candidates to the sequence sorter.
 func (m *levelMerger) flush(out io.Writer, n *uint64) error {
 	chunk := m.chunk
 	if chunk.len() == 0 {
 		return nil
 	}
-	chunk.present = chunk.present[:len(chunk.keys)]
-	if m.b.prior != nil {
-		m.b.prior.ContainsBatchSorted(chunk.keys, chunk.present)
-	} else if err := joinPresent(chunk, m.priors); err != nil {
+	if err := joinPresent(chunk, m.priors); err != nil {
 		return err
 	}
-	survK, survV := chunk.keys[:0:len(chunk.keys)], chunk.vals[:0:len(chunk.vals)]
 	chunk.pairs = chunk.pairs[:0]
 	for i, key := range chunk.keys {
 		if chunk.present[i] {
@@ -440,17 +428,9 @@ func (m *levelMerger) flush(out io.Writer, n *uint64) error {
 		}
 		*n++
 		chunk.pairs = append(chunk.pairs, newCand(key, chunk.vals[i], chunk.seqs[i]))
-		survK = append(survK, key)
-		survV = append(survV, chunk.vals[i])
 	}
 	if err := m.seqS.pushBatch(chunk.pairs); err != nil {
 		return err
-	}
-	// Survivors can never collide with this level's remaining
-	// candidates (the heap dedup already folded duplicate keys), so the
-	// insert only pre-loads the table for the next level.
-	if m.insert && len(survK) > 0 {
-		m.b.prior.InsertBatch(survK, survV, chunk.ins[:len(survK)])
 	}
 	chunk.reset()
 	return nil
@@ -464,25 +444,21 @@ type probeChunk struct {
 	vals    []uint16
 	seqs    []uint64
 	present []bool
-	ins     []bool
 	pairs   []cand
 	cap     int
 }
 
-// carveProbeChunk carves an n-candidate chunk. The arena is not zeroed,
-// so present starts cleared here; reset keeps it so.
+// carveProbeChunk carves an n-candidate chunk. present is left as the
+// arena holds it: joinPresent sets every entry before flush reads it.
 func carveProbeChunk(c *carver, n int) probeChunk {
-	p := probeChunk{
+	return probeChunk{
 		keys:    view[uint64](c, n)[:0],
 		vals:    view[uint16](c, n)[:0],
 		seqs:    view[uint64](c, n)[:0],
-		present: view[bool](c, n),
-		ins:     view[bool](c, n),
+		present: view[bool](c, n)[:0],
 		pairs:   view[cand](c, n)[:0],
 		cap:     n,
 	}
-	clear(p.present)
-	return p
 }
 
 func (p *probeChunk) add(key uint64, val uint16, seq uint64) {
@@ -493,20 +469,13 @@ func (p *probeChunk) add(key uint64, val uint16, seq uint64) {
 
 func (p *probeChunk) len() int   { return len(p.keys) }
 func (p *probeChunk) full() bool { return len(p.keys) >= p.cap }
-func (p *probeChunk) reset() {
-	p.present = p.present[:cap(p.present)]
-	for i := range p.present {
-		p.present[i] = false
-	}
-	p.keys, p.vals, p.seqs = p.keys[:0], p.vals[:0], p.seqs[:0]
-	p.present = p.present[:0]
-}
+func (p *probeChunk) reset()     { p.keys, p.vals, p.seqs = p.keys[:0], p.vals[:0], p.seqs[:0] }
 
 // joinPresent marks which chunk keys exist in any prior level by
 // merge-joining against the levels' shard segments: chunk keys ascend
 // in hash order, and so does each reader's segment, so every reader
-// advances monotonically — the disk dedup path costs one sequential
-// pass over the priors per level built. A read error aborts the merge:
+// advances monotonically — the dedup costs one sequential pass over
+// the priors per level built. A read error aborts the merge:
 // treating a prior as exhausted would mark its keys absent and re-emit
 // them into the new level, publishing a store with duplicate keys.
 func joinPresent(chunk *probeChunk, priors []*segReader) error {

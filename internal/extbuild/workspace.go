@@ -11,7 +11,7 @@ import (
 // per level and phase. That is what keeps the resident set near the
 // ledger: fresh buffers per level left the previous level's as garbage,
 // which the collector frees only once the heap has doubled past its last
-// live size. The ledger (memTracker) charges the workspace as it grows.
+// live size. The arena's size is the build's ledger (bytes).
 //
 // Every buffer — slabs, sort scratch and frontier keys, the sequence
 // sorter's pairs, probe chunks, file read and write buffers, emission's
@@ -20,9 +20,12 @@ import (
 // the phase returns, and phases never overlap, so the merges' buffers
 // are the expansion's idle slabs, and so are emission's.
 type workspace struct {
-	mem   *memTracker
 	arena []uint64
 }
+
+// bytes is the arena's size: the budget ledger, reported as
+// Stats.PeakTrackedBytes. The arena only grows, so it is also the peak.
+func (ws *workspace) bytes() int64 { return 8 * int64(len(ws.arena)) }
 
 // carve lays a phase's typed buffers out in the arena. layout runs
 // twice: once to measure (every view is nil), then, with the arena grown
@@ -32,7 +35,6 @@ func (ws *workspace) carve(layout func(c *carver)) {
 	var m carver
 	layout(&m)
 	if words := (m.off + 7) / 8; words > len(ws.arena) {
-		ws.mem.add(int64(words-len(ws.arena)) * 8)
 		ws.arena = nil // the old block is unreferenced from here on
 		ws.arena = make([]uint64, words)
 	}

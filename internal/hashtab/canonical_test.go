@@ -123,48 +123,6 @@ func TestFrozenSlotsPerShard(t *testing.T) {
 	}
 }
 
-// TestContainsBatchSorted: the run-sorted probe must report exactly the
-// inserted keys and touch every key exactly once.
-func TestContainsBatchSorted(t *testing.T) {
-	keys, vals := testEntries(4000, 7)
-	st := NewShardedWithShards(len(keys), 32)
-	stored := make(map[uint64]bool, len(keys)/2)
-	for i := 0; i < len(keys)/2; i++ {
-		st.Insert(keys[i], vals[i])
-		stored[keys[i]] = true
-	}
-	probe := append([]uint64(nil), keys...)
-	sort.Slice(probe, func(a, b int) bool {
-		sa, sb := Hash64Shift(probe[a])>>st.shift, Hash64Shift(probe[b])>>st.shift
-		if sa != sb {
-			return sa < sb
-		}
-		return probe[a] < probe[b]
-	})
-	present := make([]bool, len(probe))
-	n := st.ContainsBatchSorted(probe, present)
-	if n != len(keys)/2 {
-		t.Fatalf("present count = %d, want %d", n, len(keys)/2)
-	}
-	for i, k := range probe {
-		if present[i] != stored[k] {
-			t.Fatalf("key %#x: batch says %v, stored %v", k, present[i], stored[k])
-		}
-	}
-	// An out-of-order batch must panic rather than silently mis-probe.
-	if len(probe) > 2 {
-		bad := []uint64{probe[len(probe)-1], probe[0]}
-		if Hash64Shift(bad[0])>>st.shift > Hash64Shift(bad[1])>>st.shift {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("out-of-order batch did not panic")
-				}
-			}()
-			st.ContainsBatchSorted(bad, make([]bool, 2))
-		}
-	}
-}
-
 // refPlaceShard is the comparator reference for PlaceShardCanonical:
 // sort the entries by (home slot, key), then linear-probe them in.
 func refPlaceShard(ks []uint64, vs []uint16, slots int) ([]uint64, []uint16) {

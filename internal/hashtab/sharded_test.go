@@ -2,7 +2,6 @@ package hashtab
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 )
@@ -57,97 +56,31 @@ func TestShardedBasics(t *testing.T) {
 			t.Fatalf("Lookup(%#x) = %d,%v; want %d", k, got, ok, v)
 		}
 	}
-	if st.MemoryBytes() <= 0 {
-		t.Fatalf("MemoryBytes = %d", st.MemoryBytes())
-	}
 }
 
-func TestShardedInsertBatch(t *testing.T) {
-	st := NewShardedWithShards(4, 4)
-	keys := shardedRandKeys(1000, 2)
-	// Introduce in-batch duplicates: every 10th key repeats its
-	// predecessor. The first occurrence must win.
-	for i := 9; i < len(keys); i += 10 {
-		keys[i] = keys[i-1]
-	}
-	vals := make([]uint16, len(keys))
-	for i := range vals {
-		vals[i] = uint16(i)
-	}
-	inserted := make([]bool, len(keys))
-	n := st.InsertBatch(keys, vals, inserted)
-	distinct := make(map[uint64]int, len(keys))
-	for i, k := range keys {
-		if _, ok := distinct[k]; !ok {
-			distinct[k] = i
-		}
-	}
-	if n != len(distinct) {
-		t.Fatalf("InsertBatch inserted %d, want %d", n, len(distinct))
-	}
-	for i, k := range keys {
-		wantIns := distinct[k] == i
-		if inserted[i] != wantIns {
-			t.Fatalf("inserted[%d] = %v, want %v", i, inserted[i], wantIns)
-		}
-	}
-	// A second batch of the same keys must insert nothing.
-	if n := st.InsertBatch(keys, vals, inserted); n != 0 {
-		t.Fatalf("re-batch inserted %d entries", n)
-	}
-	ft := compacted(t, st)
-	if ft.Len() != len(distinct) {
-		t.Fatalf("Len %d, want %d", ft.Len(), len(distinct))
-	}
-	for k, i := range distinct {
-		got, ok := ft.Lookup(k)
-		if !ok || got != uint16(i) {
-			t.Fatalf("Lookup(%#x) = %d,%v; want first-writer value %d", k, got, ok, i)
-		}
-	}
-}
-
-// TestShardedConcurrentInserts hammers one table from many goroutines
-// with overlapping key sets while others probe it with
-// ContainsBatchSorted (run with -race) — the access pattern of the
-// out-of-core builder's merge. Every key must be present exactly once
-// afterwards and hold one of the racing writers' values.
+// TestShardedConcurrentInserts hammers one table with concurrent Insert
+// calls over overlapping key sets (run with -race): Insert takes the
+// owning shard's lock. Every key must be present exactly once afterwards
+// and hold one of the racing writers' values, and exactly one writer
+// must have seen each key inserted.
 func TestShardedConcurrentInserts(t *testing.T) {
 	st := NewSharded(1)
 	keys := shardedRandKeys(20000, 3)
-	probe := append([]uint64(nil), keys...)
-	sort.Slice(probe, func(a, b int) bool {
-		return Hash64Shift(probe[a])>>st.shift < Hash64Shift(probe[b])>>st.shift
-	})
 	const writers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(2)
-		go func(w int) {
-			defer wg.Done()
-			vals := make([]uint16, 0, 128)
-			batch := make([]uint64, 0, 128)
-			ins := make([]bool, 128)
-			// Each writer covers the whole key set, offset so batches
-			// collide across goroutines.
-			for i := range keys {
-				j := (i + w*2500) % len(keys)
-				batch = append(batch, keys[j])
-				vals = append(vals, uint16(w))
-				if len(batch) == 128 {
-					st.InsertBatch(batch, vals, ins[:len(batch)])
-					batch, vals = batch[:0], vals[:0]
-				}
-			}
-			if len(batch) > 0 {
-				st.InsertBatch(batch, vals, ins[:len(batch)])
-			}
-		}(w)
+	var (
+		wg       sync.WaitGroup
+		inserted [writers]int
+	)
+	for w := range writers {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			present := make([]bool, len(probe))
-			for range 4 {
-				st.ContainsBatchSorted(probe, present)
+			// Each writer covers the whole key set, offset so writers
+			// collide on keys and shards.
+			for i := range keys {
+				if _, ins := st.Insert(keys[(i+w*2500)%len(keys)], uint16(w)); ins {
+					inserted[w]++
+				}
 			}
 		}()
 	}
@@ -156,9 +89,12 @@ func TestShardedConcurrentInserts(t *testing.T) {
 	for _, k := range keys {
 		distinct[k] = struct{}{}
 	}
-	present := make([]bool, len(probe))
-	if n := st.ContainsBatchSorted(probe, present); n != len(probe) {
-		t.Fatalf("%d of %d keys present after concurrent inserts", n, len(probe))
+	total := 0
+	for _, n := range inserted {
+		total += n
+	}
+	if total != len(distinct) {
+		t.Fatalf("writers inserted %d keys in all, want %d", total, len(distinct))
 	}
 	ft := compacted(t, st)
 	if ft.Len() != len(distinct) {

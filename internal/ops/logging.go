@@ -47,13 +47,11 @@ type asyncQueue struct {
 
 // asyncEntry carries the record together with the handler view that
 // accepted it, so WithAttrs/WithGroup transformations apply at
-// serialization time. When build is set the record is constructed on
-// the drain goroutine instead (HandleLazy); when isAccess is set the
-// flat access entry is serialized directly (HandleAccess).
+// serialization time. When isAccess is set the flat access entry is
+// serialized directly instead (HandleAccess).
 type asyncEntry struct {
 	h        slog.Handler
 	r        slog.Record
-	build    func() slog.Record
 	access   AccessEntry
 	isAccess bool
 }
@@ -114,8 +112,6 @@ func NewAsyncHandler(inner slog.Handler, depth int) *AsyncHandler {
 					} else {
 						e.h.Handle(context.Background(), e.access.record())
 					}
-				case e.build != nil:
-					e.h.Handle(context.Background(), e.build())
 				default:
 					e.h.Handle(context.Background(), e.r)
 				}
@@ -144,22 +140,6 @@ func (h *AsyncHandler) Handle(ctx context.Context, r slog.Record) error {
 		h.q.dropped.Add(1)
 	}
 	return nil
-}
-
-// HandleLazy enqueues a record that does not exist yet: build runs on
-// the drain goroutine, so the caller pays one closure and one buffered
-// send instead of attr assembly plus a defensive clone. Callers must
-// capture values, not pointers to reused state, since build runs after
-// the request is gone. A full queue drops the entry like Handle does.
-func (h *AsyncHandler) HandleLazy(build func() slog.Record) {
-	if h.q.closed.Load() {
-		return
-	}
-	select {
-	case h.q.ch <- asyncEntry{h: h.inner, build: build}:
-	default:
-		h.q.dropped.Add(1)
-	}
 }
 
 // HandleAccess enqueues a request-log entry without allocating: the

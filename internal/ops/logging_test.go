@@ -107,43 +107,6 @@ func TestAsyncHandlerWithAttrs(t *testing.T) {
 	}
 }
 
-func TestAsyncHandlerHandleLazy(t *testing.T) {
-	var buf syncWriter
-	h := NewAsyncHandler(slog.NewJSONHandler(&buf, nil), 16)
-	built := 0
-	for i := 0; i < 3; i++ {
-		i := i
-		h.HandleLazy(func() slog.Record {
-			built++
-			rec := slog.NewRecord(time.Now(), slog.LevelInfo, "lazy", 0)
-			rec.AddAttrs(slog.Int("i", i))
-			return rec
-		})
-	}
-	h.Close()
-	if built != 3 {
-		t.Fatalf("%d records built, want 3", built)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("%d records flushed, want 3", len(lines))
-	}
-	for i, ln := range lines {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(ln), &rec); err != nil {
-			t.Fatalf("line %d not JSON: %v", i, err)
-		}
-		if rec["msg"] != "lazy" || rec["i"] != float64(i) {
-			t.Fatalf("line %d = %v", i, rec)
-		}
-	}
-	// After Close, lazy entries are ignored and never built.
-	h.HandleLazy(func() slog.Record {
-		t.Error("build ran after Close")
-		return slog.Record{}
-	})
-}
-
 // The middleware's claim: enqueueing an access entry allocates nothing
 // on the request path.
 func TestHandleAccessAllocs(t *testing.T) {

@@ -225,7 +225,7 @@ func TestClientKeyDefault(t *testing.T) {
 }
 
 func TestMiddlewareAsyncLogMatchesSync(t *testing.T) {
-	// The HandleLazy fast path must emit the same record fields as the
+	// The HandleAccess fast path must emit the same record fields as the
 	// synchronous slog path.
 	run := func(logger *slog.Logger) {
 		h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
