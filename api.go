@@ -43,8 +43,9 @@
 // by every fresh in-process build), which removes that cap: each
 // frontier streams to sorted spill runs on disk, new levels merge-dedup
 // against all prior levels by external k-way merge under a -mem-budget
-// target, and the finished store — plus every -split shard file, in the
-// same pass — is emitted directly, without materializing the table. A
+// target, and the finished store is emitted directly, without
+// materializing the table; every -split shard file is then cut from it
+// (tablesio.SaveSplitFile, one shard in memory at a time). A
 // fresh in-process build (NewSynthesizer, a NewService without a
 // stored table file) spills under TMPDIR and memory-maps the store it
 // emitted:
@@ -52,8 +53,9 @@
 //	go run ./cmd/revtables -table none -k 8 -save k8.tables -mem-budget 2GiB
 //	go run ./cmd/revtables -table none -k 9 -save k9 -split 16 -mem-budget 8GiB
 //
-// The budget is a ledger: every buffer the build holds is a view of one
-// workspace arena, which each phase carves afresh, and the stats report
+// The budget is a ledger: every buffer the build holds, but a split
+// cut's one-shard buffers, is a view of one workspace arena, which each
+// phase carves afresh, and the stats report
 // the arena's size. A new level is deduped against every prior level by
 // one merge-join against their sorted level files on disk, so no table
 // of earlier levels is held in memory. The budget divides as follows:

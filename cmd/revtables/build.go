@@ -15,7 +15,8 @@ import (
 
 // buildTables runs the extbuild table build: frontiers spill to sorted
 // runs, levels merge-dedup externally under the memory budget, and the
-// store (or every -split file) is emitted directly to the -save path.
+// store is emitted directly to the -save path (or, with -split, to a
+// temporary file that every -split file is then cut from).
 // Without -save the store goes to a temporary file. With load the full
 // store is loaded and returned for the synthesizer-backed reports — with
 // -split it is emitted to a temporary file alongside the split files.

@@ -19,7 +19,9 @@
 // -split N cuts the store into N (a power of two) shard-local files,
 // <save>.<i>of<N>, each holding one high-hash range — the per-shard
 // stores of a partitioned revserve fleet (disk and resident set ≈ 1/N
-// each), all emitted in the same pass. Serve one with
+// each), all cut by the same run from the finished store (a temporary
+// file in the work directory: -split writes no full store). N may exceed
+// the build's shard count. Serve one with
 // revserve -shard-serve -tables <file>.
 //
 // The work directory (-build-workdir, default <save>.work) holds a
@@ -69,8 +71,8 @@ func main() {
 	if *split != 0 && *save == "" {
 		log.Fatal("-split requires -save")
 	}
-	if *split != 0 && (*split < 1 || *split&(*split-1) != 0) {
-		log.Fatalf("-split %d is not a power of two", *split)
+	if *split != 0 && (*split < 2 || *split&(*split-1) != 0) {
+		log.Fatalf("-split %d is not a power of two ≥ 2 (without -split, -save writes the full store)", *split)
 	}
 
 	want := map[string]bool{}

@@ -9,8 +9,8 @@
 // builder trades that RAM for disk: frontiers stream to sorted spill
 // runs, each new level merge-dedups against all prior levels by
 // external k-way merge under a memory budget, and the finished v2
-// store (plus every split shard file, in the same pass) is written
-// directly. A checkpoint manifest in the work directory makes the
+// store is written directly; every split shard file is then cut from
+// it. A checkpoint manifest in the work directory makes the
 // build resumable after a crash with at most one level of rework. It
 // is the only table builder: revtables -save, revbfs, revserve and
 // every fresh in-process build (core.New, a service without a stored
@@ -21,7 +21,7 @@
 //	go run ./cmd/revtables -table none -k 8 -save k8.tables -mem-budget 2GiB
 //	# ...interrupted? same command + -resume picks it up:
 //	go run ./cmd/revtables -table none -k 8 -save k8.tables -mem-budget 2GiB -resume
-//	# shard stores for a partitioned fleet, emitted in one pass:
+//	# shard stores for a partitioned fleet, cut from the finished store:
 //	go run ./cmd/revtables -table none -k 9 -save k9 -split 16 -mem-budget 8GiB
 //
 // This program runs the same pipeline in-process at a small k, under a
@@ -53,8 +53,8 @@ func main() {
 
 	// Build k = 5 under a 1 MiB budget — the finished store is ~1.7 MB,
 	// so the frontiers must spill and merge through disk. OutPath and
-	// SplitN/SplitPath combine: the full store and every range-local
-	// shard file for a 2-way partitioned fleet come out of one build.
+	// SplitN/SplitPath combine: the build writes the full store, then
+	// cuts every range-local shard file for a 2-way fleet from it.
 	const splitN = 2
 	splitPath := func(i int) string {
 		return filepath.Join(dir, fmt.Sprintf("k5.%dof%d", i, splitN))
@@ -112,7 +112,7 @@ func main() {
 	}
 	fmt.Printf("query against the store: %d gates (direct=%v): %v\n", qinfo.Cost, qinfo.Direct, circ)
 
-	// The split files emitted by the same build are the per-shard stores
+	// The split files cut by the same build are the per-shard stores
 	// of a partitioned fleet (serve each with revserve -shard-serve and
 	// front them with -router / -topology — see examples/cluster). Here
 	// just load one range and show it owns exactly its keys.

@@ -13,19 +13,20 @@ import (
 // idxChunk is how many .seq records one index-resolution item covers.
 const idxChunk = 1 << 15
 
-// emit writes the configured stores straight off the level artifacts:
-// the full store (OutPath) and/or the SplitN pre-split range files, one
-// store after another. No in-memory table is ever built. Within a
-// store, workers gather each shard's entries from the .srt segments
-// (one ReadAt per level), lay them out canonically, and hand them to
-// the StreamWriter in shard order; the per-level index is then resolved
-// by probing the just-written file through the writer's read-only probe
-// view, the workers splitting the .seq files into chunks and appending
-// the resolved slots in discovery order. Byte-identity with
-// tablesio.SaveFile/SaveSplitFile holds because every geometry decision
-// (shard count, slots per shard, placement order, level order) is the
-// same pure function of the entry set that hashtab.Compact and
-// CompactSplit apply.
+// emit writes the full store straight off the level artifacts, then
+// cuts the SplitN range files from it with tablesio.SaveSplitFile, the
+// one split writer. No in-memory table is ever built. Workers gather
+// each shard's entries from the .srt segments (one ReadAt per level),
+// lay them out canonically, and hand them to the StreamWriter in shard
+// order; the per-level index is then resolved by probing the
+// just-written file through the writer's read-only probe view, the
+// workers splitting the .seq files into chunks and appending the
+// resolved slots in discovery order. Byte-identity with
+// tablesio.SaveFile holds because every geometry decision (shard
+// count, slots per shard, placement order, level order) is the same
+// pure function of the entry set that hashtab.Compact applies. Without
+// an OutPath the full store is a temporary file in the work directory,
+// removed once its splits are cut.
 func (b *builder) emit() error {
 	if b.o.OutPath == "" && b.o.SplitN <= 1 {
 		return nil
@@ -35,37 +36,31 @@ func (b *builder) emit() error {
 	}
 	b.progress(ProgressEvent{Phase: "emit", Level: b.o.K})
 
-	e, err := b.newEmitter()
-	if err != nil {
+	full := b.o.OutPath
+	if full == "" {
+		full = filepath.Join(b.dir, ".extbuild-store")
+		defer os.Remove(full)
+	}
+	if err := b.emitStore(full); err != nil {
 		return err
 	}
-	defer e.close()
-	if b.o.OutPath != "" {
-		if err := e.emitStore(0, b.shards, 1, 0, b.o.OutPath); err != nil {
+	for i := 0; i < b.o.SplitN; i++ {
+		if err := tablesio.SaveSplitFile(b.o.SplitPath(i), full, b.o.SplitN, i); err != nil {
 			return err
-		}
-	}
-	if b.o.SplitN > 1 {
-		sc := b.shards / b.o.SplitN
-		for i := 0; i < b.o.SplitN; i++ {
-			if err := e.emitStore(i*sc, (i+1)*sc, b.o.SplitN, i, b.o.SplitPath(i)); err != nil {
-				return err
-			}
 		}
 	}
 	b.progress(ProgressEvent{Phase: "emit", Level: b.o.K, Done: true})
 	return nil
 }
 
-// emitter holds the open level artifacts and the workspace buffers that
-// every emitted store reuses.
+// emitter holds the open level artifacts and the workspace buffers
+// the full store is emitted through.
 type emitter struct {
 	b    *builder
 	srt  []*segFile
 	seq  []*os.File
 	bufs []emitBufs
-	// Sized for the fullest shard of the whole table, a worker's
-	// buffers fit any range of it.
+	// Sized for the fullest shard of the table.
 	maxPerShard, perShard int
 	// wbuf is the StreamWriter's encoding buffer; commits run one at a
 	// time.
@@ -90,7 +85,13 @@ func (b *builder) newEmitter() (*emitter, error) {
 		}
 		e.seq = append(e.seq, f)
 	}
-	e.maxPerShard = e.maxShardEntries(0, b.shards)
+	for s := 0; s < b.shards; s++ {
+		n := 0
+		for _, lf := range e.srt {
+			n += int(lf.counts[s])
+		}
+		e.maxPerShard = max(e.maxPerShard, n)
+	}
 	e.perShard = hashtab.FrozenSlotsPerShard(e.maxPerShard)
 	// The emission workers' buffers may take half the budget (the probe
 	// table is gone by now), so a table whose fullest shard is a large
@@ -126,22 +127,7 @@ func (e *emitter) carveBufs(c *carver, eb *emitBufs) {
 		place:    hashtab.PlaceScratchOf(view[uint32](c, slots+1), view[uint64](c, n), view[uint16](c, n)),
 		seqRaw:   view[byte](c, idxChunk*seqRecordBytes),
 		idx:      view[uint32](c, idxChunk)[:0],
-		gpos:     view[uint32](c, idxChunk)[:0],
 	}
-}
-
-// maxShardEntries returns the entry count of the fullest shard in
-// [shardLo, shardHi), summed over all levels.
-func (e *emitter) maxShardEntries(shardLo, shardHi int) int {
-	m := 0
-	for s := shardLo; s < shardHi; s++ {
-		n := 0
-		for _, lf := range e.srt {
-			n += int(lf.counts[s])
-		}
-		m = max(m, n)
-	}
-	return m
 }
 
 // emitBufs are one emission worker's buffers: a shard's gathered
@@ -156,7 +142,6 @@ type emitBufs struct {
 	place    hashtab.PlaceScratch
 	seqRaw   []byte
 	idx      []uint32
-	gpos     []uint32
 }
 
 // gatherShard collects shard s's entries of every level into keys/vals.
@@ -177,107 +162,62 @@ func (e *emitter) gatherShard(eb *emitBufs, s int) error {
 	return nil
 }
 
-// emitStore streams one store covering global shards [shardLo, shardHi)
-// as range splitIdx of splitN (1×[0] is the full store) to path,
-// atomically.
-func (e *emitter) emitStore(shardLo, shardHi, splitN, splitIdx int, path string) error {
-	b := e.b
-	levels := b.man.Levels
-	localCounts := make([]int64, len(levels))
-	globalCounts := make([]int64, len(levels))
-	var localTotal, globalTotal int64
-	for c := range levels {
-		globalCounts[c] = levels[c].Entries
-		globalTotal += levels[c].Entries
-		for s := shardLo; s < shardHi; s++ {
-			localCounts[c] += int64(e.srt[c].counts[s])
-		}
-		localTotal += localCounts[c]
+// emitStore streams the full store to path, atomically.
+func (b *builder) emitStore(path string) error {
+	e, err := b.newEmitter()
+	if err != nil {
+		return err
 	}
-	perShard := hashtab.FrozenSlotsPerShard(e.maxShardEntries(shardLo, shardHi))
-
+	defer e.close()
 	g := tablesio.StreamGeometry{
 		Alphabet:      b.a,
 		MaxCost:       b.o.K,
 		Reduced:       b.reduced,
-		ShardCount:    shardHi - shardLo,
-		SlotsPerShard: perShard,
-		EntryCount:    localTotal,
-		LevelCounts:   localCounts,
+		ShardCount:    b.shards,
+		SlotsPerShard: e.perShard,
+		LevelCounts:   make([]int64, len(b.man.Levels)),
 	}
-	if splitN > 1 {
-		g.SplitN, g.SplitIdx = splitN, splitIdx
-		g.GlobalEntries, g.GlobalLevelCounts = globalTotal, globalCounts
+	for c, lv := range b.man.Levels {
+		g.LevelCounts[c] = lv.Entries
+		g.EntryCount += lv.Entries
 	}
 
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".rvt-emit-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmpName)
-		}
-	}()
-	w, err := tablesio.NewStreamWriter(tmp, g)
-	if err != nil {
-		return err
-	}
-	w.SetBuffer(e.wbuf)
-
-	// Workers place shards in parallel; the writer takes them in shard
-	// order.
-	err = fanOutOrdered(len(e.bufs), shardHi-shardLo, func(wi, i int) error {
-		eb := &e.bufs[wi]
-		if err := e.gatherShard(eb, shardLo+i); err != nil {
+	return tablesio.PublishFile(path, func(f *os.File) error {
+		w, err := tablesio.NewStreamWriter(f, g)
+		if err != nil {
 			return err
 		}
-		slotKeys, slotVals := eb.slotKeys[:perShard], eb.slotVals[:perShard]
-		clear(slotKeys)
-		clear(slotVals)
-		hashtab.PlaceShardCanonical(eb.keys, eb.vals, slotKeys, slotVals, &eb.place)
-		return nil
-	}, func(wi, _ int) error {
-		eb := &e.bufs[wi]
-		return w.WriteShard(eb.slotKeys[:perShard], eb.slotVals[:perShard])
+		w.SetBuffer(e.wbuf)
+		// Workers place shards in parallel; the writer takes them in
+		// shard order.
+		err = fanOutOrdered(len(e.bufs), b.shards, func(wi, s int) error {
+			eb := &e.bufs[wi]
+			if err := e.gatherShard(eb, s); err != nil {
+				return err
+			}
+			clear(eb.slotKeys)
+			clear(eb.slotVals)
+			hashtab.PlaceShardCanonical(eb.keys, eb.vals, eb.slotKeys, eb.slotVals, &eb.place)
+			return nil
+		}, func(wi, _ int) error {
+			return w.WriteShard(e.bufs[wi].slotKeys, e.bufs[wi].slotVals)
+		})
+		if err != nil {
+			return err
+		}
+		pv, releasePV, err := w.ProbeView()
+		if err != nil {
+			return err
+		}
+		if err := e.appendIndex(w, pv); err != nil {
+			releasePV()
+			return err
+		}
+		if err := releasePV(); err != nil {
+			return err
+		}
+		return w.Finalize()
 	})
-	if err != nil {
-		return err
-	}
-
-	pv, releasePV, err := w.ProbeView()
-	if err != nil {
-		return err
-	}
-	if err := e.appendIndex(w, pv, shardLo, shardHi, splitN > 1); err != nil {
-		releasePV()
-		return err
-	}
-	if err := releasePV(); err != nil {
-		return err
-	}
-	if err := w.Finalize(); err != nil {
-		return err
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		tmp = nil
-		return err
-	}
-	tmp = nil
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return tablesio.SyncDir(dir)
 }
 
 // indexChunk is one item of index resolution: n .seq records of a level
@@ -288,13 +228,11 @@ type indexChunk struct {
 	n     int
 }
 
-// appendIndex resolves every level's .seq keys that fall in the store's
-// shard range to their slots through the probe view — read-only, so the
-// workers resolve chunks in parallel — and appends the slots in chunk
-// order. The per-level index is thereby in the exact order the
-// sequential bfs.Search records, and for splits each
-// entry's global level position rides along.
-func (e *emitter) appendIndex(w *tablesio.StreamWriter, pv *hashtab.FrozenTable, shardLo, shardHi int, split bool) error {
+// appendIndex resolves every level's .seq keys to their slots through
+// the probe view — read-only, so the workers resolve chunks in
+// parallel — and appends the slots in chunk order. The per-level index
+// is thereby in the exact order the sequential bfs.Search records.
+func (e *emitter) appendIndex(w *tablesio.StreamWriter, pv *hashtab.FrozenTable) error {
 	var chunks []indexChunk
 	for c, lvm := range e.b.man.Levels {
 		for first := int64(0); first < lvm.Entries; first += idxChunk {
@@ -308,34 +246,17 @@ func (e *emitter) appendIndex(w *tablesio.StreamWriter, pv *hashtab.FrozenTable,
 			return fmt.Errorf("extbuild: level %d index: %w", ch.level, err)
 		}
 		e.b.spillR.Add(int64(len(raw)))
-		eb.idx, eb.gpos = eb.idx[:0], eb.gpos[:0]
+		eb.idx = eb.idx[:0]
 		for j := range ch.n {
 			key := getSeqRecord(raw[j*seqRecordBytes:])
-			shard := int(hashtab.Hash64Shift(key) >> e.b.shardShift)
-			if shard < shardLo || shard >= shardHi {
-				continue
-			}
 			slot, ok := pv.SlotOf(key)
 			if !ok {
 				return fmt.Errorf("extbuild: level %d key %#x missing from emitted store", ch.level, key)
 			}
 			eb.idx = append(eb.idx, slot)
-			if split {
-				eb.gpos = append(eb.gpos, uint32(ch.first+int64(j)))
-			}
 		}
 		return nil
 	}, func(wi, _ int) error {
-		eb := &e.bufs[wi]
-		if len(eb.idx) == 0 {
-			return nil
-		}
-		if err := w.AppendIndex(eb.idx); err != nil {
-			return err
-		}
-		if split {
-			return w.AppendGlobalPos(eb.gpos)
-		}
-		return nil
+		return w.AppendIndex(e.bufs[wi].idx)
 	})
 }

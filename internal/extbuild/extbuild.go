@@ -74,9 +74,9 @@ type Options struct {
 	Workers int
 
 	// OutPath, when non-empty, receives the full store (format v2,
-	// written atomically). SplitN > 1 additionally emits the store
-	// pre-split into SplitN range files named by SplitPath — the direct
-	// fleet-emission path, no separate split pass over a loaded store.
+	// written atomically). SplitN > 1 also cuts SplitN range files,
+	// named by SplitPath, from the finished store (tablesio.SaveSplitFile);
+	// without OutPath that store is a temporary file in WorkDir.
 	OutPath   string
 	SplitN    int
 	SplitPath func(i int) string
@@ -149,11 +149,11 @@ type Stats struct {
 	SpillWrittenBytes int64
 	SpillReadBytes    int64
 	// PeakTrackedBytes is the high-water mark of budget-tracked memory:
-	// the workspace arena, which only grows, so its final size. The
-	// build holds no other large buffer, so its resident set is this
-	// plus the Go runtime's own, the freed workspaces of smaller levels
-	// that the runtime has not reused or returned, and the pages of the
-	// written store that emission probes through a read-only mapping: a
+	// the workspace arena, which only grows, so its final size. Beside
+	// it the build holds only a split cut's one-shard buffers, so its
+	// resident set is this plus those, the Go runtime's own, the freed
+	// workspaces of smaller levels that the runtime has not reused, and
+	// the pages of the store that emission probes through a mapping: a
 	// k=6 build at the default budget tracks 102.4 MiB and peaks at
 	// about 135–145 MB resident.
 	PeakTrackedBytes int64
@@ -203,8 +203,8 @@ type builder struct {
 	resumed   int
 }
 
-// Build runs the out-of-core BFS and emits the configured stores. The
-// result is byte-identical to tablesio.SaveFile (and SaveSplitFile) of
+// Build runs the out-of-core BFS and emits the full store, then cuts any
+// splits from it. The store is byte-identical to tablesio.SaveFile of
 // the sequential bfs.Search on the same machine, for any MemBudget,
 // Workers, and crash/resume history.
 func Build(o Options) (*Stats, error) {
@@ -311,8 +311,8 @@ func newBuilder(o Options) (*builder, error) {
 	}
 	shards = n
 	if o.SplitN > 1 {
-		if o.SplitN&(o.SplitN-1) != 0 || o.SplitN > shards {
-			return nil, fmt.Errorf("extbuild: split count %d is not a power of two ≤ %d shards", o.SplitN, shards)
+		if err := tablesio.CheckSplitCount(o.SplitN); err != nil {
+			return nil, err
 		}
 		if o.SplitPath == nil {
 			return nil, fmt.Errorf("extbuild: SplitN %d requires SplitPath", o.SplitN)

@@ -2,7 +2,9 @@ package extbuild
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -132,25 +134,32 @@ func TestBudgetInvariance(t *testing.T) {
 	}
 }
 
-// TestByteIdentitySplit: direct split emission must match SaveSplitFile
-// of the in-memory build, for every range — no intermediate full store,
-// no separate split pass.
-func TestByteIdentitySplit(t *testing.T) {
-	a := bfs.GateAlphabet()
-	const k, n = 3, 4
-	res, err := bfs.Search(a, k, nil)
-	if err != nil {
+// referenceSplits cuts the n splits of the sequential bfs.Search's
+// store, SaveFile followed by SaveSplitFile: the split oracle.
+func referenceSplits(t *testing.T, a *bfs.Alphabet, k, n int) [][]byte {
+	t.Helper()
+	dir := t.TempDir()
+	full := filepath.Join(dir, "ref.rvt")
+	if err := os.WriteFile(full, referenceFile(t, a, k, false), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	refDir := t.TempDir()
 	refs := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		p := filepath.Join(refDir, fmt.Sprintf("ref%d.rvt", i))
-		if err := tablesio.SaveSplitFile(p, res, n, i); err != nil {
+	for i := range n {
+		p := filepath.Join(dir, fmt.Sprintf("ref%d.rvt", i))
+		if err := tablesio.SaveSplitFile(p, full, n, i); err != nil {
 			t.Fatal(err)
 		}
 		refs[i] = mustRead(t, p)
 	}
+	return refs
+}
+
+// TestByteIdentitySplit: the splits a build cuts from its own store
+// must match the cuts of the in-memory build's store, for every range.
+func TestByteIdentitySplit(t *testing.T) {
+	a := bfs.GateAlphabet()
+	const k, n = 3, 4
+	refs := referenceSplits(t, a, k, n)
 
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.rvt")
@@ -174,6 +183,53 @@ func TestByteIdentitySplit(t *testing.T) {
 	// The full store emitted in the same pass is also identical.
 	if !bytes.Equal(mustRead(t, full), referenceFile(t, a, k, false)) {
 		t.Fatal("full store emitted alongside splits differs from reference")
+	}
+}
+
+// TestSplitBeyondShardCount: any power-of-two split count up to the
+// shard-count cap is valid, a range narrower than a shard included, and
+// a build without OutPath cuts its splits from a temporary full store
+// that it removes. A k=4 build with 8 shards cut 16 ways must reproduce
+// the digests TestSaveFileDigests (internal/tablesio) pins for the
+// in-memory build's 16-way cut.
+func TestSplitBeyondShardCount(t *testing.T) {
+	want := []string{
+		"9c5e6753d141f2b7cf0a5b572b28f9db9229c49096c61fd3e125325f45445298",
+		"2bc41e5a66f8943e5191bd4c5cd54ae1754f6489e3c9d8152712166f6bd13907",
+		"6ccd1d43e878885bf5de5c9c1d2773661b011aa0522fd919090e01df56021947",
+		"3361b134b8c7c84bd3201699824d0171ea24098365146e170a45d403349f75e0",
+		"8d06b66a5a41f2bd3ae2b00cce390fafe97e9fd430d1342f58684fc83e92f9e8",
+		"f479624b93eb239819b1d4c8508f70bbc91f3110a7462d842ba738c3fe81af33",
+		"ed467bd3f19b1eeb2249e580e2d15597c604f4218d25e660bf1f52ca4895a89a",
+		"8e4dddd2a196d832a0f8d6613f233f12433b4cf12db40672b6f512d5d64cdd0f",
+		"ae70ee455c592ce1c54eab946a6bece7ff2c36b821dca9a7b7bf0c0a66a37475",
+		"dd8dec39b50ce01ad934cfd25fcdbf4dddf4a0a8b774c8c0eb048402d15f6d12",
+		"d48346f681bf24399f5dfc5681ecc19d9ecb495c89efaaf89d5eb715d53ba799",
+		"777fe873d7f09bdf0d76ac162ed3c84d35e4673ac0af9c43842de50143ffbcee",
+		"b53c4e07e49375d93bc96f308bc48e07efec254553cf0e445022e85ba63363ae",
+		"6707f09181a7b223858be36e6bdd03320c05d0708abff79a006a2e6e2881ee63",
+		"0d8d8f58d45c2bc3b09a99fc9223863bf7f554f6c837368d929da528910f8118",
+		"a94a3a5c4f55f7f22a72b2ee623d8088e45551d5180c9c5c48988ec12b2e36e2",
+	}
+	dir := t.TempDir()
+	splitPath := func(i int) string { return filepath.Join(dir, fmt.Sprintf("k4.%dof16", i)) }
+	if _, err := Build(Options{
+		Alphabet: bfs.GateAlphabet(), K: 4,
+		WorkDir:   filepath.Join(dir, "work"),
+		Shards:    8,
+		SplitN:    len(want),
+		SplitPath: splitPath,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want {
+		sum := sha256.Sum256(mustRead(t, splitPath(i)))
+		if got := hex.EncodeToString(sum[:]); got != w {
+			t.Errorf("split %d of 16: SHA-256 %s, want %s", i, got, w)
+		}
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != len(want) {
+		t.Errorf("build left %d entries besides its splits (%v)", len(ents)-len(want), err)
 	}
 }
 
@@ -932,26 +988,11 @@ func withEightShards(t *testing.T, f func()) {
 func TestWorkerCountInvariance(t *testing.T) {
 	a := bfs.GateAlphabet()
 	const k, n = 4, 4
-	refDir := t.TempDir()
 	var ref []byte
-	refs := make([][]byte, n)
+	var refs [][]byte
 	withEightShards(t, func() {
-		res, err := bfs.Search(a, k, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := filepath.Join(refDir, "ref.rvt")
-		if err := tablesio.SaveFile(p, res); err != nil {
-			t.Fatal(err)
-		}
-		ref = mustRead(t, p)
-		for i := range n {
-			p := filepath.Join(refDir, fmt.Sprintf("ref%d.rvt", i))
-			if err := tablesio.SaveSplitFile(p, res, n, i); err != nil {
-				t.Fatal(err)
-			}
-			refs[i] = mustRead(t, p)
-		}
+		ref = referenceFile(t, a, k, false)
+		refs = referenceSplits(t, a, k, n)
 	})
 	for _, budget := range []struct {
 		name  string

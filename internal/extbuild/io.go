@@ -47,8 +47,8 @@
 // scratch and, when it may spill, its spill buffers. Emission borrows it
 // for each worker's gathered shard, raw records, slot arrays, placement
 // scratch and index chunk, and for the store writer's encoding buffer.
-// The arena's size is the ledger: the build holds no large structure
-// outside it.
+// The arena's size is the ledger: outside it the build holds only a
+// split cut's one-shard buffers (tablesio.SaveSplitFile).
 //
 // Work-directory artifacts, all little-endian. Runs and level files
 // are in hash order: ascending Hash64Shift(key). The hash is a

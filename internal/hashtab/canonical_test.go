@@ -66,44 +66,6 @@ func TestCompactCanonicalLayout(t *testing.T) {
 	}
 }
 
-// TestCompactSplitCanonicalLayout: entry order into CompactSplit must not
-// affect the laid-out arrays.
-func TestCompactSplitCanonicalLayout(t *testing.T) {
-	keys, vals := testEntries(3000, 3)
-	const shards, splitN = 8, 4
-	shift := uint(64 - log2(shards*splitN))
-	for idx := 0; idx < splitN; idx++ {
-		var rk []uint64
-		var rv []uint16
-		for i, k := range keys {
-			if int(Hash64Shift(k)>>shift)/shards == idx {
-				rk = append(rk, k)
-				rv = append(rv, vals[i])
-			}
-		}
-		fa, err := CompactSplit(append([]uint64(nil), rk...), append([]uint16(nil), rv...), shards, splitN, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Shuffle and re-lay.
-		perm := rand.New(rand.NewSource(int64(idx))).Perm(len(rk))
-		sk := make([]uint64, len(rk))
-		sv := make([]uint16, len(rk))
-		for j, i := range perm {
-			sk[j], sv[j] = rk[i], rv[i]
-		}
-		fb, err := CompactSplit(sk, sv, shards, splitN, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range fa.RawKeys() {
-			if fa.RawKeys()[i] != fb.RawKeys()[i] || fa.RawVals()[i] != fb.RawVals()[i] {
-				t.Fatalf("split %d slot %d differs", idx, i)
-			}
-		}
-	}
-}
-
 // TestFrozenSlotsPerShard: the exported sizing helper must agree with
 // what Compact actually chooses.
 func TestFrozenSlotsPerShard(t *testing.T) {
@@ -216,6 +178,9 @@ func TestPlaceShardCanonicalMatchesReference(t *testing.T) {
 	}
 }
 
+// TestPlaceShardCanonicalRandomized: random shards match the reference,
+// and the entries' order does not reach the slots: a shuffled copy of
+// each shard lays out the same bytes.
 func TestPlaceShardCanonicalRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var sc PlaceScratch
@@ -224,6 +189,9 @@ func TestPlaceShardCanonicalRandomized(t *testing.T) {
 		n := rng.Intn(int(maxLoadFactor*float64(slots)) + 1)
 		ks, vs := testEntries(n, int64(trial))
 		checkPlaceAgainstReference(t, ks, vs, slots, &sc)
+		sk, sv := append([]uint64(nil), ks...), append([]uint16(nil), vs...)
+		rng.Shuffle(n, func(i, j int) { sk[i], sk[j], sv[i], sv[j] = sk[j], sk[i], sv[j], sv[i] })
+		checkPlaceAgainstReference(t, sk, sv, slots, &sc)
 	}
 }
 

@@ -31,8 +31,7 @@ import (
 // identical to the full table's — shard index is still derived from the
 // hash alone, offset by the first owned shard — so a split table answers
 // its range byte-identically to the full table and reports keys outside
-// its range as absent (callers that must distinguish "absent" from "not
-// owned" check OwnsKey first).
+// its range as absent (tables.Partial tells "not owned" apart).
 //
 // A FrozenTable is safe for concurrent use by any number of readers.
 type FrozenTable struct {
@@ -276,68 +275,6 @@ func Compact(t *ShardedTable) (*FrozenTable, error) {
 	return ft, nil
 }
 
-// CompactSplit lays explicit (key, value) entries — the contents of one
-// split range — into the frozen layout: shardCount uniform shards sized
-// to keep the fullest at or under the build load factor, inside range
-// splitIdx of splitN. Every key must hash into the owned range and keys
-// must be unique; both hold when the entries come from one range of an
-// existing table, which is the store splitter's contract.
-func CompactSplit(keys []uint64, vals []uint16, shardCount, splitN, splitIdx int) (*FrozenTable, error) {
-	if len(keys) != len(vals) {
-		return nil, fmt.Errorf("hashtab: split entry arrays have lengths %d/%d", len(keys), len(vals))
-	}
-	if shardCount < 1 || shardCount&(shardCount-1) != 0 ||
-		splitN < 1 || splitN&(splitN-1) != 0 ||
-		int64(shardCount)*int64(splitN) > 1<<16 || splitIdx < 0 || splitIdx >= splitN {
-		return nil, fmt.Errorf("hashtab: invalid split geometry %d×%d[%d]", shardCount, splitN, splitIdx)
-	}
-	shift := uint(64 - bits.TrailingZeros(uint(shardCount*splitN)))
-	base := uint64(splitIdx) * uint64(shardCount)
-	perShardCount := make([]int, shardCount)
-	maxCount := 0
-	for _, k := range keys {
-		shard := (Hash64Shift(k) >> shift) - base
-		if shard >= uint64(shardCount) {
-			return nil, fmt.Errorf("hashtab: key %#x hashes outside split %d/%d", k, splitIdx, splitN)
-		}
-		perShardCount[shard]++
-		if perShardCount[shard] > maxCount {
-			maxCount = perShardCount[shard]
-		}
-	}
-	perShard := FrozenSlotsPerShard(maxCount)
-	if int64(shardCount)*int64(perShard) > maxFrozenSlots {
-		return nil, fmt.Errorf("hashtab: split layout needs %d slots, over the uint32 slot-index space", int64(shardCount)*int64(perShard))
-	}
-	slotKeys := make([]uint64, shardCount*perShard)
-	slotVals := make([]uint16, shardCount*perShard)
-	ft, err := NewFrozenSplit(slotKeys, slotVals, shardCount, len(keys), splitN, splitIdx)
-	if err != nil {
-		return nil, err
-	}
-	// Group the entries by shard (counting sort over the counts already
-	// gathered above), then lay each shard canonically.
-	starts := make([]int, shardCount+1)
-	for s := 0; s < shardCount; s++ {
-		starts[s+1] = starts[s] + perShardCount[s]
-	}
-	cursor := append([]int(nil), starts[:shardCount]...)
-	gk := make([]uint64, len(keys))
-	gv := make([]uint16, len(vals))
-	for i, k := range keys {
-		shard := (Hash64Shift(k) >> shift) - base
-		gk[cursor[shard]] = k
-		gv[cursor[shard]] = vals[i]
-		cursor[shard]++
-	}
-	var sc PlaceScratch
-	for s := 0; s < shardCount; s++ {
-		PlaceShardCanonical(gk[starts[s]:starts[s+1]], gv[starts[s]:starts[s+1]],
-			slotKeys[s*perShard:(s+1)*perShard], slotVals[s*perShard:(s+1)*perShard], &sc)
-	}
-	return ft, nil
-}
-
 // Lookup returns the value stored under key and whether it is present.
 // Key 0 is never present. Lock-free and allocation-free.
 func (t *FrozenTable) Lookup(key uint64) (uint16, bool) {
@@ -432,13 +369,6 @@ func (t *FrozenTable) ShardCount() int { return t.shardCount }
 func (t *FrozenTable) SplitN() (n, idx int) {
 	n = (1 << (64 - t.shardShift)) / t.shardCount
 	return n, int(t.shardBase) / t.shardCount
-}
-
-// OwnsKey reports whether key's hash falls in this table's split range.
-// Always true for a full table.
-func (t *FrozenTable) OwnsKey(key uint64) bool {
-	shard := (Hash64Shift(key) >> t.shardShift) - t.shardBase
-	return shard < uint64(t.shardCount)
 }
 
 // SlotsPerShard returns the per-shard slot count.

@@ -26,12 +26,16 @@ import (
 // every shard under sustained queries loses nothing.
 
 // loadSplitPartial cuts range i of n from res through the real store
-// path — SaveSplitFile, then an AllowSplit load — so the tests exercise
-// exactly what a shard process mounts.
+// path — SaveFile, the SaveSplitFile cut, then an AllowSplit load — so
+// the tests exercise exactly what a shard process mounts.
 func loadSplitPartial(t testing.TB, res *bfs.Result, n, i int) *tables.Partial {
 	t.Helper()
-	p := filepath.Join(t.TempDir(), "split")
-	if err := tablesio.SaveSplitFile(p, res, n, i); err != nil {
+	dir := t.TempDir()
+	full, p := filepath.Join(dir, "full"), filepath.Join(dir, "split")
+	if err := tablesio.SaveFile(full, res); err != nil {
+		t.Fatal(err)
+	}
+	if err := tablesio.SaveSplitFile(p, full, n, i); err != nil {
 		t.Fatal(err)
 	}
 	sres, info, err := tablesio.LoadFile(p, bfs.GateAlphabet(), &tablesio.LoadOptions{AllowSplit: true})

@@ -126,14 +126,7 @@ func LoadFile(path string, alphabet *bfs.Alphabet, opts *LoadOptions) (*bfs.Resu
 // the file size against the geometry, map the file, and reinterpret the
 // page-aligned sections as the frozen table's slot arrays.
 func loadV2Mmap(f *os.File, size int64, alphabet *bfs.Alphabet, opts *LoadOptions) (*bfs.Result, LoadInfo, error) {
-	page := make([]byte, pageAlign)
-	n, err := io.ReadFull(f, page)
-	if err == io.ErrUnexpectedEOF {
-		page = page[:n]
-	} else if err != nil {
-		return nil, LoadInfo{}, fmt.Errorf("%w: reading v2 header: %w", ErrCorrupt, err)
-	}
-	h, _, err := parseHeaderV2(page)
+	h, err := readHeaderPage(f)
 	if err != nil {
 		return nil, LoadInfo{}, err
 	}
@@ -195,4 +188,16 @@ func loadV2Mmap(f *os.File, size int64, alphabet *bfs.Alphabet, opts *LoadOption
 	res.Frozen.SetMapped(data)
 	res.Frozen.SetCloser(unmap)
 	return res, LoadInfo{Version: 2, MemoryMapped: true, Bytes: size, Entries: res.TotalStored(), Split: split}, nil
+}
+
+// readHeaderPage reads and verifies the header at the start of f; the
+// first page holds any v2 header.
+func readHeaderPage(f *os.File) (*headerV2, error) {
+	page := make([]byte, pageAlign)
+	n, err := f.ReadAt(page, 0)
+	if err != nil && err != io.EOF {
+		return nil, fmt.Errorf("%w: reading v2 header: %w", ErrCorrupt, err)
+	}
+	h, _, err := parseHeaderV2(page[:n])
+	return h, err
 }

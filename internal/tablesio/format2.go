@@ -580,15 +580,7 @@ func loadV2Stream(br *bufio.Reader, alphabet *bfs.Alphabet, opts *LoadOptions) (
 // a split store it additionally assembles (and validates) the split
 // metadata binding the local entries to the global level order.
 func assembleV2(h *headerV2, alphabet *bfs.Alphabet, keys []uint64, vals []uint16, idx, gpos []uint32, opts *LoadOptions, verify bool) (*bfs.Result, *tables.Split, error) {
-	var (
-		ft  *hashtab.FrozenTable
-		err error
-	)
-	if h.split() {
-		ft, err = hashtab.NewFrozenSplit(keys, vals, int(h.shardCount), int(h.entryCount), int(h.splitN), int(h.splitI))
-	} else {
-		ft, err = hashtab.NewFrozen(keys, vals, int(h.shardCount), int(h.entryCount))
-	}
+	ft, err := hashtab.NewFrozenSplit(keys, vals, int(h.shardCount), int(h.entryCount), max(int(h.splitN), 1), int(h.splitI))
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}

@@ -26,9 +26,9 @@ func FuzzLoad(f *testing.F) {
 	// section bytes, retired and future versions, and forged geometry
 	// (shard counts, slot sizes, offsets, split extensions) that must
 	// fail cleanly instead of OOMing or overflowing the layout arithmetic.
-	res, blob := savedV2(f, 3)
+	_, blob := savedV2(f, 3)
 	splitPath := filepath.Join(f.TempDir(), "split.tables")
-	if err := SaveSplitFile(splitPath, res, 2, 0); err != nil {
+	if err := SaveSplitFile(splitPath, writeTemp(f, blob), 2, 0); err != nil {
 		f.Fatal(err)
 	}
 	split, err := os.ReadFile(splitPath)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -23,6 +24,7 @@ func TestSplitRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	full := fullStore(t, res)
 	for _, disableMmap := range []bool{false, true} {
 		const n = 4
 		dir := t.TempDir()
@@ -30,7 +32,7 @@ func TestSplitRoundTrip(t *testing.T) {
 		totalLocal := 0
 		for i := 0; i < n; i++ {
 			p := filepath.Join(dir, "split")
-			if err := SaveSplitFile(p, res, n, i); err != nil {
+			if err := SaveSplitFile(p, full, n, i); err != nil {
 				t.Fatal(err)
 			}
 			if _, _, err := LoadFile(p, bfs.GateAlphabet(), &LoadOptions{DisableMmap: disableMmap}); !errors.Is(err, ErrSplitStore) {
@@ -119,7 +121,7 @@ func TestSplitRejectedByReaderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "split")
-	if err := SaveSplitFile(path, res, 2, 0); err != nil {
+	if err := SaveSplitFile(path, fullStore(t, res), 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(path)
@@ -137,7 +139,8 @@ func TestSplitRejectedByReaderLoad(t *testing.T) {
 // A result loaded from a split store holds one hash range. Saving it
 // must fail rather than publish a full-store header over a partial
 // table (which the mmap path would then serve as a full table missing
-// every other range), and re-splitting it must fail too.
+// every other range), and a split store offered as the source of a cut
+// must fail too, publishing nothing.
 func TestSaveRejectsSplitSource(t *testing.T) {
 	res, err := bfs.Search(bfs.GateAlphabet(), 4, nil)
 	if err != nil {
@@ -145,7 +148,7 @@ func TestSaveRejectsSplitSource(t *testing.T) {
 	}
 	dir := t.TempDir()
 	src := filepath.Join(dir, "k4.1of4")
-	if err := SaveSplitFile(src, res, 4, 1); err != nil {
+	if err := SaveSplitFile(src, fullStore(t, res), 4, 1); err != nil {
 		t.Fatal(err)
 	}
 	sres, _, err := LoadFile(src, bfs.GateAlphabet(), &LoadOptions{AllowSplit: true})
@@ -160,25 +163,115 @@ func TestSaveRejectsSplitSource(t *testing.T) {
 	if _, err := os.Stat(full); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("failed SaveFile published %s: %v", full, err)
 	}
-	if err := SaveSplitFile(filepath.Join(dir, "resplit"), sres, 2, 0); err == nil {
-		t.Fatal("SaveSplitFile of a split-loaded result succeeded")
+	resplit := filepath.Join(dir, "resplit")
+	if err := SaveSplitFile(resplit, src, 2, 0); !errors.Is(err, ErrSplitStore) {
+		t.Fatalf("cut of a split store: err = %v, want ErrSplitStore", err)
+	}
+	if _, err := os.Stat(resplit); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed cut published %s: %v", resplit, err)
 	}
 }
 
 // SaveSplitFile writes splits only: n = 1 is the full store, which
-// SaveFile writes, and n must be a power of two with i inside [0, n).
+// SaveFile writes, and n must be a power of two in [2, 65536] with i
+// inside [0, n).
 func TestSaveSplitFileArgs(t *testing.T) {
 	res, err := bfs.Search(bfs.GateAlphabet(), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	full := fullStore(t, res)
 	path := filepath.Join(t.TempDir(), "split")
-	for _, c := range []struct{ n, i int }{{0, 0}, {1, 0}, {3, 0}, {2, 2}, {2, -1}} {
-		if err := SaveSplitFile(path, res, c.n, c.i); err == nil {
+	for _, c := range []struct{ n, i int }{{0, 0}, {1, 0}, {3, 0}, {2, 2}, {2, -1}, {1 << 17, 0}} {
+		if err := SaveSplitFile(path, full, c.n, c.i); err == nil {
 			t.Fatalf("SaveSplitFile(n=%d, i=%d) succeeded", c.n, c.i)
 		}
 	}
-	if err := SaveSplitFile(path, res, 1, 0); !strings.Contains(fmt.Sprint(err), "SaveFile") {
+	if err := SaveSplitFile(path, full, 1, 0); !strings.Contains(fmt.Sprint(err), "SaveFile") {
 		t.Fatalf("n = 1: err = %v, want a pointer to SaveFile", err)
 	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a rejected cut published %s: %v", path, err)
+	}
+}
+
+// TestSaveSplitFileCorruptSource: a cut checks its source's section
+// fingerprints before writing, so one flipped byte in the keys, values
+// or level index fails every cut with ErrCorrupt and publishes nothing.
+func TestSaveSplitFileCorruptSource(t *testing.T) {
+	_, blob := savedV2(t, 4)
+	h, _, err := parseHeaderV2(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := func(off, size uint64) uint64 { return off + size/2 }
+	for _, sec := range []struct {
+		name string
+		at   uint64
+	}{
+		{"keys", mid(h.keysOff, h.valsOff-h.keysOff)},
+		{"vals", mid(h.valsOff, h.idxOff-h.valsOff)},
+		{"index", mid(h.idxOff, h.entryCount*4)},
+	} {
+		bad := bytes.Clone(blob)
+		bad[sec.at] ^= 0x10
+		src := writeTemp(t, bad)
+		dir := t.TempDir()
+		for _, cut := range []struct{ n, i int }{{2, 0}, {2, 1}, {16, 3}} {
+			dst := filepath.Join(dir, "split")
+			if err := SaveSplitFile(dst, src, cut.n, cut.i); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s flipped, cut %d/%d: err = %v, want ErrCorrupt", sec.name, cut.i, cut.n, err)
+			}
+			if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+				t.Errorf("%s flipped, cut %d/%d left %d files behind", sec.name, cut.i, cut.n, len(ents))
+			}
+		}
+	}
+}
+
+// TestSaveSplitFileBoundedMemory: a cut reads its source through
+// bounded buffers (one shard's arrays and one index chunk), so halving
+// a k = 5 store allocates less than the half's own slot arrays. Copying
+// the range's entries onto the heap and laying them out there, as a cut
+// from a loaded table would, allocates several times that.
+func TestSaveSplitFileBoundedMemory(t *testing.T) {
+	res, err := bfs.Search(bfs.GateAlphabet(), 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := fullStore(t, res)
+	dst := filepath.Join(t.TempDir(), "split")
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := SaveSplitFile(dst, full, 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	f, err := os.Open(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	h, err := readHeaderPage(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slotBytes := h.shardCount * uint32(h.slotsPerShard) * 10
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("cut allocated %d B; the split's slot arrays are %d B", alloc, slotBytes)
+	if alloc >= uint64(slotBytes) {
+		t.Fatalf("cut allocated %d B, not less than the split's %d B of slot arrays", alloc, slotBytes)
+	}
+}
+
+// fullStore saves res as a full store and returns its path: the source
+// every cut reads.
+func fullStore(t testing.TB, res *bfs.Result) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "full.tables")
+	if err := SaveFile(path, res); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"unsafe"
 
@@ -26,9 +27,9 @@ type StreamGeometry struct {
 	EntryCount    int64
 	LevelCounts   []int64
 
-	// Split extension: SplitN > 1 writes range SplitIdx of SplitN (the
-	// direct fleet-emission path); the level counts above are then the
-	// LOCAL counts and the global shape is carried alongside.
+	// Split extension: SplitN > 1 writes range SplitIdx of SplitN (set
+	// by SaveSplitFile, the one split writer); the level counts above are
+	// then the LOCAL counts and the global shape is carried alongside.
 	SplitN            int
 	SplitIdx          int
 	GlobalEntries     int64
@@ -38,8 +39,8 @@ type StreamGeometry struct {
 // StreamWriter is the one format-v2 encoder: it emits a store section
 // by section, in shard order, without ever holding more than one
 // shard's slot arrays. The out-of-core builder drives it shard by shard
-// as it places them; SaveFile and SaveSplitFile drive it from a table
-// already in memory. The writer owns the file layout (sparse-truncated
+// as it places them, SaveFile from a table already in memory, and
+// SaveSplitFile shard by shard from a finished store on disk. The writer owns the file layout (sparse-truncated
 // up front, sections placed by WriteAt) and keeps running section
 // fingerprints, so Finalize stamps the header last.
 //
@@ -48,10 +49,9 @@ type StreamGeometry struct {
 // between to resolve slots against the already-written arrays — then
 // (split only) AppendGlobalPos totalling EntryCount, then Finalize.
 type StreamWriter struct {
-	f     *os.File
-	h     *headerV2
-	l     layoutV2
-	split bool
+	f *os.File
+	h *headerV2
+	l layoutV2
 
 	nextShard int
 	keysHash  wordHash
@@ -99,11 +99,17 @@ func NewStreamWriter(f *os.File, g StreamGeometry) (*StreamWriter, error) {
 	if g.Alphabet == nil {
 		return nil, fmt.Errorf("tablesio: stream writer needs an alphabet")
 	}
+	return newStreamWriter(f, g, fingerprintOf(g.Alphabet), synthHorizon(g.Alphabet, g.MaxCost))
+}
+
+// newStreamWriter is NewStreamWriter with the alphabet fingerprint and
+// synthesis horizon given, as a cut copies them from its source store.
+func newStreamWriter(f *os.File, g StreamGeometry, fp fingerprint, horizon uint32) (*StreamWriter, error) {
 	split := g.SplitN > 1
 	h := &headerV2{
 		maxCost:       uint32(g.MaxCost),
-		horizon:       synthHorizon(g.Alphabet, g.MaxCost),
-		fp:            fingerprintOf(g.Alphabet),
+		horizon:       horizon,
+		fp:            fp,
 		shardCount:    uint32(g.ShardCount),
 		slotsPerShard: uint64(g.SlotsPerShard),
 		entryCount:    uint64(g.EntryCount),
@@ -153,7 +159,6 @@ func NewStreamWriter(f *os.File, g StreamGeometry) (*StreamWriter, error) {
 		f:        f,
 		h:        h,
 		l:        l,
-		split:    split,
 		keysHash: newWordHash(),
 		valsHash: newWordHash(),
 		idxHash:  u32StreamHash{h: newWordHash()},
@@ -238,7 +243,7 @@ func (w *StreamWriter) AppendIndex(slots []uint32) error {
 // AppendGlobalPos appends global level positions (split stores only),
 // aligned one-to-one with the index entries already appended.
 func (w *StreamWriter) AppendGlobalPos(pos []uint32) error {
-	if !w.split {
+	if !w.h.split() {
 		return fmt.Errorf("tablesio: global positions on a full store")
 	}
 	if w.gposCount+int64(len(pos)) > int64(w.h.entryCount) {
@@ -296,15 +301,7 @@ func (w *StreamWriter) ProbeView() (*hashtab.FrozenTable, func() error, error) {
 		}
 		release = func() error { return nil }
 	}
-	var (
-		ft  *hashtab.FrozenTable
-		err error
-	)
-	if w.split {
-		ft, err = hashtab.NewFrozenSplit(keys, vals, int(w.h.shardCount), int(w.h.entryCount), int(w.h.splitN), int(w.h.splitI))
-	} else {
-		ft, err = hashtab.NewFrozen(keys, vals, int(w.h.shardCount), int(w.h.entryCount))
-	}
+	ft, err := hashtab.NewFrozenSplit(keys, vals, int(w.h.shardCount), int(w.h.entryCount), max(int(w.h.splitN), 1), int(w.h.splitI))
 	if err != nil {
 		release()
 		return nil, nil, err
@@ -323,15 +320,213 @@ func (w *StreamWriter) Finalize() error {
 	if w.idxCount != int64(w.h.entryCount) {
 		return fmt.Errorf("tablesio: finalize with %d of %d index entries", w.idxCount, w.h.entryCount)
 	}
-	if w.split && w.gposCount != int64(w.h.entryCount) {
+	if w.h.split() && w.gposCount != int64(w.h.entryCount) {
 		return fmt.Errorf("tablesio: finalize with %d of %d global positions", w.gposCount, w.h.entryCount)
 	}
 	w.h.keysHash = w.keysHash.sum()
 	w.h.valsHash = w.valsHash.sum()
 	w.h.idxHash = w.idxHash.sum()
-	if w.split {
+	if w.h.split() {
 		w.h.gposHash = w.gposHash.sum()
 	}
 	_, err := w.f.WriteAt(encodeHeaderV2(w.h), 0)
 	return err
+}
+
+// cutSplit opens range i of n of the full store in f for SaveSplitFile.
+// A split's shards are the source's shards at the same hash shift, and
+// hashtab.PlaceShardCanonical is a pure function of a shard's entries
+// and slot count, so where the split's slots per shard equal the
+// source's, each split shard is its source shard byte for byte and
+// source slot s is split slot s − first·sps. Otherwise (a range
+// narrower than a shard, or one whose fullest shard is emptier than the
+// store's) each shard is re-placed, and a remap of the range's source
+// slots carries the level index over. cutSplit checks the source (a
+// full store, its section fingerprints intact) and sizes the split from
+// one read of the range's shards, counting levels by each entry's cost
+// tag; the function it returns writes the split store.
+func cutSplit(f *os.File, n, i int) (func(*os.File) error, error) {
+	h, err := readHeaderPage(f)
+	if err != nil {
+		return nil, err
+	}
+	if h.split() {
+		return nil, fmt.Errorf("%w: source holds range %d of %d; cut from the full store", ErrSplitStore, h.splitI, h.splitN)
+	}
+	l, err := validateGeometryV2(h, math.MaxInt64)
+	if err != nil {
+		return nil, err
+	}
+	if st, err := f.Stat(); err != nil || uint64(st.Size()) != l.fileSize {
+		return nil, fmt.Errorf("%w: source size does not match its geometry (%v)", ErrCorrupt, err)
+	}
+	le, buf := binary.LittleEndian, make([]byte, writeChunk)
+	read := func(off, size uint64, fn func([]byte)) error {
+		for size > 0 {
+			b := buf[:min(size, uint64(len(buf)))]
+			if _, err := f.ReadAt(b, int64(off)); err != nil {
+				return err
+			}
+			fn(b)
+			off, size = off+uint64(len(b)), size-uint64(len(b))
+		}
+		return nil
+	}
+	// Each section's fingerprint hashes its little-endian words; the
+	// index section is zero-padded to a whole word.
+	for _, sec := range []struct{ off, size, sum uint64 }{
+		{l.keysOff, l.totalSlots * 8, h.keysHash}, {l.valsOff, l.totalSlots * 2, h.valsHash},
+		{l.idxOff, alignUp(h.entryCount*4, 8), h.idxHash},
+	} {
+		wh := newWordHash()
+		if err := read(sec.off, sec.size, func(b []byte) {
+			for x := 0; x < len(b); x += 8 {
+				wh.word(le.Uint64(b[x:]))
+			}
+		}); err != nil {
+			return nil, err
+		}
+		if wh.sum() != sec.sum {
+			return nil, fmt.Errorf("%w: source section fingerprint mismatch", ErrCorrupt)
+		}
+	}
+	sc, sps := int(h.shardCount), int(h.slotsPerShard)
+	shards, first := max(sc/n, 1), i*sc/n // split shard j lies in source shard first+j
+	shift := uint(64 - bits.TrailingZeros(uint(shards*n)))
+	owns := func(k uint64, j int) bool { return k != 0 && hashtab.Hash64Shift(k)>>shift == uint64(i*shards+j) }
+	keys, vals := make([]uint64, sps), make([]uint16, sps)
+	loadShard := func(j int) error {
+		off, x := uint64(first+j)*uint64(sps), 0
+		err := read(l.keysOff+off*8, uint64(sps)*8, func(b []byte) {
+			for p := 0; p < len(b); p, x = p+8, x+1 {
+				keys[x] = le.Uint64(b[p:])
+			}
+		})
+		x = 0
+		if err == nil {
+			err = read(l.valsOff+off*2, uint64(sps)*2, func(b []byte) {
+				for p := 0; p < len(b); p, x = p+2, x+1 {
+					vals[x] = le.Uint16(b[p:])
+				}
+			})
+		}
+		return err
+	}
+	g := StreamGeometry{MaxCost: int(h.maxCost), Reduced: h.flags&flagReduced != 0, ShardCount: shards,
+		LevelCounts: make([]int64, h.maxCost+1), SplitN: n, SplitIdx: i,
+		GlobalEntries: int64(h.entryCount), GlobalLevelCounts: make([]int64, h.maxCost+1)}
+	for lv, cnt := range h.levelCounts {
+		g.GlobalLevelCounts[lv] = int64(cnt)
+	}
+	fullest := 0
+	for j := range shards {
+		if err := loadShard(j); err != nil {
+			return nil, err
+		}
+		held := 0
+		for s, k := range keys {
+			if !owns(k, j) {
+				continue
+			}
+			cost := bfs.UnpackValue(vals[s]).Cost
+			if cost > int(h.maxCost) {
+				return nil, fmt.Errorf("%w: cost tag %d over horizon %d", ErrCorrupt, cost, h.maxCost)
+			}
+			g.LevelCounts[cost]++
+			held++
+		}
+		fullest, g.EntryCount = max(fullest, held), g.EntryCount+int64(held)
+	}
+	if g.EntryCount == 0 {
+		return nil, fmt.Errorf("tablesio: split %d/%d owns no entries (table too small for %d ranges)", i, n, n)
+	}
+	g.SlotsPerShard = hashtab.FrozenSlotsPerShard(fullest)
+	copied := n <= sc && g.SlotsPerShard == sps
+	return func(out *os.File) error {
+		w, err := newStreamWriter(out, g, h.fp, h.horizon)
+		if err != nil {
+			return err
+		}
+		var (
+			remap              []uint32 // split slot + 1 of source slot first·sps + s; 0: another range's
+			slotKeys, ks       []uint64
+			slotVals, vs       []uint16
+			at                 []uint32
+			scratch            hashtab.PlaceScratch
+			splitSps, slotMask = g.SlotsPerShard, uint64(g.SlotsPerShard - 1)
+		)
+		if !copied {
+			remap = make([]uint32, shards*sps)
+			slotKeys, slotVals = make([]uint64, splitSps), make([]uint16, splitSps)
+		}
+		for j := range shards {
+			if err := loadShard(j); err != nil {
+				return err
+			}
+			if copied {
+				if err := w.WriteShard(keys, vals); err != nil {
+					return err
+				}
+				continue
+			}
+			ks, vs, at = ks[:0], vs[:0], at[:0]
+			for s, k := range keys {
+				if owns(k, j) {
+					ks, vs, at = append(ks, k), append(vs, vals[s]), append(at, uint32(j*sps+s))
+				}
+			}
+			clear(slotKeys)
+			clear(slotVals)
+			hashtab.PlaceShardCanonical(ks, vs, slotKeys, slotVals, &scratch)
+			for e, k := range ks {
+				x := hashtab.Hash64Shift(k) & slotMask
+				for slotKeys[x] != k {
+					x = (x + 1) & slotMask
+				}
+				remap[at[e]] = uint32(j*splitSps) + uint32(x) + 1
+			}
+			if err := w.WriteShard(slotKeys, slotVals); err != nil {
+				return err
+			}
+		}
+		// One walk of the source's level index keeps the range's entries,
+		// each with its split slot and its position in its level.
+		span, lo := uint64(shards*sps), uint64(first*sps)
+		idx, gpos := make([]uint32, 0, writeChunk/4), make([]uint32, 0, writeChunk/4)
+		walked := make([]int64, len(g.LevelCounts))
+		level, pos := 0, uint64(0)
+		if err := read(l.idxOff, h.entryCount*4, func(b []byte) {
+			idx, gpos = idx[:0], gpos[:0]
+			for x := 0; x < len(b); x, pos = x+4, pos+1 {
+				for pos == h.levelCounts[level] {
+					level, pos = level+1, 0
+				}
+				s := uint64(le.Uint32(b[x:])) - lo
+				if s < span && remap != nil {
+					s = uint64(remap[s]) - 1 // past span for another range's key
+				}
+				if s < span {
+					idx, gpos = append(idx, uint32(s)), append(gpos, uint32(pos))
+					walked[level]++
+				}
+			}
+			if err == nil {
+				err = w.AppendIndex(idx)
+			}
+			if err == nil {
+				err = w.AppendGlobalPos(gpos)
+			}
+		}); err != nil {
+			return err
+		}
+		for lv, cnt := range walked {
+			if err == nil && cnt != g.LevelCounts[lv] {
+				err = fmt.Errorf("%w: level %d indexes %d entries of the range, cost tags say %d", ErrCorrupt, lv, cnt, g.LevelCounts[lv])
+			}
+		}
+		if err != nil {
+			return err
+		}
+		return w.Finalize()
+	}, nil
 }

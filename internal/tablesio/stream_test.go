@@ -3,6 +3,7 @@ package tablesio
 import (
 	"bytes"
 	"errors"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -99,114 +100,124 @@ func TestStreamWriterByteIdentity(t *testing.T) {
 	}
 }
 
-// TestStreamWriterSplitByteIdentity: same contract for the direct
-// split-emission path vs SaveSplitFile.
+// TestStreamWriterSplitByteIdentity: a split store written through the
+// StreamWriter from an independent reference layout must match
+// SaveSplitFile's cut byte for byte. The reference takes range i's
+// entries in level order, places each of the range's shards with
+// PlaceShardCanonical at the slot count its fullest shard needs, and
+// resolves the level index with SlotOf, never reading the full store's
+// slot arrays. Two ways cover a range of whole shards and a range of
+// half a shard.
 func TestStreamWriterSplitByteIdentity(t *testing.T) {
 	res, err := bfs.Search(bfs.GateAlphabet(), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 2
+	full := fullStore(t, res)
 	fullFT, _, counts := res.CompactView()
 	glc := make([]int64, len(counts))
 	for c, cn := range counts {
 		glc[c] = int64(cn)
 	}
-	for i := 0; i < n; i++ {
-		refPath := filepath.Join(t.TempDir(), "ref.rvt")
-		if err := SaveSplitFile(refPath, res, n, i); err != nil {
-			t.Fatal(err)
-		}
-		ref, err := os.ReadFile(refPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Collect range i's entries in level order, as SaveSplitFile does.
-		lo, hi := tables.RangeOf(i, n)
-		var (
-			keys []uint64
-			vals []uint16
-			gpos []uint32
-			lc   = make([]int64, len(counts))
-		)
-		for c := 0; c <= res.MaxCost; c++ {
-			lv := res.Level(c)
-			for j := 0; j < lv.Len(); j++ {
-				k := uint64(lv.At(j))
-				if !tables.KeyInRange(k, lo, hi) {
-					continue
-				}
-				v, _ := fullFT.Lookup(k)
-				keys = append(keys, k)
-				vals = append(vals, v)
-				gpos = append(gpos, uint32(j))
-				lc[c]++
-			}
-		}
-		sc := fullFT.ShardCount() / n
-		ft, err := hashtab.CompactSplit(append([]uint64(nil), keys...), append([]uint16(nil), vals...), sc, n, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "split.rvt")
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := NewStreamWriter(f, StreamGeometry{
-			Alphabet:          res.Alphabet,
-			MaxCost:           res.MaxCost,
-			Reduced:           res.Reduced,
-			ShardCount:        ft.ShardCount(),
-			SlotsPerShard:     ft.SlotsPerShard(),
-			EntryCount:        int64(ft.Len()),
-			LevelCounts:       lc,
-			SplitN:            n,
-			SplitIdx:          i,
-			GlobalEntries:     int64(res.TotalStored()),
-			GlobalLevelCounts: glc,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sps := ft.SlotsPerShard()
-		rk, rv := ft.RawKeys(), ft.RawVals()
-		for s := 0; s < ft.ShardCount(); s++ {
-			if err := w.WriteShard(rk[s*sps:(s+1)*sps], rv[s*sps:(s+1)*sps]); err != nil {
+	for _, n := range []int{2, 16} {
+		sc := max(fullFT.ShardCount()/n, 1)
+		shift := uint(64 - bits.TrailingZeros(uint(sc*n)))
+		for i := 0; i < n; i++ {
+			refPath := filepath.Join(t.TempDir(), "ref.rvt")
+			if err := SaveSplitFile(refPath, full, n, i); err != nil {
 				t.Fatal(err)
 			}
-		}
-		pv, release, err := w.ProbeView()
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx := make([]uint32, len(keys))
-		for j, k := range keys {
-			slot, ok := pv.SlotOf(k)
-			if !ok {
-				t.Fatalf("split %d entry %#x missing from probe view", i, k)
+			ref, err := os.ReadFile(refPath)
+			if err != nil {
+				t.Fatal(err)
 			}
-			idx[j] = slot
-		}
-		if err := w.AppendIndex(idx); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.AppendGlobalPos(gpos); err != nil {
-			t.Fatal(err)
-		}
-		if err := release(); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Finalize(); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, ref) {
-			t.Fatalf("streamed split %d differs from SaveSplitFile (%d vs %d bytes)", i, len(got), len(ref))
+			// Range i's entries in level order, grouped by split shard.
+			lo, hi := tables.RangeOf(i, n)
+			var (
+				keys    []uint64
+				gpos    []uint32
+				lc      = make([]int64, len(counts))
+				shardKs = make([][]uint64, sc)
+				shardVs = make([][]uint16, sc)
+				fullest int
+			)
+			for c := 0; c <= res.MaxCost; c++ {
+				lv := res.Level(c)
+				for j := 0; j < lv.Len(); j++ {
+					k := uint64(lv.At(j))
+					if !tables.KeyInRange(k, lo, hi) {
+						continue
+					}
+					v, _ := fullFT.Lookup(k)
+					s := int(hashtab.Hash64Shift(k)>>shift) - i*sc
+					shardKs[s], shardVs[s] = append(shardKs[s], k), append(shardVs[s], v)
+					fullest = max(fullest, len(shardKs[s]))
+					keys = append(keys, k)
+					gpos = append(gpos, uint32(j))
+					lc[c]++
+				}
+			}
+			sps := hashtab.FrozenSlotsPerShard(fullest)
+			slotKeys, slotVals := make([]uint64, sc*sps), make([]uint16, sc*sps)
+			var scratch hashtab.PlaceScratch
+			for s := range sc {
+				hashtab.PlaceShardCanonical(shardKs[s], shardVs[s], slotKeys[s*sps:(s+1)*sps], slotVals[s*sps:(s+1)*sps], &scratch)
+			}
+			ft, err := hashtab.NewFrozenSplit(slotKeys, slotVals, sc, len(keys), n, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx := make([]uint32, len(keys))
+			for j, k := range keys {
+				slot, ok := ft.SlotOf(k)
+				if !ok {
+					t.Fatalf("split %d/%d entry %#x missing from its reference layout", i, n, k)
+				}
+				idx[j] = slot
+			}
+			path := filepath.Join(t.TempDir(), "split.rvt")
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := NewStreamWriter(f, StreamGeometry{
+				Alphabet:          res.Alphabet,
+				MaxCost:           res.MaxCost,
+				Reduced:           res.Reduced,
+				ShardCount:        sc,
+				SlotsPerShard:     sps,
+				EntryCount:        int64(len(keys)),
+				LevelCounts:       lc,
+				SplitN:            n,
+				SplitIdx:          i,
+				GlobalEntries:     int64(res.TotalStored()),
+				GlobalLevelCounts: glc,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := range sc {
+				if err := w.WriteShard(slotKeys[s*sps:(s+1)*sps], slotVals[s*sps:(s+1)*sps]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.AppendIndex(idx); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.AppendGlobalPos(gpos); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Finalize(); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, ref) {
+				t.Fatalf("streamed split %d/%d differs from SaveSplitFile (%d vs %d bytes)", i, n, len(got), len(ref))
+			}
 		}
 	}
 }

@@ -7,9 +7,9 @@
 //
 // Format v2 (see format2.go) persists the frozen probe-table layout
 // itself, so a load is a header check plus a memory map: cold start in
-// milliseconds. SaveFile and SaveSplitFile write it atomically, both
-// through the StreamWriter the out-of-core builder emits with, so one
-// encoder produces every store; Load reads it, and LoadFile adds the
+// milliseconds. SaveFile writes it atomically through the StreamWriter
+// the out-of-core builder emits with, and SaveSplitFile cuts split stores
+// from a finished one through it too; Load reads it, LoadFile adds the
 // mmap fast path. v2 is the only format this package reads: a store of
 // any other version fails with ErrUnsupportedVersion.
 //
@@ -28,7 +28,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/bfs"
-	"repro/internal/hashtab"
 	"repro/internal/tables"
 )
 
@@ -92,80 +91,85 @@ func SaveFile(path string, res *bfs.Result) error {
 		return err
 	}
 	ft, levelIdx, counts := res.CompactView()
-	g := geometryOf(res, ft, counts)
-	return publishFile(path, func(f *os.File) error { return writeStore(f, g, ft, levelIdx, nil) })
+	g := StreamGeometry{
+		Alphabet:      res.Alphabet,
+		MaxCost:       res.MaxCost,
+		Reduced:       res.Reduced,
+		ShardCount:    ft.ShardCount(),
+		SlotsPerShard: ft.SlotsPerShard(),
+		EntryCount:    int64(ft.Len()),
+		LevelCounts:   make([]int64, len(counts)),
+	}
+	for c, n := range counts {
+		g.LevelCounts[c] = int64(n)
+	}
+	return PublishFile(path, func(f *os.File) error {
+		w, err := NewStreamWriter(f, g)
+		if err != nil {
+			return err
+		}
+		sps := ft.SlotsPerShard()
+		keys, vals := ft.RawKeys(), ft.RawVals()
+		for s := 0; s < ft.ShardCount(); s++ {
+			if err := w.WriteShard(keys[s*sps:(s+1)*sps], vals[s*sps:(s+1)*sps]); err != nil {
+				return err
+			}
+		}
+		for lo := 0; lo < len(levelIdx); lo += writeChunk {
+			if err := w.AppendIndex(levelIdx[lo:min(lo+writeChunk, len(levelIdx))]); err != nil {
+				return err
+			}
+		}
+		return w.Finalize()
+	})
 }
 
-// SaveSplitFile persists range i of n (a power of two, at least 2) of a
-// full result as a split v2 store, with the same atomic publishing as
-// SaveFile: only the owned range's entries, laid into their own split
-// frozen table, with the global level geometry and per-entry global
-// positions recorded so a fleet of such stores reassembles the exact
-// global level order. Splitting is an offline cut of an immutable table
-// set, so the same (res, n) always produces the same n files.
-func SaveSplitFile(path string, res *bfs.Result, n, i int) error {
-	if err := checkFull(res); err != nil {
-		return err
-	}
+// CheckSplitCount is the one rule for a split count: a power of two in
+// [2, 65536], the shard-count cap. It places no bound against the
+// store's shard count: a range narrower than a shard is cut from it.
+func CheckSplitCount(n int) error {
 	if n < 2 {
 		return fmt.Errorf("tablesio: split count %d < 2; SaveFile writes the full store", n)
 	}
 	if n&(n-1) != 0 || n > maxShardCount {
 		return fmt.Errorf("tablesio: split count %d is not a power of two in [2, %d]", n, maxShardCount)
 	}
+	return nil
+}
+
+// SaveSplitFile cuts range i of n (see CheckSplitCount) out of the
+// finished full store at src and publishes it at dst, atomically like
+// SaveFile: the range's shards, its level index, and each entry's
+// global level position, so a fleet of such stores reassembles the
+// exact global level order. It is the only writer of split stores, and
+// a cut of an immutable store, so the same (src, n) always produces the
+// same n files. src's section fingerprints are checked first: a damaged
+// source fails with ErrCorrupt and publishes nothing. Memory stays
+// bounded by one shard's arrays, an index chunk and, for a re-placed
+// range, 4 B per range slot (see cutSplit); the table is never loaded.
+func SaveSplitFile(dst, src string, n, i int) error {
+	if err := CheckSplitCount(n); err != nil {
+		return err
+	}
 	if i < 0 || i >= n {
 		return fmt.Errorf("tablesio: split index %d outside [0, %d)", i, n)
 	}
-	fullFT, levelIdx, counts := res.CompactView()
-	lo, hi := tables.RangeOf(i, n)
-	var (
-		keys        []uint64
-		vals        []uint16
-		gpos        []uint32
-		localCounts = make([]int, len(counts))
-	)
-	for c, cn := range counts {
-		for j, slot := range levelIdx[:cn] {
-			k := fullFT.KeyAt(slot)
-			if !tables.KeyInRange(k, lo, hi) {
-				continue
-			}
-			keys = append(keys, k)
-			vals = append(vals, fullFT.ValAt(slot))
-			gpos = append(gpos, uint32(j))
-			localCounts[c]++
-		}
-		levelIdx = levelIdx[cn:]
-	}
-	if len(keys) == 0 {
-		return fmt.Errorf("tablesio: split %d/%d owns no entries (table too small for %d ranges)", i, n, n)
-	}
-	// Keep the full table's shard granularity where possible: n ranges of
-	// shardCount/n shards reproduce the full table's conceptual shard
-	// grid, so per-shard slot sizing stays comparable across the fleet.
-	ft, err := hashtab.CompactSplit(keys, vals, max(fullFT.ShardCount()/n, 1), n, i)
+	f, err := os.Open(src)
 	if err != nil {
 		return err
 	}
-	idx := make([]uint32, len(keys))
-	for j, k := range keys {
-		slot, ok := ft.SlotOf(k)
-		if !ok {
-			return fmt.Errorf("tablesio: split entry %#x lost during placement", k)
-		}
-		idx[j] = slot
+	defer f.Close()
+	write, err := cutSplit(f, n, i)
+	if err != nil {
+		return err
 	}
-	g := geometryOf(res, ft, localCounts)
-	g.SplitN, g.SplitIdx = n, i
-	g.GlobalEntries = int64(res.TotalStored())
-	g.GlobalLevelCounts = int64s(counts)
-	return publishFile(path, func(f *os.File) error { return writeStore(f, g, ft, idx, gpos) })
+	return PublishFile(dst, write)
 }
 
-// checkFull rejects what the writers cannot save: a nil result, or one
+// checkFull rejects what SaveFile cannot save: a nil result, or one
 // loaded from a split store. A split table holds one hash range, so a
 // full-store header over it would publish a store that misses every
-// other range's keys (and a re-split would mislabel its global shape).
+// other range's keys.
 func checkFull(res *bfs.Result) error {
 	if res == nil {
 		return fmt.Errorf("tablesio: nil result")
@@ -176,67 +180,19 @@ func checkFull(res *bfs.Result) error {
 	return nil
 }
 
-// geometryOf is the store geometry of ft, a frozen table holding
-// counts[c] entries at each level of res; SaveSplitFile adds the split
-// extension to it.
-func geometryOf(res *bfs.Result, ft *hashtab.FrozenTable, counts []int) StreamGeometry {
-	return StreamGeometry{
-		Alphabet:      res.Alphabet,
-		MaxCost:       res.MaxCost,
-		Reduced:       res.Reduced,
-		ShardCount:    ft.ShardCount(),
-		SlotsPerShard: ft.SlotsPerShard(),
-		EntryCount:    int64(ft.Len()),
-		LevelCounts:   int64s(counts),
-	}
-}
-
-func int64s(ns []int) []int64 {
-	out := make([]int64, len(ns))
-	for i, n := range ns {
-		out[i] = int64(n)
-	}
-	return out
-}
-
-// writeChunk bounds the index and global-position slices handed to the
-// StreamWriter at once, and so the encoding buffer it grows for them.
+// writeChunk bounds the index slices SaveFile hands the StreamWriter at
+// once (and so the encoding buffer it grows for them), and the bytes a
+// cut reads at once.
 const writeChunk = 1 << 16
 
-// writeStore streams ft's shards, then the level index idx and (split
-// stores only) the global positions gpos, through a StreamWriter on f.
-func writeStore(f *os.File, g StreamGeometry, ft *hashtab.FrozenTable, idx, gpos []uint32) error {
-	w, err := NewStreamWriter(f, g)
-	if err != nil {
-		return err
-	}
-	sps := ft.SlotsPerShard()
-	keys, vals := ft.RawKeys(), ft.RawVals()
-	for s := 0; s < ft.ShardCount(); s++ {
-		if err := w.WriteShard(keys[s*sps:(s+1)*sps], vals[s*sps:(s+1)*sps]); err != nil {
-			return err
-		}
-	}
-	for lo := 0; lo < len(idx); lo += writeChunk {
-		if err := w.AppendIndex(idx[lo:min(lo+writeChunk, len(idx))]); err != nil {
-			return err
-		}
-	}
-	for lo := 0; lo < len(gpos); lo += writeChunk {
-		if err := w.AppendGlobalPos(gpos[lo:min(lo+writeChunk, len(gpos))]); err != nil {
-			return err
-		}
-	}
-	return w.Finalize()
-}
-
-// publishFile writes a store through a temp file in the destination
-// directory (same filesystem, so the final rename is atomic and cannot
-// fail with EXDEV). The temp file is fsynced before the rename and the
+// PublishFile publishes the store that write streams into an empty
+// file, atomically, and is how every store writer publishes: through a
+// temp file in the destination directory (same filesystem, so the final
+// rename is atomic and cannot fail with EXDEV). The temp file is fsynced before the rename and the
 // directory after it, so after a crash the path holds either the old
 // store or the whole new one, and a returned nil means the new store
 // survives one.
-func publishFile(path string, write func(*os.File) error) error {
+func PublishFile(path string, write func(*os.File) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".revtables-*")
 	if err != nil {
 		return err
@@ -263,11 +219,11 @@ func publishFile(path string, write func(*os.File) error) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	return SyncDir(filepath.Dir(path))
+	return syncDir(filepath.Dir(path))
 }
 
-// SyncDir fsyncs a directory, making the renames into it durable.
-func SyncDir(dir string) error {
+// syncDir fsyncs a directory, making the renames into it durable.
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
