@@ -45,7 +45,7 @@
 // against all prior levels by external k-way merge under a -mem-budget
 // target, and the finished store is emitted directly, without
 // materializing the table; every -split shard file is then cut from it
-// (tablesio.SaveSplitFile, one shard in memory at a time). A
+// (tablesio.SaveSplitFiles, one shard in memory at a time). A
 // fresh in-process build (NewSynthesizer, a NewService without a
 // stored table file) spills under TMPDIR and memory-maps the store it
 // emitted:
@@ -55,8 +55,9 @@
 //
 // The budget is a ledger: every buffer the build holds, but a split
 // cut's one-shard buffers, is a view of one workspace arena, which each
-// phase carves afresh, and the stats report
-// the arena's size. A new level is deduped against every prior level by
+// phase carves afresh, and the stats report the arena's size. The arena
+// is mapped outside the Go heap, and a block it outgrows is unmapped,
+// so the build's resident set follows the ledger. A new level is deduped against every prior level by
 // one merge-join against their sorted level files on disk, so no table
 // of earlier levels is held in memory. The budget divides as follows:
 //
@@ -67,7 +68,9 @@
 //     buffer and its radix scratch;
 //   - merge read buffers: up to a quarter, one per open run or level
 //     file plus a part-file write buffer, charged per merge worker — so
-//     the buffer size is the quarter divided by the worker count;
+//     the buffer size is the quarter divided by the worker count; the
+//     runs are consolidated to leave room for the level files, down to
+//     a floor of 2 runs;
 //   - emission: per worker, the fullest shard's entries and slot arrays,
 //     the placement scratch (a home-slot histogram and the entries
 //     regrouped by home) and one index chunk; emission runs on fewer

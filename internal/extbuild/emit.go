@@ -14,14 +14,15 @@ import (
 const idxChunk = 1 << 15
 
 // emit writes the full store straight off the level artifacts, then
-// cuts the SplitN range files from it with tablesio.SaveSplitFile, the
-// one split writer. No in-memory table is ever built. Workers gather
-// each shard's entries from the .srt segments (one ReadAt per level),
-// lay them out canonically, and hand them to the StreamWriter in shard
-// order; the per-level index is then resolved by probing the
-// just-written file through the writer's read-only probe view, the
-// workers splitting the .seq files into chunks and appending the
-// resolved slots in discovery order. Byte-identity with
+// cuts the SplitN range files from it with tablesio.SaveSplitFiles, the
+// one split writer, which checks the store once for all of them. No
+// in-memory table is ever built. Workers gather each shard's entries
+// from the .srt segments (one ReadAt per level), lay them out
+// canonically, and hand them to the StreamWriter in shard order; the
+// per-level index is then resolved by probing the just-written file
+// through the writer's read-only probe view, the workers splitting the
+// .seq files into chunks and appending the resolved slots in discovery
+// order. Byte-identity with
 // tablesio.SaveFile holds because every geometry decision (shard
 // count, slots per shard, placement order, level order) is the same
 // pure function of the entry set that hashtab.Compact applies. Without
@@ -44,8 +45,8 @@ func (b *builder) emit() error {
 	if err := b.emitStore(full); err != nil {
 		return err
 	}
-	for i := 0; i < b.o.SplitN; i++ {
-		if err := tablesio.SaveSplitFile(b.o.SplitPath(i), full, b.o.SplitN, i); err != nil {
+	if b.o.SplitN > 1 {
+		if err := tablesio.SaveSplitFiles(full, b.o.SplitN, b.o.SplitPath); err != nil {
 			return err
 		}
 	}
@@ -99,12 +100,15 @@ func (b *builder) newEmitter() (*emitter, error) {
 	var one carver
 	e.carveBufs(&one, &emitBufs{})
 	e.bufs = make([]emitBufs, clamp64(b.budget/2/one.bytes(), 1, int64(b.workers)))
-	b.ws.carve(func(c *carver) {
+	if err := b.ws.carve(func(c *carver) {
 		e.wbuf = view[byte](c, e.perShard*8)
 		for w := range e.bufs {
 			e.carveBufs(c, &e.bufs[w])
 		}
-	})
+	}); err != nil {
+		e.close()
+		return nil, err
+	}
 	return e, nil
 }
 

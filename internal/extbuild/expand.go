@@ -170,7 +170,7 @@ func (b *builder) expandLevel(c int, p levelPlan) error {
 	workers := min(b.workers, p.slabCount)
 	bufCap := int(p.repsPerSlab * int64(p.maxStride))
 	bufs := make([]slabBufs, workers)
-	b.ws.carve(func(c *carver) {
+	if err := b.ws.carve(func(c *carver) {
 		for w := range bufs {
 			bufs[w] = slabBufs{
 				sink:    slabSink{buf: view[cand](c, bufCap)[:0], tmp: view[cand](c, bufCap)},
@@ -179,7 +179,9 @@ func (b *builder) expandLevel(c int, p levelPlan) error {
 				runBuf:  view[byte](c, min(b.fanBuf, bufCap*runRecordBytes)),
 			}
 		}
-	})
+	}); err != nil {
+		return err
+	}
 
 	var levelCand, sealedN atomic.Int64
 	levelStart := time.Now()

@@ -56,8 +56,13 @@ type Options struct {
 	// fan-in of at least 8, a sequence sorter of at least 2^11 pairs, an
 	// expansion slab of at least one representative, emission buffers
 	// for the fullest shard), so a small budget tracks more — k=6 at
-	// 16 MiB or 1 MiB tracks 11.7 MiB. Those buffers are all the build
-	// holds, so its heap follows the ledger; see Stats.PeakTrackedBytes.
+	// 16 MiB or 1 MiB tracks 11.7 MiB. A level merge reads its runs and
+	// every prior level file, so it consolidates the runs to the fan-in
+	// less the level count, but to no fewer than 2: past depth fan-in − 2
+	// its read buffers pass their quarter by one buffer per worker and
+	// level. Those buffers are all the build holds, in one arena mapped
+	// outside the Go heap, so its resident set follows the ledger; see
+	// Stats.PeakTrackedBytes.
 	MemBudget int64
 
 	// Shards is the hash-shard count of the build and of the emitted
@@ -75,7 +80,7 @@ type Options struct {
 
 	// OutPath, when non-empty, receives the full store (format v2,
 	// written atomically). SplitN > 1 also cuts SplitN range files,
-	// named by SplitPath, from the finished store (tablesio.SaveSplitFile);
+	// named by SplitPath, from the finished store (tablesio.SaveSplitFiles);
 	// without OutPath that store is a temporary file in WorkDir.
 	OutPath   string
 	SplitN    int
@@ -149,13 +154,13 @@ type Stats struct {
 	SpillWrittenBytes int64
 	SpillReadBytes    int64
 	// PeakTrackedBytes is the high-water mark of budget-tracked memory:
-	// the workspace arena, which only grows, so its final size. Beside
+	// the workspace arena, which only grows, so its final size. Each
+	// outgrown arena is unmapped before the next is mapped, and beside
 	// it the build holds only a split cut's one-shard buffers, so its
-	// resident set is this plus those, the Go runtime's own, the freed
-	// workspaces of smaller levels that the runtime has not reused, and
-	// the pages of the store that emission probes through a mapping: a
-	// k=6 build at the default budget tracks 102.4 MiB and peaks at
-	// about 135–145 MB resident.
+	// resident set is this plus those, the Go runtime's own, and the
+	// pages of the store that emission probes through a mapping: a k=6
+	// build at the default budget tracks 102.4 MiB (107.3 MB) and peaks
+	// at about 127–129 MB resident.
 	PeakTrackedBytes int64
 	// ResumedLevels is how many completed levels a resume reused.
 	ResumedLevels int
@@ -212,6 +217,8 @@ func Build(o Options) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A finished or failed build holds none of its workspace.
+	defer b.ws.release()
 	if err := b.setupWorkDir(); err != nil {
 		return nil, err
 	}
@@ -527,7 +534,9 @@ func (b *builder) bootstrapLevel0() error {
 	key := identityKey()
 	shard := uint32(hashtab.Hash64Shift(key) >> b.shardShift)
 	var buf []byte
-	b.ws.carve(func(c *carver) { buf = view[byte](c, srtRecordBytes+8*b.shards) })
+	if err := b.ws.carve(func(c *carver) { buf = view[byte](c, srtRecordBytes+8*b.shards) }); err != nil {
+		return err
+	}
 	srtAF, err := newAtomicFile(b.dir, srtName(0), buf)
 	if err != nil {
 		return err

@@ -48,7 +48,9 @@
 // for each worker's gathered shard, raw records, slot arrays, placement
 // scratch and index chunk, and for the store writer's encoding buffer.
 // The arena's size is the ledger: outside it the build holds only a
-// split cut's one-shard buffers (tablesio.SaveSplitFile).
+// split cut's one-shard buffers (tablesio.SaveSplitFiles). The arena is
+// mapped outside the Go heap and each outgrown block is unmapped, so
+// the resident set follows the ledger rather than the arena's history.
 //
 // Work-directory artifacts, all little-endian. Runs and level files
 // are in hash order: ascending Hash64Shift(key). The hash is a

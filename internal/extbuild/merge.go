@@ -227,49 +227,23 @@ func (b *builder) appendPart(w io.Writer, path string) error {
 // the candidate set, never on the slab partition or worker schedule
 // that produced the runs or merged them.
 func (b *builder) mergeLevel(c int, p levelPlan) error {
-	// Expansion left exactly one sealed run per slab (the manifest
-	// validator refuses out-of-range or repeated slabs); take them in
-	// slab order.
-	paths := make([]string, len(b.man.Runs))
-	var levelCands int64
-	for _, r := range b.man.Runs {
-		paths[r.Slab] = filepath.Join(b.dir, r.File.Name)
-		levelCands += r.Candidates
-	}
-	paths, consPaths, err := b.consolidateRuns(c, paths)
+	in, err := b.openLevelInputs(c)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		for _, p := range consPaths {
-			os.Remove(p)
-		}
-	}()
-	runs, err := openSegFiles(paths, b.shards, runRecordBytes)
-	if err != nil {
-		return err
-	}
-	defer closeSegFiles(runs)
+	defer in.close()
+	runs, priors := in.runs, in.priors
 	// The runs' own counts trailers bound the level's survivors; the
 	// manifest's candidate counts only feed progress.
-	var runRecs int64
+	var levelCands, runRecs int64
+	for _, r := range b.man.Runs {
+		levelCands += r.Candidates
+	}
 	for _, sf := range runs {
 		for _, n := range sf.counts {
 			runRecs += int64(n)
 		}
 	}
-
-	// Prior-level inputs: every completed level's .srt, merge-joined
-	// against the level's candidates (joinPresent).
-	lp := make([]string, len(b.man.Levels))
-	for i, lv := range b.man.Levels {
-		lp[i] = filepath.Join(b.dir, lv.Srt.Name)
-	}
-	priors, err := openSegFiles(lp, b.shards, srtRecordBytes)
-	if err != nil {
-		return err
-	}
-	defer closeSegFiles(priors)
 
 	// The level artifacts' write buffer, the sequence sorter, and every
 	// worker's file buffers and probe chunk, carved from the workspace
@@ -281,7 +255,7 @@ func (b *builder) mergeLevel(c int, p levelPlan) error {
 	)
 	seqS := &seqSorter{b: b, level: c, limit: b.seqBufPairs}
 	bufBytes := b.fileBufBytes(runs, priors)
-	b.ws.carve(func(cv *carver) {
+	if err := b.ws.carve(func(cv *carver) {
 		afBuf = view[byte](cv, bufBytes)
 		// The level's run records bound its survivors, so pushes never
 		// outgrow the pair buffer, the sorter spills only when they can
@@ -298,7 +272,9 @@ func (b *builder) mergeLevel(c int, p levelPlan) error {
 		for w := range chunks {
 			chunks[w] = carveProbeChunk(cv, b.probeChunk)
 		}
-	})
+	}); err != nil {
+		return err
+	}
 	defer seqS.drop()
 	srtAF, err := newAtomicFile(b.dir, srtName(c), afBuf)
 	if err != nil {
@@ -366,6 +342,59 @@ func (b *builder) mergeLevel(c int, p levelPlan) error {
 		Done:         true,
 	})
 	return nil
+}
+
+// levelInputs are a level merge's inputs, each read through a buffer of
+// its own: the level's sealed runs, consolidated into transient runs
+// when there are too many, and every completed level's .srt, which the
+// level's candidates are merge-joined against (joinPresent).
+type levelInputs struct {
+	runs, priors []*segFile
+	transient    []string
+}
+
+// openLevelInputs opens level c's merge inputs. The prior level files
+// count against the fan-in like the runs do, so the runs are
+// consolidated down to what the level files leave of maxFanIn, but to
+// no fewer than 2: past depth maxFanIn − 2 the merge's read buffers
+// outgrow their quarter of the budget by one per level.
+func (b *builder) openLevelInputs(c int) (*levelInputs, error) {
+	// Expansion left exactly one sealed run per slab (the manifest
+	// validator refuses out-of-range or repeated slabs); take them in
+	// slab order.
+	paths := make([]string, len(b.man.Runs))
+	for _, r := range b.man.Runs {
+		paths[r.Slab] = filepath.Join(b.dir, r.File.Name)
+	}
+	var (
+		in  = &levelInputs{}
+		err error
+	)
+	paths, in.transient, err = b.consolidateRuns(c, paths, max(2, b.maxFanIn-len(b.man.Levels)))
+	if err == nil {
+		in.runs, err = openSegFiles(paths, b.shards, runRecordBytes)
+	}
+	if err == nil {
+		lp := make([]string, len(b.man.Levels))
+		for i, lv := range b.man.Levels {
+			lp[i] = filepath.Join(b.dir, lv.Srt.Name)
+		}
+		in.priors, err = openSegFiles(lp, b.shards, srtRecordBytes)
+	}
+	if err != nil {
+		in.close()
+		return nil, err
+	}
+	return in, nil
+}
+
+// close closes the inputs and removes the transient runs.
+func (in *levelInputs) close() {
+	closeSegFiles(in.runs)
+	closeSegFiles(in.priors)
+	for _, p := range in.transient {
+		os.Remove(p)
+	}
 }
 
 // levelMerger is one mergeLevel worker: its run merge, its readers of
@@ -498,23 +527,21 @@ func joinPresent(chunk *probeChunk, priors []*segReader) error {
 	return nil
 }
 
-// consolidateRuns reduces the merge fan-in below maxFanIn by merging
-// batches of runs into consolidated runs (same format, same dedup
-// rule), possibly over several passes. The original sealed runs are
+// consolidateRuns reduces the runs to at most fanIn by merging batches
+// of up to maxFanIn runs into consolidated runs (same format, same
+// dedup rule), possibly over several passes. A pass merges only as many
+// runs as it must: each batch of m runs removes m − 1, and the runs past
+// the last batch are kept as they are. The original sealed runs are
 // never deleted here — they belong to the checkpoint until the level
 // publishes; consolidated files are transient and returned for cleanup.
-func (b *builder) consolidateRuns(c int, paths []string) (final, transient []string, err error) {
-	pass := 0
-	for len(paths) > b.maxFanIn {
+func (b *builder) consolidateRuns(c int, paths []string, fanIn int) (final, transient []string, err error) {
+	for pass := 0; len(paths) > fanIn; pass++ {
 		var next []string
-		for i := 0; i < len(paths); i += b.maxFanIn {
-			batch := paths[i:min(i+b.maxFanIn, len(paths))]
-			if len(batch) == 1 {
-				next = append(next, batch[0])
-				continue
-			}
-			name := consName(c, pass, i/b.maxFanIn)
-			if err := b.mergeRunsToRun(batch, name, fmt.Sprintf("%d_%d_%d", c, pass, i/b.maxFanIn)); err != nil {
+		i, excess := 0, len(paths)-fanIn
+		for j := 0; excess > 0 && i < len(paths)-1; j++ {
+			batch := paths[i:min(i+b.maxFanIn, i+excess+1, len(paths))]
+			name := consName(c, pass, j)
+			if err := b.mergeRunsToRun(batch, name, fmt.Sprintf("%d_%d_%d", c, pass, j)); err != nil {
 				for _, t := range transient {
 					os.Remove(t)
 				}
@@ -523,9 +550,9 @@ func (b *builder) consolidateRuns(c int, paths []string) (final, transient []str
 			out := filepath.Join(b.dir, name)
 			transient = append(transient, out)
 			next = append(next, out)
+			i, excess = i+len(batch), excess-(len(batch)-1)
 		}
-		paths = next
-		pass++
+		paths = append(next, paths[i:]...)
 	}
 	return paths, transient, nil
 }
@@ -545,10 +572,12 @@ func (b *builder) mergeRunsToRun(paths []string, name, tag string) error {
 		bufs  []mergeBufs
 	)
 	bufBytes := b.fileBufBytes(runs)
-	b.ws.carve(func(c *carver) {
+	if err := b.ws.carve(func(c *carver) {
 		afBuf = view[byte](c, bufBytes)
 		bufs = b.carveMergeBufs(c, len(runs), bufBytes)
-	})
+	}); err != nil {
+		return err
+	}
 	af, err := newAtomicFile(b.dir, name, afBuf)
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package tablenet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"path/filepath"
@@ -26,18 +27,20 @@ import (
 // every shard under sustained queries loses nothing.
 
 // loadSplitPartial cuts range i of n from res through the real store
-// path — SaveFile, the SaveSplitFile cut, then an AllowSplit load — so
+// path — SaveFile, the SaveSplitFiles cut, then an AllowSplit load — so
 // the tests exercise exactly what a shard process mounts.
 func loadSplitPartial(t testing.TB, res *bfs.Result, n, i int) *tables.Partial {
 	t.Helper()
 	dir := t.TempDir()
-	full, p := filepath.Join(dir, "full"), filepath.Join(dir, "split")
+	full := filepath.Join(dir, "full")
+	split := func(j int) string { return filepath.Join(dir, fmt.Sprintf("split%d", j)) }
 	if err := tablesio.SaveFile(full, res); err != nil {
 		t.Fatal(err)
 	}
-	if err := tablesio.SaveSplitFile(p, full, n, i); err != nil {
+	if err := tablesio.SaveSplitFiles(full, n, split); err != nil {
 		t.Fatal(err)
 	}
+	p := split(i)
 	sres, info, err := tablesio.LoadFile(p, bfs.GateAlphabet(), &tablesio.LoadOptions{AllowSplit: true})
 	if err != nil {
 		t.Fatal(err)

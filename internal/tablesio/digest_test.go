@@ -81,10 +81,9 @@ func TestSaveFileDigests(t *testing.T) {
 		digest(fmt.Sprintf("k%d", k), func(p string) error { return SaveFile(p, res) })
 	}
 	for _, n := range []int{4, 8, 16} {
-		for i := 0; i < n; i++ {
-			digest(fmt.Sprintf("k4.%dof%d", i, n), func(p string) error {
-				return SaveSplitFile(p, filepath.Join(dir, "k4"), n, i)
-			})
+		splits := cutStore(t, filepath.Join(dir, "k4"), n)
+		for i, p := range splits {
+			digest(fmt.Sprintf("k4.%dof%d", i, n), func(dst string) error { return os.Rename(p, dst) })
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -27,11 +26,7 @@ func FuzzLoad(f *testing.F) {
 	// (shard counts, slot sizes, offsets, split extensions) that must
 	// fail cleanly instead of OOMing or overflowing the layout arithmetic.
 	_, blob := savedV2(f, 3)
-	splitPath := filepath.Join(f.TempDir(), "split.tables")
-	if err := SaveSplitFile(splitPath, writeTemp(f, blob), 2, 0); err != nil {
-		f.Fatal(err)
-	}
-	split, err := os.ReadFile(splitPath)
+	split, err := os.ReadFile(cutStore(f, writeTemp(f, blob), 2)[0])
 	if err != nil {
 		f.Fatal(err)
 	}

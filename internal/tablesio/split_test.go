@@ -24,17 +24,12 @@ func TestSplitRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := fullStore(t, res)
+	const n = 4
+	splits := cutStore(t, fullStore(t, res), n)
 	for _, disableMmap := range []bool{false, true} {
-		const n = 4
-		dir := t.TempDir()
 		ctx := context.Background()
 		totalLocal := 0
-		for i := 0; i < n; i++ {
-			p := filepath.Join(dir, "split")
-			if err := SaveSplitFile(p, full, n, i); err != nil {
-				t.Fatal(err)
-			}
+		for i, p := range splits {
 			if _, _, err := LoadFile(p, bfs.GateAlphabet(), &LoadOptions{DisableMmap: disableMmap}); !errors.Is(err, ErrSplitStore) {
 				t.Fatalf("plain load of a split store: err = %v, want ErrSplitStore", err)
 			}
@@ -120,11 +115,7 @@ func TestSplitRejectedByReaderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "split")
-	if err := SaveSplitFile(path, fullStore(t, res), 2, 0); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(path)
+	blob, err := os.ReadFile(cutStore(t, fullStore(t, res), 2)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +138,7 @@ func TestSaveRejectsSplitSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	src := filepath.Join(dir, "k4.1of4")
-	if err := SaveSplitFile(src, fullStore(t, res), 4, 1); err != nil {
-		t.Fatal(err)
-	}
+	src := cutStore(t, fullStore(t, res), 4)[1]
 	sres, _, err := LoadFile(src, bfs.GateAlphabet(), &LoadOptions{AllowSplit: true})
 	if err != nil {
 		t.Fatal(err)
@@ -163,41 +151,49 @@ func TestSaveRejectsSplitSource(t *testing.T) {
 	if _, err := os.Stat(full); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("failed SaveFile published %s: %v", full, err)
 	}
-	resplit := filepath.Join(dir, "resplit")
-	if err := SaveSplitFile(resplit, src, 2, 0); !errors.Is(err, ErrSplitStore) {
+	resplit := func(i int) string { return filepath.Join(dir, fmt.Sprintf("resplit%d", i)) }
+	if err := SaveSplitFiles(src, 2, resplit); !errors.Is(err, ErrSplitStore) {
 		t.Fatalf("cut of a split store: err = %v, want ErrSplitStore", err)
 	}
-	if _, err := os.Stat(resplit); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("failed cut published %s: %v", resplit, err)
+	for i := range 2 {
+		if _, err := os.Stat(resplit(i)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("failed cut published %s: %v", resplit(i), err)
+		}
 	}
 }
 
-// SaveSplitFile writes splits only: n = 1 is the full store, which
-// SaveFile writes, and n must be a power of two in [2, 65536] with i
-// inside [0, n).
+// SaveSplitFiles writes splits only: n = 1 is the full store, which
+// SaveFile writes, n must be a power of two in [2, 65536], and every
+// range needs a destination. A k = 2 table has 38 entries, too few for
+// 65536 ranges; that cut fails before it publishes any of them.
 func TestSaveSplitFileArgs(t *testing.T) {
 	res, err := bfs.Search(bfs.GateAlphabet(), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	full := fullStore(t, res)
-	path := filepath.Join(t.TempDir(), "split")
-	for _, c := range []struct{ n, i int }{{0, 0}, {1, 0}, {3, 0}, {2, 2}, {2, -1}, {1 << 17, 0}} {
-		if err := SaveSplitFile(path, full, c.n, c.i); err == nil {
-			t.Fatalf("SaveSplitFile(n=%d, i=%d) succeeded", c.n, c.i)
+	dir := t.TempDir()
+	path := func(i int) string { return filepath.Join(dir, fmt.Sprintf("split%d", i)) }
+	for _, n := range []int{0, 1, 3, 1 << 16, 1 << 17} {
+		if err := SaveSplitFiles(full, n, path); err == nil {
+			t.Fatalf("SaveSplitFiles(n=%d) succeeded", n)
 		}
 	}
-	if err := SaveSplitFile(path, full, 1, 0); !strings.Contains(fmt.Sprint(err), "SaveFile") {
+	if err := SaveSplitFiles(full, 1, path); !strings.Contains(fmt.Sprint(err), "SaveFile") {
 		t.Fatalf("n = 1: err = %v, want a pointer to SaveFile", err)
 	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("a rejected cut published %s: %v", path, err)
+	if err := SaveSplitFiles(full, 2, nil); err == nil {
+		t.Fatal("SaveSplitFiles without destinations succeeded")
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Fatalf("rejected cuts published %d files", len(ents))
 	}
 }
 
 // TestSaveSplitFileCorruptSource: a cut checks its source's section
-// fingerprints before writing, so one flipped byte in the keys, values
-// or level index fails every cut with ErrCorrupt and publishes nothing.
+// fingerprints once, before writing any range, so one flipped byte in
+// the keys, values or level index fails the 2- and 16-way cuts with
+// ErrCorrupt and publishes no file of either set.
 func TestSaveSplitFileCorruptSource(t *testing.T) {
 	_, blob := savedV2(t, 4)
 	h, _, err := parseHeaderV2(blob)
@@ -217,38 +213,40 @@ func TestSaveSplitFileCorruptSource(t *testing.T) {
 		bad[sec.at] ^= 0x10
 		src := writeTemp(t, bad)
 		dir := t.TempDir()
-		for _, cut := range []struct{ n, i int }{{2, 0}, {2, 1}, {16, 3}} {
-			dst := filepath.Join(dir, "split")
-			if err := SaveSplitFile(dst, src, cut.n, cut.i); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("%s flipped, cut %d/%d: err = %v, want ErrCorrupt", sec.name, cut.i, cut.n, err)
+		for _, n := range []int{2, 16} {
+			dst := func(i int) string { return filepath.Join(dir, fmt.Sprintf("split%d", i)) }
+			if err := SaveSplitFiles(src, n, dst); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s flipped, %d-way cut: err = %v, want ErrCorrupt", sec.name, n, err)
 			}
 			if ents, _ := os.ReadDir(dir); len(ents) != 0 {
-				t.Errorf("%s flipped, cut %d/%d left %d files behind", sec.name, cut.i, cut.n, len(ents))
+				t.Errorf("%s flipped, %d-way cut left %d files behind", sec.name, n, len(ents))
 			}
 		}
 	}
 }
 
 // TestSaveSplitFileBoundedMemory: a cut reads its source through
-// bounded buffers (one shard's arrays and one index chunk), so halving
-// a k = 5 store allocates less than the half's own slot arrays. Copying
-// the range's entries onto the heap and laying them out there, as a cut
-// from a loaded table would, allocates several times that.
+// bounded buffers (one shard's arrays and one index chunk) that both
+// halves share, so halving a k = 5 store allocates less than one half's
+// own slot arrays. Copying the range's entries onto the heap and laying
+// them out there, as a cut from a loaded table would, allocates several
+// times that.
 func TestSaveSplitFileBoundedMemory(t *testing.T) {
 	res, err := bfs.Search(bfs.GateAlphabet(), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	full := fullStore(t, res)
-	dst := filepath.Join(t.TempDir(), "split")
+	dir := t.TempDir()
+	dst := func(i int) string { return filepath.Join(dir, fmt.Sprintf("split%d", i)) }
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if err := SaveSplitFile(dst, full, 2, 0); err != nil {
+	if err := SaveSplitFiles(full, 2, dst); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	f, err := os.Open(dst)
+	f, err := os.Open(dst(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,6 +261,21 @@ func TestSaveSplitFileBoundedMemory(t *testing.T) {
 	if alloc >= uint64(slotBytes) {
 		t.Fatalf("cut allocated %d B, not less than the split's %d B of slot arrays", alloc, slotBytes)
 	}
+}
+
+// cutStore cuts the full store at src n ways and returns the splits'
+// paths, range i at index i.
+func cutStore(t testing.TB, src string, n int) []string {
+	t.Helper()
+	dir := t.TempDir()
+	paths := make([]string, n)
+	for i := range paths {
+		paths[i] = filepath.Join(dir, fmt.Sprintf("split%dof%d", i, n))
+	}
+	if err := SaveSplitFiles(src, n, func(i int) string { return paths[i] }); err != nil {
+		t.Fatal(err)
+	}
+	return paths
 }
 
 // fullStore saves res as a full store and returns its path: the source

@@ -28,8 +28,9 @@ type StreamGeometry struct {
 	LevelCounts   []int64
 
 	// Split extension: SplitN > 1 writes range SplitIdx of SplitN (set
-	// by SaveSplitFile, the one split writer); the level counts above are
-	// then the LOCAL counts and the global shape is carried alongside.
+	// by SaveSplitFiles, the one split writer); the level counts above
+	// are then the LOCAL counts and the global shape is carried
+	// alongside.
 	SplitN            int
 	SplitIdx          int
 	GlobalEntries     int64
@@ -40,9 +41,10 @@ type StreamGeometry struct {
 // by section, in shard order, without ever holding more than one
 // shard's slot arrays. The out-of-core builder drives it shard by shard
 // as it places them, SaveFile from a table already in memory, and
-// SaveSplitFile shard by shard from a finished store on disk. The writer owns the file layout (sparse-truncated
-// up front, sections placed by WriteAt) and keeps running section
-// fingerprints, so Finalize stamps the header last.
+// SaveSplitFiles shard by shard from a finished store on disk. The
+// writer owns the file layout (sparse-truncated up front, sections
+// placed by WriteAt) and keeps running section fingerprints, so
+// Finalize stamps the header last.
 //
 // Call sequence: WriteShard × ShardCount, then AppendIndex (any
 // chunking) totalling EntryCount slots — with ProbeView available in
@@ -333,19 +335,29 @@ func (w *StreamWriter) Finalize() error {
 	return err
 }
 
-// cutSplit opens range i of n of the full store in f for SaveSplitFile.
-// A split's shards are the source's shards at the same hash shift, and
-// hashtab.PlaceShardCanonical is a pure function of a shard's entries
-// and slot count, so where the split's slots per shard equal the
-// source's, each split shard is its source shard byte for byte and
-// source slot s is split slot s − first·sps. Otherwise (a range
-// narrower than a shard, or one whose fullest shard is emptier than the
-// store's) each shard is re-placed, and a remap of the range's source
-// slots carries the level index over. cutSplit checks the source (a
-// full store, its section fingerprints intact) and sizes the split from
-// one read of the range's shards, counting levels by each entry's cost
-// tag; the function it returns writes the split store.
-func cutSplit(f *os.File, n, i int) (func(*os.File) error, error) {
+// splitSource is a full store opened to be cut into split stores
+// (SaveSplitFiles). A split's shards are the source's shards at the
+// same hash shift, and hashtab.PlaceShardCanonical is a pure function
+// of a shard's entries and slot count, so where a split's slots per
+// shard equal the source's, each split shard is its source shard byte
+// for byte and source slot s is split slot s − first·sps. Otherwise (a
+// range narrower than a shard, or one whose fullest shard is emptier
+// than the store's) each shard is re-placed, and a remap of the range's
+// source slots carries the level index over. The source is read through
+// one chunk buffer and one shard's slot arrays, which every cut shares.
+type splitSource struct {
+	f    *os.File
+	h    *headerV2
+	l    layoutV2
+	buf  []byte   // one read chunk
+	keys []uint64 // one source shard's slot arrays
+	vals []uint16
+	wbuf []byte // the cuts' encoding buffer
+}
+
+// openSplitSource checks that f holds a full store, sized as its
+// geometry says, whose three section fingerprints hold.
+func openSplitSource(f *os.File) (*splitSource, error) {
 	h, err := readHeaderPage(f)
 	if err != nil {
 		return nil, err
@@ -360,18 +372,9 @@ func cutSplit(f *os.File, n, i int) (func(*os.File) error, error) {
 	if st, err := f.Stat(); err != nil || uint64(st.Size()) != l.fileSize {
 		return nil, fmt.Errorf("%w: source size does not match its geometry (%v)", ErrCorrupt, err)
 	}
-	le, buf := binary.LittleEndian, make([]byte, writeChunk)
-	read := func(off, size uint64, fn func([]byte)) error {
-		for size > 0 {
-			b := buf[:min(size, uint64(len(buf)))]
-			if _, err := f.ReadAt(b, int64(off)); err != nil {
-				return err
-			}
-			fn(b)
-			off, size = off+uint64(len(b)), size-uint64(len(b))
-		}
-		return nil
-	}
+	sps := int(h.slotsPerShard)
+	s := &splitSource{f: f, h: h, l: l, buf: make([]byte, writeChunk),
+		keys: make([]uint64, sps), vals: make([]uint16, sps), wbuf: make([]byte, max(sps*8, writeChunk))}
 	// Each section's fingerprint hashes its little-endian words; the
 	// index section is zero-padded to a whole word.
 	for _, sec := range []struct{ off, size, sum uint64 }{
@@ -379,9 +382,9 @@ func cutSplit(f *os.File, n, i int) (func(*os.File) error, error) {
 		{l.idxOff, alignUp(h.entryCount*4, 8), h.idxHash},
 	} {
 		wh := newWordHash()
-		if err := read(sec.off, sec.size, func(b []byte) {
+		if err := s.read(sec.off, sec.size, func(b []byte) {
 			for x := 0; x < len(b); x += 8 {
-				wh.word(le.Uint64(b[x:]))
+				wh.word(binary.LittleEndian.Uint64(b[x:]))
 			}
 		}); err != nil {
 			return nil, err
@@ -390,143 +393,194 @@ func cutSplit(f *os.File, n, i int) (func(*os.File) error, error) {
 			return nil, fmt.Errorf("%w: source section fingerprint mismatch", ErrCorrupt)
 		}
 	}
-	sc, sps := int(h.shardCount), int(h.slotsPerShard)
-	shards, first := max(sc/n, 1), i*sc/n // split shard j lies in source shard first+j
-	shift := uint(64 - bits.TrailingZeros(uint(shards*n)))
-	owns := func(k uint64, j int) bool { return k != 0 && hashtab.Hash64Shift(k)>>shift == uint64(i*shards+j) }
-	keys, vals := make([]uint64, sps), make([]uint16, sps)
-	loadShard := func(j int) error {
-		off, x := uint64(first+j)*uint64(sps), 0
-		err := read(l.keysOff+off*8, uint64(sps)*8, func(b []byte) {
-			for p := 0; p < len(b); p, x = p+8, x+1 {
-				keys[x] = le.Uint64(b[p:])
+	return s, nil
+}
+
+// read hands size bytes from off to fn a chunk at a time.
+func (s *splitSource) read(off, size uint64, fn func([]byte)) error {
+	for size > 0 {
+		b := s.buf[:min(size, uint64(len(s.buf)))]
+		if _, err := s.f.ReadAt(b, int64(off)); err != nil {
+			return err
+		}
+		fn(b)
+		off, size = off+uint64(len(b)), size-uint64(len(b))
+	}
+	return nil
+}
+
+// loadShard reads source shard src's slot arrays into keys and vals.
+func (s *splitSource) loadShard(src int) error {
+	le, sps := binary.LittleEndian, uint64(len(s.keys))
+	off, x := uint64(src)*sps, 0
+	err := s.read(s.l.keysOff+off*8, sps*8, func(b []byte) {
+		for p := 0; p < len(b); p, x = p+8, x+1 {
+			s.keys[x] = le.Uint64(b[p:])
+		}
+	})
+	x = 0
+	if err == nil {
+		err = s.read(s.l.valsOff+off*2, sps*2, func(b []byte) {
+			for p := 0; p < len(b); p, x = p+2, x+1 {
+				s.vals[x] = le.Uint16(b[p:])
 			}
 		})
-		x = 0
-		if err == nil {
-			err = read(l.valsOff+off*2, uint64(sps)*2, func(b []byte) {
-				for p := 0; p < len(b); p, x = p+2, x+1 {
-					vals[x] = le.Uint16(b[p:])
-				}
-			})
-		}
-		return err
 	}
-	g := StreamGeometry{MaxCost: int(h.maxCost), Reduced: h.flags&flagReduced != 0, ShardCount: shards,
-		LevelCounts: make([]int64, h.maxCost+1), SplitN: n, SplitIdx: i,
-		GlobalEntries: int64(h.entryCount), GlobalLevelCounts: make([]int64, h.maxCost+1)}
+	return err
+}
+
+// splitShift is the hash shift of an n-way cut's shards: Hash64Shift(k)
+// >> splitShift(sc, n) numbers k's split shard across all n ranges,
+// range i holding max(sc/n, 1) consecutive ones.
+func splitShift(sc, n int) uint { return uint(64 - bits.TrailingZeros(uint(max(sc, n)))) }
+
+// plan sizes the n ranges of a cut from one read of the source's
+// shards: each range's entries per level, counted by cost tag, and its
+// fullest shard, which fixes its slots per shard.
+func (s *splitSource) plan(n int) ([]StreamGeometry, error) {
+	h := s.h
+	sc := int(h.shardCount)
+	shards, shift := max(sc/n, 1), splitShift(sc, n)
+	// Shard counts and n are powers of two: a key's source shard and its
+	// split's range are shifts of its hash.
+	srcShift, rangeShift := splitShift(sc, 1), uint(bits.TrailingZeros(uint(shards)))
+	global := make([]int64, h.maxCost+1)
 	for lv, cnt := range h.levelCounts {
-		g.GlobalLevelCounts[lv] = int64(cnt)
+		global[lv] = int64(cnt)
 	}
-	fullest := 0
-	for j := range shards {
-		if err := loadShard(j); err != nil {
+	cuts := make([]StreamGeometry, n)
+	for i := range cuts {
+		cuts[i] = StreamGeometry{MaxCost: int(h.maxCost), Reduced: h.flags&flagReduced != 0, ShardCount: shards,
+			LevelCounts: make([]int64, h.maxCost+1), SplitN: n, SplitIdx: i,
+			GlobalEntries: int64(h.entryCount), GlobalLevelCounts: global}
+	}
+	held := make([]int, shards*n) // entries per split shard
+	for src := range sc {
+		if err := s.loadShard(src); err != nil {
 			return nil, err
 		}
-		held := 0
-		for s, k := range keys {
-			if !owns(k, j) {
+		for x, k := range s.keys {
+			if k == 0 {
 				continue
 			}
-			cost := bfs.UnpackValue(vals[s]).Cost
+			hk := hashtab.Hash64Shift(k)
+			if hk>>srcShift != uint64(src) {
+				return nil, fmt.Errorf("%w: key %#x stored in shard %d is not that shard's", ErrCorrupt, k, src)
+			}
+			cost := bfs.UnpackValue(s.vals[x]).Cost
 			if cost > int(h.maxCost) {
 				return nil, fmt.Errorf("%w: cost tag %d over horizon %d", ErrCorrupt, cost, h.maxCost)
 			}
-			g.LevelCounts[cost]++
-			held++
+			gs := hk >> shift
+			cuts[gs>>rangeShift].LevelCounts[cost]++
+			held[gs]++
 		}
-		fullest, g.EntryCount = max(fullest, held), g.EntryCount+int64(held)
 	}
-	if g.EntryCount == 0 {
-		return nil, fmt.Errorf("tablesio: split %d/%d owns no entries (table too small for %d ranges)", i, n, n)
+	for i := range cuts {
+		g, fullest := &cuts[i], 0
+		for _, e := range held[i*shards : (i+1)*shards] {
+			fullest, g.EntryCount = max(fullest, e), g.EntryCount+int64(e)
+		}
+		if g.EntryCount == 0 {
+			return nil, fmt.Errorf("tablesio: split %d/%d owns no entries (table too small for %d ranges)", i, n, n)
+		}
+		g.SlotsPerShard = hashtab.FrozenSlotsPerShard(fullest)
 	}
-	g.SlotsPerShard = hashtab.FrozenSlotsPerShard(fullest)
-	copied := n <= sc && g.SlotsPerShard == sps
-	return func(out *os.File) error {
-		w, err := newStreamWriter(out, g, h.fp, h.horizon)
-		if err != nil {
+	return cuts, nil
+}
+
+// cut writes the split store g (one of plan's) to out: its shards,
+// then one walk of the source's level index keeps the range's entries,
+// each with its split slot and its position in its level.
+func (s *splitSource) cut(out *os.File, g *StreamGeometry) error {
+	h, le := s.h, binary.LittleEndian
+	n, i := g.SplitN, g.SplitIdx
+	sc, sps := int(h.shardCount), int(h.slotsPerShard)
+	shards, first := g.ShardCount, i*sc/n // split shard j lies in source shard first+j
+	shift := splitShift(sc, n)
+	owns := func(k uint64, j int) bool { return k != 0 && hashtab.Hash64Shift(k)>>shift == uint64(i*shards+j) }
+	w, err := newStreamWriter(out, *g, h.fp, h.horizon)
+	if err != nil {
+		return err
+	}
+	w.SetBuffer(s.wbuf)
+	var (
+		remap              []uint32 // split slot + 1 of source slot first·sps + s; 0: another range's
+		slotKeys, ks       []uint64
+		slotVals, vs       []uint16
+		at                 []uint32
+		scratch            hashtab.PlaceScratch
+		splitSps, slotMask = g.SlotsPerShard, uint64(g.SlotsPerShard - 1)
+	)
+	if copied := n <= sc && splitSps == sps; !copied {
+		remap = make([]uint32, shards*sps)
+		slotKeys, slotVals = make([]uint64, splitSps), make([]uint16, splitSps)
+	}
+	for j := range shards {
+		if err := s.loadShard(first + j); err != nil {
 			return err
 		}
-		var (
-			remap              []uint32 // split slot + 1 of source slot first·sps + s; 0: another range's
-			slotKeys, ks       []uint64
-			slotVals, vs       []uint16
-			at                 []uint32
-			scratch            hashtab.PlaceScratch
-			splitSps, slotMask = g.SlotsPerShard, uint64(g.SlotsPerShard - 1)
-		)
-		if !copied {
-			remap = make([]uint32, shards*sps)
-			slotKeys, slotVals = make([]uint64, splitSps), make([]uint16, splitSps)
-		}
-		for j := range shards {
-			if err := loadShard(j); err != nil {
+		if remap == nil {
+			if err := w.WriteShard(s.keys, s.vals); err != nil {
 				return err
 			}
-			if copied {
-				if err := w.WriteShard(keys, vals); err != nil {
-					return err
-				}
-				continue
-			}
-			ks, vs, at = ks[:0], vs[:0], at[:0]
-			for s, k := range keys {
-				if owns(k, j) {
-					ks, vs, at = append(ks, k), append(vs, vals[s]), append(at, uint32(j*sps+s))
-				}
-			}
-			clear(slotKeys)
-			clear(slotVals)
-			hashtab.PlaceShardCanonical(ks, vs, slotKeys, slotVals, &scratch)
-			for e, k := range ks {
-				x := hashtab.Hash64Shift(k) & slotMask
-				for slotKeys[x] != k {
-					x = (x + 1) & slotMask
-				}
-				remap[at[e]] = uint32(j*splitSps) + uint32(x) + 1
-			}
-			if err := w.WriteShard(slotKeys, slotVals); err != nil {
-				return err
+			continue
+		}
+		ks, vs, at = ks[:0], vs[:0], at[:0]
+		for x, k := range s.keys {
+			if owns(k, j) {
+				ks, vs, at = append(ks, k), append(vs, s.vals[x]), append(at, uint32(j*sps+x))
 			}
 		}
-		// One walk of the source's level index keeps the range's entries,
-		// each with its split slot and its position in its level.
-		span, lo := uint64(shards*sps), uint64(first*sps)
-		idx, gpos := make([]uint32, 0, writeChunk/4), make([]uint32, 0, writeChunk/4)
-		walked := make([]int64, len(g.LevelCounts))
-		level, pos := 0, uint64(0)
-		if err := read(l.idxOff, h.entryCount*4, func(b []byte) {
-			idx, gpos = idx[:0], gpos[:0]
-			for x := 0; x < len(b); x, pos = x+4, pos+1 {
-				for pos == h.levelCounts[level] {
-					level, pos = level+1, 0
-				}
-				s := uint64(le.Uint32(b[x:])) - lo
-				if s < span && remap != nil {
-					s = uint64(remap[s]) - 1 // past span for another range's key
-				}
-				if s < span {
-					idx, gpos = append(idx, uint32(s)), append(gpos, uint32(pos))
-					walked[level]++
-				}
+		clear(slotKeys)
+		clear(slotVals)
+		hashtab.PlaceShardCanonical(ks, vs, slotKeys, slotVals, &scratch)
+		for e, k := range ks {
+			x := hashtab.Hash64Shift(k) & slotMask
+			for slotKeys[x] != k {
+				x = (x + 1) & slotMask
 			}
-			if err == nil {
-				err = w.AppendIndex(idx)
-			}
-			if err == nil {
-				err = w.AppendGlobalPos(gpos)
-			}
-		}); err != nil {
+			remap[at[e]] = uint32(j*splitSps) + uint32(x) + 1
+		}
+		if err := w.WriteShard(slotKeys, slotVals); err != nil {
 			return err
 		}
-		for lv, cnt := range walked {
-			if err == nil && cnt != g.LevelCounts[lv] {
-				err = fmt.Errorf("%w: level %d indexes %d entries of the range, cost tags say %d", ErrCorrupt, lv, cnt, g.LevelCounts[lv])
+	}
+	span, lo := uint64(shards*sps), uint64(first*sps)
+	idx, gpos := make([]uint32, 0, writeChunk/4), make([]uint32, 0, writeChunk/4)
+	walked := make([]int64, len(g.LevelCounts))
+	level, pos := 0, uint64(0)
+	if err := s.read(s.l.idxOff, h.entryCount*4, func(b []byte) {
+		idx, gpos = idx[:0], gpos[:0]
+		for x := 0; x < len(b); x, pos = x+4, pos+1 {
+			for pos == h.levelCounts[level] {
+				level, pos = level+1, 0
+			}
+			slot := uint64(le.Uint32(b[x:])) - lo
+			if slot < span && remap != nil {
+				slot = uint64(remap[slot]) - 1 // past span for another range's key
+			}
+			if slot < span {
+				idx, gpos = append(idx, uint32(slot)), append(gpos, uint32(pos))
+				walked[level]++
 			}
 		}
-		if err != nil {
-			return err
+		if err == nil {
+			err = w.AppendIndex(idx)
 		}
-		return w.Finalize()
-	}, nil
+		if err == nil {
+			err = w.AppendGlobalPos(gpos)
+		}
+	}); err != nil {
+		return err
+	}
+	for lv, cnt := range walked {
+		if err == nil && cnt != g.LevelCounts[lv] {
+			err = fmt.Errorf("%w: level %d indexes %d entries of the range, cost tags say %d", ErrCorrupt, lv, cnt, g.LevelCounts[lv])
+		}
+	}
+	if err != nil {
+		return err
+	}
+	return w.Finalize()
 }

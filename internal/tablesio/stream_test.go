@@ -102,7 +102,7 @@ func TestStreamWriterByteIdentity(t *testing.T) {
 
 // TestStreamWriterSplitByteIdentity: a split store written through the
 // StreamWriter from an independent reference layout must match
-// SaveSplitFile's cut byte for byte. The reference takes range i's
+// SaveSplitFiles' cut byte for byte. The reference takes range i's
 // entries in level order, places each of the range's shards with
 // PlaceShardCanonical at the slot count its fullest shard needs, and
 // resolves the level index with SlotOf, never reading the full store's
@@ -122,11 +122,7 @@ func TestStreamWriterSplitByteIdentity(t *testing.T) {
 	for _, n := range []int{2, 16} {
 		sc := max(fullFT.ShardCount()/n, 1)
 		shift := uint(64 - bits.TrailingZeros(uint(sc*n)))
-		for i := 0; i < n; i++ {
-			refPath := filepath.Join(t.TempDir(), "ref.rvt")
-			if err := SaveSplitFile(refPath, full, n, i); err != nil {
-				t.Fatal(err)
-			}
+		for i, refPath := range cutStore(t, full, n) {
 			ref, err := os.ReadFile(refPath)
 			if err != nil {
 				t.Fatal(err)
@@ -216,7 +212,7 @@ func TestStreamWriterSplitByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, ref) {
-				t.Fatalf("streamed split %d/%d differs from SaveSplitFile (%d vs %d bytes)", i, n, len(got), len(ref))
+				t.Fatalf("streamed split %d/%d differs from SaveSplitFiles (%d vs %d bytes)", i, n, len(got), len(ref))
 			}
 		}
 	}

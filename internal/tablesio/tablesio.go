@@ -8,7 +8,7 @@
 // Format v2 (see format2.go) persists the frozen probe-table layout
 // itself, so a load is a header check plus a memory map: cold start in
 // milliseconds. SaveFile writes it atomically through the StreamWriter
-// the out-of-core builder emits with, and SaveSplitFile cuts split stores
+// the out-of-core builder emits with, and SaveSplitFiles cuts split stores
 // from a finished one through it too; Load reads it, LoadFile adds the
 // mmap fast path. v2 is the only format this package reads: a store of
 // any other version fails with ErrUnsupportedVersion.
@@ -43,7 +43,7 @@ const version2 = byte('2')
 const (
 	flagReduced = 1 << 0
 	// flagSplit marks a v2 store holding one high-hash range of a table
-	// set (see SaveSplitFile); the header then carries the split extension
+	// set (see SaveSplitFiles); the header then carries the split extension
 	// and the file a global-position section.
 	flagSplit = 1 << 1
 )
@@ -137,33 +137,46 @@ func CheckSplitCount(n int) error {
 	return nil
 }
 
-// SaveSplitFile cuts range i of n (see CheckSplitCount) out of the
-// finished full store at src and publishes it at dst, atomically like
-// SaveFile: the range's shards, its level index, and each entry's
-// global level position, so a fleet of such stores reassembles the
-// exact global level order. It is the only writer of split stores, and
-// a cut of an immutable store, so the same (src, n) always produces the
-// same n files. src's section fingerprints are checked first: a damaged
-// source fails with ErrCorrupt and publishes nothing. Memory stays
-// bounded by one shard's arrays, an index chunk and, for a re-placed
-// range, 4 B per range slot (see cutSplit); the table is never loaded.
-func SaveSplitFile(dst, src string, n, i int) error {
+// SaveSplitFiles cuts the n ranges (see CheckSplitCount) of the
+// finished full store at src and publishes range i at dst(i), each
+// atomically like SaveFile: the range's shards, its level index, and
+// each entry's global level position, so a fleet of such stores
+// reassembles the exact global level order. It is the only writer of
+// split stores, and a cut of an immutable store, so the same (src, n)
+// always produces the same n files. src is checked once, before any
+// range is published: a split source fails with ErrSplitStore, a
+// damaged one (a section fingerprint, a cost tag past the horizon, a
+// key in another shard's slots) with ErrCorrupt, and a table too small
+// to give every range an entry with an error of its own; none of them
+// publishes a file. Memory stays bounded by one shard's arrays, an
+// index chunk, a count per split shard and, for a re-placed range, 4 B
+// per range slot (see splitSource); the table is never loaded.
+func SaveSplitFiles(src string, n int, dst func(i int) string) error {
 	if err := CheckSplitCount(n); err != nil {
 		return err
 	}
-	if i < 0 || i >= n {
-		return fmt.Errorf("tablesio: split index %d outside [0, %d)", i, n)
+	if dst == nil {
+		return fmt.Errorf("tablesio: SaveSplitFiles needs a destination per range")
 	}
 	f, err := os.Open(src)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	write, err := cutSplit(f, n, i)
+	s, err := openSplitSource(f)
 	if err != nil {
 		return err
 	}
-	return PublishFile(dst, write)
+	cuts, err := s.plan(n)
+	if err != nil {
+		return err
+	}
+	for i := range cuts {
+		if err := PublishFile(dst(i), func(out *os.File) error { return s.cut(out, &cuts[i]) }); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // checkFull rejects what SaveFile cannot save: a nil result, or one
@@ -255,7 +268,7 @@ type LoadOptions struct {
 	// DisableMmap forces LoadFile through the streaming loader even for
 	// v2 stores on capable hosts.
 	DisableMmap bool
-	// AllowSplit permits loading split stores (SaveSplitFile); without it
+	// AllowSplit permits loading split stores (SaveSplitFiles); without it
 	// every loader rejects them with ErrSplitStore. Only LoadFile can
 	// return the split metadata (LoadInfo.Split), so split stores must
 	// be loaded through it.

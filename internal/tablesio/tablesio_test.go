@@ -66,8 +66,8 @@ func TestSaveNilRejected(t *testing.T) {
 	if err := SaveFile(path, nil); err == nil {
 		t.Fatal("SaveFile(nil) succeeded")
 	}
-	if err := SaveSplitFile(path, filepath.Join(t.TempDir(), "missing"), 2, 0); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("SaveSplitFile of a missing source: err = %v, want os.ErrNotExist", err)
+	if err := SaveSplitFiles(filepath.Join(t.TempDir(), "missing"), 2, func(int) string { return path }); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("SaveSplitFiles of a missing source: err = %v, want os.ErrNotExist", err)
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("failed save published %s: %v", path, err)
