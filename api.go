@@ -89,10 +89,11 @@
 // bfs.Search, for any budget, worker count, or crash history —
 // per-shard merges assign the same deterministic sequence numbers the
 // sequential builder would, so the emitted file is independent of the
-// spill schedule. Days-long builds survive interruption: the work
-// directory (-build-workdir, default <save>.work) carries a
-// generation-stamped checkpoint manifest with per-artifact
-// fingerprints, and -resume picks the build up with at most one level
+// spill schedule. Both lay the store out in hashtab.StoreShards = 8 hash
+// shards, so its bytes do not depend on the building machine. Days-long
+// builds survive interruption: the work directory (-build-workdir,
+// default <save>.work) carries a generation-stamped checkpoint
+// manifest with per-artifact fingerprints, and -resume picks the build up with at most one level
 // of rework, even under a different budget. Progress streams per level
 // (slabs, candidates, spill traffic, ETA) and the final level counts
 // are diffed against the paper's Table 4 before the store is declared
@@ -150,8 +151,8 @@
 //
 //	# a router serves the normal HTTP API, resolving every lookup
 //	# batch through the shard fleet: canonical keys are partitioned on
-//	# their high Wang-hash bits (the same routing the in-process
-//	# sharded table uses), so each shard's resident set converges to
+//	# their high Wang-hash bits (the same bits that pick a store's
+//	# hash shard), so each shard's resident set converges to
 //	# ~1/N of the table. "," separates hash ranges; "|" separates
 //	# replicas within one:
 //	revserve -router 'a1:9091|a2:9091,b1:9091|b2:9091' -addr :8080

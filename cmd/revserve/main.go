@@ -45,7 +45,7 @@
 //   - -router serves the normal HTTP API but reads the tables through a
 //     shard-by-key router over the listed shard servers: each lookup
 //     batch is partitioned on the high Wang-hash bits of its canonical
-//     keys — the same routing the in-process sharded table uses — so
+//     keys — the same bits that pick a store's hash shard — so
 //     every shard's hot (resident) page set converges to ~1/N of the
 //     table. That is the deployment shape for table sets too large to
 //     keep hot on one machine (the paper's k ≥ 9 regime).

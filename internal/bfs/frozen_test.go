@@ -79,7 +79,7 @@ func TestCompactPreservesQueries(t *testing.T) {
 // TestCompactMemorySavings pins the resident cost of a search result:
 // the flat table plus a 4-byte slot index per representative, with no
 // second copy of each packed word. The build-time layout it replaces
-// (sharded table plus 8-byte level lists) cost ~20 bytes per
+// (the build hash table plus 8-byte level lists) cost ~20 bytes per
 // representative at k = 5.
 func TestCompactMemorySavings(t *testing.T) {
 	res, err := Search(GateAlphabet(), 5, nil)
@@ -162,7 +162,7 @@ func TestFromFrozenValidation(t *testing.T) {
 		t.Fatalf("unverified assembly failed: %v", err)
 	}
 	// A level list naming a representative the table lacks is refused.
-	table := hashtab.NewSharded(1)
+	table := hashtab.New(1)
 	table.Insert(uint64(perm.Identity), PackIdentity())
 	levels := [][]perm.Perm{{perm.Identity}, {res.Level(1).At(0)}}
 	if _, err := FromLevels(res.Alphabet, 1, true, table, levels, false); err == nil {

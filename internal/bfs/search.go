@@ -156,13 +156,13 @@ func (r *Result) CompactView() (*hashtab.FrozenTable, []uint32, []int) {
 	return r.Frozen, r.levelIdx, counts
 }
 
-// FromLevels freezes a build: the sharded table is re-laid into the
-// flat layout by hashtab.Compact, and each level list becomes the slot
-// index of its representatives, in list order. One O(n) pass, after
-// which the table and lists can be dropped. Search ends here; verify is
-// as for FromFrozen.
-func FromLevels(a *Alphabet, maxCost int, reduced bool, t *hashtab.ShardedTable, levels [][]perm.Perm, verify bool) (*Result, error) {
-	ft, err := hashtab.Compact(t)
+// FromLevels freezes a build: the table is re-laid by hashtab.Compact
+// into the flat layout of hashtab.StoreShards shards, and each level
+// list becomes the slot index of its representatives, in list order.
+// One O(n) pass, after which the table and lists can be dropped. Search
+// ends here; verify is as for FromFrozen.
+func FromLevels(a *Alphabet, maxCost int, reduced bool, t *hashtab.Table, levels [][]perm.Perm, verify bool) (*Result, error) {
+	ft, err := hashtab.Compact(t, hashtab.StoreShards)
 	if err != nil {
 		return nil, err
 	}
@@ -371,7 +371,7 @@ func Search(a *Alphabet, k int, opts *Options) (*Result, error) {
 	if !opts.NoReduction && a.Len() == 32 && a.MaxCost() == 1 && k < len(GateReducedCounts) {
 		hint = max(hint, int(CumulativeGateReduced(k)))
 	}
-	table := hashtab.NewSharded(hint)
+	table := hashtab.New(hint)
 	table.Insert(uint64(perm.Identity), PackIdentity())
 	levels := make([][]perm.Perm, k+1)
 	levels[0] = []perm.Perm{perm.Identity}
@@ -401,7 +401,7 @@ func Search(a *Alphabet, k int, opts *Options) (*Result, error) {
 // table, survivors appended in arrival order. Sequence numbers are
 // irrelevant here — arrival order IS the sequential order.
 type seqSink struct {
-	table *hashtab.ShardedTable
+	table *hashtab.Table
 	lvl   []perm.Perm
 }
 

@@ -23,9 +23,11 @@ const idxChunk = 1 << 15
 // through the writer's read-only probe view, the workers splitting the
 // .seq files into chunks and appending the resolved slots in discovery
 // order. Byte-identity with
-// tablesio.SaveFile holds because every geometry decision (shard
-// count, slots per shard, placement order, level order) is the same
-// pure function of the entry set that hashtab.Compact applies. Without
+// tablesio.SaveFile holds because the shard count is the same
+// (hashtab.StoreShards unless Options.Shards sets another) and every
+// other geometry decision (slots per shard, placement order, level
+// order) is the same pure function of the entry set that
+// hashtab.Compact applies. Without
 // an OutPath the full store is a temporary file in the work directory,
 // removed once its splits are cut.
 func (b *builder) emit() error {

@@ -67,8 +67,10 @@ type Options struct {
 
 	// Shards is the hash-shard count of the build and of the emitted
 	// store (rounded up to a power of two); zero means
-	// hashtab.DefaultShardCount(), the shard count bfs.Search uses on
-	// this machine, so the two stores compare byte for byte.
+	// hashtab.StoreShards, the shard count of bfs.Search's stores, so
+	// the two compare byte for byte. A larger count gives the
+	// shard-parallel merges and emission more work units, and other
+	// store bytes.
 	Shards int
 
 	// Workers bounds the goroutines of every phase — expansion slabs,
@@ -175,7 +177,7 @@ type builder struct {
 	reduced bool
 	dir     string
 	shards  int
-	// shardShift routes keys to shards exactly as the sharded table and
+	// shardShift routes keys to shards exactly as hashtab.Compact and
 	// the frozen layout do: shard = Hash64Shift(key) >> shardShift.
 	shardShift uint
 	workers    int
@@ -210,8 +212,8 @@ type builder struct {
 
 // Build runs the out-of-core BFS and emits the full store, then cuts any
 // splits from it. The store is byte-identical to tablesio.SaveFile of
-// the sequential bfs.Search on the same machine, for any MemBudget,
-// Workers, and crash/resume history.
+// the sequential bfs.Search, for any MemBudget, Workers, and
+// crash/resume history.
 func Build(o Options) (*Stats, error) {
 	b, err := newBuilder(o)
 	if err != nil {
@@ -310,7 +312,7 @@ func newBuilder(o Options) (*builder, error) {
 	}
 	shards := o.Shards
 	if shards <= 0 {
-		shards = hashtab.DefaultShardCount()
+		shards = hashtab.StoreShards
 	}
 	n := 1
 	for n < shards && n < 1<<16 {

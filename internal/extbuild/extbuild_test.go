@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/bfs"
 	"repro/internal/gate"
-	"repro/internal/hashtab"
 	"repro/internal/tablesio"
 )
 
@@ -866,9 +865,13 @@ func TestTable4LevelCounts(t *testing.T) {
 
 // TestBuildAllocatesOnce: the workspace makes a build allocate its
 // working memory about once. One default-budget k=6 build shaped like
-// the benchmark workload (8 shards, the full store plus 2 splits)
-// allocated 266 MB when every level and phase made its own buffers; it
-// must now allocate at most 60% of that, and still reproduce Table 4.
+// the benchmark workload (8 shards, 2 workers, the full store plus 2
+// splits) allocated 266 MB when every level and phase made its own
+// buffers; it must now allocate at most 60% of that, and still
+// reproduce Table 4. The worker count is pinned because the arena
+// grows with it: at 3 or more workers the level-6 merge's per-worker
+// read buffers outgrow the level-6 expansion's arena once, and the
+// build maps 240–276 MB in all.
 // The count is the heap's allocation plus every byte the workspace
 // mapped outside the heap, so moving a buffer off the heap does not
 // pass it by itself.
@@ -885,6 +888,7 @@ func TestBuildAllocatesOnce(t *testing.T) {
 		Alphabet: bfs.GateAlphabet(), K: k,
 		WorkDir: filepath.Join(dir, "work"),
 		Shards:  8,
+		Workers: 2,
 		OutPath: filepath.Join(dir, "k6.tables"),
 		SplitN:  2,
 		SplitPath: func(i int) string {
@@ -1133,17 +1137,34 @@ func TestMergeReadBuffersWithinQuarter(t *testing.T) {
 	}
 }
 
-// withEightShards runs f with GOMAXPROCS pinned low enough that
-// hashtab.DefaultShardCount() — the shard count of an in-memory
-// bfs.Search, and so of its saved store — is 8 on any machine.
-func withEightShards(t *testing.T, f func()) {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	if n := hashtab.DefaultShardCount(); n != 8 {
-		t.Fatalf("DefaultShardCount %d at GOMAXPROCS 1, want 8", n)
+// TestStoreBytesIndependentOfGOMAXPROCS: a store's bytes depend only
+// on the alphabet, k and the split count, not on the machine that
+// builds it. Under GOMAXPROCS 1 and 4, bfs.Search + SaveFile and a Build
+// with default Shards and Workers must both write the k=4 store whose
+// SHA-256 TestSaveFileDigests (tablesio) pins.
+func TestStoreBytesIndependentOfGOMAXPROCS(t *testing.T) {
+	const k4 = "e77d01e52ea48e58c217e0a3e2560cd7d9f31036e408253b4b179118000cfa97"
+	a := bfs.GateAlphabet()
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(procs)
+			t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+			dir := t.TempDir()
+			out := filepath.Join(dir, "k4.rvt")
+			if _, err := Build(Options{Alphabet: a, K: 4, WorkDir: filepath.Join(dir, "work"), OutPath: out}); err != nil {
+				t.Fatal(err)
+			}
+			for name, b := range map[string][]byte{
+				"bfs.Search": referenceFile(t, a, 4, false),
+				"Build":      mustRead(t, out),
+			} {
+				sum := sha256.Sum256(b)
+				if got := hex.EncodeToString(sum[:]); got != k4 {
+					t.Errorf("%s: SHA-256 %s (%d bytes), want %s", name, got, len(b), k4)
+				}
+			}
+		})
 	}
-	f()
 }
 
 // TestWorkerCountInvariance: every phase is worker-parallel, so the
@@ -1157,12 +1178,8 @@ func withEightShards(t *testing.T, f func()) {
 func TestWorkerCountInvariance(t *testing.T) {
 	a := bfs.GateAlphabet()
 	const k, n = 4, 4
-	var ref []byte
-	var refs [][]byte
-	withEightShards(t, func() {
-		ref = referenceFile(t, a, k, false)
-		refs = referenceSplits(t, a, k, n)
-	})
+	ref := referenceFile(t, a, k, false)
+	refs := referenceSplits(t, a, k, n)
 	for _, budget := range []struct {
 		name  string
 		bytes int64

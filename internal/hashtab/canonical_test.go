@@ -32,20 +32,20 @@ func testEntries(n int, seed int64) ([]uint64, []uint16) {
 // emit stores byte-identical to the in-memory path.
 func TestCompactCanonicalLayout(t *testing.T) {
 	keys, vals := testEntries(5000, 1)
-	a := NewShardedWithShards(len(keys), 16)
+	a := New(len(keys))
 	for i, k := range keys {
 		a.Insert(k, vals[i])
 	}
-	b := NewShardedWithShards(4, 16) // different capacity hint: forces different grow history
+	b := New(4) // different capacity hint: forces different grow history
 	perm := rand.New(rand.NewSource(2)).Perm(len(keys))
 	for _, i := range perm {
 		b.Insert(keys[i], vals[i])
 	}
-	fa, err := Compact(a)
+	fa, err := Compact(a, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := Compact(b)
+	fb, err := Compact(b, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestCompactCanonicalLayout(t *testing.T) {
 func TestFrozenSlotsPerShard(t *testing.T) {
 	for _, n := range []int{0, 1, 13, 14, 100, 871, 872} {
 		keys, vals := testEntries(n, int64(n))
-		st := NewShardedWithShards(n, 1)
+		st := New(n)
 		for i, k := range keys {
 			st.Insert(k, vals[i])
 		}
-		ft, err := Compact(st)
+		ft, err := Compact(st, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

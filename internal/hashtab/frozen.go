@@ -232,45 +232,63 @@ func PlaceShardCanonical(ks []uint64, vs []uint16, slotKeys []uint64, slotVals [
 	}
 }
 
-// Compact re-lays a sharded table into the frozen flat layout: one pass
-// that sizes every shard to the same power of two (the smallest keeping
-// the fullest shard at or under the build-phase load factor) and places
-// each entry on its probe chain in the canonical (home slot, key) order,
-// so the resulting arrays depend only on the stored entries, never on
-// insertion history. This is the once-per-table cost the serving path
-// pays so that queries — and the persisted v2 format — get the
-// two-array layout; afterwards the sharded table can be dropped.
-func Compact(t *ShardedTable) (*FrozenTable, error) {
-	maxCount, total := 0, 0
-	for i := range t.shards {
-		n := t.shards[i].t.Len()
-		total += n
-		if n > maxCount {
-			maxCount = n
-		}
+// StoreShards is the hash-shard count of every built store: bfs.Search
+// compacts with it, and extbuild uses it unless told otherwise. It is
+// a constant so that a store's bytes depend only on the alphabet, k
+// and the split count, never on the machine that built it.
+const StoreShards = 8
+
+// Compact re-lays a table into the frozen flat layout over shards
+// uniform shards (a power of two in [1, 65536]): entries are grouped by
+// the top bits of their Wang hash, every shard is sized to the same
+// power of two (the smallest keeping the fullest shard at or under the
+// build-phase load factor), and each shard is placed by
+// PlaceShardCanonical, so the resulting arrays depend only on the
+// stored entries and the shard count, never on insertion history. This
+// is the once-per-table cost the serving path pays so that queries —
+// and the persisted v2 format — get the two-array layout; afterwards
+// the table can be dropped.
+func Compact(t *Table, shards int) (*FrozenTable, error) {
+	if shards < 1 || shards&(shards-1) != 0 || shards > 1<<16 {
+		return nil, fmt.Errorf("hashtab: shard count %d is not a power of two in [1, 65536]", shards)
 	}
+	// A counting sort by shard. A shift of 64 (one shard) yields index
+	// 0 because Go defines over-wide shifts to 0.
+	shift := uint(64 - bits.TrailingZeros(uint(shards)))
+	starts := make([]int, shards+1)
+	t.ForEach(func(k uint64, _ uint16) bool {
+		starts[Hash64Shift(k)>>shift+1]++
+		return true
+	})
+	maxCount := 0
+	for i := 1; i <= shards; i++ {
+		maxCount = max(maxCount, starts[i])
+		starts[i] += starts[i-1]
+	}
+	// Scatter: afterwards starts[i] is the end of shard i's entries.
+	gk, gv := make([]uint64, t.Len()), make([]uint16, t.Len())
+	t.ForEach(func(k uint64, v uint16) bool {
+		i := Hash64Shift(k) >> shift
+		gk[starts[i]], gv[starts[i]] = k, v
+		starts[i]++
+		return true
+	})
 	perShard := FrozenSlotsPerShard(maxCount)
-	shardCount := len(t.shards)
-	if int64(shardCount)*int64(perShard) > maxFrozenSlots {
-		return nil, fmt.Errorf("hashtab: compact layout needs %d slots, over the uint32 slot-index space", int64(shardCount)*int64(perShard))
+	if int64(shards)*int64(perShard) > maxFrozenSlots {
+		return nil, fmt.Errorf("hashtab: compact layout needs %d slots, over the uint32 slot-index space", int64(shards)*int64(perShard))
 	}
-	keys := make([]uint64, shardCount*perShard)
-	vals := make([]uint16, shardCount*perShard)
-	ft, err := NewFrozen(keys, vals, shardCount, total)
+	keys := make([]uint64, shards*perShard)
+	vals := make([]uint16, shards*perShard)
+	ft, err := NewFrozen(keys, vals, shards, t.Len())
 	if err != nil {
 		return nil, err
 	}
-	eks := make([]uint64, 0, maxCount)
-	evs := make([]uint16, 0, maxCount)
 	var sc PlaceScratch
-	for i := range t.shards {
-		eks, evs = eks[:0], evs[:0]
-		t.shards[i].t.ForEach(func(k uint64, v uint16) bool {
-			eks = append(eks, k)
-			evs = append(evs, v)
-			return true
-		})
-		PlaceShardCanonical(eks, evs, keys[i*perShard:(i+1)*perShard], vals[i*perShard:(i+1)*perShard], &sc)
+	lo := 0
+	for i := range shards {
+		hi := starts[i]
+		PlaceShardCanonical(gk[lo:hi], gv[lo:hi], keys[i*perShard:(i+1)*perShard], vals[i*perShard:(i+1)*perShard], &sc)
+		lo = hi
 	}
 	return ft, nil
 }

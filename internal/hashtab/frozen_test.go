@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// fillSharded builds a sharded table with n random distinct keys.
-func fillSharded(t testing.TB, n int, seed int64) (*ShardedTable, map[uint64]uint16) {
+// fillTable builds a table with n random distinct keys.
+func fillTable(t testing.TB, n int, seed int64) (*Table, map[uint64]uint16) {
 	rng := rand.New(rand.NewSource(seed))
-	st := NewShardedWithShards(n, 8)
+	tab := New(n)
 	want := make(map[uint64]uint16, n)
 	for len(want) < n {
 		k := rng.Uint64()
@@ -20,73 +20,68 @@ func fillSharded(t testing.TB, n int, seed int64) (*ShardedTable, map[uint64]uin
 		}
 		v := uint16(rng.Intn(1 << 16))
 		want[k] = v
-		st.Insert(k, v)
+		tab.Insert(k, v)
 	}
-	return st, want
+	return tab, want
 }
 
+// TestCompactMatchesSharded: the compaction of a table over every
+// shard count answers exactly the table's entry set.
 func TestCompactMatchesSharded(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 100, 5000} {
-		st, want := fillSharded(t, n, int64(n)+1)
-		ft, err := Compact(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ft.Len() != n {
-			t.Fatalf("n=%d: frozen len %d", n, ft.Len())
-		}
-		if ft.ShardCount() != 8 {
-			t.Fatalf("n=%d: shard count %d, want the sharded table's 8", n, ft.ShardCount())
-		}
-		if got := ft.ShardCount() * ft.SlotsPerShard(); got != ft.Slots() {
-			t.Fatalf("n=%d: %d×%d shards ≠ %d slots", n, ft.ShardCount(), ft.SlotsPerShard(), ft.Slots())
-		}
-		for k, v := range want {
-			got, ok := ft.Lookup(k)
-			if !ok || got != v {
-				t.Fatalf("n=%d: Lookup(%#x) = %d,%v want %d", n, k, got, ok, v)
+		tab, want := fillTable(t, n, int64(n)+1)
+		for _, shards := range compactShardCounts {
+			ft := compacted(t, tab, shards)
+			if ft.Len() != n {
+				t.Fatalf("n=%d/%d shards: frozen len %d", n, shards, ft.Len())
 			}
-			slot, ok := ft.SlotOf(k)
-			if !ok || ft.KeyAt(slot) != k || ft.ValAt(slot) != v {
-				t.Fatalf("n=%d: SlotOf(%#x) inconsistent", n, k)
+			if got := ft.ShardCount() * ft.SlotsPerShard(); got != ft.Slots() {
+				t.Fatalf("n=%d: %d×%d shards ≠ %d slots", n, ft.ShardCount(), ft.SlotsPerShard(), ft.Slots())
 			}
-		}
-		// Misses must agree with the source, and key 0 is never present.
-		rng := rand.New(rand.NewSource(99))
-		for i := 0; i < 1000; i++ {
-			k := rng.Uint64()
-			_, wantOK := want[k]
-			if _, ok := ft.Lookup(k); ok != wantOK {
-				t.Fatalf("n=%d: Lookup(%#x) presence %v, want %v", n, k, ok, wantOK)
+			for k, v := range want {
+				got, ok := ft.Lookup(k)
+				if !ok || got != v {
+					t.Fatalf("n=%d/%d shards: Lookup(%#x) = %d,%v want %d", n, shards, k, got, ok, v)
+				}
+				slot, ok := ft.SlotOf(k)
+				if !ok || ft.KeyAt(slot) != k || ft.ValAt(slot) != v {
+					t.Fatalf("n=%d/%d shards: SlotOf(%#x) inconsistent", n, shards, k)
+				}
 			}
-		}
-		if ft.Contains(0) {
-			t.Fatal("key 0 reported present")
-		}
-		// Iteration covers exactly the stored set.
-		seen := 0
-		ft.ForEach(func(k uint64, v uint16) bool {
-			if want[k] != v {
-				t.Fatalf("ForEach yielded %#x→%d, want %d", k, v, want[k])
+			// Misses must agree with the source, and key 0 is never present.
+			rng := rand.New(rand.NewSource(99))
+			for i := 0; i < 1000; i++ {
+				k := rng.Uint64()
+				_, wantOK := want[k]
+				if _, ok := ft.Lookup(k); ok != wantOK {
+					t.Fatalf("n=%d/%d shards: Lookup(%#x) presence %v, want %v", n, shards, k, ok, wantOK)
+				}
 			}
-			seen++
-			return true
-		})
-		if seen != n {
-			t.Fatalf("ForEach yielded %d entries, want %d", seen, n)
-		}
-		if ft.LoadFactor() > maxLoadFactor {
-			t.Fatalf("n=%d: compact load factor %.3f above build bound", n, ft.LoadFactor())
+			if ft.Contains(0) {
+				t.Fatal("key 0 reported present")
+			}
+			// Iteration covers exactly the stored set.
+			seen := 0
+			ft.ForEach(func(k uint64, v uint16) bool {
+				if want[k] != v {
+					t.Fatalf("ForEach yielded %#x→%d, want %d", k, v, want[k])
+				}
+				seen++
+				return true
+			})
+			if seen != n {
+				t.Fatalf("ForEach yielded %d entries, want %d", seen, n)
+			}
+			if ft.LoadFactor() > maxLoadFactor {
+				t.Fatalf("n=%d/%d shards: compact load factor %.3f above build bound", n, shards, ft.LoadFactor())
+			}
 		}
 	}
 }
 
 func TestFrozenStats(t *testing.T) {
-	st, _ := fillSharded(t, 3000, 3)
-	ft, err := Compact(st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, _ := fillTable(t, 3000, 3)
+	ft := compacted(t, tab, StoreShards)
 	s := ft.ComputeStats()
 	if s.Entries != 3000 || s.Slots != ft.Slots() {
 		t.Fatalf("stats %+v", s)
@@ -143,22 +138,16 @@ func TestFrozenProbeTerminatesOnFullShard(t *testing.T) {
 }
 
 func TestFrozenKeyAtMasksOutOfRange(t *testing.T) {
-	st, _ := fillSharded(t, 10, 4)
-	ft, err := Compact(st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, _ := fillTable(t, 10, 4)
+	ft := compacted(t, tab, StoreShards)
 	// Any slot id, however corrupt, must stay in bounds.
 	_ = ft.KeyAt(^uint32(0))
 	_ = ft.ValAt(^uint32(0))
 }
 
 func TestFrozenCloser(t *testing.T) {
-	st, _ := fillSharded(t, 5, 5)
-	ft, err := Compact(st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, _ := fillTable(t, 5, 5)
+	ft := compacted(t, tab, StoreShards)
 	if err := ft.Close(); err != nil {
 		t.Fatalf("close without closer: %v", err)
 	}
@@ -175,11 +164,8 @@ func TestFrozenCloser(t *testing.T) {
 // BenchmarkFrozenLookup measures the branch-lean frozen probe, the
 // innermost operation of the serving path.
 func BenchmarkFrozenLookup(b *testing.B) {
-	st, want := fillSharded(b, 1<<16, 6)
-	ft, err := Compact(st)
-	if err != nil {
-		b.Fatal(err)
-	}
+	tab, want := fillTable(b, 1<<16, 6)
+	ft := compacted(b, tab, StoreShards)
 	keys := make([]uint64, 0, len(want))
 	for k := range want {
 		keys = append(keys, k)

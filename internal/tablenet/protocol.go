@@ -5,7 +5,7 @@
 // length-prefixed binary protocol; Client speaks it back as a
 // tables.Backend, and Router composes N such backends into one by
 // partitioning the canonical-representative key space on the same high
-// Wang-hash bits the in-process sharded table already routes by.
+// Wang-hash bits that pick a store's hash shard.
 //
 // The protocol is deliberately small. Each frame is
 //

@@ -15,9 +15,9 @@ import (
 
 // Router composes a fleet of shard backends into one tables.Backend by
 // partitioning the canonical-representative key space on the high bits
-// of the Wang hash — the same bits the in-process sharded hash table
-// routes by, so the partition is uniform for exactly the same reason the
-// shard locks were. Each LookupBatch is split by key owner and fanned
+// of the Wang hash — the same bits that pick a store's hash shard, so
+// the partition is uniform for exactly the same reason the store's
+// shards are. Each LookupBatch is split by key owner and fanned
 // out to the owning ranges concurrently, then scattered back in place;
 // a batch therefore costs one round trip regardless of range count.
 //

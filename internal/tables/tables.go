@@ -15,7 +15,7 @@
 //   - tablenet.Client speaks the same interface over a wire protocol to
 //     a shard server exporting its mapped store.
 //   - tablenet.Router partitions the key space by the same high
-//     Wang-hash bits the sharded hash table already uses and fans each
+//     Wang-hash bits that pick a store's hash shard and fans each
 //     batch out across N shard backends.
 //
 // Both operations are batch-shaped on purpose: a network backend

@@ -17,9 +17,8 @@ import (
 // store 4, 8 and 16 ways. The digests are constants recorded outside
 // the writers, so a change to the shared encoder that moves a single
 // byte fails here even when every writer and reader agrees with it.
-// The k = 4 store has 8 shards when GOMAXPROCS ≤ 2 (the shard count
-// bfs.Search picks grows with it), which these digests assume. The
-// 8-way cut covers both ways a range is cut: ranges 0, 3, 5 and 6 have
+// The k = 4 store has hashtab.StoreShards = 8 shards on every machine,
+// which these digests assume. The 8-way cut covers both ways a range is cut: ranges 0, 3, 5 and 6 have
 // an emptier fullest shard than the store, so their shards are
 // re-placed at fewer slots (22,912–23,328 B against 31,616–31,952 B
 // for the copied ranges); every 16-way range is half a shard and
